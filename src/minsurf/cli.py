@@ -487,7 +487,8 @@ def run_forward(cfg, out_dir, log):
         write_csv(out_dir / "solution.csv", ["x", "y", "u"],
                   np.column_stack([mesh.vertices, u.values]))
     if cfg["export_dn_trace"]:
-        trace = dn.dn_nonlinear(mesh, metric, f, options=options)
+        trace = dn._nonlinear_trace(mesh, metric,
+                                    geo.boundary_values(mesh, f), u)
         write_csv(out_dir / "dn_trace.csv", ["arclength", "value"],
                   np.column_stack([trace.bg.arclength, trace.values]))
 

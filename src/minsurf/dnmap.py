@@ -65,6 +65,7 @@ from .forward import (
     mse_residual,
     solve_laplace_beltrami,
     solve_minimal_surface,
+    warm_start,
 )
 from .linearize import third_linearization_pde, third_linearization_source
 
@@ -207,9 +208,14 @@ def dn_nonlinear(mesh, metric, f, options=None, bg=None):
     residual rows, and recovers Lambda by the algebraic inversion with the
     tangential slope of the data.
     """
-    bg = bg or boundary_geometry(mesh, metric)
     fb = boundary_values(mesh, f)
-    u, report = solve_minimal_surface(mesh, metric, fb, options)
+    u, _ = solve_minimal_surface(mesh, metric, fb, options)
+    return _nonlinear_trace(mesh, metric, fb, u, bg)
+
+
+def _nonlinear_trace(mesh, metric, fb, u, bg=None):
+    """The ``nonlinear`` DNTrace of a solution u with boundary values fb."""
+    bg = bg or boundary_geometry(mesh, metric)
     flux = mse_residual(mesh, metric, u.values)[bg.vertex_indices]
     ng = flux / bg.ds
     tq = _tangential_sq(mesh, bg, fb)
@@ -402,7 +408,9 @@ def dn_from_area_data(
     runs the algebraic inversion to Lambda.  Produces the same discrete
     object as :func:`dn_nonlinear` up to the O(t^2) differencing error,
     because the area first variation along the solution path reduces to the
-    boundary flux pairing exactly (the interior residual vanishes).
+    boundary flux pairing exactly (the interior residual vanishes).  The
+    perturbed solves share one :func:`~minsurf.forward.warm_start` factor of
+    the base Jacobian (chord steps), which lives only for this call.
 
     Parameters
     ----------
@@ -435,7 +443,10 @@ def dn_from_area_data(
 
     from dataclasses import replace
 
-    warm = replace(options, initial_guess=u0.values)
+    # Every perturbed solve starts at u0 and takes chord steps on one factor
+    # of J(u0): the perturbations are O(t), so J(u0) is within O(t) of the
+    # Jacobian at each perturbed solution.
+    warm = replace(options, initial_guess=warm_start(mesh, metric, u0.values))
     flux = np.full(n_b, np.nan)
     for b in probes:
         pert = np.zeros(n_b)

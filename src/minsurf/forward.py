@@ -19,6 +19,18 @@ with s = sqrt(1 + |grad_g u|^2).  Because the area integrand sqrt(1+|p|^2)
 is strictly convex, the damped Newton iteration from the Laplace-Beltrami
 initial guess is globally convergent in practice, including far outside the
 small-slope regime (see the catenoid tests).
+
+A solve that starts near a known solution u0 (a perturbation of its data,
+as in the area-differencing pipeline) can reuse one factor of J(u0) for
+every step instead of assembling and factoring J at each iterate: the chord
+method (Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM
+2003, ch. 5).  :func:`warm_start` builds that factor; passed as
+``SolveOptions.initial_guess`` it turns the Newton steps into chord steps,
+which contract linearly at a rate set by how far J(u) has moved from
+J(u0).  The refresh rule guards against a stale factor: after any chord
+step that needed a line-search halving, or that shrank the interior
+residual norm by less than half, the factor is dropped and the remaining
+steps of that solve are plain Newton steps with fresh Jacobians.
 """
 
 from __future__ import annotations
@@ -43,6 +55,8 @@ from .geometry import (
 __all__ = [
     "SolveOptions",
     "SolveReport",
+    "WarmStart",
+    "warm_start",
     "mse_residual",
     "mse_linearized_operator",
     "solve_laplace_beltrami",
@@ -68,22 +82,17 @@ class SolveOptions:
     armijo : float
         Sufficient-decrease parameter: accept u + s*delta when
         ||r_new|| <= (1 - armijo * s) ||r||.
-    linear_solver : str
-        "direct" (sparse LU) or "cg" (conjugate gradients on the reduced
-        SPD system).
-    cg_tol : float
-        Relative tolerance for the CG fallback.
     initial_guess : optional
         Nodal array or ScalarField used instead of the Laplace-Beltrami
-        initial guess.
+        initial guess, or a :class:`WarmStart`, whose stored factor of
+        J(u0) then serves the Newton steps as chord steps until the refresh
+        rule drops it (see the module docstring).
     """
 
     tol: float = 1e-10
     max_iter: int = 30
     max_halvings: int = 30
     armijo: float = 1e-4
-    linear_solver: str = "direct"
-    cg_tol: float = 1e-12
     initial_guess: Optional[object] = None
 
 
@@ -97,6 +106,19 @@ class SolveReport:
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     message: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class WarmStart:
+    """Initial guess plus a factor of the interior Jacobian block at it.
+
+    Built by :func:`warm_start`; pass it as ``SolveOptions.initial_guess``.
+    ``values`` are nodal values (the boundary entries are replaced by each
+    solve's data); ``lu`` is the SuperLU factor of J(values)[I, I].
+    """
+
+    values: np.ndarray
+    lu: object
 
 
 def _slope_factor(mesh, mq, u):
@@ -175,38 +197,23 @@ def mse_linearized_operator(mesh, metric, u, mq=None):
     return J.tocsr()
 
 
-def _solve_interior(A, rhs, options):
-    """Solve the reduced interior system for one or more right-hand sides."""
-    rhs = np.atleast_2d(np.asarray(rhs))
-    squeeze = rhs.shape[0] == 1
-    if options.linear_solver == "direct":
-        lu = spla.splu(A.tocsc())
-        out = np.column_stack([lu.solve(col) for col in rhs])
-    elif options.linear_solver == "cg":
-        cols = []
-        for col in rhs:
-            x, info = spla.cg(A, col, rtol=options.cg_tol, atol=0.0)
-            if info != 0:
-                raise RuntimeError(
-                    f"CG failed to reach tolerance {options.cg_tol:g} (info={info})"
-                )
-            cols.append(x)
-        out = np.column_stack(cols)
-    else:
-        raise ValueError(
-            f"unknown linear_solver {options.linear_solver!r}; use 'direct' or 'cg'"
-        )
-    return out[:, 0] if squeeze else out
+def _factor_interior(A):
+    """Sparse LU factor of a reduced interior system matrix."""
+    return spla.splu(A.tocsc())
 
 
-def dirichlet_solve(mesh, A, rhs, bvals, options=None):
+def _solve_interior(A, rhs):
+    """Factor the reduced interior system and solve it for one right-hand side."""
+    return _factor_interior(A).solve(rhs)
+
+
+def dirichlet_solve(mesh, A, rhs, bvals):
     """Solve A u = rhs with Dirichlet values on the boundary vertices.
 
     Symmetric elimination: restrict to interior unknowns and move the
     boundary columns to the right-hand side.  ``bvals`` is in boundary
     ordering; ``rhs`` is a full-length load vector (may be complex).
     """
-    options = options or SolveOptions()
     I = mesh.interior_vertices
     B = mesh.boundary_vertices
     bvals = np.asarray(bvals)
@@ -218,20 +225,33 @@ def dirichlet_solve(mesh, A, rhs, bvals, options=None):
     u[B] = bvals
     reduced = rhs[I] - A_IB @ bvals
     if np.iscomplexobj(reduced):
-        re = _solve_interior(A_II, reduced.real, options)
-        im = _solve_interior(A_II, reduced.imag, options)
+        re = _solve_interior(A_II, reduced.real)
+        im = _solve_interior(A_II, reduced.imag)
         u[I] = re + 1j * im
     else:
-        u[I] = _solve_interior(A_II, reduced, options)
+        u[I] = _solve_interior(A_II, reduced)
     return u
+
+
+def warm_start(mesh, metric, u):
+    """Factor J(u) once for chord-step solves that start at u.
+
+    Assembles the Newton Jacobian at the nodal field ``u`` and factors its
+    interior block.  Every solve given the result as
+    ``SolveOptions.initial_guess`` starts from ``u`` and takes its steps
+    with this factor (see the module docstring for the refresh rule).
+    """
+    u = nodal_values(mesh, u).astype(float).copy()
+    I = mesh.interior_vertices
+    J = mse_linearized_operator(mesh, metric, u)
+    return WarmStart(values=u, lu=_factor_interior(J[I][:, I]))
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data, options=None):
     """Discrete-harmonic extension: K u = 0 with u = f on the boundary."""
-    options = options or SolveOptions()
     f = boundary_values(mesh, boundary_data)
     K = assemble_weighted_stiffness(mesh, metric)
-    u = dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), f, options)
+    u = dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), f)
     return ScalarField(mesh, u)
 
 
@@ -240,7 +260,9 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
     Starts from the Laplace-Beltrami extension of the boundary data (unless
     ``options.initial_guess`` overrides it) and iterates Newton steps with
-    Armijo backtracking on the interior residual norm.
+    Armijo backtracking on the interior residual norm.  With a
+    :class:`WarmStart` guess the steps are chord steps on its stored factor
+    until the refresh rule drops it.
 
     Returns
     -------
@@ -262,8 +284,12 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         )
     mq = metric_at_quadrature(mesh, metric)
 
-    if options.initial_guess is not None:
-        u = nodal_values(mesh, options.initial_guess).astype(float).copy()
+    guess = options.initial_guess
+    lu = None  # factor for chord steps; None means a fresh Jacobian per step
+    if isinstance(guess, WarmStart):
+        guess, lu = guess.values, guess.lu
+    if guess is not None:
+        u = nodal_values(mesh, guess).astype(float).copy()
         u[mesh.boundary_vertices] = f
     else:
         u = solve_laplace_beltrami(mesh, metric, f, options).values.copy()
@@ -292,9 +318,12 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
             )
             return ScalarField(mesh, u), report
 
-        J = mse_linearized_operator(mesh, metric, u, mq)
         delta = np.zeros(mesh.n_vertices)
-        delta[I] = _solve_interior(J[I][:, I], -r[I], options)
+        if lu is None:
+            J = mse_linearized_operator(mesh, metric, u, mq)
+            delta[I] = _solve_interior(J[I][:, I], -r[I])
+        else:
+            delta[I] = lu.solve(-r[I])
 
         # Armijo backtracking on the residual norm.
         step = 1.0
@@ -313,6 +342,10 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
                 f"did not decrease (history tail {residual_norms[-3:]}); the "
                 f"boundary data may be too rough for this mesh"
             )
+        # Refresh rule: a chord step that needed a halving or contracted by
+        # less than half shows J(u0) no longer models J(u) well enough.
+        if lu is not None and (step < 1.0 or rnorm_trial > 0.5 * rnorm):
+            lu = None
         u, r, rnorm = u_trial, r_trial, rnorm_trial
         residual_norms.append(rnorm)
         step_sizes.append(step)

@@ -214,10 +214,9 @@ def third_linearization_pde(mesh, metric, v_j, v_k, v_l, options=None, stiffness
     Solves K w = L with homogeneous Dirichlet data, where L is
     :func:`third_linearization_source` of the three harmonic fields.
     """
-    options = options or SolveOptions()
     if stiffness is None:
         stiffness = assemble_weighted_stiffness(mesh, metric)
     L = third_linearization_source(mesh, metric, v_j, v_k, v_l)
     zero = np.zeros(len(mesh.boundary_vertices))
-    w = dirichlet_solve(mesh, stiffness, L, zero, options)
+    w = dirichlet_solve(mesh, stiffness, L, zero)
     return ScalarField(mesh, w)

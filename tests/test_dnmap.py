@@ -131,6 +131,37 @@ def test_dn_from_area_data_matches_nonlinear():
     assert rec.areas_base > np.pi - 0.1  # area of a graph over ~unit disc
 
 
+def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
+    d = geo.disc(12, 48)
+    f = lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x
+    t = 1e-4
+    u0, base = fwd.solve_minimal_surface(d, FLAT, f)
+    builds = []
+    build = fwd.mse_linearized_operator
+    with monkeypatch.context() as m:
+        m.setattr(fwd, "mse_linearized_operator",
+                  lambda *a, **k: builds.append(1) or build(*a, **k))
+        tr, rec = dn.dn_from_area_data(d, FLAT, f, t=t)
+    # the base solve, then one J(u0) shared by all 2 x 48 perturbed solves
+    assert len(builds) <= base.iterations + 1
+
+    # reference: the same perturbed solves from u0 with a fresh Jacobian at
+    # every Newton step
+    fb = geo.boundary_values(d, f)
+    fresh = fwd.SolveOptions(initial_guess=u0.values)
+    ref = np.empty(len(fb))
+    for b in range(len(fb)):
+        pert = np.zeros(len(fb))
+        pert[b] = t
+        up, _ = fwd.solve_minimal_surface(d, FLAT, fb + pert, fresh)
+        um, _ = fwd.solve_minimal_surface(d, FLAT, fb - pert, fresh)
+        ref[b] = (dn.area(d, FLAT, up) - dn.area(d, FLAT, um)) / (2 * t)
+    # both converge far below the point where the solve error shows in the
+    # area, so only the rounding of the two areas separates them
+    floor = 4 * np.finfo(float).eps * rec.areas_base / (2 * t)
+    assert np.abs(tr.flux - ref).max() <= floor
+
+
 def test_dn_from_area_data_partial_probes():
     d = geo.disc(8, 32)
     f = lambda x, y: 0.3 * x * y

@@ -120,20 +120,41 @@ def test_linearized_operator_at_zero_is_stiffness():
     assert abs(J0 - K).max() == 0.0
 
 
-def test_cg_solver_matches_direct():
-    d = geo.disc(8, 48)
-    f = lambda x, y: x * x - y * y
-    u_direct, _ = fwd.solve_minimal_surface(d, FLAT, f)
-    opts = fwd.SolveOptions(linear_solver="cg", cg_tol=1e-13)
-    u_cg, _ = fwd.solve_minimal_surface(d, FLAT, f, opts)
-    assert np.abs(u_direct.values - u_cg.values).max() < 1e-9
-
-
 def test_newton_failure_is_actionable():
     d = geo.disc(6, 36)
     opts = fwd.SolveOptions(max_iter=1, tol=1e-14)
     with pytest.raises(RuntimeError, match="Newton did not reach"):
         fwd.solve_minimal_surface(d, FLAT, lambda x, y: 2 * (x * x - y * y), opts)
+
+
+def test_warm_start_refresh_rule_drops_a_stale_factor(monkeypatch):
+    # J(0) is the stiffness matrix, a poor model of the Jacobian at the
+    # solution for this data: chord steps on it contract only about 0.8 per
+    # step.  The refresh rule drops the factor after the first step, and the
+    # rest of the solve builds a fresh Jacobian per step like plain Newton.
+    d = geo.disc(12, 48)
+    f = lambda x, y: 0.5 * (x * x - y * y)
+    u_cold, _ = fwd.solve_minimal_surface(d, FLAT, f)
+    ws = fwd.warm_start(d, FLAT, np.zeros(d.n_vertices))
+    builds = []
+    build = fwd.mse_linearized_operator
+    monkeypatch.setattr(fwd, "mse_linearized_operator",
+                        lambda *a, **k: builds.append(1) or build(*a, **k))
+    u, rep = fwd.solve_minimal_surface(d, FLAT, f, fwd.SolveOptions(initial_guess=ws))
+    assert rep.converged
+    # the first (chord) step trips the rule: a halving or a contraction > 1/2
+    assert rep.step_sizes[0] < 1.0 or rep.residual_norms[1] > 0.5 * rep.residual_norms[0]
+    assert len(builds) == rep.iterations - 1
+    assert np.abs(u.values - u_cold.values).max() < 1e-10
+
+
+def test_warm_start_failure_is_actionable():
+    d = geo.disc(12, 48)
+    f = lambda x, y: 0.5 * (x * x - y * y)
+    ws = fwd.warm_start(d, FLAT, np.zeros(d.n_vertices))
+    opts = fwd.SolveOptions(max_iter=1, tol=1e-14, initial_guess=ws)
+    with pytest.raises(RuntimeError, match="Newton did not reach"):
+        fwd.solve_minimal_surface(d, FLAT, f, opts)
 
 
 def test_complex_data_rejected_by_nonlinear_solver():
