@@ -3,7 +3,8 @@
 Submodules
 ----------
 geometry
-    Meshes, metric fields, quadrature, assembly, boundary frames.
+    Meshes, metric fields, quadrature, assembly, boundary frames, and the
+    per-(mesh, metric) Discretization owner.
 forward
     Nonlinear minimal-surface solver and Laplace-Beltrami solves.
 linearize

@@ -344,7 +344,6 @@ DEFAULTS = {
         "export_dn_trace": True,
         "output_dir": "results/forward",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "require_converged": True,
             "max_iterations": 25,
@@ -368,7 +367,6 @@ DEFAULTS = {
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/linearize-check",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "second_slope_min": 1.8,
             "second_final_rel_max": 1e-4,
@@ -393,7 +391,6 @@ DEFAULTS = {
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/identity-check",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "relative_residual_max": 1e-3,
             "order_min": 1.0,
@@ -408,7 +405,6 @@ DEFAULTS = {
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/area-pipeline",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "relative_sup_error_max": 1e-3,
             "roundtrip_max": 1e-14,
@@ -425,7 +421,6 @@ DEFAULTS = {
         "field": None,
         "output_dir": "results/recover-q",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "center_error_max": 0.02,
             "fit_residual_max": 0.2,
@@ -445,7 +440,6 @@ DEFAULTS = {
         ],
         "output_dir": "results/boundary-jet",
         "workers": 1,
-        "seed": 0,
         "assertions": {
             "exponent_tolerance": 0.3,
             "margin_min": 0.5,
@@ -555,10 +549,9 @@ def run_linearize_check(cfg, out_dir, log):
 
     # third linearization: independent PDE solve against the FD estimate
     t0 = time.perf_counter()
-    v = [lin.first_linearization(mesh, metric, directions[j], options).values
+    v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]).values
          for j in triple]
-    w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2],
-                                        options).values
+    w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2]).values
     w_fd = lin.third_linearization_fd(combo, triple,
                                       float(cfg["third_h_eps"])).values
     third_s = time.perf_counter() - t0
@@ -762,12 +755,9 @@ def run_boundary_jet(cfg, out_dir, log):
     n_sweep = [float(n) for n in cfg["n_sweep"]]
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
 
-    extension = inv.HarmonicExtension(mesh, metric)
-
     def profile_result(spec):
         _q_fn, factor = weight_factor(spec, "profiles[]")
-        return inv.boundary_jet_probe(mesh, metric, factor, point, m, n_sweep,
-                                      extension=extension)
+        return inv.boundary_jet_probe(mesh, metric, factor, point, m, n_sweep)
 
     t0 = time.perf_counter()
     outcomes = _map_sweep(profile_result, cfg["profiles"], cfg["workers"])

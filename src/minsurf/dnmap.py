@@ -49,11 +49,10 @@ import numpy as np
 from .geometry import (
     BoundaryGeometry,
     ScalarField,
-    assemble_weighted_stiffness,
-    boundary_geometry,
+    _metric_entries,
     boundary_values,
+    discretization,
     integrate_quadrature,
-    metric_at_quadrature,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
@@ -178,19 +177,18 @@ def _tangential_sq(mesh, bg, f_boundary):
     return df * df
 
 
-def dn_linear(mesh, metric, f, options=None, bg=None, stiffness=None):
+def dn_linear(mesh, metric, f):
     """DN trace of the Laplace-Beltrami extension: Lambda_0 f = d_nu v.
 
     The weak flux is exactly the boundary rows of K v; nodal values divide
     by the lumped boundary measure.  The map is self-adjoint at the weak
     level: flux(f) . g|_b == flux(g) . f|_b for any data f, g.
     """
-    bg = bg or boundary_geometry(mesh, metric)
+    d = discretization(mesh, metric)
+    bg = d.boundary
     fb = boundary_values(mesh, f)
-    if stiffness is None:
-        stiffness = assemble_weighted_stiffness(mesh, metric)
-    v = solve_laplace_beltrami(mesh, metric, fb, options)
-    flux = (stiffness @ v.values)[bg.vertex_indices]
+    v = solve_laplace_beltrami(mesh, metric, fb)
+    flux = (d.stiffness @ v.values)[bg.vertex_indices]
     return DNTrace(
         bg=bg,
         values=flux / bg.ds,
@@ -201,7 +199,7 @@ def dn_linear(mesh, metric, f, options=None, bg=None, stiffness=None):
     )
 
 
-def dn_nonlinear(mesh, metric, f, options=None, bg=None):
+def dn_nonlinear(mesh, metric, f, options=None):
     """DN trace of the minimal-surface solution: Lambda_g f = d_nu u.
 
     Solves the nonlinear problem, reads the N_g weak flux off the boundary
@@ -210,12 +208,12 @@ def dn_nonlinear(mesh, metric, f, options=None, bg=None):
     """
     fb = boundary_values(mesh, f)
     u, _ = solve_minimal_surface(mesh, metric, fb, options)
-    return _nonlinear_trace(mesh, metric, fb, u, bg)
+    return _nonlinear_trace(mesh, metric, fb, u)
 
 
-def _nonlinear_trace(mesh, metric, fb, u, bg=None):
+def _nonlinear_trace(mesh, metric, fb, u):
     """The ``nonlinear`` DNTrace of a solution u with boundary values fb."""
-    bg = bg or boundary_geometry(mesh, metric)
+    bg = discretization(mesh, metric).boundary
     flux = mse_residual(mesh, metric, u.values)[bg.vertex_indices]
     ng = flux / bg.ds
     tq = _tangential_sq(mesh, bg, fb)
@@ -231,7 +229,7 @@ def _nonlinear_trace(mesh, metric, fb, u, bg=None):
     )
 
 
-def ng_map(mesh, metric, u, bg=None):
+def ng_map(mesh, metric, u):
     """Pointwise N_g trace of a solution field by gradient recovery.
 
     Averages the Riemannian gradients of the triangles around each
@@ -240,7 +238,7 @@ def ng_map(mesh, metric, u, bg=None):
     First-order accurate; serves as an independent cross-check of the
     superconvergent weak-flux route used by :func:`dn_nonlinear`.
     """
-    bg = bg or boundary_geometry(mesh, metric)
+    bg = discretization(mesh, metric).boundary
     uvals = nodal_values(mesh, u)
     grads = riemannian_gradient(mesh, metric, uvals)  # per-triangle, g^{-1} grad
     acc = np.zeros((mesh.n_vertices, 2))
@@ -252,8 +250,6 @@ def ng_map(mesh, metric, u, bg=None):
 
     idx = bg.vertex_indices
     p = mesh.vertices[idx]
-    from .geometry import _metric_entries
-
     g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
     gv = recovered[idx]
 
@@ -269,22 +265,24 @@ def ng_map(mesh, metric, u, bg=None):
     return normal_part / np.sqrt(1.0 + slope_sq)
 
 
-def _nodal_normal_derivatives(mesh, stiffness, bg, v):
-    """Nodal d_nu v for a discrete-harmonic field, from its weak flux."""
-    return (stiffness @ np.asarray(v))[bg.vertex_indices] / bg.ds
+def _normal_derivative(d, v):
+    """Nodal d_nu v of a discrete-harmonic field of Discretization d, from its weak flux."""
+    bg = d.boundary
+    return (d.stiffness @ np.asarray(v))[bg.vertex_indices] / bg.ds
 
 
-def _boundary_pairings(mesh, stiffness, bg, vs, fbs):
-    """Normal and tangential first-derivative data of harmonic fields.
+def _boundary_correction(d, vs, fbs):
+    """Nodal nu . F of three harmonic fields vs with boundary data fbs.
 
-    Returns (dnu, dtau): lists of nodal d_nu v_j and d_tau f_j along the
-    boundary.  The g-pairing of two gradients on the boundary is then
-    g(grad v_a, grad v_b) = dtau_a dtau_b + dnu_a dnu_b in the orthonormal
-    frame.
+    nu . F = d_nu v_j g(grad v_k, grad v_l) + (cyclic), where on the
+    boundary g(grad v_a, grad v_b) = d_tau f_a d_tau f_b + d_nu v_a d_nu v_b
+    in the g-orthonormal frame: normal derivatives from weak fluxes,
+    tangential ones from the data.
     """
-    dnu = [_nodal_normal_derivatives(mesh, stiffness, bg, v) for v in vs]
-    dtau = [tangential_derivative(bg, fb) for fb in fbs]
-    return dnu, dtau
+    dnu = [_normal_derivative(d, v) for v in vs]
+    dtau = [tangential_derivative(d.boundary, fb) for fb in fbs]
+    pair = lambda a, b: dtau[a] * dtau[b] + dnu[a] * dnu[b]
+    return dnu[0] * pair(1, 2) + dnu[1] * pair(0, 2) + dnu[2] * pair(0, 1)
 
 
 def dn_third_derivative(
@@ -294,7 +292,6 @@ def dn_third_derivative(
     h_eps=0.02,
     method="fd",
     options=None,
-    bg=None,
 ):
     """Third mixed derivative of the DN map at zero data.
 
@@ -317,7 +314,8 @@ def dn_third_derivative(
 
     if len(directions) != 3:
         raise ValueError(f"need exactly three directions, got {len(directions)}")
-    bg = bg or boundary_geometry(mesh, metric)
+    d = discretization(mesh, metric)
+    bg = d.boundary
     fbs = [boundary_values(mesh, f) for f in directions]
 
     if method == "fd":
@@ -329,7 +327,7 @@ def dn_third_derivative(
                 for s3 in (+1, -1):
                     eps = np.array([s1, s2, s3]) * h_eps
                     trace = dn_nonlinear(
-                        mesh, metric, combo.boundary_data(eps), options=options, bg=bg
+                        mesh, metric, combo.boundary_data(eps), options=options
                     )
                     sign = s1 * s2 * s3
                     lam_acc += sign * trace.values
@@ -340,23 +338,16 @@ def dn_third_derivative(
         )
 
     if method == "exact":
-        stiffness = assemble_weighted_stiffness(mesh, metric)
-        vs = [
-            solve_laplace_beltrami(mesh, metric, fb, options).values for fb in fbs
-        ]
-        w = third_linearization_pde(
-            mesh, metric, *vs, options=options, stiffness=stiffness
-        )
+        vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
+        w = third_linearization_pde(mesh, metric, *vs)
         L = third_linearization_source(mesh, metric, *vs)
-        flux = (stiffness @ w.values - L)[bg.vertex_indices]
+        flux = (d.stiffness @ w.values - L)[bg.vertex_indices]
         d3n = flux / bg.ds
-        dnu, dtau = _boundary_pairings(mesh, stiffness, bg, vs, fbs)
-        pair = lambda a, b: dtau[a] * dtau[b] + dnu[a] * dnu[b]
-        nu_dot_F = (
-            dnu[0] * pair(1, 2) + dnu[1] * pair(0, 2) + dnu[2] * pair(0, 1)
-        )
         return DNTrace(
-            bg=bg, values=d3n + nu_dot_F, flux=flux, kind="third_exact"
+            bg=bg,
+            values=d3n + _boundary_correction(d, vs, fbs),
+            flux=flux,
+            kind="third_exact",
         )
 
     raise ValueError(f"unknown method {method!r}; use 'fd' or 'exact'")
@@ -370,7 +361,7 @@ def dn_third_derivative(
 def area(mesh, metric, u):
     """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g."""
     uvals = nodal_values(mesh, u)
-    mq = metric_at_quadrature(mesh, metric)
+    mq = discretization(mesh, metric).mq
     grad = p1_gradients(mesh, uvals)
     slope_sq = pair_at_quadrature(mesh, mq, grad, grad)
     return float(integrate_quadrature(mesh, mq, np.sqrt(1.0 + slope_sq)))
@@ -384,7 +375,7 @@ def area_first_variation(mesh, metric, u, v):
     """
     uvals = nodal_values(mesh, u)
     vvals = nodal_values(mesh, v)
-    mq = metric_at_quadrature(mesh, metric)
+    mq = discretization(mesh, metric).mq
     gu = p1_gradients(mesh, uvals)
     gv = p1_gradients(mesh, vvals)
     slope_sq = pair_at_quadrature(mesh, mq, gu, gu)
@@ -399,7 +390,6 @@ def dn_from_area_data(
     probes=None,
     t=1e-4,
     options=None,
-    bg=None,
 ):
     """Recover the DN trace purely from area measurements.
 
@@ -424,7 +414,7 @@ def dn_from_area_data(
     (DNTrace, AreaData)
     """
     options = options or SolveOptions()
-    bg = bg or boundary_geometry(mesh, metric)
+    bg = discretization(mesh, metric).boundary
     fb = boundary_values(mesh, f)
     n_b = len(bg.vertex_indices)
     if probes is None:

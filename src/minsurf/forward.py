@@ -39,14 +39,15 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import (
     ScalarField,
-    assemble_weighted_stiffness,
+    assemble_elements,
     boundary_values,
-    metric_at_quadrature,
+    discretization,
+    hat_pair_elements,
+    hat_pairing,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
@@ -61,10 +62,7 @@ __all__ = [
     "mse_linearized_operator",
     "solve_laplace_beltrami",
     "solve_minimal_surface",
-    "dirichlet_solve",
 ]
-
-_QUAD_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
 
 @dataclass
@@ -128,7 +126,7 @@ def _slope_factor(mesh, mq, u):
     return np.sqrt(1.0 + sq), grad
 
 
-def mse_residual(mesh, metric, u, mq=None):
+def mse_residual(mesh, metric, u):
     """Full residual vector of the minimal-surface equation.
 
     Entry i is the integral of g(grad u, grad phi_i)/sqrt(1+|grad_g u|^2)
@@ -139,98 +137,33 @@ def mse_residual(mesh, metric, u, mq=None):
     u = nodal_values(mesh, u)
     if np.iscomplexobj(u):
         raise ValueError("minimal-surface residual is defined for real fields only")
-    if mq is None:
-        mq = metric_at_quadrature(mesh, metric)
-    s, grad = _slope_factor(mesh, mq, u)
-    w = (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det / s  # (nt, 3)
-    # b[t, q, i] = g^{-1}(x_q)(grad u, grad phi_i)
-    hg = mesh.hat_gradients
-    b = (
-        mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
-        + mq.inv12[:, :, None]
-        * (grad[:, None, None, 0] * hg[:, None, :, 1] + grad[:, None, None, 1] * hg[:, None, :, 0])
-        + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
-    )
-    contrib = np.einsum("tq,tqi->ti", w, b)
+    d = discretization(mesh, metric)
+    s, grad = _slope_factor(mesh, d.mq, u)
+    contrib = np.einsum("tq,tqi->ti", d.weights / s, hat_pairing(mesh, d.mq, grad))
     r = np.zeros(mesh.n_vertices)
     np.add.at(r, mesh.triangles, contrib)
     return r
 
 
-def mse_linearized_operator(mesh, metric, u, mq=None):
+def mse_linearized_operator(mesh, metric, u):
     """Newton linearization J(u) of the minimal-surface residual.
 
     Symmetric sparse matrix; at u = 0 it reduces to the Laplace-Beltrami
     stiffness matrix.
     """
     u = nodal_values(mesh, u)
-    if mq is None:
-        mq = metric_at_quadrature(mesh, metric)
-    s, grad = _slope_factor(mesh, mq, u)
-    w_base = mesh.tri_areas[:, None] * _QUAD_WEIGHTS * mq.sqrt_det  # (nt, 3)
-    hg = mesh.hat_gradients
-
-    # b[t, q, i] = g^{-1}(x_q)(grad u, grad phi_i)
-    b = (
-        mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
-        + mq.inv12[:, :, None]
-        * (grad[:, None, None, 0] * hg[:, None, :, 1] + grad[:, None, None, 1] * hg[:, None, :, 0])
-        + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
+    d = discretization(mesh, metric)
+    s, grad = _slope_factor(mesh, d.mq, u)
+    b = hat_pairing(mesh, d.mq, grad)
+    data = hat_pair_elements(mesh, d.mq, d.weights / s) - np.einsum(
+        "tq,tqi,tqj->tij", d.weights / s**3, b, b
     )
-    # pair[t, q, i, j] = g^{-1}(x_q)(grad phi_i, grad phi_j)
-    pair = (
-        mq.inv11[:, :, None, None] * hg[:, None, :, None, 0] * hg[:, None, None, :, 0]
-        + mq.inv12[:, :, None, None]
-        * (hg[:, None, :, None, 0] * hg[:, None, None, :, 1]
-           + hg[:, None, :, None, 1] * hg[:, None, None, :, 0])
-        + mq.inv22[:, :, None, None] * hg[:, None, :, None, 1] * hg[:, None, None, :, 1]
-    )
-    data = np.einsum("tq,tqij->tij", w_base / s, pair) - np.einsum(
-        "tq,tqi,tqj->tij", w_base / s**3, b, b
-    )
-    rows = np.broadcast_to(mesh.triangles[:, :, None], data.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], data.shape)
-    J = sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    return J.tocsr()
+    return assemble_elements(mesh, data)
 
 
 def _factor_interior(A):
     """Sparse LU factor of a reduced interior system matrix."""
     return spla.splu(A.tocsc())
-
-
-def _solve_interior(A, rhs):
-    """Factor the reduced interior system and solve it for one right-hand side."""
-    return _factor_interior(A).solve(rhs)
-
-
-def dirichlet_solve(mesh, A, rhs, bvals):
-    """Solve A u = rhs with Dirichlet values on the boundary vertices.
-
-    Symmetric elimination: restrict to interior unknowns and move the
-    boundary columns to the right-hand side.  ``bvals`` is in boundary
-    ordering; ``rhs`` is a full-length load vector (may be complex).
-    """
-    I = mesh.interior_vertices
-    B = mesh.boundary_vertices
-    bvals = np.asarray(bvals)
-    rhs = np.asarray(rhs)
-    A_csr = A.tocsr()
-    A_II = A_csr[I][:, I]
-    A_IB = A_csr[I][:, B]
-    u = np.zeros(mesh.n_vertices, dtype=np.result_type(bvals, rhs, float))
-    u[B] = bvals
-    reduced = rhs[I] - A_IB @ bvals
-    if np.iscomplexobj(reduced):
-        re = _solve_interior(A_II, reduced.real)
-        im = _solve_interior(A_II, reduced.imag)
-        u[I] = re + 1j * im
-    else:
-        u[I] = _solve_interior(A_II, reduced)
-    return u
 
 
 def warm_start(mesh, metric, u):
@@ -247,12 +180,10 @@ def warm_start(mesh, metric, u):
     return WarmStart(values=u, lu=_factor_interior(J[I][:, I]))
 
 
-def solve_laplace_beltrami(mesh, metric, boundary_data, options=None):
+def solve_laplace_beltrami(mesh, metric, boundary_data):
     """Discrete-harmonic extension: K u = 0 with u = f on the boundary."""
     f = boundary_values(mesh, boundary_data)
-    K = assemble_weighted_stiffness(mesh, metric)
-    u = dirichlet_solve(mesh, K, np.zeros(mesh.n_vertices), f)
-    return ScalarField(mesh, u)
+    return ScalarField(mesh, discretization(mesh, metric).extend(f))
 
 
 def solve_minimal_surface(mesh, metric, boundary_data, options=None):
@@ -282,8 +213,6 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
             "minimal-surface boundary data must be real (complex data is only "
             "supported by solve_laplace_beltrami)"
         )
-    mq = metric_at_quadrature(mesh, metric)
-
     guess = options.initial_guess
     lu = None  # factor for chord steps; None means a fresh Jacobian per step
     if isinstance(guess, WarmStart):
@@ -292,13 +221,13 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         u = nodal_values(mesh, guess).astype(float).copy()
         u[mesh.boundary_vertices] = f
     else:
-        u = solve_laplace_beltrami(mesh, metric, f, options).values.copy()
+        u = solve_laplace_beltrami(mesh, metric, f).values.copy()
 
     I = mesh.interior_vertices
     residual_norms = []
     step_sizes = []
 
-    r = mse_residual(mesh, metric, u, mq)
+    r = mse_residual(mesh, metric, u)
     rnorm = float(np.linalg.norm(r[I]))
     residual_norms.append(rnorm)
 
@@ -320,8 +249,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
         delta = np.zeros(mesh.n_vertices)
         if lu is None:
-            J = mse_linearized_operator(mesh, metric, u, mq)
-            delta[I] = _solve_interior(J[I][:, I], -r[I])
+            J = mse_linearized_operator(mesh, metric, u)
+            delta[I] = _factor_interior(J[I][:, I]).solve(-r[I])
         else:
             delta[I] = lu.solve(-r[I])
 
@@ -330,7 +259,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         accepted = False
         for _ in range(options.max_halvings + 1):
             u_trial = u + step * delta
-            r_trial = mse_residual(mesh, metric, u_trial, mq)
+            r_trial = mse_residual(mesh, metric, u_trial)
             rnorm_trial = float(np.linalg.norm(r_trial[I]))
             if np.isfinite(rnorm_trial) and rnorm_trial <= (1.0 - options.armijo * step) * rnorm:
                 accepted = True

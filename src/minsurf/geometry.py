@@ -30,45 +30,58 @@ Conventions
   the g-orthonormal frame is built by raising that normal with g^{-1},
   which keeps g(nu, tau) = 0 exact.
 
-Mesh JSON format: an object with keys ``vertices`` (list of [x, y]) and
-``triangles`` (list of [i, j, k]); an optional ``boundary_markers`` object
-maps vertex indices to integer labels and is preserved on round-trip.
+One owner per (mesh, metric) pair
+---------------------------------
+Every operator of the package is computed on one (mesh, metric) pair, and
+:func:`discretization` hands out that pair's single :class:`Discretization`.
+It is memoized in a dict on the mesh, keyed by the metric, so it lives and
+dies with the mesh.  The owner builds each invariant on first use, once,
+under its own lock (threads of a sweep may share a mesh): the metric at
+quadrature, the quadrature weights, the stiffness matrix K, the boundary
+geometry, and the coupling block K[I, B] with a sparse LU factor of
+K[I, I] (I interior, B boundary vertices).  :meth:`Discretization.extend`
+solves K u = rhs with Dirichlet values on that factor; every
+Laplace-Beltrami solve, harmonic extension and third-linearization solve
+goes through it.  The builders stay public and build afresh on each call
+(:func:`assemble_weighted_stiffness` from the owner's metric at quadrature).
 """
 
 from __future__ import annotations
 
-import json
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 __all__ = [
     "Mesh",
     "MetricField",
     "ScalarField",
     "BoundaryGeometry",
+    "Discretization",
+    "discretization",
     "square",
     "disc",
     "annulus",
-    "save_mesh",
-    "load_mesh",
     "flat_metric",
     "explicit_metric",
     "conformal_metric",
     "metric_eval",
     "riemannian_gradient",
-    "inner_product",
     "pair_at_quadrature",
+    "hat_pairing",
     "interpolate_at_quadrature",
+    "quadrature_weights",
     "integrate_quadrature",
+    "hat_pair_elements",
+    "assemble_elements",
     "assemble_weighted_stiffness",
-    "assemble_mass",
     "boundary_geometry",
     "boundary_values",
     "tangential_derivative",
-    "lift_boundary",
 ]
 
 # Order-2 rule: three interior points, exact for quadratics.
@@ -106,9 +119,6 @@ class Mesh:
     triangles : (n_triangles, 3) array_like of int
         Vertex indices per triangle.  Orientation is normalized to
         counterclockwise on construction.
-    boundary_markers : dict, optional
-        Optional integer labels per boundary vertex index; carried through
-        JSON round-trips but not interpreted here.
 
     Attributes
     ----------
@@ -134,7 +144,7 @@ class Mesh:
         Longest edge in the mesh (Euclidean).
     """
 
-    def __init__(self, vertices, triangles, boundary_markers=None):
+    def __init__(self, vertices, triangles):
         vertices = np.ascontiguousarray(vertices, dtype=float)
         triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -169,7 +179,6 @@ class Mesh:
 
         self.vertices = vertices
         self.triangles = triangles
-        self.boundary_markers = dict(boundary_markers) if boundary_markers else {}
         self.tri_areas = signed
 
         # P1 hat gradients: grad(phi_i) = perp(p_{i+2} - p_{i+1}) / (2A).
@@ -189,26 +198,34 @@ class Mesh:
 
         self._build_boundary()
 
+        # one Discretization per metric, see discretization()
+        self._discretizations = {}
+        self._discretizations_lock = threading.Lock()
+
     # -- derived structure ---------------------------------------------------
 
     def _build_boundary(self):
         """Extract directed boundary edges and assemble closed loops."""
         t = self.triangles
+        n = len(self.vertices)
         directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        # An edge is on the boundary iff its reversal never occurs.
-        keys = set(map(tuple, directed.tolist()))
-        boundary = [e for e in directed.tolist() if (e[1], e[0]) not in keys]
-        if not boundary:
+        # An edge is on the boundary iff its reversal never occurs; edges are
+        # compared as integer keys a * n + b.
+        keys = directed[:, 0] * n + directed[:, 1]
+        reversed_keys = directed[:, 1] * n + directed[:, 0]
+        boundary = directed[~np.isin(reversed_keys, keys)]
+        if not len(boundary):
             raise ValueError("mesh has no boundary edges (closed surface?)")
-        self.boundary_edges = np.array(boundary, dtype=np.int64)
+        self.boundary_edges = boundary
 
-        succ = {}
-        for a, b in boundary:
-            if a in succ:
-                raise ValueError(
-                    f"non-manifold boundary at vertex {a} (two outgoing edges)"
-                )
-            succ[a] = b
+        starts, first = np.unique(boundary[:, 0], return_index=True)
+        if len(starts) < len(boundary):
+            repeat = np.setdiff1d(np.arange(len(boundary)), first)[0]
+            raise ValueError(
+                f"non-manifold boundary at vertex {boundary[repeat, 0]} "
+                f"(two outgoing edges)"
+            )
+        succ = dict(zip(boundary[:, 0].tolist(), boundary[:, 1].tolist()))
         loops = []
         remaining = set(succ)
         while remaining:
@@ -337,31 +354,6 @@ def annulus(r0, r1, n_radial, n_angular):
     return Mesh(vertices, np.array(tris))
 
 
-def save_mesh(mesh, path):
-    """Write a mesh to JSON (``vertices``/``triangles``/``boundary_markers``)."""
-    obj = {
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-    }
-    if mesh.boundary_markers:
-        obj["boundary_markers"] = {str(k): int(v) for k, v in mesh.boundary_markers.items()}
-    with open(path, "w") as fh:
-        json.dump(obj, fh)
-
-
-def load_mesh(path):
-    """Read a mesh from the JSON format written by :func:`save_mesh`."""
-    with open(path) as fh:
-        obj = json.load(fh)
-    for key in ("vertices", "triangles"):
-        if key not in obj:
-            raise ValueError(f"mesh file {path!r} is missing required key {key!r}")
-    markers = obj.get("boundary_markers")
-    if markers is not None:
-        markers = {int(k): int(v) for k, v in markers.items()}
-    return Mesh(obj["vertices"], obj["triangles"], boundary_markers=markers)
-
-
 # ---------------------------------------------------------------------------
 # Metric fields
 # ---------------------------------------------------------------------------
@@ -437,13 +429,6 @@ def _metric_entries(metric, x, y):
     return c * b11, c * b12, c * b22
 
 
-def conformal_factor(metric, x, y):
-    """Evaluate the conformal factor of a ``conformal`` metric on arrays."""
-    if metric.kind != "conformal":
-        raise ValueError("metric has no conformal factor (kind is not 'conformal')")
-    return np.broadcast_to(np.asarray(metric.factor(x, y), dtype=float), np.shape(x))
-
-
 def metric_eval(metric, point):
     """Evaluate the metric at one point as a 2x2 matrix.
 
@@ -469,10 +454,6 @@ def metric_eval(metric, point):
 class _MetricQuad:
     """Metric data at the volume quadrature points (each array (n_tri, 3))."""
 
-    g11: np.ndarray
-    g12: np.ndarray
-    g22: np.ndarray
-    det: np.ndarray
     sqrt_det: np.ndarray
     inv11: np.ndarray
     inv12: np.ndarray
@@ -480,7 +461,7 @@ class _MetricQuad:
 
 
 def metric_at_quadrature(mesh, metric):
-    """Evaluate metric entries, determinant, and inverse at quadrature points."""
+    """Evaluate the volume factor and inverse metric at quadrature points."""
     x = mesh.quad_points[..., 0]
     y = mesh.quad_points[..., 1]
     g11, g12, g22 = _metric_entries(metric, x, y)
@@ -492,10 +473,6 @@ def metric_at_quadrature(mesh, metric):
             f"(x={x[bad]:.4g}, y={y[bad]:.4g}): g11={g11[bad]:.4g}, det={det[bad]:.4g}"
         )
     return _MetricQuad(
-        g11=g11,
-        g12=g12,
-        g22=g22,
-        det=det,
         sqrt_det=np.sqrt(det),
         inv11=g22 / det,
         inv12=-g12 / det,
@@ -561,23 +538,6 @@ def riemannian_gradient(mesh, metric, field):
     return np.column_stack([gx, gy])
 
 
-def inner_product(mesh, metric, field_u, field_v):
-    """Per-triangle g(grad u, grad v) with the metric at centroids.
-
-    Bilinear in both arguments (no conjugation for complex fields).
-    """
-    gu = p1_gradients(mesh, nodal_values(mesh, field_u))
-    gv = p1_gradients(mesh, nodal_values(mesh, field_v))
-    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
-    g11, g12, g22 = _metric_entries(metric, x, y)
-    det = g11 * g22 - g12**2
-    return (
-        g22 * gu[:, 0] * gv[:, 0]
-        - g12 * (gu[:, 0] * gv[:, 1] + gu[:, 1] * gv[:, 0])
-        + g11 * gu[:, 1] * gv[:, 1]
-    ) / det
-
-
 def pair_at_quadrature(mesh, mq, grad_u, grad_v):
     """g(grad u, grad v) at quadrature points, (n_tri, 3).
 
@@ -592,16 +552,35 @@ def pair_at_quadrature(mesh, mq, grad_u, grad_v):
     )
 
 
+def hat_pairing(mesh, mq, grad):
+    """g(grad u, grad phi_i) at quadrature points, (n_tri, 3, 3) as [t, q, i].
+
+    ``grad`` is the per-triangle Euclidean gradient of u, (n_tri, 2).
+    Bilinear (no conjugation).
+    """
+    hg = mesh.hat_gradients
+    return (
+        mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
+        + mq.inv12[:, :, None]
+        * (grad[:, None, None, 0] * hg[:, None, :, 1] + grad[:, None, None, 1] * hg[:, None, :, 0])
+        + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
+    )
+
+
 def interpolate_at_quadrature(mesh, values):
     """P1 interpolation of nodal values to the quadrature points, (n_tri, 3)."""
     v = np.asarray(values)[mesh.triangles]
     return np.einsum("qi,ti->tq", _QUAD_BARY, v)
 
 
+def quadrature_weights(mesh, mq):
+    """Weights of the volume rule against dV_g at each quadrature point, (n_tri, 3)."""
+    return (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det
+
+
 def integrate_quadrature(mesh, mq, qvals):
     """Integrate a quadrature-point sampled function against dV_g."""
-    w = (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det
-    return (w * qvals).sum()
+    return (quadrature_weights(mesh, mq) * qvals).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -609,32 +588,12 @@ def integrate_quadrature(mesh, mq, qvals):
 # ---------------------------------------------------------------------------
 
 
-def assemble_weighted_stiffness(mesh, metric, weights=None):
-    """Assemble K_ij = integral of W * g(grad phi_i, grad phi_j) dV_g.
+def hat_pair_elements(mesh, mq, w):
+    """Element matrices sum_q w[t, q] g(grad phi_i, grad phi_j)(x_q), (n_tri, 3, 3).
 
-    Parameters
-    ----------
-    weights : None, (n_tri,) or (n_tri, 3) array
-        Scalar weight W, per triangle or per quadrature point.  ``None``
-        means W = 1 (the Laplace-Beltrami stiffness matrix).
-
-    Returns
-    -------
-    scipy.sparse.csr_matrix, symmetric.
+    ``w`` holds the quadrature weights, possibly times a scalar field, at
+    each quadrature point (n_tri, 3).
     """
-    mq = metric_at_quadrature(mesh, metric)
-    w = (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det  # (nt, 3)
-    if weights is not None:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape == (mesh.n_triangles,):
-            w = w * weights[:, None]
-        elif weights.shape == (mesh.n_triangles, 3):
-            w = w * weights
-        else:
-            raise ValueError(
-                f"weights must have shape ({mesh.n_triangles},) or "
-                f"({mesh.n_triangles}, 3), got {weights.shape}"
-            )
     hg = mesh.hat_gradients  # (nt, 3, 2)
     # pair[t, q, i, j] = g^{-1}(x_q)(grad phi_i, grad phi_j)
     pair = (
@@ -644,34 +603,31 @@ def assemble_weighted_stiffness(mesh, metric, weights=None):
            + hg[:, None, :, None, 1] * hg[:, None, None, :, 0])
         + mq.inv22[:, :, None, None] * hg[:, None, :, None, 1] * hg[:, None, None, :, 1]
     )
-    data = np.einsum("tq,tqij->tij", w, pair)
+    return np.einsum("tq,tqij->tij", w, pair)
+
+
+def assemble_elements(mesh, data):
+    """Sum per-triangle element matrices (n_tri, 3, 3) into a CSR matrix."""
     rows = np.broadcast_to(mesh.triangles[:, :, None], data.shape)
     cols = np.broadcast_to(mesh.triangles[:, None, :], data.shape)
-    K = sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(mesh.n_vertices, mesh.n_vertices),
-    )
-    return K.tocsr()
-
-
-def assemble_mass(mesh, metric, lumped=False):
-    """Assemble the mass matrix M_ij = integral of phi_i phi_j dV_g.
-
-    With ``lumped=True`` returns the diagonal row-sum lumping as a 1D array.
-    """
-    mq = metric_at_quadrature(mesh, metric)
-    w = (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det  # (nt, 3)
-    # phi_i(x_q) = _QUAD_BARY[q, i]
-    data = np.einsum("tq,qi,qj->tij", w, _QUAD_BARY, _QUAD_BARY)
-    rows = np.broadcast_to(mesh.triangles[:, :, None], data.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], data.shape)
-    M = sp.coo_matrix(
+    return sp.coo_matrix(
         (data.ravel(), (rows.ravel(), cols.ravel())),
         shape=(mesh.n_vertices, mesh.n_vertices),
     ).tocsr()
-    if lumped:
-        return np.asarray(M.sum(axis=1)).ravel()
-    return M
+
+
+def assemble_weighted_stiffness(mesh, metric):
+    """Assemble the Laplace-Beltrami stiffness K_ij = integral of g(grad phi_i, grad phi_j) dV_g.
+
+    Assembles afresh on every call; ``discretization(mesh, metric).stiffness``
+    is the shared copy.
+
+    Returns
+    -------
+    scipy.sparse.csr_matrix, symmetric.
+    """
+    d = discretization(mesh, metric)
+    return assemble_elements(mesh, hat_pair_elements(mesh, d.mq, d.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +848,106 @@ def tangential_derivative(bg, values):
     return out
 
 
-def lift_boundary(mesh, bvals, interior=0.0):
-    """Full nodal vector with given boundary values and constant interior fill."""
-    bvals = np.asarray(bvals)
-    full = np.full(mesh.n_vertices, interior, dtype=np.result_type(bvals, float))
-    full[mesh.boundary_vertices] = bvals
-    return full
+# ---------------------------------------------------------------------------
+# One owner per (mesh, metric)
+# ---------------------------------------------------------------------------
+
+
+class Discretization:
+    """Invariants of one (mesh, metric) pair, each built once on first use.
+
+    Obtain it with :func:`discretization`; see the module docstring.  Each
+    piece is built by the public builder of the same quantity
+    (:func:`metric_at_quadrature`, :func:`quadrature_weights`,
+    :func:`assemble_weighted_stiffness`, :func:`boundary_geometry`, and
+    ``scipy.sparse.linalg.splu`` for the interior factor) under the owner's
+    lock, so concurrent first uses build it once.  The lock is reentrant
+    because building K reads the metric at quadrature.  Neither K[I, I] nor
+    the per-triangle pairing tensor is kept once used.
+
+    Attributes
+    ----------
+    mq : _MetricQuad
+        Metric at the quadrature points: ``sqrt_det``, ``inv11``, ``inv12``
+        and ``inv22``, each (n_tri, 3).
+    weights : (n_tri, 3) ndarray
+        Quadrature weights against dV_g.
+    stiffness : csr_matrix
+        Laplace-Beltrami stiffness matrix K.
+    boundary : BoundaryGeometry
+    """
+
+    def __init__(self, mesh, metric):
+        self.mesh = mesh
+        self.metric = metric
+        self._lock = threading.RLock()
+        self._built = {}
+
+    def _piece(self, name, build):
+        piece = self._built.get(name)
+        if piece is None:
+            with self._lock:
+                piece = self._built.get(name)
+                if piece is None:
+                    piece = self._built[name] = build()
+        return piece
+
+    @property
+    def mq(self):
+        return self._piece("mq", lambda: metric_at_quadrature(self.mesh, self.metric))
+
+    @property
+    def weights(self):
+        return self._piece("weights", lambda: quadrature_weights(self.mesh, self.mq))
+
+    @property
+    def stiffness(self):
+        return self._piece(
+            "stiffness", lambda: assemble_weighted_stiffness(self.mesh, self.metric)
+        )
+
+    @property
+    def boundary(self):
+        return self._piece("boundary", lambda: boundary_geometry(self.mesh, self.metric))
+
+    def _interior_system(self):
+        K_I = self.stiffness[self.mesh.interior_vertices]
+        coupling = K_I[:, self.mesh.boundary_vertices]
+        return coupling, spla.splu(K_I[:, self.mesh.interior_vertices].tocsc())
+
+    def extend(self, bvals, rhs=None):
+        """Solve K u = rhs with u = ``bvals`` on the boundary vertices.
+
+        Symmetric elimination on the cached factor: the interior unknowns
+        solve K[I, I] u_I = rhs[I] - K[I, B] bvals.  ``bvals`` is in boundary
+        ordering; ``rhs`` is a full-length load vector, None for the
+        discrete-harmonic extension (rhs = 0).  Complex data is solved as its
+        real and imaginary parts.
+        """
+        mesh = self.mesh
+        bvals = np.asarray(bvals)
+        if bvals.shape != (len(mesh.boundary_vertices),):
+            raise ValueError(
+                f"expected {len(mesh.boundary_vertices)} boundary values, "
+                f"got shape {bvals.shape}"
+            )
+        coupling, lu = self._piece("interior", self._interior_system)
+        I = mesh.interior_vertices
+        load = 0.0 if rhs is None else np.asarray(rhs)[I]
+        reduced = load - coupling @ bvals
+        u = np.zeros(mesh.n_vertices, dtype=np.result_type(reduced, float))
+        u[mesh.boundary_vertices] = bvals
+        if np.iscomplexobj(reduced):
+            u[I] = lu.solve(reduced.real) + 1j * lu.solve(reduced.imag)
+        else:
+            u[I] = lu.solve(reduced)
+        return u
+
+
+def discretization(mesh, metric):
+    """The one :class:`Discretization` of (mesh, metric), memoized on the mesh."""
+    with mesh._discretizations_lock:
+        d = mesh._discretizations.get(metric)
+        if d is None:
+            d = mesh._discretizations[metric] = Discretization(mesh, metric)
+    return d

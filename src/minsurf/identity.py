@@ -50,20 +50,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    assemble_weighted_stiffness,
-    boundary_geometry,
     boundary_values,
+    discretization,
     integrate_quadrature,
     interpolate_at_quadrature,
-    metric_at_quadrature,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
-    tangential_derivative,
 )
 from .forward import SolveOptions, solve_laplace_beltrami
 from .linearize import third_linearization_pde
-from .dnmap import dn_third_derivative
+from .dnmap import _boundary_correction, _normal_derivative, dn_third_derivative
 
 __all__ = [
     "IdentityReport",
@@ -103,7 +100,7 @@ def _q_at_quadrature(mesh, Q):
     return interpolate_at_quadrature(mesh, nodal_values(mesh, Q))
 
 
-def q_functional(mesh, metric, Q, v1, v2, v3, v4, mq=None):
+def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     """Weighted trilinear-pairing functional over the chart.
 
     Computes the integral of
@@ -117,8 +114,7 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4, mq=None):
     oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
     callable, a nodal array, or a ScalarField.
     """
-    if mq is None:
-        mq = metric_at_quadrature(mesh, metric)
+    mq = discretization(mesh, metric).mq
     g1 = p1_gradients(mesh, nodal_values(mesh, v1))
     g2 = p1_gradients(mesh, nodal_values(mesh, v2))
     g3 = p1_gradients(mesh, nodal_values(mesh, v3))
@@ -133,34 +129,26 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4, mq=None):
     return complex(out) if np.iscomplexobj(weighted) else float(out)
 
 
-def _boundary_side(mesh, metric, fbs, h_eps, options, bg=None, stiffness=None):
+def _boundary_side(mesh, metric, fbs, h_eps, options):
     """Boundary terms (T1, T2, T3) of the identity for data (f_j, f_k, f_l, f_m)."""
-    bg = bg or boundary_geometry(mesh, metric)
-    if stiffness is None:
-        stiffness = assemble_weighted_stiffness(mesh, metric)
+    d = discretization(mesh, metric)
+    bg = d.boundary
 
     f_m = fbs[3]
-    vs = [solve_laplace_beltrami(mesh, metric, fb, options).values for fb in fbs]
+    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
 
     # T1: eps-differenced nonlinear DN traces paired with f_m.
     d3 = dn_third_derivative(
-        mesh, metric, fbs[:3], h_eps=h_eps, method="fd", options=options, bg=bg
+        mesh, metric, fbs[:3], h_eps=h_eps, method="fd", options=options
     )
     t1 = float(bg.pair(f_m, d3.values))
 
     # T2: w vanishes on the boundary, so this pairing is exactly zero.
-    w = third_linearization_pde(
-        mesh, metric, vs[0], vs[1], vs[2], options=options, stiffness=stiffness
-    )
-    dnu_m = (stiffness @ vs[3])[bg.vertex_indices] / bg.ds
-    t2 = float(bg.pair(w.values[bg.vertex_indices], dnu_m))
+    w = third_linearization_pde(mesh, metric, vs[0], vs[1], vs[2])
+    t2 = float(bg.pair(w.values[bg.vertex_indices], _normal_derivative(d, vs[3])))
 
     # T3: the trilinear boundary correction, in the g-orthonormal frame.
-    dnu = [(stiffness @ v)[bg.vertex_indices] / bg.ds for v in vs[:3]]
-    dtau = [tangential_derivative(bg, fb) for fb in fbs[:3]]
-    pair = lambda a, b: dtau[a] * dtau[b] + dnu[a] * dnu[b]
-    nu_dot_F = dnu[0] * pair(1, 2) + dnu[1] * pair(0, 2) + dnu[2] * pair(0, 1)
-    t3 = float(bg.pair(f_m, nu_dot_F))
+    t3 = float(bg.pair(f_m, _boundary_correction(d, vs[:3], fbs[:3])))
 
     return t1, t2, t3, vs
 

@@ -30,7 +30,8 @@ functional into pointwise information about Q = 1 - 1/c:
   log N exposes k.
 
 Both probes run many harmonic extensions against one factorized interior
-system; sweeps and grids of probe points reuse the factorization.  The
+system, the one the (mesh, metric) pair's ``geometry.Discretization`` owns;
+sweeps and grids of probe points reuse the factorization.  The
 synthetic mode evaluates the weighted functional directly, isolating the
 probe asymptotics; the ``"dn"`` mode drives the full boundary-data
 difference pipeline through multilinear polarization of the complex
@@ -44,16 +45,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
 from .geometry import (
-    Mesh,
-    MetricField,
     ScalarField,
-    assemble_weighted_stiffness,
-    boundary_geometry,
     conformal_metric,
+    discretization,
     metric_eval,
 )
 from .forward import SolveOptions
@@ -65,7 +62,6 @@ __all__ = [
     "RecoveryField",
     "ResolutionError",
     "UnreliableRecoveryError",
-    "HarmonicExtension",
     "make_interior_probe",
     "recover_q_point",
     "recover_q_field",
@@ -140,46 +136,6 @@ class RecoveryField:
     reliable: np.ndarray
 
 
-class HarmonicExtension:
-    """Factorized interior Laplace system for repeated harmonic extensions.
-
-    Assembles the stiffness matrix once, eliminates the boundary once and
-    factorizes the interior block once; each ``extend`` call is then a pair
-    of triangular solves.  Probe sweeps and recovery grids share one
-    instance.
-    """
-
-    def __init__(self, mesh: Mesh, metric: MetricField):
-        self.mesh = mesh
-        self.metric = metric
-        self.stiffness = assemble_weighted_stiffness(mesh, metric)
-        csr = self.stiffness.tocsr()
-        I = mesh.interior_vertices
-        B = mesh.boundary_vertices
-        self._coupling = csr[I][:, B]
-        self._lu = splu(csr[I][:, I].tocsc())
-
-    def extend(self, boundary_data):
-        """Discrete-harmonic extension of nodal boundary values (complex ok)."""
-        bvals = np.asarray(boundary_data)
-        mesh = self.mesh
-        if bvals.shape != (len(mesh.boundary_vertices),):
-            raise ValueError(
-                f"expected {len(mesh.boundary_vertices)} boundary values, "
-                f"got shape {bvals.shape}"
-            )
-        u = np.zeros(mesh.n_vertices, dtype=np.result_type(bvals, float))
-        u[mesh.boundary_vertices] = bvals
-        rhs = -(self._coupling @ bvals)
-        if np.iscomplexobj(rhs):
-            u[mesh.interior_vertices] = self._lu.solve(rhs.real) + 1j * self._lu.solve(
-                rhs.imag
-            )
-        else:
-            u[mesh.interior_vertices] = self._lu.solve(rhs)
-        return u
-
-
 def _conformal_scale_at(metric, point, context):
     """Conformal factor of a conformally flat metric at one point.
 
@@ -198,10 +154,18 @@ def _conformal_scale_at(metric, point, context):
 
 
 def _check_conformally_flat(mesh, metric, context):
-    """Spot-check conformal flatness at a spread of mesh vertices."""
-    idx = np.unique(np.linspace(0, mesh.n_vertices - 1, 7).astype(int))
-    for i in idx:
-        _conformal_scale_at(metric, mesh.vertices[i], context)
+    """Check conformal flatness at every volume quadrature point.
+
+    g = gamma * identity iff g^{-1} = identity / gamma, so the test reads
+    the owner's inverse metric with the tolerance of
+    :func:`_conformal_scale_at`, which then reports the worst point.
+    """
+    mq = discretization(mesh, metric).mq
+    scale = 0.5 * (mq.inv11 + mq.inv22)
+    defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
+    worst = np.unravel_index(int(np.argmax(defect)), defect.shape)
+    if defect[worst] > 1e-9:
+        _conformal_scale_at(metric, mesh.quad_points[worst], context)
 
 
 def _modulus_exponent(mesh, center):
@@ -238,7 +202,6 @@ def make_interior_probe(
     metric,
     center,
     tau,
-    extension=None,
     points_per_wavelength=10.0,
     probe_margin=None,
 ):
@@ -251,8 +214,6 @@ def make_interior_probe(
         boundary (default ``1/sqrt(tau)``).
     tau : float
         Probe frequency (tau = 0 degenerates to four constant fields).
-    extension : HarmonicExtension, optional
-        Shared factorized system; built on the fly when omitted.
     points_per_wavelength : float
         Resolution guard: the shortest oscillation wavelength over the
         chart must span at least this many mesh cells.
@@ -269,8 +230,6 @@ def make_interior_probe(
     if tau < 0:
         raise ValueError(f"probe frequency must be nonnegative, got {tau}")
     _check_conformally_flat(mesh, metric, "interior probe")
-    if extension is None:
-        extension = HarmonicExtension(mesh, metric)
 
     z_p = complex(center[0], center[1])
     verts = mesh.vertices
@@ -317,6 +276,7 @@ def make_interior_probe(
     phi = z_b * z_b
     data_plus = np.exp(1j * tau * phi)
     data_minus = np.exp(1j * tau * np.conj(phi))
+    extension = discretization(mesh, metric)
     u = extension.extend(data_plus)
     v = extension.extend(data_minus)
     modmax = float(max(np.abs(data_plus).max(), np.abs(data_minus).max()))
@@ -385,7 +345,6 @@ def recover_q_point(
     center,
     tau_sweep,
     mode="synthetic",
-    extension=None,
     options=None,
     h_eps=None,
     points_per_wavelength=10.0,
@@ -419,8 +378,6 @@ def recover_q_point(
     if mode not in ("synthetic", "dn"):
         raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn'")
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
-    if extension is None:
-        extension = HarmonicExtension(mesh, metric)
     weight = _discrepancy_weight(factor_c)
 
     values = np.empty(taus.size, dtype=complex)
@@ -430,7 +387,6 @@ def recover_q_point(
             metric,
             center,
             tau,
-            extension=extension,
             points_per_wavelength=points_per_wavelength,
             probe_margin=probe_margin,
         )
@@ -516,7 +472,6 @@ def recover_q_field(
     point is reliable the recovery fails as a whole.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    extension = HarmonicExtension(mesh, metric)
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
     results = []
@@ -553,7 +508,6 @@ def recover_q_field(
                 point,
                 taus * scale,
                 mode=mode,
-                extension=extension,
                 options=options,
                 h_eps=h_eps,
                 points_per_wavelength=points_per_wavelength,
@@ -621,7 +575,6 @@ def boundary_jet_probe(
     point,
     m,
     n_sweep,
-    extension=None,
     points_per_wavelength=10.0,
     noise_floor=1e-13,
 ):
@@ -655,11 +608,10 @@ def boundary_jet_probe(
     gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
-    if extension is None:
-        extension = HarmonicExtension(mesh, metric)
     weight = _discrepancy_weight(factor_c)
 
-    bg = boundary_geometry(mesh, metric)
+    extension = discretization(mesh, metric)
+    bg = extension.boundary
     bverts = mesh.vertices[mesh.boundary_vertices]
     i_near = int(np.argmin(np.hypot(*(bverts - np.asarray(point, dtype=float)).T)))
     base = bverts[i_near]

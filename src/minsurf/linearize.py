@@ -38,26 +38,23 @@ import numpy as np
 
 from .geometry import (
     ScalarField,
-    assemble_weighted_stiffness,
     boundary_values,
-    metric_at_quadrature,
+    discretization,
+    hat_pairing,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
 )
-from .forward import SolveOptions, dirichlet_solve, solve_laplace_beltrami, solve_minimal_surface
+from .forward import SolveOptions, solve_minimal_surface
 
 __all__ = [
     "EpsilonCombination",
-    "first_linearization",
     "first_linearization_fd",
     "second_linearization_fd",
     "third_linearization_source",
     "third_linearization_pde",
     "third_linearization_fd",
 ]
-
-_QUAD_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 
 
 @dataclass
@@ -116,15 +113,6 @@ class EpsilonCombination:
         return self._cache[key]
 
 
-def first_linearization(mesh, metric, f, options=None):
-    """Derivative of the solution map at 0 in direction f.
-
-    This is the discrete-harmonic extension of f (the tilt factor
-    1/sqrt(1+|grad u|^2) is 1 to first order).
-    """
-    return solve_laplace_beltrami(mesh, metric, f, options)
-
-
 def _basis_eps(combo, idx, h, signs):
     eps = np.zeros(combo.n_directions)
     for j, s in zip(idx, signs):
@@ -166,7 +154,7 @@ def third_linearization_fd(combo, triple, h_eps):
     return ScalarField(combo.mesh, acc / (8.0 * h_eps**3))
 
 
-def third_linearization_source(mesh, metric, v_j, v_k, v_l, mq=None):
+def third_linearization_source(mesh, metric, v_j, v_k, v_l):
     """Load vector L of the third-linearization problem K w = L.
 
     Symmetric in the three first-linearization fields; see the module
@@ -175,8 +163,8 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l, mq=None):
     are ignored by the Dirichlet solve but used by the flux bookkeeping of
     the DN third derivative).
     """
-    if mq is None:
-        mq = metric_at_quadrature(mesh, metric)
+    d = discretization(mesh, metric)
+    mq = d.mq
     gj = p1_gradients(mesh, nodal_values(mesh, v_j))
     gk = p1_gradients(mesh, nodal_values(mesh, v_k))
     gl = p1_gradients(mesh, nodal_values(mesh, v_l))
@@ -184,39 +172,23 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l, mq=None):
     pair_jl = pair_at_quadrature(mesh, mq, gj, gl)
     pair_jk = pair_at_quadrature(mesh, mq, gj, gk)
 
-    w = mesh.tri_areas[:, None] * _QUAD_WEIGHTS * mq.sqrt_det  # (nt, 3)
-    hg = mesh.hat_gradients
-
-    def hat_pair(grad):
-        # out[t, q, i] = g^{-1}(x_q)(grad, grad phi_i)
-        return (
-            mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
-            + mq.inv12[:, :, None]
-            * (grad[:, None, None, 0] * hg[:, None, :, 1]
-               + grad[:, None, None, 1] * hg[:, None, :, 0])
-            + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
-        )
-
     integrand = (
-        hat_pair(gj) * pair_kl[:, :, None]
-        + hat_pair(gk) * pair_jl[:, :, None]
-        + hat_pair(gl) * pair_jk[:, :, None]
+        hat_pairing(mesh, mq, gj) * pair_kl[:, :, None]
+        + hat_pairing(mesh, mq, gk) * pair_jl[:, :, None]
+        + hat_pairing(mesh, mq, gl) * pair_jk[:, :, None]
     )
-    contrib = np.einsum("tq,tqi->ti", w, integrand)
+    contrib = np.einsum("tq,tqi->ti", d.weights, integrand)
     L = np.zeros(mesh.n_vertices)
     np.add.at(L, mesh.triangles, contrib)
     return L
 
 
-def third_linearization_pde(mesh, metric, v_j, v_k, v_l, options=None, stiffness=None):
+def third_linearization_pde(mesh, metric, v_j, v_k, v_l):
     """Third mixed derivative w_{jkl} of the solution map at 0.
 
     Solves K w = L with homogeneous Dirichlet data, where L is
     :func:`third_linearization_source` of the three harmonic fields.
     """
-    if stiffness is None:
-        stiffness = assemble_weighted_stiffness(mesh, metric)
     L = third_linearization_source(mesh, metric, v_j, v_k, v_l)
     zero = np.zeros(len(mesh.boundary_vertices))
-    w = dirichlet_solve(mesh, stiffness, L, zero)
-    return ScalarField(mesh, w)
+    return ScalarField(mesh, discretization(mesh, metric).extend(zero, L))

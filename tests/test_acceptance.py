@@ -148,13 +148,13 @@ def test_04_third_linearization_cross_check():
     combo = lin.EpsilonCombination(mesh, FLAT, DIRS)
     rels = []
     for triple in [(0, 1, 2), (0, 2, 3), (1, 2, 3)]:
-        vs = [lin.first_linearization(mesh, FLAT, DIRS[j]).values
+        vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values
               for j in triple]
         w_pde = lin.third_linearization_pde(mesh, FLAT, *vs).values
         w_fd = lin.third_linearization_fd(combo, triple, 0.02).values
         rels.append(float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max()))
     # exact argument symmetry of the assembled source/solve
-    vs = [lin.first_linearization(mesh, FLAT, DIRS[j]).values for j in (0, 1, 2)]
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values for j in (0, 1, 2)]
     w_a = lin.third_linearization_pde(mesh, FLAT, vs[0], vs[1], vs[2]).values
     w_b = lin.third_linearization_pde(mesh, FLAT, vs[2], vs[0], vs[1]).values
     sym = float(np.abs(w_a - w_b).max())
@@ -242,17 +242,15 @@ def test_08_first_variation_criticality():
 def test_09_interior_weight_recovery():
     start = time.perf_counter()
     mesh = geo.disc(128, 768)
-    ext = inv.HarmonicExtension(mesh, FLAT)
     amp = 0.1
     weight = lambda x, y: amp * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.35**2)
     factor = lambda x, y: 1.0 / (1.0 - weight(x, y))
     sweep = [6.0, 8.0, 10.0]
-    result = inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), sweep,
-                                 extension=ext)
+    result = inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), sweep)
     zero = inv.recover_q_point(
         mesh, FLAT, lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        (0.0, 0.0), sweep, extension=ext)
+        (0.0, 0.0), sweep)
     elapsed = time.perf_counter() - start
     err = abs(result.q_estimate - amp)
     linear_dominance = abs(result.intercept) / (abs(result.coefficient)
@@ -274,7 +272,6 @@ def test_09_interior_weight_recovery():
 
 def test_10_boundary_jet_exponents():
     mesh = geo.square(192)
-    ext = inv.HarmonicExtension(mesh, FLAT)
     alpha = 5.0 / 7.0
     point = (0.5, 0.0)
     width = 0.2
@@ -290,8 +287,7 @@ def test_10_boundary_jet_exponents():
         return lambda x, y: 1.0 / (1.0 - q(x, y))
 
     sweep = [20.0, 28.0, 40.0, 56.0]
-    res = [inv.boundary_jet_probe(mesh, FLAT, factor(k), point, 2, sweep,
-                                  extension=ext) for k in (0, 1)]
+    res = [inv.boundary_jet_probe(mesh, FLAT, factor(k), point, 2, sweep) for k in (0, 1)]
     errs = [abs(res[k].exponent - (3.0 - k - alpha)) for k in (0, 1)]
     margin = res[0].exponent - res[1].exponent
     ok = max(errs) <= 0.3 and margin >= 0.5

@@ -43,7 +43,7 @@ def test_catenoid_traces_match_closed_values(catenoid_solution):
 def test_pointwise_ng_consistent_with_weak_flux(catenoid_solution):
     mesh, u = catenoid_solution
     tr = dn.dn_nonlinear(mesh, FLAT, catenoid)
-    ngp = dn.ng_map(mesh, FLAT, u.values, tr.bg)
+    ngp = dn.ng_map(mesh, FLAT, u.values)
     # gradient recovery is first-order (one-sided at the steep inner rim);
     # the weak flux is second-order
     assert np.abs(ngp - tr.ng).max() < 5e-2
@@ -63,10 +63,9 @@ def test_lambda_ng_roundtrip_and_validation():
 
 def test_linear_dn_self_adjoint_and_accurate():
     d = geo.disc(16, 96)
-    K = geo.assemble_weighted_stiffness(d, FLAT)
     bg = geo.boundary_geometry(d, FLAT)
-    t1 = dn.dn_linear(d, FLAT, lambda x, y: x * x - y * y, bg=bg, stiffness=K)
-    t2 = dn.dn_linear(d, FLAT, lambda x, y: x * y, bg=bg, stiffness=K)
+    t1 = dn.dn_linear(d, FLAT, lambda x, y: x * x - y * y)
+    t2 = dn.dn_linear(d, FLAT, lambda x, y: x * y)
     # weak self-adjointness is exact (symmetry of K)
     assert abs(t1.flux @ t2.data - t2.flux @ t1.data) < 1e-12
     # nodal accuracy: Lambda_0(Re z^2) = 2 Re z^2 on the unit circle

@@ -1,10 +1,14 @@
-"""Tests for meshes, metrics, assembly, and boundary frames."""
+"""Tests for meshes, metrics, assembly, boundary frames and the owner."""
 
-import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.sparse.linalg as spla
 import pytest
 
+from minsurf import forward as fwd
 from minsurf import geometry as geo
 
 
@@ -55,20 +59,6 @@ def test_orientation_normalization_and_degenerate_rejection():
         geo.Mesh([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
 
 
-def test_mesh_json_roundtrip(tmp_path):
-    m = geo.disc(5, 30)
-    m.boundary_markers.update({int(v): 1 for v in m.boundary_vertices})
-    path = tmp_path / "mesh.json"
-    geo.save_mesh(m, path)
-    with open(path) as fh:
-        raw = json.load(fh)
-    assert set(raw) == {"vertices", "triangles", "boundary_markers"}
-    m2 = geo.load_mesh(path)
-    np.testing.assert_array_equal(m.vertices, m2.vertices)
-    np.testing.assert_array_equal(m.triangles, m2.triangles)
-    assert m2.boundary_markers == m.boundary_markers
-
-
 def test_metric_eval_flat_and_spd_rejection():
     g = geo.flat_metric()
     np.testing.assert_allclose(geo.metric_eval(g, (0.3, 0.7)), np.eye(2))
@@ -117,19 +107,6 @@ def test_stiffness_conformal_invariance():
     assert abs(K1 - K2).max() < 1e-12
 
 
-def test_mass_matrix_total_and_lumping():
-    m = geo.square(7)
-    g = geo.flat_metric()
-    M = geo.assemble_mass(m, g)
-    assert abs(M.sum() - 1.0) < 1e-13
-    lumped = geo.assemble_mass(m, g, lumped=True)
-    np.testing.assert_allclose(lumped, np.asarray(M.sum(axis=1)).ravel())
-    # conformal metric scales volume: dV_{c g} = c dV_g in 2D
-    cg = geo.conformal_metric(g, lambda x, y: np.full_like(x, 4.0))
-    M4 = geo.assemble_mass(m, cg)
-    assert abs(M4.sum() - 4.0) < 1e-12
-
-
 def test_riemannian_gradient_raises_index():
     m = geo.square(5)
     u = m.vertices[:, 0]  # u = x
@@ -146,9 +123,11 @@ def test_inner_product_is_bilinear_not_hermitian():
     # A Hermitian pairing would give 2; the bilinear extension is required.
     m = geo.square(5)
     u = m.vertices[:, 0] + 1j * m.vertices[:, 1]
-    ip = geo.inner_product(m, geo.flat_metric(), u, u)
+    mq = geo.metric_at_quadrature(m, geo.flat_metric())
+    gu = geo.p1_gradients(m, u)
+    ip = geo.pair_at_quadrature(m, mq, gu, gu)
     assert np.abs(ip).max() < 1e-14
-    ip_mixed = geo.inner_product(m, geo.flat_metric(), u, np.conj(u))
+    ip_mixed = geo.pair_at_quadrature(m, mq, gu, geo.p1_gradients(m, np.conj(u)))
     np.testing.assert_allclose(ip_mixed, 2.0, atol=1e-14)
 
 
@@ -238,9 +217,133 @@ def test_boundary_values_coercion():
         geo.boundary_values(m, np.zeros(7))
 
 
-def test_lift_boundary():
-    m = geo.square(4)
-    b = np.arange(len(m.boundary_vertices), dtype=float)
-    full = geo.lift_boundary(m, b, interior=-1.0)
-    np.testing.assert_allclose(full[m.boundary_vertices], b)
-    assert (full[m.interior_vertices] == -1.0).all()
+def _reference_boundary(mesh):
+    """Boundary edges, loops and interior of the set-of-tuples construction."""
+    t = mesh.triangles
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    keys = set(map(tuple, directed.tolist()))
+    boundary = [e for e in directed.tolist() if (e[1], e[0]) not in keys]
+    succ = dict(boundary)
+    loops = []
+    remaining = set(succ)
+    while remaining:
+        start = min(remaining)
+        loop = [start]
+        remaining.discard(start)
+        v = succ[start]
+        while v != start:
+            loop.append(v)
+            remaining.discard(v)
+            v = succ[v]
+        loops.append(np.array(loop, dtype=np.int64))
+
+    def loop_area(loop):
+        q = mesh.vertices[loop]
+        e = np.roll(q, -1, axis=0)
+        return 0.5 * float((q[:, 0] * e[:, 1] - q[:, 1] * e[:, 0]).sum())
+
+    loops.sort(key=lambda lp: -loop_area(lp))
+    is_boundary = np.zeros(mesh.n_vertices, dtype=bool)
+    is_boundary[np.concatenate(loops)] = True
+    return np.array(boundary, dtype=np.int64), loops, np.flatnonzero(~is_boundary)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: geo.disc(24, 144),
+        lambda: geo.disc(128, 768),
+        lambda: geo.square(10),
+        lambda: geo.annulus(0.5, 1.5, 4, 24),
+    ],
+    ids=["disc24", "disc128", "square10", "annulus"],
+)
+def test_boundary_extraction_matches_reference(build):
+    mesh = build()
+    edges, loops, interior = _reference_boundary(mesh)
+    np.testing.assert_array_equal(mesh.boundary_edges, edges)
+    assert mesh.boundary_edges.dtype == edges.dtype
+    assert len(mesh.boundary_loops) == len(loops)
+    for got, want in zip(mesh.boundary_loops, loops):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(mesh.interior_vertices, interior)
+
+
+def test_discretization_is_memoized_per_mesh_and_metric():
+    mesh = geo.disc(8, 48)
+    flat, curved = geo.flat_metric(), geo.explicit_metric(
+        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+    )
+    d = geo.discretization(mesh, flat)
+    assert geo.discretization(mesh, flat) is d
+    assert geo.discretization(mesh, curved) is not d
+    assert geo.discretization(geo.disc(8, 48), flat) is not d
+    assert d.stiffness is d.stiffness
+    # the cached K is the one the builder assembles
+    assert abs(d.stiffness - geo.assemble_weighted_stiffness(mesh, flat)).max() == 0.0
+    # Dirichlet elimination reproduces affine data exactly and honours a load
+    f = geo.boundary_values(mesh, lambda x, y: 1.0 + 2.0 * x - y)
+    u = d.extend(f)
+    exact = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
+    assert np.abs(u - exact).max() < 1e-13
+    load = np.ones(mesh.n_vertices)
+    w = d.extend(np.zeros(len(f)), load)
+    I = mesh.interior_vertices
+    assert np.abs((d.stiffness @ w)[I] - 1.0).max() < 1e-12
+    assert (w[mesh.boundary_vertices] == 0.0).all()
+
+
+def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
+    # sweeps with workers > 1 share one mesh between threads: the first uses
+    # of the owner race, and each piece must still be built exactly once,
+    # with every solve equal bit for bit to the serial one
+    n_threads = 8
+    metric = geo.explicit_metric(
+        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+    )
+    data = [
+        (lambda x, y, k=k: np.cos(k * np.arctan2(y, x)) + 0.1 * k * x * y)
+        for k in range(n_threads)
+    ]
+    serial_mesh = geo.disc(16, 96)
+    serial = [fwd.solve_laplace_beltrami(serial_mesh, metric, f).values for f in data]
+
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("metric_at_quadrature", "quadrature_weights",
+                 "assemble_weighted_stiffness", "boundary_geometry"):
+        counting(geo, name)
+    counting(spla, "splu")
+
+    mesh = geo.disc(16, 96)
+    start = threading.Barrier(n_threads)
+
+    def solve(f):
+        start.wait(timeout=60)
+        geo.discretization(mesh, metric).boundary
+        return fwd.solve_laplace_beltrami(mesh, metric, f).values
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            futures = [pool.submit(solve, f) for f in data]
+            results = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert sorted(calls) == sorted([
+        "metric_at_quadrature", "quadrature_weights",
+        "assemble_weighted_stiffness", "boundary_geometry", "splu",
+    ])
+    for got, want in zip(results, serial):
+        assert got.tobytes() == want.tobytes()

@@ -1,7 +1,10 @@
 """Tests for the third-order integral identity and the weighted functional."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
@@ -104,8 +107,7 @@ def test_dn_difference_matches_weighted_functional_for_conformal_pair():
     dirs = [fx, fx, fy, fy]
     diff = idn.dn_difference_functional(mesh, FLAT, cg, dirs)
 
-    opts = fwd.SolveOptions(tol=1e-13)
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f, opts).values for f in dirs]
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in dirs]
     target = idn.q_functional(mesh, FLAT, weight, *vs)
     assert abs(target) > 0.1  # non-degenerate direction set
     assert abs(diff - target) < 5e-3 * abs(target)
@@ -117,3 +119,35 @@ def test_identity_functions_validate_direction_count():
         idn.integral_identity_check(mesh, FLAT, DIRS[:3])
     with pytest.raises(ValueError, match="four directions"):
         idn.dn_difference_functional(mesh, FLAT, FLAT, DIRS + DIRS[:1])
+
+
+def test_identity_check_builds_each_invariant_once(monkeypatch):
+    # one (mesh, metric) pair has one Discretization: the metric at
+    # quadrature and K are built once for the whole check, and the only LU
+    # factors besides the one of K[I, I] are the 16 Newton Jacobians of the
+    # eight cold stencil solves (two steps each on this mesh)
+    calls = {"metric_at_quadrature": 0, "assemble_weighted_stiffness": 0, "splu": 0}
+
+    def counting(module, name):
+        # count the call whichever module namespace it is made through
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is module or mod_name.startswith("minsurf"):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+
+    counting(geo, "metric_at_quadrature")
+    counting(geo, "assemble_weighted_stiffness")
+    counting(spla, "splu")
+    mesh = geo.disc(12, 48)
+    idn.integral_identity_check(mesh, CURVED, DIRS)
+    assert calls == {
+        "metric_at_quadrature": 1,
+        "assemble_weighted_stiffness": 1,
+        "splu": 17,
+    }

@@ -34,21 +34,21 @@ def gaussian_factor(x, y):
 def mid_disc():
     """Unit disc, h ~ 0.015, with a factored flat-metric extension."""
     mesh = geo.disc(96, 576)
-    return mesh, inv.HarmonicExtension(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT)
 
 
 @pytest.fixture(scope="module")
 def fine_disc():
     """Unit disc, h ~ 0.011; resolves probe sweeps up to tau = 10."""
     mesh = geo.disc(128, 768)
-    return mesh, inv.HarmonicExtension(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT)
 
 
 @pytest.fixture(scope="module")
 def jet_square():
     """Unit square, h ~ 0.0074; resolves boundary jets up to N ~ 60."""
     mesh = geo.square(192)
-    return mesh, inv.HarmonicExtension(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT)
 
 
 # ---------------------------------------------------------------------------
@@ -80,14 +80,14 @@ def test_extension_rejects_wrong_boundary_length(mid_disc):
 
 def test_probe_at_zero_frequency_is_constant(mid_disc):
     mesh, ext = mid_disc
-    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 0.0, extension=ext)
+    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 0.0)
     for field in probe.fields:
         np.testing.assert_allclose(field, 1.0 + 0.0j, atol=1e-12)
 
 
 def test_probe_fields_are_discretely_harmonic(mid_disc):
     mesh, ext = mid_disc
-    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 5.0, extension=ext)
+    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 5.0)
     K = ext.stiffness.tocsr()
     interior = mesh.interior_vertices
     for field in probe.fields:
@@ -107,8 +107,8 @@ def test_probe_harmonic_for_conformal_metric(mid_disc):
     metric = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.3 * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.25
     ))
-    ext = inv.HarmonicExtension(mesh, metric)
-    probe = inv.make_interior_probe(mesh, metric, (0.0, 0.0), 5.0, extension=ext)
+    ext = geo.discretization(mesh, metric)
+    probe = inv.make_interior_probe(mesh, metric, (0.0, 0.0), 5.0)
     K = ext.stiffness.tocsr()
     residual = np.abs((K @ probe.fields[2])[mesh.interior_vertices]).max()
     assert residual <= 1e-10
@@ -188,6 +188,29 @@ def test_probe_requires_conformally_flat_metric():
         inv.make_interior_probe(mesh, skew, (0.0, 0.0), 2.0)
 
 
+def test_conformal_flatness_is_checked_away_from_sampled_vertices():
+    # g12 is a small bump supported away from the seven vertices a spot
+    # check would sample, so only a check at every quadrature point sees it
+    mesh = geo.disc(12, 48)
+    sampled = mesh.vertices[np.unique(np.linspace(0, mesh.n_vertices - 1, 7).astype(int))]
+    gap = np.linalg.norm(mesh.centroids[:, None, :] - sampled[None], axis=2).min(axis=1)
+    centre = mesh.centroids[np.argmax(gap)]
+    radius = 0.5 * gap.max()
+
+    def entries(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        r2 = ((x - centre[0]) ** 2 + (y - centre[1]) ** 2) / radius**2
+        bump = 1e-3 * np.maximum(1.0 - r2, 0.0) ** 2
+        return np.ones_like(x), bump, np.ones_like(x)
+
+    metric = geo.explicit_metric(entries)
+    for v in sampled:
+        g = geo.metric_eval(metric, v)
+        assert g[0, 1] == 0.0 and g[0, 0] == g[1, 1]
+    with pytest.raises(ValueError, match="conformally flat"):
+        inv.make_interior_probe(mesh, metric, (0.0, 0.0), 0.0)
+
+
 # ---------------------------------------------------------------------------
 # probe asymptotics: annihilation and localization
 # ---------------------------------------------------------------------------
@@ -208,14 +231,13 @@ def test_same_route_probe_pairings_cancel_to_mesh_error():
     values = {}
     for n_r in (24, 48, 96):
         mesh = geo.disc(n_r, 6 * n_r)
-        ext = inv.HarmonicExtension(mesh, FLAT)
         qv = gaussian_weight(mesh.vertices[:, 0], mesh.vertices[:, 1])
         for tau in (3.0, 6.0):
             if tau == 6.0 and n_r == 24:
                 continue  # under-resolved: the oscillation guard would trip
-            p1 = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau, extension=ext)
+            p1 = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
             p2 = inv.make_interior_probe(
-                mesh, FLAT, (0.1, -0.05), tau, extension=ext
+                mesh, FLAT, (0.1, -0.05), tau
             )
             g1 = geo.p1_gradients(mesh, p1.fields[0])
             g2 = geo.p1_gradients(mesh, p2.fields[0])
@@ -236,7 +258,7 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
     # within 3/sqrt(tau) (measured 95.3% on this mesh)
     mesh, ext = mid_disc
     tau = 10.0
-    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau, extension=ext)
+    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
     gu = geo.p1_gradients(mesh, probe.fields[0])
     gv = geo.p1_gradients(mesh, probe.fields[2])
     mq = geo.metric_at_quadrature(mesh, FLAT)
@@ -263,7 +285,7 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
 def test_recover_point_gaussian_weight(fine_disc):
     mesh, ext = fine_disc
     result = inv.recover_q_point(
-        mesh, FLAT, gaussian_factor, (0.0, 0.0), [6.0, 8.0, 10.0], extension=ext
+        mesh, FLAT, gaussian_factor, (0.0, 0.0), [6.0, 8.0, 10.0]
     )
     assert result.reliable
     # acceptance target is 20% of the peak amplitude; measured error 0.5%
@@ -277,7 +299,7 @@ def test_recover_point_zero_weight_is_exact(fine_disc):
     mesh, ext = fine_disc
     result = inv.recover_q_point(
         mesh, FLAT, lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        (0.0, 0.0), [6.0, 8.0, 10.0], extension=ext,
+        (0.0, 0.0), [6.0, 8.0, 10.0]
     )
     assert result.reliable
     # c = 1 means zero weight: the synthetic functional vanishes identically
@@ -291,7 +313,7 @@ def test_recover_point_invariant_under_constant_conformal_factor(mid_disc):
     mesh, ext = mid_disc
     sweep = [6.0, 8.0, 10.0]
     base = inv.recover_q_point(
-        mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep, extension=ext
+        mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep
     )
     scaled_metric = geo.conformal_metric(
         FLAT, lambda x, y: np.full_like(np.asarray(x, dtype=float), 2.5)
@@ -487,10 +509,10 @@ def test_jet_probe_recovers_profile_exponents(jet_square):
     # differ by about one
     mesh, ext = jet_square
     res0 = inv.boundary_jet_probe(
-        mesh, FLAT, jet_profile_factor(0), JET_POINT, 2, JET_SWEEP, extension=ext
+        mesh, FLAT, jet_profile_factor(0), JET_POINT, 2, JET_SWEEP
     )
     res1 = inv.boundary_jet_probe(
-        mesh, FLAT, jet_profile_factor(1), JET_POINT, 2, JET_SWEEP, extension=ext
+        mesh, FLAT, jet_profile_factor(1), JET_POINT, 2, JET_SWEEP
     )
     alpha = 5.0 / 7.0
     assert res0.reliable and res1.reliable
@@ -506,7 +528,7 @@ def test_jet_probe_zero_weight_hits_noise_floor(jet_square):
     res = inv.boundary_jet_probe(
         mesh, FLAT,
         lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        JET_POINT, 2, JET_SWEEP, extension=ext,
+        JET_POINT, 2, JET_SWEEP
     )
     assert not res.reliable
     assert np.isnan(res.exponent)

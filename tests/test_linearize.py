@@ -15,7 +15,7 @@ def disc_setup():
     mesh = geo.disc(16, 96)
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]
     combo = lin.EpsilonCombination(mesh, FLAT, fs)
-    vs = [lin.first_linearization(mesh, FLAT, f).values for f in fs]
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in fs]
     return mesh, fs, combo, vs
 
 
