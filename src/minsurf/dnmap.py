@@ -49,14 +49,12 @@ import numpy as np
 from .geometry import (
     BoundaryGeometry,
     ScalarField,
-    _metric_entries,
     boundary_values,
     discretization,
     integrate_quadrature,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
-    riemannian_gradient,
     tangential_derivative,
 )
 from .forward import (
@@ -66,7 +64,7 @@ from .forward import (
     solve_minimal_surface,
     warm_start,
 )
-from .linearize import third_linearization_pde, third_linearization_source
+from .linearize import third_linearization_source
 
 __all__ = [
     "DNTrace",
@@ -74,7 +72,6 @@ __all__ = [
     "dn_linear",
     "dn_nonlinear",
     "dn_third_derivative",
-    "ng_map",
     "area",
     "area_first_variation",
     "dn_from_area_data",
@@ -229,42 +226,6 @@ def _nonlinear_trace(mesh, metric, fb, u):
     )
 
 
-def ng_map(mesh, metric, u):
-    """Pointwise N_g trace of a solution field by gradient recovery.
-
-    Averages the Riemannian gradients of the triangles around each
-    boundary vertex (area-weighted) and evaluates
-    g(nu, grad u)/sqrt(1+|grad_g u|^2) with the metric at the vertex.
-    First-order accurate; serves as an independent cross-check of the
-    superconvergent weak-flux route used by :func:`dn_nonlinear`.
-    """
-    bg = discretization(mesh, metric).boundary
-    uvals = nodal_values(mesh, u)
-    grads = riemannian_gradient(mesh, metric, uvals)  # per-triangle, g^{-1} grad
-    acc = np.zeros((mesh.n_vertices, 2))
-    wsum = np.zeros(mesh.n_vertices)
-    for c in range(3):
-        np.add.at(acc, mesh.triangles[:, c], grads * mesh.tri_areas[:, None])
-        np.add.at(wsum, mesh.triangles[:, c], mesh.tri_areas)
-    recovered = acc / wsum[:, None]
-
-    idx = bg.vertex_indices
-    p = mesh.vertices[idx]
-    g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
-    gv = recovered[idx]
-
-    def form(a, b):
-        return (
-            g11 * a[:, 0] * b[:, 0]
-            + g12 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0])
-            + g22 * a[:, 1] * b[:, 1]
-        )
-
-    normal_part = form(bg.normal, gv)
-    slope_sq = form(gv, gv)
-    return normal_part / np.sqrt(1.0 + slope_sq)
-
-
 def _normal_derivative(d, v):
     """Nodal d_nu v of a discrete-harmonic field of Discretization d, from its weak flux."""
     bg = d.boundary
@@ -339,9 +300,9 @@ def dn_third_derivative(
 
     if method == "exact":
         vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
-        w = third_linearization_pde(mesh, metric, *vs)
         L = third_linearization_source(mesh, metric, *vs)
-        flux = (d.stiffness @ w.values - L)[bg.vertex_indices]
+        w = d.extend(np.zeros(len(bg.vertex_indices)), L)
+        flux = (d.stiffness @ w - L)[bg.vertex_indices]
         d3n = flux / bg.ds
         return DNTrace(
             bg=bg,

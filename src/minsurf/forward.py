@@ -43,14 +43,14 @@ import scipy.sparse.linalg as spla
 
 from .geometry import (
     ScalarField,
+    _raised_gradient,
     assemble_elements,
     boundary_values,
     discretization,
+    hat_flux_loads,
     hat_pair_elements,
-    hat_pairing,
     nodal_values,
     p1_gradients,
-    pair_at_quadrature,
 )
 
 __all__ = [
@@ -120,10 +120,10 @@ class WarmStart:
 
 
 def _slope_factor(mesh, mq, u):
-    """s = sqrt(1 + |grad_g u|^2) at quadrature points, plus the gradient."""
+    """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points."""
     grad = p1_gradients(mesh, u)
-    sq = pair_at_quadrature(mesh, mq, grad, grad)
-    return np.sqrt(1.0 + sq), grad
+    ax, ay = _raised_gradient(mq, grad)
+    return np.sqrt(1.0 + (ax * grad[:, :1] + ay * grad[:, 1:])), ax, ay
 
 
 def mse_residual(mesh, metric, u):
@@ -138,11 +138,9 @@ def mse_residual(mesh, metric, u):
     if np.iscomplexobj(u):
         raise ValueError("minimal-surface residual is defined for real fields only")
     d = discretization(mesh, metric)
-    s, grad = _slope_factor(mesh, d.mq, u)
-    contrib = np.einsum("tq,tqi->ti", d.weights / s, hat_pairing(mesh, d.mq, grad))
-    r = np.zeros(mesh.n_vertices)
-    np.add.at(r, mesh.triangles, contrib)
-    return r
+    s, ax, ay = _slope_factor(mesh, d.mq, u)
+    c = d.weights / s
+    return hat_flux_loads(mesh, c * ax, c * ay)
 
 
 def mse_linearized_operator(mesh, metric, u):
@@ -153,10 +151,14 @@ def mse_linearized_operator(mesh, metric, u):
     """
     u = nodal_values(mesh, u)
     d = discretization(mesh, metric)
-    s, grad = _slope_factor(mesh, d.mq, u)
-    b = hat_pairing(mesh, d.mq, grad)
-    data = hat_pair_elements(mesh, d.mq, d.weights / s) - np.einsum(
-        "tq,tqi,tqj->tij", d.weights / s**3, b, b
+    mq = d.mq
+    s, ax, ay = _slope_factor(mesh, mq, u)
+    c, c3 = d.weights / s, d.weights / s**3
+    data = hat_pair_elements(
+        mesh,
+        c * mq.inv11 - c3 * (ax * ax),
+        c * mq.inv12 - c3 * (ax * ay),
+        c * mq.inv22 - c3 * (ay * ay),
     )
     return assemble_elements(mesh, data)
 

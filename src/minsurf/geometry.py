@@ -16,10 +16,15 @@ Conventions
   level (in 2D, sqrt(det(c*g)) * (c*g)^{-1} == sqrt(det g) * g^{-1}
   pointwise, which makes the stiffness matrix conformally invariant to
   machine precision).
-* Gradients of P1 fields are constant per triangle; the Riemannian
-  gradient g^{-1} grad(u) is reported per triangle with the metric at the
-  centroid, while quadrature-accurate pairings sample the metric at the
-  quadrature points.
+* Gradients of P1 fields are constant per triangle, so every quadrature
+  sum against a hat gradient factors: sum_q w_q g^{-1}(x_q)(grad u,
+  grad phi_i) = grad(phi_i) . F_t with the flux F_t = sum_q w_q
+  g^{-1}(x_q) grad u, and sum_q w_q g^{-1}(x_q)(grad phi_i, grad phi_j) =
+  grad(phi_i)^T M_t grad(phi_j) with the 2x2 tensor M_t = sum_q w_q
+  g^{-1}(x_q).  The kernels sum over the quadrature points first and
+  contract with ``Mesh.hat_gradients`` once (:func:`hat_flux_loads`,
+  :func:`hat_pair_elements`).  The Riemannian gradient g^{-1} grad(u)
+  reported by :func:`riemannian_gradient` uses the metric at the centroid.
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -72,10 +77,10 @@ __all__ = [
     "metric_eval",
     "riemannian_gradient",
     "pair_at_quadrature",
-    "hat_pairing",
     "interpolate_at_quadrature",
     "quadrature_weights",
     "integrate_quadrature",
+    "hat_flux_loads",
     "hat_pair_elements",
     "assemble_elements",
     "assemble_weighted_stiffness",
@@ -524,7 +529,10 @@ def nodal_values(mesh, field):
 def p1_gradients(mesh, values):
     """Euclidean gradient of the P1 interpolant, one constant vector per triangle."""
     v = np.asarray(values)[mesh.triangles]  # (nt, 3)
-    return np.einsum("ti,tic->tc", v, mesh.hat_gradients)
+    hg = mesh.hat_gradients
+    return np.column_stack(
+        [v[:, 0] * hg[:, 0, c] + v[:, 1] * hg[:, 1, c] + v[:, 2] * hg[:, 2, c] for c in (0, 1)]
+    )
 
 
 def riemannian_gradient(mesh, metric, field):
@@ -552,19 +560,13 @@ def pair_at_quadrature(mesh, mq, grad_u, grad_v):
     )
 
 
-def hat_pairing(mesh, mq, grad):
-    """g(grad u, grad phi_i) at quadrature points, (n_tri, 3, 3) as [t, q, i].
+def _raised_gradient(mq, grad):
+    """g^{-1} grad u at the quadrature points as two (n_tri, 3) arrays (x, y).
 
-    ``grad`` is the per-triangle Euclidean gradient of u, (n_tri, 2).
-    Bilinear (no conjugation).
+    ``grad`` is the per-triangle Euclidean gradient (n_tri, 2).
     """
-    hg = mesh.hat_gradients
-    return (
-        mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
-        + mq.inv12[:, :, None]
-        * (grad[:, None, None, 0] * hg[:, None, :, 1] + grad[:, None, None, 1] * hg[:, None, :, 0])
-        + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
-    )
+    gx, gy = grad[:, :1], grad[:, 1:]
+    return mq.inv11 * gx + mq.inv12 * gy, mq.inv12 * gx + mq.inv22 * gy
 
 
 def interpolate_at_quadrature(mesh, values):
@@ -588,22 +590,49 @@ def integrate_quadrature(mesh, mq, qvals):
 # ---------------------------------------------------------------------------
 
 
-def hat_pair_elements(mesh, mq, w):
-    """Element matrices sum_q w[t, q] g(grad phi_i, grad phi_j)(x_q), (n_tri, 3, 3).
+def _point_sum(a):
+    """Sum over the three quadrature points, (n_tri, 3) -> (n_tri,).
 
-    ``w`` holds the quadrature weights, possibly times a scalar field, at
-    each quadrature point (n_tri, 3).
+    Adds in the order of ``a.sum(axis=1)``, several times faster than a
+    numpy reduction over a length-3 axis.
     """
-    hg = mesh.hat_gradients  # (nt, 3, 2)
-    # pair[t, q, i, j] = g^{-1}(x_q)(grad phi_i, grad phi_j)
-    pair = (
-        mq.inv11[:, :, None, None] * hg[:, None, :, None, 0] * hg[:, None, None, :, 0]
-        + mq.inv12[:, :, None, None]
-        * (hg[:, None, :, None, 0] * hg[:, None, None, :, 1]
-           + hg[:, None, :, None, 1] * hg[:, None, None, :, 0])
-        + mq.inv22[:, :, None, None] * hg[:, None, :, None, 1] * hg[:, None, None, :, 1]
+    return a[:, 0] + a[:, 1] + a[:, 2]
+
+
+def hat_flux_loads(mesh, fx, fy):
+    """Load vector with entries sum_t grad(phi_i) . F_t over the support of phi_i.
+
+    ``fx``/``fy`` (each (n_tri, 3)) hold a weighted real vector integrand at
+    the quadrature points; the flux F_t is its sum over the points.
+    """
+    hg = mesh.hat_gradients
+    contrib = hg[:, :, 0] * _point_sum(fx)[:, None] + hg[:, :, 1] * _point_sum(fy)[:, None]
+    return np.bincount(
+        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_vertices
     )
-    return np.einsum("tq,tqij->tij", w, pair)
+
+
+def hat_pair_elements(mesh, m11, m12, m22):
+    """Element matrices grad(phi_i)^T M_t grad(phi_j), (n_tri, 3, 3).
+
+    ``m11``, ``m12``, ``m22`` (each (n_tri, 3)) hold a weighted symmetric
+    2x2 tensor field at the quadrature points; M_t is its sum over the
+    points.  Each element matrix is exactly symmetric.
+    """
+    hx = mesh.hat_gradients[:, :, None, 0]  # (n_tri, 3, 1)
+    hy = mesh.hat_gradients[:, :, None, 1]
+    # m11 hx_i hx_j + m12 (hx_i hy_j + hy_i hx_j) + m22 hy_i hy_j, accumulated
+    # in place so that at most three (n_tri, 3, 3) arrays are alive at once
+    out = hx * hx.transpose(0, 2, 1)
+    out *= _point_sum(m11)[:, None, None]
+    xy = hx * hy.transpose(0, 2, 1)
+    xy = xy + xy.transpose(0, 2, 1)
+    xy *= _point_sum(m12)[:, None, None]
+    out += xy
+    yy = hy * hy.transpose(0, 2, 1)
+    yy *= _point_sum(m22)[:, None, None]
+    out += yy
+    return out
 
 
 def assemble_elements(mesh, data):
@@ -627,7 +656,10 @@ def assemble_weighted_stiffness(mesh, metric):
     scipy.sparse.csr_matrix, symmetric.
     """
     d = discretization(mesh, metric)
-    return assemble_elements(mesh, hat_pair_elements(mesh, d.mq, d.weights))
+    mq, w = d.mq, d.weights
+    return assemble_elements(
+        mesh, hat_pair_elements(mesh, w * mq.inv11, w * mq.inv12, w * mq.inv22)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -862,8 +894,8 @@ class Discretization:
     :func:`assemble_weighted_stiffness`, :func:`boundary_geometry`, and
     ``scipy.sparse.linalg.splu`` for the interior factor) under the owner's
     lock, so concurrent first uses build it once.  The lock is reentrant
-    because building K reads the metric at quadrature.  Neither K[I, I] nor
-    the per-triangle pairing tensor is kept once used.
+    because building K reads the metric at quadrature.  K[I, I] is not kept
+    once factored.
 
     Attributes
     ----------

@@ -23,13 +23,12 @@ positive-Laplacian convention used throughout, and is confirmed
 numerically by the eps-differenced nonlinear fluxes.  The residual check
 assembles
 
-    lhs = T3 + T2 - T1,
+    lhs = T3 - T1,
     T1  = integral_bdry f_m d^3Lambda^{FD} dS     (full nonlinear pipeline),
-    T2  = integral_bdry w d_nu v_m dS             (identically zero: w|bdry = 0,
-                                                   kept as a consistency probe),
     T3  = integral_bdry v_m (nu . F) dS,
 
-and compares against rhs = RHS.  All boundary pairings use the consistent
+(the Green identities' third boundary term, integral_bdry w d_nu v_m dS,
+vanishes identically because w|bdry = 0) and compares against rhs = RHS.  All boundary pairings use the consistent
 boundary mass matrix; normal derivatives come from weak fluxes and
 tangential derivatives from the boundary data, which keeps every
 ingredient second-order accurate on smooth charts.  With the epsilon step
@@ -59,8 +58,7 @@ from .geometry import (
     pair_at_quadrature,
 )
 from .forward import SolveOptions, solve_laplace_beltrami
-from .linearize import third_linearization_pde
-from .dnmap import _boundary_correction, _normal_derivative, dn_third_derivative
+from .dnmap import _boundary_correction, dn_third_derivative
 
 __all__ = [
     "IdentityReport",
@@ -75,9 +73,8 @@ class IdentityReport:
     """Outcome of one integral-identity residual check.
 
     ``residual = lhs - rhs``; ``relative_residual`` normalizes by the
-    larger magnitude of the two sides.  ``t1``, ``t2``, ``t3`` expose the
-    boundary terms (T2 must be zero to rounding: it pairs a field that
-    vanishes on the boundary).
+    larger magnitude of the two sides.  ``t1`` and ``t3`` expose the
+    boundary terms.
     """
 
     lhs: float
@@ -87,7 +84,6 @@ class IdentityReport:
     h: float
     h_eps: float
     t1: float
-    t2: float
     t3: float
 
 
@@ -130,7 +126,7 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
 
 
 def _boundary_side(mesh, metric, fbs, h_eps, options):
-    """Boundary terms (T1, T2, T3) of the identity for data (f_j, f_k, f_l, f_m)."""
+    """Boundary terms (T1, T3) of the identity for data (f_j, f_k, f_l, f_m)."""
     d = discretization(mesh, metric)
     bg = d.boundary
 
@@ -143,14 +139,10 @@ def _boundary_side(mesh, metric, fbs, h_eps, options):
     )
     t1 = float(bg.pair(f_m, d3.values))
 
-    # T2: w vanishes on the boundary, so this pairing is exactly zero.
-    w = third_linearization_pde(mesh, metric, vs[0], vs[1], vs[2])
-    t2 = float(bg.pair(w.values[bg.vertex_indices], _normal_derivative(d, vs[3])))
-
     # T3: the trilinear boundary correction, in the g-orthonormal frame.
     t3 = float(bg.pair(f_m, _boundary_correction(d, vs[:3], fbs[:3])))
 
-    return t1, t2, t3, vs
+    return t1, t3, vs
 
 
 def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
@@ -176,9 +168,9 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
         h_eps = 0.25 * mesh.h
     fbs = [boundary_values(mesh, f) for f in directions]
 
-    t1, t2, t3, vs = _boundary_side(mesh, metric, fbs, h_eps, options)
+    t1, t3, vs = _boundary_side(mesh, metric, fbs, h_eps, options)
     rhs = q_functional(mesh, metric, None, vs[0], vs[1], vs[2], vs[3])
-    lhs = t3 + t2 - t1
+    lhs = t3 - t1
     residual = lhs - rhs
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return IdentityReport(
@@ -189,7 +181,6 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
         h=mesh.h,
         h_eps=h_eps,
         t1=t1,
-        t2=t2,
         t3=t3,
     )
 
@@ -213,6 +204,6 @@ def dn_difference_functional(mesh, metric1, metric2, directions, h_eps=None, opt
 
     sides = []
     for metric in (metric1, metric2):
-        t1, t2, t3, _ = _boundary_side(mesh, metric, fbs, h_eps, options)
-        sides.append(t3 + t2 - t1)
+        t1, t3, _ = _boundary_side(mesh, metric, fbs, h_eps, options)
+        sides.append(t3 - t1)
     return sides[0] - sides[1]

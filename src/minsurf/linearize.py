@@ -38,12 +38,12 @@ import numpy as np
 
 from .geometry import (
     ScalarField,
+    _raised_gradient,
     boundary_values,
     discretization,
-    hat_pairing,
+    hat_flux_loads,
     nodal_values,
     p1_gradients,
-    pair_at_quadrature,
 )
 from .forward import SolveOptions, solve_minimal_surface
 
@@ -164,23 +164,18 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l):
     the DN third derivative).
     """
     d = discretization(mesh, metric)
-    mq = d.mq
-    gj = p1_gradients(mesh, nodal_values(mesh, v_j))
-    gk = p1_gradients(mesh, nodal_values(mesh, v_k))
-    gl = p1_gradients(mesh, nodal_values(mesh, v_l))
-    pair_kl = pair_at_quadrature(mesh, mq, gk, gl)
-    pair_jl = pair_at_quadrature(mesh, mq, gj, gl)
-    pair_jk = pair_at_quadrature(mesh, mq, gj, gk)
-
-    integrand = (
-        hat_pairing(mesh, mq, gj) * pair_kl[:, :, None]
-        + hat_pairing(mesh, mq, gk) * pair_jl[:, :, None]
-        + hat_pairing(mesh, mq, gl) * pair_jk[:, :, None]
+    gj, gk, gl = (p1_gradients(mesh, nodal_values(mesh, v)) for v in (v_j, v_k, v_l))
+    (jx, jy), (kx, ky), (lx, ly) = (_raised_gradient(d.mq, g) for g in (gj, gk, gl))
+    # g(grad v_a, grad v_b) at the quadrature points
+    pair_kl = kx * gl[:, :1] + ky * gl[:, 1:]
+    pair_jl = jx * gl[:, :1] + jy * gl[:, 1:]
+    pair_jk = jx * gk[:, :1] + jy * gk[:, 1:]
+    w = d.weights
+    return hat_flux_loads(
+        mesh,
+        w * (jx * pair_kl + kx * pair_jl + lx * pair_jk),
+        w * (jy * pair_kl + ky * pair_jl + ly * pair_jk),
     )
-    contrib = np.einsum("tq,tqi->ti", d.weights, integrand)
-    L = np.zeros(mesh.n_vertices)
-    np.add.at(L, mesh.triangles, contrib)
-    return L
 
 
 def third_linearization_pde(mesh, metric, v_j, v_k, v_l):

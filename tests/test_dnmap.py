@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from minsurf import geometry as geo
 from minsurf import forward as fwd
 from minsurf import dnmap as dn
+from minsurf import linearize as lin
 
 FLAT = geo.flat_metric()
 CAT_A = 0.5
@@ -15,6 +16,41 @@ CAT_R0, CAT_R1 = 1.1 * CAT_A, 3.0 * CAT_A
 
 def catenoid(x, y):
     return CAT_A * np.arccosh(np.hypot(x, y) / CAT_A)
+
+
+def ng_map(mesh, metric, u):
+    """Pointwise N_g trace of a solution field by gradient recovery.
+
+    Averages the Riemannian gradients of the triangles around each
+    boundary vertex (area-weighted) and evaluates
+    g(nu, grad u)/sqrt(1+|grad_g u|^2) with the metric at the vertex.
+    First-order accurate; an independent cross-check of the
+    superconvergent weak-flux route used by ``dn_nonlinear``.
+    """
+    bg = geo.discretization(mesh, metric).boundary
+    grads = geo.riemannian_gradient(mesh, metric, u)  # per-triangle, g^{-1} grad
+    acc = np.zeros((mesh.n_vertices, 2))
+    wsum = np.zeros(mesh.n_vertices)
+    for c in range(3):
+        np.add.at(acc, mesh.triangles[:, c], grads * mesh.tri_areas[:, None])
+        np.add.at(wsum, mesh.triangles[:, c], mesh.tri_areas)
+    recovered = acc / wsum[:, None]
+
+    idx = bg.vertex_indices
+    p = mesh.vertices[idx]
+    g11, g12, g22 = geo._metric_entries(metric, p[:, 0], p[:, 1])
+    gv = recovered[idx]
+
+    def form(a, b):
+        return (
+            g11 * a[:, 0] * b[:, 0]
+            + g12 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0])
+            + g22 * a[:, 1] * b[:, 1]
+        )
+
+    normal_part = form(bg.normal, gv)
+    slope_sq = form(gv, gv)
+    return normal_part / np.sqrt(1.0 + slope_sq)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +79,7 @@ def test_catenoid_traces_match_closed_values(catenoid_solution):
 def test_pointwise_ng_consistent_with_weak_flux(catenoid_solution):
     mesh, u = catenoid_solution
     tr = dn.dn_nonlinear(mesh, FLAT, catenoid)
-    ngp = dn.ng_map(mesh, FLAT, u.values)
+    ngp = ng_map(mesh, FLAT, u.values)
     # gradient recovery is first-order (one-sided at the steep inner rim);
     # the weak flux is second-order
     assert np.abs(ngp - tr.ng).max() < 5e-2
@@ -183,6 +219,25 @@ def test_third_derivative_fd_matches_exact():
     assert rels[0] < 3e-2
     assert rels[1] < 8e-3
     assert rels[0] / rels[1] > 3.0  # O(h_eps^2)
+
+
+def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
+    mesh = geo.disc(10, 60)
+    fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]
+    calls = []
+    source = lin.third_linearization_source
+    counted = lambda *a, **k: calls.append(1) or source(*a, **k)
+    with monkeypatch.context() as m:
+        m.setattr(lin, "third_linearization_source", counted)
+        m.setattr(dn, "third_linearization_source", counted)
+        ex = dn.dn_third_derivative(mesh, FLAT, fs, method="exact")
+    assert len(calls) == 1
+    # the two-call formula: w from the PDE solve, L assembled again
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in fs]
+    w = lin.third_linearization_pde(mesh, FLAT, *vs).values
+    L = lin.third_linearization_source(mesh, FLAT, *vs)
+    K = geo.discretization(mesh, FLAT).stiffness
+    assert np.array_equal(ex.flux, (K @ w - L)[ex.bg.vertex_indices])
 
 
 def test_third_derivative_argument_validation():

@@ -1,0 +1,171 @@
+"""Sum-then-contract element kernels against per-quadrature-point references.
+
+The package sums every quadrature rule over the three points of a triangle
+before contracting with the (constant) hat gradients.  The references below
+keep the direct per-point formulas: the pairing b[t, q, i] = g(grad u,
+grad phi_i)(x_q) and the pair tensor g(grad phi_i, grad phi_j)(x_q),
+contracted point by point and scattered with ``np.add.at``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from minsurf import geometry as geo
+from minsurf import forward as fwd
+from minsurf import linearize as lin
+
+FLAT = geo.flat_metric()
+CURVED = geo.explicit_metric(
+    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+)
+CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y)
+EPS = np.finfo(float).eps
+
+
+def _hat_pairing(mesh, mq, grad):
+    """g(grad u, grad phi_i) at quadrature points, (n_tri, 3, 3) as [t, q, i]."""
+    hg = mesh.hat_gradients
+    return (
+        mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
+        + mq.inv12[:, :, None]
+        * (grad[:, None, None, 0] * hg[:, None, :, 1] + grad[:, None, None, 1] * hg[:, None, :, 0])
+        + mq.inv22[:, :, None] * grad[:, None, None, 1] * hg[:, None, :, 1]
+    )
+
+
+def _pair_elements(mesh, mq, w):
+    """sum_q w[t, q] g(grad phi_i, grad phi_j)(x_q), (n_tri, 3, 3)."""
+    hg = mesh.hat_gradients
+    pair = (
+        mq.inv11[:, :, None, None] * hg[:, None, :, None, 0] * hg[:, None, None, :, 0]
+        + mq.inv12[:, :, None, None]
+        * (hg[:, None, :, None, 0] * hg[:, None, None, :, 1]
+           + hg[:, None, :, None, 1] * hg[:, None, None, :, 0])
+        + mq.inv22[:, :, None, None] * hg[:, None, :, None, 1] * hg[:, None, None, :, 1]
+    )
+    return np.einsum("tq,tqij->tij", w, pair)
+
+
+def _scatter(mesh, contrib):
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.triangles, contrib)
+    return out
+
+
+def _slope(mesh, mq, u):
+    grad = geo.p1_gradients(mesh, u)
+    return np.sqrt(1.0 + geo.pair_at_quadrature(mesh, mq, grad, grad)), grad
+
+
+def reference_residual(mesh, metric, u):
+    d = geo.discretization(mesh, metric)
+    s, grad = _slope(mesh, d.mq, u)
+    contrib = np.einsum("tq,tqi->ti", d.weights / s, _hat_pairing(mesh, d.mq, grad))
+    return _scatter(mesh, contrib)
+
+
+def reference_jacobian(mesh, metric, u):
+    d = geo.discretization(mesh, metric)
+    s, grad = _slope(mesh, d.mq, u)
+    b = _hat_pairing(mesh, d.mq, grad)
+    data = _pair_elements(mesh, d.mq, d.weights / s) - np.einsum(
+        "tq,tqi,tqj->tij", d.weights / s**3, b, b
+    )
+    return geo.assemble_elements(mesh, data)
+
+
+def reference_stiffness(mesh, metric):
+    d = geo.discretization(mesh, metric)
+    return geo.assemble_elements(mesh, _pair_elements(mesh, d.mq, d.weights))
+
+
+def reference_third_source(mesh, metric, v_j, v_k, v_l):
+    d = geo.discretization(mesh, metric)
+    mq = d.mq
+    gj, gk, gl = (geo.p1_gradients(mesh, v) for v in (v_j, v_k, v_l))
+    pair_kl = geo.pair_at_quadrature(mesh, mq, gk, gl)
+    pair_jl = geo.pair_at_quadrature(mesh, mq, gj, gl)
+    pair_jk = geo.pair_at_quadrature(mesh, mq, gj, gk)
+    integrand = (
+        _hat_pairing(mesh, mq, gj) * pair_kl[:, :, None]
+        + _hat_pairing(mesh, mq, gk) * pair_jl[:, :, None]
+        + _hat_pairing(mesh, mq, gl) * pair_jk[:, :, None]
+    )
+    return _scatter(mesh, np.einsum("tq,tqi->ti", d.weights, integrand))
+
+
+def _rel(a, b):
+    a = a.toarray() if hasattr(a, "toarray") else a
+    b = b.toarray() if hasattr(b, "toarray") else b
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.fixture(scope="module")
+def fields():
+    mesh = geo.disc(12, 72)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y + 0.2 * y * y
+    vs = [x + 0.1 * y, x * x - y * y, np.cos(x) * y]
+    return mesh, u, vs
+
+
+@pytest.mark.parametrize("metric", [CURVED, CONFORMAL], ids=["curved", "conformal"])
+def test_kernels_match_per_quadrature_point_reference(fields, metric):
+    mesh, u, vs = fields
+    assert _rel(fwd.mse_residual(mesh, metric, u), reference_residual(mesh, metric, u)) < 1e-13
+    assert _rel(
+        fwd.mse_linearized_operator(mesh, metric, u), reference_jacobian(mesh, metric, u)
+    ) < 1e-13
+    assert _rel(
+        geo.assemble_weighted_stiffness(mesh, metric), reference_stiffness(mesh, metric)
+    ) < 1e-13
+    assert _rel(
+        lin.third_linearization_source(mesh, metric, *vs),
+        reference_third_source(mesh, metric, *vs),
+    ) < 1e-13
+
+
+def test_p1_gradients_match_einsum_reference():
+    # the unrolled sum adds in the einsum's order, so the result is bitwise equal
+    mesh = geo.disc(12, 72)
+    rng = np.random.default_rng(5)
+    for v in (rng.standard_normal(mesh.n_vertices),
+              np.exp(7j * mesh.vertices[:, 0]) * (1.0 + mesh.vertices[:, 1])):
+        ref = np.einsum("ti,tic->tc", v[mesh.triangles], mesh.hat_gradients)
+        got = geo.p1_gradients(mesh, v)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+SMALL = geo.disc(5, 30)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+nodal = hnp.arrays(
+    np.float64,
+    SMALL.n_vertices,
+    elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+metrics = st.sampled_from([FLAT, CURVED, CONFORMAL])
+
+
+@PROPERTY
+@given(u=nodal, metric=metrics)
+def test_residual_is_odd_bit_for_bit(u, metric):
+    assert np.array_equal(
+        fwd.mse_residual(SMALL, metric, -u), -fwd.mse_residual(SMALL, metric, u)
+    )
+
+
+@PROPERTY
+@given(u=nodal, metric=metrics)
+def test_jacobian_is_even_bit_for_bit(u, metric):
+    J = fwd.mse_linearized_operator(SMALL, metric, u)
+    J_neg = fwd.mse_linearized_operator(SMALL, metric, -u)
+    assert (J != J_neg).nnz == 0
+
+
+@PROPERTY
+@given(u=nodal, metric=metrics)
+def test_jacobian_is_symmetric(u, metric):
+    J = fwd.mse_linearized_operator(SMALL, metric, u)
+    assert abs(J - J.T).max() <= 4 * EPS * abs(J).max()
