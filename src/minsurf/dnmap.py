@@ -51,7 +51,6 @@ from .geometry import (
     ScalarField,
     boundary_values,
     discretization,
-    integrate_quadrature,
     nodal_values,
     p1_gradients,
     pair_at_quadrature,
@@ -322,10 +321,10 @@ def dn_third_derivative(
 def area(mesh, metric, u):
     """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g."""
     uvals = nodal_values(mesh, u)
-    mq = discretization(mesh, metric).mq
+    d = discretization(mesh, metric)
     grad = p1_gradients(mesh, uvals)
-    slope_sq = pair_at_quadrature(mesh, mq, grad, grad)
-    return float(integrate_quadrature(mesh, mq, np.sqrt(1.0 + slope_sq)))
+    slope_sq = pair_at_quadrature(mesh, d.mq, grad, grad)
+    return float((d.weights * np.sqrt(1.0 + slope_sq)).sum())
 
 
 def area_first_variation(mesh, metric, u, v):
@@ -336,12 +335,12 @@ def area_first_variation(mesh, metric, u, v):
     """
     uvals = nodal_values(mesh, u)
     vvals = nodal_values(mesh, v)
-    mq = discretization(mesh, metric).mq
+    d = discretization(mesh, metric)
     gu = p1_gradients(mesh, uvals)
     gv = p1_gradients(mesh, vvals)
-    slope_sq = pair_at_quadrature(mesh, mq, gu, gu)
-    integrand = pair_at_quadrature(mesh, mq, gu, gv) / np.sqrt(1.0 + slope_sq)
-    return float(integrate_quadrature(mesh, mq, integrand))
+    slope_sq = pair_at_quadrature(mesh, d.mq, gu, gu)
+    integrand = pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
+    return float((d.weights * integrand).sum())
 
 
 def dn_from_area_data(

@@ -54,6 +54,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "ConvergenceError",
     "SolveOptions",
     "SolveReport",
     "WarmStart",
@@ -63,6 +64,11 @@ __all__ = [
     "solve_laplace_beltrami",
     "solve_minimal_surface",
 ]
+
+# Armijo backtracking: at most _MAX_HALVINGS step halvings, and a step s is
+# accepted when ||r_new|| <= (1 - _ARMIJO * s) ||r||.
+_MAX_HALVINGS = 30
+_ARMIJO = 1e-4
 
 
 @dataclass
@@ -75,11 +81,6 @@ class SolveOptions:
         Absolute tolerance on the Euclidean norm of the interior residual.
     max_iter : int
         Maximum Newton iterations.
-    max_halvings : int
-        Maximum step halvings in the Armijo backtracking line search.
-    armijo : float
-        Sufficient-decrease parameter: accept u + s*delta when
-        ||r_new|| <= (1 - armijo * s) ||r||.
     initial_guess : optional
         Nodal array or ScalarField used instead of the Laplace-Beltrami
         initial guess, or a :class:`WarmStart`, whose stored factor of
@@ -89,21 +90,30 @@ class SolveOptions:
 
     tol: float = 1e-10
     max_iter: int = 30
-    max_halvings: int = 30
-    armijo: float = 1e-4
     initial_guess: Optional[object] = None
 
 
 @dataclass
 class SolveReport:
-    """Convergence record of a nonlinear solve."""
+    """Record of a nonlinear solve, converged or (in a ConvergenceError) not."""
 
-    converged: bool
     iterations: int
     final_residual: float
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     message: str = ""
+
+
+class ConvergenceError(RuntimeError):
+    """A Newton solve stopped before reaching its tolerance.
+
+    ``report`` is the failed solve's :class:`SolveReport`: the iterations
+    taken, the residual and step history, and the message.
+    """
+
+    def __init__(self, report):
+        super().__init__(report.message)
+        self.report = report
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,10 +213,11 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
     Raises
     ------
-    RuntimeError
-        If the residual stops decreasing before the tolerance is met, or a
-        non-finite value appears; the message reports the iteration and
-        residual history tail.
+    ConvergenceError
+        If the tolerance is not met within ``max_iter`` iterations, the
+        residual stops decreasing, or a non-finite value appears; the
+        message reports the iteration and residual history tail, and the
+        error's ``report`` the full history.
     """
     options = options or SolveOptions()
     f = boundary_values(mesh, boundary_data)
@@ -229,25 +240,28 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     residual_norms = []
     step_sizes = []
 
+    def report(it, message):
+        return SolveReport(
+            iterations=it,
+            final_residual=residual_norms[-1],
+            residual_norms=residual_norms,
+            step_sizes=step_sizes,
+            message=message,
+        )
+
     r = mse_residual(mesh, metric, u)
     rnorm = float(np.linalg.norm(r[I]))
     residual_norms.append(rnorm)
 
-    for it in range(options.max_iter):
+    for it in range(options.max_iter + 1):
         if not np.isfinite(rnorm):
-            raise RuntimeError(
-                f"minimal-surface residual became non-finite at iteration {it}"
-            )
+            raise ConvergenceError(report(
+                it, f"minimal-surface residual became non-finite at iteration {it}"
+            ))
         if rnorm <= options.tol:
-            report = SolveReport(
-                converged=True,
-                iterations=it,
-                final_residual=rnorm,
-                residual_norms=residual_norms,
-                step_sizes=step_sizes,
-                message=f"converged in {it} Newton iterations",
-            )
-            return ScalarField(mesh, u), report
+            return ScalarField(mesh, u), report(it, f"converged in {it} Newton iterations")
+        if it == options.max_iter:
+            break
 
         delta = np.zeros(mesh.n_vertices)
         if lu is None:
@@ -259,20 +273,21 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         # Armijo backtracking on the residual norm.
         step = 1.0
         accepted = False
-        for _ in range(options.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             u_trial = u + step * delta
             r_trial = mse_residual(mesh, metric, u_trial)
             rnorm_trial = float(np.linalg.norm(r_trial[I]))
-            if np.isfinite(rnorm_trial) and rnorm_trial <= (1.0 - options.armijo * step) * rnorm:
+            if np.isfinite(rnorm_trial) and rnorm_trial <= (1.0 - _ARMIJO * step) * rnorm:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            raise RuntimeError(
+            raise ConvergenceError(report(
+                it,
                 f"line search failed at Newton iteration {it}: residual {rnorm:.3e} "
                 f"did not decrease (history tail {residual_norms[-3:]}); the "
-                f"boundary data may be too rough for this mesh"
-            )
+                f"boundary data may be too rough for this mesh",
+            ))
         # Refresh rule: a chord step that needed a halving or contracted by
         # less than half shows J(u0) no longer models J(u) well enough.
         if lu is not None and (step < 1.0 or rnorm_trial > 0.5 * rnorm):
@@ -281,18 +296,9 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         residual_norms.append(rnorm)
         step_sizes.append(step)
 
-    if rnorm <= options.tol:
-        report = SolveReport(
-            converged=True,
-            iterations=options.max_iter,
-            final_residual=rnorm,
-            residual_norms=residual_norms,
-            step_sizes=step_sizes,
-            message=f"converged in {options.max_iter} Newton iterations",
-        )
-        return ScalarField(mesh, u), report
-    raise RuntimeError(
+    raise ConvergenceError(report(
+        options.max_iter,
         f"Newton did not reach tol={options.tol:g} in {options.max_iter} "
         f"iterations (final residual {rnorm:.3e}); residual history tail "
-        f"{residual_norms[-3:]}"
-    )
+        f"{residual_norms[-3:]}",
+    ))

@@ -23,8 +23,7 @@ Conventions
   grad(phi_i)^T M_t grad(phi_j) with the 2x2 tensor M_t = sum_q w_q
   g^{-1}(x_q).  The kernels sum over the quadrature points first and
   contract with ``Mesh.hat_gradients`` once (:func:`hat_flux_loads`,
-  :func:`hat_pair_elements`).  The Riemannian gradient g^{-1} grad(u)
-  reported by :func:`riemannian_gradient` uses the metric at the centroid.
+  :func:`hat_pair_elements`).
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -75,11 +74,9 @@ __all__ = [
     "explicit_metric",
     "conformal_metric",
     "metric_eval",
-    "riemannian_gradient",
     "pair_at_quadrature",
     "interpolate_at_quadrature",
     "quadrature_weights",
-    "integrate_quadrature",
     "hat_flux_loads",
     "hat_pair_elements",
     "assemble_elements",
@@ -535,17 +532,6 @@ def p1_gradients(mesh, values):
     )
 
 
-def riemannian_gradient(mesh, metric, field):
-    """Riemannian gradient g^{-1} grad(u) per triangle (metric at centroids)."""
-    grad = p1_gradients(mesh, nodal_values(mesh, field))
-    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
-    g11, g12, g22 = _metric_entries(metric, x, y)
-    det = g11 * g22 - g12**2
-    gx = (g22 * grad[:, 0] - g12 * grad[:, 1]) / det
-    gy = (-g12 * grad[:, 0] + g11 * grad[:, 1]) / det
-    return np.column_stack([gx, gy])
-
-
 def pair_at_quadrature(mesh, mq, grad_u, grad_v):
     """g(grad u, grad v) at quadrature points, (n_tri, 3).
 
@@ -578,11 +564,6 @@ def interpolate_at_quadrature(mesh, values):
 def quadrature_weights(mesh, mq):
     """Weights of the volume rule against dV_g at each quadrature point, (n_tri, 3)."""
     return (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det
-
-
-def integrate_quadrature(mesh, mq, qvals):
-    """Integrate a quadrature-point sampled function against dV_g."""
-    return (quadrature_weights(mesh, mq) * qvals).sum()
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,6 @@ import numpy as np
 from .geometry import (
     boundary_values,
     discretization,
-    integrate_quadrature,
     interpolate_at_quadrature,
     nodal_values,
     p1_gradients,
@@ -66,6 +65,11 @@ __all__ = [
     "integral_identity_check",
     "dn_difference_functional",
 ]
+
+# Defaults of the third-difference stencil behind T1: its step as a multiple
+# of the mesh size, and the Newton tolerance of the differenced solves.
+_H_EPS_PER_H = 0.25
+_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,8 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
     callable, a nodal array, or a ScalarField.
     """
-    mq = discretization(mesh, metric).mq
+    d = discretization(mesh, metric)
+    mq = d.mq
     g1 = p1_gradients(mesh, nodal_values(mesh, v1))
     g2 = p1_gradients(mesh, nodal_values(mesh, v2))
     g3 = p1_gradients(mesh, nodal_values(mesh, v3))
@@ -121,7 +126,7 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
         + pair_at_quadrature(mesh, mq, g4, g3) * pair_at_quadrature(mesh, mq, g1, g2)
     )
     weighted = _q_at_quadrature(mesh, Q) * combo
-    out = integrate_quadrature(mesh, mq, weighted)
+    out = (d.weights * weighted).sum()
     return complex(out) if np.iscomplexobj(weighted) else float(out)
 
 
@@ -163,9 +168,9 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     """
     if len(directions) != 4:
         raise ValueError(f"need exactly four directions, got {len(directions)}")
-    options = options or SolveOptions(tol=1e-13)
+    options = options or SolveOptions(tol=_TOL)
     if h_eps is None:
-        h_eps = 0.25 * mesh.h
+        h_eps = _H_EPS_PER_H * mesh.h
     fbs = [boundary_values(mesh, f) for f in directions]
 
     t1, t3, vs = _boundary_side(mesh, metric, fbs, h_eps, options)
@@ -185,7 +190,7 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     )
 
 
-def dn_difference_functional(mesh, metric1, metric2, directions, h_eps=None, options=None):
+def dn_difference_functional(mesh, metric1, metric2, directions):
     """Difference of the boundary sides of (***) under two metrics.
 
     Computed purely from boundary quantities (DN traces, boundary frames,
@@ -193,13 +198,12 @@ def dn_difference_functional(mesh, metric1, metric2, directions, h_eps=None, opt
     with c = 1 near the boundary, the harmonic fields and all linear-order
     boundary terms coincide and the difference isolates the third-order
     effect; it approximates ``q_functional(mesh, metric1, Q, v_j, v_k, v_l,
-    v_m)`` with Q = 1 - 1/c.
+    v_m)`` with Q = 1 - 1/c.  The stencil step and the Newton tolerance
+    are the defaults of :func:`integral_identity_check`.
     """
     if len(directions) != 4:
         raise ValueError(f"need exactly four directions, got {len(directions)}")
-    options = options or SolveOptions(tol=1e-13)
-    if h_eps is None:
-        h_eps = 0.25 * mesh.h
+    h_eps, options = _H_EPS_PER_H * mesh.h, SolveOptions(tol=_TOL)
     fbs = [boundary_values(mesh, f) for f in directions]
 
     sides = []

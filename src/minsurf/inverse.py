@@ -53,7 +53,6 @@ from .geometry import (
     discretization,
     metric_eval,
 )
-from .forward import SolveOptions
 from .identity import dn_difference_functional, q_functional
 
 __all__ = [
@@ -72,6 +71,15 @@ __all__ = [
 ]
 
 
+# Resolution guard: the shortest probe wavelength over the chart must span
+# at least this many mesh cells.
+_POINTS_PER_WAVELENGTH = 10.0
+
+# A boundary-jet sweep whose functional magnitudes all sit at or below this
+# absolute value is reported as vanishing instead of fitted.
+_NOISE_FLOOR = 1e-13
+
+
 class ResolutionError(ValueError):
     """Probe oscillation too fast for the mesh; message states the needed size."""
 
@@ -87,8 +95,9 @@ class InteriorProbe:
     ``fields`` holds (u, u, v, v) where u extends e^{i tau Phi} and v
     extends e^{i tau conj(Phi)} with Phi(z) = (z - center)^2; the phase
     vanishes to second order at the center with a nondegenerate quadratic
-    part, so products u v oscillate without growing.  ``amplitude`` is
-    identically 1 in this construction.
+    part, so products u v oscillate without growing.
+    ``points_per_wavelength`` is the measured resolution: the shortest
+    wavelength over the chart in mesh cells (inf at tau = 0).
     """
 
     center: tuple
@@ -202,7 +211,6 @@ def make_interior_probe(
     metric,
     center,
     tau,
-    points_per_wavelength=10.0,
     probe_margin=None,
 ):
     """Build the four concentrated probe fields for one frequency.
@@ -214,15 +222,13 @@ def make_interior_probe(
         boundary (default ``1/sqrt(tau)``).
     tau : float
         Probe frequency (tau = 0 degenerates to four constant fields).
-    points_per_wavelength : float
-        Resolution guard: the shortest oscillation wavelength over the
-        chart must span at least this many mesh cells.
 
     Raises
     ------
     ResolutionError
-        If the mesh cannot resolve the oscillation; the message states the
-        required mesh size.
+        If the shortest oscillation wavelength over the chart spans fewer
+        than 10 mesh cells, or the boundary data outgrows the extension
+        budget; the message states the required mesh size.
     ValueError
         If the chart is not conformally flat or the center sits too close
         to the boundary.
@@ -250,13 +256,13 @@ def make_interior_probe(
         # uses the worst point of the chart
         min_wavelength = np.pi / (tau * radius)
         ppw = min_wavelength / mesh.h
-        if ppw < points_per_wavelength:
-            required = min_wavelength / points_per_wavelength
+        if ppw < _POINTS_PER_WAVELENGTH:
+            required = min_wavelength / _POINTS_PER_WAVELENGTH
             raise ResolutionError(
                 f"probe at tau={tau:g} oscillates with wavelength "
                 f"{min_wavelength:.3e} but the mesh size is {mesh.h:.3e}; "
                 f"need h <= {required:.3e} "
-                f"({points_per_wavelength:g} points per wavelength)"
+                f"({_POINTS_PER_WAVELENGTH:g} points per wavelength)"
             )
         # the boundary trace grows like e^{tau |Im Phi|}; past the
         # mesh-dependent budget the extension error of that rim data swamps
@@ -294,7 +300,7 @@ def _discrepancy_weight(factor_c):
     return lambda x, y: 1.0 - 1.0 / np.asarray(factor_c(x, y), dtype=float)
 
 
-def _polarized_dn_functional(mesh, metric, factor_c, fields, h_eps, options):
+def _polarized_dn_functional(mesh, metric, factor_c, fields):
     """Boundary-data route to the complex probe functional.
 
     The boundary functional is symmetric 4-linear over the reals, so the
@@ -318,9 +324,7 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields, h_eps, options):
     sa, sb, sp, sq = scales
 
     def T(w1, w2, w3, w4):
-        return dn_difference_functional(
-            mesh, metric, metric2, [w1, w2, w3, w4], h_eps=h_eps, options=options
-        )
+        return dn_difference_functional(mesh, metric, metric2, [w1, w2, w3, w4])
 
     re = (
         sa * sa * sp * sp * T(a, a, p, p)
@@ -345,11 +349,7 @@ def recover_q_point(
     center,
     tau_sweep,
     mode="synthetic",
-    options=None,
-    h_eps=None,
-    points_per_wavelength=10.0,
     probe_margin=None,
-    raise_unreliable=True,
 ):
     """Estimate Q = 1 - 1/c at one interior point from a frequency sweep.
 
@@ -357,7 +357,8 @@ def recover_q_point(
     fits the affine model A tau + B to Re F by least squares and returns
     Q_hat = -A gamma(P) / (2 pi) with gamma(P) the conformal factor of
     ``metric`` at the point.  The fit residual (relative to the fitted
-    leading term |A| tau_max) is the trust diagnostic.
+    leading term |A| tau_max) is the trust diagnostic: above 20% the
+    result comes back flagged unreliable, with the reason in its message.
 
     Parameters
     ----------
@@ -368,9 +369,6 @@ def recover_q_point(
         "dn" drives the boundary-data difference pipeline (two metrics,
         eight nonlinear solves per real quadruple — slow, used to validate
         the synthetic path end to end).
-    raise_unreliable : bool
-        Raise UnreliableRecoveryError when the fit residual exceeds 20% of
-        the leading term (default); pass False to get the flagged result.
     """
     taus = np.asarray(tau_sweep, dtype=float)
     if taus.size < 2:
@@ -382,20 +380,11 @@ def recover_q_point(
 
     values = np.empty(taus.size, dtype=complex)
     for i, tau in enumerate(taus):
-        probe = make_interior_probe(
-            mesh,
-            metric,
-            center,
-            tau,
-            points_per_wavelength=points_per_wavelength,
-            probe_margin=probe_margin,
-        )
+        probe = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
         if mode == "synthetic":
             values[i] = q_functional(mesh, metric, weight, *probe.fields)
         else:
-            values[i] = _polarized_dn_functional(
-                mesh, metric, factor_c, probe.fields, h_eps, options
-            )
+            values[i] = _polarized_dn_functional(mesh, metric, factor_c, probe.fields)
 
     design = np.column_stack([taus, np.ones_like(taus)])
     (slope, intercept), *_ = np.linalg.lstsq(design, values.real, rcond=None)
@@ -417,7 +406,7 @@ def recover_q_point(
             "probe too close to the boundary, sweep outside the asymptotic "
             "regime, or mesh too coarse"
         )
-    result = RecoveryResult(
+    return RecoveryResult(
         point=(float(center[0]), float(center[1])),
         q_estimate=float(q_hat),
         sweep=taus,
@@ -429,9 +418,6 @@ def recover_q_point(
         reliable=bool(reliable),
         message=message,
     )
-    if raise_unreliable and not reliable:
-        raise UnreliableRecoveryError(f"recovery at {result.point}: {message}")
-    return result
 
 
 def interior_grid(mesh, spacing, margin):
@@ -455,9 +441,6 @@ def recover_q_field(
     grid,
     tau_sweep,
     mode="synthetic",
-    options=None,
-    h_eps=None,
-    points_per_wavelength=10.0,
     probe_margin=None,
 ):
     """Map pointwise recovery over a grid and fill the chart by nearest neighbor.
@@ -474,6 +457,21 @@ def recover_q_field(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
+
+    def flagged(point, sweep, message):
+        return RecoveryResult(
+            point=(float(point[0]), float(point[1])),
+            q_estimate=None,
+            sweep=sweep,
+            functional_values=np.zeros(taus.size, dtype=complex),
+            coefficient=np.nan,
+            intercept=np.nan,
+            exponent=1.0,
+            fit_residual=np.inf,
+            reliable=False,
+            message=message,
+        )
+
     results = []
     for point in grid:
         growth = _modulus_exponent(mesh, point)
@@ -481,52 +479,21 @@ def recover_q_field(
         if growth > 0 and taus.max() * growth > budget:
             scale = budget / (taus.max() * growth)
         if taus.max() * scale < 3.0:
-            results.append(
-                RecoveryResult(
-                    point=(float(point[0]), float(point[1])),
-                    q_estimate=None,
-                    sweep=taus * scale,
-                    functional_values=np.zeros(taus.size, dtype=complex),
-                    coefficient=np.nan,
-                    intercept=np.nan,
-                    exponent=1.0,
-                    fit_residual=np.inf,
-                    reliable=False,
-                    message=(
-                        f"amplitude budget at ({point[0]:.4g}, {point[1]:.4g}) "
-                        f"limits the sweep to tau <= {taus.max() * scale:.2g}: "
-                        "probe too close to the boundary"
-                    ),
-                )
-            )
+            results.append(flagged(
+                point,
+                taus * scale,
+                f"amplitude budget at ({point[0]:.4g}, {point[1]:.4g}) "
+                f"limits the sweep to tau <= {taus.max() * scale:.2g}: "
+                "probe too close to the boundary",
+            ))
             continue
         try:
             res = recover_q_point(
-                mesh,
-                metric,
-                factor_c,
-                point,
-                taus * scale,
-                mode=mode,
-                options=options,
-                h_eps=h_eps,
-                points_per_wavelength=points_per_wavelength,
-                probe_margin=probe_margin,
-                raise_unreliable=False,
+                mesh, metric, factor_c, point, taus * scale,
+                mode=mode, probe_margin=probe_margin,
             )
         except (ResolutionError, ValueError) as exc:
-            res = RecoveryResult(
-                point=(float(point[0]), float(point[1])),
-                q_estimate=None,
-                sweep=taus * scale,
-                functional_values=np.zeros(taus.size, dtype=complex),
-                coefficient=np.nan,
-                intercept=np.nan,
-                exponent=1.0,
-                fit_residual=np.inf,
-                reliable=False,
-                message=str(exc),
-            )
+            res = flagged(point, taus * scale, str(exc))
         results.append(res)
 
     reliable = np.array([r.reliable for r in results])
@@ -575,8 +542,6 @@ def boundary_jet_probe(
     point,
     m,
     n_sweep,
-    points_per_wavelength=10.0,
-    noise_floor=1e-13,
 ):
     """Fit the frequency exponent of the boundary-concentrated functional.
 
@@ -596,9 +561,10 @@ def boundary_jet_probe(
     of the first nonvanishing inward derivative of Q at the point; the
     caller compares candidate k values.
 
-    A sweep whose functional magnitudes all sit below ``noise_floor``
-    (times the chart area) reports exponent NaN with an explanatory
-    message instead of fitting noise.
+    A sweep whose functional magnitudes all sit at or below the absolute
+    noise floor 1e-13 reports exponent NaN with an explanatory message
+    instead of fitting noise.  Each frequency's wavelength 2 pi / N must
+    span at least 10 mesh cells, or the probe raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
@@ -626,11 +592,11 @@ def boundary_jet_probe(
     values = np.empty(freqs.size, dtype=complex)
     for i, N in enumerate(freqs):
         wavelength = 2.0 * np.pi / N
-        if wavelength < points_per_wavelength * mesh.h:
+        if wavelength < _POINTS_PER_WAVELENGTH * mesh.h:
             raise ResolutionError(
                 f"jet probe at N={N:g} has wavelength {wavelength:.3e} but the "
                 f"mesh size is {mesh.h:.3e}; need h <= "
-                f"{wavelength / points_per_wavelength:.3e}"
+                f"{wavelength / _POINTS_PER_WAVELENGTH:.3e}"
             )
         trace = (
             jet_step(np.sqrt(N) * x2)
@@ -642,7 +608,7 @@ def boundary_jet_probe(
         values[i] = q_functional(mesh, metric, weight, u, u, np.conj(u), np.conj(u))
 
     mags = np.abs(values)
-    if mags.max() <= noise_floor:
+    if mags.max() <= _NOISE_FLOOR:
         return RecoveryResult(
             point=(float(base[0]), float(base[1])),
             q_estimate=None,

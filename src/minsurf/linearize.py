@@ -21,10 +21,10 @@ minimal-surface solution.  At eps = 0:
                         + g(grad v_k, grad phi_i) g(grad v_j, grad v_l)
                         + g(grad v_l, grad phi_i) g(grad v_j, grad v_k) ] dV_g.
 
-Finite-difference versions of all three are provided for cross-checking;
-they difference full nonlinear solves on the centered stencils
+Finite-difference versions of the second and third are provided for
+cross-checking; they difference full nonlinear solves on the centered
+stencils
 
-    first:   (u(+h) - u(-h)) / (2h)
     second:  (u(++) - u(+-) - u(-+) + u(--)) / (4 h^2)
     third:   sum over sign triples of s1 s2 s3 u(s1 h, s2 h, s3 h) / (8 h^3).
 """
@@ -49,7 +49,6 @@ from .forward import SolveOptions, solve_minimal_surface
 
 __all__ = [
     "EpsilonCombination",
-    "first_linearization_fd",
     "second_linearization_fd",
     "third_linearization_source",
     "third_linearization_pde",
@@ -118,13 +117,6 @@ def _basis_eps(combo, idx, h, signs):
     for j, s in zip(idx, signs):
         eps[j] += s * h
     return eps
-
-
-def first_linearization_fd(combo, j, h_eps):
-    """Centered first difference of the nonlinear solution map."""
-    up = combo.solve(_basis_eps(combo, (j,), h_eps, (+1,)))
-    dn = combo.solve(_basis_eps(combo, (j,), h_eps, (-1,)))
-    return ScalarField(combo.mesh, (up - dn) / (2.0 * h_eps))
 
 
 def second_linearization_fd(combo, pair, h_eps):

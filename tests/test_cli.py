@@ -202,6 +202,81 @@ def test_csv_outputs_are_byte_identical_across_runs_and_workers(tmp_path):
     assert digests[0] == digests[1] == digests[2]
 
 
+def test_every_subcommand_default_passes_except_the_known_red(tmp_path):
+    # the shipped defaults are the documented experiments: each passes, and
+    # linearize-check fails exactly its documented second_slope criterion
+    for subcommand in sorted(cli.RUNNERS):
+        out = tmp_path / subcommand
+        code = cli.run(subcommand, {}, out=out)
+        failing = [r["name"] for r in read_manifest(out)["assertions"]
+                   if not r["passed"]]
+        if subcommand == "linearize-check":
+            assert (code, failing) == (1, ["second_slope"])
+        else:
+            assert (code, failing) == (0, []), subcommand
+
+
+def test_newton_failure_leaves_a_manifest(tmp_path, capsys):
+    config = {
+        "mesh": {"kind": "square", "n": 16},
+        "boundary_data": {"name": "quadratic", "cxx": 2.0, "cyy": -2.0},
+        "solver": {"max_iter": 1},
+    }
+    code = cli.main([
+        "forward", "--config", _write(tmp_path, json.dumps(config)),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FAILED criteria: converged" in err
+    assert "Traceback" not in err
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["passed"] is False
+    [record] = manifest["assertions"]
+    assert record["name"] == "converged" and not record["passed"]
+    assert "Newton did not reach" in record["value"]
+    # the initial residual and the one step allowed (measured 0.0436, 0.00654)
+    history = manifest["results"]["residual_norms"]
+    assert len(history) == 2
+    assert history[1] < history[0]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_unreliable_field_recovery_leaves_a_manifest(tmp_path, capsys):
+    # a sweep topping out below tau = 3 flags every grid point, so the field
+    # recovery as a whole gives up
+    code = cli.run(
+        "recover-q",
+        {
+            "mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
+            "tau_sweep": [2.0, 2.5],
+            "field": {"spacing": 0.35, "margin": 0.35},
+        },
+        out=tmp_path,
+    )
+    assert code == 1
+    assert "FAILED criteria: recovery_reliable" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path)
+    assert manifest["passed"] is False
+    assert [r["name"] for r in manifest["assertions"]] == ["recovery_reliable"]
+    assert "no grid point produced a reliable estimate" in \
+        manifest["assertions"][0]["value"]
+
+
+@pytest.mark.parametrize("override", [
+    {"export_solution": False},
+    {"export_dn_trace": False},
+    {"assertions": {"require_converged": False}},
+])
+def test_removed_forward_keys_are_unknown(tmp_path, capsys, override):
+    code = cli.main([
+        "forward", "--config", _write(tmp_path, json.dumps(override)),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_manifest_embeds_fully_resolved_config(tmp_path):
     cli.run("forward", {"mesh": SMALL_SQUARE}, out=tmp_path)
     manifest = read_manifest(tmp_path)

@@ -18,6 +18,28 @@ def catenoid(x, y):
     return CAT_A * np.arccosh(np.hypot(x, y) / CAT_A)
 
 
+def riemannian_gradient(mesh, metric, field):
+    """Riemannian gradient g^{-1} grad(u) per triangle (metric at centroids)."""
+    grad = geo.p1_gradients(mesh, geo.nodal_values(mesh, field))
+    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    g11, g12, g22 = geo._metric_entries(metric, x, y)
+    det = g11 * g22 - g12**2
+    gx = (g22 * grad[:, 0] - g12 * grad[:, 1]) / det
+    gy = (-g12 * grad[:, 0] + g11 * grad[:, 1]) / det
+    return np.column_stack([gx, gy])
+
+
+def test_riemannian_gradient_raises_index():
+    m = geo.square(5)
+    u = m.vertices[:, 0]  # u = x
+    g = geo.explicit_metric(
+        lambda x, y: (np.full_like(x, 4.0), np.zeros_like(x), np.full_like(x, 2.0))
+    )
+    grad = riemannian_gradient(m, g, u)
+    np.testing.assert_allclose(grad[:, 0], 0.25, atol=1e-14)
+    np.testing.assert_allclose(grad[:, 1], 0.0, atol=1e-14)
+
+
 def ng_map(mesh, metric, u):
     """Pointwise N_g trace of a solution field by gradient recovery.
 
@@ -28,7 +50,7 @@ def ng_map(mesh, metric, u):
     superconvergent weak-flux route used by ``dn_nonlinear``.
     """
     bg = geo.discretization(mesh, metric).boundary
-    grads = geo.riemannian_gradient(mesh, metric, u)  # per-triangle, g^{-1} grad
+    grads = riemannian_gradient(mesh, metric, u)  # per-triangle, g^{-1} grad
     acc = np.zeros((mesh.n_vertices, 2))
     wsum = np.zeros(mesh.n_vertices)
     for c in range(3):
@@ -57,7 +79,7 @@ def ng_map(mesh, metric, u):
 def catenoid_solution():
     mesh = geo.annulus(CAT_R0, CAT_R1, 32, 64)
     u, rep = fwd.solve_minimal_surface(mesh, FLAT, catenoid)
-    assert rep.converged
+    assert rep.final_residual <= 1e-10
     return mesh, u
 
 

@@ -107,17 +107,6 @@ def test_stiffness_conformal_invariance():
     assert abs(K1 - K2).max() < 1e-12
 
 
-def test_riemannian_gradient_raises_index():
-    m = geo.square(5)
-    u = m.vertices[:, 0]  # u = x
-    g = geo.explicit_metric(
-        lambda x, y: (np.full_like(x, 4.0), np.zeros_like(x), np.full_like(x, 2.0))
-    )
-    grad = geo.riemannian_gradient(m, g, u)
-    np.testing.assert_allclose(grad[:, 0], 0.25, atol=1e-14)
-    np.testing.assert_allclose(grad[:, 1], 0.0, atol=1e-14)
-
-
 def test_inner_product_is_bilinear_not_hermitian():
     # For u = x + i y on the flat metric, g(grad u, grad u) = 1 + i^2 = 0.
     # A Hermitian pairing would give 2; the bilinear extension is required.
@@ -133,9 +122,9 @@ def test_inner_product_is_bilinear_not_hermitian():
 
 def test_quadrature_exact_for_quadratics():
     m = geo.square(5)
-    mq = geo.metric_at_quadrature(m, geo.flat_metric())
+    w = geo.discretization(m, geo.flat_metric()).weights
     q = m.quad_points
-    val = geo.integrate_quadrature(m, mq, q[..., 0] ** 2 + q[..., 1] ** 2)
+    val = (w * (q[..., 0] ** 2 + q[..., 1] ** 2)).sum()
     assert abs(val - 2.0 / 3.0) < 1e-14
 
 
