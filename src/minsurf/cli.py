@@ -24,7 +24,6 @@ import json
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,26 +279,18 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
+    if isinstance(value, (np.bool_, bool)):
+        return bool(value)
     if isinstance(value, (np.floating, float)):
         value = float(value)
         return value if np.isfinite(value) else None
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
     if isinstance(value, np.ndarray):
         return _json_safe(value.tolist())
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
     return value
-
-
-def _map_sweep(fn, items, workers):
-    """Order-preserving map over sweep points with a bounded thread pool."""
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 class Assertions:
@@ -343,7 +334,6 @@ DEFAULTS = {
         "boundary_data": {"name": "affine", "a0": 0.0, "ax": 0.05, "ay": 0.1},
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/forward",
-        "workers": 1,
         "assertions": {
             "max_iterations": 25,
             "residual_max": 1e-9,
@@ -365,7 +355,6 @@ DEFAULTS = {
         "third_h_eps": 0.02,
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/linearize-check",
-        "workers": 1,
         "assertions": {
             "second_slope_min": 1.8,
             "second_final_rel_max": 1e-4,
@@ -389,7 +378,6 @@ DEFAULTS = {
         "h_eps_factor": None,
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/identity-check",
-        "workers": 1,
         "assertions": {
             "relative_residual_max": 1e-3,
             "order_min": 1.0,
@@ -403,7 +391,6 @@ DEFAULTS = {
         "area_step": 1e-4,
         "solver": dict(_SOLVER_DEFAULTS),
         "output_dir": "results/area-pipeline",
-        "workers": 1,
         "assertions": {
             "relative_sup_error_max": 1e-3,
             "roundtrip_max": 1e-14,
@@ -419,7 +406,6 @@ DEFAULTS = {
         "tau_sweep": [6.0, 8.0, 10.0],
         "field": None,
         "output_dir": "results/recover-q",
-        "workers": 1,
         "assertions": {
             "center_error_max": 0.02,
             "fit_residual_max": 0.2,
@@ -438,7 +424,6 @@ DEFAULTS = {
              "center": [0.5, 0.0], "k": 1},
         ],
         "output_dir": "results/boundary-jet",
-        "workers": 1,
         "assertions": {
             "exponent_tolerance": 0.3,
             "margin_min": 0.5,
@@ -526,10 +511,9 @@ def run_linearize_check(cfg, out_dir, log):
     # stencil width shrinks, at second order
     eps_sweep = [float(e) for e in cfg["eps_sweep"]]
     t0 = time.perf_counter()
-    sups = _map_sweep(
-        lambda h: float(np.abs(lin.second_linearization_fd(combo, pair, h)
-                               .values).max()),
-        eps_sweep, cfg["workers"])
+    sups = [float(np.abs(lin.second_linearization_fd(combo, pair, h)
+                         .values).max())
+            for h in eps_sweep]
     second_s = time.perf_counter() - t0
     write_csv(out_dir / "second_linearization.csv", ["h_eps", "sup_norm"],
               zip(eps_sweep, sups))
@@ -594,7 +578,7 @@ def run_identity_check(cfg, out_dir, log):
                                            h_eps=h_eps, options=options)
 
     t0 = time.perf_counter()
-    reports = _map_sweep(level_report, cfg["levels"], cfg["workers"])
+    reports = [level_report(level) for level in cfg["levels"]]
     sweep_s = time.perf_counter() - t0
 
     write_csv(out_dir / "identity_residuals.csv",
@@ -752,7 +736,7 @@ def run_boundary_jet(cfg, out_dir, log):
         return inv.boundary_jet_probe(mesh, metric, factor, point, m, n_sweep)
 
     t0 = time.perf_counter()
-    outcomes = _map_sweep(profile_result, cfg["profiles"], cfg["workers"])
+    outcomes = [profile_result(spec) for spec in cfg["profiles"]]
     sweep_s = time.perf_counter() - t0
 
     rows = []
@@ -773,13 +757,12 @@ def run_boundary_jet(cfg, out_dir, log):
             "message": res.message,
         })
         checks.require(f"profile_k{k}_reliable", res.reliable, res.message)
-        if cfg["assertions"]["exponent_tolerance"] is not None:
-            checks.check(f"profile_k{k}_exponent_error",
-                         abs(res.exponent - (3.0 - k - alpha)),
-                         cfg["assertions"]["exponent_tolerance"])
+        checks.check(f"profile_k{k}_exponent_error",
+                     abs(res.exponent - (3.0 - k - alpha)),
+                     cfg["assertions"]["exponent_tolerance"])
         checks.check(f"profile_k{k}_fit_residual", res.fit_residual,
                      cfg["assertions"]["fit_residual_max"])
-    if len(exponents) >= 2 and cfg["assertions"]["margin_min"] is not None:
+    if len(exponents) >= 2:
         checks.check("exponent_margin", exponents[0] - exponents[1],
                      cfg["assertions"]["margin_min"], mode="min")
 
@@ -833,21 +816,16 @@ def _versions():
     }
 
 
-def run(subcommand, config=None, out=None, workers=None, verbose=False):
+def run(subcommand, config=None, out=None, verbose=False):
     """Run one experiment subcommand; returns the process exit code.
 
     ``config`` is a dict of overrides merged onto the subcommand defaults;
-    ``out`` and ``workers`` override the corresponding config fields.  All
-    artifacts (manifest.json plus CSVs) land in the output directory.
+    ``out`` overrides the ``output_dir`` config field.  All artifacts
+    (manifest.json plus CSVs) land in the output directory.
     """
     cfg = resolve_config(subcommand, config or {})
     if out is not None:
         cfg["output_dir"] = str(out)
-    if workers is not None:
-        cfg["workers"] = int(workers)
-    cfg["workers"] = int(cfg["workers"])
-    if cfg["workers"] < 1:
-        raise ConfigError("workers", "must be a positive integer")
 
     out_dir = Path(cfg["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -860,8 +838,8 @@ def run(subcommand, config=None, out=None, workers=None, verbose=False):
     try:
         results, checks, timings = RUNNERS[subcommand](cfg, out_dir, log)
     except inv.ResolutionError as exc:
-        # the configured mesh cannot resolve the requested probes: a config
-        # problem, reported like one
+        # the probe cannot be built for this mesh, metric and centre: a
+        # config problem, reported like one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (fwd.ConvergenceError, inv.UnreliableRecoveryError) as exc:
@@ -909,8 +887,6 @@ def main(argv=None):
                         help="JSON config with overrides for the experiment")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: from config)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads for sweep points")
     parser.add_argument("--verbose", action="store_true",
                         help="print progress details")
     args = parser.parse_args(argv)
@@ -928,8 +904,7 @@ def main(argv=None):
             return 2
 
     try:
-        return run(args.subcommand, config, out=args.out,
-                   workers=args.workers, verbose=args.verbose)
+        return run(args.subcommand, config, out=args.out, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

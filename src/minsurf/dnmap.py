@@ -122,19 +122,16 @@ class AreaData:
 
     Attributes
     ----------
-    probe_indices : ndarray
-        Boundary-vertex positions probed (into the boundary ordering).
     t : float
         Centered FD step in the probe amplitude.
     areas_base : float
         Area of the unperturbed solution.
     flux : ndarray
-        FD estimates of integral N_g phi_b dS_g per probed hat.
+        FD estimates of integral N_g phi_b dS_g per boundary hat.
     ng : ndarray
         Nodal N_g from the flux (validated |N_g| < 1).
     """
 
-    probe_indices: np.ndarray
     t: float
     areas_base: float
     flux: np.ndarray
@@ -347,13 +344,12 @@ def dn_from_area_data(
     mesh,
     metric,
     f,
-    probes=None,
     t=1e-4,
     options=None,
 ):
     """Recover the DN trace purely from area measurements.
 
-    Perturbs the boundary data along boundary-hat directions, differences
+    Perturbs the boundary data along every boundary-hat direction, differences
     the resulting areas to estimate integral N_g phi_b dS_g per hat, and
     runs the algebraic inversion to Lambda.  Produces the same discrete
     object as :func:`dn_nonlinear` up to the O(t^2) differencing error,
@@ -364,8 +360,6 @@ def dn_from_area_data(
 
     Parameters
     ----------
-    probes : sequence of int, optional
-        Positions (into the boundary ordering) to probe; default all.
     t : float
         Centered FD step for the area differences.
 
@@ -377,16 +371,6 @@ def dn_from_area_data(
     bg = discretization(mesh, metric).boundary
     fb = boundary_values(mesh, f)
     n_b = len(bg.vertex_indices)
-    if probes is None:
-        probes = np.arange(n_b)
-    else:
-        probes = np.asarray(probes, dtype=int)
-        if probes.size == 0 or probes.min() < 0 or probes.max() >= n_b:
-            raise ValueError(
-                f"probe indices must lie in [0, {n_b}); got range "
-                f"[{probes.min() if probes.size else '-'}, "
-                f"{probes.max() if probes.size else '-'}]"
-            )
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
     base_area = area(mesh, metric, u0.values)
@@ -397,8 +381,8 @@ def dn_from_area_data(
     # of J(u0): the perturbations are O(t), so J(u0) is within O(t) of the
     # Jacobian at each perturbed solution.
     warm = replace(options, initial_guess=warm_start(mesh, metric, u0.values))
-    flux = np.full(n_b, np.nan)
-    for b in probes:
+    flux = np.empty(n_b)
+    for b in range(n_b):
         pert = np.zeros(n_b)
         pert[b] = t
         up, _ = solve_minimal_surface(mesh, metric, fb + pert, warm)
@@ -407,15 +391,10 @@ def dn_from_area_data(
             2.0 * t
         )
 
-    if len(probes) < n_b:
-        measured = np.zeros(n_b)
-        measured[probes] = flux[probes]
-        flux = measured
     ng = flux / bg.ds
     tq = _tangential_sq(mesh, bg, fb)
     lam = lambda_from_ng(ng, tq)
     record = AreaData(
-        probe_indices=probes,
         t=t,
         areas_base=base_area,
         flux=flux.copy(),

@@ -40,7 +40,7 @@ Every operator of the package is computed on one (mesh, metric) pair, and
 :func:`discretization` hands out that pair's single :class:`Discretization`.
 It is memoized in a dict on the mesh, keyed by the metric, so it lives and
 dies with the mesh.  The owner builds each invariant on first use, once,
-under its own lock (threads of a sweep may share a mesh): the metric at
+under its own lock (callers' threads may share a mesh): the metric at
 quadrature, the quadrature weights, the stiffness matrix K, the boundary
 geometry, and the coupling block K[I, B] with a sparse LU factor of
 K[I, I] (I interior, B boundary vertices).  :meth:`Discretization.extend`

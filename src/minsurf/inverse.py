@@ -81,7 +81,11 @@ _NOISE_FLOOR = 1e-13
 
 
 class ResolutionError(ValueError):
-    """Probe oscillation too fast for the mesh; message states the needed size."""
+    """The probe cannot be built for this mesh, metric and centre.
+
+    The message names the failed condition; for an under-resolved mesh it
+    states the needed size.
+    """
 
 
 class UnreliableRecoveryError(RuntimeError):
@@ -148,13 +152,13 @@ class RecoveryField:
 def _conformal_scale_at(metric, point, context):
     """Conformal factor of a conformally flat metric at one point.
 
-    Verifies g = gamma * identity there; raises ValueError with the
+    Verifies g = gamma * identity there; raises ResolutionError with the
     offending entries otherwise.
     """
     g = metric_eval(metric, point)
     scale = 0.5 * (g[0, 0] + g[1, 1])
     if abs(g[0, 1]) > 1e-9 * scale or abs(g[0, 0] - g[1, 1]) > 1e-9 * scale:
-        raise ValueError(
+        raise ResolutionError(
             f"{context} requires a conformally flat chart (g = gamma * identity); "
             f"at ({point[0]:.4g}, {point[1]:.4g}) got g11={g[0, 0]:.6g}, "
             f"g12={g[0, 1]:.3g}, g22={g[1, 1]:.6g}"
@@ -228,13 +232,12 @@ def make_interior_probe(
     ResolutionError
         If the shortest oscillation wavelength over the chart spans fewer
         than 10 mesh cells, or the boundary data outgrows the extension
-        budget; the message states the required mesh size.
-    ValueError
-        If the chart is not conformally flat or the center sits too close
-        to the boundary.
+        budget (the message states the required mesh size); if tau < 0,
+        the chart is not conformally flat or the center sits too close to
+        the boundary.
     """
     if tau < 0:
-        raise ValueError(f"probe frequency must be nonnegative, got {tau}")
+        raise ResolutionError(f"probe frequency must be nonnegative, got {tau}")
     _check_conformally_flat(mesh, metric, "interior probe")
 
     z_p = complex(center[0], center[1])
@@ -248,7 +251,7 @@ def make_interior_probe(
         bdist = float(np.abs(z_all[bidx] - z_p).min())
         margin = probe_margin if probe_margin is not None else 1.0 / np.sqrt(tau)
         if bdist < margin:
-            raise ValueError(
+            raise ResolutionError(
                 f"probe center ({center[0]:.4g}, {center[1]:.4g}) is at distance "
                 f"{bdist:.3g} from the boundary; need at least {margin:.3g}"
             )
@@ -372,7 +375,7 @@ def recover_q_point(
     """
     taus = np.asarray(tau_sweep, dtype=float)
     if taus.size < 2:
-        raise ValueError("need at least two frequencies to fit the affine model")
+        raise ResolutionError("need at least two frequencies to fit the affine model")
     if mode not in ("synthetic", "dn"):
         raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn'")
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
@@ -568,9 +571,9 @@ def boundary_jet_probe(
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
-        raise ValueError("need at least two frequencies to fit the exponent")
+        raise ResolutionError("need at least two frequencies to fit the exponent")
     if not (isinstance(m, int) and m >= 1):
-        raise ValueError(f"jet order m must be a positive integer, got {m!r}")
+        raise ResolutionError(f"jet order m must be a positive integer, got {m!r}")
     gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
     alpha = (m * m + 1.0) / (m * m + m + 1.0)

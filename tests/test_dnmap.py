@@ -219,17 +219,6 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     assert np.abs(tr.flux - ref).max() <= floor
 
 
-def test_dn_from_area_data_partial_probes():
-    d = geo.disc(8, 32)
-    f = lambda x, y: 0.3 * x * y
-    probes = np.arange(0, 32, 4)
-    tr, rec = dn.dn_from_area_data(d, FLAT, f, probes=probes)
-    ref = dn.dn_nonlinear(d, FLAT, f)
-    assert np.abs(tr.flux[probes] - ref.flux[probes]).max() < 1e-7
-    with pytest.raises(ValueError, match="probe indices"):
-        dn.dn_from_area_data(d, FLAT, f, probes=[99])
-
-
 def test_third_derivative_fd_matches_exact():
     mesh = geo.disc(16, 96)
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]

@@ -7,9 +7,15 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.sparse.linalg as spla
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsurf import forward as fwd
 from minsurf import geometry as geo
+
+CURVED = geo.explicit_metric(
+    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+)
+EPS = np.finfo(float).eps
 
 
 def test_square_mesh_basics():
@@ -94,17 +100,28 @@ def test_flat_stiffness_five_point_stencil():
     assert abs((K - K.T)).max() < 1e-14
 
 
-def test_stiffness_conformal_invariance():
-    # In 2D, sqrt(det(c g)) (c g)^{-1} = sqrt(det g) g^{-1} pointwise, so the
-    # assembled stiffness is invariant under conformal rescaling.
-    d = geo.disc(12, 72)
-    g = geo.flat_metric()
-    cg = geo.conformal_metric(
-        g, lambda x, y: 1.0 + 0.5 * np.exp(-((x - 0.2) ** 2 + y**2) / 0.1)
-    )
-    K1 = geo.assemble_weighted_stiffness(d, g)
-    K2 = geo.assemble_weighted_stiffness(d, cg)
-    assert abs(K1 - K2).max() < 1e-12
+CHART = geo.disc(12, 72)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    scale=st.floats(1e-3, 1e3),
+    bump=st.floats(0.0, 2.0),
+    center=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    width=st.floats(0.2, 1.0),
+)
+def test_stiffness_conformal_invariance(scale, bump, center, width):
+    # In 2D, sqrt(det(c g)) (c g)^{-1} = sqrt(det g) g^{-1} pointwise, so c
+    # cancels at every quadrature point and K(c g) equals K(g) to rounding
+    # (measured at most 2 eps relative to max |K|).
+    cx, cy = center
+
+    def factor(x, y):
+        return scale * (1.0 + bump * np.exp(-((x - cx) ** 2 + (y - cy) ** 2) / width**2))
+
+    K1 = geo.assemble_weighted_stiffness(CHART, CURVED)
+    K2 = geo.assemble_weighted_stiffness(CHART, geo.conformal_metric(CURVED, factor))
+    assert abs(K1 - K2).max() <= 16 * EPS * abs(K1).max()
 
 
 def test_inner_product_is_bilinear_not_hermitian():
@@ -283,9 +300,9 @@ def test_discretization_is_memoized_per_mesh_and_metric():
 
 
 def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
-    # sweeps with workers > 1 share one mesh between threads: the first uses
-    # of the owner race, and each piece must still be built exactly once,
-    # with every solve equal bit for bit to the serial one
+    # callers' threads may share one mesh: the first uses of the owner race,
+    # and each piece must still be built exactly once, with every solve
+    # equal bit for bit to the serial one
     n_threads = 8
     metric = geo.explicit_metric(
         lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)

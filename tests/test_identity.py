@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
@@ -14,6 +15,7 @@ FLAT = geo.flat_metric()
 CURVED = geo.explicit_metric(
     lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 )
+EPS = np.finfo(float).eps
 
 DIRS = [
     lambda x, y: x,
@@ -60,6 +62,44 @@ def test_q_functional_is_bilinear_in_complex_fields():
     assert abs(idn.q_functional(mesh, FLAT, None, z, z, z, z)) < 1e-13
     val = idn.q_functional(mesh, FLAT, None, z, z, zbar, zbar)
     assert abs(val - 8.0) < 1e-13
+
+
+SMOOTH = geo.disc(8, 48)
+_X, _Y = SMOOTH.vertices.T
+FIELDS = [_X, _Y, _X * _Y, _X * _X - _Y * _Y,
+          np.exp(2j * _X) * (1.0 + _Y), np.cos(3.0 * _Y) + 1j * _X]
+scalars = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                             allow_nan=False, allow_infinity=False)
+
+
+def _magnitude(metric, fields):
+    """3 * integral of prod_k |grad v_k|_g, which bounds every q_functional term."""
+    d = geo.discretization(SMOOTH, metric)
+    out = 3.0 * d.weights
+    for v in fields:
+        g = geo.p1_gradients(SMOOTH, v)
+        out = out * np.sqrt(np.abs(geo.pair_at_quadrature(SMOOTH, d.mq, g, np.conj(g))))
+    return out.sum()
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(
+    a=scalars,
+    b=scalars,
+    picks=st.lists(st.integers(0, len(FIELDS) - 1), min_size=5, max_size=5),
+    metric=st.sampled_from([FLAT, CURVED]),
+)
+def test_q_functional_is_linear_in_its_first_argument(a, b, picks, metric):
+    # by symmetry many picks give q = 0 on the disc, so rounding is bounded
+    # against the termwise magnitude (measured below 1 eps of it)
+    u, w, *rest = (FIELDS[i] for i in picks)
+
+    def q(v):
+        return idn.q_functional(SMOOTH, metric, None, v, *rest)
+
+    err = abs(q(a * u + b * w) - (a * q(u) + b * q(w)))
+    bound = abs(a) * _magnitude(metric, [u, *rest]) + abs(b) * _magnitude(metric, [w, *rest])
+    assert err <= 16 * EPS * bound
 
 
 def test_q_functional_weight_coercion_agrees_for_linear_weight():
