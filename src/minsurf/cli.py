@@ -4,8 +4,9 @@ Each verification experiment is exposed as a subcommand driven by a JSON
 config.  Every run writes a ``manifest.json`` (fully resolved config, library
 versions, timings, assertion outcomes) plus one or more CSV data files into
 the output directory, and exits 0 exactly when all configured assertions
-pass.  A Newton solve or a recovery that gives up fails its run (exit 1)
-through the same path, with a manifest but no CSV data.  CSV payloads are
+pass.  A Newton solve or a recovery that gives up, and a DN trace with a
+nodal |N_g| >= 1, fail their run (exit 1) through the same path, with a
+manifest but no CSV data.  CSV payloads are
 deterministic: repeated runs with the same config produce byte-identical
 files.
 
@@ -171,18 +172,23 @@ def build_mesh(spec, key="mesh"):
     kind = spec.get("kind")
     if kind == "square":
         _params(spec, key, ("kind", "n"))
-        return geo.square(int(spec.get("n", 32)))
-    if kind == "disc":
+        constructor, args = geo.square, (int(spec.get("n", 32)),)
+    elif kind == "disc":
         _params(spec, key, ("kind", "n_radial", "n_angular"))
         n_radial = int(spec.get("n_radial", 24))
-        return geo.disc(n_radial, int(spec.get("n_angular", 6 * n_radial)))
-    if kind == "annulus":
+        constructor = geo.disc
+        args = (n_radial, int(spec.get("n_angular", 6 * n_radial)))
+    elif kind == "annulus":
         _params(spec, key, ("kind", "r0", "r1", "n_radial", "n_angular"))
-        return geo.annulus(
-            float(spec.get("r0", 0.5)), float(spec.get("r1", 1.5)),
-            int(spec.get("n_radial", 16)), int(spec.get("n_angular", 96)),
-        )
-    raise ConfigError(f"{key}.kind", f"unknown mesh kind '{kind}'")
+        constructor = geo.annulus
+        args = (float(spec.get("r0", 0.5)), float(spec.get("r1", 1.5)),
+                int(spec.get("n_radial", 16)), int(spec.get("n_angular", 96)))
+    else:
+        raise ConfigError(f"{key}.kind", f"unknown mesh kind '{kind}'")
+    try:
+        return constructor(*args)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc)) from None
 
 
 def build_metric(spec, key="metric"):
@@ -438,6 +444,17 @@ def _solve_options(cfg):
                             max_iter=int(cfg["solver"]["max_iter"]))
 
 
+def _direction_indices(cfg, key, length, n_directions):
+    """The ``length`` indices into ``directions`` that config key ``key`` names."""
+    indices = tuple(int(i) for i in cfg[key])
+    if len(indices) != length:
+        raise ConfigError(key, f"expected {length} indices, got {len(indices)}")
+    if any(i not in range(n_directions) for i in indices):
+        raise ConfigError(key, f"indices {list(indices)} must lie in "
+                               f"0..{n_directions - 1}")
+    return indices
+
+
 def _fit_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     design = np.column_stack([np.log(xs), np.ones(len(xs))])
@@ -459,11 +476,11 @@ def run_forward(cfg, out_dir, log):
     u, report = fwd.solve_minimal_surface(mesh, metric, f, options)
     solve_s = time.perf_counter() - t0
 
+    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u)
     write_csv(out_dir / "convergence.csv", ["iteration", "residual"],
               list(enumerate(report.residual_norms)))
     write_csv(out_dir / "solution.csv", ["x", "y", "u"],
               np.column_stack([mesh.vertices, u.values]))
-    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u)
     write_csv(out_dir / "dn_trace.csv", ["arclength", "value"],
               np.column_stack([trace.bg.arclength, trace.values]))
 
@@ -502,8 +519,8 @@ def run_linearize_check(cfg, out_dir, log):
     ]
     if len(directions) < 3:
         raise ConfigError("directions", "need at least 3 boundary directions")
-    pair = tuple(int(i) for i in cfg["pair"])
-    triple = tuple(int(i) for i in cfg["triple"])
+    pair = _direction_indices(cfg, "pair", 2, len(directions))
+    triple = _direction_indices(cfg, "triple", 3, len(directions))
     options = _solve_options(cfg)
     combo = lin.EpsilonCombination(mesh, metric, directions, options)
 
@@ -567,18 +584,24 @@ def run_identity_check(cfg, out_dir, log):
     directions = [
         (lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in fns
     ]
+    if len(directions) != 4:
+        raise ConfigError("directions", f"need exactly 4 boundary directions, "
+                                        f"got {len(directions)}")
     options = _solve_options(cfg)
     h_eps_factor = cfg["h_eps_factor"]
 
-    def level_report(level):
-        n_radial, n_angular = (int(v) for v in level)
-        mesh = geo.disc(n_radial, n_angular)
+    def level_report(i, level):
+        key = f"levels[{i}]"
+        if not isinstance(level, (list, tuple)) or len(level) != 2:
+            raise ConfigError(key, "expected [n_radial, n_angular]")
+        mesh = build_mesh({"kind": "disc", "n_radial": level[0],
+                           "n_angular": level[1]}, key)
         h_eps = None if h_eps_factor is None else float(h_eps_factor) * mesh.h
         return idn.integral_identity_check(mesh, metric, directions,
                                            h_eps=h_eps, options=options)
 
     t0 = time.perf_counter()
-    reports = [level_report(level) for level in cfg["levels"]]
+    reports = [level_report(i, level) for i, level in enumerate(cfg["levels"])]
     sweep_s = time.perf_counter() - t0
 
     write_csv(out_dir / "identity_residuals.csv",
@@ -611,10 +634,9 @@ def run_area_pipeline(cfg, out_dir, log):
     options = _solve_options(cfg)
 
     t0 = time.perf_counter()
-    reference = dn.dn_nonlinear(mesh, metric, f, options=options)
-    trace, _data = dn.dn_from_area_data(mesh, metric, f,
-                                        t=float(cfg["area_step"]),
-                                        options=options)
+    trace, reference = dn.dn_from_area_data(mesh, metric, f,
+                                            t=float(cfg["area_step"]),
+                                            options=options)
     pipeline_s = time.perf_counter() - t0
 
     diff = np.abs(trace.values - reference.values)
@@ -799,6 +821,9 @@ def _failed_run(exc):
     if isinstance(exc, fwd.ConvergenceError):
         checks.require("converged", False, str(exc))
         return {"residual_norms": exc.report.residual_norms}, checks, {}
+    if isinstance(exc, dn.GraphFluxError):
+        checks.require("graph_flux", False, str(exc))
+        return {}, checks, {}
     checks.require("recovery_reliable", False, str(exc))
     return {}, checks, {}
 
@@ -842,9 +867,10 @@ def run(subcommand, config=None, out=None, verbose=False):
         # config problem, reported like one
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (fwd.ConvergenceError, inv.UnreliableRecoveryError) as exc:
-        # a solver that gives up fails the run, which still leaves its
-        # manifest
+    except (fwd.ConvergenceError, dn.GraphFluxError,
+            inv.UnreliableRecoveryError) as exc:
+        # a solver that gives up, or a flux no graph realizes, fails the
+        # run, which still leaves its manifest
         results, checks, timings = _failed_run(exc)
     timings["total_s"] = time.perf_counter() - start
 

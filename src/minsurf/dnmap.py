@@ -42,13 +42,12 @@ to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .geometry import (
     BoundaryGeometry,
-    ScalarField,
     boundary_values,
     discretization,
     nodal_values,
@@ -67,7 +66,7 @@ from .linearize import third_linearization_source
 
 __all__ = [
     "DNTrace",
-    "AreaData",
+    "GraphFluxError",
     "dn_linear",
     "dn_nonlinear",
     "dn_third_derivative",
@@ -88,54 +87,30 @@ class DNTrace:
     bg : BoundaryGeometry
         Frame and measure the trace lives on.
     values : ndarray
-        Nodal values of the map output (Lambda-type normal derivative for
-        the linear/nonlinear maps, third derivative thereof for the third-
-        derivative kinds).
+        Nodal values of the map output: the normal derivative Lambda for
+        the linear and nonlinear maps, its third derivative for
+        :func:`dn_third_derivative`.
     flux : ndarray
-        The weak flux vector the discretization provides natively:
-        rows of K v for ``linear``; boundary residual rows (the N_g flux)
-        for ``nonlinear`` and ``area``; (K w - L) rows (the d^3 N flux) for
-        the third-derivative kinds.
+        The weak flux vector the discretization provides natively: rows of
+        K v for :func:`dn_linear`; the N_g flux per boundary hat for the
+        nonlinear maps (boundary residual rows, or area differences in
+        :func:`dn_from_area_data`); (K w - L) rows, the d^3 N flux, for
+        :func:`dn_third_derivative`.
     ng : ndarray or None
-        Nodal N_g values (tilted flux), where meaningful.
+        Nodal N_g values (tilted flux) of the nonlinear maps.
     tangential_sq : ndarray or None
         |d_tau f|^2 of the boundary data, used by the algebraic inversion.
-    data : ndarray or None
-        Boundary values of the Dirichlet data f.
-    kind : str
-        One of ``linear``, ``nonlinear``, ``third_fd``, ``third_exact``,
-        ``area``.
     """
 
     bg: BoundaryGeometry
     values: np.ndarray
     flux: np.ndarray
-    kind: str
     ng: Optional[np.ndarray] = None
     tangential_sq: Optional[np.ndarray] = None
-    data: Optional[np.ndarray] = None
 
 
-@dataclass(frozen=True, eq=False)
-class AreaData:
-    """Record of the area-differencing route to the N_g flux.
-
-    Attributes
-    ----------
-    t : float
-        Centered FD step in the probe amplitude.
-    areas_base : float
-        Area of the unperturbed solution.
-    flux : ndarray
-        FD estimates of integral N_g phi_b dS_g per boundary hat.
-    ng : ndarray
-        Nodal N_g from the flux (validated |N_g| < 1).
-    """
-
-    t: float
-    areas_base: float
-    flux: np.ndarray
-    ng: np.ndarray
+class GraphFluxError(ValueError):
+    """A nodal N_g with |N_g| >= 1, which no graph normal realizes."""
 
 
 def lambda_from_ng(ng, tangential_sq):
@@ -143,7 +118,7 @@ def lambda_from_ng(ng, tangential_sq):
 
     Raises
     ------
-    ValueError
+    GraphFluxError
         If any |N_g| >= 1 (not realizable by a graph normal).
     """
     ng = np.asarray(ng, dtype=float)
@@ -151,7 +126,7 @@ def lambda_from_ng(ng, tangential_sq):
     bad = np.abs(ng) >= 1.0
     if np.any(bad):
         k = int(np.argmax(np.abs(ng)))
-        raise ValueError(
+        raise GraphFluxError(
             f"|N_g| must be < 1 for a graph flux; got {ng[k]:.6f} at boundary "
             f"position {k} — mesh too coarse or data too rough"
         )
@@ -165,7 +140,7 @@ def ng_from_lambda(lam, tangential_sq):
     return lam / np.sqrt(1.0 + tangential_sq + lam**2)
 
 
-def _tangential_sq(mesh, bg, f_boundary):
+def _tangential_sq(bg, f_boundary):
     df = tangential_derivative(bg, f_boundary)
     return df * df
 
@@ -182,14 +157,7 @@ def dn_linear(mesh, metric, f):
     fb = boundary_values(mesh, f)
     v = solve_laplace_beltrami(mesh, metric, fb)
     flux = (d.stiffness @ v.values)[bg.vertex_indices]
-    return DNTrace(
-        bg=bg,
-        values=flux / bg.ds,
-        flux=flux,
-        kind="linear",
-        tangential_sq=_tangential_sq(mesh, bg, fb.real if np.iscomplexobj(fb) else fb),
-        data=fb,
-    )
+    return DNTrace(bg=bg, values=flux / bg.ds, flux=flux)
 
 
 def dn_nonlinear(mesh, metric, f, options=None):
@@ -205,20 +173,17 @@ def dn_nonlinear(mesh, metric, f, options=None):
 
 
 def _nonlinear_trace(mesh, metric, fb, u):
-    """The ``nonlinear`` DNTrace of a solution u with boundary values fb."""
+    """The DNTrace of a solution u with boundary values fb, from its residual."""
     bg = discretization(mesh, metric).boundary
-    flux = mse_residual(mesh, metric, u.values)[bg.vertex_indices]
+    return _flux_trace(bg, fb, mse_residual(mesh, metric, u.values)[bg.vertex_indices])
+
+
+def _flux_trace(bg, fb, flux):
+    """The nonlinear DNTrace of a weak N_g flux for boundary values fb."""
     ng = flux / bg.ds
-    tq = _tangential_sq(mesh, bg, fb)
-    lam = lambda_from_ng(ng, tq)
+    tq = _tangential_sq(bg, fb)
     return DNTrace(
-        bg=bg,
-        values=lam,
-        flux=flux,
-        kind="nonlinear",
-        ng=ng,
-        tangential_sq=tq,
-        data=fb,
+        bg=bg, values=lambda_from_ng(ng, tq), flux=flux, ng=ng, tangential_sq=tq
     )
 
 
@@ -264,8 +229,8 @@ def dn_third_derivative(
 
     Returns
     -------
-    DNTrace with kind ``third_fd`` or ``third_exact``; ``values`` holds the
-    nodal d^3 Lambda trace and ``flux`` the weak d^3 N flux.
+    DNTrace whose ``values`` hold the nodal d^3 Lambda trace and ``flux``
+    the weak d^3 N flux.
     """
     from .linearize import EpsilonCombination
 
@@ -290,9 +255,7 @@ def dn_third_derivative(
                     lam_acc += sign * trace.values
                     flux_acc += sign * trace.flux
         scale = 8.0 * h_eps**3
-        return DNTrace(
-            bg=bg, values=lam_acc / scale, flux=flux_acc / scale, kind="third_fd"
-        )
+        return DNTrace(bg=bg, values=lam_acc / scale, flux=flux_acc / scale)
 
     if method == "exact":
         vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
@@ -304,7 +267,6 @@ def dn_third_derivative(
             bg=bg,
             values=d3n + _boundary_correction(d, vs, fbs),
             flux=flux,
-            kind="third_exact",
         )
 
     raise ValueError(f"unknown method {method!r}; use 'fd' or 'exact'")
@@ -365,7 +327,9 @@ def dn_from_area_data(
 
     Returns
     -------
-    (DNTrace, AreaData)
+    (area_trace, base_trace)
+        The DNTrace from the area differences, and the direct DNTrace of the
+        base solution, read off its residual as :func:`dn_nonlinear` does.
     """
     options = options or SolveOptions()
     bg = discretization(mesh, metric).boundary
@@ -373,7 +337,7 @@ def dn_from_area_data(
     n_b = len(bg.vertex_indices)
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
-    base_area = area(mesh, metric, u0.values)
+    base_trace = _nonlinear_trace(mesh, metric, fb, u0)
 
     from dataclasses import replace
 
@@ -390,23 +354,4 @@ def dn_from_area_data(
         flux[b] = (area(mesh, metric, up.values) - area(mesh, metric, dn_.values)) / (
             2.0 * t
         )
-
-    ng = flux / bg.ds
-    tq = _tangential_sq(mesh, bg, fb)
-    lam = lambda_from_ng(ng, tq)
-    record = AreaData(
-        t=t,
-        areas_base=base_area,
-        flux=flux.copy(),
-        ng=ng,
-    )
-    trace = DNTrace(
-        bg=bg,
-        values=lam,
-        flux=flux,
-        kind="area",
-        ng=ng,
-        tangential_sq=tq,
-        data=fb,
-    )
-    return trace, record
+    return _flux_trace(bg, fb, flux), base_trace

@@ -693,10 +693,6 @@ class BoundaryGeometry:
         """Consistent pairing integral of (P1 traces) a * b dS_g (bilinear)."""
         return np.asarray(a) @ (self.mass @ np.asarray(b))
 
-    def restrict(self, full_values):
-        """Restrict a full nodal vector to the boundary ordering."""
-        return np.asarray(full_values)[self.vertex_indices]
-
 
 def boundary_geometry(mesh, metric):
     """Build the g-orthonormal boundary frame and boundary measure.
@@ -721,13 +717,10 @@ def boundary_geometry(mesh, metric):
 
     rows, cols, vals = [], [], []
     pos = 0
-    local_of = {}
     for loop in mesh.boundary_loops:
         m = len(loop)
         sl = slice(pos, pos + m)
         loop_slices.append(sl)
-        for k, v in enumerate(loop):
-            local_of[v] = pos + k
 
         p = verts[loop]
         nxt = np.roll(p, -1, axis=0)

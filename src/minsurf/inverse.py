@@ -42,7 +42,7 @@ the synthetic path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree

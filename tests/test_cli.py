@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 import minsurf.cli as cli
+import minsurf.dnmap as dn
+import minsurf.forward as fwd
 
 SMALL_SQUARE = {"kind": "square", "n": 24}
 SMALL_LEVELS = [[8, 48], [12, 72], [16, 96]]
@@ -339,6 +342,9 @@ def test_entry_point_runs_as_module(tmp_path):
         [sys.executable, "-m", "minsurf.cli", "forward",
          "--config", str(config), "--out", str(tmp_path / "out"), "--verbose"],
         capture_output=True, text=True,
+        # the child imports minsurf from wherever this process found it,
+        # including pytest's configured pythonpath
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "manifest.json").exists()
@@ -369,3 +375,69 @@ def _write(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+@pytest.mark.parametrize("subcommand, config, key", [
+    ("linearize-check", {"pair": [0, 5]}, "pair"),
+    ("linearize-check", {"triple": [0, 1, 9]}, "triple"),
+    ("identity-check", {"directions": [{"name": "fourier", "sin": [1.0]}]},
+     "directions"),
+    ("identity-check", {"levels": [[1, 72], [24, 144]]}, "levels[0]"),
+    ("forward", {"mesh": {"kind": "square", "n": 0}}, "mesh"),
+    ("forward", {"mesh": {"kind": "disc", "n_radial": 1}}, "mesh"),
+], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
+        "level-too-coarse", "square-n-zero", "disc-one-ring"])
+def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
+                                                 config, key):
+    code = cli.main([
+        subcommand, "--config", _write(tmp_path, json.dumps(config)),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", ["forward", "area-pipeline"])
+def test_graph_flux_failure_leaves_a_manifest(tmp_path, capsys, subcommand):
+    # data this steep on so coarse a mesh gives a nodal |N_g| >= 1, which no
+    # graph normal realizes
+    config = {
+        "mesh": {"kind": "disc", "n_radial": 6, "n_angular": 36},
+        "boundary_data": {"name": "fourier", "cos": [0.0, 3.0]},
+    }
+    code = cli.main([
+        subcommand, "--config", _write(tmp_path, json.dumps(config)),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "FAILED criteria: graph_flux" in err
+    assert "Traceback" not in err
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["passed"] is False
+    [record] = manifest["assertions"]
+    assert record["name"] == "graph_flux" and not record["passed"]
+    assert "must be < 1" in record["value"]
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def test_area_pipeline_solves_the_base_problem_once(tmp_path, monkeypatch):
+    cold = []
+    solve = fwd.solve_minimal_surface
+
+    def counted(mesh, metric, f, options=None):
+        if options is None or options.initial_guess is None:
+            cold.append(1)
+        return solve(mesh, metric, f, options)
+
+    monkeypatch.setattr(fwd, "solve_minimal_surface", counted)
+    monkeypatch.setattr(dn, "solve_minimal_surface", counted)
+    code = cli.run(
+        "area-pipeline",
+        {"mesh": {"kind": "disc", "n_radial": 12, "n_angular": 48}},
+        out=tmp_path,
+    )
+    assert code == 0
+    assert len(cold) == 1
