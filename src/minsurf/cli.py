@@ -52,6 +52,25 @@ class ConfigError(ValueError):
 # named analytic function library
 # ---------------------------------------------------------------------------
 
+def _number(kind, value, key):
+    """``kind(value)`` (``int`` or ``float``) for the config value at ``key``.
+
+    A value that is no number raises a ConfigError naming the key.
+    """
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(key, f"expected {expected}, got {value!r}") from None
+
+
+def _numbers(kind, values, key):
+    """:func:`_number` of each entry of the config list at ``key``."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(key, f"expected a list, got {values!r}")
+    return [_number(kind, v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
 def _params(spec, key, allowed):
     extra = set(spec) - set(allowed) - {"name"}
     if extra:
@@ -91,18 +110,17 @@ def named_function(spec, key):
         return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
     if name == "constant":
         _params(spec, key, ("value",))
-        value = float(spec.get("value", 0.0))
+        value = _number(float, spec.get("value", 0.0), f"{key}.value")
         return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
     if name == "affine":
         _params(spec, key, ("a0", "ax", "ay"))
-        a0 = float(spec.get("a0", 0.0))
-        ax = float(spec.get("ax", 0.0))
-        ay = float(spec.get("ay", 0.0))
+        a0, ax, ay = (_number(float, spec.get(k, 0.0), f"{key}.{k}")
+                      for k in ("a0", "ax", "ay"))
         return lambda x, y: (a0 + ax * np.asarray(x, dtype=float)
                              + ay * np.asarray(y, dtype=float))
     if name == "quadratic":
         _params(spec, key, ("c0", "cx", "cy", "cxx", "cxy", "cyy"))
-        c = {k: float(spec.get(k, 0.0))
+        c = {k: _number(float, spec.get(k, 0.0), f"{key}.{k}")
              for k in ("c0", "cx", "cy", "cxx", "cxy", "cyy")}
 
         def quadratic(x, y):
@@ -114,11 +132,14 @@ def named_function(spec, key):
         return quadratic
     if name == "gaussian":
         _params(spec, key, ("amplitude", "width", "center", "offset", "k"))
-        amplitude = float(spec.get("amplitude", 1.0))
-        width = float(spec.get("width", 1.0))
-        cx, cy = (float(v) for v in spec.get("center", (0.0, 0.0)))
-        offset = float(spec.get("offset", 0.0))
-        k = int(spec.get("k", 0))
+        amplitude = _number(float, spec.get("amplitude", 1.0), f"{key}.amplitude")
+        width = _number(float, spec.get("width", 1.0), f"{key}.width")
+        center = _numbers(float, spec.get("center", (0.0, 0.0)), f"{key}.center")
+        if len(center) != 2:
+            raise ConfigError(f"{key}.center", "expected [x, y]")
+        cx, cy = center
+        offset = _number(float, spec.get("offset", 0.0), f"{key}.offset")
+        k = _number(int, spec.get("k", 0), f"{key}.k")
         if width <= 0.0:
             raise ConfigError(key, "gaussian width must be positive")
         if k < 0:
@@ -136,9 +157,9 @@ def named_function(spec, key):
         return gaussian
     if name == "fourier":
         _params(spec, key, ("cos", "sin", "offset"))
-        cos = [float(v) for v in spec.get("cos", ())]
-        sin = [float(v) for v in spec.get("sin", ())]
-        offset = float(spec.get("offset", 0.0))
+        cos = _numbers(float, spec.get("cos", ()), f"{key}.cos")
+        sin = _numbers(float, spec.get("sin", ()), f"{key}.sin")
+        offset = _number(float, spec.get("offset", 0.0), f"{key}.offset")
 
         def fourier(x, y):
             theta = np.arctan2(np.asarray(y, dtype=float),
@@ -153,7 +174,7 @@ def named_function(spec, key):
         return fourier
     if name == "catenoid":
         _params(spec, key, ("a",))
-        a = float(spec.get("a", 0.5))
+        a = _number(float, spec.get("a", 0.5), f"{key}.a")
         if a <= 0.0:
             raise ConfigError(key, "catenoid neck radius 'a' must be positive")
 
@@ -172,17 +193,20 @@ def build_mesh(spec, key="mesh"):
     kind = spec.get("kind")
     if kind == "square":
         _params(spec, key, ("kind", "n"))
-        constructor, args = geo.square, (int(spec.get("n", 32)),)
+        constructor, args = geo.square, (_number(int, spec.get("n", 32), f"{key}.n"),)
     elif kind == "disc":
         _params(spec, key, ("kind", "n_radial", "n_angular"))
-        n_radial = int(spec.get("n_radial", 24))
+        n_radial = _number(int, spec.get("n_radial", 24), f"{key}.n_radial")
         constructor = geo.disc
-        args = (n_radial, int(spec.get("n_angular", 6 * n_radial)))
+        args = (n_radial,
+                _number(int, spec.get("n_angular", 6 * n_radial), f"{key}.n_angular"))
     elif kind == "annulus":
         _params(spec, key, ("kind", "r0", "r1", "n_radial", "n_angular"))
         constructor = geo.annulus
-        args = (float(spec.get("r0", 0.5)), float(spec.get("r1", 1.5)),
-                int(spec.get("n_radial", 16)), int(spec.get("n_angular", 96)))
+        args = (_number(float, spec.get("r0", 0.5), f"{key}.r0"),
+                _number(float, spec.get("r1", 1.5), f"{key}.r1"),
+                _number(int, spec.get("n_radial", 16), f"{key}.n_radial"),
+                _number(int, spec.get("n_angular", 96), f"{key}.n_angular"))
     else:
         raise ConfigError(f"{key}.kind", f"unknown mesh kind '{kind}'")
     try:
@@ -248,8 +272,9 @@ def _merge(defaults, user, prefix=""):
         path = f"{prefix}{key}"
         if key not in defaults:
             raise ConfigError(path, "unknown key")
-        if (isinstance(value, dict) and isinstance(defaults[key], dict)
-                and key not in _REPLACE_KEYS):
+        if isinstance(defaults[key], dict) and key not in _REPLACE_KEYS:
+            if not isinstance(value, dict):
+                raise ConfigError(path, "expected an object")
             out[key] = _merge(defaults[key], value, prefix=f"{path}.")
         else:
             out[key] = copy.deepcopy(value)
@@ -440,13 +465,15 @@ DEFAULTS = {
 
 
 def _solve_options(cfg):
-    return fwd.SolveOptions(tol=float(cfg["solver"]["tol"]),
-                            max_iter=int(cfg["solver"]["max_iter"]))
+    return fwd.SolveOptions(
+        tol=_number(float, cfg["solver"]["tol"], "solver.tol"),
+        max_iter=_number(int, cfg["solver"]["max_iter"], "solver.max_iter"),
+    )
 
 
 def _direction_indices(cfg, key, length, n_directions):
     """The ``length`` indices into ``directions`` that config key ``key`` names."""
-    indices = tuple(int(i) for i in cfg[key])
+    indices = tuple(_numbers(int, cfg[key], key))
     if len(indices) != length:
         raise ConfigError(key, f"expected {length} indices, got {len(indices)}")
     if any(i not in range(n_directions) for i in indices):
@@ -511,7 +538,7 @@ def run_forward(cfg, out_dir, log):
 def run_linearize_check(cfg, out_dir, log):
     mesh = build_mesh(cfg["mesh"])
     metric = build_metric(cfg["metric"])
-    amplitude = float(cfg["amplitude"])
+    amplitude = _number(float, cfg["amplitude"], "amplitude")
     fns = [named_function(spec, f"directions[{i}]")
            for i, spec in enumerate(cfg["directions"])]
     directions = [
@@ -522,11 +549,12 @@ def run_linearize_check(cfg, out_dir, log):
     pair = _direction_indices(cfg, "pair", 2, len(directions))
     triple = _direction_indices(cfg, "triple", 3, len(directions))
     options = _solve_options(cfg)
+    third_h_eps = _number(float, cfg["third_h_eps"], "third_h_eps")
     combo = lin.EpsilonCombination(mesh, metric, directions, options)
 
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
-    eps_sweep = [float(e) for e in cfg["eps_sweep"]]
+    eps_sweep = _numbers(float, cfg["eps_sweep"], "eps_sweep")
     t0 = time.perf_counter()
     sups = [float(np.abs(lin.second_linearization_fd(combo, pair, h)
                          .values).max())
@@ -546,13 +574,12 @@ def run_linearize_check(cfg, out_dir, log):
     v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]).values
          for j in triple]
     w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2]).values
-    w_fd = lin.third_linearization_fd(combo, triple,
-                                      float(cfg["third_h_eps"])).values
+    w_fd = lin.third_linearization_fd(combo, triple, third_h_eps).values
     third_s = time.perf_counter() - t0
     rel_third = float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max())
     write_csv(out_dir / "third_linearization.csv",
               ["h_eps", "pde_sup", "fd_sup", "rel_error"],
-              [(float(cfg["third_h_eps"]), np.abs(w_pde).max(),
+              [(third_h_eps, np.abs(w_pde).max(),
                 np.abs(w_fd).max(), rel_third)])
 
     checks = Assertions()
@@ -578,7 +605,7 @@ def run_linearize_check(cfg, out_dir, log):
 
 def run_identity_check(cfg, out_dir, log):
     metric = build_metric(cfg["metric"])
-    amplitude = float(cfg["amplitude"])
+    amplitude = _number(float, cfg["amplitude"], "amplitude")
     fns = [named_function(spec, f"directions[{i}]")
            for i, spec in enumerate(cfg["directions"])]
     directions = [
@@ -589,6 +616,8 @@ def run_identity_check(cfg, out_dir, log):
                                         f"got {len(directions)}")
     options = _solve_options(cfg)
     h_eps_factor = cfg["h_eps_factor"]
+    if h_eps_factor is not None:
+        h_eps_factor = _number(float, h_eps_factor, "h_eps_factor")
 
     def level_report(i, level):
         key = f"levels[{i}]"
@@ -596,7 +625,7 @@ def run_identity_check(cfg, out_dir, log):
             raise ConfigError(key, "expected [n_radial, n_angular]")
         mesh = build_mesh({"kind": "disc", "n_radial": level[0],
                            "n_angular": level[1]}, key)
-        h_eps = None if h_eps_factor is None else float(h_eps_factor) * mesh.h
+        h_eps = None if h_eps_factor is None else h_eps_factor * mesh.h
         return idn.integral_identity_check(mesh, metric, directions,
                                            h_eps=h_eps, options=options)
 
@@ -632,10 +661,12 @@ def run_area_pipeline(cfg, out_dir, log):
     metric = build_metric(cfg["metric"])
     f = named_function(cfg["boundary_data"], "boundary_data")
     options = _solve_options(cfg)
+    area_step = _number(float, cfg["area_step"], "area_step")
+    if not (np.isfinite(area_step) and area_step > 0.0):
+        raise ConfigError("area_step", f"must be finite and positive, got {area_step!r}")
 
     t0 = time.perf_counter()
-    trace, reference = dn.dn_from_area_data(mesh, metric, f,
-                                            t=float(cfg["area_step"]),
+    trace, reference = dn.dn_from_area_data(mesh, metric, f, t=area_step,
                                             options=options)
     pipeline_s = time.perf_counter() - t0
 
@@ -671,12 +702,12 @@ def run_recover_q(cfg, out_dir, log):
     mesh = build_mesh(cfg["mesh"])
     metric = build_metric(cfg["metric"])
     q_fn, factor = weight_factor(cfg["weight"], "weight")
-    taus = [float(t) for t in cfg["tau_sweep"]]
+    taus = _numbers(float, cfg["tau_sweep"], "tau_sweep")
     mode = cfg["mode"]
     if mode not in ("synthetic", "dn"):
         raise ConfigError("mode", "expected 'synthetic' or 'dn'")
 
-    point = tuple(float(v) for v in cfg["point"])
+    point = tuple(_numbers(float, cfg["point"], "point"))
     t0 = time.perf_counter()
     result = inv.recover_q_point(mesh, metric, factor, point, taus, mode=mode)
     point_s = time.perf_counter() - t0
@@ -700,8 +731,8 @@ def run_recover_q(cfg, out_dir, log):
         extra = set(field_cfg) - {"spacing", "margin"}
         if extra:
             raise ConfigError("field", f"unknown parameter(s) {sorted(extra)}")
-        spacing = float(field_cfg.get("spacing", 0.2))
-        margin = float(field_cfg.get("margin", 0.3))
+        spacing = _number(float, field_cfg.get("spacing", 0.2), "field.spacing")
+        margin = _number(float, field_cfg.get("margin", 0.3), "field.margin")
         grid = inv.interior_grid(mesh, spacing, margin)
         t0 = time.perf_counter()
         out = inv.recover_q_field(mesh, metric, factor, grid, taus, mode=mode,
@@ -748,9 +779,9 @@ def run_recover_q(cfg, out_dir, log):
 def run_boundary_jet(cfg, out_dir, log):
     mesh = build_mesh(cfg["mesh"])
     metric = build_metric(cfg["metric"])
-    point = tuple(float(v) for v in cfg["point"])
-    m = int(cfg["m"])
-    n_sweep = [float(n) for n in cfg["n_sweep"]]
+    point = tuple(_numbers(float, cfg["point"], "point"))
+    m = _number(int, cfg["m"], "m")
+    n_sweep = _numbers(float, cfg["n_sweep"], "n_sweep")
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
 
     def profile_result(spec):
@@ -849,6 +880,10 @@ def run(subcommand, config=None, out=None, verbose=False):
     (manifest.json plus CSVs) land in the output directory.
     """
     cfg = resolve_config(subcommand, config or {})
+    # thresholds are converted only after the run; reject a non-number first
+    for name, threshold in cfg["assertions"].items():
+        if threshold is not None:
+            _number(float, threshold, f"assertions.{name}")
     if out is not None:
         cfg["output_dir"] = str(out)
 

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .geometry import (
     ScalarField,
@@ -47,6 +46,7 @@ from .geometry import (
     assemble_elements,
     boundary_values,
     discretization,
+    factor_spd,
     hat_flux_loads,
     hat_pair_elements,
     nodal_values,
@@ -173,11 +173,6 @@ def mse_linearized_operator(mesh, metric, u):
     return assemble_elements(mesh, data)
 
 
-def _factor_interior(A):
-    """Sparse LU factor of a reduced interior system matrix."""
-    return spla.splu(A.tocsc())
-
-
 def warm_start(mesh, metric, u):
     """Factor J(u) once for chord-step solves that start at u.
 
@@ -189,7 +184,7 @@ def warm_start(mesh, metric, u):
     u = nodal_values(mesh, u).astype(float).copy()
     I = mesh.interior_vertices
     J = mse_linearized_operator(mesh, metric, u)
-    return WarmStart(values=u, lu=_factor_interior(J[I][:, I]))
+    return WarmStart(values=u, lu=factor_spd(J[I][:, I]))
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data):
@@ -266,7 +261,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         delta = np.zeros(mesh.n_vertices)
         if lu is None:
             J = mse_linearized_operator(mesh, metric, u)
-            delta[I] = _factor_interior(J[I][:, I]).solve(-r[I])
+            delta[I] = factor_spd(J[I][:, I]).solve(-r[I])
         else:
             delta[I] = lu.solve(-r[I])
 

@@ -113,18 +113,27 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     bilinear — complex fields are *not* conjugated, which is what the
     oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
     callable, a nodal array, or a ScalarField.
+
+    Arguments passed as the same object share one gradient, and each
+    unordered pair of them one pairing: the probes pass (u, u, v, v), which
+    takes two gradients and three pairings instead of four and six.  The
+    pairing is symmetric bit for bit, so the sharing changes no result.
     """
     d = discretization(mesh, metric)
     mq = d.mq
-    g1 = p1_gradients(mesh, nodal_values(mesh, v1))
-    g2 = p1_gradients(mesh, nodal_values(mesh, v2))
-    g3 = p1_gradients(mesh, nodal_values(mesh, v3))
-    g4 = p1_gradients(mesh, nodal_values(mesh, v4))
-    combo = (
-        pair_at_quadrature(mesh, mq, g4, g1) * pair_at_quadrature(mesh, mq, g3, g2)
-        + pair_at_quadrature(mesh, mq, g4, g2) * pair_at_quadrature(mesh, mq, g3, g1)
-        + pair_at_quadrature(mesh, mq, g4, g3) * pair_at_quadrature(mesh, mq, g1, g2)
-    )
+    fields = (v1, v2, v3, v4)
+    # slot[i]: the first argument that is the very object fields[i]
+    slot = [next(j for j in range(4) if fields[j] is v) for v in fields]
+    grads = {j: p1_gradients(mesh, nodal_values(mesh, fields[j])) for j in set(slot)}
+    pairs = {}
+
+    def pair(a, b):
+        key = frozenset((slot[a], slot[b]))
+        if key not in pairs:
+            pairs[key] = pair_at_quadrature(mesh, mq, grads[slot[a]], grads[slot[b]])
+        return pairs[key]
+
+    combo = pair(3, 0) * pair(2, 1) + pair(3, 1) * pair(2, 0) + pair(3, 2) * pair(0, 1)
     weighted = _q_at_quadrature(mesh, Q) * combo
     out = (d.weights * weighted).sum()
     return complex(out) if np.iscomplexobj(weighted) else float(out)

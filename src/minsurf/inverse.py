@@ -608,7 +608,8 @@ def boundary_jet_probe(
             * jet_window(N**alpha * x1)
         )
         u = extension.extend(trace)
-        values[i] = q_functional(mesh, metric, weight, u, u, np.conj(u), np.conj(u))
+        u_bar = np.conj(u)
+        values[i] = q_functional(mesh, metric, weight, u, u, u_bar, u_bar)
 
     mags = np.abs(values)
     if mags.max() <= _NOISE_FLOOR:

@@ -385,8 +385,13 @@ def _write(tmp_path, text):
     ("identity-check", {"levels": [[1, 72], [24, 144]]}, "levels[0]"),
     ("forward", {"mesh": {"kind": "square", "n": 0}}, "mesh"),
     ("forward", {"mesh": {"kind": "disc", "n_radial": 1}}, "mesh"),
+    ("forward", {"mesh": {"kind": "square", "n": "many"}}, "mesh.n"),
+    ("area-pipeline", {"mesh": {"kind": "disc", "n_radial": 6, "n_angular": 36},
+                       "area_step": 0}, "area_step"),
+    ("forward", {"solver": 5}, "solver"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
-        "level-too-coarse", "square-n-zero", "disc-one-ring"])
+        "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
+        "area-step-zero", "solver-not-an-object"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([

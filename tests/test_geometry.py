@@ -261,13 +261,23 @@ def _reference_boundary(mesh):
         lambda: geo.disc(128, 768),
         lambda: geo.square(10),
         lambda: geo.annulus(0.5, 1.5, 4, 24),
+        lambda: geo.square(8),
+        lambda: geo.disc(12, 72),
+        lambda: geo.annulus(0.5, 1.5, 16, 96),
     ],
-    ids=["disc24", "disc128", "square10", "annulus"],
+    ids=["disc24", "disc128", "square10", "annulus", "square8", "disc12",
+         "annulus16"],
 )
 def test_boundary_extraction_matches_reference(build):
     mesh = build()
     edges, loops, interior = _reference_boundary(mesh)
     np.testing.assert_array_equal(mesh.boundary_edges, edges)
+    # the hashed np.isin membership test is the reference for the sorted lookup
+    t, n = mesh.triangles, mesh.n_vertices
+    directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    on_boundary = ~np.isin(directed[:, 1] * n + directed[:, 0],
+                           directed[:, 0] * n + directed[:, 1])
+    np.testing.assert_array_equal(mesh.boundary_edges, directed[on_boundary])
     assert mesh.boundary_edges.dtype == edges.dtype
     assert len(mesh.boundary_loops) == len(loops)
     for got, want in zip(mesh.boundary_loops, loops):
@@ -353,3 +363,29 @@ def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
     ])
     for got, want in zip(results, serial):
         assert got.tobytes() == want.tobytes()
+
+
+def test_factor_spd_solves_match_the_default_factor():
+    mesh = geo.disc(12, 72)
+    I = mesh.interior_vertices
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y
+    rhs = np.random.default_rng(3).standard_normal((len(I), 2))
+    for A in (geo.discretization(mesh, CURVED).stiffness[I][:, I],
+              fwd.mse_linearized_operator(mesh, CURVED, u)[I][:, I]):
+        want = spla.splu(A.tocsc()).solve(rhs)
+        got = geo.factor_spd(A).solve(rhs)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_complex_extension_is_its_real_and_imaginary_extensions():
+    # complex data is solved as two columns of one solve
+    mesh = geo.disc(12, 72)
+    d = geo.discretization(mesh, CURVED)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    data = geo.boundary_values(mesh, lambda x, y: np.exp(5j * x) * (1.0 + y))
+    load = np.exp(-2j * y) * x
+    for rhs, rhs_re, rhs_im in ((None, None, None), (load, load.real, load.imag)):
+        got = d.extend(data, rhs)
+        want = d.extend(data.real, rhs_re) + 1j * d.extend(data.imag, rhs_im)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

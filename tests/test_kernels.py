@@ -4,7 +4,10 @@ The package sums every quadrature rule over the three points of a triangle
 before contracting with the (constant) hat gradients.  The references below
 keep the direct per-point formulas: the pairing b[t, q, i] = g(grad u,
 grad phi_i)(x_q) and the pair tensor g(grad phi_i, grad phi_j)(x_q),
-contracted point by point and scattered with ``np.add.at``.
+contracted point by point and scattered with ``np.add.at``.  The probe
+functional keeps its six-pairing formula as the reference for the one that
+shares repeated arguments, and the factored blocks are checked to be the
+symmetric positive definite matrices that ``geometry.factor_spd`` assumes.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
+from minsurf import identity as idn
 from minsurf import linearize as lin
 
 FLAT = geo.flat_metric()
@@ -96,6 +100,21 @@ def reference_third_source(mesh, metric, v_j, v_k, v_l):
     return _scatter(mesh, np.einsum("tq,tqi->ti", d.weights, integrand))
 
 
+def reference_q_functional(mesh, metric, Q, v1, v2, v3, v4):
+    """The six-pairing formula: four gradients, each pairing formed afresh."""
+    d = geo.discretization(mesh, metric)
+    g1, g2, g3, g4 = (geo.p1_gradients(mesh, geo.nodal_values(mesh, v))
+                      for v in (v1, v2, v3, v4))
+
+    def pair(a, b):
+        return geo.pair_at_quadrature(mesh, d.mq, a, b)
+
+    combo = pair(g4, g1) * pair(g3, g2) + pair(g4, g2) * pair(g3, g1) + pair(g4, g3) * pair(g1, g2)
+    weighted = idn._q_at_quadrature(mesh, Q) * combo
+    out = (d.weights * weighted).sum()
+    return complex(out) if np.iscomplexobj(weighted) else float(out)
+
+
 def _rel(a, b):
     a = a.toarray() if hasattr(a, "toarray") else a
     b = b.toarray() if hasattr(b, "toarray") else b
@@ -125,6 +144,24 @@ def test_kernels_match_per_quadrature_point_reference(fields, metric):
         lin.third_linearization_source(mesh, metric, *vs),
         reference_third_source(mesh, metric, *vs),
     ) < 1e-13
+
+
+@pytest.mark.parametrize("metric", [FLAT, CURVED], ids=["flat", "curved"])
+def test_q_functional_matches_six_pairing_reference(fields, metric):
+    mesh = fields[0]
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y))
+    u = np.exp(3j * (x + 0.5 * y)) * (1.0 + 0.2 * y)
+    v = np.exp(-2j * (x - y))
+    u_bar = np.conj(u)
+    # repeated arguments share gradients and pairings, bit for bit
+    for args in ((u, u, v, v), (u, u, u_bar, u_bar)):
+        got = idn.q_functional(mesh, metric, weight, *args)
+        assert got == reference_q_functional(mesh, metric, weight, *args)
+    distinct = (u, v, np.exp(1j * x * y) + x, np.cos(2.0 * y) - 1j * x * x)
+    got = idn.q_functional(mesh, metric, weight, *distinct)
+    want = reference_q_functional(mesh, metric, weight, *distinct)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_p1_gradients_match_einsum_reference():
@@ -169,3 +206,22 @@ def test_jacobian_is_even_bit_for_bit(u, metric):
 def test_jacobian_is_symmetric(u, metric):
     J = fwd.mse_linearized_operator(SMALL, metric, u)
     assert abs(J - J.T).max() <= 4 * EPS * abs(J).max()
+
+
+MEDIUM = geo.disc(12, 72)
+
+
+@PROPERTY
+@given(u=hnp.arrays(
+    np.float64,
+    MEDIUM.n_vertices,
+    elements=st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+))
+def test_factored_blocks_are_exactly_symmetric_positive_definite(u):
+    # geometry.factor_spd pivots on the diagonal without a threshold, which
+    # needs K[I, I] and J(u)[I, I] symmetric positive definite
+    I = MEDIUM.interior_vertices
+    for A in (geo.discretization(MEDIUM, CURVED).stiffness[I][:, I],
+              fwd.mse_linearized_operator(MEDIUM, CURVED, u)[I][:, I]):
+        assert (A != A.T).nnz == 0
+        np.linalg.cholesky(A.toarray())
