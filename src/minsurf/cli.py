@@ -55,11 +55,14 @@ class ConfigError(ValueError):
 def _number(kind, value, key):
     """``kind(value)`` (``int`` or ``float``) for the config value at ``key``.
 
-    A value that is no number raises a ConfigError naming the key.
+    A value that is no number, a boolean, or for ``int`` a number with a
+    fractional part raises a ConfigError naming the key.
     """
     try:
+        if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
+            raise ValueError
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         expected = "an integer" if kind is int else "a number"
         raise ConfigError(key, f"expected {expected}, got {value!r}") from None
 
@@ -69,6 +72,21 @@ def _numbers(kind, values, key):
     if not isinstance(values, (list, tuple)):
         raise ConfigError(key, f"expected a list, got {values!r}")
     return [_number(kind, v, f"{key}[{i}]") for i, v in enumerate(values)]
+
+
+def _point(value, key):
+    """The config point ``[x, y]`` at ``key`` as a pair of floats."""
+    xy = _numbers(float, value, key)
+    if len(xy) != 2:
+        raise ConfigError(key, f"expected [x, y], got {value!r}")
+    return tuple(xy)
+
+
+def _list(cfg, key):
+    """The config list at ``key``; anything else raises a ConfigError naming it."""
+    if not isinstance(cfg[key], (list, tuple)):
+        raise ConfigError(key, f"expected a list, got {cfg[key]!r}")
+    return cfg[key]
 
 
 def _params(spec, key, allowed):
@@ -134,10 +152,7 @@ def named_function(spec, key):
         _params(spec, key, ("amplitude", "width", "center", "offset", "k"))
         amplitude = _number(float, spec.get("amplitude", 1.0), f"{key}.amplitude")
         width = _number(float, spec.get("width", 1.0), f"{key}.width")
-        center = _numbers(float, spec.get("center", (0.0, 0.0)), f"{key}.center")
-        if len(center) != 2:
-            raise ConfigError(f"{key}.center", "expected [x, y]")
-        cx, cy = center
+        cx, cy = _point(spec.get("center", (0.0, 0.0)), f"{key}.center")
         offset = _number(float, spec.get("offset", 0.0), f"{key}.offset")
         k = _number(int, spec.get("k", 0), f"{key}.k")
         if width <= 0.0:
@@ -482,6 +497,17 @@ def _direction_indices(cfg, key, length, n_directions):
     return indices
 
 
+def _slope_abscissae(xs, key):
+    """Check that ``xs``, read from config key ``key``, can carry a slope fit.
+
+    A log-log fit needs two or more distinct positive abscissae; one point
+    or a repeated one gives no slope, and a non-positive one no logarithm.
+    """
+    if len(set(xs)) < 2 or not all(np.isfinite(x) and x > 0.0 for x in xs):
+        raise ConfigError(key, f"a slope fit needs two or more distinct positive "
+                               f"values, got {list(xs)!r}")
+
+
 def _fit_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     design = np.column_stack([np.log(xs), np.ones(len(xs))])
@@ -503,7 +529,7 @@ def run_forward(cfg, out_dir, log):
     u, report = fwd.solve_minimal_surface(mesh, metric, f, options)
     solve_s = time.perf_counter() - t0
 
-    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u)
+    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u.values)
     write_csv(out_dir / "convergence.csv", ["iteration", "residual"],
               list(enumerate(report.residual_norms)))
     write_csv(out_dir / "solution.csv", ["x", "y", "u"],
@@ -540,7 +566,7 @@ def run_linearize_check(cfg, out_dir, log):
     metric = build_metric(cfg["metric"])
     amplitude = _number(float, cfg["amplitude"], "amplitude")
     fns = [named_function(spec, f"directions[{i}]")
-           for i, spec in enumerate(cfg["directions"])]
+           for i, spec in enumerate(_list(cfg, "directions"))]
     directions = [
         (lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in fns
     ]
@@ -550,11 +576,12 @@ def run_linearize_check(cfg, out_dir, log):
     triple = _direction_indices(cfg, "triple", 3, len(directions))
     options = _solve_options(cfg)
     third_h_eps = _number(float, cfg["third_h_eps"], "third_h_eps")
+    eps_sweep = _numbers(float, cfg["eps_sweep"], "eps_sweep")
+    _slope_abscissae(eps_sweep, "eps_sweep")
     combo = lin.EpsilonCombination(mesh, metric, directions, options)
 
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
-    eps_sweep = _numbers(float, cfg["eps_sweep"], "eps_sweep")
     t0 = time.perf_counter()
     sups = [float(np.abs(lin.second_linearization_fd(combo, pair, h)
                          .values).max())
@@ -607,7 +634,7 @@ def run_identity_check(cfg, out_dir, log):
     metric = build_metric(cfg["metric"])
     amplitude = _number(float, cfg["amplitude"], "amplitude")
     fns = [named_function(spec, f"directions[{i}]")
-           for i, spec in enumerate(cfg["directions"])]
+           for i, spec in enumerate(_list(cfg, "directions"))]
     directions = [
         (lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in fns
     ]
@@ -630,14 +657,18 @@ def run_identity_check(cfg, out_dir, log):
                                            h_eps=h_eps, options=options)
 
     t0 = time.perf_counter()
-    reports = [level_report(i, level) for i, level in enumerate(cfg["levels"])]
+    reports = [level_report(i, level)
+               for i, level in enumerate(_list(cfg, "levels"))]
     sweep_s = time.perf_counter() - t0
 
+    hs = [r.h for r in reports]
+    # the mesh sizes are known only once each level is built, and a level's
+    # mesh is freed before the next one is built, so they are checked here
+    _slope_abscissae(hs, "levels")
     write_csv(out_dir / "identity_residuals.csv",
               ["h", "lhs", "rhs", "residual", "relative_residual"],
               [(r.h, r.lhs, r.rhs, r.residual, r.relative_residual)
                for r in reports])
-    hs = [r.h for r in reports]
     rels = [r.relative_residual for r in reports]
     order = _fit_slope(hs, rels)
 
@@ -699,6 +730,19 @@ def run_area_pipeline(cfg, out_dir, log):
 
 
 def run_recover_q(cfg, out_dir, log):
+    point = _point(cfg["point"], "point")
+    field_cfg = cfg["field"]
+    if field_cfg is not None:
+        if not isinstance(field_cfg, dict):
+            raise ConfigError("field", f"expected an object or null, got {field_cfg!r}")
+        extra = set(field_cfg) - {"spacing", "margin"}
+        if extra:
+            raise ConfigError("field", f"unknown parameter(s) {sorted(extra)}")
+        spacing = _number(float, field_cfg.get("spacing", 0.2), "field.spacing")
+        margin = _number(float, field_cfg.get("margin", 0.3), "field.margin")
+        if not (np.isfinite(spacing) and spacing > 0.0):
+            raise ConfigError("field.spacing",
+                              f"must be finite and positive, got {spacing!r}")
     mesh = build_mesh(cfg["mesh"])
     metric = build_metric(cfg["metric"])
     q_fn, factor = weight_factor(cfg["weight"], "weight")
@@ -707,7 +751,6 @@ def run_recover_q(cfg, out_dir, log):
     if mode not in ("synthetic", "dn"):
         raise ConfigError("mode", "expected 'synthetic' or 'dn'")
 
-    point = tuple(_numbers(float, cfg["point"], "point"))
     t0 = time.perf_counter()
     result = inv.recover_q_point(mesh, metric, factor, point, taus, mode=mode)
     point_s = time.perf_counter() - t0
@@ -726,13 +769,7 @@ def run_recover_q(cfg, out_dir, log):
     }]
 
     field_s = 0.0
-    if cfg["field"] is not None:
-        field_cfg = cfg["field"]
-        extra = set(field_cfg) - {"spacing", "margin"}
-        if extra:
-            raise ConfigError("field", f"unknown parameter(s) {sorted(extra)}")
-        spacing = _number(float, field_cfg.get("spacing", 0.2), "field.spacing")
-        margin = _number(float, field_cfg.get("margin", 0.3), "field.margin")
+    if field_cfg is not None:
         grid = inv.interior_grid(mesh, spacing, margin)
         t0 = time.perf_counter()
         out = inv.recover_q_field(mesh, metric, factor, grid, taus, mode=mode,
@@ -777,9 +814,10 @@ def run_recover_q(cfg, out_dir, log):
 
 
 def run_boundary_jet(cfg, out_dir, log):
+    point = _point(cfg["point"], "point")
+    profiles = _list(cfg, "profiles")
     mesh = build_mesh(cfg["mesh"])
     metric = build_metric(cfg["metric"])
-    point = tuple(_numbers(float, cfg["point"], "point"))
     m = _number(int, cfg["m"], "m")
     n_sweep = _numbers(float, cfg["n_sweep"], "n_sweep")
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
@@ -789,14 +827,14 @@ def run_boundary_jet(cfg, out_dir, log):
         return inv.boundary_jet_probe(mesh, metric, factor, point, m, n_sweep)
 
     t0 = time.perf_counter()
-    outcomes = [profile_result(spec) for spec in cfg["profiles"]]
+    outcomes = [profile_result(spec) for spec in profiles]
     sweep_s = time.perf_counter() - t0
 
     rows = []
     per_profile = []
     checks = Assertions()
     exponents = []
-    for spec, res in zip(cfg["profiles"], outcomes):
+    for spec, res in zip(profiles, outcomes):
         k = int(spec.get("k", 0))
         for n_freq, value in zip(n_sweep, res.functional_values):
             rows.append((k, n_freq, abs(value)))

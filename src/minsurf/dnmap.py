@@ -21,9 +21,10 @@ smooth boundaries; Lambda values then come from the algebraic inversion.
 The third derivative of the DN map at zero boundary data is available two
 ways, which agree to O(h_eps^2):
 
-* ``method="fd"``: third centered differences of full nonlinear traces;
-* ``method="exact"``: from the third-linearization solution w via
-  <d^3 N, phi_b> = (K w - L)_b  plus the boundary correction
+* :func:`dn_third_derivative`: third centered differences of the nonlinear
+  traces of the cached solves of an EpsilonCombination;
+* :func:`dn_third_derivative_exact`: from the third-linearization solution
+  w via <d^3 N, phi_b> = (K w - L)_b  plus the boundary correction
   d^3 Lambda = d^3 N + [ d_nu v_j g(grad v_k, grad v_l) + (cyc) ],
   where the pairings on the boundary are evaluated in the orthonormal
   frame from tangential data derivatives and weak normal fluxes.
@@ -41,7 +42,7 @@ to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -62,7 +63,7 @@ from .forward import (
     solve_minimal_surface,
     warm_start,
 )
-from .linearize import third_linearization_source
+from .linearize import _mixed_difference, third_linearization_source
 
 __all__ = [
     "DNTrace",
@@ -70,6 +71,7 @@ __all__ = [
     "dn_linear",
     "dn_nonlinear",
     "dn_third_derivative",
+    "dn_third_derivative_exact",
     "area",
     "area_first_variation",
     "dn_from_area_data",
@@ -89,13 +91,13 @@ class DNTrace:
     values : ndarray
         Nodal values of the map output: the normal derivative Lambda for
         the linear and nonlinear maps, its third derivative for
-        :func:`dn_third_derivative`.
+        :func:`dn_third_derivative` and :func:`dn_third_derivative_exact`.
     flux : ndarray
         The weak flux vector the discretization provides natively: rows of
         K v for :func:`dn_linear`; the N_g flux per boundary hat for the
         nonlinear maps (boundary residual rows, or area differences in
-        :func:`dn_from_area_data`); (K w - L) rows, the d^3 N flux, for
-        :func:`dn_third_derivative`.
+        :func:`dn_from_area_data`); the d^3 N flux for the third
+        derivatives ((K w - L) rows in :func:`dn_third_derivative_exact`).
     ng : ndarray or None
         Nodal N_g values (tilted flux) of the nonlinear maps.
     tangential_sq : ndarray or None
@@ -169,13 +171,13 @@ def dn_nonlinear(mesh, metric, f, options=None):
     """
     fb = boundary_values(mesh, f)
     u, _ = solve_minimal_surface(mesh, metric, fb, options)
-    return _nonlinear_trace(mesh, metric, fb, u)
+    return _nonlinear_trace(mesh, metric, fb, u.values)
 
 
 def _nonlinear_trace(mesh, metric, fb, u):
-    """The DNTrace of a solution u with boundary values fb, from its residual."""
+    """The DNTrace of a nodal solution u with boundary values fb, from its residual."""
     bg = discretization(mesh, metric).boundary
-    return _flux_trace(bg, fb, mse_residual(mesh, metric, u.values)[bg.vertex_indices])
+    return _flux_trace(bg, fb, mse_residual(mesh, metric, u)[bg.vertex_indices])
 
 
 def _flux_trace(bg, fb, flux):
@@ -207,69 +209,48 @@ def _boundary_correction(d, vs, fbs):
     return dnu[0] * pair(1, 2) + dnu[1] * pair(0, 2) + dnu[2] * pair(0, 1)
 
 
-def dn_third_derivative(
-    mesh,
-    metric,
-    directions,
-    h_eps=0.02,
-    method="fd",
-    options=None,
-):
-    """Third mixed derivative of the DN map at zero data.
+def dn_third_derivative(combo, triple, h_eps):
+    """Third mixed derivative of the DN map at zero data, by differences.
 
     Parameters
     ----------
-    directions : sequence of three boundary data (f_j, f_k, f_l)
+    combo : EpsilonCombination
+        Boundary-data family whose cached solves the stencil reads.
+    triple : sequence of three direction indices (j, k, l) into ``combo``
     h_eps : float
-        Step for the centered third-difference stencil (``method="fd"``).
-    method : str
-        ``"fd"`` differences eight full nonlinear traces;
-        ``"exact"`` uses the third-linearization solution w and the
-        boundary correction (no epsilon differencing).
+        Step of the centered eight-point sign stencil.
 
     Returns
     -------
     DNTrace whose ``values`` hold the nodal d^3 Lambda trace and ``flux``
     the weak d^3 N flux.
     """
-    from .linearize import EpsilonCombination
+    if len(triple) != 3:
+        raise ValueError(f"need exactly three directions, got {len(triple)}")
+    mesh, metric = combo.mesh, combo.metric
 
+    def trace(eps):
+        tr = _nonlinear_trace(mesh, metric, combo.boundary_data(eps), combo.solve(eps))
+        return np.stack([tr.values, tr.flux])
+
+    values, flux = _mixed_difference(combo, triple, h_eps, trace)
+    return DNTrace(bg=discretization(mesh, metric).boundary, values=values, flux=flux)
+
+
+def dn_third_derivative_exact(mesh, metric, directions):
+    """Third mixed derivative of the DN map at zero data, from the third
+    linearization of three boundary data (module docstring)."""
     if len(directions) != 3:
         raise ValueError(f"need exactly three directions, got {len(directions)}")
     d = discretization(mesh, metric)
     bg = d.boundary
     fbs = [boundary_values(mesh, f) for f in directions]
-
-    if method == "fd":
-        combo = EpsilonCombination(mesh, metric, fbs, options=options)
-        lam_acc = np.zeros(len(bg.vertex_indices))
-        flux_acc = np.zeros(len(bg.vertex_indices))
-        for s1 in (+1, -1):
-            for s2 in (+1, -1):
-                for s3 in (+1, -1):
-                    eps = np.array([s1, s2, s3]) * h_eps
-                    trace = dn_nonlinear(
-                        mesh, metric, combo.boundary_data(eps), options=options
-                    )
-                    sign = s1 * s2 * s3
-                    lam_acc += sign * trace.values
-                    flux_acc += sign * trace.flux
-        scale = 8.0 * h_eps**3
-        return DNTrace(bg=bg, values=lam_acc / scale, flux=flux_acc / scale)
-
-    if method == "exact":
-        vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
-        L = third_linearization_source(mesh, metric, *vs)
-        w = d.extend(np.zeros(len(bg.vertex_indices)), L)
-        flux = (d.stiffness @ w - L)[bg.vertex_indices]
-        d3n = flux / bg.ds
-        return DNTrace(
-            bg=bg,
-            values=d3n + _boundary_correction(d, vs, fbs),
-            flux=flux,
-        )
-
-    raise ValueError(f"unknown method {method!r}; use 'fd' or 'exact'")
+    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
+    L = third_linearization_source(mesh, metric, *vs)
+    w = d.extend(np.zeros(len(bg.vertex_indices)), L)
+    flux = (d.stiffness @ w - L)[bg.vertex_indices]
+    values = flux / bg.ds + _boundary_correction(d, vs, fbs)
+    return DNTrace(bg=bg, values=values, flux=flux)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +318,7 @@ def dn_from_area_data(
     n_b = len(bg.vertex_indices)
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
-    base_trace = _nonlinear_trace(mesh, metric, fb, u0)
-
-    from dataclasses import replace
+    base_trace = _nonlinear_trace(mesh, metric, fb, u0.values)
 
     # Every perturbed solve starts at u0 and takes chord steps on one factor
     # of J(u0): the perturbations are O(t), so J(u0) is within O(t) of the

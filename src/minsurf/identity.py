@@ -49,7 +49,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    boundary_values,
     discretization,
     interpolate_at_quadrature,
     nodal_values,
@@ -57,6 +56,7 @@ from .geometry import (
     pair_at_quadrature,
 )
 from .forward import SolveOptions, solve_laplace_beltrami
+from .linearize import EpsilonCombination
 from .dnmap import _boundary_correction, dn_third_derivative
 
 __all__ = [
@@ -139,24 +139,23 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     return complex(out) if np.iscomplexobj(weighted) else float(out)
 
 
-def _boundary_side(mesh, metric, fbs, h_eps, options):
-    """Boundary terms (T1, T3) of the identity for data (f_j, f_k, f_l, f_m)."""
-    d = discretization(mesh, metric)
-    bg = d.boundary
+def _boundary_side(combo, vs, quad, h_eps):
+    """Boundary terms (T1, T3) for the directions (j, k, l, m) = ``quad`` of ``combo``.
 
-    f_m = fbs[3]
-    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
+    ``vs`` holds the harmonic fields of all the combination's directions.
+    """
+    d = discretization(combo.mesh, combo.metric)
+    j, k, l, m = quad
+    fbs = combo.boundary
 
     # T1: eps-differenced nonlinear DN traces paired with f_m.
-    d3 = dn_third_derivative(
-        mesh, metric, fbs[:3], h_eps=h_eps, method="fd", options=options
-    )
-    t1 = float(bg.pair(f_m, d3.values))
+    d3 = dn_third_derivative(combo, (j, k, l), h_eps)
+    t1 = float(d.boundary.pair(fbs[m], d3.values))
 
     # T3: the trilinear boundary correction, in the g-orthonormal frame.
-    t3 = float(bg.pair(f_m, _boundary_correction(d, vs[:3], fbs[:3])))
-
-    return t1, t3, vs
+    nu_f = _boundary_correction(d, [vs[j], vs[k], vs[l]], [fbs[j], fbs[k], fbs[l]])
+    t3 = float(d.boundary.pair(fbs[m], nu_f))
+    return t1, t3
 
 
 def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
@@ -180,9 +179,10 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     options = options or SolveOptions(tol=_TOL)
     if h_eps is None:
         h_eps = _H_EPS_PER_H * mesh.h
-    fbs = [boundary_values(mesh, f) for f in directions]
+    combo = EpsilonCombination(mesh, metric, directions, options)
+    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in combo.boundary]
 
-    t1, t3, vs = _boundary_side(mesh, metric, fbs, h_eps, options)
+    t1, t3 = _boundary_side(combo, vs, (0, 1, 2, 3), h_eps)
     rhs = q_functional(mesh, metric, None, vs[0], vs[1], vs[2], vs[3])
     lhs = t3 - t1
     residual = lhs - rhs
@@ -199,6 +199,28 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     )
 
 
+def _dn_difference_form(mesh, metric1, metric2, directions):
+    """``T(j, k, l, m)``: :func:`dn_difference_functional` of those ``directions``.
+
+    One EpsilonCombination and one set of harmonic fields per metric serve
+    every quadruple, so stencil points that quadruples share are solved once.
+    """
+    h_eps, options = _H_EPS_PER_H * mesh.h, SolveOptions(tol=_TOL)
+    sides = []
+    for metric in (metric1, metric2):
+        combo = EpsilonCombination(mesh, metric, directions, options)
+        vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in combo.boundary]
+        sides.append((combo, vs))
+
+    def form(*quad):
+        (t1a, t3a), (t1b, t3b) = (
+            _boundary_side(combo, vs, quad, h_eps) for combo, vs in sides
+        )
+        return (t3a - t1a) - (t3b - t1b)
+
+    return form
+
+
 def dn_difference_functional(mesh, metric1, metric2, directions):
     """Difference of the boundary sides of (***) under two metrics.
 
@@ -212,11 +234,4 @@ def dn_difference_functional(mesh, metric1, metric2, directions):
     """
     if len(directions) != 4:
         raise ValueError(f"need exactly four directions, got {len(directions)}")
-    h_eps, options = _H_EPS_PER_H * mesh.h, SolveOptions(tol=_TOL)
-    fbs = [boundary_values(mesh, f) for f in directions]
-
-    sides = []
-    for metric in (metric1, metric2):
-        t1, t3, _ = _boundary_side(mesh, metric, fbs, h_eps, options)
-        sides.append(t3 - t1)
-    return sides[0] - sides[1]
+    return _dn_difference_form(mesh, metric1, metric2, directions)(0, 1, 2, 3)

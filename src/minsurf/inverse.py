@@ -53,7 +53,7 @@ from .geometry import (
     discretization,
     metric_eval,
 )
-from .identity import dn_difference_functional, q_functional
+from .identity import _dn_difference_form, q_functional
 
 __all__ = [
     "InteriorProbe",
@@ -308,10 +308,11 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields):
 
     The boundary functional is symmetric 4-linear over the reals, so the
     complex value T(u, u, v, v) expands into nine real quadruples of the
-    DN-difference functional (real/imaginary parts of u and v); each
-    direction is sup-normalized first so the nonlinear solves behind the
-    differences stay in their convergence regime, and the multilinear
-    scaling is restored afterwards.
+    DN-difference functional (real/imaginary parts of u and v), all
+    evaluated on one form over those four parts, so stencil solves shared
+    between quadruples are made once; each direction is sup-normalized
+    first so the nonlinear solves behind the differences stay in their
+    convergence regime, and the multilinear scaling is restored afterwards.
     """
     metric2 = conformal_metric(metric, factor_c)
     u, _, v, _ = fields
@@ -323,11 +324,9 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields):
         s = s if s > 0 else 1.0
         parts.append(w[bidx] / s)
         scales.append(s)
-    a, b, p, q = parts
     sa, sb, sp, sq = scales
-
-    def T(w1, w2, w3, w4):
-        return dn_difference_functional(mesh, metric, metric2, [w1, w2, w3, w4])
+    T = _dn_difference_form(mesh, metric, metric2, parts)
+    a, b, p, q = range(4)
 
     re = (
         sa * sa * sp * sp * T(a, a, p, p)

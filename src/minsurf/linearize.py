@@ -31,6 +31,8 @@ stencils
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -69,25 +71,27 @@ class EpsilonCombination:
     options : SolveOptions, optional
         Passed to every nonlinear solve.
 
-    Nonlinear solves are cached by the eps tuple, so stencil evaluations
-    shared between finite-difference estimators are not repeated.
+    ``boundary`` holds the boundary values of each f_j.  Nonlinear solves
+    are cached by the eps tuple, and every finite-difference derivative in
+    the package (:func:`_mixed_difference`) reads its stencil through
+    :meth:`solve`, so points shared between stencils are solved once.
     """
 
     mesh: object
     metric: object
     directions: Sequence
     options: Optional[SolveOptions] = None
-    _boundary: list = field(init=False, repr=False)
+    boundary: list = field(init=False, repr=False)
     _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if len(self.directions) == 0:
             raise ValueError("EpsilonCombination needs at least one direction")
-        self._boundary = [boundary_values(self.mesh, f) for f in self.directions]
+        self.boundary = [boundary_values(self.mesh, f) for f in self.directions]
 
     @property
     def n_directions(self):
-        return len(self._boundary)
+        return len(self.boundary)
 
     def boundary_data(self, eps):
         """Boundary values of f_eps for a coefficient vector eps."""
@@ -96,8 +100,8 @@ class EpsilonCombination:
             raise ValueError(
                 f"eps has shape {eps.shape}, expected ({self.n_directions},)"
             )
-        out = np.zeros_like(self._boundary[0], dtype=float)
-        for e, b in zip(eps, self._boundary):
+        out = np.zeros_like(self.boundary[0], dtype=float)
+        for e, b in zip(eps, self.boundary):
             out = out + e * b
         return out
 
@@ -112,11 +116,22 @@ class EpsilonCombination:
         return self._cache[key]
 
 
-def _basis_eps(combo, idx, h, signs):
-    eps = np.zeros(combo.n_directions)
-    for j, s in zip(idx, signs):
-        eps[j] += s * h
-    return eps
+def _mixed_difference(combo, idx, h_eps, at):
+    """Centered mixed difference of ``at`` in the directions ``idx`` of ``combo``.
+
+    Returns the sum over sign tuples s in {+1, -1}^k of
+    prod(s) at(eps_s) / (2 h_eps)^k, where eps_s puts s_i h_eps on direction
+    idx[i] (a repeated index accumulates).  ``at`` maps a coefficient vector
+    to an array, e.g. ``combo.solve``.
+    """
+    k = len(idx)
+    acc = 0
+    for signs in itertools.product((1, -1), repeat=k):
+        eps = np.zeros(combo.n_directions)
+        for j, s in zip(idx, signs):
+            eps[j] += s * h_eps
+        acc = acc + math.prod(signs) * at(eps)
+    return acc / (2.0**k * h_eps**k)
 
 
 def second_linearization_fd(combo, pair, h_eps):
@@ -125,25 +140,12 @@ def second_linearization_fd(combo, pair, h_eps):
     The exact value is zero (odd solution map); the return quantifies how
     close to zero the solver path keeps the even Taylor terms.
     """
-    j, k = pair
-    acc = np.zeros(combo.mesh.n_vertices)
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            acc += s1 * s2 * combo.solve(_basis_eps(combo, (j, k), h_eps, (s1, s2)))
-    return ScalarField(combo.mesh, acc / (4.0 * h_eps**2))
+    return ScalarField(combo.mesh, _mixed_difference(combo, pair, h_eps, combo.solve))
 
 
 def third_linearization_fd(combo, triple, h_eps):
     """Centered mixed third difference over the 8-point sign stencil."""
-    j, k, l = triple
-    acc = np.zeros(combo.mesh.n_vertices)
-    for s1 in (+1, -1):
-        for s2 in (+1, -1):
-            for s3 in (+1, -1):
-                acc += s1 * s2 * s3 * combo.solve(
-                    _basis_eps(combo, (j, k, l), h_eps, (s1, s2, s3))
-                )
-    return ScalarField(combo.mesh, acc / (8.0 * h_eps**3))
+    return ScalarField(combo.mesh, _mixed_difference(combo, triple, h_eps, combo.solve))
 
 
 def third_linearization_source(mesh, metric, v_j, v_k, v_l):

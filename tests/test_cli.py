@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import minsurf.cli as cli
-import minsurf.dnmap as dn
 import minsurf.forward as fwd
 
 SMALL_SQUARE = {"kind": "square", "n": 24}
@@ -389,9 +388,26 @@ def _write(tmp_path, text):
     ("area-pipeline", {"mesh": {"kind": "disc", "n_radial": 6, "n_angular": 36},
                        "area_step": 0}, "area_step"),
     ("forward", {"solver": 5}, "solver"),
+    ("forward", {"mesh": {"kind": "square", "n": 2.5}}, "mesh.n"),
+    ("forward", {"mesh": {"kind": "square", "n": True}}, "mesh.n"),
+    ("forward", {"mesh": {"kind": "square", "n": float("inf")}}, "mesh.n"),
+    ("linearize-check", {"eps_sweep": [0.1]}, "eps_sweep"),
+    ("linearize-check", {"eps_sweep": [0.1, -0.1]}, "eps_sweep"),
+    ("identity-check", {"levels": [[12, 72]]}, "levels"),
+    ("identity-check", {"levels": 5}, "levels"),
+    ("identity-check", {"directions": 5}, "directions"),
+    ("boundary-jet", {"profiles": 5}, "profiles"),
+    ("recover-q", {"field": 5}, "field"),
+    ("recover-q", {"point": [0.0]}, "point"),
+    ("boundary-jet", {"point": [0.0]}, "point"),
+    ("recover-q", {"field": {"spacing": 0}}, "field.spacing"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
-        "area-step-zero", "solver-not-an-object"])
+        "area-step-zero", "solver-not-an-object", "square-n-fractional",
+        "square-n-boolean", "square-n-infinite", "one-point-eps-sweep", "negative-eps-sweep",
+        "one-level", "levels-not-a-list", "directions-not-a-list",
+        "profiles-not-a-list", "field-not-an-object", "recover-point-one-coordinate",
+        "jet-point-one-coordinate", "field-spacing-zero"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([
@@ -428,21 +444,17 @@ def test_graph_flux_failure_leaves_a_manifest(tmp_path, capsys, subcommand):
     assert not list((tmp_path / "out").glob("*.csv"))
 
 
-def test_area_pipeline_solves_the_base_problem_once(tmp_path, monkeypatch):
-    cold = []
-    solve = fwd.solve_minimal_surface
-
-    def counted(mesh, metric, f, options=None):
-        if options is None or options.initial_guess is None:
-            cold.append(1)
-        return solve(mesh, metric, f, options)
-
-    monkeypatch.setattr(fwd, "solve_minimal_surface", counted)
-    monkeypatch.setattr(dn, "solve_minimal_surface", counted)
+def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
+    solves = counting(fwd, "solve_minimal_surface")
     code = cli.run(
         "area-pipeline",
         {"mesh": {"kind": "disc", "n_radial": 12, "n_angular": 48}},
         out=tmp_path,
     )
     assert code == 0
-    assert len(cold) == 1
+
+    def cold(args, kwargs):
+        options = args[3] if len(args) > 3 else kwargs.get("options")
+        return options is None or options.initial_guess is None
+
+    assert sum(cold(*call) for call in solves) == 1

@@ -225,10 +225,11 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
 def test_third_derivative_fd_matches_exact():
     mesh = geo.disc(16, 96)
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]
-    ex = dn.dn_third_derivative(mesh, FLAT, fs, method="exact")
+    ex = dn.dn_third_derivative_exact(mesh, FLAT, fs)
+    combo = lin.EpsilonCombination(mesh, FLAT, fs)
     rels = []
     for h in (0.04, 0.02):
-        fd = dn.dn_third_derivative(mesh, FLAT, fs, method="fd", h_eps=h)
+        fd = dn.dn_third_derivative(combo, (0, 1, 2), h)
         rels.append(np.abs(fd.values - ex.values).max() / np.abs(ex.values).max())
     assert rels[0] < 3e-2
     assert rels[1] < 8e-3
@@ -244,7 +245,7 @@ def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(lin, "third_linearization_source", counted)
         m.setattr(dn, "third_linearization_source", counted)
-        ex = dn.dn_third_derivative(mesh, FLAT, fs, method="exact")
+        ex = dn.dn_third_derivative_exact(mesh, FLAT, fs)
     assert len(calls) == 1
     # the two-call formula: w from the PDE solve, L assembled again
     vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in fs]
@@ -257,8 +258,7 @@ def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
 def test_third_derivative_argument_validation():
     mesh = geo.disc(6, 36)
     with pytest.raises(ValueError, match="three directions"):
-        dn.dn_third_derivative(mesh, FLAT, [lambda x, y: x])
-    with pytest.raises(ValueError, match="unknown method"):
-        dn.dn_third_derivative(
-            mesh, FLAT, [lambda x, y: x] * 3, method="spectral"
-        )
+        dn.dn_third_derivative_exact(mesh, FLAT, [lambda x, y: x])
+    combo = lin.EpsilonCombination(mesh, FLAT, [lambda x, y: x])
+    with pytest.raises(ValueError, match="three directions"):
+        dn.dn_third_derivative(combo, (0, 0), 0.02)

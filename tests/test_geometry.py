@@ -309,7 +309,7 @@ def test_discretization_is_memoized_per_mesh_and_metric():
     assert (w[mesh.boundary_vertices] == 0.0).all()
 
 
-def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
+def test_threads_sharing_a_mesh_build_the_owner_once(counting):
     # callers' threads may share one mesh: the first uses of the owner race,
     # and each piece must still be built exactly once, with every solve
     # equal bit for bit to the serial one
@@ -324,21 +324,12 @@ def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
     serial_mesh = geo.disc(16, 96)
     serial = [fwd.solve_laplace_beltrami(serial_mesh, metric, f).values for f in data]
 
-    calls = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("metric_at_quadrature", "quadrature_weights",
-                 "assemble_weighted_stiffness", "boundary_geometry"):
-        counting(geo, name)
-    counting(spla, "splu")
+    calls = {
+        name: counting(module, name)
+        for module, name in ((geo, "metric_at_quadrature"), (geo, "quadrature_weights"),
+                             (geo, "assemble_weighted_stiffness"),
+                             (geo, "boundary_geometry"), (spla, "splu"))
+    }
 
     mesh = geo.disc(16, 96)
     start = threading.Barrier(n_threads)
@@ -357,10 +348,7 @@ def test_threads_sharing_a_mesh_build_the_owner_once(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
 
-    assert sorted(calls) == sorted([
-        "metric_at_quadrature", "quadrature_weights",
-        "assemble_weighted_stiffness", "boundary_geometry", "splu",
-    ])
+    assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, 1)
     for got, want in zip(results, serial):
         assert got.tobytes() == want.tobytes()
 

@@ -1,7 +1,5 @@
 """Tests for the third-order integral identity and the weighted functional."""
 
-import sys
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -153,6 +151,25 @@ def test_dn_difference_matches_weighted_functional_for_conformal_pair():
     assert abs(diff - target) < 5e-3 * abs(target)
 
 
+# the nine quadruples of the polarized probe functional over (a, b, p, q)
+POLARIZED_QUADRUPLES = [
+    (0, 0, 2, 2), (0, 0, 3, 3), (1, 1, 2, 2), (1, 1, 3, 3), (0, 1, 2, 3),
+    (0, 0, 2, 3), (0, 1, 2, 2), (0, 1, 3, 3), (1, 1, 2, 3),
+]
+
+
+def test_dn_difference_form_is_the_functional_on_each_quadruple():
+    # the form shares one combination and its stencil solves between the
+    # quadruples; that sharing must not change a bit of any value
+    mesh = geo.disc(8, 48)
+    cg = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.5 * interior_bump(x, y))
+    parts = [geo.boundary_values(mesh, f) for f in DIRS]
+    form = idn._dn_difference_form(mesh, FLAT, cg, parts)
+    for quad in POLARIZED_QUADRUPLES:
+        explicit = idn.dn_difference_functional(mesh, FLAT, cg, [parts[i] for i in quad])
+        assert form(*quad) == explicit
+
+
 def test_identity_functions_validate_direction_count():
     mesh = geo.disc(6, 36)
     with pytest.raises(ValueError, match="four directions"):
@@ -161,32 +178,20 @@ def test_identity_functions_validate_direction_count():
         idn.dn_difference_functional(mesh, FLAT, FLAT, DIRS + DIRS[:1])
 
 
-def test_identity_check_builds_each_invariant_once(monkeypatch):
+def test_identity_check_builds_each_invariant_once(counting):
     # one (mesh, metric) pair has one Discretization: the metric at
     # quadrature and K are built once for the whole check, and the only LU
     # factors besides the one of K[I, I] are the 16 Newton Jacobians of the
     # eight cold stencil solves (two steps each on this mesh)
-    calls = {"metric_at_quadrature": 0, "assemble_weighted_stiffness": 0, "splu": 0}
-
-    def counting(module, name):
-        # count the call whichever module namespace it is made through
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod is module or mod_name.startswith("minsurf"):
-                if getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, wrapper)
-
-    counting(geo, "metric_at_quadrature")
-    counting(geo, "assemble_weighted_stiffness")
-    counting(spla, "splu")
+    calls = {
+        name: counting(module, name)
+        for module, name in ((geo, "metric_at_quadrature"),
+                             (geo, "assemble_weighted_stiffness"),
+                             (spla, "splu"))
+    }
     mesh = geo.disc(12, 48)
     idn.integral_identity_check(mesh, CURVED, DIRS)
-    assert calls == {
+    assert {name: len(c) for name, c in calls.items()} == {
         "metric_at_quadrature": 1,
         "assemble_weighted_stiffness": 1,
         "splu": 17,

@@ -9,6 +9,7 @@ grid-mapped field recovery, and the boundary-jet exponent probe.
 import numpy as np
 import pytest
 
+import minsurf.forward as fwd
 import minsurf.geometry as geo
 import minsurf.inverse as inv
 
@@ -351,6 +352,17 @@ def test_recover_point_dn_mode_matches_synthetic_route():
     rel = np.abs(dn.functional_values - synth.functional_values)
     rel /= np.abs(synth.functional_values)
     assert rel.max() <= 5e-2
+
+
+def test_recover_point_dn_mode_solves_each_stencil_point_once(counting):
+    # per frequency and metric the nine polarized quadruples read one shared
+    # combination: 36 distinct stencil points instead of 9 x 8 = 72, so the
+    # sweep makes 2 x 2 x 36 = 144 nonlinear solves, not 288
+    solves = counting(fwd, "solve_minimal_surface")
+    inv.recover_q_point(
+        geo.disc(12, 72), FLAT, gaussian_factor, (0.0, 0.0), [1.5, 2.0], mode="dn"
+    )
+    assert len(solves) == 144
 
 
 def test_recover_point_flags_non_asymptotic_sweep():

@@ -53,9 +53,39 @@ def test_third_source_symmetric_in_fields(disc_setup):
 
 def first_linearization_fd(combo, j, h_eps):
     """Centered first difference of the nonlinear solution map."""
-    up = combo.solve(lin._basis_eps(combo, (j,), h_eps, (+1,)))
-    dn = combo.solve(lin._basis_eps(combo, (j,), h_eps, (-1,)))
+    eps = np.zeros(combo.n_directions)
+    eps[j] = h_eps
+    up, dn = combo.solve(eps), combo.solve(-eps)
     return geo.ScalarField(combo.mesh, (up - dn) / (2.0 * h_eps))
+
+
+def test_mixed_difference_is_the_hand_written_sign_sum(disc_setup):
+    # the one stencil behind every finite-difference derivative, against
+    # the sign sums written out term by term in its summation order
+    mesh, fs, combo, vs = disc_setup
+    h = 0.05
+
+    def u(*eps):
+        return combo.solve(np.array(eps))
+
+    def mixed(idx):
+        return lin._mixed_difference(combo, idx, h, combo.solve)
+
+    first = (u(h, 0, 0) - u(-h, 0, 0)) / (2.0 * h)
+    assert np.array_equal(mixed((0,)), first)
+    second = (u(h, 0, h) - u(h, 0, -h) - u(-h, 0, h) + u(-h, 0, -h)) / (4.0 * h**2)
+    assert np.array_equal(mixed((0, 2)), second)
+    third = (
+        u(h, h, h) - u(h, h, -h) - u(h, -h, h) + u(h, -h, -h)
+        - u(-h, h, h) + u(-h, h, -h) + u(-h, -h, h) - u(-h, -h, -h)
+    ) / (8.0 * h**3)
+    assert np.array_equal(mixed((0, 1, 2)), third)
+    # a repeated direction accumulates its steps
+    repeated = (
+        u(2 * h, 0, h) - u(2 * h, 0, -h) - u(0, 0, h) + u(0, 0, -h)
+        - u(0, 0, h) + u(0, 0, -h) + u(-2 * h, 0, h) - u(-2 * h, 0, -h)
+    ) / (8.0 * h**3)
+    assert np.array_equal(mixed((0, 0, 2)), repeated)
 
 
 def test_first_linearization_fd_second_order(disc_setup):
