@@ -340,7 +340,11 @@ def _json_safe(value):
 
 
 class Assertions:
-    """Collects named threshold checks; a None threshold skips the check."""
+    """Collects named threshold checks; a None threshold skips the check.
+
+    An undefined (NaN) value fails its check in either mode, and the
+    manifest records it as null.
+    """
 
     def __init__(self):
         self.records = []

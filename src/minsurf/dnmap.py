@@ -73,7 +73,6 @@ __all__ = [
     "dn_third_derivative",
     "dn_third_derivative_exact",
     "area",
-    "area_first_variation",
     "dn_from_area_data",
     "lambda_from_ng",
     "ng_from_lambda",
@@ -265,22 +264,6 @@ def area(mesh, metric, u):
     grad = p1_gradients(mesh, uvals)
     slope_sq = pair_at_quadrature(mesh, d.mq, grad, grad)
     return float((d.weights * np.sqrt(1.0 + slope_sq)).sum())
-
-
-def area_first_variation(mesh, metric, u, v):
-    """Directional derivative of the area at u in the nodal direction v.
-
-    Equals v . r(u) with the residual vector r exactly (the quadrature
-    rules coincide); evaluated here by direct quadrature.
-    """
-    uvals = nodal_values(mesh, u)
-    vvals = nodal_values(mesh, v)
-    d = discretization(mesh, metric)
-    gu = p1_gradients(mesh, uvals)
-    gv = p1_gradients(mesh, vvals)
-    slope_sq = pair_at_quadrature(mesh, d.mq, gu, gu)
-    integrand = pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
-    return float((d.weights * integrand).sum())
 
 
 def dn_from_area_data(

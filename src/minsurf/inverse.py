@@ -119,7 +119,10 @@ class RecoveryResult:
     (exponent fixed at 1) and ``q_estimate`` carries the point value; for
     boundary-jet probing the model is |F| ~ coefficient * N^exponent and
     ``q_estimate`` is None (the deliverable is the exponent).  The fit
-    residual is always reported, never hidden.
+    residual is always reported, never hidden; a sweep with only two
+    distinct frequencies leaves the two-parameter fit no residual degrees
+    of freedom, so its residual is undefined (NaN) and the result is
+    unreliable.
     """
 
     point: tuple
@@ -344,6 +347,22 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields):
     return re + 1j * im
 
 
+def _exact_fit_message(kind, sweep):
+    """Why a two-parameter fit through ``sweep`` has no residual, or None.
+
+    Through two distinct frequencies the fit passes every point exactly,
+    so its residual says nothing about the model.
+    """
+    n = np.unique(sweep).size
+    if n > 2:
+        return None
+    return (
+        f"{kind} fit through {n} distinct frequencies has no residual "
+        "degrees of freedom, so its residual is undefined: use at least "
+        "three distinct frequencies"
+    )
+
+
 def recover_q_point(
     mesh,
     metric,
@@ -361,6 +380,8 @@ def recover_q_point(
     ``metric`` at the point.  The fit residual (relative to the fitted
     leading term |A| tau_max) is the trust diagnostic: above 20% the
     result comes back flagged unreliable, with the reason in its message.
+    Two distinct frequencies fit the line exactly: the residual is then
+    NaN and the result unreliable.
 
     Parameters
     ----------
@@ -398,7 +419,10 @@ def recover_q_point(
 
     q_hat = -slope * gamma_p / (2.0 * np.pi)
     reliable = residual <= 0.2
-    if scale == 0.0:
+    exact_fit = _exact_fit_message("affine", taus)
+    if exact_fit:
+        residual, reliable, message = np.nan, False, exact_fit
+    elif scale == 0.0:
         message = "functional identically zero across the sweep (Q vanishes here)"
     elif reliable:
         message = "affine fit within trust threshold"
@@ -564,9 +588,11 @@ def boundary_jet_probe(
     caller compares candidate k values.
 
     A sweep whose functional magnitudes all sit at or below the absolute
-    noise floor 1e-13 reports exponent NaN with an explanatory message
-    instead of fitting noise.  Each frequency's wavelength 2 pi / N must
-    span at least 10 mesh cells, or the probe raises ResolutionError.
+    noise floor 1e-13 reports exponent and fit residual NaN with an
+    explanatory message instead of fitting noise; a sweep of two distinct
+    frequencies reports an undefined (NaN) fit residual and an unreliable
+    result.  Each frequency's wavelength 2 pi / N must span at least 10
+    mesh cells, or the probe raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
@@ -620,7 +646,7 @@ def boundary_jet_probe(
             coefficient=0.0,
             intercept=0.0,
             exponent=np.nan,
-            fit_residual=0.0,
+            fit_residual=np.nan,
             reliable=False,
             message=(
                 "functional below the noise floor across the sweep "
@@ -633,12 +659,16 @@ def boundary_jet_probe(
     fitted = design @ np.array([exponent, log_pref])
     rms = float(np.sqrt(np.mean((np.log(mags) - fitted) ** 2)))
     reliable = rms <= 0.2
-    message = (
-        "power-law fit within trust threshold"
-        if reliable
-        else f"log-log fit residual {rms:.3f} exceeds 0.2; sweep not in a clean "
-        "power-law regime"
-    )
+    exact_fit = _exact_fit_message("log-log", freqs)
+    if exact_fit:
+        rms, reliable, message = np.nan, False, exact_fit
+    elif reliable:
+        message = "power-law fit within trust threshold"
+    else:
+        message = (
+            f"log-log fit residual {rms:.3f} exceeds 0.2; sweep not in a clean "
+            "power-law regime"
+        )
     return RecoveryResult(
         point=(float(base[0]), float(base[1])),
         q_estimate=None,

@@ -7,9 +7,13 @@ minimal-surface solution.  At eps = 0:
   v_j (Laplace-Beltrami with data f_j).
 * Second mixed derivatives vanish.  Discretely this is exact, not just
   O(tolerance): the residual map is odd in u (every term carries an odd
-  power of grad u), so u(-f) = -u(f) bit-for-bit and all even derivatives
-  of the solution map at 0 are zero.  The central second-difference
-  estimator therefore measures pure rounding noise.
+  power of grad u), its Jacobian is even, and the Laplace-Beltrami guess
+  and the sparse solves are linear, so the cold Newton solve gives
+  u(-f) = -u(f) bit-for-bit and all even derivatives of the solution map
+  at 0 are zero.  The central second-difference estimator therefore
+  measures pure rounding noise, and :class:`EpsilonCombination` uses the
+  oddness: it solves each +-eps pair of a stencil once and serves the
+  other sign by negation.
 * Third mixed derivative w_{jkl}: solves the linear problem
 
       K w = L,   w|boundary = 0,
@@ -69,12 +73,16 @@ class EpsilonCombination:
     directions : sequence
         Boundary data f_j (callables, nodal arrays, or boundary arrays).
     options : SolveOptions, optional
-        Passed to every nonlinear solve.
+        Passed to every nonlinear solve.  Its ``initial_guess`` must be
+        unset: only the cold solve from the Laplace-Beltrami guess is odd
+        in the data, so a fixed guess or ``WarmStart`` raises ValueError.
 
     ``boundary`` holds the boundary values of each f_j.  Nonlinear solves
-    are cached by the eps tuple, and every finite-difference derivative in
-    the package (:func:`_mixed_difference`) reads its stencil through
-    :meth:`solve`, so points shared between stencils are solved once.
+    are cached once per +-eps pair, and u(-eps) is served as -u(eps)
+    (module docstring).  Every finite-difference derivative in the package
+    (:func:`_mixed_difference`) reads its stencil through :meth:`solve`, so
+    points shared between stencils, or negated between them, are solved
+    once.
     """
 
     mesh: object
@@ -87,6 +95,11 @@ class EpsilonCombination:
     def __post_init__(self):
         if len(self.directions) == 0:
             raise ValueError("EpsilonCombination needs at least one direction")
+        if self.options is not None and self.options.initial_guess is not None:
+            raise ValueError(
+                "EpsilonCombination serves u(-eps) as -u(eps), which holds for "
+                "the cold solve only; options.initial_guess must be None"
+            )
         self.boundary = [boundary_values(self.mesh, f) for f in self.directions]
 
     @property
@@ -106,14 +119,22 @@ class EpsilonCombination:
         return out
 
     def solve(self, eps):
-        """Nonlinear solution u(eps) as a nodal array (cached)."""
-        key = tuple(np.asarray(eps, dtype=float))
+        """Nonlinear solution u(eps) as a nodal array (cached per +-eps pair).
+
+        The pair is solved once, at the sign that makes the first nonzero
+        entry of eps positive; the other sign gets the negated array, which
+        is what its own solve would return bit for bit (module docstring).
+        """
+        eps = np.asarray(eps, dtype=float)
+        nonzero = eps[eps != 0.0]
+        sign = -1.0 if nonzero.size and nonzero[0] < 0.0 else 1.0
+        key = tuple(sign * eps)
         if key not in self._cache:
             u, _ = solve_minimal_surface(
-                self.mesh, self.metric, self.boundary_data(eps), self.options
+                self.mesh, self.metric, self.boundary_data(sign * eps), self.options
             )
             self._cache[key] = u.values
-        return self._cache[key]
+        return self._cache[key] if sign > 0.0 else -self._cache[key]
 
 
 def _mixed_difference(combo, idx, h_eps, at):

@@ -274,6 +274,27 @@ def test_unreliable_field_recovery_leaves_a_manifest(tmp_path, capsys):
         manifest["assertions"][0]["value"]
 
 
+def test_two_point_sweep_fails_point_reliable(tmp_path, capsys):
+    # two frequencies fit the affine model exactly: the fit residual is
+    # undefined, so the point is unreliable and its gates fail with exit 1
+    code = cli.run(
+        "recover-q",
+        {"mode": "dn", "mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0]},
+        out=tmp_path,
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "FAIL fit_residual: nan <= 0.2" in out
+    assert "point_reliable" in err
+    records = {r["name"]: r for r in read_manifest(tmp_path)["assertions"]}
+    assert records["point_reliable"]["passed"] is False
+    assert "no residual degrees of freedom" in records["point_reliable"]["value"]
+    assert records["fit_residual"]["passed"] is False
+    assert records["fit_residual"]["value"] is None
+    row = (tmp_path / "recovery.csv").read_text().splitlines()[1]
+    assert row.endswith(",0")
+
+
 @pytest.mark.parametrize("override", [
     {"export_solution": False},
     {"export_dn_trace": False},

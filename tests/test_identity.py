@@ -181,8 +181,9 @@ def test_identity_functions_validate_direction_count():
 def test_identity_check_builds_each_invariant_once(counting):
     # one (mesh, metric) pair has one Discretization: the metric at
     # quadrature and K are built once for the whole check, and the only LU
-    # factors besides the one of K[I, I] are the 16 Newton Jacobians of the
-    # eight cold stencil solves (two steps each on this mesh)
+    # factors besides the one of K[I, I] are the 8 Newton Jacobians of the
+    # four cold stencil solves (two steps each on this mesh): the eight-point
+    # stencil is four +-eps pairs, each solved once
     calls = {
         name: counting(module, name)
         for module, name in ((geo, "metric_at_quadrature"),
@@ -194,5 +195,5 @@ def test_identity_check_builds_each_invariant_once(counting):
     assert {name: len(c) for name, c in calls.items()} == {
         "metric_at_quadrature": 1,
         "assemble_weighted_stiffness": 1,
-        "splu": 17,
+        "splu": 9,
     }

@@ -356,13 +356,14 @@ def test_recover_point_dn_mode_matches_synthetic_route():
 
 def test_recover_point_dn_mode_solves_each_stencil_point_once(counting):
     # per frequency and metric the nine polarized quadruples read one shared
-    # combination: 36 distinct stencil points instead of 9 x 8 = 72, so the
-    # sweep makes 2 x 2 x 36 = 144 nonlinear solves, not 288
+    # combination: 36 distinct stencil points instead of 9 x 8 = 72, which
+    # form 18 +-eps pairs solved once each, so the sweep makes
+    # 2 x 2 x 18 = 72 nonlinear solves, not 288
     solves = counting(fwd, "solve_minimal_surface")
     inv.recover_q_point(
         geo.disc(12, 72), FLAT, gaussian_factor, (0.0, 0.0), [1.5, 2.0], mode="dn"
     )
-    assert len(solves) == 144
+    assert len(solves) == 72
 
 
 def test_recover_point_flags_non_asymptotic_sweep():
@@ -536,8 +537,27 @@ def test_jet_probe_zero_weight_hits_noise_floor(jet_square):
     )
     assert not res.reliable
     assert np.isnan(res.exponent)
+    assert np.isnan(res.fit_residual)  # no fit was made, so no gate passes
     assert "noise floor" in res.message
     np.testing.assert_array_equal(res.functional_values, 0.0)
+
+
+def test_fits_through_two_frequencies_are_unreliable(jet_square):
+    # a two-parameter fit through two distinct frequencies has no residual
+    # degrees of freedom: its zero residual would pass any gate
+    mesh, _ = jet_square
+    results = [
+        inv.boundary_jet_probe(
+            mesh, FLAT, jet_profile_factor(0), JET_POINT, 2, JET_SWEEP[:2]
+        ),
+        *(inv.recover_q_point(geo.disc(24, 144), FLAT, gaussian_factor,
+                              (0.0, 0.0), sweep)
+          for sweep in ([2.0, 3.0], [2.0, 3.0, 3.0])),
+    ]
+    for res in results:
+        assert not res.reliable
+        assert np.isnan(res.fit_residual)
+        assert "no residual degrees of freedom" in res.message
 
 
 def test_jet_trace_extension_decays_away_from_the_point(jet_square):

@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
 from minsurf import linearize as lin
 
 FLAT = geo.flat_metric()
+CURVED = geo.explicit_metric(
+    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+)
+CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y)
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
 
 
 @pytest.fixture(scope="module")
@@ -110,12 +116,26 @@ def test_second_linearization_is_rounding_noise(disc_setup):
         assert np.abs(w2).max() < 1e-10 * scale
 
 
-def test_solution_map_is_odd_bitwise(disc_setup):
-    mesh, fs, combo, vs = disc_setup
-    f = combo.boundary_data([0.13, 0.0, 0.21])
-    up, _ = fwd.solve_minimal_surface(mesh, FLAT, f)
-    dn, _ = fwd.solve_minimal_surface(mesh, FLAT, -f)
+SMALL = geo.disc(6, 36)
+_BX, _BY = SMALL.vertices[SMALL.boundary_vertices].T
+_THETA = np.arctan2(_BY, _BX)
+_MODES = np.arange(1, 4)[:, None]
+
+
+@PROPERTY
+@given(
+    cos=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+    sin=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+    metric=st.sampled_from([FLAT, CURVED, CONFORMAL]),
+)
+def test_solution_map_is_odd_bitwise(cos, sin, metric):
+    # the premise EpsilonCombination serves u(-eps) from: the cold Newton
+    # solve of -f repeats the one of f with every sign flipped
+    f = np.asarray(cos) @ np.cos(_MODES * _THETA) + np.asarray(sin) @ np.sin(_MODES * _THETA)
+    up, rep_up = fwd.solve_minimal_surface(SMALL, metric, f)
+    dn, rep_dn = fwd.solve_minimal_surface(SMALL, metric, -f)
     assert np.array_equal(up.values, -dn.values)
+    assert rep_up.residual_norms == rep_dn.residual_norms
 
 
 def test_third_fd_converges_to_pde_solution(disc_setup):
@@ -142,3 +162,20 @@ def test_epsilon_combination_validation_and_cache(disc_setup):
     u1 = combo.solve([0.1, 0.0, 0.0])
     u2 = combo.solve([0.1, 0.0, 0.0])
     assert u1 is u2  # cached
+    with pytest.raises(ValueError, match="initial_guess"):
+        lin.EpsilonCombination(
+            mesh, FLAT, fs, fwd.SolveOptions(initial_guess=np.zeros(mesh.n_vertices))
+        )
+
+
+def test_combination_solves_each_sign_pair_once(counting):
+    mesh = geo.disc(8, 48)
+    fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * Y]
+    combo = lin.EpsilonCombination(mesh, FLAT, fs)
+    solves = counting(fwd, "solve_minimal_surface")
+    lin.third_linearization_fd(combo, (0, 1, 2), 0.05)
+    # the eight-point stencil is four +-eps pairs
+    assert len(solves) == 4
+    for eps in ([-0.05, 0.05, 0.05], [-0.05, -0.05, -0.05], [0.0, -0.05, 0.05]):
+        direct, _ = fwd.solve_minimal_surface(mesh, FLAT, combo.boundary_data(eps))
+        assert np.array_equal(combo.solve(eps), direct.values)
