@@ -10,6 +10,9 @@ manifest but no CSV data.  CSV payloads are
 deterministic: repeated runs with the same config produce byte-identical
 files.
 
+Each config key is declared once in :data:`SCHEMAS`, with its default, type
+and range; a config is checked in full before the first solve.
+
 Boundary data, metric factors and interior weights are drawn from a small
 library of named analytic families with numeric parameters rather than a
 general expression parser, so a config is a complete, auditable record of an
@@ -19,7 +22,7 @@ experiment.
 from __future__ import annotations
 
 import argparse
-import copy
+import functools
 import importlib.metadata
 import json
 import platform
@@ -49,258 +52,371 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# named analytic function library
+# config schema: rules, named analytic function library, subcommand tables
 # ---------------------------------------------------------------------------
 
-def _number(kind, value, key):
-    """``kind(value)`` (``int`` or ``float``) for the config value at ``key``.
+POSITIVE = (lambda v, cfg: 0.0 < v < np.inf, "finite and positive")
+NON_NEGATIVE = (lambda v, cfg: v >= 0, "non-negative")
 
-    A value that is no number, a boolean, or for ``int`` a number with a
-    fractional part raises a ConfigError naming the key.
+
+class Rule:
+    """One config value's type or list shape, and its range.
+
+    ``rule(value, key, cfg)`` returns the value typed or raises a ConfigError
+    naming ``key``.  ``of`` completes the type: a Num's kind, the rule of a
+    Seq entry or Maybe value, the ``{name: (default, rule)}`` table of Params.
+    ``rng`` is ``(predicate(typed, cfg), phrase)``; ``cfg`` is the merged
+    config, for a range that reads another key.
     """
-    try:
-        if isinstance(value, bool) or (kind is int and not float(value).is_integer()):
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        expected = "an integer" if kind is int else "a number"
-        raise ConfigError(key, f"expected {expected}, got {value!r}") from None
+
+    def __init__(self, of=None, rng=None):
+        self.of, self.range = of, rng
+
+    def __call__(self, value, key, cfg):
+        typed = self.typed(value, key, cfg)
+        if self.range and not self.range[0](typed, cfg):
+            raise ConfigError(key, f"must be {self.range[1]}, got {value!r}")
+        return typed
 
 
-def _numbers(kind, values, key):
-    """:func:`_number` of each entry of the config list at ``key``."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(key, f"expected a list, got {values!r}")
-    return [_number(kind, v, f"{key}[{i}]") for i, v in enumerate(values)]
+class Num(Rule):
+    """A number; a boolean, or for ``int`` a fractional number, is none."""
+
+    def typed(self, value, key, cfg):
+        try:
+            if isinstance(value, bool) or (self.of is int
+                                           and not float(value).is_integer()):
+                raise ValueError
+            return self.of(value)
+        except (TypeError, ValueError, OverflowError):
+            expected = "an integer" if self.of is int else "a number"
+            raise ConfigError(key, f"expected {expected}, got {value!r}") from None
 
 
-def _point(value, key):
-    """The config point ``[x, y]`` at ``key`` as a pair of floats."""
-    xy = _numbers(float, value, key)
-    if len(xy) != 2:
-        raise ConfigError(key, f"expected [x, y], got {value!r}")
-    return tuple(xy)
+class Text(Rule):
+    def typed(self, value, key, cfg):
+        if not isinstance(value, str):
+            raise ConfigError(key, f"expected a string, got {value!r}")
+        return value
 
 
-def _list(cfg, key):
-    """The config list at ``key``; anything else raises a ConfigError naming it."""
-    if not isinstance(cfg[key], (list, tuple)):
-        raise ConfigError(key, f"expected a list, got {cfg[key]!r}")
-    return cfg[key]
+class Maybe(Rule):
+    def typed(self, value, key, cfg):
+        return None if value is None else self.of(value, key, cfg)
 
 
-def _params(spec, key, allowed):
-    extra = set(spec) - set(allowed) - {"name"}
-    if extra:
-        raise ConfigError(key, f"unknown parameter(s) {sorted(extra)} "
-                               f"for family '{spec.get('name')}'")
+class Seq(Rule):
+    """A list whose entry ``i`` is checked under the key ``key[i]``."""
+
+    def typed(self, value, key, cfg):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(key, f"expected a list, got {value!r}")
+        return [self.of(v, f"{key}[{i}]", cfg) for i, v in enumerate(value)]
+
+
+def _fill(table, value, key, cfg, unknown="unknown key"):
+    """``table``'s entries read from ``value``, typed; a missing one takes its
+    default, which if callable is computed from the entries typed before it."""
+    for name in value:
+        if name not in table:
+            raise ConfigError(f"{key}.{name}".lstrip("."), unknown)
+    typed = {}
+    for name, (default, rule) in table.items():
+        v = (value[name] if name in value
+             else default(typed) if callable(default) else default)
+        typed[name] = rule(v, f"{key}.{name}".lstrip("."), cfg)
+    return typed
+
+
+class Params(Rule):
+    """An object with the keys of a table; at the top of a schema, a key
+    with this rule is a section, whose user values merge onto its defaults."""
+
+    def typed(self, value, key, cfg):
+        if not isinstance(value, dict):
+            raise ConfigError(key or "<root>", "expected an object")
+        return _fill(self.of, value, key, cfg)
+
+
+class Tagged(Rule):
+    """An object whose ``tag`` names a variant ``(make, table)``; typed, it is
+    ``functools.partial(make, **params)`` with the parameters of ``table``."""
+
+    def __init__(self, tag, variants, noun):
+        super().__init__(variants)
+        self.tag, self.noun = tag, noun
+
+    def typed(self, value, key, cfg):
+        if not isinstance(value, dict):
+            raise ConfigError(key, f"expected an object with a '{self.tag}' field")
+        name = value.get(self.tag)
+        if not isinstance(name, str) or name not in self.of:
+            raise ConfigError(f"{key}.{self.tag}", f"unknown {self.noun} '{name}'")
+        make, table = self.of[name]
+        params = {k: v for k, v in value.items() if k != self.tag}
+        return functools.partial(make, **_fill(
+            table, params, key, cfg, f"unknown parameter of {self.noun} '{name}'"))
+
+
+NUMBER, INTEGER, TEXT = Num(float), Num(int), Text()
+NUMBERS = Seq(NUMBER)
+POINT = Seq(NUMBER, (lambda v, cfg: len(v) == 2, "[x, y]"))
+THRESHOLD = Maybe(NUMBER)
+
+
+# named analytic function library, mesh kinds and metric kinds
+
+# the library evaluates these on float arrays, so arithmetic on x and y is
+# elementwise
+def _gaussian(x, y, amplitude, width, center, offset, k):
+    cx, cy = center
+    r2 = (x - cx) ** 2 + (y - cy) ** 2
+    out = amplitude * np.exp(-r2 / width**2)
+    if k:
+        out = out * ((y - cy) / width) ** k
+    return offset + out
+
+
+def _fourier(x, y, cos, sin, offset):
+    theta = np.arctan2(y, x)
+    out = np.full_like(theta, offset)
+    for k, ck in enumerate(cos, start=1):
+        out = out + ck * np.cos(k * theta)
+    for k, sk in enumerate(sin, start=1):
+        out = out + sk * np.sin(k * theta)
+    return out
+
+
+def _catenoid(x, y, a):
+    return a * np.arccosh(np.maximum(np.hypot(x, y) / a, 1.0))
+
+
+FAMILIES = {
+    "zero": (lambda x, y: np.zeros_like(x, dtype=float), {}),
+    "constant": (lambda x, y, value: np.full_like(x, value, dtype=float),
+                 {"value": (0.0, NUMBER)}),
+    "affine": (lambda x, y, a0, ax, ay: a0 + ax * x + ay * y,
+               dict.fromkeys(("a0", "ax", "ay"), (0.0, NUMBER))),
+    "quadratic": (lambda x, y, c0, cx, cy, cxx, cxy, cyy: (
+        c0 + cx * x + cy * y + cxx * x * x + cxy * x * y + cyy * y * y),
+        dict.fromkeys(("c0", "cx", "cy", "cxx", "cxy", "cyy"), (0.0, NUMBER))),
+    "gaussian": (_gaussian, {
+        "amplitude": (1.0, NUMBER), "width": (1.0, Num(float, POSITIVE)),
+        "center": ([0.0, 0.0], POINT), "offset": (0.0, NUMBER),
+        "k": (0, Num(int, NON_NEGATIVE))}),
+    "fourier": (_fourier, {"cos": ([], NUMBERS), "sin": ([], NUMBERS),
+                           "offset": (0.0, NUMBER)}),
+    "catenoid": (_catenoid, {"a": (0.5, Num(float, POSITIVE))}),
+}
+FUNCTION = Tagged("name", FAMILIES, "function family")
+
+# a typed mesh is its deferred constructor; _build calls it, and the
+# constructor checks its own ranges
+MESH = Tagged("kind", {
+    "square": (geo.square, {"n": (32, INTEGER)}),
+    "disc": (geo.disc, {"n_radial": (24, INTEGER),
+                        "n_angular": (lambda p: 6 * p["n_radial"], INTEGER)}),
+    "annulus": (geo.annulus, {"r0": (0.5, NUMBER), "r1": (1.5, NUMBER),
+                              "n_radial": (16, INTEGER), "n_angular": (96, INTEGER)}),
+}, "mesh kind")
+METRIC = Tagged("kind", {
+    "flat": (geo.flat_metric, {}),
+    # no usable default: a conformal metric names its factor
+    "conformal": (lambda factor: geo.conformal_metric(geo.flat_metric(), factor),
+                  {"factor": (None, FUNCTION)}),
+    "explicit": (lambda g11, g12, g22: geo.explicit_metric(
+        lambda x, y: (g11(x, y), g12(x, y), g22(x, y))), {
+            "g11": ({"name": "constant", "value": 1.0}, FUNCTION),
+            "g12": ({"name": "zero"}, FUNCTION),
+            "g22": ({"name": "constant", "value": 1.0}, FUNCTION)}),
+}, "metric kind")
 
 
 def named_function(spec, key):
     """Build a vectorized callable ``(x, y) -> values`` from a family spec.
 
-    Families
-    --------
-    zero
-        Identically zero.
-    constant : value
-        Identically ``value``.
-    affine : a0, ax, ay
-        ``a0 + ax*x + ay*y``.
-    quadratic : c0, cx, cy, cxx, cxy, cyy
-        Full quadratic polynomial in (x, y).
-    gaussian : amplitude, width, center, offset, k
-        ``offset + amplitude * ((y-cy)/width)**k * exp(-|p-center|^2/width^2)``;
-        ``k`` (default 0) raises the transverse coordinate to an integer power
-        so profiles with a first-order zero across a horizontal line can be
-        expressed.
-    fourier : cos, sin, offset
-        ``offset + sum_k cos[k-1]*cos(k*theta) + sin[k-1]*sin(k*theta)`` with
-        ``theta = atan2(y, x)``; natural for circular boundaries.
-    catenoid : a
-        ``a * arccosh(max(r/a, 1))``, the embedded catenoid height profile.
+    The families of :data:`FAMILIES`, their parameters and values are listed
+    in ``docs/experiments.md``.  The gaussian's integer ``k`` gives profiles
+    with a zero of order k across a horizontal line.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with a 'name' field")
-    name = spec.get("name")
-    if name == "zero":
-        _params(spec, key, ())
-        return lambda x, y: np.zeros_like(np.asarray(x, dtype=float))
-    if name == "constant":
-        _params(spec, key, ("value",))
-        value = _number(float, spec.get("value", 0.0), f"{key}.value")
-        return lambda x, y: np.full_like(np.asarray(x, dtype=float), value)
-    if name == "affine":
-        _params(spec, key, ("a0", "ax", "ay"))
-        a0, ax, ay = (_number(float, spec.get(k, 0.0), f"{key}.{k}")
-                      for k in ("a0", "ax", "ay"))
-        return lambda x, y: (a0 + ax * np.asarray(x, dtype=float)
-                             + ay * np.asarray(y, dtype=float))
-    if name == "quadratic":
-        _params(spec, key, ("c0", "cx", "cy", "cxx", "cxy", "cyy"))
-        c = {k: _number(float, spec.get(k, 0.0), f"{key}.{k}")
-             for k in ("c0", "cx", "cy", "cxx", "cxy", "cyy")}
-
-        def quadratic(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            return (c["c0"] + c["cx"] * x + c["cy"] * y + c["cxx"] * x * x
-                    + c["cxy"] * x * y + c["cyy"] * y * y)
-
-        return quadratic
-    if name == "gaussian":
-        _params(spec, key, ("amplitude", "width", "center", "offset", "k"))
-        amplitude = _number(float, spec.get("amplitude", 1.0), f"{key}.amplitude")
-        width = _number(float, spec.get("width", 1.0), f"{key}.width")
-        cx, cy = _point(spec.get("center", (0.0, 0.0)), f"{key}.center")
-        offset = _number(float, spec.get("offset", 0.0), f"{key}.offset")
-        k = _number(int, spec.get("k", 0), f"{key}.k")
-        if width <= 0.0:
-            raise ConfigError(key, "gaussian width must be positive")
-        if k < 0:
-            raise ConfigError(key, "gaussian k must be a non-negative integer")
-
-        def gaussian(x, y):
-            x = np.asarray(x, dtype=float)
-            y = np.asarray(y, dtype=float)
-            r2 = (x - cx) ** 2 + (y - cy) ** 2
-            out = amplitude * np.exp(-r2 / width**2)
-            if k:
-                out = out * ((y - cy) / width) ** k
-            return offset + out
-
-        return gaussian
-    if name == "fourier":
-        _params(spec, key, ("cos", "sin", "offset"))
-        cos = _numbers(float, spec.get("cos", ()), f"{key}.cos")
-        sin = _numbers(float, spec.get("sin", ()), f"{key}.sin")
-        offset = _number(float, spec.get("offset", 0.0), f"{key}.offset")
-
-        def fourier(x, y):
-            theta = np.arctan2(np.asarray(y, dtype=float),
-                               np.asarray(x, dtype=float))
-            out = np.full_like(theta, offset)
-            for k, ck in enumerate(cos, start=1):
-                out = out + ck * np.cos(k * theta)
-            for k, sk in enumerate(sin, start=1):
-                out = out + sk * np.sin(k * theta)
-            return out
-
-        return fourier
-    if name == "catenoid":
-        _params(spec, key, ("a",))
-        a = _number(float, spec.get("a", 0.5), f"{key}.a")
-        if a <= 0.0:
-            raise ConfigError(key, "catenoid neck radius 'a' must be positive")
-
-        def catenoid(x, y):
-            r = np.hypot(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-            return a * np.arccosh(np.maximum(r / a, 1.0))
-
-        return catenoid
-    raise ConfigError(key, f"unknown function family '{name}'")
+    return FUNCTION(spec, key, None)
 
 
-def build_mesh(spec, key="mesh"):
-    """Build a mesh from ``{"kind": "square"|"disc"|"annulus", ...}``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with a 'kind' field")
-    kind = spec.get("kind")
-    if kind == "square":
-        _params(spec, key, ("kind", "n"))
-        constructor, args = geo.square, (_number(int, spec.get("n", 32), f"{key}.n"),)
-    elif kind == "disc":
-        _params(spec, key, ("kind", "n_radial", "n_angular"))
-        n_radial = _number(int, spec.get("n_radial", 24), f"{key}.n_radial")
-        constructor = geo.disc
-        args = (n_radial,
-                _number(int, spec.get("n_angular", 6 * n_radial), f"{key}.n_angular"))
-    elif kind == "annulus":
-        _params(spec, key, ("kind", "r0", "r1", "n_radial", "n_angular"))
-        constructor = geo.annulus
-        args = (_number(float, spec.get("r0", 0.5), f"{key}.r0"),
-                _number(float, spec.get("r1", 1.5), f"{key}.r1"),
-                _number(int, spec.get("n_radial", 16), f"{key}.n_radial"),
-                _number(int, spec.get("n_angular", 96), f"{key}.n_angular"))
-    else:
-        raise ConfigError(f"{key}.kind", f"unknown mesh kind '{kind}'")
-    try:
-        return constructor(*args)
-    except ValueError as exc:
-        raise ConfigError(key, str(exc)) from None
+# subcommand tables; each also takes an ``output_dir``
+
+def _section(**table):
+    """The ``(defaults, rule)`` schema entry of a section."""
+    return {name: default for name, (default, _) in table.items()}, Params(table)
 
 
-def build_metric(spec, key="metric"):
-    """Build a metric from flat / conformal / explicit specs."""
-    if not isinstance(spec, dict):
-        raise ConfigError(key, "expected an object with a 'kind' field")
-    kind = spec.get("kind")
-    if kind == "flat":
-        _params(spec, key, ("kind",))
-        return geo.flat_metric()
-    if kind == "conformal":
-        _params(spec, key, ("kind", "factor"))
-        factor = named_function(spec.get("factor", {}), f"{key}.factor")
-        return geo.conformal_metric(geo.flat_metric(), factor)
-    if kind == "explicit":
-        _params(spec, key, ("kind", "g11", "g12", "g22"))
-        g11 = named_function(spec.get("g11", {"name": "constant", "value": 1.0}),
-                             f"{key}.g11")
-        g12 = named_function(spec.get("g12", {"name": "zero"}), f"{key}.g12")
-        g22 = named_function(spec.get("g22", {"name": "constant", "value": 1.0}),
-                             f"{key}.g22")
-        return geo.explicit_metric(lambda x, y: (g11(x, y), g12(x, y),
-                                                 g22(x, y)))
-    raise ConfigError(f"{key}.kind", f"unknown metric kind '{kind}'")
+def _thresholds(**defaults):
+    """The ``assertions`` section; a null threshold skips its check."""
+    return _section(**{name: (d, THRESHOLD) for name, d in defaults.items()})
 
 
-def weight_factor(weight_spec, key):
-    """Quasilinear coefficient c = 1/(1 - Q) for a named weight Q."""
-    q_fn = named_function(weight_spec, key)
+def _indices(n):
+    return Seq(INTEGER, (lambda v, cfg: len(v) == n and all(
+        0 <= i < len(cfg["directions"]) for i in v), f"{n} indices into directions"))
 
-    def factor(x, y):
-        q = q_fn(x, y)
-        if np.any(np.real(q) >= 1.0):
-            raise ConfigError(key, "weight must stay below 1 so that "
-                                   "c = 1/(1 - Q) is positive")
-        return 1.0 / (1.0 - q)
 
-    return q_fn, factor
+def _jet_label(profile):
+    """The ``k`` of a boundary-jet profile, its CSV label; 0 if it has none."""
+    return profile.keywords.get("k", 0)
+
+
+SOLVER = _section(tol=(1e-12, Num(float, POSITIVE)),
+                  max_iter=(30, Num(int, NON_NEGATIVE)))
+FLAT = ({"kind": "flat"}, METRIC)
+SMALL_DISC = ({"kind": "disc", "n_radial": 24, "n_angular": 144}, MESH)
+SIN1, COS2 = {"name": "fourier", "sin": [1.0]}, {"name": "fourier", "cos": [0.0, 1.0]}
+
+SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
+           for name, table in {
+    "forward": {
+        "mesh": ({"kind": "square", "n": 64}, MESH),
+        "metric": FLAT,
+        "boundary_data": ({"name": "affine", "a0": 0.0, "ax": 0.05, "ay": 0.1},
+                          FUNCTION),
+        "solver": SOLVER,
+        "assertions": _section(
+            max_iterations=(25, THRESHOLD), residual_max=(1e-9, THRESHOLD),
+            affine_sup_error_max=(None, Maybe(Num(float, (
+                lambda v, cfg: cfg["boundary_data"].get("name") == "affine",
+                "null unless boundary_data is of family 'affine'"))))),
+    },
+    "linearize-check": {
+        "mesh": SMALL_DISC,
+        "metric": FLAT,
+        "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 0.0, 1.0]}],
+                       Seq(FUNCTION, (lambda v, cfg: len(v) >= 3,
+                                      "3 or more function specs"))),
+        "amplitude": (0.05, NUMBER),
+        "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
+            lambda v, cfg: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
+            "two or more distinct finite positive values for a slope fit"))),
+        "pair": ([0, 1], _indices(2)),
+        "triple": ([0, 1, 2], _indices(3)),
+        "third_h_eps": (0.02, Num(float, POSITIVE)),
+        "solver": SOLVER,
+        "assertions": _thresholds(second_slope_min=1.8, second_final_rel_max=1e-4,
+                                  third_rel_max=0.05),
+    },
+    "identity-check": {
+        # two or more distinct mesh sizes: checked by _build on the meshes
+        "levels": ([[12, 72], [24, 144], [48, 288]], Seq(Seq(
+            INTEGER, (lambda v, cfg: len(v) == 2, "[n_radial, n_angular]")))),
+        "metric": ({"kind": "conformal",
+                    "factor": {"name": "gaussian", "offset": 1.0, "amplitude": 0.3,
+                               "width": 0.5, "center": [0.3, 0.2]}}, METRIC),
+        "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 1.0]},
+                        {"name": "fourier", "cos": [1.0]}],
+                       Seq(FUNCTION, (lambda v, cfg: len(v) == 4, "4 function specs"))),
+        "amplitude": (1.0, NUMBER),
+        "h_eps_factor": (None, Maybe(Num(float, POSITIVE))),
+        "solver": SOLVER,
+        "assertions": _thresholds(relative_residual_max=1e-3, order_min=1.0),
+    },
+    "area-pipeline": {
+        "mesh": SMALL_DISC,
+        "metric": FLAT,
+        "boundary_data": ({"name": "fourier", "cos": [0.0, 0.02],
+                           "sin": [0.05, 0.015]}, FUNCTION),
+        "area_step": (1e-4, Num(float, POSITIVE)),
+        "solver": SOLVER,
+        "assertions": _thresholds(relative_sup_error_max=1e-3, roundtrip_max=1e-14),
+    },
+    "recover-q": {
+        "mesh": ({"kind": "disc", "n_radial": 128, "n_angular": 768}, MESH),
+        "metric": FLAT,
+        # Q < 1 on the mesh: checked by _build
+        "weight": ({"name": "gaussian", "amplitude": 0.1, "width": 0.35,
+                    "center": [0.0, 0.0]}, FUNCTION),
+        "mode": ("synthetic", Text(rng=(lambda v, cfg: v in ("synthetic", "dn"),
+                                        "'synthetic' or 'dn'"))),
+        "point": ([0.0, 0.0], POINT),
+        "tau_sweep": ([6.0, 8.0, 10.0], NUMBERS),
+        "field": (None, Maybe(Params({"spacing": (0.2, Num(float, POSITIVE)),
+                                      "margin": (0.3, NUMBER)}))),
+        "assertions": _thresholds(center_error_max=0.02, fit_residual_max=0.2),
+    },
+    "boundary-jet": {
+        "mesh": ({"kind": "square", "n": 192}, MESH),
+        "metric": FLAT,
+        "point": ([0.5, 0.0], POINT),
+        "m": (2, INTEGER),
+        "n_sweep": ([20.0, 28.0, 40.0, 56.0], NUMBERS),
+        # each Q < 1 on the mesh: checked by _build
+        "profiles": ([{"name": "gaussian", "amplitude": 0.1, "width": 0.2,
+                       "center": [0.5, 0.0], "k": k} for k in (0, 1)], Seq(FUNCTION, (
+            lambda v, cfg: 0 < len(v) == len(set(map(_jet_label, v))),
+            "a non-empty list of function specs with distinct k"))),
+        "assertions": _thresholds(exponent_tolerance=0.3, margin_min=0.5,
+                                  fit_residual_max=0.2),
+    },
+}.items()}
 
 
 # ---------------------------------------------------------------------------
 # config resolution and artifact writing
 # ---------------------------------------------------------------------------
 
-# dict values under these keys are taken wholesale from the user config (no
-# recursive merge): partially overriding e.g. a gaussian with a fourier spec
-# would otherwise leave stray parameters behind
-_REPLACE_KEYS = {
-    "mesh", "metric", "boundary_data", "directions", "weight", "profiles",
-    "point", "tau_sweep", "n_sweep", "eps_sweep", "levels", "field",
-}
-
-
-def _merge(defaults, user, prefix=""):
-    out = copy.deepcopy(defaults)
-    for key, value in user.items():
-        path = f"{prefix}{key}"
-        if key not in defaults:
-            raise ConfigError(path, "unknown key")
-        if isinstance(defaults[key], dict) and key not in _REPLACE_KEYS:
-            if not isinstance(value, dict):
-                raise ConfigError(path, "expected an object")
-            out[key] = _merge(defaults[key], value, prefix=f"{path}.")
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
-
-
 def resolve_config(subcommand, user_config):
-    defaults = copy.deepcopy(DEFAULTS[subcommand])
+    """Merge ``user_config`` onto the defaults of ``subcommand`` and check it.
+
+    Sections (``solver``, ``assertions``) merge key by key; any other value
+    replaces its default whole.  Returns the merged config, which the
+    manifest echoes, and its values typed for the runner.
+    """
+    schema = SCHEMAS[subcommand]
     if not isinstance(user_config, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    return _merge(defaults, user_config)
+    merged = {name: default for name, (default, _) in schema.of.items()}
+    for name, value in user_config.items():
+        section = isinstance(schema.of.get(name, (None, None))[1], Params)
+        merged[name] = ({**merged[name], **value}
+                        if section and isinstance(value, dict) else value)
+    return merged, schema(merged, "", merged)
+
+
+def _build(cfg):
+    """Build the metric and meshes of a typed config; check what needs them.
+
+    A mesh constructor's range error names its key (``mesh`` or
+    ``levels[i]``).  Then, before the first solve, the metric must be SPD at
+    the quadrature points of every mesh, each weight Q below 1 at its
+    vertices and quadrature points, and ``levels`` of two or more sizes.
+    """
+    cfg["metric"] = cfg["metric"]()
+    if "levels" in cfg:
+        builders = [(f"levels[{i}]", functools.partial(geo.disc, *level))
+                    for i, level in enumerate(cfg["levels"])]
+    else:
+        builders = [("mesh", cfg["mesh"])]
+    weights = [(f"profiles[{i}]", q) for i, q in enumerate(cfg.get("profiles", []))]
+    if "weight" in cfg:
+        weights.append(("weight", cfg["weight"]))
+    meshes = []
+    for key, build in builders:
+        try:
+            mesh = build()
+        except ValueError as exc:
+            raise ConfigError(key, str(exc)) from None
+        try:
+            geo.discretization(mesh, cfg["metric"]).mq
+        except ValueError as exc:
+            raise ConfigError("metric", str(exc)) from None
+        for name, q in weights:
+            if not all(np.all(q(p[..., 0], p[..., 1]) < 1.0)
+                       for p in (mesh.vertices, mesh.quad_points)):
+                raise ConfigError(name, "Q must stay below 1 on the mesh so "
+                                        "that c = 1/(1 - Q) is positive")
+        meshes.append(mesh)
+    if "levels" not in cfg:
+        cfg["mesh"] = meshes[0]
+    elif len({mesh.h for mesh in meshes}) < 2:
+        raise ConfigError("levels", "a slope fit needs two or more distinct mesh sizes")
+    else:
+        cfg["levels"] = meshes
 
 
 def _cell(value):
@@ -371,147 +487,6 @@ class Assertions:
         return all(r["passed"] for r in self.records)
 
 
-# ---------------------------------------------------------------------------
-# subcommand defaults
-# ---------------------------------------------------------------------------
-
-_SOLVER_DEFAULTS = {"tol": 1e-12, "max_iter": 30}
-
-DEFAULTS = {
-    "forward": {
-        "mesh": {"kind": "square", "n": 64},
-        "metric": {"kind": "flat"},
-        "boundary_data": {"name": "affine", "a0": 0.0, "ax": 0.05, "ay": 0.1},
-        "solver": dict(_SOLVER_DEFAULTS),
-        "output_dir": "results/forward",
-        "assertions": {
-            "max_iterations": 25,
-            "residual_max": 1e-9,
-            "affine_sup_error_max": None,
-        },
-    },
-    "linearize-check": {
-        "mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
-        "metric": {"kind": "flat"},
-        "directions": [
-            {"name": "fourier", "sin": [1.0]},
-            {"name": "fourier", "cos": [0.0, 1.0]},
-            {"name": "fourier", "sin": [0.0, 0.0, 1.0]},
-        ],
-        "amplitude": 0.05,
-        "eps_sweep": [0.1, 0.03162277660168379, 0.01],
-        "pair": [0, 1],
-        "triple": [0, 1, 2],
-        "third_h_eps": 0.02,
-        "solver": dict(_SOLVER_DEFAULTS),
-        "output_dir": "results/linearize-check",
-        "assertions": {
-            "second_slope_min": 1.8,
-            "second_final_rel_max": 1e-4,
-            "third_rel_max": 0.05,
-        },
-    },
-    "identity-check": {
-        "levels": [[12, 72], [24, 144], [48, 288]],
-        "metric": {
-            "kind": "conformal",
-            "factor": {"name": "gaussian", "offset": 1.0, "amplitude": 0.3,
-                       "width": 0.5, "center": [0.3, 0.2]},
-        },
-        "directions": [
-            {"name": "fourier", "sin": [1.0]},
-            {"name": "fourier", "cos": [0.0, 1.0]},
-            {"name": "fourier", "sin": [0.0, 1.0]},
-            {"name": "fourier", "cos": [1.0]},
-        ],
-        "amplitude": 1.0,
-        "h_eps_factor": None,
-        "solver": dict(_SOLVER_DEFAULTS),
-        "output_dir": "results/identity-check",
-        "assertions": {
-            "relative_residual_max": 1e-3,
-            "order_min": 1.0,
-        },
-    },
-    "area-pipeline": {
-        "mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
-        "metric": {"kind": "flat"},
-        "boundary_data": {"name": "fourier", "cos": [0.0, 0.02],
-                          "sin": [0.05, 0.015]},
-        "area_step": 1e-4,
-        "solver": dict(_SOLVER_DEFAULTS),
-        "output_dir": "results/area-pipeline",
-        "assertions": {
-            "relative_sup_error_max": 1e-3,
-            "roundtrip_max": 1e-14,
-        },
-    },
-    "recover-q": {
-        "mesh": {"kind": "disc", "n_radial": 128, "n_angular": 768},
-        "metric": {"kind": "flat"},
-        "weight": {"name": "gaussian", "amplitude": 0.1, "width": 0.35,
-                   "center": [0.0, 0.0]},
-        "mode": "synthetic",
-        "point": [0.0, 0.0],
-        "tau_sweep": [6.0, 8.0, 10.0],
-        "field": None,
-        "output_dir": "results/recover-q",
-        "assertions": {
-            "center_error_max": 0.02,
-            "fit_residual_max": 0.2,
-        },
-    },
-    "boundary-jet": {
-        "mesh": {"kind": "square", "n": 192},
-        "metric": {"kind": "flat"},
-        "point": [0.5, 0.0],
-        "m": 2,
-        "n_sweep": [20.0, 28.0, 40.0, 56.0],
-        "profiles": [
-            {"name": "gaussian", "amplitude": 0.1, "width": 0.2,
-             "center": [0.5, 0.0], "k": 0},
-            {"name": "gaussian", "amplitude": 0.1, "width": 0.2,
-             "center": [0.5, 0.0], "k": 1},
-        ],
-        "output_dir": "results/boundary-jet",
-        "assertions": {
-            "exponent_tolerance": 0.3,
-            "margin_min": 0.5,
-            "fit_residual_max": 0.2,
-        },
-    },
-}
-
-
-def _solve_options(cfg):
-    return fwd.SolveOptions(
-        tol=_number(float, cfg["solver"]["tol"], "solver.tol"),
-        max_iter=_number(int, cfg["solver"]["max_iter"], "solver.max_iter"),
-    )
-
-
-def _direction_indices(cfg, key, length, n_directions):
-    """The ``length`` indices into ``directions`` that config key ``key`` names."""
-    indices = tuple(_numbers(int, cfg[key], key))
-    if len(indices) != length:
-        raise ConfigError(key, f"expected {length} indices, got {len(indices)}")
-    if any(i not in range(n_directions) for i in indices):
-        raise ConfigError(key, f"indices {list(indices)} must lie in "
-                               f"0..{n_directions - 1}")
-    return indices
-
-
-def _slope_abscissae(xs, key):
-    """Check that ``xs``, read from config key ``key``, can carry a slope fit.
-
-    A log-log fit needs two or more distinct positive abscissae; one point
-    or a repeated one gives no slope, and a non-positive one no logarithm.
-    """
-    if len(set(xs)) < 2 or not all(np.isfinite(x) and x > 0.0 for x in xs):
-        raise ConfigError(key, f"a slope fit needs two or more distinct positive "
-                               f"values, got {list(xs)!r}")
-
-
 def _fit_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     design = np.column_stack([np.log(xs), np.ones(len(xs))])
@@ -519,18 +494,42 @@ def _fit_slope(xs, ys):
     return float(slope)
 
 
+def _directions(cfg):
+    """The configured boundary directions, each scaled by ``amplitude``."""
+    amplitude = cfg["amplitude"]
+    return [(lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in cfg["directions"]]
+
+
+def _diagnostic(res, **extra):
+    """The manifest record of one point's sweep fit."""
+    return {"point": list(res.point), "sweep": list(res.sweep),
+            "fit_residual": res.fit_residual, "reliable": res.reliable,
+            "message": res.message, **extra}
+
+
+def _coefficient(q_fn):
+    """Quasilinear coefficient c = 1/(1 - Q) for a weight Q."""
+
+    def factor(x, y):
+        # naming q keeps numpy from reusing its buffer in place, which raised
+        # the peak RSS of the disc(128,768) recovery by 2.3 MB
+        q = q_fn(x, y)
+        return 1.0 / (1.0 - q)
+
+    return factor
+
+
 # ---------------------------------------------------------------------------
-# subcommand runners
+# subcommand runners: each takes a config that resolve_config typed and
+# _build completed
 # ---------------------------------------------------------------------------
 
 def run_forward(cfg, out_dir, log):
-    mesh = build_mesh(cfg["mesh"])
-    metric = build_metric(cfg["metric"])
-    f = named_function(cfg["boundary_data"], "boundary_data")
-    options = _solve_options(cfg)
+    mesh, metric, f = cfg["mesh"], cfg["metric"], cfg["boundary_data"]
 
     t0 = time.perf_counter()
-    u, report = fwd.solve_minimal_surface(mesh, metric, f, options)
+    u, report = fwd.solve_minimal_surface(mesh, metric, f,
+                                          fwd.SolveOptions(**cfg["solver"]))
     solve_s = time.perf_counter() - t0
 
     trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u.values)
@@ -541,48 +540,26 @@ def run_forward(cfg, out_dir, log):
     write_csv(out_dir / "dn_trace.csv", ["arclength", "value"],
               np.column_stack([trace.bg.arclength, trace.values]))
 
-    checks = Assertions()
-    checks.check("iterations", report.iterations,
-                 cfg["assertions"]["max_iterations"])
-    checks.check("final_residual", report.final_residual,
-                 cfg["assertions"]["residual_max"])
-    if cfg["assertions"]["affine_sup_error_max"] is not None:
-        if cfg["boundary_data"].get("name") != "affine":
-            raise ConfigError("assertions.affine_sup_error_max",
-                              "requires boundary_data of family 'affine'")
-        exact = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        checks.check("affine_sup_error", np.abs(u.values - exact).max(),
-                     cfg["assertions"]["affine_sup_error_max"])
+    checks, limit = Assertions(), cfg["assertions"]
+    checks.check("iterations", report.iterations, limit["max_iterations"])
+    checks.check("final_residual", report.final_residual, limit["residual_max"])
+    exact = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
+    checks.check("affine_sup_error", np.abs(u.values - exact).max(),
+                 limit["affine_sup_error_max"])
 
     log(f"solved in {report.iterations} iterations, "
         f"residual {report.final_residual:.3e}")
-    results = {
-        "iterations": report.iterations,
-        "final_residual": report.final_residual,
-        "n_vertices": len(mesh.vertices),
-        "mesh_h": mesh.h,
-    }
+    results = {"iterations": report.iterations, "final_residual": report.final_residual,
+               "n_vertices": len(mesh.vertices), "mesh_h": mesh.h}
     return results, checks, {"solve_s": solve_s}
 
 
 def run_linearize_check(cfg, out_dir, log):
-    mesh = build_mesh(cfg["mesh"])
-    metric = build_metric(cfg["metric"])
-    amplitude = _number(float, cfg["amplitude"], "amplitude")
-    fns = [named_function(spec, f"directions[{i}]")
-           for i, spec in enumerate(_list(cfg, "directions"))]
-    directions = [
-        (lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in fns
-    ]
-    if len(directions) < 3:
-        raise ConfigError("directions", "need at least 3 boundary directions")
-    pair = _direction_indices(cfg, "pair", 2, len(directions))
-    triple = _direction_indices(cfg, "triple", 3, len(directions))
-    options = _solve_options(cfg)
-    third_h_eps = _number(float, cfg["third_h_eps"], "third_h_eps")
-    eps_sweep = _numbers(float, cfg["eps_sweep"], "eps_sweep")
-    _slope_abscissae(eps_sweep, "eps_sweep")
-    combo = lin.EpsilonCombination(mesh, metric, directions, options)
+    mesh, metric, directions = cfg["mesh"], cfg["metric"], _directions(cfg)
+    pair, triple, third_h_eps, eps_sweep = (
+        cfg[k] for k in ("pair", "triple", "third_h_eps", "eps_sweep"))
+    combo = lin.EpsilonCombination(mesh, metric, directions,
+                                   fwd.SolveOptions(**cfg["solver"]))
 
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
@@ -613,14 +590,12 @@ def run_linearize_check(cfg, out_dir, log):
               [(third_h_eps, np.abs(w_pde).max(),
                 np.abs(w_fd).max(), rel_third)])
 
-    checks = Assertions()
-    checks.check("second_slope", slope, cfg["assertions"]["second_slope_min"],
-                 mode="min")
-    if cfg["assertions"]["second_final_rel_max"] is not None:
+    checks, limit = Assertions(), cfg["assertions"]
+    checks.check("second_slope", slope, limit["second_slope_min"], mode="min")
+    if limit["second_final_rel_max"] is not None:
         checks.check("second_final_sup", sups[-1],
-                     cfg["assertions"]["second_final_rel_max"] * f_sup)
-    checks.check("third_rel_error", rel_third,
-                 cfg["assertions"]["third_rel_max"])
+                     limit["second_final_rel_max"] * f_sup)
+    checks.check("third_rel_error", rel_third, limit["third_rel_max"])
 
     log(f"second-linearization slope {slope:.3f}, final sup {sups[-1]:.3e}; "
         f"third-linearization rel error {rel_third:.3e}")
@@ -635,40 +610,22 @@ def run_linearize_check(cfg, out_dir, log):
 
 
 def run_identity_check(cfg, out_dir, log):
-    metric = build_metric(cfg["metric"])
-    amplitude = _number(float, cfg["amplitude"], "amplitude")
-    fns = [named_function(spec, f"directions[{i}]")
-           for i, spec in enumerate(_list(cfg, "directions"))]
-    directions = [
-        (lambda x, y, fn=fn: amplitude * fn(x, y)) for fn in fns
-    ]
-    if len(directions) != 4:
-        raise ConfigError("directions", f"need exactly 4 boundary directions, "
-                                        f"got {len(directions)}")
-    options = _solve_options(cfg)
-    h_eps_factor = cfg["h_eps_factor"]
-    if h_eps_factor is not None:
-        h_eps_factor = _number(float, h_eps_factor, "h_eps_factor")
+    directions = _directions(cfg)
+    options = fwd.SolveOptions(**cfg["solver"])
 
-    def level_report(i, level):
-        key = f"levels[{i}]"
-        if not isinstance(level, (list, tuple)) or len(level) != 2:
-            raise ConfigError(key, "expected [n_radial, n_angular]")
-        mesh = build_mesh({"kind": "disc", "n_radial": level[0],
-                           "n_angular": level[1]}, key)
-        h_eps = None if h_eps_factor is None else h_eps_factor * mesh.h
-        return idn.integral_identity_check(mesh, metric, directions,
+    def level_report(mesh):
+        h_eps = None if cfg["h_eps_factor"] is None else cfg["h_eps_factor"] * mesh.h
+        return idn.integral_identity_check(mesh, cfg["metric"], directions,
                                            h_eps=h_eps, options=options)
 
+    # the last level runs first: a sweep runs coarse to fine, and the coarser
+    # meshes, built up front for the config checks, are small beside the
+    # finest level's solves, whose peak memory is then the sweep's
     t0 = time.perf_counter()
-    reports = [level_report(i, level)
-               for i, level in enumerate(_list(cfg, "levels"))]
+    reports = [level_report(mesh) for mesh in reversed(cfg["levels"])][::-1]
     sweep_s = time.perf_counter() - t0
 
     hs = [r.h for r in reports]
-    # the mesh sizes are known only once each level is built, and a level's
-    # mesh is freed before the next one is built, so they are checked here
-    _slope_abscissae(hs, "levels")
     write_csv(out_dir / "identity_residuals.csv",
               ["h", "lhs", "rhs", "residual", "relative_residual"],
               [(r.h, r.lhs, r.rhs, r.residual, r.relative_residual)
@@ -676,33 +633,23 @@ def run_identity_check(cfg, out_dir, log):
     rels = [r.relative_residual for r in reports]
     order = _fit_slope(hs, rels)
 
-    checks = Assertions()
-    checks.check("final_relative_residual", rels[-1],
-                 cfg["assertions"]["relative_residual_max"])
-    checks.check("order", order, cfg["assertions"]["order_min"], mode="min")
+    checks, limit = Assertions(), cfg["assertions"]
+    checks.check("final_relative_residual", rels[-1], limit["relative_residual_max"])
+    checks.check("order", order, limit["order_min"], mode="min")
 
     log(f"relative residuals {['%.3e' % r for r in rels]}, "
         f"fitted order {order:.2f}")
-    results = {
-        "h": hs,
-        "relative_residuals": rels,
-        "order": order,
-    }
+    results = {"h": hs, "relative_residuals": rels, "order": order}
     return results, checks, {"sweep_s": sweep_s}
 
 
 def run_area_pipeline(cfg, out_dir, log):
-    mesh = build_mesh(cfg["mesh"])
-    metric = build_metric(cfg["metric"])
-    f = named_function(cfg["boundary_data"], "boundary_data")
-    options = _solve_options(cfg)
-    area_step = _number(float, cfg["area_step"], "area_step")
-    if not (np.isfinite(area_step) and area_step > 0.0):
-        raise ConfigError("area_step", f"must be finite and positive, got {area_step!r}")
+    mesh = cfg["mesh"]
 
     t0 = time.perf_counter()
-    trace, reference = dn.dn_from_area_data(mesh, metric, f, t=area_step,
-                                            options=options)
+    trace, reference = dn.dn_from_area_data(
+        mesh, cfg["metric"], cfg["boundary_data"], t=cfg["area_step"],
+        options=fwd.SolveOptions(**cfg["solver"]))
     pipeline_s = time.perf_counter() - t0
 
     diff = np.abs(trace.values - reference.values)
@@ -717,43 +664,21 @@ def run_area_pipeline(cfg, out_dir, log):
               np.column_stack([reference.bg.arclength, reference.values,
                                trace.values, diff]))
 
-    checks = Assertions()
-    checks.check("relative_sup_error", rel_sup,
-                 cfg["assertions"]["relative_sup_error_max"])
-    checks.check("roundtrip", roundtrip, cfg["assertions"]["roundtrip_max"])
+    checks, limit = Assertions(), cfg["assertions"]
+    checks.check("relative_sup_error", rel_sup, limit["relative_sup_error_max"])
+    checks.check("roundtrip", roundtrip, limit["roundtrip_max"])
 
     log(f"area-data DN rel sup error {rel_sup:.3e}, "
         f"roundtrip {roundtrip:.3e}")
-    results = {
-        "relative_sup_error": rel_sup,
-        "roundtrip": roundtrip,
-        "dn_sup": float(np.abs(reference.values).max()),
-        "mesh_h": mesh.h,
-    }
+    results = {"relative_sup_error": rel_sup, "roundtrip": roundtrip,
+               "dn_sup": float(np.abs(reference.values).max()), "mesh_h": mesh.h}
     return results, checks, {"pipeline_s": pipeline_s}
 
 
 def run_recover_q(cfg, out_dir, log):
-    point = _point(cfg["point"], "point")
-    field_cfg = cfg["field"]
-    if field_cfg is not None:
-        if not isinstance(field_cfg, dict):
-            raise ConfigError("field", f"expected an object or null, got {field_cfg!r}")
-        extra = set(field_cfg) - {"spacing", "margin"}
-        if extra:
-            raise ConfigError("field", f"unknown parameter(s) {sorted(extra)}")
-        spacing = _number(float, field_cfg.get("spacing", 0.2), "field.spacing")
-        margin = _number(float, field_cfg.get("margin", 0.3), "field.margin")
-        if not (np.isfinite(spacing) and spacing > 0.0):
-            raise ConfigError("field.spacing",
-                              f"must be finite and positive, got {spacing!r}")
-    mesh = build_mesh(cfg["mesh"])
-    metric = build_metric(cfg["metric"])
-    q_fn, factor = weight_factor(cfg["weight"], "weight")
-    taus = _numbers(float, cfg["tau_sweep"], "tau_sweep")
-    mode = cfg["mode"]
-    if mode not in ("synthetic", "dn"):
-        raise ConfigError("mode", "expected 'synthetic' or 'dn'")
+    mesh, metric, point = cfg["mesh"], cfg["metric"], cfg["point"]
+    q_fn, taus, mode = cfg["weight"], cfg["tau_sweep"], cfg["mode"]
+    factor = _coefficient(q_fn)
 
     t0 = time.perf_counter()
     result = inv.recover_q_point(mesh, metric, factor, point, taus, mode=mode)
@@ -761,20 +686,14 @@ def run_recover_q(cfg, out_dir, log):
     truth = float(q_fn(point[0], point[1]))
     rows = [(point[0], point[1], truth,
              float(result.q_estimate), int(result.reliable))]
-    diagnostics = [{
-        "point": list(result.point),
-        "sweep": list(result.sweep),
-        "functional_values": _json_safe(result.functional_values),
-        "coefficient": _json_safe(result.coefficient),
-        "intercept": _json_safe(result.intercept),
-        "fit_residual": result.fit_residual,
-        "reliable": result.reliable,
-        "message": result.message,
-    }]
+    diagnostics = [_diagnostic(result, functional_values=result.functional_values,
+                               coefficient=result.coefficient,
+                               intercept=result.intercept)]
 
     field_s = 0.0
-    if field_cfg is not None:
-        grid = inv.interior_grid(mesh, spacing, margin)
+    if cfg["field"] is not None:
+        margin = cfg["field"]["margin"]
+        grid = inv.interior_grid(mesh, cfg["field"]["spacing"], margin)
         t0 = time.perf_counter()
         out = inv.recover_q_field(mesh, metric, factor, grid, taus, mode=mode,
                                   probe_margin=margin)
@@ -784,25 +703,18 @@ def run_recover_q(cfg, out_dir, log):
             estimate = np.nan if res.q_estimate is None else float(res.q_estimate)
             rows.append((px, py, float(q_fn(px, py)), estimate,
                          int(res.reliable)))
-            diagnostics.append({
-                "point": [px, py],
-                "sweep": list(res.sweep),
-                "fit_residual": _json_safe(res.fit_residual),
-                "reliable": res.reliable,
-                "message": res.message,
-            })
+            diagnostics.append(_diagnostic(res))
 
     write_csv(out_dir / "recovery.csv",
               ["x", "y", "Q_true", "Q_hat", "reliability"], rows)
 
-    checks = Assertions()
+    checks, limit = Assertions(), cfg["assertions"]
     checks.require("point_reliable", result.reliable, result.message)
     checks.check("center_error", abs(float(result.q_estimate) - truth),
-                 cfg["assertions"]["center_error_max"])
-    checks.check("fit_residual", result.fit_residual,
-                 cfg["assertions"]["fit_residual_max"])
+                 limit["center_error_max"])
+    checks.check("fit_residual", result.fit_residual, limit["fit_residual_max"])
 
-    log(f"recovered {result.q_estimate:.5f} at {point} "
+    log(f"recovered {result.q_estimate:.5f} at {tuple(point)} "
         f"(truth {truth:.5f}, fit residual {result.fit_residual:.3f})")
     results = {
         "point": list(point),
@@ -818,48 +730,40 @@ def run_recover_q(cfg, out_dir, log):
 
 
 def run_boundary_jet(cfg, out_dir, log):
-    point = _point(cfg["point"], "point")
-    profiles = _list(cfg, "profiles")
-    mesh = build_mesh(cfg["mesh"])
-    metric = build_metric(cfg["metric"])
-    m = _number(int, cfg["m"], "m")
-    n_sweep = _numbers(float, cfg["n_sweep"], "n_sweep")
+    mesh, m, n_sweep, profiles = cfg["mesh"], cfg["m"], cfg["n_sweep"], cfg["profiles"]
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
 
-    def profile_result(spec):
-        _q_fn, factor = weight_factor(spec, "profiles[]")
-        return inv.boundary_jet_probe(mesh, metric, factor, point, m, n_sweep)
-
     t0 = time.perf_counter()
-    outcomes = [profile_result(spec) for spec in profiles]
+    outcomes = [inv.boundary_jet_probe(mesh, cfg["metric"], _coefficient(q),
+                                       cfg["point"], m, n_sweep)
+                for q in profiles]
     sweep_s = time.perf_counter() - t0
 
     rows = []
     per_profile = []
-    checks = Assertions()
+    checks, limit = Assertions(), cfg["assertions"]
     exponents = []
-    for spec, res in zip(profiles, outcomes):
-        k = int(spec.get("k", 0))
+    for q, res in zip(profiles, outcomes):
+        k = _jet_label(q)
         for n_freq, value in zip(n_sweep, res.functional_values):
             rows.append((k, n_freq, abs(value)))
         exponents.append(float(res.exponent))
         per_profile.append({
             "k": k,
-            "exponent": _json_safe(res.exponent),
+            "exponent": res.exponent,
             "expected_exponent": 3.0 - k - alpha,
-            "fit_residual": _json_safe(res.fit_residual),
+            "fit_residual": res.fit_residual,
             "reliable": res.reliable,
             "message": res.message,
         })
         checks.require(f"profile_k{k}_reliable", res.reliable, res.message)
         checks.check(f"profile_k{k}_exponent_error",
-                     abs(res.exponent - (3.0 - k - alpha)),
-                     cfg["assertions"]["exponent_tolerance"])
+                     abs(res.exponent - (3.0 - k - alpha)), limit["exponent_tolerance"])
         checks.check(f"profile_k{k}_fit_residual", res.fit_residual,
-                     cfg["assertions"]["fit_residual_max"])
+                     limit["fit_residual_max"])
     if len(exponents) >= 2:
         checks.check("exponent_margin", exponents[0] - exponents[1],
-                     cfg["assertions"]["margin_min"], mode="min")
+                     limit["margin_min"], mode="min")
 
     write_csv(out_dir / "jet_sweep.csv", ["k", "n_freq", "functional_abs"],
               rows)
@@ -919,18 +823,9 @@ def run(subcommand, config=None, out=None, verbose=False):
 
     ``config`` is a dict of overrides merged onto the subcommand defaults;
     ``out`` overrides the ``output_dir`` config field.  All artifacts
-    (manifest.json plus CSVs) land in the output directory.
+    (manifest.json plus CSVs) land in the output directory.  A config error
+    returns 2 before any artifact is written.
     """
-    cfg = resolve_config(subcommand, config or {})
-    # thresholds are converted only after the run; reject a non-number first
-    for name, threshold in cfg["assertions"].items():
-        if threshold is not None:
-            _number(float, threshold, f"assertions.{name}")
-    if out is not None:
-        cfg["output_dir"] = str(out)
-
-    out_dir = Path(cfg["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     def log(message):
         if verbose:
@@ -938,10 +833,16 @@ def run(subcommand, config=None, out=None, verbose=False):
 
     start = time.perf_counter()
     try:
+        merged, cfg = resolve_config(subcommand, config or {})
+        if out is not None:
+            merged["output_dir"] = cfg["output_dir"] = str(out)
+        _build(cfg)
+        out_dir = Path(cfg["output_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
         results, checks, timings = RUNNERS[subcommand](cfg, out_dir, log)
-    except inv.ResolutionError as exc:
-        # the probe cannot be built for this mesh, metric and centre: a
-        # config problem, reported like one
+    except (ConfigError, inv.ResolutionError) as exc:
+        # a probe that cannot be built for this mesh, metric and centre is
+        # a config problem too
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (fwd.ConvergenceError, dn.GraphFluxError,
@@ -962,7 +863,7 @@ def run(subcommand, config=None, out=None, verbose=False):
 
     manifest = {
         "subcommand": subcommand,
-        "config": _json_safe(cfg),
+        "config": _json_safe(merged),
         "versions": _versions(),
         "timings": _json_safe(timings),
         "results": _json_safe(results),
@@ -998,19 +899,11 @@ def main(argv=None):
     if args.config is not None:
         try:
             config = json.loads(args.config.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"config error: file not found: {args.config}",
-                  file=sys.stderr)
-            return 2
-        except json.JSONDecodeError as exc:
+        except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {args.config}: {exc}", file=sys.stderr)
             return 2
 
-    try:
-        return run(args.subcommand, config, out=args.out, verbose=args.verbose)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    return run(args.subcommand, config, out=args.out, verbose=args.verbose)
 
 
 if __name__ == "__main__":

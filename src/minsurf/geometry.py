@@ -471,7 +471,7 @@ def metric_at_quadrature(mesh, metric):
     g11, g12, g22 = _metric_entries(metric, x, y)
     det = g11 * g22 - g12**2
     if not (np.all(np.isfinite(det)) and np.all(det > 0.0) and np.all(g11 > 0.0)):
-        bad = np.unravel_index(int(np.argmin(det)), det.shape)
+        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), det.shape))
         raise ValueError(
             f"metric is not SPD at quadrature point {bad} "
             f"(x={x[bad]:.4g}, y={y[bad]:.4g}): g11={g11[bad]:.4g}, det={det[bad]:.4g}"

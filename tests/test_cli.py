@@ -3,14 +3,18 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import minsurf.cli as cli
 import minsurf.forward as fwd
+import minsurf.identity as idn
+import minsurf.inverse as inv
 
 SMALL_SQUARE = {"kind": "square", "n": 24}
 SMALL_LEVELS = [[8, 48], [12, 72], [16, 96]]
@@ -391,6 +395,11 @@ def test_named_function_library_values():
         cli.named_function({"name": "affine", "slope": 1.0}, "t")
 
 
+TINY_SQUARE = {"kind": "square", "n": 8}
+TINY_DISC = {"kind": "disc", "n_radial": 6, "n_angular": 36}
+NOT_SPD = {"kind": "explicit", "g12": {"name": "constant", "value": 2.0}}
+
+
 def _write(tmp_path, text):
     path = tmp_path / "config.json"
     path.write_text(text, encoding="utf-8")
@@ -422,13 +431,43 @@ def _write(tmp_path, text):
     ("recover-q", {"point": [0.0]}, "point"),
     ("boundary-jet", {"point": [0.0]}, "point"),
     ("recover-q", {"field": {"spacing": 0}}, "field.spacing"),
+    ("forward", {"mesh": TINY_SQUARE, "metric": NOT_SPD}, "metric"),
+    ("area-pipeline", {"mesh": TINY_SQUARE, "metric": NOT_SPD}, "metric"),
+    ("linearize-check", {"mesh": TINY_SQUARE, "metric": NOT_SPD}, "metric"),
+    ("boundary-jet", {"mesh": TINY_SQUARE, "metric": NOT_SPD}, "metric"),
+    ("identity-check", {"metric": {"kind": "conformal",
+                                   "factor": {"name": "constant", "value": 0.0}}},
+     "metric"),
+    ("linearize-check", {"third_h_eps": 0}, "third_h_eps"),
+    ("identity-check", {"h_eps_factor": 0}, "h_eps_factor"),
+    ("boundary-jet", {"profiles": []}, "profiles"),
+    ("boundary-jet", {"profiles": [{"name": "zero"}, {"name": "constant"}]},
+     "profiles"),
+    ("boundary-jet", {"profiles": [{"name": "zero"}, 5]}, "profiles[1]"),
+    ("boundary-jet", {"mesh": TINY_SQUARE, "profiles": [
+        {"name": "zero"}, {"name": "gaussian", "offset": 1.0, "k": 1}]}, "profiles[1]"),
+    ("recover-q", {"mesh": TINY_DISC, "weight": {"name": "constant", "value": 1.0}},
+     "weight"),
+    ("identity-check", {"levels": [[8, 48], [8, 48]]}, "levels"),
+    ("forward", {"boundary_data": {"name": "zero"},
+                 "assertions": {"affine_sup_error_max": 1e-10}},
+     "assertions.affine_sup_error_max"),
+    ("forward", {"solver": {"tol": -1.0}}, "solver.tol"),
+    ("forward", {"output_dir": 5}, "output_dir"),
+    ("recover-q", {"mode": "exact"}, "mode"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
         "square-n-boolean", "square-n-infinite", "one-point-eps-sweep", "negative-eps-sweep",
         "one-level", "levels-not-a-list", "directions-not-a-list",
         "profiles-not-a-list", "field-not-an-object", "recover-point-one-coordinate",
-        "jet-point-one-coordinate", "field-spacing-zero"])
+        "jet-point-one-coordinate", "field-spacing-zero", "forward-metric-not-spd",
+        "area-metric-not-spd", "linearize-metric-not-spd", "jet-metric-not-spd",
+        "identity-conformal-factor-zero", "third-h-eps-zero", "h-eps-factor-zero",
+        "no-profiles", "profiles-same-k", "profile-not-an-object",
+        "profile-weight-one", "weight-one", "two-equal-levels",
+        "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
+        "unknown-mode"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([
@@ -479,3 +518,58 @@ def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
         return options is None or options.initial_guess is None
 
     assert sum(cold(*call) for call in solves) == 1
+
+
+@pytest.mark.parametrize("subcommand, config, module, name", [
+    ("identity-check", {"levels": [[48, 288]]}, idn, "integral_identity_check"),
+    ("identity-check", {"levels": [[48, 288], [48, 288]]}, idn,
+     "integral_identity_check"),
+    ("recover-q", {"weight": {"name": "gaussian", "amplitude": 1.5, "width": 0.35}},
+     inv, "make_interior_probe"),
+], ids=["one-level", "two-equal-levels", "weight-above-one"])
+def test_mesh_dependent_config_errors_precede_the_first_solve(
+        tmp_path, capsys, counting, subcommand, config, module, name):
+    calls = counting(module, name)
+    assert cli.run(subcommand, config, out=tmp_path) == 2
+    assert "config error" in capsys.readouterr().err
+    assert calls == []
+
+
+def _schema_key_paths():
+    """Each key path the schema declares, with the docs section that lists it."""
+    for subcommand, schema in cli.SCHEMAS.items():
+        for name, (_, rule) in schema.of.items():
+            yield subcommand, name
+            rule = rule.of if isinstance(rule, cli.Maybe) else rule
+            if isinstance(rule, cli.Params):
+                for sub in rule.of:
+                    yield subcommand, f"{name}.{sub}"
+    for spec in (cli.MESH, cli.METRIC, cli.FUNCTION):
+        for variant, (_, table) in spec.of.items():
+            yield "Config basics", variant
+            for param in table:
+                yield "Config basics", f"{variant}.{param}"
+
+
+def _documented_key_paths():
+    """The first cells of the ``| key | ...`` tables in docs/experiments.md."""
+    docs = Path(__file__).resolve().parents[1] / "docs" / "experiments.md"
+    section, header, paths = None, None, set()
+    for line in docs.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            section = line[3:].strip("` ")
+        if not line.startswith("|"):
+            header = None
+        elif header is None:
+            header = line
+        elif header.startswith("| key |") and not line.startswith("|--"):
+            paths.update((section, key) for key in re.findall(r"`([^`]+)`",
+                                                               line.split("|")[1]))
+    return paths
+
+
+def test_docs_tables_list_every_config_key():
+    declared = set(_schema_key_paths())
+    documented = _documented_key_paths()
+    assert sorted(declared - documented) == []
+    assert sorted(documented - declared) == []

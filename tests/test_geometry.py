@@ -72,7 +72,8 @@ def test_metric_eval_flat_and_spd_rejection():
     with pytest.raises(ValueError, match="SPD"):
         geo.metric_eval(bad, (0.0, 0.0))
     m = geo.square(4)
-    with pytest.raises(ValueError, match="SPD"):
+    # the quadrature index prints as plain ints, not numpy scalars
+    with pytest.raises(ValueError, match=r"SPD at quadrature point \(\d+, \d+\) "):
         geo.metric_at_quadrature(m, bad)
 
 
