@@ -290,7 +290,8 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 0.0, 1.0]}],
                        Seq(FUNCTION, (lambda v, cfg: len(v) >= 3,
                                       "3 or more function specs"))),
-        "amplitude": (0.05, NUMBER),
+        "amplitude": (0.05, Num(float, (lambda v, cfg: v != 0.0 and np.isfinite(v),
+                                        "finite and nonzero"))),
         "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
             lambda v, cfg: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
             "two or more distinct finite positive values for a slope fit"))),
@@ -344,7 +345,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "metric": FLAT,
         "point": ([0.5, 0.0], POINT),
         "m": (2, INTEGER),
-        "n_sweep": ([20.0, 28.0, 40.0, 56.0], NUMBERS),
+        "n_sweep": ([20.0, 28.0, 40.0, 56.0], Seq(Num(float, POSITIVE))),
         # each Q < 1 on the mesh: checked by _build
         "profiles": ([{"name": "gaussian", "amplitude": 0.1, "width": 0.2,
                        "center": [0.5, 0.0], "k": k} for k in (0, 1)], Seq(FUNCTION, (
@@ -384,7 +385,9 @@ def _build(cfg):
     A mesh constructor's range error names its key (``mesh`` or
     ``levels[i]``).  Then, before the first solve, the metric must be SPD at
     the quadrature points of every mesh, each weight Q below 1 at its
-    vertices and quadrature points, and ``levels`` of two or more sizes.
+    vertices and quadrature points, each direction that ``pair`` or
+    ``triple`` picks nonzero somewhere on the boundary, and ``levels`` of
+    two or more sizes.
     """
     cfg["metric"] = cfg["metric"]()
     if "levels" in cfg:
@@ -395,6 +398,7 @@ def _build(cfg):
     weights = [(f"profiles[{i}]", q) for i, q in enumerate(cfg.get("profiles", []))]
     if "weight" in cfg:
         weights.append(("weight", cfg["weight"]))
+    picked = sorted({*cfg.get("pair", ()), *cfg.get("triple", ())})
     meshes = []
     for key, build in builders:
         try:
@@ -410,6 +414,11 @@ def _build(cfg):
                        for p in (mesh.vertices, mesh.quad_points)):
                 raise ConfigError(name, "Q must stay below 1 on the mesh so "
                                         "that c = 1/(1 - Q) is positive")
+        bx, by = mesh.vertices[mesh.boundary_vertices].T
+        for j in picked:
+            if not np.any(cfg["directions"][j](bx, by)):
+                raise ConfigError(f"directions[{j}]", "is zero on the mesh boundary, "
+                                  "so every linearization along it vanishes")
         meshes.append(mesh)
     if "levels" not in cfg:
         cfg["mesh"] = meshes[0]

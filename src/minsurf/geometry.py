@@ -300,35 +300,84 @@ def square(n):
     return Mesh(vertices, np.array(tris))
 
 
+def _ring_strip(a0, ma, sa, b0, mb, sb):
+    """Triangles, counterclockwise, of the band between two adjacent rings.
+
+    The inner ring has vertex ids ``a0 .. a0 + ma - 1``, the outer ring
+    ``b0 .. b0 + mb - 1``; vertex k of a ring of m vertices and stagger s
+    sits at (2k + s) / 2m turns.  The edges of both rings are merged in the
+    angular order of their midpoints, an inner edge first on a tie, and each
+    edge closes with the first vertex of the other ring's next edge.
+    """
+    # edge k joins vertices k and k + 1; its midpoint sits at
+    # ((2k + 1 + s) mod 2m) / 2m turns, an exact integer once scaled by 2 ma mb
+    key_a = (2 * np.arange(ma) + 1 + sa) % (2 * ma) * mb
+    key_b = (2 * np.arange(mb) + 1 + sb) % (2 * mb) * ma
+    order = np.lexsort((np.arange(ma + mb) >= ma, np.concatenate([key_a, key_b])))
+    outer = order >= ma
+    edge = order - ma * outer
+    ea, eb = edge[~outer], edge[outer]
+    # at each edge, the number of the other ring's edges merged before it
+    next_b = eb[np.cumsum(outer)[~outer] % mb]
+    next_a = ea[np.cumsum(~outer)[outer] % ma]
+    tri = np.empty((ma + mb, 3), dtype=np.int64)
+    tri[~outer] = np.column_stack([a0 + ea, b0 + next_b, a0 + (ea + 1) % ma])
+    tri[outer] = np.column_stack([b0 + eb, b0 + (eb + 1) % mb, a0 + next_a])
+    return tri
+
+
 def disc(n_radial, n_angular):
     """Quasi-uniform mesh of the unit disc.
 
     Vertices sit on ``n_radial`` concentric rings (radius i/n_radial) whose
     angular count grows linearly to ``n_angular`` on the outermost ring, with
-    alternate rings staggered by half a step; connectivity is the Delaunay
-    triangulation of that point set.  This keeps triangles close to
+    alternate rings staggered by half a step.  This keeps triangles close to
     equilateral all the way to the center, where a fixed angular count would
     produce badly stretched elements.
-    """
-    from scipy.spatial import Delaunay
 
+    Connectivity is a ring-strip triangulation: a fan from the center to
+    ring 1, then, between each pair of adjacent rings, the two rings' edges
+    merged in the angular order of their midpoints (compared exactly, as
+    integer fractions of a turn).  An inner edge closes with the current
+    outer vertex and an outer edge with the current inner vertex; when two
+    midpoints sit at the same angle the inner edge comes first.  For
+    ``n_angular >= 4 * n_radial`` this is the Delaunay triangulation of the
+    point set.  Below that, Delaunay joins rings that are not adjacent and
+    the strips differ from it.  A ring that is not inside the polygon of the
+    next one (``n_angular`` well below ``n_radial``) admits no strip and
+    raises ValueError; ``n_angular >= n_radial`` always builds.
+    """
     if n_radial < 2 or n_angular < 6:
         raise ValueError(
             f"disc(n_radial, n_angular) needs n_radial >= 2 and n_angular >= 6, "
             f"got ({n_radial}, {n_angular})"
         )
-    pts = [(0.0, 0.0)]
-    for i in range(1, n_radial + 1):
+    counts = [max(6, int(round(n_angular * i / n_radial))) for i in range(1, n_radial)]
+    counts.append(n_angular)
+    xs, ys = [np.zeros(1)], [np.zeros(1)]
+    for i, m in enumerate(counts, start=1):
         r = i / n_radial
-        m = max(6, int(round(n_angular * i / n_radial)))
-        if i == n_radial:
-            m = n_angular
         offset = (np.pi / m) * (i % 2)
         theta = 2.0 * np.pi * np.arange(m) / m + offset
-        pts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-    vertices = np.array(pts)
-    tri = Delaunay(vertices)
-    return Mesh(vertices, tri.simplices)
+        xs.append(r * np.cos(theta))
+        ys.append(r * np.sin(theta))
+    vertices = np.column_stack([np.concatenate(xs), np.concatenate(ys)])
+    first = np.cumsum([1] + counts)
+
+    ring = np.arange(1, first[1])
+    strips = [np.column_stack([np.zeros_like(ring), ring, np.roll(ring, -1)])]
+    for i in range(1, n_radial):
+        tri = _ring_strip(first[i - 1], counts[i - 1], i % 2,
+                          first[i], counts[i], (i + 1) % 2)
+        p = vertices[tri]
+        if np.any(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]) <= 0.0):
+            raise ValueError(
+                f"disc({n_radial}, {n_angular}): ring {i} ({counts[i - 1]} "
+                f"vertices) is not inside ring {i + 1} ({counts[i]} vertices); "
+                f"n_angular >= n_radial always builds"
+            )
+        strips.append(tri)
+    return Mesh(vertices, np.concatenate(strips))
 
 
 def annulus(r0, r1, n_radial, n_angular):

@@ -591,12 +591,17 @@ def boundary_jet_probe(
     noise floor 1e-13 reports exponent and fit residual NaN with an
     explanatory message instead of fitting noise; a sweep of two distinct
     frequencies reports an undefined (NaN) fit residual and an unreliable
-    result.  Each frequency's wavelength 2 pi / N must span at least 10
-    mesh cells, or the probe raises ResolutionError.
+    result.  Each frequency N must be finite and positive and its
+    wavelength 2 pi / N must span at least 10 mesh cells, or the probe
+    raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
         raise ResolutionError("need at least two frequencies to fit the exponent")
+    positive = (0.0 < freqs) & (freqs < np.inf)
+    if not positive.all():
+        raise ResolutionError("jet frequency N must be finite and positive, "
+                              f"got N={freqs[~positive][0]:g}")
     if not (isinstance(m, int) and m >= 1):
         raise ResolutionError(f"jet order m must be a positive integer, got {m!r}")
     gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")

@@ -397,6 +397,7 @@ def test_named_function_library_values():
 
 TINY_SQUARE = {"kind": "square", "n": 8}
 TINY_DISC = {"kind": "disc", "n_radial": 6, "n_angular": 36}
+SIN = {"name": "fourier", "sin": [1.0]}
 NOT_SPD = {"kind": "explicit", "g12": {"name": "constant", "value": 2.0}}
 
 
@@ -455,6 +456,12 @@ def _write(tmp_path, text):
     ("forward", {"solver": {"tol": -1.0}}, "solver.tol"),
     ("forward", {"output_dir": 5}, "output_dir"),
     ("recover-q", {"mode": "exact"}, "mode"),
+    ("boundary-jet", {"n_sweep": [-1, 2, 3]}, "n_sweep[0]"),
+    ("boundary-jet", {"n_sweep": [20, 0, 40]}, "n_sweep[1]"),
+    ("linearize-check", {"amplitude": 0}, "amplitude"),
+    ("linearize-check", {"mesh": TINY_DISC, "directions": [
+        SIN, {"name": "zero"}, SIN]}, "directions[1]"),
+    ("forward", {"mesh": {"kind": "disc", "n_radial": 10, "n_angular": 6}}, "mesh"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -467,7 +474,8 @@ def _write(tmp_path, text):
         "no-profiles", "profiles-same-k", "profile-not-an-object",
         "profile-weight-one", "weight-one", "two-equal-levels",
         "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
-        "unknown-mode"])
+        "unknown-mode", "negative-jet-frequency", "zero-jet-frequency",
+        "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([
@@ -526,7 +534,13 @@ def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
      "integral_identity_check"),
     ("recover-q", {"weight": {"name": "gaussian", "amplitude": 1.5, "width": 0.35}},
      inv, "make_interior_probe"),
-], ids=["one-level", "two-equal-levels", "weight-above-one"])
+    ("linearize-check", {"amplitude": 0}, fwd, "solve_minimal_surface"),
+    ("linearize-check", {"directions": [{"name": "zero"}] * 3}, fwd,
+     "solve_minimal_surface"),
+    ("linearize-check", {"directions": [SIN, SIN, {"name": "zero"}], "pair": [0, 1]},
+     fwd, "solve_minimal_surface"),
+], ids=["one-level", "two-equal-levels", "weight-above-one", "amplitude-zero",
+        "all-directions-zero", "triple-direction-zero"])
 def test_mesh_dependent_config_errors_precede_the_first_solve(
         tmp_path, capsys, counting, subcommand, config, module, name):
     calls = counting(module, name)

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import scipy.sparse.linalg as spla
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minsurf import forward as fwd
 from minsurf import geometry as geo
@@ -37,6 +37,96 @@ def test_disc_mesh_basics():
     med = np.median(d.tri_areas)
     assert d.tri_areas.min() > 0.1 * med
     assert d.tri_areas.max() < 10.0 * med
+
+
+# every disc size of the CLI defaults, the benchmark workloads, the tests and
+# the README examples
+DISC_SIZES = [(5, 30), (6, 36), (8, 48), (10, 60), (12, 48), (12, 72), (16, 96),
+              (24, 144), (48, 288), (64, 384), (96, 576), (128, 768)]
+
+
+@pytest.mark.parametrize("n_radial, n_angular", DISC_SIZES)
+def test_disc_strips_are_the_delaunay_triangulation(n_radial, n_angular):
+    from scipy.spatial import Delaunay
+
+    mesh = geo.disc(n_radial, n_angular)
+    qhull = Delaunay(mesh.vertices).simplices
+    np.testing.assert_array_equal(np.unique(np.sort(mesh.triangles, axis=1), axis=0),
+                                  np.unique(np.sort(qhull, axis=1), axis=0))
+
+
+def test_disc_tie_takes_the_inner_edge_first():
+    # disc(2, 9): edge (1, 2) of ring 1 and edge (8, 9) of ring 2 both have
+    # their midpoint at 1/6 turn, so their trapezoid is cocircular; the
+    # inner edge first closes it with the diagonal 2-8
+    mesh = geo.disc(2, 9)
+    mid = mesh.vertices[[1, 8]] + mesh.vertices[[2, 9]]
+    assert abs(np.arctan2(mid[:, 1], mid[:, 0]) - np.pi / 3).max() < 1e-15
+    edges = {frozenset(e) for t in mesh.triangles.tolist()
+             for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))}
+    assert {2, 8} in edges and {1, 9} not in edges
+
+
+def _opposite_angle_sums(mesh):
+    """Sum of the two angles facing each interior edge."""
+    t, p = mesh.triangles, mesh.vertices[mesh.triangles]
+    keys, angles = [], []
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        u, w = p[:, j] - p[:, i], p[:, k] - p[:, i]
+        angles.append(np.arctan2(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0],
+                                 (u * w).sum(axis=1)))
+        keys.append(np.minimum(t[:, j], t[:, k]) * mesh.n_vertices
+                    + np.maximum(t[:, j], t[:, k]))
+    _, edge, count = np.unique(np.concatenate(keys), return_inverse=True,
+                               return_counts=True)
+    return np.bincount(edge, weights=np.concatenate(angles))[count == 2]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n_radial=st.integers(2, 40), extra=st.integers(0, 80))
+def test_disc_interior_edges_are_locally_delaunay(n_radial, extra):
+    # a property of the triangulation itself, whichever diagonal a cocircular
+    # trapezoid gets
+    mesh = geo.disc(n_radial, min(4 * n_radial + extra, 200))
+    assert _opposite_angle_sums(mesh).max() <= np.pi + 1e-12
+
+
+def _ring_outside_next(n_radial, n_angular):
+    """Whether a vertex of some ring lies on or outside the next ring's polygon."""
+    counts = [max(6, round(n_angular * i / n_radial)) for i in range(1, n_radial)]
+    counts.append(n_angular)
+    for i in range(1, n_radial):
+        m, m_next = counts[i - 1], counts[i]
+        theta = (2 * np.arange(m) + i % 2) * np.pi / m
+        # angle to the nearest edge midpoint of ring i + 1
+        step = 2 * np.pi / m_next
+        offset = (theta - ((i + 1) % 2) * np.pi / m_next) % step - step / 2
+        if np.any(i * np.cos(offset) >= (i + 1) * np.cos(np.pi / m_next) - 1e-12):
+            return True
+    return False
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n_radial=st.integers(2, 40), n_angular=st.integers(6, 200))
+@example(n_radial=10, n_angular=6)
+@example(n_radial=40, n_angular=32)
+@example(n_radial=40, n_angular=33)
+@example(n_radial=7, n_angular=6)
+def test_disc_builds_one_polygon_unless_a_ring_leaves_the_next(n_radial, n_angular):
+    if _ring_outside_next(n_radial, n_angular):
+        assert n_angular < n_radial
+        with pytest.raises(ValueError, match="is not inside ring"):
+            geo.disc(n_radial, n_angular)
+        return
+    mesh = geo.disc(n_radial, n_angular)
+    [loop] = mesh.boundary_loops
+    assert len(loop) == n_angular
+    q = mesh.vertices[loop]
+    e = np.roll(q, -1, axis=0)
+    assert (q[:, 0] * e[:, 1] - q[:, 1] * e[:, 0]).sum() > 0
+    polygon = 0.5 * n_angular * np.sin(2 * np.pi / n_angular)
+    assert abs(mesh.tri_areas.sum() - polygon) <= 1e-12
 
 
 def test_annulus_mesh_two_loops():

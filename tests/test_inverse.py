@@ -594,3 +594,7 @@ def test_jet_probe_validation_and_resolution_guards():
     with pytest.raises(inv.ResolutionError):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
                                [30.0, 50.0, 70.0])
+    for sweep in ([-1.0, 2.0, 3.0], [0.0, 2.0, 3.0]):
+        with pytest.raises(inv.ResolutionError, match=f"positive, got N={sweep[0]:g}$"):
+            inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
+                                   sweep)
