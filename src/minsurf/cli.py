@@ -558,7 +558,8 @@ def run_forward(cfg, out_dir, log):
 
     log(f"solved in {report.iterations} iterations, "
         f"residual {report.final_residual:.3e}")
-    results = {"iterations": report.iterations, "final_residual": report.final_residual,
+    results = {"iterations": report.iterations, "jacobians": report.jacobians,
+               "final_residual": report.final_residual,
                "n_vertices": len(mesh.vertices), "mesh_h": mesh.h}
     return results, checks, {"solve_s": solve_s}
 

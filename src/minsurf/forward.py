@@ -15,22 +15,28 @@ the Dirichlet-to-Neumann machinery.  The Newton linearization is
     J_ij(u) = integral of [ g(grad phi_i, grad phi_j) / s
                             - g(grad u, grad phi_i) g(grad u, grad phi_j) / s^3 ] dV_g,
 
-with s = sqrt(1 + |grad_g u|^2).  Because the area integrand sqrt(1+|p|^2)
-is strictly convex, the damped Newton iteration from the Laplace-Beltrami
-initial guess is globally convergent in practice, including far outside the
-small-slope regime (see the catenoid tests).
+with s = sqrt(1 + |grad_g u|^2); at u = 0 it is the Laplace-Beltrami
+stiffness matrix K.  Because the area integrand sqrt(1+|p|^2) is strictly
+convex, J(u)[I, I] is SPD and the damped iteration is globally convergent
+in practice, including far outside the small-slope regime (see the catenoid
+tests).
 
-A solve that starts near a known solution u0 (a perturbation of its data,
-as in the area-differencing pipeline) can reuse one factor of J(u0) for
-every step instead of assembling and factoring J at each iterate: the chord
-method (Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM
-2003, ch. 5).  :func:`warm_start` builds that factor; passed as
-``SolveOptions.initial_guess`` it turns the Newton steps into chord steps,
-which contract linearly at a rate set by how far J(u) has moved from
-J(u0).  The refresh rule guards against a stale factor: after any chord
-step that needed a line-search halving, or that shrank the interior
-residual norm by less than half, the factor is dropped and the remaining
-steps of that solve are plain Newton steps with fresh Jacobians.
+Unless given a plain initial guess, a solve takes chord steps: it reuses
+one factor of an SPD approximation of J[I, I] for every step instead of
+assembling and factoring J at each iterate (Kelley, *Solving Nonlinear
+Equations with Newton's Method*, SIAM 2003, ch. 5).  The steps contract
+linearly, at a rate set by how far J(u) is from the factored matrix.  A
+cold solve starts at the Laplace-Beltrami extension of its data and steps
+on the (mesh, metric) owner's factor of K[I, I] = J(0)[I, I], which the
+Laplace solves share, so small data costs no factorization at all.  A
+solve that starts near a known solution u0 (a perturbation of its data, as
+in the area-differencing pipeline) steps on a factor of J(u0) that
+:func:`warm_start` builds.  The refresh rule guards against a stale factor:
+after any chord step that needed a line-search halving, or that left more
+than a quarter of the interior residual norm, the factor is dropped and the
+remaining steps of that solve are plain Newton steps with fresh Jacobians.
+Only a plain ``initial_guess`` (an array or field) makes every step a
+Newton step.
 """
 
 from __future__ import annotations
@@ -69,6 +75,10 @@ __all__ = [
 # accepted when ||r_new|| <= (1 - _ARMIJO * s) ||r||.
 _MAX_HALVINGS = 30
 _ARMIJO = 1e-4
+# Refresh rule: a chord step that needs a halving, or that leaves more than
+# _CHORD_CONTRACTION of the residual norm, drops the factor.  With 1/2 a
+# cold solve could creep along at a contraction near 1/2 until max_iter.
+_CHORD_CONTRACTION = 0.25
 
 
 @dataclass
@@ -80,12 +90,13 @@ class SolveOptions:
     tol : float
         Absolute tolerance on the Euclidean norm of the interior residual.
     max_iter : int
-        Maximum Newton iterations.
+        Maximum steps, chord and Newton steps counted alike.
     initial_guess : optional
-        Nodal array or ScalarField used instead of the Laplace-Beltrami
-        initial guess, or a :class:`WarmStart`, whose stored factor of
-        J(u0) then serves the Newton steps as chord steps until the refresh
-        rule drops it (see the module docstring).
+        None for the cold start (the Laplace-Beltrami extension, with chord
+        steps on K[I, I]); a :class:`WarmStart`, whose stored factor then
+        serves the chord steps; or a nodal array or ScalarField, from which
+        every step is a Newton step.  The refresh rule applies to both
+        chord starts (see the module docstring).
     """
 
     tol: float = 1e-10
@@ -95,10 +106,15 @@ class SolveOptions:
 
 @dataclass
 class SolveReport:
-    """Record of a nonlinear solve, converged or (in a ConvergenceError) not."""
+    """Record of a nonlinear solve, converged or (in a ConvergenceError) not.
+
+    ``iterations`` counts every step; ``jacobians`` the fresh Jacobians the
+    solve assembled and factored, so the other steps were chord steps.
+    """
 
     iterations: int
     final_residual: float
+    jacobians: int = 0
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     message: str = ""
@@ -118,11 +134,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class WarmStart:
-    """Initial guess plus a factor of the interior Jacobian block at it.
+    """Initial guess plus a factor that models the Jacobian near it.
 
-    Built by :func:`warm_start`; pass it as ``SolveOptions.initial_guess``.
     ``values`` are nodal values (the boundary entries are replaced by each
-    solve's data); ``lu`` is the SuperLU factor of J(values)[I, I].
+    solve's data); ``lu`` is the SuperLU factor of an SPD approximation of
+    J[I, I] near ``values``, on which the solve takes its chord steps.
+    :func:`warm_start` factors J(values) itself; the cold start pairs the
+    harmonic extension of the data with the factor of K[I, I] = J(0)[I, I].
+    Pass it as ``SolveOptions.initial_guess``.
     """
 
     values: np.ndarray
@@ -194,13 +213,14 @@ def solve_laplace_beltrami(mesh, metric, boundary_data):
 
 
 def solve_minimal_surface(mesh, metric, boundary_data, options=None):
-    """Damped-Newton solve of the discrete minimal-surface equation.
+    """Damped chord/Newton solve of the discrete minimal-surface equation.
 
-    Starts from the Laplace-Beltrami extension of the boundary data (unless
-    ``options.initial_guess`` overrides it) and iterates Newton steps with
-    Armijo backtracking on the interior residual norm.  With a
-    :class:`WarmStart` guess the steps are chord steps on its stored factor
-    until the refresh rule drops it.
+    Starts from the Laplace-Beltrami extension of the boundary data and
+    takes chord steps on the owner's factor of K[I, I] = J(0)[I, I], unless
+    ``options.initial_guess`` overrides both (a :class:`WarmStart` brings
+    its own factor, a plain guess takes Newton steps throughout).  Every
+    step has Armijo backtracking on the interior residual norm, and the
+    refresh rule replaces stale chord steps with Newton steps.
 
     Returns
     -------
@@ -222,23 +242,26 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
             "supported by solve_laplace_beltrami)"
         )
     guess = options.initial_guess
+    if guess is None:
+        # J(0) = K: the owner's factor of K[I, I] serves the chord steps
+        _, factor = discretization(mesh, metric).interior_system
+        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f).values, factor)
     lu = None  # factor for chord steps; None means a fresh Jacobian per step
     if isinstance(guess, WarmStart):
         guess, lu = guess.values, guess.lu
-    if guess is not None:
-        u = nodal_values(mesh, guess).astype(float).copy()
-        u[mesh.boundary_vertices] = f
-    else:
-        u = solve_laplace_beltrami(mesh, metric, f).values.copy()
+    u = nodal_values(mesh, guess).astype(float)
+    u[mesh.boundary_vertices] = f
 
     I = mesh.interior_vertices
     residual_norms = []
     step_sizes = []
+    jacobians = 0
 
     def report(it, message):
         return SolveReport(
             iterations=it,
             final_residual=residual_norms[-1],
+            jacobians=jacobians,
             residual_norms=residual_norms,
             step_sizes=step_sizes,
             message=message,
@@ -262,6 +285,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         if lu is None:
             J = mse_linearized_operator(mesh, metric, u)
             delta[I] = factor_spd(J[I][:, I]).solve(-r[I])
+            jacobians += 1
         else:
             delta[I] = lu.solve(-r[I])
 
@@ -283,9 +307,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
                 f"did not decrease (history tail {residual_norms[-3:]}); the "
                 f"boundary data may be too rough for this mesh",
             ))
-        # Refresh rule: a chord step that needed a halving or contracted by
-        # less than half shows J(u0) no longer models J(u) well enough.
-        if lu is not None and (step < 1.0 or rnorm_trial > 0.5 * rnorm):
+        # Refresh rule: the factor no longer models J(u) well enough.
+        if lu is not None and (step < 1.0 or rnorm_trial > _CHORD_CONTRACTION * rnorm):
             lu = None
         u, r, rnorm = u_trial, r_trial, rnorm_trial
         residual_norms.append(rnorm)

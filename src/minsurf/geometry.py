@@ -46,8 +46,10 @@ geometry, and the coupling block K[I, B] with a sparse LU factor of
 K[I, I] (I interior, B boundary vertices).  :meth:`Discretization.extend`
 solves K u = rhs with Dirichlet values on that factor; every
 Laplace-Beltrami solve, harmonic extension and third-linearization solve
-goes through it.  The builders stay public and build afresh on each call
-(:func:`assemble_weighted_stiffness` from the owner's metric at quadrature).
+goes through it, and the chord steps of every cold minimal-surface solve
+run on the same factor (K is the Jacobian at u = 0).  The builders stay
+public and build afresh on each call (:func:`assemble_weighted_stiffness`
+from the owner's metric at quadrature).
 """
 
 from __future__ import annotations
@@ -951,6 +953,10 @@ class Discretization:
     stiffness : csr_matrix
         Laplace-Beltrami stiffness matrix K.
     boundary : BoundaryGeometry
+    interior_system : (csr_matrix, SuperLU)
+        The coupling block K[I, B] and the factor of K[I, I].  K is the
+        minimal-surface Jacobian at u = 0, so the factor also serves the
+        chord steps of a cold nonlinear solve.
     """
 
     def __init__(self, mesh, metric):
@@ -986,10 +992,14 @@ class Discretization:
     def boundary(self):
         return self._piece("boundary", lambda: boundary_geometry(self.mesh, self.metric))
 
-    def _interior_system(self):
+    def _factor_interior(self):
         K_I = self.stiffness[self.mesh.interior_vertices]
         coupling = K_I[:, self.mesh.boundary_vertices]
         return coupling, factor_spd(K_I[:, self.mesh.interior_vertices])
+
+    @property
+    def interior_system(self):
+        return self._piece("interior_system", self._factor_interior)
 
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices.
@@ -1007,7 +1017,7 @@ class Discretization:
                 f"expected {len(mesh.boundary_vertices)} boundary values, "
                 f"got shape {bvals.shape}"
             )
-        coupling, lu = self._piece("interior", self._interior_system)
+        coupling, lu = self.interior_system
         I = mesh.interior_vertices
         load = 0.0 if rhs is None else np.asarray(rhs)[I]
         reduced = load - coupling @ bvals

@@ -7,10 +7,13 @@ minimal-surface solution.  At eps = 0:
   v_j (Laplace-Beltrami with data f_j).
 * Second mixed derivatives vanish.  Discretely this is exact, not just
   O(tolerance): the residual map is odd in u (every term carries an odd
-  power of grad u), its Jacobian is even, and the Laplace-Beltrami guess
-  and the sparse solves are linear, so the cold Newton solve gives
-  u(-f) = -u(f) bit-for-bit and all even derivatives of the solution map
-  at 0 are zero.  The central second-difference estimator therefore
+  power of grad u) and its Jacobian is even.  The cold solve's
+  Laplace-Beltrami guess and its chord steps are linear solves on the one
+  factor of K[I, I], which the data's sign does not change, the fresh
+  Newton steps after a refresh solve on the even Jacobian, and the refresh
+  rule and line search compare only residual norms.  So the cold solve
+  gives u(-f) = -u(f) bit-for-bit and all even derivatives of the solution
+  map at 0 are zero.  The central second-difference estimator therefore
   measures pure rounding noise, and :class:`EpsilonCombination` uses the
   oddness: it solves each +-eps pair of a stencil once and serves the
   other sign by negation.

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import minsurf.cli as cli
 import minsurf.forward as fwd
@@ -41,6 +42,7 @@ def test_forward_zero_boundary_data(tmp_path):
     assert code == 0
     manifest = read_manifest(tmp_path)
     assert manifest["results"]["iterations"] == 0
+    assert manifest["results"]["jacobians"] == 0
     assert manifest["results"]["final_residual"] < 1e-12
     assert manifest["passed"] is True
 
@@ -526,6 +528,18 @@ def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
         return options is None or options.initial_guess is None
 
     assert sum(cold(*call) for call in solves) == 1
+
+
+@pytest.mark.parametrize("subcommand, factorizations", [
+    ("linearize-check", 1), ("area-pipeline", 2),
+])
+def test_default_run_factorizations(tmp_path, counting, subcommand, factorizations):
+    # cold solves take chord steps on the owner's K[I, I] factor: the
+    # linearize-check stencil solves factor nothing else, and area-pipeline
+    # adds only the warm-start factor of J(u0) for its perturbed solves
+    factors = counting(spla, "splu")
+    cli.run(subcommand, {}, out=tmp_path)
+    assert len(factors) == factorizations
 
 
 @pytest.mark.parametrize("subcommand, config, module, name", [

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -139,25 +140,72 @@ def test_newton_failure_carries_its_report():
     assert rep.message == str(info.value)
 
 
-def test_warm_start_refresh_rule_drops_a_stale_factor(monkeypatch):
+def test_warm_start_refresh_rule_drops_a_stale_factor():
     # J(0) is the stiffness matrix, a poor model of the Jacobian at the
-    # solution for this data: chord steps on it contract only about 0.8 per
-    # step.  The refresh rule drops the factor after the first step, and the
-    # rest of the solve builds a fresh Jacobian per step like plain Newton.
+    # solution for this data, and the guess u = 0 inside is far from it: the
+    # first chord step needs a halving or leaves more than half of the
+    # residual, so it trips the refresh rule (which drops the factor above
+    # a quarter), and the rest of the solve builds a fresh Jacobian per step
+    # like plain Newton.
     d = geo.disc(12, 48)
     f = lambda x, y: 0.5 * (x * x - y * y)
     u_cold, _ = fwd.solve_minimal_surface(d, FLAT, f)
     ws = fwd.warm_start(d, FLAT, np.zeros(d.n_vertices))
-    builds = []
-    build = fwd.mse_linearized_operator
-    monkeypatch.setattr(fwd, "mse_linearized_operator",
-                        lambda *a, **k: builds.append(1) or build(*a, **k))
     u, rep = fwd.solve_minimal_surface(d, FLAT, f, fwd.SolveOptions(initial_guess=ws))
     assert rep.final_residual <= 1e-10
     # the first (chord) step trips the rule: a halving or a contraction > 1/2
     assert rep.step_sizes[0] < 1.0 or rep.residual_norms[1] > 0.5 * rep.residual_norms[0]
-    assert len(builds) == rep.iterations - 1
+    assert rep.jacobians == rep.iterations - 1
     assert np.abs(u.values - u_cold.values).max() < 1e-10
+
+
+def _saddle(a):
+    return lambda x, y: a * (x * x - y * y) + 0.3 * a * np.sin(3 * np.arctan2(y, x))
+
+
+def test_cold_solve_chord_steps_converge_over_an_amplitude_sweep(monkeypatch):
+    # A cold solve takes chord steps on K[I, I] = J(0)[I, I] from the
+    # harmonic extension.  Small data converges on chord steps alone, larger
+    # data trips the refresh rule and finishes with Newton steps; in between
+    # the chord steps contract slowest, and the 1/4 rule bounds the steps
+    # there.
+    mesh = geo.disc(24, 144)
+    opts = fwd.SolveOptions(tol=1e-12)
+    for a in np.round(np.arange(0.08, 0.305, 0.01), 2):
+        _, rep = fwd.solve_minimal_surface(mesh, FLAT, _saddle(a), opts)
+        assert rep.iterations <= 16, a
+    # with the looser 1/2 rule the chord steps creep on to max_iter
+    monkeypatch.setattr(fwd, "_CHORD_CONTRACTION", 0.5)
+    with pytest.raises(fwd.ConvergenceError, match="did not reach"):
+        fwd.solve_minimal_surface(mesh, FLAT, _saddle(0.26), opts)
+
+
+def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric():
+    mesh = geo.disc(16, 96)
+    metric = geo.explicit_metric(
+        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+    )
+    # a = 0.1 converges on chord steps alone, a = 0.4 refreshes after one
+    for a in (0.1, 0.4):
+        u, rep = fwd.solve_minimal_surface(mesh, metric, _saddle(a))
+        # the same start as a plain array: a fresh Jacobian at every step
+        start = fwd.solve_laplace_beltrami(mesh, metric, _saddle(a)).values
+        u_newton, newton = fwd.solve_minimal_surface(
+            mesh, metric, _saddle(a), fwd.SolveOptions(initial_guess=start))
+        assert newton.jacobians == newton.iterations
+        assert rep.jacobians < rep.iterations
+        assert np.abs(u.values - u_newton.values).max() < 1e-10
+
+
+def test_cold_solve_of_small_data_factors_only_the_stiffness(counting):
+    factors = counting(spla, "splu")
+    mesh = geo.disc(12, 48)
+    _, rep = fwd.solve_minimal_surface(mesh, FLAT, _saddle(0.01))
+    assert rep.iterations > 0 and rep.jacobians == 0
+    # the one factor is the owner's K[I, I], shared with the Laplace solves
+    assert len(factors) == 1
+    fwd.solve_laplace_beltrami(mesh, FLAT, _saddle(0.02))
+    assert len(factors) == 1
 
 
 def test_warm_start_failure_is_actionable():
