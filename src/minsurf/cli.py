@@ -25,6 +25,8 @@ import argparse
 import functools
 import importlib.metadata
 import json
+import math
+import numbers
 import platform
 import sys
 import time
@@ -80,16 +82,18 @@ class Rule:
 
 
 class Num(Rule):
-    """A number; a boolean, or for ``int`` a fractional number, is none."""
+    """A finite real number; a boolean, a string, NaN or an infinity, or for
+    ``int`` a fractional number, is none."""
 
     def typed(self, value, key, cfg):
         try:
-            if isinstance(value, bool) or (self.of is int
-                                           and not float(value).is_integer()):
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)
+                    or (self.of is int and not float(value).is_integer())):
                 raise ValueError
             return self.of(value)
-        except (TypeError, ValueError, OverflowError):
-            expected = "an integer" if self.of is int else "a number"
+        except (ValueError, OverflowError):
+            expected = "an integer" if self.of is int else "a finite number"
             raise ConfigError(key, f"expected {expected}, got {value!r}") from None
 
 

@@ -157,7 +157,7 @@ def dn_linear(mesh, metric, f):
     bg = d.boundary
     fb = boundary_values(mesh, f)
     v = solve_laplace_beltrami(mesh, metric, fb)
-    flux = (d.stiffness @ v.values)[bg.vertex_indices]
+    flux = (d.stiffness @ v.values)[mesh.boundary_vertices]
     return DNTrace(bg=bg, values=flux / bg.ds, flux=flux)
 
 
@@ -176,7 +176,7 @@ def dn_nonlinear(mesh, metric, f, options=None):
 def _nonlinear_trace(mesh, metric, fb, u):
     """The DNTrace of a nodal solution u with boundary values fb, from its residual."""
     bg = discretization(mesh, metric).boundary
-    return _flux_trace(bg, fb, mse_residual(mesh, metric, u)[bg.vertex_indices])
+    return _flux_trace(bg, fb, mse_residual(mesh, metric, u)[mesh.boundary_vertices])
 
 
 def _flux_trace(bg, fb, flux):
@@ -190,8 +190,7 @@ def _flux_trace(bg, fb, flux):
 
 def _normal_derivative(d, v):
     """Nodal d_nu v of a discrete-harmonic field of Discretization d, from its weak flux."""
-    bg = d.boundary
-    return (d.stiffness @ np.asarray(v))[bg.vertex_indices] / bg.ds
+    return (d.stiffness @ np.asarray(v))[d.mesh.boundary_vertices] / d.boundary.ds
 
 
 def _boundary_correction(d, vs, fbs):
@@ -246,8 +245,8 @@ def dn_third_derivative_exact(mesh, metric, directions):
     fbs = [boundary_values(mesh, f) for f in directions]
     vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
     L = third_linearization_source(mesh, metric, *vs)
-    w = d.extend(np.zeros(len(bg.vertex_indices)), L)
-    flux = (d.stiffness @ w - L)[bg.vertex_indices]
+    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
+    flux = (d.stiffness @ w - L)[mesh.boundary_vertices]
     values = flux / bg.ds + _boundary_correction(d, vs, fbs)
     return DNTrace(bg=bg, values=values, flux=flux)
 
@@ -298,7 +297,7 @@ def dn_from_area_data(
     options = options or SolveOptions()
     bg = discretization(mesh, metric).boundary
     fb = boundary_values(mesh, f)
-    n_b = len(bg.vertex_indices)
+    n_b = len(mesh.boundary_vertices)
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
     base_trace = _nonlinear_trace(mesh, metric, fb, u0.values)

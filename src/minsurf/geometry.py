@@ -32,7 +32,12 @@ Conventions
   loop runs counterclockwise and interior hole loops run clockwise.  The
   Euclidean outward normal is then (t_y, -t_x) for forward tangent t, and
   the g-orthonormal frame is built by raising that normal with g^{-1},
-  which keeps g(nu, tau) = 0 exact.
+  which keeps g(nu, tau) = 0 exact.  Boundary arrays follow
+  ``Mesh.boundary_vertices`` (loops concatenated, outer loop first), and
+  :class:`BoundaryGeometry` keeps two index arrays, the position of each
+  vertex's successor and of its predecessor on its own loop, so its frame,
+  measure, mass matrix and :func:`tangential_derivative` treat all loops
+  at once.
 
 One owner per (mesh, metric) pair
 ---------------------------------
@@ -729,8 +734,6 @@ class BoundaryGeometry:
 
     Attributes
     ----------
-    vertex_indices : (n_b,) ndarray
-        Global vertex index per boundary vertex.
     normal, tangent : (n_b, 2) ndarray
         Outward g-unit normal nu and forward g-unit tangent tau:
         g(nu, nu) = g(tau, tau) = 1 and g(nu, tau) = 0.
@@ -743,27 +746,32 @@ class BoundaryGeometry:
         Consistent boundary mass matrix for dS_g pairings.
     loop_slices : list of slice
         Position of each loop inside the concatenated arrays.
+    successor, predecessor : (n_b,) int ndarray
+        Position of the next and of the previous vertex on the same loop;
+        boundary edge k runs from position k to ``successor[k]``.
     loop_lengths : list of float
         Total g-length per loop.
     """
 
-    mesh: Mesh
-    vertex_indices: np.ndarray
     normal: np.ndarray
     tangent: np.ndarray
     ds: np.ndarray
     arclength: np.ndarray
     mass: sp.csr_matrix
     loop_slices: list
+    successor: np.ndarray
+    predecessor: np.ndarray
     loop_lengths: list
-
-    def integrate(self, values):
-        """Lumped boundary integral of nodal values against dS_g."""
-        return (self.ds * np.asarray(values)).sum()
 
     def pair(self, a, b):
         """Consistent pairing integral of (P1 traces) a * b dS_g (bilinear)."""
         return np.asarray(a) @ (self.mass @ np.asarray(b))
+
+
+def _g_sq(g, a):
+    """g(a, a) for stacked vectors a (n, 2) and metric entries g = (g11, g12, g22)."""
+    g11, g12, g22 = g
+    return g11 * a[:, 0] ** 2 + 2 * g12 * a[:, 0] * a[:, 1] + g22 * a[:, 1] ** 2
 
 
 def boundary_geometry(mesh, metric):
@@ -775,104 +783,64 @@ def boundary_geometry(mesh, metric):
     are normalized to unit g-length.  Edge g-lengths use two-point Gauss
     quadrature along each edge.
     """
-    verts = mesh.vertices
-    x = verts[:, 0]
-    y = verts[:, 1]
+    sizes = [len(loop) for loop in mesh.boundary_loops]
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    loop_slices = [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
+    successor = np.arange(1, stops[-1] + 1)
+    successor[stops - 1] = starts
+    predecessor = np.arange(-1, stops[-1] - 1)
+    predecessor[starts] = stops - 1
 
-    n_b = len(mesh.boundary_vertices)
-    normal = np.empty((n_b, 2))
-    tangent = np.empty((n_b, 2))
-    ds = np.empty(n_b)
-    arclength = np.empty(n_b)
-    loop_slices = []
-    loop_lengths = []
+    p = mesh.vertices[mesh.boundary_vertices]
+    edge = p[successor] - p  # edge k: position k -> successor[k]
+    elen = np.zeros(len(p))
+    for t, wq in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
+        q = p + t * edge
+        elen += wq * np.sqrt(_g_sq(_metric_entries(metric, q[:, 0], q[:, 1]), edge))
 
-    rows, cols, vals = [], [], []
-    pos = 0
-    for loop in mesh.boundary_loops:
-        m = len(loop)
-        sl = slice(pos, pos + m)
-        loop_slices.append(sl)
+    # Vertex frame from averaged adjacent edge directions.
+    unit = edge / np.linalg.norm(edge, axis=1)[:, None]
+    t_avg = unit + unit[predecessor]
+    g = g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
+    tangent = t_avg / np.sqrt(_g_sq(g, t_avg))[:, None]
+    # normal: raise the Euclidean normal covector (t_y, -t_x), then normalize in g
+    det = g11 * g22 - g12**2
+    nu = np.column_stack([g22 * t_avg[:, 1] + g12 * t_avg[:, 0],
+                          -g12 * t_avg[:, 1] - g11 * t_avg[:, 0]]) / det[:, None]
+    normal = nu / np.sqrt(_g_sq(g, nu))[:, None]
+    _check_frame(g, normal, tangent)
 
-        p = verts[loop]
-        nxt = np.roll(p, -1, axis=0)
-        edge = nxt - p  # edge k: loop[k] -> loop[k+1]
-
-        # g-length of each edge by 2-point Gauss.
-        elen = np.zeros(m)
-        for t, wq in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
-            q = p + t * edge
-            g11, g12, g22 = _metric_entries(metric, q[:, 0], q[:, 1])
-            quad = g11 * edge[:, 0] ** 2 + 2 * g12 * edge[:, 0] * edge[:, 1] + g22 * edge[:, 1] ** 2
-            elen += wq * np.sqrt(quad)
-
-        # Vertex frame from averaged adjacent edge directions.
-        unit = edge / np.linalg.norm(edge, axis=1)[:, None]
-        t_avg = unit + np.roll(unit, 1, axis=0)  # prev edge is k-1
-        n_euclid = np.column_stack([t_avg[:, 1], -t_avg[:, 0]])
-
-        g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
-        det = g11 * g22 - g12**2
-        # tangent: normalize t_avg in g
-        tnorm = np.sqrt(
-            g11 * t_avg[:, 0] ** 2 + 2 * g12 * t_avg[:, 0] * t_avg[:, 1] + g22 * t_avg[:, 1] ** 2
-        )
-        tau = t_avg / tnorm[:, None]
-        # normal: raise the Euclidean normal covector, then normalize in g
-        nu = np.column_stack(
-            [
-                (g22 * n_euclid[:, 0] - g12 * n_euclid[:, 1]) / det,
-                (-g12 * n_euclid[:, 0] + g11 * n_euclid[:, 1]) / det,
-            ]
-        )
-        nnorm = np.sqrt(
-            g11 * nu[:, 0] ** 2 + 2 * g12 * nu[:, 0] * nu[:, 1] + g22 * nu[:, 1] ** 2
-        )
-        nu = nu / nnorm[:, None]
-
-        tangent[sl] = tau
-        normal[sl] = nu
-        ds[sl] = 0.5 * (elen + np.roll(elen, 1))
-        arclength[sl] = np.concatenate([[0.0], np.cumsum(elen[:-1])])
-        loop_lengths.append(float(elen.sum()))
-
-        # Consistent boundary mass: per edge, elen * [[1/3, 1/6], [1/6, 1/3]].
-        for k in range(m):
-            a = pos + k
-            b = pos + (k + 1) % m
-            rows.extend([a, a, b, b])
-            cols.extend([a, b, a, b])
-            vals.extend([elen[k] / 3.0, elen[k] / 6.0, elen[k] / 6.0, elen[k] / 3.0])
-        pos += m
-
-    mass = sp.coo_matrix((vals, (rows, cols)), shape=(n_b, n_b)).tocsr()
-    bg = BoundaryGeometry(
-        mesh=mesh,
-        vertex_indices=mesh.boundary_vertices.copy(),
+    # Consistent boundary mass: per edge, elen * [[1/3, 1/6], [1/6, 1/3]].
+    ends = np.column_stack([np.arange(len(p)), successor])
+    entries = (elen[:, None] / [3.0, 6.0, 6.0, 3.0]).ravel()
+    rows, cols = np.repeat(ends, 2, axis=1).ravel(), np.tile(ends, 2).ravel()
+    mass = sp.coo_matrix((entries, (rows, cols)), shape=(len(p), len(p))).tocsr()
+    return BoundaryGeometry(
         normal=normal,
         tangent=tangent,
-        ds=ds,
-        arclength=arclength,
+        ds=0.5 * (elen + elen[predecessor]),
+        # per loop, so each sum runs in the order of the loop alone
+        arclength=np.concatenate(
+            [np.cumsum(np.r_[0.0, elen[sl][:-1]]) for sl in loop_slices]
+        ),
         mass=mass,
         loop_slices=loop_slices,
-        loop_lengths=loop_lengths,
+        successor=successor,
+        predecessor=predecessor,
+        loop_lengths=[float(elen[sl].sum()) for sl in loop_slices],
     )
-    _check_frame(bg, metric)
-    return bg
 
 
-def _check_frame(bg, metric, tol=1e-12):
-    """Verify g-orthonormality of the boundary frame (construction invariant)."""
-    p = bg.mesh.vertices[bg.vertex_indices]
-    g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
+def _check_frame(g, normal, tangent, tol=1e-12):
+    """Verify g-orthonormality of the boundary frame (construction invariant).
 
-    def form(a, b):
-        return g11 * a[:, 0] * b[:, 0] + g12 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0]) + g22 * a[:, 1] * b[:, 1]
-
+    g(nu, tau) is read by polarization, (g(nu + tau) - g(nu - tau)) / 4.
+    """
     err = max(
-        np.abs(form(bg.normal, bg.normal) - 1.0).max(),
-        np.abs(form(bg.tangent, bg.tangent) - 1.0).max(),
-        np.abs(form(bg.normal, bg.tangent)).max(),
+        np.abs(_g_sq(g, normal) - 1.0).max(),
+        np.abs(_g_sq(g, tangent) - 1.0).max(),
+        np.abs(_g_sq(g, normal + tangent) - _g_sq(g, normal - tangent)).max() / 4.0,
     )
     if err > tol:
         raise AssertionError(
@@ -911,19 +879,16 @@ def tangential_derivative(bg, values):
     loops with smoothly varying edge lengths.
     """
     values = np.asarray(values)
-    out = np.empty_like(values)
-    for sl, total in zip(bg.loop_slices, bg.loop_lengths):
-        v = values[sl]
-        s = bg.arclength[sl]
-        fwd = np.roll(v, -1) - v
-        ds_fwd = np.roll(s, -1) - s
-        ds_fwd[-1] += total
-        bwd = v - np.roll(v, 1)
-        ds_bwd = s - np.roll(s, 1)
-        ds_bwd[0] += total
-        # centered difference on a nonuniform grid
-        out[sl] = (ds_bwd * fwd / ds_fwd + ds_fwd * bwd / ds_bwd) / (ds_bwd + ds_fwd)
-    return out
+    s = bg.arclength
+    fwd = values[bg.successor] - values
+    ds_fwd = s[bg.successor] - s
+    bwd = values - values[bg.predecessor]
+    ds_bwd = s - s[bg.predecessor]
+    # across each loop's seam the arclength restarts, so add the loop's length
+    ds_fwd[[sl.stop - 1 for sl in bg.loop_slices]] += bg.loop_lengths
+    ds_bwd[[sl.start for sl in bg.loop_slices]] += bg.loop_lengths
+    # centered difference on a nonuniform grid
+    return (ds_bwd * fwd / ds_fwd + ds_fwd * bwd / ds_bwd) / (ds_bwd + ds_fwd)
 
 
 # ---------------------------------------------------------------------------

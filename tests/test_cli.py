@@ -424,6 +424,11 @@ def _write(tmp_path, text):
     ("forward", {"mesh": {"kind": "square", "n": 2.5}}, "mesh.n"),
     ("forward", {"mesh": {"kind": "square", "n": True}}, "mesh.n"),
     ("forward", {"mesh": {"kind": "square", "n": float("inf")}}, "mesh.n"),
+    ("forward", {"mesh": {"kind": "square", "n": "8"}}, "mesh.n"),
+    ("forward", {"solver": {"tol": "1e-11"}}, "solver.tol"),
+    ("identity-check", {"amplitude": float("nan")}, "amplitude"),
+    ("forward", {"boundary_data": {"name": "affine", "ax": float("inf")}},
+     "boundary_data.ax"),
     ("linearize-check", {"eps_sweep": [0.1]}, "eps_sweep"),
     ("linearize-check", {"eps_sweep": [0.1, -0.1]}, "eps_sweep"),
     ("identity-check", {"levels": [[12, 72]]}, "levels"),
@@ -467,7 +472,8 @@ def _write(tmp_path, text):
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
-        "square-n-boolean", "square-n-infinite", "one-point-eps-sweep", "negative-eps-sweep",
+        "square-n-boolean", "square-n-infinite", "square-n-string", "tol-string",
+        "amplitude-nan", "affine-slope-infinite", "one-point-eps-sweep", "negative-eps-sweep",
         "one-level", "levels-not-a-list", "directions-not-a-list",
         "profiles-not-a-list", "field-not-an-object", "recover-point-one-coordinate",
         "jet-point-one-coordinate", "field-spacing-zero", "forward-metric-not-spd",
@@ -488,6 +494,7 @@ def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
     err = capsys.readouterr().err
     assert f"config key '{key}'" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("subcommand", ["forward", "area-pipeline"])

@@ -72,7 +72,7 @@ def ng_map(mesh, metric, u):
         np.add.at(wsum, mesh.triangles[:, c], mesh.tri_areas)
     recovered = acc / wsum[:, None]
 
-    idx = bg.vertex_indices
+    idx = mesh.boundary_vertices
     p = mesh.vertices[idx]
     g11, g12, g22 = geo._metric_entries(metric, p[:, 0], p[:, 1])
     gv = recovered[idx]
@@ -135,7 +135,6 @@ def test_lambda_ng_roundtrip_and_validation():
 
 def test_linear_dn_self_adjoint_and_accurate():
     d = geo.disc(16, 96)
-    bg = geo.boundary_geometry(d, FLAT)
     f1 = geo.boundary_values(d, lambda x, y: x * x - y * y)
     f2 = geo.boundary_values(d, lambda x, y: x * y)
     t1 = dn.dn_linear(d, FLAT, f1)
@@ -143,7 +142,7 @@ def test_linear_dn_self_adjoint_and_accurate():
     # weak self-adjointness is exact (symmetry of K)
     assert abs(t1.flux @ f2 - t2.flux @ f1) < 1e-12
     # nodal accuracy: Lambda_0(Re z^2) = 2 Re z^2 on the unit circle
-    p = d.vertices[bg.vertex_indices]
+    p = d.vertices[d.boundary_vertices]
     th = np.arctan2(p[:, 1], p[:, 0])
     assert np.abs(t1.values - 2 * np.cos(2 * th)).max() < 8e-3
 
@@ -153,7 +152,7 @@ def test_linear_dn_nodal_values_second_order():
     for nr, na in ((16, 96), (32, 192)):
         d = geo.disc(nr, na)
         tr = dn.dn_linear(d, FLAT, lambda x, y: x * x - y * y)
-        p = d.vertices[tr.bg.vertex_indices]
+        p = d.vertices[d.boundary_vertices]
         th = np.arctan2(p[:, 1], p[:, 0])
         errs.append(np.abs(tr.values - 2 * np.cos(2 * th)).max())
     assert errs[0] / errs[1] > 3.0
@@ -266,7 +265,7 @@ def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
     w = lin.third_linearization_pde(mesh, FLAT, *vs).values
     L = lin.third_linearization_source(mesh, FLAT, *vs)
     K = geo.discretization(mesh, FLAT).stiffness
-    assert np.array_equal(ex.flux, (K @ w - L)[ex.bg.vertex_indices])
+    assert np.array_equal(ex.flux, (K @ w - L)[mesh.boundary_vertices])
 
 
 def test_third_derivative_argument_validation():

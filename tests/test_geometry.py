@@ -5,6 +5,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -242,7 +243,7 @@ def test_boundary_frame_orthonormal_under_curved_metric():
         lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
     )
     bg = geo.boundary_geometry(d, g)  # construction asserts to 1e-12
-    p = d.vertices[bg.vertex_indices]
+    p = d.vertices[d.boundary_vertices]
     g11, g12, g22 = geo._metric_entries(g, p[:, 0], p[:, 1])
 
     def form(a, b):
@@ -261,7 +262,7 @@ def test_boundary_normals_point_outward():
     g = geo.flat_metric()
     d = geo.disc(8, 48)
     bg = geo.boundary_geometry(d, g)
-    p = d.vertices[bg.vertex_indices]
+    p = d.vertices[d.boundary_vertices]
     rhat = p / np.linalg.norm(p, axis=1)[:, None]
     assert ((bg.normal * rhat).sum(axis=1) > 0.99).all()
     # annulus: outward means away from the domain, so toward the center on
@@ -269,7 +270,7 @@ def test_boundary_normals_point_outward():
     a = geo.annulus(0.5, 1.5, 8, 48)
     bga = geo.boundary_geometry(a, g)
     sl_outer, sl_inner = bga.loop_slices
-    p_in = a.vertices[bga.vertex_indices[sl_inner]]
+    p_in = a.vertices[a.boundary_vertices[sl_inner]]
     rhat_in = p_in / np.linalg.norm(p_in, axis=1)[:, None]
     assert ((bga.normal[sl_inner] * rhat_in).sum(axis=1) < -0.99).all()
 
@@ -285,22 +286,27 @@ def test_boundary_measure_scales_with_metric():
     bg2 = geo.boundary_geometry(m, cg)
     assert abs(bg2.ds.sum() - 8.0) < 1e-12
     # consistent mass integrates constants like the lumped weights
-    ones = np.ones(len(bg.vertex_indices))
-    assert abs(bg.pair(ones, ones) - bg.integrate(ones)) < 1e-12
+    ones = np.ones(len(m.boundary_vertices))
+    assert abs(bg.pair(ones, ones) - bg.ds.sum()) < 1e-12
 
 
 def test_tangential_derivative_second_order():
+    # d/ds sin(2 theta) = +-2 cos(2 theta) / r: the outer loop runs
+    # counterclockwise (+), the annulus' inner loop clockwise (-)
     g = geo.flat_metric()
-    errs = []
-    for n in (12, 24):
-        d = geo.disc(n, 6 * n)
-        bg = geo.boundary_geometry(d, g)
-        f = geo.boundary_values(d, lambda x, y: np.sin(2 * np.arctan2(y, x)))
-        dfds = geo.tangential_derivative(bg, f)
-        p = d.vertices[bg.vertex_indices]
-        theta = np.arctan2(p[:, 1], p[:, 0])
-        errs.append(np.abs(dfds - 2 * np.cos(2 * theta)).max())
-    assert errs[1] < errs[0] / 3.0  # ~ 4x for O(h^2)
+    for build in (lambda n: geo.disc(n, 6 * n), lambda n: geo.annulus(0.5, 1.5, 4, 2 * n)):
+        errs = []
+        for n in (12, 24):
+            mesh = build(n)
+            bg = geo.boundary_geometry(mesh, g)
+            f = geo.boundary_values(mesh, lambda x, y: np.sin(2 * np.arctan2(y, x)))
+            dfds = geo.tangential_derivative(bg, f)
+            p = mesh.vertices[mesh.boundary_vertices]
+            exact = 2 * np.cos(2 * np.arctan2(p[:, 1], p[:, 0])) / np.linalg.norm(p, axis=1)
+            errs.append([np.abs(dfds[sl] - sign * exact[sl]).max()
+                         for sl, sign in zip(bg.loop_slices, (1, -1))])
+        for coarse, fine in zip(*errs):
+            assert fine < coarse / 3.0  # ~ 4x for O(h^2)
 
 
 def test_boundary_values_coercion():
@@ -345,7 +351,7 @@ def _reference_boundary(mesh):
     return np.array(boundary, dtype=np.int64), loops, np.flatnonzero(~is_boundary)
 
 
-@pytest.mark.parametrize(
+BOUNDARY_MESHES = pytest.mark.parametrize(
     "build",
     [
         lambda: geo.disc(24, 144),
@@ -359,6 +365,9 @@ def _reference_boundary(mesh):
     ids=["disc24", "disc128", "square10", "annulus", "square8", "disc12",
          "annulus16"],
 )
+
+
+@BOUNDARY_MESHES
 def test_boundary_extraction_matches_reference(build):
     mesh = build()
     edges, loops, interior = _reference_boundary(mesh)
@@ -374,6 +383,110 @@ def test_boundary_extraction_matches_reference(build):
     for got, want in zip(mesh.boundary_loops, loops):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(mesh.interior_vertices, interior)
+
+
+def _reference_boundary_geometry(mesh, metric):
+    """Fields of the per-loop construction of the boundary frame and measure."""
+    verts = mesh.vertices
+    n_b = len(mesh.boundary_vertices)
+    normal = np.empty((n_b, 2))
+    tangent = np.empty((n_b, 2))
+    ds = np.empty(n_b)
+    arclength = np.empty(n_b)
+    loop_slices = []
+    loop_lengths = []
+    rows, cols, vals = [], [], []
+    pos = 0
+    for loop in mesh.boundary_loops:
+        m = len(loop)
+        sl = slice(pos, pos + m)
+        loop_slices.append(sl)
+        p = verts[loop]
+        edge = np.roll(p, -1, axis=0) - p
+        elen = np.zeros(m)
+        for t, wq in zip(geo._EDGE_QUAD_T, geo._EDGE_QUAD_W):
+            q = p + t * edge
+            g11, g12, g22 = geo._metric_entries(metric, q[:, 0], q[:, 1])
+            quad = (g11 * edge[:, 0] ** 2 + 2 * g12 * edge[:, 0] * edge[:, 1]
+                    + g22 * edge[:, 1] ** 2)
+            elen += wq * np.sqrt(quad)
+        unit = edge / np.linalg.norm(edge, axis=1)[:, None]
+        t_avg = unit + np.roll(unit, 1, axis=0)
+        n_euclid = np.column_stack([t_avg[:, 1], -t_avg[:, 0]])
+        g11, g12, g22 = geo._metric_entries(metric, p[:, 0], p[:, 1])
+        det = g11 * g22 - g12**2
+        tnorm = np.sqrt(g11 * t_avg[:, 0] ** 2 + 2 * g12 * t_avg[:, 0] * t_avg[:, 1]
+                        + g22 * t_avg[:, 1] ** 2)
+        nu = np.column_stack([
+            (g22 * n_euclid[:, 0] - g12 * n_euclid[:, 1]) / det,
+            (-g12 * n_euclid[:, 0] + g11 * n_euclid[:, 1]) / det,
+        ])
+        nnorm = np.sqrt(g11 * nu[:, 0] ** 2 + 2 * g12 * nu[:, 0] * nu[:, 1]
+                        + g22 * nu[:, 1] ** 2)
+        tangent[sl] = t_avg / tnorm[:, None]
+        normal[sl] = nu / nnorm[:, None]
+        ds[sl] = 0.5 * (elen + np.roll(elen, 1))
+        arclength[sl] = np.concatenate([[0.0], np.cumsum(elen[:-1])])
+        loop_lengths.append(float(elen.sum()))
+        for k in range(m):
+            a = pos + k
+            b = pos + (k + 1) % m
+            rows.extend([a, a, b, b])
+            cols.extend([a, b, a, b])
+            vals.extend([elen[k] / 3.0, elen[k] / 6.0, elen[k] / 6.0, elen[k] / 3.0])
+        pos += m
+    mass = sp.coo_matrix((vals, (rows, cols)), shape=(n_b, n_b)).tocsr()
+    return dict(normal=normal, tangent=tangent, ds=ds, arclength=arclength,
+                mass=mass, loop_slices=loop_slices, loop_lengths=loop_lengths)
+
+
+def _reference_tangential_derivative(ref, values):
+    """Per-loop centered differences of the reference construction."""
+    out = np.empty_like(values)
+    for sl, total in zip(ref["loop_slices"], ref["loop_lengths"]):
+        v = values[sl]
+        s = ref["arclength"][sl]
+        fwd = np.roll(v, -1) - v
+        ds_fwd = np.roll(s, -1) - s
+        ds_fwd[-1] += total
+        bwd = v - np.roll(v, 1)
+        ds_bwd = s - np.roll(s, 1)
+        ds_bwd[0] += total
+        out[sl] = (ds_bwd * fwd / ds_fwd + ds_fwd * bwd / ds_bwd) / (ds_bwd + ds_fwd)
+    return out
+
+
+@BOUNDARY_MESHES
+def test_boundary_geometry_matches_per_loop_reference(build):
+    mesh = build()
+    conformal = geo.conformal_metric(CURVED, lambda x, y: np.exp(0.3 * x - 0.2 * y))
+    f = geo.boundary_values(mesh, lambda x, y: np.sin(3.0 * x + 0.7) + x * y * y)
+    for metric in (geo.flat_metric(), CURVED, conformal):
+        bg = geo.boundary_geometry(mesh, metric)
+        ref = _reference_boundary_geometry(mesh, metric)
+        for name in ("normal", "tangent", "ds", "arclength"):
+            np.testing.assert_array_equal(getattr(bg, name), ref[name], err_msg=name)
+        for part in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(bg.mass, part),
+                                          getattr(ref["mass"], part), err_msg=part)
+        assert bg.loop_slices == ref["loop_slices"]
+        assert bg.loop_lengths == ref["loop_lengths"]
+        for sl in bg.loop_slices:
+            pos = np.arange(sl.start, sl.stop)
+            np.testing.assert_array_equal(bg.successor[sl], np.roll(pos, -1))
+            np.testing.assert_array_equal(bg.predecessor[sl], np.roll(pos, 1))
+        np.testing.assert_array_equal(geo.tangential_derivative(bg, f),
+                                      _reference_tangential_derivative(ref, f))
+
+
+def test_boundary_frame_check_rejects_a_non_orthonormal_frame():
+    d = geo.disc(6, 36)
+    p = d.vertices[d.boundary_vertices]
+    g = geo._metric_entries(CURVED, p[:, 0], p[:, 1])
+    bg = geo.boundary_geometry(d, CURVED)
+    geo._check_frame(g, bg.normal, bg.tangent)
+    with pytest.raises(AssertionError, match="g-orthonormality"):
+        geo._check_frame(g, bg.normal, bg.tangent + 1e-9 * bg.normal)
 
 
 def test_discretization_is_memoized_per_mesh_and_metric():

@@ -449,6 +449,7 @@ def test_recover_field_raises_when_nothing_is_reliable():
         "caps tau far below that scale; the recovered field has no usable "
         "peak structure"
     ),
+    raises=AssertionError,
     strict=True,
 )
 def test_recover_field_separates_two_bumps(mid_disc):
