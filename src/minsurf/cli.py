@@ -388,7 +388,8 @@ def _build(cfg):
 
     A mesh constructor's range error names its key (``mesh`` or
     ``levels[i]``).  Then, before the first solve, the metric must be SPD at
-    the quadrature points of every mesh, each weight Q below 1 at its
+    the quadrature points and on the boundary of every mesh (boundary
+    vertices and edge quadrature points), each weight Q below 1 at its
     vertices and quadrature points, each direction that ``pair`` or
     ``triple`` picks nonzero somewhere on the boundary, and ``levels`` of
     two or more sizes.
@@ -410,7 +411,8 @@ def _build(cfg):
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
         try:
-            geo.discretization(mesh, cfg["metric"]).mq
+            d = geo.discretization(mesh, cfg["metric"])
+            d.mq, d.boundary
         except ValueError as exc:
             raise ConfigError("metric", str(exc)) from None
         for name, q in weights:

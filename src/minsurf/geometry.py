@@ -47,9 +47,10 @@ It is memoized in a dict on the mesh, keyed by the metric, so it lives and
 dies with the mesh.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
 quadrature, the quadrature weights, the stiffness matrix K, the boundary
-geometry, and the coupling block K[I, B] with a sparse LU factor of
-K[I, I] (I interior, B boundary vertices).  :meth:`Discretization.extend`
-solves K u = rhs with Dirichlet values on that factor; every
+geometry, the coupling block K[I, B] with a sparse LU factor of K[I, I]
+(I interior, B boundary vertices), and the conformal-flatness defect.
+:meth:`Discretization.extend` solves K u = rhs with Dirichlet values on
+that factor, for one field or several columns at once; every
 Laplace-Beltrami solve, harmonic extension and third-linearization solve
 goes through it, and the chord steps of every cold minimal-surface solve
 run on the same factor (K is the Jacobian at u = 0).  The builders stay
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -139,6 +141,7 @@ class Mesh:
     quad_points : (n_triangles, 3, 2) ndarray
         Physical coordinates of the volume quadrature points.
     centroids : (n_triangles, 2) ndarray
+        Triangle centroids, computed on first access.
     boundary_edges : (n_boundary_edges, 2) ndarray
         Directed boundary edges, domain on the left.
     boundary_loops : list of ndarray
@@ -191,20 +194,20 @@ class Mesh:
         self.triangles = triangles
         self.tri_areas = signed
 
-        # P1 hat gradients: grad(phi_i) = perp(p_{i+2} - p_{i+1}) / (2A).
+        # P1 hat gradients: grad(phi_i) = perp(p_{i+2} - p_{i+1}) / (2A); the
+        # three edges e are also the ones whose longest is h
         grads = np.empty((len(triangles), 3, 2))
+        longest = 0.0
         for i in range(3):
             e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
             grads[:, i, 0] = -e[:, 1]
             grads[:, i, 1] = e[:, 0]
+            longest = max(longest, (e[:, 0] ** 2 + e[:, 1] ** 2).max())
         grads /= (2.0 * signed)[:, None, None]
         self.hat_gradients = grads
+        self.h = float(np.sqrt(longest))
 
-        self.quad_points = np.einsum("qi,tic->tqc", _QUAD_BARY, p)
-        self.centroids = p.mean(axis=1)
-
-        edges = np.concatenate([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]])
-        self.h = float(np.sqrt((edges**2).sum(axis=1).max()))
+        self.quad_points = _QUAD_BARY @ p
 
         self._build_boundary()
 
@@ -262,6 +265,10 @@ class Mesh:
         self.interior_vertices = np.flatnonzero(~self.is_boundary)
 
     # -- basic queries -------------------------------------------------------
+
+    @cached_property
+    def centroids(self):
+        return self.vertices[self.triangles].mean(axis=1)
 
     @property
     def n_vertices(self):
@@ -510,6 +517,25 @@ def metric_eval(metric, point):
     return g
 
 
+def _spd_determinant(g, x, y, where):
+    """det g of metric entries g = (g11, g12, g22) sampled at points (x, y).
+
+    Raises ValueError naming the first sample (its index and coordinates)
+    where g is not symmetric positive definite: non-finite, g11 <= 0 or
+    det <= 0.
+    """
+    g11, g12, g22 = g
+    det = g11 * g22 - g12**2
+    spd = np.isfinite(det) & (det > 0.0) & (g11 > 0.0)
+    if not spd.all():
+        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(spd)), det.shape))
+        raise ValueError(
+            f"metric is not SPD at {where} {bad} "
+            f"(x={x[bad]:.4g}, y={y[bad]:.4g}): g11={g11[bad]:.4g}, det={det[bad]:.4g}"
+        )
+    return det
+
+
 @dataclass(frozen=True)
 class _MetricQuad:
     """Metric data at the volume quadrature points (each array (n_tri, 3))."""
@@ -525,13 +551,7 @@ def metric_at_quadrature(mesh, metric):
     x = mesh.quad_points[..., 0]
     y = mesh.quad_points[..., 1]
     g11, g12, g22 = _metric_entries(metric, x, y)
-    det = g11 * g22 - g12**2
-    if not (np.all(np.isfinite(det)) and np.all(det > 0.0) and np.all(g11 > 0.0)):
-        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(det)), det.shape))
-        raise ValueError(
-            f"metric is not SPD at quadrature point {bad} "
-            f"(x={x[bad]:.4g}, y={y[bad]:.4g}): g11={g11[bad]:.4g}, det={det[bad]:.4g}"
-        )
+    det = _spd_determinant((g11, g12, g22), x, y, "quadrature point")
     return _MetricQuad(
         sqrt_det=np.sqrt(det),
         inv11=g22 / det,
@@ -581,13 +601,20 @@ def nodal_values(mesh, field):
     return vals
 
 
+def p1_gradient_rows(mesh, values, block=slice(None)):
+    """Euclidean gradient of the P1 interpolant as two rows (x, y).
+
+    One entry per triangle of ``block`` (a slice of the triangles; all of
+    them by default).
+    """
+    v = np.asarray(values)[mesh.triangles[block]]  # (nt, 3)
+    hg = mesh.hat_gradients[block]
+    return [v[:, 0] * hg[:, 0, c] + v[:, 1] * hg[:, 1, c] + v[:, 2] * hg[:, 2, c] for c in (0, 1)]
+
+
 def p1_gradients(mesh, values):
     """Euclidean gradient of the P1 interpolant, one constant vector per triangle."""
-    v = np.asarray(values)[mesh.triangles]  # (nt, 3)
-    hg = mesh.hat_gradients
-    return np.column_stack(
-        [v[:, 0] * hg[:, 0, c] + v[:, 1] * hg[:, 1, c] + v[:, 2] * hg[:, 2, c] for c in (0, 1)]
-    )
+    return np.column_stack(p1_gradient_rows(mesh, values))
 
 
 def pair_at_quadrature(mesh, mq, grad_u, grad_v):
@@ -656,28 +683,33 @@ def hat_pair_elements(mesh, m11, m12, m22):
 
     ``m11``, ``m12``, ``m22`` (each (n_tri, 3)) hold a weighted symmetric
     2x2 tensor field at the quadrature points; M_t is its sum over the
-    points.  Each element matrix is exactly symmetric.
+    points.  The six distinct entries are computed on (n_tri,) rows and
+    each is written to both of its places, so every element matrix is
+    exactly symmetric.
     """
-    hx = mesh.hat_gradients[:, :, None, 0]  # (n_tri, 3, 1)
-    hy = mesh.hat_gradients[:, :, None, 1]
-    # m11 hx_i hx_j + m12 (hx_i hy_j + hy_i hx_j) + m22 hy_i hy_j, accumulated
-    # in place so that at most three (n_tri, 3, 3) arrays are alive at once
-    out = hx * hx.transpose(0, 2, 1)
-    out *= _point_sum(m11)[:, None, None]
-    xy = hx * hy.transpose(0, 2, 1)
-    xy = xy + xy.transpose(0, 2, 1)
-    xy *= _point_sum(m12)[:, None, None]
-    out += xy
-    yy = hy * hy.transpose(0, 2, 1)
-    yy *= _point_sum(m22)[:, None, None]
-    out += yy
+    s11, s12, s22 = _point_sum(m11), _point_sum(m12), _point_sum(m22)
+    hg = mesh.hat_gradients
+    hx = [hg[:, i, 0] for i in range(3)]
+    hy = [hg[:, i, 1] for i in range(3)]
+    out = np.empty((len(hg), 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            out[:, i, j] = out[:, j, i] = (
+                hx[i] * hx[j] * s11 + (hx[i] * hy[j] + hx[j] * hy[i]) * s12
+            ) + hy[i] * hy[j] * s22
     return out
 
 
 def assemble_elements(mesh, data):
-    """Sum per-triangle element matrices (n_tri, 3, 3) into a CSR matrix."""
-    rows = np.broadcast_to(mesh.triangles[:, :, None], data.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], data.shape)
+    """Sum per-triangle element matrices (n_tri, 3, 3) into a CSR matrix.
+
+    The indices go in as int32, the type scipy converts them to for any
+    mesh below 2^31 vertices, which saves it a conversion pass.
+    """
+    index = np.int32 if mesh.n_vertices < 2**31 else np.int64
+    tri = mesh.triangles.astype(index)
+    rows = np.broadcast_to(tri[:, :, None], data.shape)
+    cols = np.broadcast_to(tri[:, None, :], data.shape)
     return sp.coo_matrix(
         (data.ravel(), (rows.ravel(), cols.ravel())),
         shape=(mesh.n_vertices, mesh.n_vertices),
@@ -781,7 +813,8 @@ def boundary_geometry(mesh, metric):
     edge directions; the outward normal is the raised Euclidean normal
     g^{-1} n (which is automatically g-orthogonal to the tangent), and both
     are normalized to unit g-length.  Edge g-lengths use two-point Gauss
-    quadrature along each edge.
+    quadrature along each edge.  Raises ValueError if the metric is not SPD
+    at a boundary vertex or edge quadrature point.
     """
     sizes = [len(loop) for loop in mesh.boundary_loops]
     stops = np.cumsum(sizes)
@@ -793,19 +826,21 @@ def boundary_geometry(mesh, metric):
     predecessor[starts] = stops - 1
 
     p = mesh.vertices[mesh.boundary_vertices]
+    g = g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
+    det = _spd_determinant(g, p[:, 0], p[:, 1], "boundary vertex")
     edge = p[successor] - p  # edge k: position k -> successor[k]
     elen = np.zeros(len(p))
     for t, wq in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
         q = p + t * edge
-        elen += wq * np.sqrt(_g_sq(_metric_entries(metric, q[:, 0], q[:, 1]), edge))
+        gq = _metric_entries(metric, q[:, 0], q[:, 1])
+        _spd_determinant(gq, q[:, 0], q[:, 1], "boundary edge point")
+        elen += wq * np.sqrt(_g_sq(gq, edge))
 
     # Vertex frame from averaged adjacent edge directions.
     unit = edge / np.linalg.norm(edge, axis=1)[:, None]
     t_avg = unit + unit[predecessor]
-    g = g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
     tangent = t_avg / np.sqrt(_g_sq(g, t_avg))[:, None]
     # normal: raise the Euclidean normal covector (t_y, -t_x), then normalize in g
-    det = g11 * g22 - g12**2
     nu = np.column_stack([g22 * t_avg[:, 1] + g12 * t_avg[:, 0],
                           -g12 * t_avg[:, 1] - g11 * t_avg[:, 0]]) / det[:, None]
     normal = nu / np.sqrt(_g_sq(g, nu))[:, None]
@@ -836,13 +871,14 @@ def _check_frame(g, normal, tangent, tol=1e-12):
     """Verify g-orthonormality of the boundary frame (construction invariant).
 
     g(nu, tau) is read by polarization, (g(nu + tau) - g(nu - tau)) / 4.
+    A NaN anywhere in the frame fails the check.
     """
-    err = max(
+    err = np.max([
         np.abs(_g_sq(g, normal) - 1.0).max(),
         np.abs(_g_sq(g, tangent) - 1.0).max(),
         np.abs(_g_sq(g, normal + tangent) - _g_sq(g, normal - tangent)).max() / 4.0,
-    )
-    if err > tol:
+    ])
+    if not err <= tol:
         raise AssertionError(
             f"boundary frame failed g-orthonormality check: max error {err:.3e}"
         )
@@ -922,6 +958,11 @@ class Discretization:
         The coupling block K[I, B] and the factor of K[I, I].  K is the
         minimal-surface Jacobian at u = 0, so the factor also serves the
         chord steps of a cold nonlinear solve.
+    conformal_defect : (float, ndarray)
+        How far g is from conformally flat (g = gamma * identity): the
+        largest of |g^12| and |g^11 - g^22| relative to (g^11 + g^22) / 2
+        over the quadrature points, and the point where it is largest.
+        The interior probes check it once per (mesh, metric) pair.
     """
 
     def __init__(self, mesh, metric):
@@ -966,31 +1007,52 @@ class Discretization:
     def interior_system(self):
         return self._piece("interior_system", self._factor_interior)
 
+    @property
+    def conformal_defect(self):
+        return self._piece("conformal_defect", self._conformal_defect)
+
+    def _conformal_defect(self):
+        # g = gamma * identity iff g^{-1} = identity / gamma
+        mq = self.mq
+        scale = 0.5 * (mq.inv11 + mq.inv22)
+        defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
+        worst = np.unravel_index(int(np.argmax(defect)), defect.shape)
+        return float(defect[worst]), self.mesh.quad_points[worst]
+
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices.
 
         Symmetric elimination on the cached factor: the interior unknowns
         solve K[I, I] u_I = rhs[I] - K[I, B] bvals.  ``bvals`` is in boundary
-        ordering; ``rhs`` is a full-length load vector, None for the
-        discrete-harmonic extension (rhs = 0).  Complex data is solved as its
-        real and imaginary parts, two columns of one solve.
+        ordering, shape (n_B,) for one field or (n_B, k) for k fields (one
+        per column), which share one solve; the result has the shape
+        (n_vertices,) + ``bvals.shape[1:]``.  ``rhs`` is a load of that
+        shape, None for the discrete-harmonic extension (rhs = 0).  Complex
+        data is solved as its real and imaginary parts, 2k columns of one
+        solve.
         """
         mesh = self.mesh
         bvals = np.asarray(bvals)
-        if bvals.shape != (len(mesh.boundary_vertices),):
+        n_b = len(mesh.boundary_vertices)
+        if bvals.ndim not in (1, 2) or len(bvals) != n_b:
             raise ValueError(
-                f"expected {len(mesh.boundary_vertices)} boundary values, "
+                f"expected {n_b} boundary values (one column per field), "
                 f"got shape {bvals.shape}"
             )
+        shape = (mesh.n_vertices,) + bvals.shape[1:]
+        if rhs is not None and np.shape(rhs) != shape:
+            raise ValueError(f"expected a load of shape {shape}, got {np.shape(rhs)}")
         coupling, lu = self.interior_system
         I = mesh.interior_vertices
         load = 0.0 if rhs is None else np.asarray(rhs)[I]
         reduced = load - coupling @ bvals
-        u = np.zeros(mesh.n_vertices, dtype=np.result_type(reduced, float))
+        u = np.zeros(shape, dtype=np.result_type(reduced, float))
         u[mesh.boundary_vertices] = bvals
         if np.iscomplexobj(reduced):
-            parts = lu.solve(np.column_stack([reduced.real, reduced.imag]))
-            u[I] = parts[:, 0] + 1j * parts[:, 1]
+            cols = reduced.reshape(len(I), -1)
+            k = cols.shape[1]
+            parts = lu.solve(np.hstack([cols.real, cols.imag]))
+            u[I] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
         else:
             u[I] = lu.solve(reduced)
         return u

@@ -40,6 +40,12 @@ the boundary gives ``dn_difference_functional``; for a conformal pair
 (g, c g) with c = 1 near the boundary it approximates the weighted volume
 functional ``q_functional`` with Q = 1 - 1/c — the link the interior
 recovery probes exploit.
+
+The weighted functional is one kernel, :func:`q_form`: it sums every
+product of two pairings over the quadrature points into a symmetric 3x3
+tensor M_t per triangle, so a probe costs a few passes over per-triangle
+arrays.  A probe sweep builds the form once and calls it per probe;
+:func:`q_functional` is the one-off call of the same form.
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    _point_sum,
     discretization,
     interpolate_at_quadrature,
     nodal_values,
-    p1_gradients,
-    pair_at_quadrature,
+    p1_gradient_rows,
 )
 from .forward import SolveOptions, solve_laplace_beltrami
 from .linearize import EpsilonCombination
@@ -61,6 +67,7 @@ from .dnmap import _boundary_correction, dn_third_derivative
 
 __all__ = [
     "IdentityReport",
+    "q_form",
     "q_functional",
     "integral_identity_check",
     "dn_difference_functional",
@@ -70,6 +77,12 @@ __all__ = [
 # of the mesh size, and the Newton tolerance of the differenced solves.
 _H_EPS_PER_H = 0.25
 _TOL = 1e-13
+
+# Triangles per block of a q_form call: its dozen complex temporaries of one
+# block (128 KB each) then stay in cache, which made a probe on disc(128,768)
+# 2.3 times as fast as one pass over whole-mesh arrays (4096 to 8192 were
+# fastest).
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -100,10 +113,10 @@ def _q_at_quadrature(mesh, Q):
     return interpolate_at_quadrature(mesh, nodal_values(mesh, Q))
 
 
-def q_functional(mesh, metric, Q, v1, v2, v3, v4):
-    """Weighted trilinear-pairing functional over the chart.
+def q_form(mesh, metric, Q):
+    """The weighted trilinear-pairing functional as a form in four fields.
 
-    Computes the integral of
+    Returns ``form(v1, v2, v3, v4)``, the integral of
 
         Q * [ g(grad v4, grad v1) g(grad v3, grad v2)
             + g(grad v4, grad v2) g(grad v3, grad v1)
@@ -114,29 +127,77 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
     callable, a nodal array, or a ScalarField.
 
-    Arguments passed as the same object share one gradient, and each
-    unordered pair of them one pairing: the probes pass (u, u, v, v), which
-    takes two gradients and three pairings instead of four and six.  The
-    pairing is symmetric bit for bit, so the sharing changes no result.
+    Gradients are constant per triangle, so with the pair basis
+    p(a, b) = (a1 b1, a1 b2 + a2 b1, a2 b2) and G = (g^11, g^12, g^22) each
+    pairing is g(a, b)(x_q) = G_q . p(a, b), and each product of two
+    pairings summed over a triangle's quadrature points is the bilinear
+    form p(a, b)^T M_t p(c, d) with the symmetric per-triangle tensor
+
+        M_t = sum_q w_q Q(x_q) G_q G_q^T.
+
+    Building the form evaluates Q at quadrature and builds M_t (six (n_tri,)
+    rows); each call then runs on per-triangle arrays only, one block of
+    triangles at a time.  Build it once per sweep and call it once per
+    probe.  Arguments passed as the same object share one gradient, each
+    unordered pair of them one p, and equal products one form: the probes
+    pass (u, u, v, v), which takes two gradients, three p and two forms
+    instead of four, six and three.
     """
     d = discretization(mesh, metric)
     mq = d.mq
-    fields = (v1, v2, v3, v4)
-    # slot[i]: the first argument that is the very object fields[i]
-    slot = [next(j for j in range(4) if fields[j] is v) for v in fields]
-    grads = {j: p1_gradients(mesh, nodal_values(mesh, fields[j])) for j in set(slot)}
-    pairs = {}
+    c = d.weights * _q_at_quadrature(mesh, Q)
+    G = (mq.inv11, mq.inv12, mq.inv22)
+    M = [[None] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):
+            M[i][j] = M[j][i] = _point_sum(c * G[i] * G[j])
+    blocks = [slice(b, b + _BLOCK) for b in range(0, mesh.n_triangles, _BLOCK)]
 
-    def pair(a, b):
-        key = frozenset((slot[a], slot[b]))
-        if key not in pairs:
-            pairs[key] = pair_at_quadrature(mesh, mq, grads[slot[a]], grads[slot[b]])
-        return pairs[key]
+    def block_sum(values, slot, block):
+        """The form summed over the triangles of ``block``."""
+        grads = {j: p1_gradient_rows(mesh, v, block) for j, v in values.items()}
+        m = [[entry[block] for entry in row] for row in M]
+        pairs, products = {}, {}
 
-    combo = pair(3, 0) * pair(2, 1) + pair(3, 1) * pair(2, 0) + pair(3, 2) * pair(0, 1)
-    weighted = _q_at_quadrature(mesh, Q) * combo
-    out = (d.weights * weighted).sum()
-    return complex(out) if np.iscomplexobj(weighted) else float(out)
+        def pair(a, b):
+            """Key of p(v_a, v_b) in ``pairs``, built on first use."""
+            key = frozenset((slot[a], slot[b]))
+            if key not in pairs:
+                (ax, ay), (bx, by) = grads[slot[a]], grads[slot[b]]
+                pairs[key] = (ax * bx, ax * by + ay * bx, ay * by)
+            return key
+
+        def product(ab, cd):
+            """sum_t p(v_a, v_b)^T M_t p(v_c, v_d), built on first use."""
+            pq = pair(*ab), pair(*cd)
+            key = frozenset(pq)
+            if key not in products:
+                p, r = pairs[pq[0]], pairs[pq[1]]
+                mr = [m[i][0] * r[0] + m[i][1] * r[1] + m[i][2] * r[2] for i in range(3)]
+                # numpy's pairwise sum: a dot product sums in sequence, which
+                # moved whole-mesh probe values by up to 2e-13 relative
+                products[key] = (p[0] * mr[0] + p[1] * mr[1] + p[2] * mr[2]).sum()
+            return products[key]
+
+        return product((3, 0), (2, 1)) + product((3, 1), (2, 0)) + product((3, 2), (0, 1))
+
+    def form(v1, v2, v3, v4):
+        fields = (v1, v2, v3, v4)
+        # slot[i]: the first argument that is the very object fields[i]
+        slot = [next(j for j in range(4) if fields[j] is v) for v in fields]
+        values = {j: nodal_values(mesh, fields[j]) for j in set(slot)}
+        out = sum(block_sum(values, slot, block) for block in blocks)
+        return complex(out) if np.iscomplexobj(out) else float(out)
+
+    return form
+
+
+def q_functional(mesh, metric, Q, v1, v2, v3, v4):
+    """One value of :func:`q_form`: ``q_form(mesh, metric, Q)(v1, v2, v3, v4)``.
+
+    Builds the form afresh; a sweep over many probes should build it once.
+    """
+    return q_form(mesh, metric, Q)(v1, v2, v3, v4)
 
 
 def _boundary_side(combo, vs, quad, h_eps):

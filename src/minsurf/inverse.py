@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     ScalarField,
@@ -53,7 +52,7 @@ from .geometry import (
     discretization,
     metric_eval,
 )
-from .identity import _dn_difference_form, q_functional
+from .identity import _dn_difference_form, q_form
 
 __all__ = [
     "InteriorProbe",
@@ -172,16 +171,13 @@ def _conformal_scale_at(metric, point, context):
 def _check_conformally_flat(mesh, metric, context):
     """Check conformal flatness at every volume quadrature point.
 
-    g = gamma * identity iff g^{-1} = identity / gamma, so the test reads
-    the owner's inverse metric with the tolerance of
-    :func:`_conformal_scale_at`, which then reports the worst point.
+    Reads the owner's ``conformal_defect`` (built once per (mesh, metric))
+    with the tolerance of :func:`_conformal_scale_at`, which then reports
+    the worst point.
     """
-    mq = discretization(mesh, metric).mq
-    scale = 0.5 * (mq.inv11 + mq.inv22)
-    defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
-    worst = np.unravel_index(int(np.argmax(defect)), defect.shape)
-    if defect[worst] > 1e-9:
-        _conformal_scale_at(metric, mesh.quad_points[worst], context)
+    defect, worst = discretization(mesh, metric).conformal_defect
+    if defect > 1e-9:
+        _conformal_scale_at(metric, worst, context)
 
 
 def _modulus_exponent(mesh, center):
@@ -288,9 +284,9 @@ def make_interior_probe(
     phi = z_b * z_b
     data_plus = np.exp(1j * tau * phi)
     data_minus = np.exp(1j * tau * np.conj(phi))
-    extension = discretization(mesh, metric)
-    u = extension.extend(data_plus)
-    v = extension.extend(data_minus)
+    # u and v: two columns, four real ones, of one solve
+    uv = discretization(mesh, metric).extend(np.column_stack([data_plus, data_minus]))
+    u, v = np.ascontiguousarray(uv.T)
     modmax = float(max(np.abs(data_plus).max(), np.abs(data_minus).max()))
     return InteriorProbe(
         center=(float(center[0]), float(center[1])),
@@ -363,6 +359,20 @@ def _exact_fit_message(kind, sweep):
     )
 
 
+def _probe_functional(mesh, metric, factor_c, mode):
+    """``F(*fields)``: the probe functional of ``mode`` with Q = 1 - 1/c.
+
+    The synthetic mode builds its :func:`identity.q_form` here, so Q at
+    quadrature and the per-triangle tensor M_t are built once per sweep or
+    grid, not once per probe.
+    """
+    if mode == "synthetic":
+        return q_form(mesh, metric, _discrepancy_weight(factor_c))
+    if mode == "dn":
+        return lambda *fields: _polarized_dn_functional(mesh, metric, factor_c, fields)
+    raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn'")
+
+
 def recover_q_point(
     mesh,
     metric,
@@ -393,21 +403,21 @@ def recover_q_point(
         eight nonlinear solves per real quadruple — slow, used to validate
         the synthetic path end to end).
     """
+    functional = _probe_functional(mesh, metric, factor_c, mode)
+    return _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin)
+
+
+def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
+    """:func:`recover_q_point` with the probe functional already built."""
     taus = np.asarray(tau_sweep, dtype=float)
     if taus.size < 2:
         raise ResolutionError("need at least two frequencies to fit the affine model")
-    if mode not in ("synthetic", "dn"):
-        raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn'")
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
-    weight = _discrepancy_weight(factor_c)
 
     values = np.empty(taus.size, dtype=complex)
     for i, tau in enumerate(taus):
         probe = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
-        if mode == "synthetic":
-            values[i] = q_functional(mesh, metric, weight, *probe.fields)
-        else:
-            values[i] = _polarized_dn_functional(mesh, metric, factor_c, probe.fields)
+        values[i] = functional(*probe.fields)
 
     design = np.column_stack([taus, np.ones_like(taus)])
     (slope, intercept), *_ = np.linalg.lstsq(design, values.real, rcond=None)
@@ -448,6 +458,8 @@ def recover_q_point(
 
 def interior_grid(mesh, spacing, margin):
     """Regular grid of interior points at least ``margin`` from the boundary."""
+    from scipy.spatial import cKDTree  # imported here: no other path needs it
+
     verts = mesh.vertices
     bverts = verts[mesh.boundary_vertices]
     xs = np.arange(verts[:, 0].min(), verts[:, 0].max() + 0.5 * spacing, spacing)
@@ -478,11 +490,15 @@ def recover_q_field(
     result).  Points whose scaled sweep drops below tau = 3 carry too
     little oscillation to concentrate and are flagged instead of probed.
     Unreliable points are kept (flagged) but excluded from the fill; if no
-    point is reliable the recovery fails as a whole.
+    point is reliable the recovery fails as a whole.  One probe functional
+    serves the whole grid (see :func:`_probe_functional`).
     """
+    from scipy.spatial import cKDTree  # imported here: no other path needs it
+
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
+    functional = _probe_functional(mesh, metric, factor_c, mode)
 
     def flagged(point, sweep, message):
         return RecoveryResult(
@@ -514,9 +530,8 @@ def recover_q_field(
             ))
             continue
         try:
-            res = recover_q_point(
-                mesh, metric, factor_c, point, taus * scale,
-                mode=mode, probe_margin=probe_margin,
+            res = _recover_point(
+                mesh, metric, functional, point, taus * scale, probe_margin
             )
         except (ResolutionError, ValueError) as exc:
             res = flagged(point, taus * scale, str(exc))
@@ -607,7 +622,7 @@ def boundary_jet_probe(
     gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
-    weight = _discrepancy_weight(factor_c)
+    form = q_form(mesh, metric, _discrepancy_weight(factor_c))
 
     extension = discretization(mesh, metric)
     bg = extension.boundary
@@ -639,7 +654,7 @@ def boundary_jet_probe(
         )
         u = extension.extend(trace)
         u_bar = np.conj(u)
-        values[i] = q_functional(mesh, metric, weight, u, u, u_bar, u_bar)
+        values[i] = form(u, u, u_bar, u_bar)
 
     mags = np.abs(values)
     if mags.max() <= _NOISE_FLOOR:

@@ -377,6 +377,20 @@ def test_entry_point_runs_as_module(tmp_path):
     assert "PASS" in proc.stdout
 
 
+def test_importing_the_cli_leaves_scipy_spatial_unloaded():
+    # only the recovery grid and its nearest-neighbour fill use scipy.spatial;
+    # importing it with the CLI would add its import time to every run
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, minsurf.cli; print(sorted(m for m in sys.modules "
+         "if m.startswith('scipy.spatial')))"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_named_function_library_values():
     affine = cli.named_function({"name": "affine", "a0": 1.0, "ax": 2.0,
                                  "ay": -1.0}, "t")
@@ -401,6 +415,10 @@ TINY_SQUARE = {"kind": "square", "n": 8}
 TINY_DISC = {"kind": "disc", "n_radial": 6, "n_angular": 36}
 SIN = {"name": "fourier", "sin": [1.0]}
 NOT_SPD = {"kind": "explicit", "g12": {"name": "constant", "value": 2.0}}
+# g11 = 1 - 1.0005 x^2: SPD at every quadrature point of TINY_DISC, whose
+# largest |x| there is below 0.98, and not at its boundary vertex (1, 0)
+RIM_NOT_SPD = {"kind": "explicit",
+               "g11": {"name": "quadratic", "c0": 1.0, "cxx": -1.0005}}
 
 
 def _write(tmp_path, text):
@@ -469,6 +487,7 @@ def _write(tmp_path, text):
     ("linearize-check", {"mesh": TINY_DISC, "directions": [
         SIN, {"name": "zero"}, SIN]}, "directions[1]"),
     ("forward", {"mesh": {"kind": "disc", "n_radial": 10, "n_angular": 6}}, "mesh"),
+    ("forward", {"mesh": TINY_DISC, "metric": RIM_NOT_SPD}, "metric"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -483,7 +502,8 @@ def _write(tmp_path, text):
         "profile-weight-one", "weight-one", "two-equal-levels",
         "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
         "unknown-mode", "negative-jet-frequency", "zero-jet-frequency",
-        "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next"])
+        "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
+        "forward-metric-not-spd-on-boundary"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([

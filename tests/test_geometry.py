@@ -489,6 +489,31 @@ def test_boundary_frame_check_rejects_a_non_orthonormal_frame():
         geo._check_frame(g, bg.normal, bg.tangent + 1e-9 * bg.normal)
 
 
+def test_boundary_frame_check_rejects_a_nan_frame():
+    # Python's max() drops a NaN that does not come first, and NaN > tol is
+    # False: a NaN in either vector, at any vertex, must still fail the check
+    d = geo.disc(6, 36)
+    p = d.vertices[d.boundary_vertices]
+    g = geo._metric_entries(CURVED, p[:, 0], p[:, 1])
+    bg = geo.boundary_geometry(d, CURVED)
+    for k in (0, len(p) // 2, len(p) - 1):
+        for which in (0, 1):
+            frame = [bg.normal.copy(), bg.tangent.copy()]
+            frame[which][k] = np.nan
+            with pytest.raises(AssertionError, match="g-orthonormality"):
+                geo._check_frame(g, *frame)
+
+
+def test_boundary_geometry_rejects_a_metric_not_spd_on_the_boundary():
+    # SPD at every volume quadrature point, g11 = -1 at the boundary vertices
+    mesh = geo.disc(6, 36)
+    rim = geo.explicit_metric(lambda x, y: (
+        np.where(x * x + y * y > 0.999, -1.0, 1.0), 0.0 * x, 1.0 + 0.0 * x))
+    geo.metric_at_quadrature(mesh, rim)
+    with pytest.raises(ValueError, match="not SPD at boundary vertex"):
+        geo.boundary_geometry(mesh, rim)
+
+
 def test_discretization_is_memoized_per_mesh_and_metric():
     mesh = geo.disc(8, 48)
     flat, curved = geo.flat_metric(), geo.explicit_metric(
@@ -568,6 +593,28 @@ def test_factor_spd_solves_match_the_default_factor():
         want = spla.splu(A.tocsc()).solve(rhs)
         got = geo.factor_spd(A).solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_multi_column_extension_matches_per_column_solves():
+    # k columns share one solve (2k real columns for complex data)
+    mesh = geo.disc(12, 72)
+    d = geo.discretization(mesh, CURVED)
+    bx, by = mesh.vertices[mesh.boundary_vertices].T
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    data = np.column_stack([np.exp(k * 1j * bx) * (1.0 + by) for k in (1, 3, 5)])
+    load = np.column_stack([np.exp(-k * 1j * y) * x for k in (1, 2, 3)])
+    for cols, rhs in ((data, None), (data, load), (data.real, None),
+                      (data.real, load.real), (data[:, :1], load[:, :1])):
+        got = d.extend(cols, rhs)
+        want = np.column_stack([d.extend(cols[:, k], None if rhs is None else rhs[:, k])
+                                for k in range(cols.shape[1])])
+        assert got.shape == want.shape == (mesh.n_vertices, cols.shape[1])
+        assert got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    with pytest.raises(ValueError, match="boundary values"):
+        d.extend(np.ones((len(bx), 2, 2)))
+    with pytest.raises(ValueError, match="load of shape"):
+        d.extend(data, load[:, :2])
 
 
 def test_complex_extension_is_its_real_and_imaginary_extensions():

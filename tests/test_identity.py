@@ -51,6 +51,21 @@ def test_q_functional_symmetric_under_field_permutations():
         assert abs(permuted - base) < 1e-12 * max(1.0, abs(base))
 
 
+def test_one_form_serves_several_probes_as_fresh_calls_do():
+    # a sweep builds Q at quadrature and M_t once and calls the form per
+    # probe; q_functional builds the form afresh, and both give the same bits
+    mesh = geo.disc(12, 72)
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y))
+    for metric in (FLAT, CURVED):
+        form = idn.q_form(mesh, metric, weight)
+        for tau in (1.0, 2.0, 3.0):
+            u = np.exp(1j * tau * (x + 1j * y) ** 2)
+            v = np.exp(1j * tau * (x - 1j * y) ** 2)
+            for args in ((u, u, v, v), (u, v, u, v), (u, v, x, y * y)):
+                assert form(*args) == idn.q_functional(mesh, metric, weight, *args)
+
+
 def test_q_functional_is_bilinear_in_complex_fields():
     # grad(x + iy) pairs to zero with itself under the bilinear (unconjugated)
     # pairing, while grad(x + iy) . grad(x - iy) = 2

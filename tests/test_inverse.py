@@ -474,6 +474,46 @@ def test_recover_field_separates_two_bumps(mid_disc):
         assert offset <= 2.0 * mesh.h
 
 
+def test_sweeps_evaluate_the_weight_once_and_cache_nothing_new(jet_square):
+    # each sweep call builds its probe form (Q at quadrature, M_t) once; the
+    # form lives for the call only, never on the (mesh, metric) owner
+    mesh = geo.disc(48, 288)
+    shapes = []
+
+    def factor(x, y):
+        shapes.append(np.shape(x))
+        return gaussian_factor(x, y)
+
+    inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), [2.0, 3.0, 4.0])
+    assert shapes == [mesh.quad_points.shape[:2]]
+    grid = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]
+    out = inv.recover_q_field(mesh, FLAT, factor, grid, [2.0, 3.0, 4.0],
+                              probe_margin=0.3)
+    assert out.reliable.all() and len(shapes) == 2
+    jet_mesh, _ = jet_square
+    inv.boundary_jet_probe(jet_mesh, FLAT, factor, JET_POINT, 2, JET_SWEEP)
+    assert len(shapes) == 3
+    for m in (mesh, jet_mesh):
+        assert set(geo.discretization(m, FLAT)._built) <= {
+            "mq", "weights", "stiffness", "boundary", "interior_system",
+            "conformal_defect"}
+
+
+def test_conformal_flatness_is_checked_once_per_owner(monkeypatch):
+    built = []
+    defect = geo.Discretization._conformal_defect
+    monkeypatch.setattr(geo.Discretization, "_conformal_defect",
+                        lambda self: built.append(self.metric) or defect(self))
+    mesh = geo.disc(24, 144)
+    curved = geo.explicit_metric(
+        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y))
+    for tau in (2.0, 3.0, 4.0):
+        inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+        with pytest.raises(inv.ResolutionError, match="conformally flat"):
+            inv.make_interior_probe(mesh, curved, (0.0, 0.0), tau)
+    assert built == [FLAT, curved]
+
+
 def test_interior_grid_respects_margin():
     mesh = geo.disc(24, 144)
     margin = 0.4

@@ -5,9 +5,11 @@ before contracting with the (constant) hat gradients.  The references below
 keep the direct per-point formulas: the pairing b[t, q, i] = g(grad u,
 grad phi_i)(x_q) and the pair tensor g(grad phi_i, grad phi_j)(x_q),
 contracted point by point and scattered with ``np.add.at``.  The probe
-functional keeps its six-pairing formula as the reference for the one that
-shares repeated arguments, and the factored blocks are checked to be the
-symmetric positive definite matrices that ``geometry.factor_spd`` assumes.
+functional keeps its six-pairing formula as the reference for the
+pair-basis form, the element kernel keeps its broadcasting form as the
+bit-for-bit reference for the one on (n_tri,) rows, and the factored blocks
+are checked to be the symmetric positive definite matrices that
+``geometry.factor_spd`` assumes.
 """
 
 import numpy as np
@@ -146,22 +148,57 @@ def test_kernels_match_per_quadrature_point_reference(fields, metric):
     ) < 1e-13
 
 
-@pytest.mark.parametrize("metric", [FLAT, CURVED], ids=["flat", "curved"])
-def test_q_functional_matches_six_pairing_reference(fields, metric):
+@pytest.mark.parametrize(
+    "metric", [FLAT, CURVED, CONFORMAL], ids=["flat", "curved", "conformal"]
+)
+def test_q_functional_matches_six_pairing_reference(fields, metric, monkeypatch):
+    # the pair-basis form sums each product over the quadrature points inside
+    # M_t before it pairs, so it rounds differently from the six pairings;
+    # 100-triangle blocks split the 864 triangles into nine, the last ragged
     mesh = fields[0]
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y))
     u = np.exp(3j * (x + 0.5 * y)) * (1.0 + 0.2 * y)
     v = np.exp(-2j * (x - y))
     u_bar = np.conj(u)
-    # repeated arguments share gradients and pairings, bit for bit
-    for args in ((u, u, v, v), (u, u, u_bar, u_bar)):
-        got = idn.q_functional(mesh, metric, weight, *args)
-        assert got == reference_q_functional(mesh, metric, weight, *args)
     distinct = (u, v, np.exp(1j * x * y) + x, np.cos(2.0 * y) - 1j * x * x)
-    got = idn.q_functional(mesh, metric, weight, *distinct)
-    want = reference_q_functional(mesh, metric, weight, *distinct)
-    assert abs(got - want) <= 1e-13 * abs(want)
+    for block in (idn._BLOCK, 100):
+        monkeypatch.setattr(idn, "_BLOCK", block)
+        for args in ((u, u, v, v), (u, u, u_bar, u_bar), distinct):
+            got = idn.q_functional(mesh, metric, weight, *args)
+            want = reference_q_functional(mesh, metric, weight, *args)
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def reference_hat_pair_elements(mesh, m11, m12, m22):
+    """The broadcasting element kernel: (n_tri, 3, 3) products, accumulated."""
+    hx = mesh.hat_gradients[:, :, None, 0]  # (n_tri, 3, 1)
+    hy = mesh.hat_gradients[:, :, None, 1]
+    out = hx * hx.transpose(0, 2, 1)
+    out *= geo._point_sum(m11)[:, None, None]
+    xy = hx * hy.transpose(0, 2, 1)
+    xy = xy + xy.transpose(0, 2, 1)
+    xy *= geo._point_sum(m12)[:, None, None]
+    out += xy
+    yy = hy * hy.transpose(0, 2, 1)
+    yy *= geo._point_sum(m22)[:, None, None]
+    out += yy
+    return out
+
+
+@pytest.mark.parametrize("metric", [FLAT, CURVED, CONFORMAL], ids=["flat", "curved", "conformal"])
+def test_hat_pair_elements_match_broadcasting_reference_bit_for_bit(fields, metric):
+    # the six distinct entries on (n_tri,) rows repeat the broadcasting
+    # kernel's operations in its order, so K and J do not move
+    mesh, u, _ = fields
+    d = geo.discretization(mesh, metric)
+    mq, w = d.mq, d.weights
+    rng = np.random.default_rng(2)
+    for m in ((w * mq.inv11, w * mq.inv12, w * mq.inv22),
+              tuple(rng.standard_normal((mesh.n_triangles, 3)) for _ in range(3))):
+        got = geo.hat_pair_elements(mesh, *m)
+        assert np.array_equal(got, reference_hat_pair_elements(mesh, *m))
+        assert np.array_equal(got, got.transpose(0, 2, 1))
 
 
 def test_p1_gradients_match_einsum_reference():
