@@ -15,8 +15,11 @@ with |N| < 1 always (the tilted flux of a graph normal).  The
 discretization natively produces *weak* fluxes: the boundary rows of the
 nonlinear residual are exactly integral of N_g phi_b dS_g against the
 boundary hats, and for the linear map the rows of K v.  Nodal values
-divide by the lumped boundary measure, which is second-order accurate on
-smooth boundaries; Lambda values then come from the algebraic inversion.
+divide by the lumped boundary measure; Lambda values then come from the
+algebraic inversion.  Weak fluxes paired with smooth boundary functions
+converge at second order in h on any chart, nodal values only at first
+order on general charts (the flat metric on the symmetric disc shows
+second order, a pulled-back metric on the same disc does not).
 
 The third derivative of the DN map at zero boundary data is available two
 ways, which agree to O(h_eps^2):
@@ -38,6 +41,9 @@ For P1 fields the first variation equals v . r(u) with the residual vector
 r — exactly, at quadrature level.  Consequently differencing the area
 under boundary-hat perturbations of the data recovers the weak N_g flux up
 to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
+Its 2 n_B perturbed solves start at solutions predicted along the tangent
+of the solution map, computed from the base Jacobian's blocks, and take
+chord steps on its factor.
 """
 
 from __future__ import annotations
@@ -52,8 +58,7 @@ from .geometry import (
     boundary_values,
     discretization,
     nodal_values,
-    p1_gradients,
-    pair_at_quadrature,
+    p1_gradient_rows,
     tangential_derivative,
 )
 from .forward import (
@@ -64,6 +69,10 @@ from .forward import (
     warm_start,
 )
 from .linearize import _mixed_difference, third_linearization_source
+
+# Boundary hats per multi-column tangent solve in dn_from_area_data: all of
+# them at once would hold two dense (n_I, n_B) blocks.
+_TANGENT_BLOCK = 16
 
 __all__ = [
     "DNTrace",
@@ -258,10 +267,14 @@ def dn_third_derivative_exact(mesh, metric, directions):
 
 def area(mesh, metric, u):
     """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g."""
-    uvals = nodal_values(mesh, u)
     d = discretization(mesh, metric)
-    grad = p1_gradients(mesh, uvals)
-    slope_sq = pair_at_quadrature(mesh, d.mq, grad, grad)
+    mq = d.mq
+    gx, gy = p1_gradient_rows(mesh, nodal_values(mesh, u))
+    slope_sq = (
+        mq.inv11 * (gx * gx)[:, None]
+        + mq.inv12 * (2.0 * gx * gy)[:, None]
+        + mq.inv22 * (gy * gy)[:, None]
+    )
     return float((d.weights * np.sqrt(1.0 + slope_sq)).sum())
 
 
@@ -279,9 +292,18 @@ def dn_from_area_data(
     runs the algebraic inversion to Lambda.  Produces the same discrete
     object as :func:`dn_nonlinear` up to the O(t^2) differencing error,
     because the area first variation along the solution path reduces to the
-    boundary flux pairing exactly (the interior residual vanishes).  The
-    perturbed solves share one :func:`~minsurf.forward.warm_start` factor of
-    the base Jacobian (chord steps), which lives only for this call.
+    boundary flux pairing exactly (the interior residual vanishes).
+
+    The perturbed solves share one :func:`~minsurf.forward.warm_start` of
+    the base solution u0, which lives only for this call: they take chord
+    steps on its factor of J(u0)[I, I], and start at solutions predicted
+    along the tangent w_b = -J(u0)[I, I]^{-1} J(u0)[I, b] of the solution
+    map (an Euler predictor; Allgower & Georg, *Introduction to Numerical
+    Continuation Methods*, SIAM 2003, ch. 2).  Since u(+-t) = u0 +- t w_b
+    + t^2 z / 2 +- O(t^3), the + solve starts at u0 + t w_b, off by
+    O(t^2), and the - solve at u(+t) - 2 t w_b, off by O(t^3).  The
+    tangents are solved _TANGENT_BLOCK hats at a time, one multi-column
+    solve each.
 
     Parameters
     ----------
@@ -298,21 +320,31 @@ def dn_from_area_data(
     bg = discretization(mesh, metric).boundary
     fb = boundary_values(mesh, f)
     n_b = len(mesh.boundary_vertices)
+    I = mesh.interior_vertices
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
     base_trace = _nonlinear_trace(mesh, metric, fb, u0.values)
 
-    # Every perturbed solve starts at u0 and takes chord steps on one factor
-    # of J(u0): the perturbations are O(t), so J(u0) is within O(t) of the
-    # Jacobian at each perturbed solution.
-    warm = replace(options, initial_guess=warm_start(mesh, metric, u0.values))
+    # the perturbations are O(t), so J(u0) is within O(t) of the Jacobian
+    # at each perturbed solution
+    warm = warm_start(mesh, metric, u0.values)
     flux = np.empty(n_b)
-    for b in range(n_b):
-        pert = np.zeros(n_b)
-        pert[b] = t
-        up, _ = solve_minimal_surface(mesh, metric, fb + pert, warm)
-        dn_, _ = solve_minimal_surface(mesh, metric, fb - pert, warm)
-        flux[b] = (area(mesh, metric, up.values) - area(mesh, metric, dn_.values)) / (
-            2.0 * t
-        )
+    for start in range(0, n_b, _TANGENT_BLOCK):
+        stop = min(start + _TANGENT_BLOCK, n_b)
+        tangents = warm.lu.solve(-warm.coupling[:, start:stop].toarray())
+        for b in range(start, stop):
+            pert = np.zeros(n_b)
+            pert[b] = t
+            step = t * tangents[:, b - start]
+            guess = warm.values.copy()
+            guess[I] += step
+            plus = replace(options, initial_guess=replace(warm, values=guess))
+            up, _ = solve_minimal_surface(mesh, metric, fb + pert, plus)
+            guess = up.values.copy()
+            guess[I] -= 2.0 * step
+            minus = replace(options, initial_guess=replace(warm, values=guess))
+            dn_, _ = solve_minimal_surface(mesh, metric, fb - pert, minus)
+            flux[b] = (area(mesh, metric, up.values) - area(mesh, metric, dn_.values)) / (
+                2.0 * t
+            )
     return _flux_trace(bg, fb, flux), base_trace

@@ -29,12 +29,15 @@ linearly, at a rate set by how far J(u) is from the factored matrix.  A
 cold solve starts at the Laplace-Beltrami extension of its data and steps
 on the (mesh, metric) owner's factor of K[I, I] = J(0)[I, I], which the
 Laplace solves share, so small data costs no factorization at all.  A
-solve that starts near a known solution u0 (a perturbation of its data, as
-in the area-differencing pipeline) steps on a factor of J(u0) that
-:func:`warm_start` builds.  The refresh rule guards against a stale factor:
-after any chord step that needed a line-search halving, or that left more
-than a quarter of the interior residual norm, the factor is dropped and the
-remaining steps of that solve are plain Newton steps with fresh Jacobians.
+solve whose data perturb those of a known solution u0 (as in the
+area-differencing pipeline) steps on a factor of J(u0) that
+:func:`warm_start` builds.  It starts at u0, or nearer its own solution
+at a guess predicted along the tangent -J[I, I]^{-1} J[I, B] of the
+solution map, from the blocks the warm start keeps.  The refresh rule
+guards against a stale factor: after any chord step that needed a
+line-search halving, or that left more than a quarter of the interior
+residual norm, the factor is dropped and the remaining steps of that
+solve are plain Newton steps with fresh Jacobians.
 Only a plain ``initial_guess`` (an array or field) makes every step a
 Newton step.
 """
@@ -56,7 +59,7 @@ from .geometry import (
     hat_flux_loads,
     hat_pair_elements,
     nodal_values,
-    p1_gradients,
+    p1_gradient_rows,
 )
 
 __all__ = [
@@ -134,25 +137,31 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class WarmStart:
-    """Initial guess plus a factor that models the Jacobian near it.
+    """Initial guess plus the blocks of a Jacobian that models J near it.
 
     ``values`` are nodal values (the boundary entries are replaced by each
     solve's data); ``lu`` is the SuperLU factor of an SPD approximation of
-    J[I, I] near ``values``, on which the solve takes its chord steps.
-    :func:`warm_start` factors J(values) itself; the cold start pairs the
-    harmonic extension of the data with the factor of K[I, I] = J(0)[I, I].
-    Pass it as ``SolveOptions.initial_guess``.
+    J[I, I] near ``values``, on which the solve takes its chord steps, and
+    ``coupling`` the matching block J[I, B] (interior rows, boundary
+    columns in ``boundary_vertices`` order).  Together they give the
+    tangent of the solution map: data moved by df on the boundary moves
+    the interior by -J[I, I]^{-1} J[I, B] df to first order.
+    :func:`warm_start` takes both blocks from J(values); the cold start
+    pairs the harmonic extension of the data with the owner's K[I, B] and
+    factor of K[I, I] = J(0)[I, I].  Pass it, or a copy with predicted
+    ``values``, as ``SolveOptions.initial_guess``.
     """
 
     values: np.ndarray
     lu: object
+    coupling: object
 
 
 def _slope_factor(mesh, mq, u):
     """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points."""
-    grad = p1_gradients(mesh, u)
-    ax, ay = _raised_gradient(mq, grad)
-    return np.sqrt(1.0 + (ax * grad[:, :1] + ay * grad[:, 1:])), ax, ay
+    gx, gy = p1_gradient_rows(mesh, u)
+    ax, ay = _raised_gradient(mq, gx, gy)
+    return np.sqrt(1.0 + (ax * gx[:, None] + ay * gy[:, None])), ax, ay
 
 
 def mse_residual(mesh, metric, u):
@@ -193,17 +202,22 @@ def mse_linearized_operator(mesh, metric, u):
 
 
 def warm_start(mesh, metric, u):
-    """Factor J(u) once for chord-step solves that start at u.
+    """Factor J(u) once for chord-step solves that start at or near u.
 
-    Assembles the Newton Jacobian at the nodal field ``u`` and factors its
-    interior block.  Every solve given the result as
-    ``SolveOptions.initial_guess`` starts from ``u`` and takes its steps
-    with this factor (see the module docstring for the refresh rule).
+    Assembles the Newton Jacobian at the nodal field ``u``, factors its
+    interior block and keeps the coupling block J(u)[I, B] next to the
+    factor.  Every solve given the result as ``SolveOptions.initial_guess``
+    starts from ``u`` and takes its steps with this factor (see the module
+    docstring for the refresh rule); a solve given a copy with other
+    ``values``, such as a tangent prediction, starts there instead.
     """
     u = nodal_values(mesh, u).astype(float).copy()
-    I = mesh.interior_vertices
-    J = mse_linearized_operator(mesh, metric, u)
-    return WarmStart(values=u, lu=factor_spd(J[I][:, I]))
+    J_I = mse_linearized_operator(mesh, metric, u)[mesh.interior_vertices]
+    return WarmStart(
+        values=u,
+        lu=factor_spd(J_I[:, mesh.interior_vertices]),
+        coupling=J_I[:, mesh.boundary_vertices],
+    )
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data):
@@ -244,8 +258,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     guess = options.initial_guess
     if guess is None:
         # J(0) = K: the owner's factor of K[I, I] serves the chord steps
-        _, factor = discretization(mesh, metric).interior_system
-        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f).values, factor)
+        coupling, factor = discretization(mesh, metric).interior_system
+        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f).values, factor, coupling)
     lu = None  # factor for chord steps; None means a fresh Jacobian per step
     if isinstance(guess, WarmStart):
         guess, lu = guess.values, guess.lu

@@ -43,8 +43,10 @@ One owner per (mesh, metric) pair
 ---------------------------------
 Every operator of the package is computed on one (mesh, metric) pair, and
 :func:`discretization` hands out that pair's single :class:`Discretization`.
-It is memoized in a dict on the mesh, keyed by the metric, so it lives and
-dies with the mesh.  The owner builds each invariant on first use, once,
+It is memoized in a dict on the mesh, keyed by the metric, and refers back
+to its mesh only weakly, so it lives and dies with the mesh: dropping the
+last reference to a mesh frees its owners at once, without waiting for a
+garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
 quadrature, the quadrature weights, the stiffness matrix K, the boundary
 geometry, the coupling block K[I, B] with a sparse LU factor of K[I, I]
@@ -61,6 +63,7 @@ from the owner's metric at quadrature).
 from __future__ import annotations
 
 import threading
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -83,7 +86,6 @@ __all__ = [
     "explicit_metric",
     "conformal_metric",
     "metric_eval",
-    "pair_at_quadrature",
     "interpolate_at_quadrature",
     "quadrature_weights",
     "hat_flux_loads",
@@ -617,26 +619,13 @@ def p1_gradients(mesh, values):
     return np.column_stack(p1_gradient_rows(mesh, values))
 
 
-def pair_at_quadrature(mesh, mq, grad_u, grad_v):
-    """g(grad u, grad v) at quadrature points, (n_tri, 3).
-
-    ``grad_u``/``grad_v`` are per-triangle Euclidean gradients (n_tri, 2);
-    ``mq`` is the output of :func:`metric_at_quadrature`.  Bilinear (no
-    conjugation).
-    """
-    return (
-        mq.inv11 * (grad_u[:, 0] * grad_v[:, 0])[:, None]
-        + mq.inv12 * (grad_u[:, 0] * grad_v[:, 1] + grad_u[:, 1] * grad_v[:, 0])[:, None]
-        + mq.inv22 * (grad_u[:, 1] * grad_v[:, 1])[:, None]
-    )
-
-
-def _raised_gradient(mq, grad):
+def _raised_gradient(mq, gx, gy):
     """g^{-1} grad u at the quadrature points as two (n_tri, 3) arrays (x, y).
 
-    ``grad`` is the per-triangle Euclidean gradient (n_tri, 2).
+    ``gx``, ``gy`` are the rows (n_tri,) of the per-triangle Euclidean
+    gradient, as :func:`p1_gradient_rows` gives them.
     """
-    gx, gy = grad[:, :1], grad[:, 1:]
+    gx, gy = gx[:, None], gy[:, None]
     return mq.inv11 * gx + mq.inv12 * gy, mq.inv12 * gx + mq.inv22 * gy
 
 
@@ -963,13 +952,26 @@ class Discretization:
         largest of |g^12| and |g^11 - g^22| relative to (g^11 + g^22) / 2
         over the quadrature points, and the point where it is largest.
         The interior probes check it once per (mesh, metric) pair.
+    mesh : Mesh
+        The mesh, held through a weak reference (the mesh holds the
+        owner); reading it after the mesh is gone raises ReferenceError.
     """
 
     def __init__(self, mesh, metric):
-        self.mesh = mesh
+        self._mesh = weakref.ref(mesh)
         self.metric = metric
         self._lock = threading.RLock()
         self._built = {}
+
+    @property
+    def mesh(self):
+        mesh = self._mesh()
+        if mesh is None:
+            raise ReferenceError(
+                "the mesh of this Discretization has been freed; keep a "
+                "reference to the mesh for as long as its owner is used"
+            )
+        return mesh
 
     def _piece(self, name, build):
         piece = self._built.get(name)

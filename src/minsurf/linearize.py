@@ -183,7 +183,9 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l):
     """
     d = discretization(mesh, metric)
     gj, gk, gl = (p1_gradients(mesh, nodal_values(mesh, v)) for v in (v_j, v_k, v_l))
-    (jx, jy), (kx, ky), (lx, ly) = (_raised_gradient(d.mq, g) for g in (gj, gk, gl))
+    (jx, jy), (kx, ky), (lx, ly) = (
+        _raised_gradient(d.mq, g[:, 0], g[:, 1]) for g in (gj, gk, gl)
+    )
     # g(grad v_a, grad v_b) at the quadrature points
     pair_kl = kx * gl[:, :1] + ky * gl[:, 1:]
     pair_jl = jx * gl[:, :1] + jy * gl[:, 1:]

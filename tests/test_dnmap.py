@@ -9,6 +9,8 @@ from minsurf import forward as fwd
 from minsurf import dnmap as dn
 from minsurf import linearize as lin
 
+from test_kernels import pair_at_quadrature
+
 FLAT = geo.flat_metric()
 CAT_A = 0.5
 CAT_R0, CAT_R1 = 1.1 * CAT_A, 3.0 * CAT_A
@@ -38,8 +40,8 @@ def area_first_variation(mesh, metric, u, v):
     d = geo.discretization(mesh, metric)
     gu = geo.p1_gradients(mesh, geo.nodal_values(mesh, u))
     gv = geo.p1_gradients(mesh, geo.nodal_values(mesh, v))
-    slope_sq = geo.pair_at_quadrature(mesh, d.mq, gu, gu)
-    integrand = geo.pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
+    slope_sq = pair_at_quadrature(mesh, d.mq, gu, gu)
+    integrand = pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
     return float((d.weights * integrand).sum())
 
 
@@ -158,6 +160,41 @@ def test_linear_dn_nodal_values_second_order():
     assert errs[0] / errs[1] > 3.0
 
 
+def _pulled_back_flat(x, y):
+    """psi^* of the flat metric, psi(x) = x + 0.35 (1 - r^2)(a + (-y, x) / 2).
+
+    With a = (0.3, -0.2), psi fixes the unit circle pointwise and
+    det D psi >= 0.748 on the unit disc.
+    """
+    c, (ax, ay) = 0.35, (0.3, -0.2)
+    b = 1.0 - x * x - y * y
+    vx, vy = ax - 0.5 * y, ay + 0.5 * x
+    p11, p12 = 1.0 - 2.0 * c * vx * x, c * (-0.5 * b - 2.0 * vx * y)
+    p21, p22 = c * (0.5 * b - 2.0 * vy * x), 1.0 - 2.0 * c * vy * y
+    return p11 * p11 + p21 * p21, p11 * p12 + p21 * p22, p12 * p12 + p22 * p22
+
+
+def test_nonlinear_dn_weak_form_cannot_see_a_boundary_fixing_diffeomorphism():
+    # the gauge of the inverse problem: Lambda_{psi^* g} = Lambda_g when psi
+    # fixes the boundary, so the discrete weak forms agree at second order
+    # (the nodal values only at first order on such a chart)
+    pulled = geo.explicit_metric(_pulled_back_flat)
+    f = lambda x, y: 0.4 * (x * x - y * y) + 0.25 * x * y + 0.15 * y
+    options = fwd.SolveOptions(tol=1e-12)
+    diffs = []
+    for n in (12, 24, 48):
+        d = geo.disc(n, 6 * n)
+        p = d.vertices[d.boundary_vertices]
+        th = np.arctan2(p[:, 1], p[:, 0])
+        phi = np.cos(th) + 0.5 * np.sin(2 * th) + 0.3 * np.cos(3 * th)
+        pulled_form, flat_form = (
+            dn.dn_nonlinear(d, g, f, options).flux @ phi for g in (pulled, FLAT)
+        )
+        diffs.append(abs(pulled_form - flat_form) / abs(flat_form))
+    assert diffs[0] / diffs[1] > 3.5
+    assert diffs[1] / diffs[2] > 3.5
+
+
 def test_area_exact_for_affine_graph():
     m = geo.square(9)
     a, b = 0.6, -0.3
@@ -233,6 +270,66 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # area, so only the rounding of the two areas separates them
     floor = 4 * np.finfo(float).eps * dn.area(d, FLAT, u0) / (2 * t)
     assert np.abs(tr.flux - ref).max() <= floor
+
+
+def _area_pipeline_reports(monkeypatch, d, f, t):
+    """dn_from_area_data's flux and the SolveReports of its perturbed solves."""
+    reports = []
+    solve = dn.solve_minimal_surface
+
+    def recording(*args, **kwargs):
+        u, report = solve(*args, **kwargs)
+        reports.append(report)
+        return u, report
+
+    with monkeypatch.context() as m:
+        m.setattr(dn, "solve_minimal_surface", recording)
+        tr, _ = dn.dn_from_area_data(d, FLAT, f, t=t)
+    return tr.flux, reports[1:]  # the first solve is the base solve
+
+
+def _area_pipeline_from_u0(d, f, t):
+    """The perturbed solves of dn_from_area_data without the predictor: every
+    one starts at u0, on the same factor of J(u0)."""
+    u0, _ = fwd.solve_minimal_surface(d, FLAT, f)
+    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, FLAT, u0.values))
+    fb = geo.boundary_values(d, f)
+    flux, reports = np.empty(len(fb)), []
+    for b in range(len(fb)):
+        pert = np.zeros(len(fb))
+        pert[b] = t
+        up, rp = fwd.solve_minimal_surface(d, FLAT, fb + pert, warm)
+        um, rm = fwd.solve_minimal_surface(d, FLAT, fb - pert, warm)
+        reports += [rp, rm]
+        flux[b] = (dn.area(d, FLAT, up) - dn.area(d, FLAT, um)) / (2 * t)
+    floor = 4 * np.finfo(float).eps * dn.area(d, FLAT, u0) / (2 * t)
+    return flux, reports, floor
+
+
+def test_predicted_perturbed_solves_take_fewer_chord_steps(monkeypatch):
+    d = geo.disc(12, 48)
+    f = lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x
+    t = 1e-4
+    flux, reports = _area_pipeline_reports(monkeypatch, d, f, t)
+    ref_flux, ref_reports, floor = _area_pipeline_from_u0(d, f, t)
+    assert len(reports) == len(ref_reports) == 2 * len(d.boundary_vertices)
+    assert all(r.jacobians == 0 for r in reports)
+    steps = sum(r.iterations for r in reports)
+    assert steps <= 0.6 * sum(r.iterations for r in ref_reports)
+    assert np.abs(flux - ref_flux).max() <= floor
+
+
+def test_a_rough_prediction_still_meets_the_tolerance(monkeypatch):
+    # at t = 0.1 the O(t^2) predictor error is too large for chord steps
+    # alone: the refresh rule takes fresh Jacobians, and the areas agree with
+    # the solves from u0 up to their rounding
+    d = geo.disc(12, 48)
+    f = lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x
+    t = 0.1
+    flux, reports = _area_pipeline_reports(monkeypatch, d, f, t)
+    ref_flux, _, floor = _area_pipeline_from_u0(d, f, t)
+    assert sum(r.jacobians for r in reports) > 0
+    assert np.abs(flux - ref_flux).max() <= floor
 
 
 def test_third_derivative_fd_matches_exact():

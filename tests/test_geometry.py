@@ -1,7 +1,9 @@
 """Tests for meshes, metrics, assembly, boundary frames and the owner."""
 
+import gc
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from minsurf import forward as fwd
 from minsurf import geometry as geo
+
+from test_kernels import pair_at_quadrature
 
 CURVED = geo.explicit_metric(
     lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
@@ -223,9 +227,9 @@ def test_inner_product_is_bilinear_not_hermitian():
     u = m.vertices[:, 0] + 1j * m.vertices[:, 1]
     mq = geo.metric_at_quadrature(m, geo.flat_metric())
     gu = geo.p1_gradients(m, u)
-    ip = geo.pair_at_quadrature(m, mq, gu, gu)
+    ip = pair_at_quadrature(m, mq, gu, gu)
     assert np.abs(ip).max() < 1e-14
-    ip_mixed = geo.pair_at_quadrature(m, mq, gu, geo.p1_gradients(m, np.conj(u)))
+    ip_mixed = pair_at_quadrature(m, mq, gu, geo.p1_gradients(m, np.conj(u)))
     np.testing.assert_allclose(ip_mixed, 2.0, atol=1e-14)
 
 
@@ -512,6 +516,31 @@ def test_boundary_geometry_rejects_a_metric_not_spd_on_the_boundary():
     geo.metric_at_quadrature(mesh, rim)
     with pytest.raises(ValueError, match="not SPD at boundary vertex"):
         geo.boundary_geometry(mesh, rim)
+
+
+def test_dropping_a_mesh_frees_its_owner_without_a_collection():
+    mesh = geo.disc(8, 48)
+    d = geo.discretization(mesh, geo.flat_metric())
+    for piece in ("mq", "weights", "stiffness", "boundary", "interior_system",
+                  "conformal_defect"):
+        getattr(d, piece)
+    fwd.solve_minimal_surface(mesh, geo.flat_metric(), lambda x, y: 0.3 * x * y)
+    owner = weakref.ref(d)
+    del d
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del mesh
+        assert owner() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_an_owner_whose_mesh_is_gone_says_so():
+    d = geo.discretization(geo.disc(6, 36), geo.flat_metric())
+    with pytest.raises(ReferenceError, match="mesh of this Discretization"):
+        d.stiffness
 
 
 def test_discretization_is_memoized_per_mesh_and_metric():

@@ -9,6 +9,8 @@ from minsurf import geometry as geo
 from minsurf import forward as fwd
 from minsurf import identity as idn
 
+from test_kernels import pair_at_quadrature
+
 FLAT = geo.flat_metric()
 CURVED = geo.explicit_metric(
     lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
@@ -91,7 +93,7 @@ def _magnitude(metric, fields):
     out = 3.0 * d.weights
     for v in fields:
         g = geo.p1_gradients(SMOOTH, v)
-        out = out * np.sqrt(np.abs(geo.pair_at_quadrature(SMOOTH, d.mq, g, np.conj(g))))
+        out = out * np.sqrt(np.abs(pair_at_quadrature(SMOOTH, d.mq, g, np.conj(g))))
     return out.sum()
 
 

@@ -13,6 +13,8 @@ import minsurf.forward as fwd
 import minsurf.geometry as geo
 import minsurf.inverse as inv
 
+from test_kernels import pair_at_quadrature
+
 FLAT = geo.flat_metric()
 
 # Smooth reference weight used by most recovery tests: a single Gaussian bump
@@ -220,7 +222,7 @@ def test_conformal_flatness_is_checked_away_from_sampled_vertices():
 def pairing_integral(mesh, metric, grad_u, grad_v, weight_values):
     """Integral of weight * g(grad u, grad v) over the mesh."""
     d = geo.discretization(mesh, metric)
-    pair = geo.pair_at_quadrature(mesh, d.mq, grad_u, grad_v)
+    pair = pair_at_quadrature(mesh, d.mq, grad_u, grad_v)
     wq = geo.interpolate_at_quadrature(mesh, weight_values)
     return (d.weights * (wq * pair)).sum()
 
@@ -264,9 +266,9 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
     gv = geo.p1_gradients(mesh, probe.fields[2])
     d = geo.discretization(mesh, FLAT)
     mq = d.mq
-    cross = geo.pair_at_quadrature(mesh, mq, gu, gv)
-    same_u = geo.pair_at_quadrature(mesh, mq, gu, gu)
-    same_v = geo.pair_at_quadrature(mesh, mq, gv, gv)
+    cross = pair_at_quadrature(mesh, mq, gu, gv)
+    same_u = pair_at_quadrature(mesh, mq, gu, gu)
+    same_v = pair_at_quadrature(mesh, mq, gv, gv)
     qv = geo.interpolate_at_quadrature(
         mesh, gaussian_weight(mesh.vertices[:, 0], mesh.vertices[:, 1])
     )

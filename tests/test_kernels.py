@@ -30,6 +30,20 @@ CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * 
 EPS = np.finfo(float).eps
 
 
+def pair_at_quadrature(mesh, mq, grad_u, grad_v):
+    """g(grad u, grad v) at quadrature points, (n_tri, 3).
+
+    ``grad_u``/``grad_v`` are per-triangle Euclidean gradients (n_tri, 2);
+    ``mq`` is the output of ``geometry.metric_at_quadrature``.  Bilinear (no
+    conjugation).
+    """
+    return (
+        mq.inv11 * (grad_u[:, 0] * grad_v[:, 0])[:, None]
+        + mq.inv12 * (grad_u[:, 0] * grad_v[:, 1] + grad_u[:, 1] * grad_v[:, 0])[:, None]
+        + mq.inv22 * (grad_u[:, 1] * grad_v[:, 1])[:, None]
+    )
+
+
 def _hat_pairing(mesh, mq, grad):
     """g(grad u, grad phi_i) at quadrature points, (n_tri, 3, 3) as [t, q, i]."""
     hg = mesh.hat_gradients
@@ -62,7 +76,7 @@ def _scatter(mesh, contrib):
 
 def _slope(mesh, mq, u):
     grad = geo.p1_gradients(mesh, u)
-    return np.sqrt(1.0 + geo.pair_at_quadrature(mesh, mq, grad, grad)), grad
+    return np.sqrt(1.0 + pair_at_quadrature(mesh, mq, grad, grad)), grad
 
 
 def reference_residual(mesh, metric, u):
@@ -91,9 +105,9 @@ def reference_third_source(mesh, metric, v_j, v_k, v_l):
     d = geo.discretization(mesh, metric)
     mq = d.mq
     gj, gk, gl = (geo.p1_gradients(mesh, v) for v in (v_j, v_k, v_l))
-    pair_kl = geo.pair_at_quadrature(mesh, mq, gk, gl)
-    pair_jl = geo.pair_at_quadrature(mesh, mq, gj, gl)
-    pair_jk = geo.pair_at_quadrature(mesh, mq, gj, gk)
+    pair_kl = pair_at_quadrature(mesh, mq, gk, gl)
+    pair_jl = pair_at_quadrature(mesh, mq, gj, gl)
+    pair_jk = pair_at_quadrature(mesh, mq, gj, gk)
     integrand = (
         _hat_pairing(mesh, mq, gj) * pair_kl[:, :, None]
         + _hat_pairing(mesh, mq, gk) * pair_jl[:, :, None]
@@ -109,7 +123,7 @@ def reference_q_functional(mesh, metric, Q, v1, v2, v3, v4):
                       for v in (v1, v2, v3, v4))
 
     def pair(a, b):
-        return geo.pair_at_quadrature(mesh, d.mq, a, b)
+        return pair_at_quadrature(mesh, d.mq, a, b)
 
     combo = pair(g4, g1) * pair(g3, g2) + pair(g4, g2) * pair(g3, g1) + pair(g4, g3) * pair(g1, g2)
     weighted = idn._q_at_quadrature(mesh, Q) * combo
