@@ -416,8 +416,8 @@ def _build(cfg):
         except ValueError as exc:
             raise ConfigError("metric", str(exc)) from None
         for name, q in weights:
-            if not all(np.all(q(p[..., 0], p[..., 1]) < 1.0)
-                       for p in (mesh.vertices, mesh.quad_points)):
+            if not all(np.all(q(x, y) < 1.0)
+                       for x, y in (mesh.vertices.T, mesh.quad_points)):
                 raise ConfigError(name, "Q must stay below 1 on the mesh so "
                                         "that c = 1/(1 - Q) is positive")
         bx, by = mesh.vertices[mesh.boundary_vertices].T

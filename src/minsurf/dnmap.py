@@ -43,7 +43,9 @@ under boundary-hat perturbations of the data recovers the weak N_g flux up
 to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
 Its 2 n_B perturbed solves start at solutions predicted along the tangent
 of the solution map, computed from the base Jacobian's blocks, and take
-chord steps on its factor.
+chord steps on its factor.  Each area is the one its solve reports, summed
+from the slope factor of the solve's last residual evaluation, the same
+kernel as :func:`area`.
 """
 
 from __future__ import annotations
@@ -58,11 +60,12 @@ from .geometry import (
     boundary_values,
     discretization,
     nodal_values,
-    p1_gradient_rows,
     tangential_derivative,
 )
 from .forward import (
     SolveOptions,
+    _graph_area,
+    _slope_factor,
     mse_residual,
     solve_laplace_beltrami,
     solve_minimal_surface,
@@ -266,16 +269,15 @@ def dn_third_derivative_exact(mesh, metric, directions):
 
 
 def area(mesh, metric, u):
-    """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g."""
+    """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g.
+
+    The sum of weights times the slope factor of the residual, so the
+    ``area`` a solve reports (:class:`~minsurf.forward.SolveReport`) equals
+    this at its solution bit for bit.  Raises ValueError for a complex field.
+    """
     d = discretization(mesh, metric)
-    mq = d.mq
-    gx, gy = p1_gradient_rows(mesh, nodal_values(mesh, u))
-    slope_sq = (
-        mq.inv11 * (gx * gx)[:, None]
-        + mq.inv12 * (2.0 * gx * gy)[:, None]
-        + mq.inv22 * (gy * gy)[:, None]
-    )
-    return float((d.weights * np.sqrt(1.0 + slope_sq)).sum())
+    s = _slope_factor(mesh, d.mq, nodal_values(mesh, u))[0]
+    return _graph_area(d.weights, s)
 
 
 def dn_from_area_data(
@@ -303,7 +305,8 @@ def dn_from_area_data(
     + t^2 z / 2 +- O(t^3), the + solve starts at u0 + t w_b, off by
     O(t^2), and the - solve at u(+t) - 2 t w_b, off by O(t^3).  The
     tangents are solved _TANGENT_BLOCK hats at a time, one multi-column
-    solve each.
+    solve each.  The areas are the ``area`` of the solves' reports, equal
+    bit for bit to :func:`area` of their solutions.
 
     Parameters
     ----------
@@ -339,12 +342,10 @@ def dn_from_area_data(
             guess = warm.values.copy()
             guess[I] += step
             plus = replace(options, initial_guess=replace(warm, values=guess))
-            up, _ = solve_minimal_surface(mesh, metric, fb + pert, plus)
+            up, plus_report = solve_minimal_surface(mesh, metric, fb + pert, plus)
             guess = up.values.copy()
             guess[I] -= 2.0 * step
             minus = replace(options, initial_guess=replace(warm, values=guess))
-            dn_, _ = solve_minimal_surface(mesh, metric, fb - pert, minus)
-            flux[b] = (area(mesh, metric, up.values) - area(mesh, metric, dn_.values)) / (
-                2.0 * t
-            )
+            _, minus_report = solve_minimal_surface(mesh, metric, fb - pert, minus)
+            flux[b] = (plus_report.area - minus_report.area) / (2.0 * t)
     return _flux_trace(bg, fb, flux), base_trace

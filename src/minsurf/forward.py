@@ -113,10 +113,15 @@ class SolveReport:
 
     ``iterations`` counts every step; ``jacobians`` the fresh Jacobians the
     solve assembled and factored, so the other steps were chord steps.
+    ``area`` is the graph area (:func:`~minsurf.dnmap.area`) of the last
+    accepted iterate, the returned solution of a converged solve, summed
+    from the slope factor of its residual evaluation: equal bit for bit to
+    ``dnmap.area`` of that solution.
     """
 
     iterations: int
     final_residual: float
+    area: float
     jacobians: int = 0
     residual_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
@@ -158,39 +163,58 @@ class WarmStart:
 
 
 def _slope_factor(mesh, mq, u):
-    """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points."""
-    gx, gy = p1_gradient_rows(mesh, u)
-    ax, ay = _raised_gradient(mq, gx, gy)
-    return np.sqrt(1.0 + (ax * gx[:, None] + ay * gy[:, None])), ax, ay
+    """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points.
+
+    s is a (3, n_tri) array, g^{-1} grad u a (2, 3, n_tri) one.  The one
+    kernel of the residual, the Jacobian and the graph area, so all three
+    reject a complex field here.
+    """
+    if np.iscomplexobj(u):
+        raise ValueError(
+            "the minimal-surface equation and the graph area are defined for "
+            "real fields only"
+        )
+    g = p1_gradient_rows(mesh, u)
+    a = _raised_gradient(mq, g)
+    slope = a * g[:, None]
+    s = slope[0]
+    s += slope[1]
+    s += 1.0
+    return np.sqrt(s, out=s), a
 
 
-def mse_residual(mesh, metric, u):
+def _graph_area(weights, s):
+    """Graph area sum w s from the quadrature weights and the slope factor s."""
+    return float((weights * s).sum())
+
+
+def mse_residual(mesh, metric, u, *, with_slope=False):
     """Full residual vector of the minimal-surface equation.
 
     Entry i is the integral of g(grad u, grad phi_i)/sqrt(1+|grad_g u|^2)
     dV_g over the support of hat function phi_i — for interior i this is the
     equation residual, for boundary i the weak normal flux of the tilted
-    normal field.
+    normal field.  Raises ValueError for a complex field.  With
+    ``with_slope`` it returns ``(r, s)``, s the slope factor (3, n_tri) of
+    the evaluation, from which a solve reports its graph area.
     """
-    u = nodal_values(mesh, u)
-    if np.iscomplexobj(u):
-        raise ValueError("minimal-surface residual is defined for real fields only")
     d = discretization(mesh, metric)
-    s, ax, ay = _slope_factor(mesh, d.mq, u)
-    c = d.weights / s
-    return hat_flux_loads(mesh, c * ax, c * ay)
+    s, a = _slope_factor(mesh, d.mq, nodal_values(mesh, u))
+    a *= d.weights / s
+    r = hat_flux_loads(mesh, a)
+    return (r, s) if with_slope else r
 
 
 def mse_linearized_operator(mesh, metric, u):
     """Newton linearization J(u) of the minimal-surface residual.
 
     Symmetric sparse matrix; at u = 0 it reduces to the Laplace-Beltrami
-    stiffness matrix.
+    stiffness matrix.  Raises ValueError for a complex field.
     """
     u = nodal_values(mesh, u)
     d = discretization(mesh, metric)
     mq = d.mq
-    s, ax, ay = _slope_factor(mesh, mq, u)
+    s, (ax, ay) = _slope_factor(mesh, mq, u)
     c, c3 = d.weights / s, d.weights / s**3
     data = hat_pair_elements(
         mesh,
@@ -210,11 +234,12 @@ def warm_start(mesh, metric, u):
     starts from ``u`` and takes its steps with this factor (see the module
     docstring for the refresh rule); a solve given a copy with other
     ``values``, such as a tangent prediction, starts there instead.
+    Raises ValueError for a complex field.
     """
-    u = nodal_values(mesh, u).astype(float).copy()
+    u = nodal_values(mesh, u)
     J_I = mse_linearized_operator(mesh, metric, u)[mesh.interior_vertices]
     return WarmStart(
-        values=u,
+        values=u.astype(float),
         lu=factor_spd(J_I[:, mesh.interior_vertices]),
         coupling=J_I[:, mesh.boundary_vertices],
     )
@@ -267,6 +292,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     u[mesh.boundary_vertices] = f
 
     I = mesh.interior_vertices
+    weights = discretization(mesh, metric).weights
     residual_norms = []
     step_sizes = []
     jacobians = 0
@@ -275,13 +301,14 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         return SolveReport(
             iterations=it,
             final_residual=residual_norms[-1],
+            area=_graph_area(weights, s),
             jacobians=jacobians,
             residual_norms=residual_norms,
             step_sizes=step_sizes,
             message=message,
         )
 
-    r = mse_residual(mesh, metric, u)
+    r, s = mse_residual(mesh, metric, u, with_slope=True)
     rnorm = float(np.linalg.norm(r[I]))
     residual_norms.append(rnorm)
 
@@ -308,7 +335,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             u_trial = u + step * delta
-            r_trial = mse_residual(mesh, metric, u_trial)
+            r_trial, s_trial = mse_residual(mesh, metric, u_trial, with_slope=True)
             rnorm_trial = float(np.linalg.norm(r_trial[I]))
             if np.isfinite(rnorm_trial) and rnorm_trial <= (1.0 - _ARMIJO * step) * rnorm:
                 accepted = True
@@ -324,7 +351,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         # Refresh rule: the factor no longer models J(u) well enough.
         if lu is not None and (step < 1.0 or rnorm_trial > _CHORD_CONTRACTION * rnorm):
             lu = None
-        u, r, rnorm = u_trial, r_trial, rnorm_trial
+        u, r, s, rnorm = u_trial, r_trial, s_trial, rnorm_trial
         residual_norms.append(rnorm)
         step_sizes.append(step)
 

@@ -24,6 +24,13 @@ Conventions
   g^{-1}(x_q).  The kernels sum over the quadrature points first and
   contract with ``Mesh.hat_gradients`` once (:func:`hat_flux_loads`,
   :func:`hat_pair_elements`).
+* Per-triangle data are laid out as rows over the triangles (structure of
+  arrays; Cuvelier, Japhet & Scarella, BIT 56, 2016): data at the
+  quadrature points as C-contiguous (3, n_tri) arrays, one row per point,
+  and ``Mesh.hat_gradients`` and ``Mesh.quad_points`` as (2, 3, n_tri), x
+  and y first.  Every kernel product with a per-triangle factor (n_tri,)
+  then runs over contiguous rows, and sums over the points add the three
+  rows (:func:`_point_sum`).
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -138,10 +145,14 @@ class Mesh:
     ----------
     tri_areas : (n_triangles,) ndarray
         Euclidean triangle areas (all positive).
-    hat_gradients : (n_triangles, 3, 2) ndarray
-        Euclidean gradients of the three P1 hat functions per triangle.
-    quad_points : (n_triangles, 3, 2) ndarray
-        Physical coordinates of the volume quadrature points.
+    hat_gradients : (2, 3, n_triangles) ndarray
+        Euclidean gradients of the three P1 hat functions per triangle:
+        ``hat_gradients[c, i]`` is component c (x, y) of grad(phi_i), one
+        C-contiguous row over the triangles.
+    quad_points : (2, 3, n_triangles) ndarray
+        Physical coordinates of the volume quadrature points:
+        ``quad_points[c, q]`` is coordinate c of point q, one row over the
+        triangles, so ``x, y = mesh.quad_points``.
     centroids : (n_triangles, 2) ndarray
         Triangle centroids, computed on first access.
     boundary_edges : (n_boundary_edges, 2) ndarray
@@ -198,18 +209,19 @@ class Mesh:
 
         # P1 hat gradients: grad(phi_i) = perp(p_{i+2} - p_{i+1}) / (2A); the
         # three edges e are also the ones whose longest is h
-        grads = np.empty((len(triangles), 3, 2))
+        grads = np.empty((2, 3, len(triangles)))
         longest = 0.0
         for i in range(3):
             e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            grads[:, i, 0] = -e[:, 1]
-            grads[:, i, 1] = e[:, 0]
+            grads[0, i] = -e[:, 1]
+            grads[1, i] = e[:, 0]
             longest = max(longest, (e[:, 0] ** 2 + e[:, 1] ** 2).max())
-        grads /= (2.0 * signed)[:, None, None]
+        grads /= 2.0 * signed
         self.hat_gradients = grads
         self.h = float(np.sqrt(longest))
 
-        self.quad_points = _QUAD_BARY @ p
+        # the per-triangle matmul of the rule (and its rounding), laid out as rows
+        self.quad_points = np.ascontiguousarray((_QUAD_BARY @ p).transpose(2, 1, 0))
 
         self._build_boundary()
 
@@ -490,7 +502,7 @@ def _metric_entries(metric, x, y):
     b11, b12, b22 = _metric_entries(metric.base, x, y)
     c = np.broadcast_to(np.asarray(metric.factor(x, y), dtype=float), np.shape(x))
     if np.any(c <= 0.0):
-        k = np.unravel_index(int(np.argmin(c)), np.shape(c))
+        k = _first_index(c, np.argmin)
         raise ValueError(
             f"conformal factor must be positive; got {np.min(c):.3e} at "
             f"point ({np.asarray(x)[k]:.4g}, {np.asarray(y)[k]:.4g})"
@@ -519,47 +531,64 @@ def metric_eval(metric, point):
     return g
 
 
+def _first_index(a, pick):
+    """Index into ``a`` of ``pick(a.T)`` (``np.argmin`` or ``np.argmax``).
+
+    Ties go to the first position counted along the last axis first: on
+    (3, n_tri) rows, in (triangle, point) order.
+    """
+    return np.unravel_index(int(pick(a.T)), a.T.shape)[::-1]
+
+
 def _spd_determinant(g, x, y, where):
     """det g of metric entries g = (g11, g12, g22) sampled at points (x, y).
 
     Raises ValueError naming the first sample (its index and coordinates)
     where g is not symmetric positive definite: non-finite, g11 <= 0 or
-    det <= 0.
+    det <= 0.  On (3, n_tri) rows the index is (triangle, point).
     """
     g11, g12, g22 = g
     det = g11 * g22 - g12**2
     spd = np.isfinite(det) & (det > 0.0) & (g11 > 0.0)
     if not spd.all():
-        bad = tuple(int(i) for i in np.unravel_index(int(np.argmin(spd)), det.shape))
+        bad = _first_index(spd, np.argmin)
         raise ValueError(
-            f"metric is not SPD at {where} {bad} "
+            f"metric is not SPD at {where} {tuple(int(i) for i in bad[::-1])} "
             f"(x={x[bad]:.4g}, y={y[bad]:.4g}): g11={g11[bad]:.4g}, det={det[bad]:.4g}"
         )
     return det
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _MetricQuad:
-    """Metric data at the volume quadrature points (each array (n_tri, 3))."""
+    """Metric data at the volume quadrature points.
 
-    sqrt_det: np.ndarray
-    inv11: np.ndarray
-    inv12: np.ndarray
-    inv22: np.ndarray
+    ``rows`` is one C-contiguous (4, 3, n_tri) block: sqrt(det g) and the
+    inverse metric entries g^11, g^12, g^22, each a (3, n_tri) row block
+    (``sqrt_det``, ``inv11``, ``inv12``, ``inv22``).  The two columns of
+    g^{-1}, (g^11, g^12) and (g^12, g^22), are the consecutive slices
+    ``rows[1:3]`` and ``rows[2:4]``.
+    """
+
+    rows: np.ndarray
+
+    sqrt_det = property(lambda self: self.rows[0])
+    inv11 = property(lambda self: self.rows[1])
+    inv12 = property(lambda self: self.rows[2])
+    inv22 = property(lambda self: self.rows[3])
 
 
 def metric_at_quadrature(mesh, metric):
     """Evaluate the volume factor and inverse metric at quadrature points."""
-    x = mesh.quad_points[..., 0]
-    y = mesh.quad_points[..., 1]
+    x, y = mesh.quad_points
     g11, g12, g22 = _metric_entries(metric, x, y)
     det = _spd_determinant((g11, g12, g22), x, y, "quadrature point")
-    return _MetricQuad(
-        sqrt_det=np.sqrt(det),
-        inv11=g22 / det,
-        inv12=-g12 / det,
-        inv22=g11 / det,
-    )
+    rows = np.empty((4,) + det.shape)
+    np.sqrt(det, out=rows[0])
+    np.divide(g22, det, out=rows[1])
+    np.divide(-g12, det, out=rows[2])
+    np.divide(g11, det, out=rows[3])
+    return _MetricQuad(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -604,40 +633,41 @@ def nodal_values(mesh, field):
 
 
 def p1_gradient_rows(mesh, values, block=slice(None)):
-    """Euclidean gradient of the P1 interpolant as two rows (x, y).
+    """Euclidean gradient of the P1 interpolant as two rows (x, y), (2, nt).
 
     One entry per triangle of ``block`` (a slice of the triangles; all of
     them by default).
     """
     v = np.asarray(values)[mesh.triangles[block]]  # (nt, 3)
-    hg = mesh.hat_gradients[block]
-    return [v[:, 0] * hg[:, 0, c] + v[:, 1] * hg[:, 1, c] + v[:, 2] * hg[:, 2, c] for c in (0, 1)]
+    hg = mesh.hat_gradients[..., block]
+    g = v[:, 0] * hg[:, 0]
+    g += v[:, 1] * hg[:, 1]
+    g += v[:, 2] * hg[:, 2]
+    return g
 
 
-def p1_gradients(mesh, values):
-    """Euclidean gradient of the P1 interpolant, one constant vector per triangle."""
-    return np.column_stack(p1_gradient_rows(mesh, values))
+def _raised_gradient(mq, g):
+    """g^{-1} grad u at the quadrature points, (2, 3, n_tri), x and y first.
 
-
-def _raised_gradient(mq, gx, gy):
-    """g^{-1} grad u at the quadrature points as two (n_tri, 3) arrays (x, y).
-
-    ``gx``, ``gy`` are the rows (n_tri,) of the per-triangle Euclidean
-    gradient, as :func:`p1_gradient_rows` gives them.
+    ``g`` holds the rows (x, y) of the per-triangle Euclidean gradient, as
+    :func:`p1_gradient_rows` gives them.
     """
-    gx, gy = gx[:, None], gy[:, None]
-    return mq.inv11 * gx + mq.inv12 * gy, mq.inv12 * gx + mq.inv22 * gy
+    gx, gy = g
+    # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy
+    a = mq.rows[1:3] * gx
+    a += mq.rows[2:4] * gy
+    return a
 
 
 def interpolate_at_quadrature(mesh, values):
-    """P1 interpolation of nodal values to the quadrature points, (n_tri, 3)."""
+    """P1 interpolation of nodal values to the quadrature points, (3, n_tri)."""
     v = np.asarray(values)[mesh.triangles]
-    return np.einsum("qi,ti->tq", _QUAD_BARY, v)
+    return np.einsum("qi,ti->qt", _QUAD_BARY, v)
 
 
 def quadrature_weights(mesh, mq):
-    """Weights of the volume rule against dV_g at each quadrature point, (n_tri, 3)."""
-    return (mesh.tri_areas[:, None] * _QUAD_WEIGHTS) * mq.sqrt_det
+    """Weights of the volume rule against dV_g at each quadrature point, (3, n_tri)."""
+    return (_QUAD_WEIGHTS[:, None] * mesh.tri_areas) * mq.sqrt_det
 
 
 # ---------------------------------------------------------------------------
@@ -646,22 +676,28 @@ def quadrature_weights(mesh, mq):
 
 
 def _point_sum(a):
-    """Sum over the three quadrature points, (n_tri, 3) -> (n_tri,).
+    """Sum over the three quadrature points, (..., 3, n_tri) -> (..., n_tri).
 
-    Adds in the order of ``a.sum(axis=1)``, several times faster than a
-    numpy reduction over a length-3 axis.
+    Adds the rows in the order of ``a.sum(axis=-2)``.
     """
-    return a[:, 0] + a[:, 1] + a[:, 2]
+    out = a[..., 0, :] + a[..., 1, :]
+    out += a[..., 2, :]
+    return out
 
 
-def hat_flux_loads(mesh, fx, fy):
+def hat_flux_loads(mesh, f):
     """Load vector with entries sum_t grad(phi_i) . F_t over the support of phi_i.
 
-    ``fx``/``fy`` (each (n_tri, 3)) hold a weighted real vector integrand at
-    the quadrature points; the flux F_t is its sum over the points.
+    ``f`` (2, 3, n_tri) holds a weighted real vector integrand at the
+    quadrature points, x and y first; the flux F_t is its sum over the
+    points.  The entries are scattered in (triangle, corner) order.
     """
-    hg = mesh.hat_gradients
-    contrib = hg[:, :, 0] * _point_sum(fx)[:, None] + hg[:, :, 1] * _point_sum(fy)[:, None]
+    F = _point_sum(f)
+    h = mesh.hat_gradients * F[:, None]
+    # contrib[t, i] = grad(phi_i) . F_t, in the (triangle, corner) order of
+    # mesh.triangles, which fixes the order bincount adds in
+    contrib = np.empty((mesh.n_triangles, 3))
+    np.add(h[0], h[1], out=contrib.T)
     return np.bincount(
         mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_vertices
     )
@@ -670,17 +706,15 @@ def hat_flux_loads(mesh, fx, fy):
 def hat_pair_elements(mesh, m11, m12, m22):
     """Element matrices grad(phi_i)^T M_t grad(phi_j), (n_tri, 3, 3).
 
-    ``m11``, ``m12``, ``m22`` (each (n_tri, 3)) hold a weighted symmetric
+    ``m11``, ``m12``, ``m22`` (each (3, n_tri)) hold a weighted symmetric
     2x2 tensor field at the quadrature points; M_t is its sum over the
     points.  The six distinct entries are computed on (n_tri,) rows and
     each is written to both of its places, so every element matrix is
     exactly symmetric.
     """
     s11, s12, s22 = _point_sum(m11), _point_sum(m12), _point_sum(m22)
-    hg = mesh.hat_gradients
-    hx = [hg[:, i, 0] for i in range(3)]
-    hy = [hg[:, i, 1] for i in range(3)]
-    out = np.empty((len(hg), 3, 3))
+    hx, hy = mesh.hat_gradients
+    out = np.empty((mesh.n_triangles, 3, 3))
     for i in range(3):
         for j in range(i, 3):
             out[:, i, j] = out[:, j, i] = (
@@ -937,9 +971,10 @@ class Discretization:
     ----------
     mq : _MetricQuad
         Metric at the quadrature points: ``sqrt_det``, ``inv11``, ``inv12``
-        and ``inv22``, each (n_tri, 3).
-    weights : (n_tri, 3) ndarray
-        Quadrature weights against dV_g.
+        and ``inv22``, each a C-contiguous (3, n_tri) array, are the row
+        blocks of its one (4, 3, n_tri) array ``rows``.
+    weights : (3, n_tri) ndarray
+        Quadrature weights against dV_g, C-contiguous.
     stiffness : csr_matrix
         Laplace-Beltrami stiffness matrix K.
     boundary : BoundaryGeometry
@@ -1018,8 +1053,8 @@ class Discretization:
         mq = self.mq
         scale = 0.5 * (mq.inv11 + mq.inv22)
         defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
-        worst = np.unravel_index(int(np.argmax(defect)), defect.shape)
-        return float(defect[worst]), self.mesh.quad_points[worst]
+        q, t = _first_index(defect, np.argmax)
+        return float(defect[q, t]), self.mesh.quad_points[:, q, t]
 
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices.

@@ -105,11 +105,11 @@ class IdentityReport:
 
 
 def _q_at_quadrature(mesh, Q):
-    """Evaluate a coefficient field at the volume quadrature points."""
+    """Evaluate a coefficient field at the volume quadrature points, (3, n_tri)."""
     if Q is None:
         return 1.0
     if callable(Q):
-        return np.asarray(Q(mesh.quad_points[..., 0], mesh.quad_points[..., 1]))
+        return np.asarray(Q(*mesh.quad_points))
     return interpolate_at_quadrature(mesh, nodal_values(mesh, Q))
 
 

@@ -52,7 +52,7 @@ from .geometry import (
     discretization,
     hat_flux_loads,
     nodal_values,
-    p1_gradients,
+    p1_gradient_rows,
 )
 from .forward import SolveOptions, solve_minimal_surface
 
@@ -182,20 +182,13 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l):
     the DN third derivative).
     """
     d = discretization(mesh, metric)
-    gj, gk, gl = (p1_gradients(mesh, nodal_values(mesh, v)) for v in (v_j, v_k, v_l))
-    (jx, jy), (kx, ky), (lx, ly) = (
-        _raised_gradient(d.mq, g[:, 0], g[:, 1]) for g in (gj, gk, gl)
-    )
+    gj, gk, gl = (p1_gradient_rows(mesh, nodal_values(mesh, v)) for v in (v_j, v_k, v_l))
+    j, k, l = (_raised_gradient(d.mq, g) for g in (gj, gk, gl))
     # g(grad v_a, grad v_b) at the quadrature points
-    pair_kl = kx * gl[:, :1] + ky * gl[:, 1:]
-    pair_jl = jx * gl[:, :1] + jy * gl[:, 1:]
-    pair_jk = jx * gk[:, :1] + jy * gk[:, 1:]
-    w = d.weights
-    return hat_flux_loads(
-        mesh,
-        w * (jx * pair_kl + kx * pair_jl + lx * pair_jk),
-        w * (jy * pair_kl + ky * pair_jl + ly * pair_jk),
-    )
+    pair_kl = k[0] * gl[0] + k[1] * gl[1]
+    pair_jl = j[0] * gl[0] + j[1] * gl[1]
+    pair_jk = j[0] * gk[0] + j[1] * gk[1]
+    return hat_flux_loads(mesh, d.weights * (j * pair_kl + k * pair_jl + l * pair_jk))
 
 
 def third_linearization_pde(mesh, metric, v_j, v_k, v_l):

@@ -9,9 +9,13 @@ from minsurf import forward as fwd
 from minsurf import dnmap as dn
 from minsurf import linearize as lin
 
-from test_kernels import pair_at_quadrature
+from test_kernels import p1_gradients, pair_at_quadrature
 
 FLAT = geo.flat_metric()
+CURVED = geo.explicit_metric(
+    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+)
+CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y)
 CAT_A = 0.5
 CAT_R0, CAT_R1 = 1.1 * CAT_A, 3.0 * CAT_A
 
@@ -22,7 +26,7 @@ def catenoid(x, y):
 
 def riemannian_gradient(mesh, metric, field):
     """Riemannian gradient g^{-1} grad(u) per triangle (metric at centroids)."""
-    grad = geo.p1_gradients(mesh, geo.nodal_values(mesh, field))
+    grad = p1_gradients(mesh, geo.nodal_values(mesh, field))
     x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
     g11, g12, g22 = geo._metric_entries(metric, x, y)
     det = g11 * g22 - g12**2
@@ -38,8 +42,8 @@ def area_first_variation(mesh, metric, u, v):
     rules coincide); evaluated here by direct quadrature.
     """
     d = geo.discretization(mesh, metric)
-    gu = geo.p1_gradients(mesh, geo.nodal_values(mesh, u))
-    gv = geo.p1_gradients(mesh, geo.nodal_values(mesh, v))
+    gu = p1_gradients(mesh, geo.nodal_values(mesh, u))
+    gv = p1_gradients(mesh, geo.nodal_values(mesh, v))
     slope_sq = pair_at_quadrature(mesh, d.mq, gu, gu)
     integrand = pair_at_quadrature(mesh, d.mq, gu, gv) / np.sqrt(1.0 + slope_sq)
     return float((d.weights * integrand).sum())
@@ -270,6 +274,33 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # area, so only the rounding of the two areas separates them
     floor = 4 * np.finfo(float).eps * dn.area(d, FLAT, u0) / (2 * t)
     assert np.abs(tr.flux - ref).max() <= floor
+
+
+@pytest.mark.parametrize(
+    "metric", [FLAT, CURVED, CONFORMAL], ids=["flat", "curved", "conformal"]
+)
+def test_solve_reports_the_area_of_its_solution_bit_for_bit(metric):
+    d = geo.disc(8, 48)
+    f = lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x
+    u0, cold = fwd.solve_minimal_surface(d, metric, f)
+    assert cold.area == dn.area(d, metric, u0)
+    fb = geo.boundary_values(d, f)
+    fb[3] += 1e-3
+    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0.values))
+    u, report = fwd.solve_minimal_surface(d, metric, fb, warm)
+    assert report.iterations > 0 and report.area == dn.area(d, metric, u)
+    plain = fwd.SolveOptions(initial_guess=u0.values)
+    u, report = fwd.solve_minimal_surface(d, metric, fb, plain)
+    assert report.jacobians > 0 and report.area == dn.area(d, metric, u)
+
+
+def test_dn_from_area_data_reads_the_areas_off_its_solves(counting):
+    # each perturbed solve reports the area of its solution from its last
+    # residual evaluation, so the pipeline evaluates no area of its own
+    d = geo.disc(12, 48)
+    calls = counting(dn, "area")
+    dn.dn_from_area_data(d, FLAT, lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x)
+    assert len(calls) == 0
 
 
 def _area_pipeline_reports(monkeypatch, d, f, t):

@@ -1,5 +1,7 @@
 """Tests for the nonlinear minimal-surface solver and Laplace-Beltrami."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -8,6 +10,7 @@ from scipy.optimize import brentq
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
+from minsurf import dnmap as dn
 
 FLAT = geo.flat_metric()
 
@@ -221,6 +224,22 @@ def test_complex_data_rejected_by_nonlinear_solver():
     d = geo.disc(6, 36)
     with pytest.raises(ValueError, match="real"):
         fwd.solve_minimal_surface(d, FLAT, lambda x, y: np.exp(1j * x))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [fwd.mse_residual, fwd.mse_linearized_operator, dn.area, fwd.warm_start],
+    ids=["residual", "jacobian", "area", "warm_start"],
+)
+def test_complex_fields_rejected_by_the_slope_kernel(kernel):
+    # all four share the slope factor sqrt(1 + |grad_g u|^2), which raises
+    # before any of them could drop the imaginary part with a ComplexWarning
+    d = geo.disc(4, 24)
+    x, y = d.vertices.T
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="defined for real fields only"):
+            kernel(d, FLAT, 0.1 * (x + 1j * y))
 
 
 def test_solve_report_history():

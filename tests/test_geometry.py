@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from minsurf import forward as fwd
 from minsurf import geometry as geo
 
-from test_kernels import pair_at_quadrature
+from test_kernels import p1_gradients, pair_at_quadrature
 
 CURVED = geo.explicit_metric(
     lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
@@ -172,6 +172,22 @@ def test_metric_eval_flat_and_spd_rejection():
         geo.metric_at_quadrature(m, bad)
 
 
+def test_spd_rejection_names_the_first_point_in_triangle_order():
+    # the metric at quadrature is stored point by point, as (3, n_tri) rows,
+    # but the first failing point is still found and printed triangle first
+    m = geo.square(4)
+    bad = geo.explicit_metric(
+        lambda x, y: (np.where(x + 0.3 * y > 0.9, -1.0, 1.0), 0.0 * x, np.ones_like(x))
+    )
+    x, y = m.quad_points
+    failing = np.argwhere((x + 0.3 * y > 0.9).T)  # (triangle, point), in order
+    t, q = failing[0]
+    # the first failing point of the (point, triangle) order is another one
+    assert (q, t) != tuple(np.argwhere(x + 0.3 * y > 0.9)[0])
+    with pytest.raises(ValueError, match=rf"SPD at quadrature point \({t}, {q}\) "):
+        geo.metric_at_quadrature(m, bad)
+
+
 def test_conformal_factor_positivity():
     g = geo.conformal_metric(geo.flat_metric(), lambda x, y: x - 0.5)
     m = geo.square(4)
@@ -226,18 +242,18 @@ def test_inner_product_is_bilinear_not_hermitian():
     m = geo.square(5)
     u = m.vertices[:, 0] + 1j * m.vertices[:, 1]
     mq = geo.metric_at_quadrature(m, geo.flat_metric())
-    gu = geo.p1_gradients(m, u)
+    gu = p1_gradients(m, u)
     ip = pair_at_quadrature(m, mq, gu, gu)
     assert np.abs(ip).max() < 1e-14
-    ip_mixed = pair_at_quadrature(m, mq, gu, geo.p1_gradients(m, np.conj(u)))
+    ip_mixed = pair_at_quadrature(m, mq, gu, p1_gradients(m, np.conj(u)))
     np.testing.assert_allclose(ip_mixed, 2.0, atol=1e-14)
 
 
 def test_quadrature_exact_for_quadratics():
     m = geo.square(5)
     w = geo.discretization(m, geo.flat_metric()).weights
-    q = m.quad_points
-    val = (w * (q[..., 0] ** 2 + q[..., 1] ** 2)).sum()
+    x, y = m.quad_points
+    val = (w * (x**2 + y**2)).sum()
     assert abs(val - 2.0 / 3.0) < 1e-14
 
 

@@ -9,7 +9,7 @@ from minsurf import geometry as geo
 from minsurf import forward as fwd
 from minsurf import identity as idn
 
-from test_kernels import pair_at_quadrature
+from test_kernels import p1_gradients, pair_at_quadrature
 
 FLAT = geo.flat_metric()
 CURVED = geo.explicit_metric(
@@ -92,7 +92,7 @@ def _magnitude(metric, fields):
     d = geo.discretization(SMOOTH, metric)
     out = 3.0 * d.weights
     for v in fields:
-        g = geo.p1_gradients(SMOOTH, v)
+        g = p1_gradients(SMOOTH, v)
         out = out * np.sqrt(np.abs(pair_at_quadrature(SMOOTH, d.mq, g, np.conj(g))))
     return out.sum()
 

@@ -13,7 +13,7 @@ import minsurf.forward as fwd
 import minsurf.geometry as geo
 import minsurf.inverse as inv
 
-from test_kernels import pair_at_quadrature
+from test_kernels import p1_gradients, pair_at_quadrature
 
 FLAT = geo.flat_metric()
 
@@ -242,8 +242,8 @@ def test_same_route_probe_pairings_cancel_to_mesh_error():
             p2 = inv.make_interior_probe(
                 mesh, FLAT, (0.1, -0.05), tau
             )
-            g1 = geo.p1_gradients(mesh, p1.fields[0])
-            g2 = geo.p1_gradients(mesh, p2.fields[0])
+            g1 = p1_gradients(mesh, p1.fields[0])
+            g2 = p1_gradients(mesh, p2.fields[0])
             val = abs(pairing_integral(mesh, FLAT, g1, g2, qv))
             # measured prefactors val / (h^2 tau^2 AMP) of 0.6 at tau = 3 and
             # 14 at tau = 6, far below the loose ceiling frozen here
@@ -262,8 +262,8 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
     mesh, ext = mid_disc
     tau = 10.0
     probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
-    gu = geo.p1_gradients(mesh, probe.fields[0])
-    gv = geo.p1_gradients(mesh, probe.fields[2])
+    gu = p1_gradients(mesh, probe.fields[0])
+    gv = p1_gradients(mesh, probe.fields[2])
     d = geo.discretization(mesh, FLAT)
     mq = d.mq
     cross = pair_at_quadrature(mesh, mq, gu, gv)
@@ -487,7 +487,7 @@ def test_sweeps_evaluate_the_weight_once_and_cache_nothing_new(jet_square):
         return gaussian_factor(x, y)
 
     inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), [2.0, 3.0, 4.0])
-    assert shapes == [mesh.quad_points.shape[:2]]
+    assert shapes == [mesh.quad_points.shape[1:]]
     grid = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]]
     out = inv.recover_q_field(mesh, FLAT, factor, grid, [2.0, 3.0, 4.0],
                               probe_margin=0.3)

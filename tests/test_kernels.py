@@ -4,13 +4,21 @@ The package sums every quadrature rule over the three points of a triangle
 before contracting with the (constant) hat gradients.  The references below
 keep the direct per-point formulas: the pairing b[t, q, i] = g(grad u,
 grad phi_i)(x_q) and the pair tensor g(grad phi_i, grad phi_j)(x_q),
-contracted point by point and scattered with ``np.add.at``.  The probe
-functional keeps its six-pairing formula as the reference for the
-pair-basis form, the element kernel keeps its broadcasting form as the
-bit-for-bit reference for the one on (n_tri,) rows, and the factored blocks
-are checked to be the symmetric positive definite matrices that
-``geometry.factor_spd`` assumes.
+contracted point by point and scattered with ``np.add.at``; they read the
+per-point data as (n_tri, 3) columns, transposed from the package's
+(3, n_tri) rows.  The probe functional keeps its six-pairing formula as the
+reference for the pair-basis form, the element kernel keeps its
+broadcasting form as the bit-for-bit reference for the one on (n_tri,)
+rows, and the factored blocks are checked to be the symmetric positive
+definite matrices that ``geometry.factor_spd`` assumes.
+
+The residual, the Jacobian's element data and K are pinned bit for bit to
+the formulas of the (n_tri, 3) layout they were first written in (the
+``columns_*`` helpers), and the layout itself, C-contiguous rows, is a
+contract test.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,23 +38,39 @@ CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * 
 EPS = np.finfo(float).eps
 
 
+def p1_gradients(mesh, values):
+    """Euclidean gradient of the P1 interpolant, one constant vector per triangle."""
+    return np.column_stack(geo.p1_gradient_rows(mesh, values))
+
+
 def pair_at_quadrature(mesh, mq, grad_u, grad_v):
-    """g(grad u, grad v) at quadrature points, (n_tri, 3).
+    """g(grad u, grad v) at quadrature points, (3, n_tri) like ``mq``.
 
     ``grad_u``/``grad_v`` are per-triangle Euclidean gradients (n_tri, 2);
     ``mq`` is the output of ``geometry.metric_at_quadrature``.  Bilinear (no
     conjugation).
     """
     return (
-        mq.inv11 * (grad_u[:, 0] * grad_v[:, 0])[:, None]
-        + mq.inv12 * (grad_u[:, 0] * grad_v[:, 1] + grad_u[:, 1] * grad_v[:, 0])[:, None]
-        + mq.inv22 * (grad_u[:, 1] * grad_v[:, 1])[:, None]
+        mq.inv11 * (grad_u[:, 0] * grad_v[:, 0])
+        + mq.inv12 * (grad_u[:, 0] * grad_v[:, 1] + grad_u[:, 1] * grad_v[:, 0])
+        + mq.inv22 * (grad_u[:, 1] * grad_v[:, 1])
     )
+
+
+def _columns(mq):
+    """The metric at quadrature as (n_tri, 3) columns (transposed views)."""
+    return SimpleNamespace(sqrt_det=mq.sqrt_det.T, inv11=mq.inv11.T,
+                           inv12=mq.inv12.T, inv22=mq.inv22.T)
+
+
+def _hat_columns(mesh):
+    """The hat gradients as (n_tri, 3, 2), [t, i, c] (a transposed view)."""
+    return mesh.hat_gradients.transpose(2, 1, 0)
 
 
 def _hat_pairing(mesh, mq, grad):
     """g(grad u, grad phi_i) at quadrature points, (n_tri, 3, 3) as [t, q, i]."""
-    hg = mesh.hat_gradients
+    mq, hg = _columns(mq), _hat_columns(mesh)
     return (
         mq.inv11[:, :, None] * grad[:, None, None, 0] * hg[:, None, :, 0]
         + mq.inv12[:, :, None]
@@ -56,8 +80,8 @@ def _hat_pairing(mesh, mq, grad):
 
 
 def _pair_elements(mesh, mq, w):
-    """sum_q w[t, q] g(grad phi_i, grad phi_j)(x_q), (n_tri, 3, 3)."""
-    hg = mesh.hat_gradients
+    """sum_q w[q, t] g(grad phi_i, grad phi_j)(x_q), (n_tri, 3, 3)."""
+    mq, hg = _columns(mq), _hat_columns(mesh)
     pair = (
         mq.inv11[:, :, None, None] * hg[:, None, :, None, 0] * hg[:, None, None, :, 0]
         + mq.inv12[:, :, None, None]
@@ -65,7 +89,7 @@ def _pair_elements(mesh, mq, w):
            + hg[:, None, :, None, 1] * hg[:, None, None, :, 0])
         + mq.inv22[:, :, None, None] * hg[:, None, :, None, 1] * hg[:, None, None, :, 1]
     )
-    return np.einsum("tq,tqij->tij", w, pair)
+    return np.einsum("tq,tqij->tij", w.T, pair)
 
 
 def _scatter(mesh, contrib):
@@ -75,14 +99,14 @@ def _scatter(mesh, contrib):
 
 
 def _slope(mesh, mq, u):
-    grad = geo.p1_gradients(mesh, u)
+    grad = p1_gradients(mesh, u)
     return np.sqrt(1.0 + pair_at_quadrature(mesh, mq, grad, grad)), grad
 
 
 def reference_residual(mesh, metric, u):
     d = geo.discretization(mesh, metric)
     s, grad = _slope(mesh, d.mq, u)
-    contrib = np.einsum("tq,tqi->ti", d.weights / s, _hat_pairing(mesh, d.mq, grad))
+    contrib = np.einsum("tq,tqi->ti", (d.weights / s).T, _hat_pairing(mesh, d.mq, grad))
     return _scatter(mesh, contrib)
 
 
@@ -91,7 +115,7 @@ def reference_jacobian(mesh, metric, u):
     s, grad = _slope(mesh, d.mq, u)
     b = _hat_pairing(mesh, d.mq, grad)
     data = _pair_elements(mesh, d.mq, d.weights / s) - np.einsum(
-        "tq,tqi,tqj->tij", d.weights / s**3, b, b
+        "tq,tqi,tqj->tij", (d.weights / s**3).T, b, b
     )
     return geo.assemble_elements(mesh, data)
 
@@ -104,22 +128,22 @@ def reference_stiffness(mesh, metric):
 def reference_third_source(mesh, metric, v_j, v_k, v_l):
     d = geo.discretization(mesh, metric)
     mq = d.mq
-    gj, gk, gl = (geo.p1_gradients(mesh, v) for v in (v_j, v_k, v_l))
-    pair_kl = pair_at_quadrature(mesh, mq, gk, gl)
-    pair_jl = pair_at_quadrature(mesh, mq, gj, gl)
-    pair_jk = pair_at_quadrature(mesh, mq, gj, gk)
+    gj, gk, gl = (p1_gradients(mesh, v) for v in (v_j, v_k, v_l))
+    pair_kl = pair_at_quadrature(mesh, mq, gk, gl).T
+    pair_jl = pair_at_quadrature(mesh, mq, gj, gl).T
+    pair_jk = pair_at_quadrature(mesh, mq, gj, gk).T
     integrand = (
         _hat_pairing(mesh, mq, gj) * pair_kl[:, :, None]
         + _hat_pairing(mesh, mq, gk) * pair_jl[:, :, None]
         + _hat_pairing(mesh, mq, gl) * pair_jk[:, :, None]
     )
-    return _scatter(mesh, np.einsum("tq,tqi->ti", d.weights, integrand))
+    return _scatter(mesh, np.einsum("tq,tqi->ti", d.weights.T, integrand))
 
 
 def reference_q_functional(mesh, metric, Q, v1, v2, v3, v4):
     """The six-pairing formula: four gradients, each pairing formed afresh."""
     d = geo.discretization(mesh, metric)
-    g1, g2, g3, g4 = (geo.p1_gradients(mesh, geo.nodal_values(mesh, v))
+    g1, g2, g3, g4 = (p1_gradients(mesh, geo.nodal_values(mesh, v))
                       for v in (v1, v2, v3, v4))
 
     def pair(a, b):
@@ -186,8 +210,8 @@ def test_q_functional_matches_six_pairing_reference(fields, metric, monkeypatch)
 
 def reference_hat_pair_elements(mesh, m11, m12, m22):
     """The broadcasting element kernel: (n_tri, 3, 3) products, accumulated."""
-    hx = mesh.hat_gradients[:, :, None, 0]  # (n_tri, 3, 1)
-    hy = mesh.hat_gradients[:, :, None, 1]
+    hx = _hat_columns(mesh)[:, :, None, 0]  # (n_tri, 3, 1)
+    hy = _hat_columns(mesh)[:, :, None, 1]
     out = hx * hx.transpose(0, 2, 1)
     out *= geo._point_sum(m11)[:, None, None]
     xy = hx * hy.transpose(0, 2, 1)
@@ -209,10 +233,102 @@ def test_hat_pair_elements_match_broadcasting_reference_bit_for_bit(fields, metr
     mq, w = d.mq, d.weights
     rng = np.random.default_rng(2)
     for m in ((w * mq.inv11, w * mq.inv12, w * mq.inv22),
-              tuple(rng.standard_normal((mesh.n_triangles, 3)) for _ in range(3))):
+              tuple(rng.standard_normal((3, mesh.n_triangles)) for _ in range(3))):
         got = geo.hat_pair_elements(mesh, *m)
         assert np.array_equal(got, reference_hat_pair_elements(mesh, *m))
         assert np.array_equal(got, got.transpose(0, 2, 1))
+
+
+# The formulas of the (n_tri, 3) layout, on (n_tri, 3) columns: the
+# residual, the Jacobian's element data and K must not move by a bit.
+
+
+def _column_sum(a):
+    return a[:, 0] + a[:, 1] + a[:, 2]
+
+
+def columns_gradient_rows(mesh, u):
+    hg = _hat_columns(mesh)
+    v = u[mesh.triangles]
+    return [v[:, 0] * hg[:, 0, c] + v[:, 1] * hg[:, 1, c] + v[:, 2] * hg[:, 2, c]
+            for c in (0, 1)]
+
+
+def columns_raised_gradient(mq, gx, gy):
+    gx, gy = gx[:, None], gy[:, None]
+    return mq.inv11 * gx + mq.inv12 * gy, mq.inv12 * gx + mq.inv22 * gy
+
+
+def columns_slope_factor(mesh, mq, u):
+    gx, gy = columns_gradient_rows(mesh, u)
+    ax, ay = columns_raised_gradient(mq, gx, gy)
+    return np.sqrt(1.0 + (ax * gx[:, None] + ay * gy[:, None])), ax, ay
+
+
+def columns_hat_flux_loads(mesh, fx, fy):
+    hg = _hat_columns(mesh)
+    contrib = hg[:, :, 0] * _column_sum(fx)[:, None] + hg[:, :, 1] * _column_sum(fy)[:, None]
+    return np.bincount(
+        mesh.triangles.ravel(), weights=contrib.ravel(), minlength=mesh.n_vertices
+    )
+
+
+def _same_csr(A, B):
+    return all(np.array_equal(a, b) for a, b in
+               ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)))
+
+
+@pytest.mark.parametrize("metric", [FLAT, CURVED, CONFORMAL], ids=["flat", "curved", "conformal"])
+def test_kernels_match_the_column_formulas_bit_for_bit(fields, metric, counting):
+    mesh, u, _ = fields
+    d = geo.discretization(mesh, metric)
+    mq, w = _columns(d.mq), d.weights.T
+    s, ax, ay = columns_slope_factor(mesh, mq, u)
+    c, c3 = w / s, w / s**3
+    assert np.array_equal(
+        fwd.mse_residual(mesh, metric, u), columns_hat_flux_loads(mesh, c * ax, c * ay)
+    )
+
+    assemblies = counting(geo, "assemble_elements")
+    J = fwd.mse_linearized_operator(mesh, metric, u)
+    data = reference_hat_pair_elements(mesh, *(
+        m.T for m in (c * mq.inv11 - c3 * (ax * ax),
+                      c * mq.inv12 - c3 * (ax * ay),
+                      c * mq.inv22 - c3 * (ay * ay))
+    ))
+    assert np.array_equal(assemblies[0][0][1], data)
+    assert _same_csr(J, geo.assemble_elements(mesh, data))
+
+    K = geo.assemble_weighted_stiffness(mesh, metric)
+    data = reference_hat_pair_elements(
+        mesh, *((w * g).T for g in (mq.inv11, mq.inv12, mq.inv22))
+    )
+    assert _same_csr(K, geo.assemble_elements(mesh, data))
+
+
+SCALAR_ENTRIES = geo.explicit_metric(lambda x, y: (2.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize(
+    "metric", [FLAT, SCALAR_ENTRIES, CONFORMAL], ids=["flat", "scalar-entries", "conformal"]
+)
+def test_quadrature_data_are_c_contiguous_rows(fields, metric):
+    # every elementwise kernel runs over contiguous rows; a ufunc on a
+    # transposed view would return F-ordered arrays and lose that silently
+    mesh = fields[0]
+    d = geo.discretization(mesh, metric)
+    rows = (3, mesh.n_triangles)
+    for a in (d.mq.sqrt_det, d.mq.inv11, d.mq.inv12, d.mq.inv22, d.weights,
+              geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 0])):
+        assert a.shape == rows and a.flags.c_contiguous
+    for a in (mesh.hat_gradients, mesh.quad_points):
+        assert a.shape == (2,) + rows and a.flags.c_contiguous
+    # the points and weights are those of the per-triangle rule, re-laid
+    p = mesh.vertices[mesh.triangles]
+    assert np.array_equal(mesh.quad_points, (geo._QUAD_BARY @ p).transpose(2, 1, 0))
+    assert np.array_equal(
+        d.weights.T, (mesh.tri_areas[:, None] * geo._QUAD_WEIGHTS) * d.mq.sqrt_det.T
+    )
 
 
 def test_p1_gradients_match_einsum_reference():
@@ -221,8 +337,8 @@ def test_p1_gradients_match_einsum_reference():
     rng = np.random.default_rng(5)
     for v in (rng.standard_normal(mesh.n_vertices),
               np.exp(7j * mesh.vertices[:, 0]) * (1.0 + mesh.vertices[:, 1])):
-        ref = np.einsum("ti,tic->tc", v[mesh.triangles], mesh.hat_gradients)
-        got = geo.p1_gradients(mesh, v)
+        ref = np.einsum("ti,tic->tc", v[mesh.triangles], _hat_columns(mesh))
+        got = p1_gradients(mesh, v)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
