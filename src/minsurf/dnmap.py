@@ -323,7 +323,7 @@ def dn_from_area_data(
     bg = discretization(mesh, metric).boundary
     fb = boundary_values(mesh, f)
     n_b = len(mesh.boundary_vertices)
-    I = mesh.interior_vertices
+    O = mesh.interior_order  # the tangents' row order
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
     base_trace = _nonlinear_trace(mesh, metric, fb, u0.values)
@@ -340,11 +340,11 @@ def dn_from_area_data(
             pert[b] = t
             step = t * tangents[:, b - start]
             guess = warm.values.copy()
-            guess[I] += step
+            guess[O] += step
             plus = replace(options, initial_guess=replace(warm, values=guess))
             up, plus_report = solve_minimal_surface(mesh, metric, fb + pert, plus)
             guess = up.values.copy()
-            guess[I] -= 2.0 * step
+            guess[O] -= 2.0 * step
             minus = replace(options, initial_guess=replace(warm, values=guess))
             _, minus_report = solve_minimal_surface(mesh, metric, fb - pert, minus)
             flux[b] = (plus_report.area - minus_report.area) / (2.0 * t)

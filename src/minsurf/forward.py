@@ -51,6 +51,7 @@ import numpy as np
 
 from .geometry import (
     ScalarField,
+    _interior_blocks,
     _raised_gradient,
     assemble_elements,
     boundary_values,
@@ -146,14 +147,16 @@ class WarmStart:
 
     ``values`` are nodal values (the boundary entries are replaced by each
     solve's data); ``lu`` is the SuperLU factor of an SPD approximation of
-    J[I, I] near ``values``, on which the solve takes its chord steps, and
-    ``coupling`` the matching block J[I, B] (interior rows, boundary
-    columns in ``boundary_vertices`` order).  Together they give the
+    J[O, O] near ``values``, on which the solve takes its chord steps, and
+    ``coupling`` the matching block J[O, B].  Both have their interior rows
+    in the mesh's elimination order O = ``mesh.interior_order``, the
+    coupling its columns in ``boundary_vertices`` order, so a solve with
+    ``lu`` returns interior values in the order O.  Together they give the
     tangent of the solution map: data moved by df on the boundary moves
-    the interior by -J[I, I]^{-1} J[I, B] df to first order.
+    the interior vertices O by -J[O, O]^{-1} J[O, B] df to first order.
     :func:`warm_start` takes both blocks from J(values); the cold start
-    pairs the harmonic extension of the data with the owner's K[I, B] and
-    factor of K[I, I] = J(0)[I, I].  Pass it, or a copy with predicted
+    pairs the harmonic extension of the data with the owner's K[O, B] and
+    factor of K[O, O] = J(0)[O, O].  Pass it, or a copy with predicted
     ``values``, as ``SolveOptions.initial_guess``.
     """
 
@@ -229,7 +232,7 @@ def warm_start(mesh, metric, u):
     """Factor J(u) once for chord-step solves that start at or near u.
 
     Assembles the Newton Jacobian at the nodal field ``u``, factors its
-    interior block and keeps the coupling block J(u)[I, B] next to the
+    interior block and keeps the coupling block J(u)[O, B] next to the
     factor.  Every solve given the result as ``SolveOptions.initial_guess``
     starts from ``u`` and takes its steps with this factor (see the module
     docstring for the refresh rule); a solve given a copy with other
@@ -237,12 +240,8 @@ def warm_start(mesh, metric, u):
     Raises ValueError for a complex field.
     """
     u = nodal_values(mesh, u)
-    J_I = mse_linearized_operator(mesh, metric, u)[mesh.interior_vertices]
-    return WarmStart(
-        values=u.astype(float),
-        lu=factor_spd(J_I[:, mesh.interior_vertices]),
-        coupling=J_I[:, mesh.boundary_vertices],
-    )
+    block, coupling = _interior_blocks(mesh, mse_linearized_operator(mesh, metric, u))
+    return WarmStart(values=u.astype(float), lu=factor_spd(block), coupling=coupling)
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data):
@@ -291,7 +290,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     u = nodal_values(mesh, guess).astype(float)
     u[mesh.boundary_vertices] = f
 
-    I = mesh.interior_vertices
+    I, O = mesh.interior_vertices, mesh.interior_order
     weights = discretization(mesh, metric).weights
     residual_norms = []
     step_sizes = []
@@ -322,13 +321,14 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         if it == options.max_iter:
             break
 
+        # the factors take the interior in the mesh's elimination order O
         delta = np.zeros(mesh.n_vertices)
         if lu is None:
             J = mse_linearized_operator(mesh, metric, u)
-            delta[I] = factor_spd(J[I][:, I]).solve(-r[I])
+            delta[O] = factor_spd(J[O][:, O]).solve(-r[O])
             jacobians += 1
         else:
-            delta[I] = lu.solve(-r[I])
+            delta[O] = lu.solve(-r[O])
 
         # Armijo backtracking on the residual norm.
         step = 1.0

@@ -56,8 +56,12 @@ last reference to a mesh frees its owners at once, without waiting for a
 garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
 quadrature, the quadrature weights, the stiffness matrix K, the boundary
-geometry, the coupling block K[I, B] with a sparse LU factor of K[I, I]
-(I interior, B boundary vertices), and the conformal-flatness defect.
+geometry, the coupling block K[O, B] with a sparse LU factor of K[O, O]
+(B the boundary vertices, O the interior ones in the mesh's elimination
+order ``Mesh.interior_order``), and the conformal-flatness defect.  The
+order is a geometric nested dissection that the mesh builds once, with its
+boundary, so it needs no lock; every factored block of the package, the
+Newton Jacobians' included, is sliced in it (:func:`factor_spd`).
 :meth:`Discretization.extend` solves K u = rhs with Dirichlet values on
 that factor, for one field or several columns at once; every
 Laplace-Beltrami solve, harmonic extension and third-linearization solve
@@ -119,10 +123,78 @@ _QUAD_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
 _EDGE_QUAD_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
 _EDGE_QUAD_W = np.array([0.5, 0.5])
 
+# Geometric nested dissection (Mesh.interior_order): bits per coordinate of
+# the Morton codes, and the mean size of the parts left undissected.
+_ORDER_BITS = 16
+_ORDER_LEAF = 8
+
 
 def _cross2(a, b):
     """z-component of the cross product of stacked 2D vectors."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _spread_bits(v):
+    """Move bit k of each 16-bit cell index in ``v`` to bit 2k of a uint64."""
+    v = v.astype(np.uint64)
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333),
+                        (1, 0x55555555)):
+        v = (v | (v << np.uint64(shift))) & np.uint64(mask)
+    return v
+
+
+def _nested_dissection(vertices, triangles, interior):
+    """The vertices ``interior`` in a geometric nested-dissection order.
+
+    Each vertex gets the Morton code of its 16-bit cell in the bounding box
+    of ``interior``, x in the odd bits and y in the even ones.  The parts at
+    depth d are the vertices that share the top d bits of their codes, so
+    bit 2 * 16 - 1 - d bisects each of them, in x and in y by turns.  An
+    edge whose ends' codes first differ there joins the two halves of a
+    part at depth d: it is cut at depth d.  Level by level, from depth 0 to
+    D = ceil(log2(n / 8)), the lower-code end of each edge cut at that
+    depth joins its part's separator, if both ends are still undecided;
+    the undecided vertices that remain fall into the parts at depth D + 1,
+    about 8 each, with no edge between two parts.  A vertex of depth L
+    belongs to the tree node of its top L bits, whose codes end at
+    ((code >> (32 - L)) + 1) << (32 - L); numbering by that end, deeper
+    vertices first, is the postorder in which both halves of a part come
+    before its separator (George, SIAM J. Numer. Anal. 10, 1973; Lipton,
+    Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979).
+    """
+    n = len(interior)
+    if n == 0:
+        return interior
+    p = vertices[interior]
+    lo = p.min(axis=0)
+    span = p.max(axis=0) - lo
+    cells = (p - lo) / np.where(span > 0.0, span, 1.0) * (2**_ORDER_BITS - 1)
+    cells = cells.astype(np.uint64)
+    code = (_spread_bits(cells[:, 0]) << np.uint64(1)) | _spread_bits(cells[:, 1])
+
+    # interior-interior edges, each once (it is in two triangles, once a < b)
+    local = np.full(len(vertices), -1)
+    local[interior] = np.arange(n)
+    t = local[triangles]
+    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+    keep = (a >= 0) & (a < b)
+    a, b = a[keep], b[keep]
+    # x = m 2^e with 1/2 <= m < 1 puts the highest differing bit at e - 1;
+    # ends in one cell (x = 0, e = 0) are never cut
+    depth = 2 * _ORDER_BITS - np.frexp((code[a] ^ code[b]).astype(float))[1]
+    lower = np.where(code[a] < code[b], a, b)
+    upper = a + b - lower
+
+    deepest = max(int(np.ceil(np.log2(n / _ORDER_LEAF))), 0)
+    level = np.full(n, deepest + 1)
+    for d in range(deepest + 1):
+        cut = depth == d
+        ends, others = lower[cut], upper[cut]
+        undecided = (level[ends] > deepest) & (level[others] > deepest)
+        level[ends[undecided]] = d
+    shift = (2 * _ORDER_BITS - level).astype(np.uint64)
+    end = ((code >> shift) + np.uint64(1)) << shift
+    return interior[np.lexsort((-level, end))]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +238,11 @@ class Mesh:
         boundary traces throughout the package.
     is_boundary : (n_vertices,) bool ndarray
     interior_vertices : ndarray
+        The other vertices, sorted.
+    interior_order : ndarray
+        ``interior_vertices`` in a geometric nested-dissection elimination
+        order (see :func:`factor_spd`): every factored block of the package
+        has its rows and columns in this order.
     h : float
         Longest edge in the mesh (Euclidean).
     """
@@ -220,10 +297,15 @@ class Mesh:
         self.hat_gradients = grads
         self.h = float(np.sqrt(longest))
 
-        # the per-triangle matmul of the rule (and its rounding), laid out as rows
-        self.quad_points = np.ascontiguousarray((_QUAD_BARY @ p).transpose(2, 1, 0))
+        # the per-triangle matmul of the rule (and its rounding), written
+        # straight into the rows
+        self.quad_points = np.empty((2, 3, len(triangles)))
+        np.matmul(_QUAD_BARY, p, out=self.quad_points.transpose(2, 1, 0))
 
         self._build_boundary()
+        self.interior_order = _nested_dissection(
+            vertices, triangles, self.interior_vertices
+        )
 
         # one Discretization per metric, see discretization()
         self._discretizations = {}
@@ -761,18 +843,34 @@ def factor_spd(A):
 
     Every factored matrix of the package is SPD: the interior stiffness
     block K[I, I], and the interior Newton Jacobian block J(u)[I, I], whose
-    area integrand sqrt(1 + |p|^2) is strictly convex.  A symmetric
-    minimum-degree ordering of A^T + A (Liu, ACM TOMS 11, 1985) and
-    diagonal pivots (SuperLU's symmetric mode, Li, ACM TOMS 31, 2005) then
-    suit them: they cut the fill of the default COLAMD column ordering by
-    about 40% on the interior stiffness block, and the solves with it.
+    area integrand sqrt(1 + |p|^2) is strictly convex.  So the factor
+    pivots on the diagonal (SuperLU's symmetric mode, Li, ACM TOMS 31,
+    2005) and keeps the columns in the order they come in, which must be
+    the mesh's elimination order: ``A`` is the block A[O, O] with
+    O = ``mesh.interior_order``, a geometric nested dissection (George,
+    SIAM J. Numer. Anal. 10, 1973; Lipton, Rose & Tarjan, SIAM J. Numer.
+    Anal. 16, 1979), built once with the mesh.  On the interior stiffness
+    block of disc(128, 768) it leaves about 10% less fill than SuperLU's
+    minimum-degree order of A^T + A, which each factorization would
+    recompute, and takes a third less time to factor; on the 1,657
+    unknowns of disc(24, 144) it leaves 6% more, at the same solve time.
     """
     return spla.splu(
         A.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+
+
+def _interior_blocks(mesh, A):
+    """The blocks A[O, O] and A[O, B] of a vertex matrix, O = ``mesh.interior_order``.
+
+    B is ``mesh.boundary_vertices``.  The row block A[O] is dropped on
+    return, before the caller factors A[O, O].
+    """
+    rows = A[mesh.interior_order]
+    return rows[:, mesh.interior_order], rows[:, mesh.boundary_vertices]
 
 
 # ---------------------------------------------------------------------------
@@ -964,8 +1062,9 @@ class Discretization:
     :func:`assemble_weighted_stiffness`, :func:`boundary_geometry`, and
     :func:`factor_spd` for the interior factor) under the owner's
     lock, so concurrent first uses build it once.  The lock is reentrant
-    because building K reads the metric at quadrature.  K[I, I] is not kept
-    once factored.
+    because building K reads the metric at quadrature.  K[O, O] is not kept
+    once factored, and the row block K[O] is dropped before the factor is
+    built.
 
     Attributes
     ----------
@@ -979,7 +1078,9 @@ class Discretization:
         Laplace-Beltrami stiffness matrix K.
     boundary : BoundaryGeometry
     interior_system : (csr_matrix, SuperLU)
-        The coupling block K[I, B] and the factor of K[I, I].  K is the
+        The coupling block K[O, B] and the factor of K[O, O], with the
+        interior rows and columns in the mesh's elimination order
+        O = ``mesh.interior_order`` (see :func:`factor_spd`).  K is the
         minimal-surface Jacobian at u = 0, so the factor also serves the
         chord steps of a cold nonlinear solve.
     conformal_defect : (float, ndarray)
@@ -1036,9 +1137,8 @@ class Discretization:
         return self._piece("boundary", lambda: boundary_geometry(self.mesh, self.metric))
 
     def _factor_interior(self):
-        K_I = self.stiffness[self.mesh.interior_vertices]
-        coupling = K_I[:, self.mesh.boundary_vertices]
-        return coupling, factor_spd(K_I[:, self.mesh.interior_vertices])
+        block, coupling = _interior_blocks(self.mesh, self.stiffness)
+        return coupling, factor_spd(block)
 
     @property
     def interior_system(self):
@@ -1059,14 +1159,14 @@ class Discretization:
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices.
 
-        Symmetric elimination on the cached factor: the interior unknowns
-        solve K[I, I] u_I = rhs[I] - K[I, B] bvals.  ``bvals`` is in boundary
-        ordering, shape (n_B,) for one field or (n_B, k) for k fields (one
-        per column), which share one solve; the result has the shape
-        (n_vertices,) + ``bvals.shape[1:]``.  ``rhs`` is a load of that
-        shape, None for the discrete-harmonic extension (rhs = 0).  Complex
-        data is solved as its real and imaginary parts, 2k columns of one
-        solve.
+        Symmetric elimination on the cached factor: the interior unknowns,
+        in the elimination order O, solve K[O, O] u_O = rhs[O] - K[O, B]
+        bvals.  ``bvals`` is in boundary ordering, shape (n_B,) for one
+        field or (n_B, k) for k fields (one per column), which share one
+        solve; the result has the shape (n_vertices,) + ``bvals.shape[1:]``.
+        ``rhs`` is a load of that shape, None for the discrete-harmonic
+        extension (rhs = 0).  Complex data is solved as its real and
+        imaginary parts, 2k columns of one solve.
         """
         mesh = self.mesh
         bvals = np.asarray(bvals)
@@ -1080,18 +1180,18 @@ class Discretization:
         if rhs is not None and np.shape(rhs) != shape:
             raise ValueError(f"expected a load of shape {shape}, got {np.shape(rhs)}")
         coupling, lu = self.interior_system
-        I = mesh.interior_vertices
-        load = 0.0 if rhs is None else np.asarray(rhs)[I]
+        O = mesh.interior_order
+        load = 0.0 if rhs is None else np.asarray(rhs)[O]
         reduced = load - coupling @ bvals
         u = np.zeros(shape, dtype=np.result_type(reduced, float))
         u[mesh.boundary_vertices] = bvals
         if np.iscomplexobj(reduced):
-            cols = reduced.reshape(len(I), -1)
+            cols = reduced.reshape(len(O), -1)
             k = cols.shape[1]
             parts = lu.solve(np.hstack([cols.real, cols.imag]))
-            u[I] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
+            u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
         else:
-            u[I] = lu.solve(reduced)
+            u[O] = lu.solve(reduced)
         return u
 
 

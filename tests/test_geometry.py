@@ -405,6 +405,28 @@ def test_boundary_extraction_matches_reference(build):
     np.testing.assert_array_equal(mesh.interior_vertices, interior)
 
 
+@BOUNDARY_MESHES
+def test_interior_order_is_a_repeatable_permutation_of_the_interior(build):
+    mesh = build()
+    order = mesh.interior_order
+    assert order.dtype == mesh.interior_vertices.dtype
+    np.testing.assert_array_equal(np.sort(order), mesh.interior_vertices)
+    np.testing.assert_array_equal(build().interior_order, order)
+
+
+def test_nested_dissection_leaves_less_fill_than_minimum_degree():
+    # the ordered block with its columns kept in order, against SuperLU's
+    # minimum-degree order of A^T + A on the sorted block
+    mesh = geo.disc(96, 576)
+    I, O = mesh.interior_vertices, mesh.interior_order
+    K = geo.discretization(mesh, geo.flat_metric()).stiffness
+    nested = geo.factor_spd(K[O][:, O])
+    minimum_degree = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    assert (nested.L.nnz + nested.U.nnz
+            < minimum_degree.L.nnz + minimum_degree.U.nnz)
+
+
 def _reference_boundary_geometry(mesh, metric):
     """Fields of the per-loop construction of the boundary frame and measure."""
     verts = mesh.vertices
@@ -628,13 +650,15 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
 
 
 def test_factor_spd_solves_match_the_default_factor():
+    # on the sorted blocks and on the blocks in the mesh's elimination order
     mesh = geo.disc(12, 72)
-    I = mesh.interior_vertices
+    I, O = mesh.interior_vertices, mesh.interior_order
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y
     rhs = np.random.default_rng(3).standard_normal((len(I), 2))
-    for A in (geo.discretization(mesh, CURVED).stiffness[I][:, I],
-              fwd.mse_linearized_operator(mesh, CURVED, u)[I][:, I]):
+    K = geo.discretization(mesh, CURVED).stiffness
+    J = fwd.mse_linearized_operator(mesh, CURVED, u)
+    for A in (K[I][:, I], J[I][:, I], K[O][:, O], J[O][:, O]):
         want = spla.splu(A.tocsc()).solve(rhs)
         got = geo.factor_spd(A).solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -331,6 +331,22 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: geo.disc(12, 72), lambda: geo.disc(128, 768), lambda: geo.square(8),
+     lambda: geo.annulus(0.5, 1.5, 16, 96)],
+    ids=["disc12", "disc128", "square8", "annulus16"],
+)
+def test_quadrature_points_are_the_per_triangle_matmul_bit_for_bit(build):
+    # Mesh writes the product straight into its (2, 3, n_tri) rows; the
+    # reference forms the (n_tri, 3, 2) product and re-lays it
+    mesh = build()
+    p = mesh.vertices[mesh.triangles]
+    want = np.ascontiguousarray((geo._QUAD_BARY @ p).transpose(2, 1, 0))
+    assert mesh.quad_points.flags.c_contiguous
+    assert np.array_equal(mesh.quad_points, want)
+
+
 def test_p1_gradients_match_einsum_reference():
     # the unrolled sum adds in the einsum's order, so the result is bitwise equal
     mesh = geo.disc(12, 72)
