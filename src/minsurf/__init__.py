@@ -10,7 +10,7 @@ forward
 linearize
     Linearization chain of the solution map in the boundary data.
 dnmap
-    Dirichlet-to-Neumann traces, area functionals, and their derivatives.
+    Dirichlet-to-Neumann traces, their derivatives, and the DN map from areas.
 identity
     Third-order boundary/volume integral identity and its residual check.
 inverse

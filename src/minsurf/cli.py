@@ -504,9 +504,7 @@ class Assertions:
 
 def _fit_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
-    design = np.column_stack([np.log(xs), np.ones(len(xs))])
-    (slope, _), *_ = np.linalg.lstsq(design, np.log(ys), rcond=None)
-    return float(slope)
+    return float(inv._fit_line(np.log(xs), np.log(ys))[0])
 
 
 def _directions(cfg):
@@ -580,8 +578,7 @@ def run_linearize_check(cfg, out_dir, log):
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
     t0 = time.perf_counter()
-    sups = [float(np.abs(lin.second_linearization_fd(combo, pair, h)
-                         .values).max())
+    sups = [float(np.abs(lin.linearization_fd(combo, pair, h).values).max())
             for h in eps_sweep]
     second_s = time.perf_counter() - t0
     write_csv(out_dir / "second_linearization.csv", ["h_eps", "sup_norm"],
@@ -598,7 +595,7 @@ def run_linearize_check(cfg, out_dir, log):
     v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]).values
          for j in triple]
     w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2]).values
-    w_fd = lin.third_linearization_fd(combo, triple, third_h_eps).values
+    w_fd = lin.linearization_fd(combo, triple, third_h_eps).values
     third_s = time.perf_counter() - t0
     rel_third = float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max())
     write_csv(out_dir / "third_linearization.csv",

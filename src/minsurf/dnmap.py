@@ -1,4 +1,4 @@
-"""Dirichlet-to-Neumann traces, area functionals, and their derivatives.
+"""Dirichlet-to-Neumann traces, their derivatives, and the DN map from areas.
 
 Two boundary fields of the minimal-surface solution u with data f:
 
@@ -43,9 +43,9 @@ under boundary-hat perturbations of the data recovers the weak N_g flux up
 to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
 Its 2 n_B perturbed solves start at solutions predicted along the tangent
 of the solution map, computed from the base Jacobian's blocks, and take
-chord steps on its factor.  Each area is the one its solve reports, summed
-from the slope factor of the solve's last residual evaluation, the same
-kernel as :func:`area`.
+chord steps on its factor.  Each area is the one its solve reports
+(``SolveReport.area``), summed from the slope factor of the solve's last
+residual evaluation.
 """
 
 from __future__ import annotations
@@ -59,13 +59,10 @@ from .geometry import (
     BoundaryGeometry,
     boundary_values,
     discretization,
-    nodal_values,
     tangential_derivative,
 )
 from .forward import (
     SolveOptions,
-    _graph_area,
-    _slope_factor,
     mse_residual,
     solve_laplace_beltrami,
     solve_minimal_surface,
@@ -84,7 +81,6 @@ __all__ = [
     "dn_nonlinear",
     "dn_third_derivative",
     "dn_third_derivative_exact",
-    "area",
     "dn_from_area_data",
     "lambda_from_ng",
     "ng_from_lambda",
@@ -264,20 +260,8 @@ def dn_third_derivative_exact(mesh, metric, directions):
 
 
 # ---------------------------------------------------------------------------
-# Area functionals
+# DN map from area data
 # ---------------------------------------------------------------------------
-
-
-def area(mesh, metric, u):
-    """Graph area: integral of sqrt(1 + |grad_g u|^2) dV_g.
-
-    The sum of weights times the slope factor of the residual, so the
-    ``area`` a solve reports (:class:`~minsurf.forward.SolveReport`) equals
-    this at its solution bit for bit.  Raises ValueError for a complex field.
-    """
-    d = discretization(mesh, metric)
-    s = _slope_factor(mesh, d.mq, nodal_values(mesh, u))[0]
-    return _graph_area(d.weights, s)
 
 
 def dn_from_area_data(
@@ -305,8 +289,7 @@ def dn_from_area_data(
     + t^2 z / 2 +- O(t^3), the + solve starts at u0 + t w_b, off by
     O(t^2), and the - solve at u(+t) - 2 t w_b, off by O(t^3).  The
     tangents are solved _TANGENT_BLOCK hats at a time, one multi-column
-    solve each.  The areas are the ``area`` of the solves' reports, equal
-    bit for bit to :func:`area` of their solutions.
+    solve each.  The areas are the ``area`` of the solves' reports.
 
     Parameters
     ----------

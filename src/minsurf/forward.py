@@ -21,7 +21,7 @@ convex, J(u)[I, I] is SPD and the damped iteration is globally convergent
 in practice, including far outside the small-slope regime (see the catenoid
 tests).
 
-Unless given a plain initial guess, a solve takes chord steps: it reuses
+A solve takes chord steps: it reuses
 one factor of an SPD approximation of J[I, I] for every step instead of
 assembling and factoring J at each iterate (Kelley, *Solving Nonlinear
 Equations with Newton's Method*, SIAM 2003, ch. 5).  The steps contract
@@ -38,7 +38,7 @@ guards against a stale factor: after any chord step that needed a
 line-search halving, or that left more than a quarter of the interior
 residual norm, the factor is dropped and the remaining steps of that
 solve are plain Newton steps with fresh Jacobians.
-Only a plain ``initial_guess`` (an array or field) makes every step a
+A :class:`WarmStart` without a factor (``lu`` None) makes every step a
 Newton step.
 """
 
@@ -95,17 +95,17 @@ class SolveOptions:
         Absolute tolerance on the Euclidean norm of the interior residual.
     max_iter : int
         Maximum steps, chord and Newton steps counted alike.
-    initial_guess : optional
+    initial_guess : WarmStart, optional
         None for the cold start (the Laplace-Beltrami extension, with chord
-        steps on K[I, I]); a :class:`WarmStart`, whose stored factor then
-        serves the chord steps; or a nodal array or ScalarField, from which
-        every step is a Newton step.  The refresh rule applies to both
-        chord starts (see the module docstring).
+        steps on K[I, I]), or a :class:`WarmStart`, whose stored factor then
+        serves the chord steps; with ``lu`` None every step is a Newton
+        step.  The refresh rule applies to both chord starts (see the
+        module docstring).  Anything else makes the solve raise TypeError.
     """
 
     tol: float = 1e-10
     max_iter: int = 30
-    initial_guess: Optional[object] = None
+    initial_guess: Optional[WarmStart] = None
 
 
 @dataclass
@@ -114,10 +114,10 @@ class SolveReport:
 
     ``iterations`` counts every step; ``jacobians`` the fresh Jacobians the
     solve assembled and factored, so the other steps were chord steps.
-    ``area`` is the graph area (:func:`~minsurf.dnmap.area`) of the last
-    accepted iterate, the returned solution of a converged solve, summed
-    from the slope factor of its residual evaluation: equal bit for bit to
-    ``dnmap.area`` of that solution.
+    ``area`` is the graph area, the integral of sqrt(1 + |grad_g u|^2)
+    dV_g, of the last accepted iterate, the returned solution of a
+    converged solve: the sum of the owner's quadrature weights times the
+    slope factor that ``mse_residual(..., with_slope=True)`` returns for it.
     """
 
     iterations: int
@@ -157,7 +157,9 @@ class WarmStart:
     :func:`warm_start` takes both blocks from J(values); the cold start
     pairs the harmonic extension of the data with the owner's K[O, B] and
     factor of K[O, O] = J(0)[O, O].  Pass it, or a copy with predicted
-    ``values``, as ``SolveOptions.initial_guess``.
+    ``values``, as ``SolveOptions.initial_guess``.  With ``lu`` None the
+    solve starts at ``values`` and takes a fresh Newton Jacobian at every
+    step.
     """
 
     values: np.ndarray
@@ -169,8 +171,8 @@ def _slope_factor(mesh, mq, u):
     """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points.
 
     s is a (3, n_tri) array, g^{-1} grad u a (2, 3, n_tri) one.  The one
-    kernel of the residual, the Jacobian and the graph area, so all three
-    reject a complex field here.
+    kernel of the residual (which also gives the graph area) and the
+    Jacobian, so both reject a complex field here.
     """
     if np.iscomplexobj(u):
         raise ValueError(
@@ -184,11 +186,6 @@ def _slope_factor(mesh, mq, u):
     s += slope[1]
     s += 1.0
     return np.sqrt(s, out=s), a
-
-
-def _graph_area(weights, s):
-    """Graph area sum w s from the quadrature weights and the slope factor s."""
-    return float((weights * s).sum())
 
 
 def mse_residual(mesh, metric, u, *, with_slope=False):
@@ -255,8 +252,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
     Starts from the Laplace-Beltrami extension of the boundary data and
     takes chord steps on the owner's factor of K[I, I] = J(0)[I, I], unless
-    ``options.initial_guess`` overrides both (a :class:`WarmStart` brings
-    its own factor, a plain guess takes Newton steps throughout).  Every
+    ``options.initial_guess``, a :class:`WarmStart`, overrides both with its
+    values and its factor (Newton steps throughout if it has none).  Every
     step has Armijo backtracking on the interior residual norm, and the
     refresh rule replaces stale chord steps with Newton steps.
 
@@ -266,6 +263,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
     Raises
     ------
+    TypeError
+        If ``options.initial_guess`` is neither None nor a WarmStart.
     ConvergenceError
         If the tolerance is not met within ``max_iter`` iterations, the
         residual stops decreasing, or a non-finite value appears; the
@@ -284,10 +283,13 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         # J(0) = K: the owner's factor of K[I, I] serves the chord steps
         coupling, factor = discretization(mesh, metric).interior_system
         guess = WarmStart(solve_laplace_beltrami(mesh, metric, f).values, factor, coupling)
-    lu = None  # factor for chord steps; None means a fresh Jacobian per step
-    if isinstance(guess, WarmStart):
-        guess, lu = guess.values, guess.lu
-    u = nodal_values(mesh, guess).astype(float)
+    elif not isinstance(guess, WarmStart):
+        raise TypeError(
+            f"SolveOptions.initial_guess must be None or a WarmStart, got "
+            f"{type(guess).__name__}"
+        )
+    lu = guess.lu  # factor for chord steps; None means a fresh Jacobian per step
+    u = nodal_values(mesh, guess.values).astype(float)
     u[mesh.boundary_vertices] = f
 
     I, O = mesh.interior_vertices, mesh.interior_order
@@ -300,7 +302,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         return SolveReport(
             iterations=it,
             final_residual=residual_norms[-1],
-            area=_graph_area(weights, s),
+            area=float((weights * s).sum()),
             jacobians=jacobians,
             residual_norms=residual_norms,
             step_sizes=step_sizes,

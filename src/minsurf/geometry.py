@@ -76,7 +76,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -225,8 +224,6 @@ class Mesh:
         Physical coordinates of the volume quadrature points:
         ``quad_points[c, q]`` is coordinate c of point q, one row over the
         triangles, so ``x, y = mesh.quad_points``.
-    centroids : (n_triangles, 2) ndarray
-        Triangle centroids, computed on first access.
     boundary_edges : (n_boundary_edges, 2) ndarray
         Directed boundary edges, domain on the left.
     boundary_loops : list of ndarray
@@ -362,10 +359,6 @@ class Mesh:
 
     # -- basic queries -------------------------------------------------------
 
-    @cached_property
-    def centroids(self):
-        return self.vertices[self.triangles].mean(axis=1)
-
     @property
     def n_vertices(self):
         return len(self.vertices)
@@ -396,18 +389,21 @@ def square(n):
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
+    # vertex (i, j) is j (n + 1) + i; cells row by row
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    return Mesh(vertices, _cell_triangles(v00, 1, n + 1))
 
-    def vid(i, j):
-        return j * (n + 1) + i
 
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(vertices, np.array(tris))
+def _cell_triangles(v00, a, b):
+    """Two triangles per cell of a structured grid, in the cells' order.
+
+    Cell k has the corners v00[k], v00[k] + a, v00[k] + b[k] and
+    v11 = v00[k] + a + b[k]; it gives (v00, v00 + a, v11) and
+    (v00, v11, v00 + b).  ``b`` is a scalar or one step per cell, as the
+    angular step that closes an annulus ring is.
+    """
+    v11 = v00 + a + b
+    return np.stack([v00, v00 + a, v11, v00, v11, v00 + b], axis=-1).reshape(-1, 3)
 
 
 def _ring_strip(a0, ma, sa, b0, mb, sb):
@@ -503,18 +499,12 @@ def annulus(r0, r1, n_radial, n_angular):
     th = 2.0 * np.pi * np.arange(n_angular) / n_angular
     R, T = np.meshgrid(rs, th, indexing="ij")
     vertices = np.column_stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()])
-
-    def vid(i, j):
-        return i * n_angular + (j % n_angular)
-
-    tris = []
-    for i in range(n_radial):
-        for j in range(n_angular):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(vertices, np.array(tris))
+    # vertex (i, j) is i n_angular + j; the last cell of a ring steps back
+    # to its first vertex
+    j = np.arange(n_angular)
+    v00 = (np.arange(n_radial)[:, None] * n_angular + j).ravel()
+    step = np.tile(np.where(j == n_angular - 1, 1 - n_angular, 1), n_radial)
+    return Mesh(vertices, _cell_triangles(v00, n_angular, step))
 
 
 # ---------------------------------------------------------------------------
@@ -603,14 +593,8 @@ def metric_eval(metric, point):
     x = np.asarray([float(point[0])])
     y = np.asarray([float(point[1])])
     g11, g12, g22 = _metric_entries(metric, x, y)
-    g = np.array([[g11[0], g12[0]], [g12[0], g22[0]]])
-    det = g[0, 0] * g[1, 1] - g[0, 1] ** 2
-    if not (np.isfinite(g).all() and g[0, 0] > 0.0 and det > 0.0):
-        raise ValueError(
-            f"metric is not SPD at point ({point[0]:.4g}, {point[1]:.4g}): "
-            f"g11={g[0, 0]:.4g}, det={det:.4g}"
-        )
-    return g
+    _spd_determinant((g11, g12, g22), x, y, "point")
+    return np.array([[g11[0], g12[0]], [g12[0], g22[0]]])
 
 
 def _first_index(a, pick):

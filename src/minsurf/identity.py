@@ -36,7 +36,7 @@ scaled proportionally to the mesh size the whole residual contracts at
 second order.
 
 The same boundary-side assembly evaluated for two metrics that agree near
-the boundary gives ``dn_difference_functional``; for a conformal pair
+the boundary gives :func:`dn_difference_form`; for a conformal pair
 (g, c g) with c = 1 near the boundary it approximates the weighted volume
 functional ``q_functional`` with Q = 1 - 1/c — the link the interior
 recovery probes exploit.
@@ -70,7 +70,7 @@ __all__ = [
     "q_form",
     "q_functional",
     "integral_identity_check",
-    "dn_difference_functional",
+    "dn_difference_form",
 ]
 
 # Defaults of the third-difference stencil behind T1: its step as a multiple
@@ -260,8 +260,19 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     )
 
 
-def _dn_difference_form(mesh, metric1, metric2, directions):
-    """``T(j, k, l, m)``: :func:`dn_difference_functional` of those ``directions``.
+def dn_difference_form(mesh, metric1, metric2, directions):
+    """Difference of the boundary sides of (***) under two metrics, as a form.
+
+    Returns ``T(j, k, l, m)``: for the directions of those indices into
+    ``directions``, the boundary side T3 - T1 of (***) under ``metric1``
+    minus the one under ``metric2``.  Computed purely from boundary
+    quantities (DN traces, boundary frames, boundary data) for each metric
+    separately.  When ``metric2 = c * metric1`` with c = 1 near the
+    boundary, the harmonic fields and all linear-order boundary terms
+    coincide and the difference isolates the third-order effect; it
+    approximates ``q_functional(mesh, metric1, Q, v_j, v_k, v_l, v_m)`` with
+    Q = 1 - 1/c.  The stencil step and the Newton tolerance are the
+    defaults of :func:`integral_identity_check`.
 
     One EpsilonCombination and one set of harmonic fields per metric serve
     every quadruple, so stencil points that quadruples share are solved once.
@@ -280,19 +291,3 @@ def _dn_difference_form(mesh, metric1, metric2, directions):
         return (t3a - t1a) - (t3b - t1b)
 
     return form
-
-
-def dn_difference_functional(mesh, metric1, metric2, directions):
-    """Difference of the boundary sides of (***) under two metrics.
-
-    Computed purely from boundary quantities (DN traces, boundary frames,
-    boundary data) for each metric separately.  When ``metric2 = c * metric1``
-    with c = 1 near the boundary, the harmonic fields and all linear-order
-    boundary terms coincide and the difference isolates the third-order
-    effect; it approximates ``q_functional(mesh, metric1, Q, v_j, v_k, v_l,
-    v_m)`` with Q = 1 - 1/c.  The stencil step and the Newton tolerance
-    are the defaults of :func:`integral_identity_check`.
-    """
-    if len(directions) != 4:
-        raise ValueError(f"need exactly four directions, got {len(directions)}")
-    return _dn_difference_form(mesh, metric1, metric2, directions)(0, 1, 2, 3)

@@ -52,7 +52,7 @@ from .geometry import (
     discretization,
     metric_eval,
 )
-from .identity import _dn_difference_form, q_form
+from .identity import dn_difference_form, q_form
 
 __all__ = [
     "InteriorProbe",
@@ -324,7 +324,7 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields):
         parts.append(w[bidx] / s)
         scales.append(s)
     sa, sb, sp, sq = scales
-    T = _dn_difference_form(mesh, metric, metric2, parts)
+    T = dn_difference_form(mesh, metric, metric2, parts)
     a, b, p, q = range(4)
 
     re = (
@@ -341,6 +341,18 @@ def _polarized_dn_functional(mesh, metric, factor_c, fields):
         - sb * sb * sp * sq * T(b, b, p, q)
     )
     return re + 1j * im
+
+
+def _fit_line(x, y):
+    """Least-squares line y ~ slope x + intercept through the points (x, y).
+
+    Returns ``(slope, intercept, rms)``, rms the root mean square of the
+    residuals y - (slope x + intercept).
+    """
+    design = np.column_stack([x, np.ones_like(x)])
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    fitted = design @ np.array([slope, intercept])
+    return slope, intercept, float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
 def _exact_fit_message(kind, sweep):
@@ -380,7 +392,6 @@ def recover_q_point(
     center,
     tau_sweep,
     mode="synthetic",
-    probe_margin=None,
 ):
     """Estimate Q = 1 - 1/c at one interior point from a frequency sweep.
 
@@ -404,7 +415,7 @@ def recover_q_point(
         the synthetic path end to end).
     """
     functional = _probe_functional(mesh, metric, factor_c, mode)
-    return _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin)
+    return _recover_point(mesh, metric, functional, center, tau_sweep, None)
 
 
 def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
@@ -419,10 +430,7 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
         probe = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
         values[i] = functional(*probe.fields)
 
-    design = np.column_stack([taus, np.ones_like(taus)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, values.real, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    rms = float(np.sqrt(np.mean((values.real - fitted) ** 2)))
+    slope, intercept, rms = _fit_line(taus, values.real)
     leading = abs(slope) * taus.max()
     scale = max(leading, float(np.abs(values).max()))
     residual = rms / scale if scale > 0 else 0.0
@@ -674,10 +682,7 @@ def boundary_jet_probe(
             ),
         )
 
-    design = np.column_stack([np.log(freqs), np.ones_like(freqs)])
-    (exponent, log_pref), *_ = np.linalg.lstsq(design, np.log(mags), rcond=None)
-    fitted = design @ np.array([exponent, log_pref])
-    rms = float(np.sqrt(np.mean((np.log(mags) - fitted) ** 2)))
+    exponent, log_pref, rms = _fit_line(np.log(freqs), np.log(mags))
     reliable = rms <= 0.2
     exact_fit = _exact_fit_message("log-log", freqs)
     if exact_fit:

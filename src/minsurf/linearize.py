@@ -28,9 +28,9 @@ minimal-surface solution.  At eps = 0:
                         + g(grad v_k, grad phi_i) g(grad v_j, grad v_l)
                         + g(grad v_l, grad phi_i) g(grad v_j, grad v_k) ] dV_g.
 
-Finite-difference versions of the second and third are provided for
-cross-checking; they difference full nonlinear solves on the centered
-stencils
+Finite-difference versions of any of them are provided for
+cross-checking by :func:`linearization_fd`; it differences full nonlinear
+solves on the centered stencils, e.g.
 
     second:  (u(++) - u(+-) - u(-+) + u(--)) / (4 h^2)
     third:   sum over sign triples of s1 s2 s3 u(s1 h, s2 h, s3 h) / (8 h^3).
@@ -58,10 +58,9 @@ from .forward import SolveOptions, solve_minimal_surface
 
 __all__ = [
     "EpsilonCombination",
-    "second_linearization_fd",
+    "linearization_fd",
     "third_linearization_source",
     "third_linearization_pde",
-    "third_linearization_fd",
 ]
 
 
@@ -158,18 +157,16 @@ def _mixed_difference(combo, idx, h_eps, at):
     return acc / (2.0**k * h_eps**k)
 
 
-def second_linearization_fd(combo, pair, h_eps):
-    """Centered mixed second difference (u_{++} - u_{+-} - u_{-+} + u_{--})/4h^2.
+def linearization_fd(combo, idx, h_eps):
+    """Mixed derivative of the solution map in the directions ``idx``, by differences.
 
-    The exact value is zero (odd solution map); the return quantifies how
-    close to zero the solver path keeps the even Taylor terms.
+    The centered 2^k-point sign stencil of :func:`_mixed_difference` over
+    the cached solves of ``combo``, k = len(idx).  For a pair the exact
+    value is zero (odd solution map), and the return quantifies how close
+    to zero the solver path keeps the even Taylor terms; for a triple it
+    approximates :func:`third_linearization_pde` to O(h_eps^2).
     """
-    return ScalarField(combo.mesh, _mixed_difference(combo, pair, h_eps, combo.solve))
-
-
-def third_linearization_fd(combo, triple, h_eps):
-    """Centered mixed third difference over the 8-point sign stencil."""
-    return ScalarField(combo.mesh, _mixed_difference(combo, triple, h_eps, combo.solve))
+    return ScalarField(combo.mesh, _mixed_difference(combo, idx, h_eps, combo.solve))
 
 
 def third_linearization_source(mesh, metric, v_j, v_k, v_l):

@@ -110,7 +110,7 @@ def test_03_second_linearization_vanishes():
     eps = np.finfo(float).eps
     sups, odd, ratios = [], [], []
     for h in sweep:
-        w2 = lin.second_linearization_fd(combo, (0, 1), h).values
+        w2 = lin.linearization_fd(combo, (0, 1), h).values
         sups.append(float(np.abs(w2).max()))
         # the combination solves u(++) and u(+-) and serves u(--) and u(-+)
         # by negation, so each of the four points is checked against a
@@ -156,7 +156,7 @@ def test_04_third_linearization_cross_check():
         vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values
               for j in triple]
         w_pde = lin.third_linearization_pde(mesh, FLAT, *vs).values
-        w_fd = lin.third_linearization_fd(combo, triple, 0.02).values
+        w_fd = lin.linearization_fd(combo, triple, 0.02).values
         rels.append(float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max()))
     # exact argument symmetry of the assembled source/solve
     vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values for j in (0, 1, 2)]

@@ -1,4 +1,4 @@
-"""Tests for DN traces, the algebraic inversion, and area functionals."""
+"""Tests for DN traces, the algebraic inversion, and the DN map from areas."""
 
 import numpy as np
 import pytest
@@ -27,12 +27,18 @@ def catenoid(x, y):
 def riemannian_gradient(mesh, metric, field):
     """Riemannian gradient g^{-1} grad(u) per triangle (metric at centroids)."""
     grad = p1_gradients(mesh, geo.nodal_values(mesh, field))
-    x, y = mesh.centroids[:, 0], mesh.centroids[:, 1]
+    x, y = mesh.vertices[mesh.triangles].mean(axis=1).T
     g11, g12, g22 = geo._metric_entries(metric, x, y)
     det = g11 * g22 - g12**2
     gx = (g22 * grad[:, 0] - g12 * grad[:, 1]) / det
     gy = (-g12 * grad[:, 0] + g11 * grad[:, 1]) / det
     return np.column_stack([gx, gy])
+
+
+def graph_area(mesh, metric, u):
+    """Graph area sum w s, from the slope factor of the residual evaluation at u."""
+    s = fwd.mse_residual(mesh, metric, u, with_slope=True)[1]
+    return float((geo.discretization(mesh, metric).weights * s).sum())
 
 
 def area_first_variation(mesh, metric, u, v):
@@ -203,7 +209,7 @@ def test_area_exact_for_affine_graph():
     m = geo.square(9)
     a, b = 0.6, -0.3
     u = a * m.vertices[:, 0] + b * m.vertices[:, 1]
-    assert abs(dn.area(m, FLAT, u) - np.sqrt(1 + a * a + b * b)) < 1e-13
+    assert abs(graph_area(m, FLAT, u) - np.sqrt(1 + a * a + b * b)) < 1e-13
 
 
 def test_catenoid_area(catenoid_solution):
@@ -211,7 +217,7 @@ def test_catenoid_area(catenoid_solution):
     exact = 2 * np.pi * quad(
         lambda r: r * r / np.sqrt(r * r - CAT_A**2), CAT_R0, CAT_R1
     )[0]
-    assert abs(dn.area(mesh, FLAT, u.values) - exact) / exact < 3e-3
+    assert abs(graph_area(mesh, FLAT, u.values) - exact) / exact < 3e-3
 
 
 def test_first_variation_equals_residual_pairing(catenoid_solution):
@@ -262,17 +268,17 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # reference: the same perturbed solves from u0 with a fresh Jacobian at
     # every Newton step
     fb = geo.boundary_values(d, f)
-    fresh = fwd.SolveOptions(initial_guess=u0.values)
+    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0.values, None, None))
     ref = np.empty(len(fb))
     for b in range(len(fb)):
         pert = np.zeros(len(fb))
         pert[b] = t
         up, _ = fwd.solve_minimal_surface(d, FLAT, fb + pert, fresh)
         um, _ = fwd.solve_minimal_surface(d, FLAT, fb - pert, fresh)
-        ref[b] = (dn.area(d, FLAT, up) - dn.area(d, FLAT, um)) / (2 * t)
+        ref[b] = (graph_area(d, FLAT, up) - graph_area(d, FLAT, um)) / (2 * t)
     # both converge far below the point where the solve error shows in the
     # area, so only the rounding of the two areas separates them
-    floor = 4 * np.finfo(float).eps * dn.area(d, FLAT, u0) / (2 * t)
+    floor = 4 * np.finfo(float).eps * graph_area(d, FLAT, u0) / (2 * t)
     assert np.abs(tr.flux - ref).max() <= floor
 
 
@@ -283,24 +289,15 @@ def test_solve_reports_the_area_of_its_solution_bit_for_bit(metric):
     d = geo.disc(8, 48)
     f = lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x
     u0, cold = fwd.solve_minimal_surface(d, metric, f)
-    assert cold.area == dn.area(d, metric, u0)
+    assert cold.area == graph_area(d, metric, u0)
     fb = geo.boundary_values(d, f)
     fb[3] += 1e-3
     warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0.values))
     u, report = fwd.solve_minimal_surface(d, metric, fb, warm)
-    assert report.iterations > 0 and report.area == dn.area(d, metric, u)
-    plain = fwd.SolveOptions(initial_guess=u0.values)
+    assert report.iterations > 0 and report.area == graph_area(d, metric, u)
+    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0.values, None, None))
     u, report = fwd.solve_minimal_surface(d, metric, fb, plain)
-    assert report.jacobians > 0 and report.area == dn.area(d, metric, u)
-
-
-def test_dn_from_area_data_reads_the_areas_off_its_solves(counting):
-    # each perturbed solve reports the area of its solution from its last
-    # residual evaluation, so the pipeline evaluates no area of its own
-    d = geo.disc(12, 48)
-    calls = counting(dn, "area")
-    dn.dn_from_area_data(d, FLAT, lambda x, y: 0.4 * (x * x - y * y) + 0.2 * x)
-    assert len(calls) == 0
+    assert report.jacobians > 0 and report.area == graph_area(d, metric, u)
 
 
 def _area_pipeline_reports(monkeypatch, d, f, t):
@@ -332,8 +329,8 @@ def _area_pipeline_from_u0(d, f, t):
         up, rp = fwd.solve_minimal_surface(d, FLAT, fb + pert, warm)
         um, rm = fwd.solve_minimal_surface(d, FLAT, fb - pert, warm)
         reports += [rp, rm]
-        flux[b] = (dn.area(d, FLAT, up) - dn.area(d, FLAT, um)) / (2 * t)
-    floor = 4 * np.finfo(float).eps * dn.area(d, FLAT, u0) / (2 * t)
+        flux[b] = (graph_area(d, FLAT, up) - graph_area(d, FLAT, um)) / (2 * t)
+    floor = 4 * np.finfo(float).eps * graph_area(d, FLAT, u0) / (2 * t)
     return flux, reports, floor
 
 
@@ -345,8 +342,11 @@ def test_predicted_perturbed_solves_take_fewer_chord_steps(monkeypatch):
     ref_flux, ref_reports, floor = _area_pipeline_from_u0(d, f, t)
     assert len(reports) == len(ref_reports) == 2 * len(d.boundary_vertices)
     assert all(r.jacobians == 0 for r in reports)
-    steps = sum(r.iterations for r in reports)
-    assert steps <= 0.6 * sum(r.iterations for r in ref_reports)
+    # the + solves (even positions) and the - solves (odd) are bounded
+    # apart, so that one wrong prediction cannot hide behind the other
+    for sign in (slice(0, None, 2), slice(1, None, 2)):
+        steps = sum(r.iterations for r in reports[sign])
+        assert steps <= 0.6 * sum(r.iterations for r in ref_reports[sign])
     assert np.abs(flux - ref_flux).max() <= floor
 
 

@@ -1,5 +1,6 @@
 """Tests for the nonlinear minimal-surface solver and Laplace-Beltrami."""
 
+import functools
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy.optimize import brentq
 
 from minsurf import geometry as geo
 from minsurf import forward as fwd
-from minsurf import dnmap as dn
 
 FLAT = geo.flat_metric()
 
@@ -191,10 +191,11 @@ def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric():
     # a = 0.1 converges on chord steps alone, a = 0.4 refreshes after one
     for a in (0.1, 0.4):
         u, rep = fwd.solve_minimal_surface(mesh, metric, _saddle(a))
-        # the same start as a plain array: a fresh Jacobian at every step
+        # the same start without a factor: a fresh Jacobian at every step
         start = fwd.solve_laplace_beltrami(mesh, metric, _saddle(a)).values
         u_newton, newton = fwd.solve_minimal_surface(
-            mesh, metric, _saddle(a), fwd.SolveOptions(initial_guess=start))
+            mesh, metric, _saddle(a),
+            fwd.SolveOptions(initial_guess=fwd.WarmStart(start, None, None)))
         assert newton.jacobians == newton.iterations
         assert rep.jacobians < rep.iterations
         assert np.abs(u.values - u_newton.values).max() < 1e-10
@@ -220,6 +221,20 @@ def test_warm_start_failure_is_actionable():
         fwd.solve_minimal_surface(d, FLAT, f, opts)
 
 
+@pytest.mark.parametrize(
+    "guess",
+    [lambda d: np.zeros(d.n_vertices),
+     lambda d: geo.ScalarField(d, np.zeros(d.n_vertices)),
+     lambda d: (lambda x, y: 0.0 * x)],
+    ids=["array", "field", "callable"],
+)
+def test_initial_guess_is_none_or_a_warm_start(guess):
+    d = geo.disc(6, 36)
+    opts = fwd.SolveOptions(initial_guess=guess(d))
+    with pytest.raises(TypeError, match="None or a WarmStart"):
+        fwd.solve_minimal_surface(d, FLAT, lambda x, y: 0.1 * x, opts)
+
+
 def test_complex_data_rejected_by_nonlinear_solver():
     d = geo.disc(6, 36)
     with pytest.raises(ValueError, match="real"):
@@ -228,12 +243,14 @@ def test_complex_data_rejected_by_nonlinear_solver():
 
 @pytest.mark.parametrize(
     "kernel",
-    [fwd.mse_residual, fwd.mse_linearized_operator, dn.area, fwd.warm_start],
+    [fwd.mse_residual, fwd.mse_linearized_operator,
+     functools.partial(fwd.mse_residual, with_slope=True), fwd.warm_start],
     ids=["residual", "jacobian", "area", "warm_start"],
 )
 def test_complex_fields_rejected_by_the_slope_kernel(kernel):
     # all four share the slope factor sqrt(1 + |grad_g u|^2), which raises
-    # before any of them could drop the imaginary part with a ComplexWarning
+    # before any of them could drop the imaginary part with a ComplexWarning;
+    # the area is the sum of the slope factor the residual returns
     d = geo.disc(4, 24)
     x, y = d.vertices.T
     with warnings.catch_warnings():

@@ -32,6 +32,18 @@ def test_square_mesh_basics():
     assert abs(m.h - np.sqrt(2.0) / 8) < 1e-14
 
 
+def test_structured_meshes_pin_their_triangles():
+    # two triangles per cell, cells in row order; the last cell of an
+    # annulus ring closes it back to the ring's first vertex
+    assert geo.square(2).triangles.tolist() == [
+        [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+        [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7],
+    ]
+    assert geo.annulus(0.5, 1.5, 1, 3).triangles.tolist() == [
+        [0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2], [2, 5, 3], [2, 3, 0],
+    ]
+
+
 def test_disc_mesh_basics():
     d = geo.disc(10, 60)
     # polygon boundary: area slightly below pi
@@ -164,8 +176,8 @@ def test_metric_eval_flat_and_spd_rejection():
     g = geo.flat_metric()
     np.testing.assert_allclose(geo.metric_eval(g, (0.3, 0.7)), np.eye(2))
     bad = geo.explicit_metric(lambda x, y: (x - 10.0, 0.0 * x, np.ones_like(x)))
-    with pytest.raises(ValueError, match="SPD"):
-        geo.metric_eval(bad, (0.0, 0.0))
+    with pytest.raises(ValueError, match=r"not SPD at point .*\(x=0, y=0\.5\)"):
+        geo.metric_eval(bad, (0.0, 0.5))
     m = geo.square(4)
     # the quadrature index prints as plain ints, not numpy scalars
     with pytest.raises(ValueError, match=r"SPD at quadrature point \(\d+, \d+\) "):

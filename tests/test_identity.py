@@ -160,7 +160,7 @@ def test_dn_difference_matches_weighted_functional_for_conformal_pair():
     fx = lambda x, y: x
     fy = lambda x, y: y
     dirs = [fx, fx, fy, fy]
-    diff = idn.dn_difference_functional(mesh, FLAT, cg, dirs)
+    diff = idn.dn_difference_form(mesh, FLAT, cg, dirs)(0, 1, 2, 3)
 
     vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in dirs]
     target = idn.q_functional(mesh, FLAT, weight, *vs)
@@ -181,18 +181,16 @@ def test_dn_difference_form_is_the_functional_on_each_quadruple():
     mesh = geo.disc(8, 48)
     cg = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.5 * interior_bump(x, y))
     parts = [geo.boundary_values(mesh, f) for f in DIRS]
-    form = idn._dn_difference_form(mesh, FLAT, cg, parts)
+    form = idn.dn_difference_form(mesh, FLAT, cg, parts)
     for quad in POLARIZED_QUADRUPLES:
-        explicit = idn.dn_difference_functional(mesh, FLAT, cg, [parts[i] for i in quad])
-        assert form(*quad) == explicit
+        alone = idn.dn_difference_form(mesh, FLAT, cg, [parts[i] for i in quad])
+        assert form(*quad) == alone(0, 1, 2, 3)
 
 
 def test_identity_functions_validate_direction_count():
     mesh = geo.disc(6, 36)
     with pytest.raises(ValueError, match="four directions"):
         idn.integral_identity_check(mesh, FLAT, DIRS[:3])
-    with pytest.raises(ValueError, match="four directions"):
-        idn.dn_difference_functional(mesh, FLAT, FLAT, DIRS + DIRS[:1])
 
 
 def test_identity_check_builds_each_invariant_once(counting):

@@ -43,7 +43,7 @@ def test_affine_third_linearization_vanishes():
     w = lin.third_linearization_pde(mesh, FLAT, x, x, x)
     assert np.abs(w.values).max() < 1e-12
     combo = lin.EpsilonCombination(mesh, FLAT, [lambda X, Y: X])
-    w_fd = lin.third_linearization_fd(combo, (0, 0, 0), 0.05)
+    w_fd = lin.linearization_fd(combo, (0, 0, 0), 0.05)
     assert np.abs(w_fd.values).max() < 1e-9
 
 
@@ -55,14 +55,6 @@ def test_third_source_symmetric_in_fields(disc_setup):
             mesh, FLAT, vs[perm[0]], vs[perm[1]], vs[perm[2]]
         )
         np.testing.assert_allclose(Lp, L0, atol=1e-14)
-
-
-def first_linearization_fd(combo, j, h_eps):
-    """Centered first difference of the nonlinear solution map."""
-    eps = np.zeros(combo.n_directions)
-    eps[j] = h_eps
-    up, dn = combo.solve(eps), combo.solve(-eps)
-    return geo.ScalarField(combo.mesh, (up - dn) / (2.0 * h_eps))
 
 
 def test_mixed_difference_is_the_hand_written_sign_sum(disc_setup):
@@ -98,7 +90,7 @@ def test_first_linearization_fd_second_order(disc_setup):
     mesh, fs, combo, vs = disc_setup
     errs = []
     for h in (0.05, 0.025):
-        v_fd = first_linearization_fd(combo, 2, h).values
+        v_fd = lin.linearization_fd(combo, (2,), h).values
         errs.append(np.abs(v_fd - vs[2]).max())
     assert errs[0] < 1e-3
     assert errs[0] / errs[1] > 3.0  # O(h^2)
@@ -112,7 +104,7 @@ def test_second_linearization_is_rounding_noise(disc_setup):
     mesh, fs, combo, vs = disc_setup
     scale = max(np.abs(combo.boundary_data([1.0, 1.0, 1.0])).max(), 1.0)
     for h in (0.05, 0.02):
-        w2 = lin.second_linearization_fd(combo, (0, 2), h).values
+        w2 = lin.linearization_fd(combo, (0, 2), h).values
         assert np.abs(w2).max() < 1e-10 * scale
 
 
@@ -146,7 +138,7 @@ def test_third_fd_converges_to_pde_solution(disc_setup):
     assert np.abs(w_exact[mesh.boundary_vertices]).max() == 0.0
     rels = []
     for h in (0.04, 0.02):
-        w_fd = lin.third_linearization_fd(combo, (0, 1, 2), h).values
+        w_fd = lin.linearization_fd(combo, (0, 1, 2), h).values
         rels.append(np.abs(w_fd - w_exact).max() / np.abs(w_exact).max())
     assert rels[0] < 2e-2
     assert rels[1] < 5e-3
@@ -163,9 +155,8 @@ def test_epsilon_combination_validation_and_cache(disc_setup):
     u2 = combo.solve([0.1, 0.0, 0.0])
     assert u1 is u2  # cached
     with pytest.raises(ValueError, match="initial_guess"):
-        lin.EpsilonCombination(
-            mesh, FLAT, fs, fwd.SolveOptions(initial_guess=np.zeros(mesh.n_vertices))
-        )
+        start = fwd.WarmStart(np.zeros(mesh.n_vertices), None, None)
+        lin.EpsilonCombination(mesh, FLAT, fs, fwd.SolveOptions(initial_guess=start))
 
 
 def test_combination_solves_each_sign_pair_once(counting):
@@ -173,7 +164,7 @@ def test_combination_solves_each_sign_pair_once(counting):
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * Y]
     combo = lin.EpsilonCombination(mesh, FLAT, fs)
     solves = counting(fwd, "solve_minimal_surface")
-    lin.third_linearization_fd(combo, (0, 1, 2), 0.05)
+    lin.linearization_fd(combo, (0, 1, 2), 0.05)
     # the eight-point stencil is four +-eps pairs
     assert len(solves) == 4
     for eps in ([-0.05, 0.05, 0.05], [-0.05, -0.05, -0.05], [0.0, -0.05, 0.05]):
