@@ -391,8 +391,8 @@ def _build(cfg):
     the quadrature points and on the boundary of every mesh (boundary
     vertices and edge quadrature points), each weight Q below 1 at its
     vertices and quadrature points, each direction that ``pair`` or
-    ``triple`` picks nonzero somewhere on the boundary, and ``levels`` of
-    two or more sizes.
+    ``triple`` picks nonzero somewhere on the boundary, ``levels`` of two
+    or more sizes, and the metric SPD at ``point``.
     """
     cfg["metric"] = cfg["metric"]()
     if "levels" in cfg:
@@ -432,6 +432,11 @@ def _build(cfg):
         raise ConfigError("levels", "a slope fit needs two or more distinct mesh sizes")
     else:
         cfg["levels"] = meshes
+    if "point" in cfg:
+        try:
+            geo.metric_eval(cfg["metric"], cfg["point"])
+        except ValueError as exc:
+            raise ConfigError("point", str(exc)) from None
 
 
 def _cell(value):
@@ -545,11 +550,11 @@ def run_forward(cfg, out_dir, log):
                                           fwd.SolveOptions(**cfg["solver"]))
     solve_s = time.perf_counter() - t0
 
-    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u.values)
+    trace = dn._nonlinear_trace(mesh, metric, geo.boundary_values(mesh, f), u)
     write_csv(out_dir / "convergence.csv", ["iteration", "residual"],
               list(enumerate(report.residual_norms)))
     write_csv(out_dir / "solution.csv", ["x", "y", "u"],
-              np.column_stack([mesh.vertices, u.values]))
+              np.column_stack([mesh.vertices, u]))
     write_csv(out_dir / "dn_trace.csv", ["arclength", "value"],
               np.column_stack([trace.bg.arclength, trace.values]))
 
@@ -557,7 +562,7 @@ def run_forward(cfg, out_dir, log):
     checks.check("iterations", report.iterations, limit["max_iterations"])
     checks.check("final_residual", report.final_residual, limit["residual_max"])
     exact = f(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    checks.check("affine_sup_error", np.abs(u.values - exact).max(),
+    checks.check("affine_sup_error", np.abs(u - exact).max(),
                  limit["affine_sup_error_max"])
 
     log(f"solved in {report.iterations} iterations, "
@@ -578,7 +583,7 @@ def run_linearize_check(cfg, out_dir, log):
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
     t0 = time.perf_counter()
-    sups = [float(np.abs(lin.linearization_fd(combo, pair, h).values).max())
+    sups = [float(np.abs(lin.linearization_fd(combo, pair, h)).max())
             for h in eps_sweep]
     second_s = time.perf_counter() - t0
     write_csv(out_dir / "second_linearization.csv", ["h_eps", "sup_norm"],
@@ -592,10 +597,9 @@ def run_linearize_check(cfg, out_dir, log):
 
     # third linearization: independent PDE solve against the FD estimate
     t0 = time.perf_counter()
-    v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]).values
-         for j in triple]
-    w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2]).values
-    w_fd = lin.linearization_fd(combo, triple, third_h_eps).values
+    v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]) for j in triple]
+    w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2])
+    w_fd = lin.linearization_fd(combo, triple, third_h_eps)
     third_s = time.perf_counter() - t0
     rel_third = float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max())
     write_csv(out_dir / "third_linearization.csv",

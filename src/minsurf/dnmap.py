@@ -165,7 +165,7 @@ def dn_linear(mesh, metric, f):
     bg = d.boundary
     fb = boundary_values(mesh, f)
     v = solve_laplace_beltrami(mesh, metric, fb)
-    flux = (d.stiffness @ v.values)[mesh.boundary_vertices]
+    flux = (d.stiffness @ v)[mesh.boundary_vertices]
     return DNTrace(bg=bg, values=flux / bg.ds, flux=flux)
 
 
@@ -178,7 +178,7 @@ def dn_nonlinear(mesh, metric, f, options=None):
     """
     fb = boundary_values(mesh, f)
     u, _ = solve_minimal_surface(mesh, metric, fb, options)
-    return _nonlinear_trace(mesh, metric, fb, u.values)
+    return _nonlinear_trace(mesh, metric, fb, u)
 
 
 def _nonlinear_trace(mesh, metric, fb, u):
@@ -198,7 +198,7 @@ def _flux_trace(bg, fb, flux):
 
 def _normal_derivative(d, v):
     """Nodal d_nu v of a discrete-harmonic field of Discretization d, from its weak flux."""
-    return (d.stiffness @ np.asarray(v))[d.mesh.boundary_vertices] / d.boundary.ds
+    return (d.stiffness @ v)[d.mesh.boundary_vertices] / d.boundary.ds
 
 
 def _boundary_correction(d, vs, fbs):
@@ -251,7 +251,7 @@ def dn_third_derivative_exact(mesh, metric, directions):
     d = discretization(mesh, metric)
     bg = d.boundary
     fbs = [boundary_values(mesh, f) for f in directions]
-    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in fbs]
+    vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in fbs]
     L = third_linearization_source(mesh, metric, *vs)
     w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
     flux = (d.stiffness @ w - L)[mesh.boundary_vertices]
@@ -309,11 +309,11 @@ def dn_from_area_data(
     O = mesh.interior_order  # the tangents' row order
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
-    base_trace = _nonlinear_trace(mesh, metric, fb, u0.values)
+    base_trace = _nonlinear_trace(mesh, metric, fb, u0)
 
     # the perturbations are O(t), so J(u0) is within O(t) of the Jacobian
     # at each perturbed solution
-    warm = warm_start(mesh, metric, u0.values)
+    warm = warm_start(mesh, metric, u0)
     flux = np.empty(n_b)
     for start in range(0, n_b, _TANGENT_BLOCK):
         stop = min(start + _TANGENT_BLOCK, n_b)
@@ -326,7 +326,7 @@ def dn_from_area_data(
             guess[O] += step
             plus = replace(options, initial_guess=replace(warm, values=guess))
             up, plus_report = solve_minimal_surface(mesh, metric, fb + pert, plus)
-            guess = up.values.copy()
+            guess = up.copy()
             guess[O] -= 2.0 * step
             minus = replace(options, initial_guess=replace(warm, values=guess))
             _, minus_report = solve_minimal_surface(mesh, metric, fb - pert, minus)

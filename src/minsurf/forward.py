@@ -50,7 +50,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    ScalarField,
     _interior_blocks,
     _raised_gradient,
     assemble_elements,
@@ -242,9 +241,11 @@ def warm_start(mesh, metric, u):
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data):
-    """Discrete-harmonic extension: K u = 0 with u = f on the boundary."""
-    f = boundary_values(mesh, boundary_data)
-    return ScalarField(mesh, discretization(mesh, metric).extend(f))
+    """Discrete-harmonic extension: K u = 0 with u = f on the boundary.
+
+    Returns the nodal array u.
+    """
+    return discretization(mesh, metric).extend(boundary_values(mesh, boundary_data))
 
 
 def solve_minimal_surface(mesh, metric, boundary_data, options=None):
@@ -259,7 +260,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
 
     Returns
     -------
-    (ScalarField, SolveReport)
+    (u, SolveReport)
+        u the nodal solution array.
 
     Raises
     ------
@@ -282,7 +284,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     if guess is None:
         # J(0) = K: the owner's factor of K[I, I] serves the chord steps
         coupling, factor = discretization(mesh, metric).interior_system
-        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f).values, factor, coupling)
+        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f), factor, coupling)
     elif not isinstance(guess, WarmStart):
         raise TypeError(
             f"SolveOptions.initial_guess must be None or a WarmStart, got "
@@ -319,7 +321,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
                 it, f"minimal-surface residual became non-finite at iteration {it}"
             ))
         if rnorm <= options.tol:
-            return ScalarField(mesh, u), report(it, f"converged in {it} Newton iterations")
+            return u, report(it, f"converged in {it} Newton iterations")
         if it == options.max_iter:
             break
 

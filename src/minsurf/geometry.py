@@ -85,7 +85,6 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "Mesh",
     "MetricField",
-    "ScalarField",
     "BoundaryGeometry",
     "Discretization",
     "discretization",
@@ -658,39 +657,16 @@ def metric_at_quadrature(mesh, metric):
 
 
 # ---------------------------------------------------------------------------
-# Scalar fields and P1 calculus
+# Nodal fields and P1 calculus
 # ---------------------------------------------------------------------------
+# A field on a mesh is a plain (n_vertices,) array of nodal values, real or
+# complex; boundary data is a callable(x, y) or an array in
+# ``boundary_vertices`` order (:func:`boundary_values`).
 
 
-@dataclass(frozen=True, eq=False)
-class ScalarField:
-    """Nodal P1 field on a mesh (real or complex values)."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.shape != (self.mesh.n_vertices,):
-            raise ValueError(
-                f"field has {values.shape} values for a mesh with "
-                f"{self.mesh.n_vertices} vertices"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("field contains non-finite values")
-        object.__setattr__(self, "values", values)
-
-
-def nodal_values(mesh, field):
-    """Coerce a ScalarField / nodal array / callable(x, y) to a nodal array."""
-    if isinstance(field, ScalarField):
-        if field.mesh is not mesh:
-            raise ValueError("field is attached to a different mesh")
-        return field.values
-    if callable(field):
-        vals = np.asarray(field(mesh.vertices[:, 0], mesh.vertices[:, 1]))
-        return np.broadcast_to(vals, (mesh.n_vertices,)).copy()
-    vals = np.asarray(field)
+def nodal_values(mesh, values):
+    """``values`` as an array, checked to hold one value per vertex of ``mesh``."""
+    vals = np.asarray(values)
     if vals.shape != (mesh.n_vertices,):
         raise ValueError(
             f"expected {mesh.n_vertices} nodal values, got shape {vals.shape}"
@@ -990,27 +966,23 @@ def _check_frame(g, normal, tangent, tol=1e-12):
 
 
 def boundary_values(mesh, data):
-    """Evaluate boundary data as an array in ``boundary_vertices`` order.
+    """Boundary data as an array in ``boundary_vertices`` order.
 
-    ``data`` may be a callable(x, y), a full nodal array/ScalarField, or an
-    array already in boundary ordering.
+    ``data`` is a callable(x, y), evaluated at the boundary vertices, or an
+    array already in that order, whose length is checked.
     """
     bidx = mesh.boundary_vertices
-    if isinstance(data, ScalarField):
-        return data.values[bidx]
     if callable(data):
         p = mesh.vertices[bidx]
         vals = np.asarray(data(p[:, 0], p[:, 1]))
         return np.broadcast_to(vals, (len(bidx),)).copy()
     vals = np.asarray(data)
-    if vals.shape == (mesh.n_vertices,):
-        return vals[bidx]
-    if vals.shape == (len(bidx),):
-        return vals
-    raise ValueError(
-        f"boundary data has shape {vals.shape}; expected callable, "
-        f"({mesh.n_vertices},) nodal array, or ({len(bidx)},) boundary array"
-    )
+    if vals.shape != (len(bidx),):
+        raise ValueError(
+            f"boundary data has shape {vals.shape}; expected a callable or "
+            f"({len(bidx)},) values in boundary_vertices order"
+        )
+    return vals
 
 
 def tangential_derivative(bg, values):

@@ -125,7 +125,7 @@ def q_form(mesh, metric, Q):
     fully symmetric under permuting (v1, v2, v3, v4).  All pairings are
     bilinear — complex fields are *not* conjugated, which is what the
     oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
-    callable, a nodal array, or a ScalarField.
+    callable(x, y), or a nodal array.
 
     Gradients are constant per triangle, so with the pair basis
     p(a, b) = (a1 b1, a1 b2 + a2 b1, a2 b2) and G = (g^11, g^12, g^22) each
@@ -241,7 +241,7 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     if h_eps is None:
         h_eps = _H_EPS_PER_H * mesh.h
     combo = EpsilonCombination(mesh, metric, directions, options)
-    vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in combo.boundary]
+    vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in combo.boundary]
 
     t1, t3 = _boundary_side(combo, vs, (0, 1, 2, 3), h_eps)
     rhs = q_functional(mesh, metric, None, vs[0], vs[1], vs[2], vs[3])
@@ -281,7 +281,7 @@ def dn_difference_form(mesh, metric1, metric2, directions):
     sides = []
     for metric in (metric1, metric2):
         combo = EpsilonCombination(mesh, metric, directions, options)
-        vs = [solve_laplace_beltrami(mesh, metric, fb).values for fb in combo.boundary]
+        vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in combo.boundary]
         sides.append((combo, vs))
 
     def form(*quad):

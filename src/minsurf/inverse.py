@@ -47,7 +47,6 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    ScalarField,
     conformal_metric,
     discretization,
     metric_eval,
@@ -140,12 +139,12 @@ class RecoveryResult:
 class RecoveryField:
     """Pointwise recovery mapped over a grid, filled onto mesh vertices.
 
-    ``field`` holds the nearest-reliable-neighbor fill; ``points`` the
-    per-grid-point results (one RecoveryResult each); ``reliable`` the
-    per-grid-point trust flags.
+    ``field`` holds the nearest-reliable-neighbor fill, a nodal array;
+    ``points`` the per-grid-point results (one RecoveryResult each);
+    ``reliable`` the per-grid-point trust flags.
     """
 
-    field: ScalarField
+    field: np.ndarray
     points: list
     grid: np.ndarray
     reliable: np.ndarray
@@ -466,7 +465,7 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
 
 def interior_grid(mesh, spacing, margin):
     """Regular grid of interior points at least ``margin`` from the boundary."""
-    from scipy.spatial import cKDTree  # imported here: no other path needs it
+    from scipy.spatial import cKDTree  # lazy: only this and recover_q_field use it
 
     verts = mesh.vertices
     bverts = verts[mesh.boundary_vertices]
@@ -501,7 +500,7 @@ def recover_q_field(
     point is reliable the recovery fails as a whole.  One probe functional
     serves the whole grid (see :func:`_probe_functional`).
     """
-    from scipy.spatial import cKDTree  # imported here: no other path needs it
+    from scipy.spatial import cKDTree  # lazy: only this and interior_grid use it
 
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     taus = np.asarray(tau_sweep, dtype=float)
@@ -554,8 +553,8 @@ def recover_q_field(
     good = grid[reliable]
     good_values = np.array([r.q_estimate for r, ok in zip(results, reliable) if ok])
     nearest = cKDTree(good).query(mesh.vertices)[1]
-    field = ScalarField(mesh, good_values[nearest])
-    return RecoveryField(field=field, points=results, grid=grid, reliable=reliable)
+    return RecoveryField(field=good_values[nearest], points=results, grid=grid,
+                         reliable=reliable)
 
 
 def jet_window(s):

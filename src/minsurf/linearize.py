@@ -46,7 +46,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    ScalarField,
     _raised_gradient,
     boundary_values,
     discretization,
@@ -73,7 +72,7 @@ class EpsilonCombination:
     mesh, metric
         Chart the family lives on.
     directions : sequence
-        Boundary data f_j (callables, nodal arrays, or boundary arrays).
+        Boundary data f_j (callables, or arrays in ``boundary_vertices`` order).
     options : SolveOptions, optional
         Passed to every nonlinear solve.  Its ``initial_guess`` must be
         unset: only the cold solve from the Laplace-Beltrami guess is odd
@@ -135,7 +134,7 @@ class EpsilonCombination:
             u, _ = solve_minimal_surface(
                 self.mesh, self.metric, self.boundary_data(sign * eps), self.options
             )
-            self._cache[key] = u.values
+            self._cache[key] = u
         return self._cache[key] if sign > 0.0 else -self._cache[key]
 
 
@@ -166,7 +165,7 @@ def linearization_fd(combo, idx, h_eps):
     to zero the solver path keeps the even Taylor terms; for a triple it
     approximates :func:`third_linearization_pde` to O(h_eps^2).
     """
-    return ScalarField(combo.mesh, _mixed_difference(combo, idx, h_eps, combo.solve))
+    return _mixed_difference(combo, idx, h_eps, combo.solve)
 
 
 def third_linearization_source(mesh, metric, v_j, v_k, v_l):
@@ -196,4 +195,4 @@ def third_linearization_pde(mesh, metric, v_j, v_k, v_l):
     """
     L = third_linearization_source(mesh, metric, v_j, v_k, v_l)
     zero = np.zeros(len(mesh.boundary_vertices))
-    return ScalarField(mesh, discretization(mesh, metric).extend(zero, L))
+    return discretization(mesh, metric).extend(zero, L)

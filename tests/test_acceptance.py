@@ -61,7 +61,7 @@ def test_01_forward_affine_exactness():
     mesh = geo.square(64)
     f = lambda x, y: 0.05 * (x + 2.0 * y)
     u, rep = fwd.solve_minimal_surface(mesh, FLAT, f)
-    err = np.abs(u.values - f(mesh.vertices[:, 0], mesh.vertices[:, 1])).max()
+    err = np.abs(u - f(mesh.vertices[:, 0], mesh.vertices[:, 1])).max()
     elapsed = time.perf_counter() - start
     ok = rep.iterations <= 2 and err <= 1e-10 and elapsed < 1.0
     report("01 forward-affine", ok,
@@ -84,7 +84,7 @@ def test_02_forward_catenoid_accuracy():
             mesh, FLAT, lambda x, y: exact(np.hypot(x, y)))
         assert rep.final_residual <= 1e-10
         r = np.hypot(mesh.vertices[:, 0], mesh.vertices[:, 1])
-        errs.append(np.abs(u.values - exact(r)).max())
+        errs.append(np.abs(u - exact(r)).max())
         hs.append(mesh.h)
     n_fine = (levels[-1][0] + 1) * levels[-1][1]
     rel = errs[-1] / exact(r1)
@@ -110,7 +110,7 @@ def test_03_second_linearization_vanishes():
     eps = np.finfo(float).eps
     sups, odd, ratios = [], [], []
     for h in sweep:
-        w2 = lin.linearization_fd(combo, (0, 1), h).values
+        w2 = lin.linearization_fd(combo, (0, 1), h)
         sups.append(float(np.abs(w2).max()))
         # the combination solves u(++) and u(+-) and serves u(--) and u(-+)
         # by negation, so each of the four points is checked against a
@@ -118,7 +118,7 @@ def test_03_second_linearization_vanishes():
         u_pp, u_pm = combo.solve([h, h]), combo.solve([h, -h])
         odd.append(all(
             np.array_equal(combo.solve(e), fwd.solve_minimal_surface(
-                mesh, FLAT, combo.boundary_data(e))[0].values)
+                mesh, FLAT, combo.boundary_data(e))[0])
             for e in ([h, h], [h, -h], [-h, h], [-h, -h])))
         # the stencil sum ((a - b) + b) - a rounds to at most about
         # 1.5 eps max(|a|, |b|) per vertex; the ratio to eps max(|a|, |b|)
@@ -153,15 +153,14 @@ def test_04_third_linearization_cross_check():
     combo = lin.EpsilonCombination(mesh, FLAT, DIRS)
     rels = []
     for triple in [(0, 1, 2), (0, 2, 3), (1, 2, 3)]:
-        vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values
-              for j in triple]
-        w_pde = lin.third_linearization_pde(mesh, FLAT, *vs).values
-        w_fd = lin.linearization_fd(combo, triple, 0.02).values
+        vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]) for j in triple]
+        w_pde = lin.third_linearization_pde(mesh, FLAT, *vs)
+        w_fd = lin.linearization_fd(combo, triple, 0.02)
         rels.append(float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max()))
     # exact argument symmetry of the assembled source/solve
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]).values for j in (0, 1, 2)]
-    w_a = lin.third_linearization_pde(mesh, FLAT, vs[0], vs[1], vs[2]).values
-    w_b = lin.third_linearization_pde(mesh, FLAT, vs[2], vs[0], vs[1]).values
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, DIRS[j]) for j in (0, 1, 2)]
+    w_a = lin.third_linearization_pde(mesh, FLAT, vs[0], vs[1], vs[2])
+    w_b = lin.third_linearization_pde(mesh, FLAT, vs[2], vs[0], vs[1])
     sym = float(np.abs(w_a - w_b).max())
     ok = max(rels) <= 0.05 and sym <= 1e-12
     report("04 third-linearization", ok,
@@ -236,7 +235,7 @@ def test_08_first_variation_criticality():
         v = np.zeros(mesh.n_vertices)
         v[mesh.interior_vertices] = rng.standard_normal(
             len(mesh.interior_vertices))
-        val = abs(area_first_variation(mesh, FLAT, u.values, v))
+        val = abs(area_first_variation(mesh, FLAT, u, v))
         worst = max(worst, val / np.linalg.norm(v))
     ok = worst <= 10.0 * tol
     report("08 first-variation", ok,

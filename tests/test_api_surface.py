@@ -1,9 +1,14 @@
 """Every public name of the package has a caller or is documented as API.
 
 A name in a module's ``__all__`` passes when some ``src`` code refers to it
-outside its own definition (as a name, an attribute or an import), or when
-``README.md`` or ``docs/experiments.md`` names it inside backticks: in a
-code span or a fenced code block.
+outside its own definition, or when ``README.md`` or ``docs/experiments.md``
+names it inside backticks: in a code span or a fenced code block.  A
+reference is resolved to the module it names: ``module.name`` counts only
+where ``module`` is a package module imported in that file (``geo``,
+``fwd``, ...), an import counts for the module it imports from, and a bare
+name for the module it was imported from or else its own module.  So an
+attribute of another object that shares a public name's spelling is not a
+caller.
 """
 
 import ast
@@ -39,16 +44,31 @@ def _definition_lines(tree, name):
 
 
 def _references():
-    """(module path, line, name) of every name, attribute and import in src."""
+    """(module path, line, name, owner) of every reference in src.
+
+    ``owner`` is the stem of the package module the reference resolves to.
+    """
     refs = []
     for path in MODULES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        relative = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level]
+        # from . import geometry as geo
+        modules = {a.asname or a.name: a.name
+                   for node in relative if node.module is None for a in node.names}
+        # from .geometry import boundary_values
+        imported = {a.asname or a.name: node.module
+                    for node in relative if node.module for a in node.names}
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                refs.append((path, node.lineno, node.id))
-            elif isinstance(node, ast.Attribute):
-                refs.append((path, node.lineno, node.attr))
-            elif isinstance(node, ast.alias):
-                refs.append((path, node.lineno, node.name))
+                refs.append((path, node.lineno, node.id,
+                             imported.get(node.id, path.stem)))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                refs.append((path, node.lineno, node.attr, modules[node.value.id]))
+        for node in relative:
+            if node.module:
+                refs.extend((path, node.lineno, a.name, node.module) for a in node.names)
     return refs
 
 
@@ -80,8 +100,9 @@ def test_public_name_has_a_caller_or_is_documented(path, name):
     span = _definition_lines(ast.parse(path.read_text(encoding="utf-8")), name)
     assert span is not None, f"{path.stem}.__all__ lists {name}, which it never defines"
     called = any(
-        ref == name and not (where == path and span[0] <= line <= span[1])
-        for where, line, ref in REFERENCES
+        ref == name and owner == path.stem
+        and not (where == path and span[0] <= line <= span[1])
+        for where, line, ref, owner in REFERENCES
     )
     assert called or name in DOCUMENTED, (
         f"{path.stem}.{name} has no caller in src and is not named in backticks "

@@ -419,6 +419,10 @@ NOT_SPD = {"kind": "explicit", "g12": {"name": "constant", "value": 2.0}}
 # largest |x| there is below 0.98, and not at its boundary vertex (1, 0)
 RIM_NOT_SPD = {"kind": "explicit",
                "g11": {"name": "quadratic", "c0": 1.0, "cxx": -1.0005}}
+# positive on the meshes below, negative at the point (-3, 0)
+NOT_SPD_AT_POINT = {"metric": {"kind": "conformal",
+                               "factor": {"name": "affine", "a0": 1.0, "ax": 0.5}},
+                    "point": [-3.0, 0.0]}
 
 
 def _write(tmp_path, text):
@@ -488,6 +492,11 @@ def _write(tmp_path, text):
         SIN, {"name": "zero"}, SIN]}, "directions[1]"),
     ("forward", {"mesh": {"kind": "disc", "n_radial": 10, "n_angular": 6}}, "mesh"),
     ("forward", {"mesh": TINY_DISC, "metric": RIM_NOT_SPD}, "metric"),
+    ("recover-q", {**NOT_SPD_AT_POINT, "tau_sweep": [2.0, 3.0, 4.0],
+                   "mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144}},
+     "point"),
+    ("boundary-jet", {**NOT_SPD_AT_POINT, "n_sweep": [4, 5, 6],
+                      "mesh": {"kind": "square", "n": 48}}, "point"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -503,7 +512,8 @@ def _write(tmp_path, text):
         "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
         "unknown-mode", "negative-jet-frequency", "zero-jet-frequency",
         "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
-        "forward-metric-not-spd-on-boundary"])
+        "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
+        "jet-metric-not-spd-at-point"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([

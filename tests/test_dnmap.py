@@ -127,7 +127,7 @@ def test_catenoid_traces_match_closed_values(catenoid_solution):
 def test_pointwise_ng_consistent_with_weak_flux(catenoid_solution):
     mesh, u = catenoid_solution
     tr = dn.dn_nonlinear(mesh, FLAT, catenoid)
-    ngp = ng_map(mesh, FLAT, u.values)
+    ngp = ng_map(mesh, FLAT, u)
     # gradient recovery is first-order (one-sided at the steep inner rim);
     # the weak flux is second-order
     assert np.abs(ngp - tr.ng).max() < 5e-2
@@ -157,6 +157,18 @@ def test_linear_dn_self_adjoint_and_accurate():
     p = d.vertices[d.boundary_vertices]
     th = np.arctan2(p[:, 1], p[:, 0])
     assert np.abs(t1.values - 2 * np.cos(2 * th)).max() < 8e-3
+
+
+def test_linear_dn_weak_flux_on_an_all_boundary_mesh():
+    # with no interior vertices the extension is the data itself, so the
+    # weak flux is K u with u = fb placed at the boundary vertices
+    m = geo.annulus(0.5, 1.5, 1, 8)
+    fb = np.sin(np.arange(float(m.n_vertices)))
+    u = np.zeros(m.n_vertices)
+    u[m.boundary_vertices] = fb
+    K = geo.discretization(m, FLAT).stiffness
+    flux = dn.dn_linear(m, FLAT, fb).flux
+    assert np.array_equal(flux, (K @ u)[m.boundary_vertices])
 
 
 def test_linear_dn_nodal_values_second_order():
@@ -217,15 +229,15 @@ def test_catenoid_area(catenoid_solution):
     exact = 2 * np.pi * quad(
         lambda r: r * r / np.sqrt(r * r - CAT_A**2), CAT_R0, CAT_R1
     )[0]
-    assert abs(graph_area(mesh, FLAT, u.values) - exact) / exact < 3e-3
+    assert abs(graph_area(mesh, FLAT, u) - exact) / exact < 3e-3
 
 
 def test_first_variation_equals_residual_pairing(catenoid_solution):
     mesh, u = catenoid_solution
     rng = np.random.default_rng(1)
     v = rng.standard_normal(mesh.n_vertices)
-    r = fwd.mse_residual(mesh, FLAT, u.values)
-    assert abs(area_first_variation(mesh, FLAT, u.values, v) - v @ r) < 1e-12
+    r = fwd.mse_residual(mesh, FLAT, u)
+    assert abs(area_first_variation(mesh, FLAT, u, v) - v @ r) < 1e-12
 
 
 def test_first_variation_vanishes_at_solution(catenoid_solution):
@@ -234,7 +246,7 @@ def test_first_variation_vanishes_at_solution(catenoid_solution):
     v = np.zeros(mesh.n_vertices)
     v[mesh.interior_vertices] = rng.standard_normal(len(mesh.interior_vertices))
     v /= np.linalg.norm(v)
-    assert abs(area_first_variation(mesh, FLAT, u.values, v)) < 1e-10
+    assert abs(area_first_variation(mesh, FLAT, u, v)) < 1e-10
 
 
 def test_dn_from_area_data_matches_nonlinear():
@@ -268,7 +280,7 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # reference: the same perturbed solves from u0 with a fresh Jacobian at
     # every Newton step
     fb = geo.boundary_values(d, f)
-    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0.values, None, None))
+    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None, None))
     ref = np.empty(len(fb))
     for b in range(len(fb)):
         pert = np.zeros(len(fb))
@@ -292,10 +304,10 @@ def test_solve_reports_the_area_of_its_solution_bit_for_bit(metric):
     assert cold.area == graph_area(d, metric, u0)
     fb = geo.boundary_values(d, f)
     fb[3] += 1e-3
-    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0.values))
+    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0))
     u, report = fwd.solve_minimal_surface(d, metric, fb, warm)
     assert report.iterations > 0 and report.area == graph_area(d, metric, u)
-    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0.values, None, None))
+    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None, None))
     u, report = fwd.solve_minimal_surface(d, metric, fb, plain)
     assert report.jacobians > 0 and report.area == graph_area(d, metric, u)
 
@@ -320,7 +332,7 @@ def _area_pipeline_from_u0(d, f, t):
     """The perturbed solves of dn_from_area_data without the predictor: every
     one starts at u0, on the same factor of J(u0)."""
     u0, _ = fwd.solve_minimal_surface(d, FLAT, f)
-    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, FLAT, u0.values))
+    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, FLAT, u0))
     fb = geo.boundary_values(d, f)
     flux, reports = np.empty(len(fb)), []
     for b in range(len(fb)):
@@ -389,8 +401,8 @@ def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
         ex = dn.dn_third_derivative_exact(mesh, FLAT, fs)
     assert len(calls) == 1
     # the two-call formula: w from the PDE solve, L assembled again
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in fs]
-    w = lin.third_linearization_pde(mesh, FLAT, *vs).values
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in fs]
+    w = lin.third_linearization_pde(mesh, FLAT, *vs)
     L = lin.third_linearization_source(mesh, FLAT, *vs)
     K = geo.discretization(mesh, FLAT).stiffness
     assert np.array_equal(ex.flux, (K @ w - L)[mesh.boundary_vertices])

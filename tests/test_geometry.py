@@ -346,10 +346,18 @@ def test_boundary_values_coercion():
     f = lambda x, y: x + 2 * y
     from_callable = geo.boundary_values(m, f)
     full = f(m.vertices[:, 0], m.vertices[:, 1])
-    np.testing.assert_allclose(geo.boundary_values(m, full), from_callable)
+    np.testing.assert_allclose(from_callable, full[m.boundary_vertices])
     np.testing.assert_allclose(geo.boundary_values(m, from_callable), from_callable)
     with pytest.raises(ValueError, match="shape"):
         geo.boundary_values(m, np.zeros(7))
+    # layouts are checked, not guessed: a nodal array is no boundary data,
+    # and a boundary-ordered array no field
+    with pytest.raises(ValueError, match="boundary_vertices order"):
+        geo.boundary_values(m, full)
+    with pytest.raises(ValueError, match="nodal values"):
+        geo.nodal_values(m, np.zeros(len(m.boundary_vertices)))
+    with pytest.raises(ValueError, match="nodal values"):
+        geo.nodal_values(m, np.zeros((m.n_vertices, 1)))
 
 
 def _reference_boundary(mesh):
@@ -630,7 +638,7 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
         for k in range(n_threads)
     ]
     serial_mesh = geo.disc(16, 96)
-    serial = [fwd.solve_laplace_beltrami(serial_mesh, metric, f).values for f in data]
+    serial = [fwd.solve_laplace_beltrami(serial_mesh, metric, f) for f in data]
 
     calls = {
         name: counting(module, name)
@@ -645,7 +653,7 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
     def solve(f):
         start.wait(timeout=60)
         geo.discretization(mesh, metric).boundary
-        return fwd.solve_laplace_beltrami(mesh, metric, f).values
+        return fwd.solve_laplace_beltrami(mesh, metric, f)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

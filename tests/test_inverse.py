@@ -104,9 +104,6 @@ def test_probe_harmonic_for_conformal_metric(mid_disc):
     # exact arithmetic, but the probe must be harmonic for whatever stiffness
     # it was built from
     mesh, _ = mid_disc
-    factor = geo.ScalarField(
-        mesh, 1.0 + 0.3 * np.exp(-np.sum(mesh.vertices**2, axis=1) / 0.25)
-    )
     metric = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.3 * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.25
     ))
@@ -115,7 +112,6 @@ def test_probe_harmonic_for_conformal_metric(mid_disc):
     K = ext.stiffness.tocsr()
     residual = np.abs((K @ probe.fields[2])[mesh.interior_vertices]).max()
     assert residual <= 1e-10
-    del factor
 
 
 def test_probe_matches_analytic_plane_solution():
@@ -419,7 +415,7 @@ def test_recover_field_gaussian_bump(mid_disc):
     # the largest estimate sits at the true peak
     assert np.argmax(got) == centre
     # the nearest-neighbour fill must cover every vertex with a finite value
-    assert np.all(np.isfinite(out.field.values))
+    assert np.all(np.isfinite(out.field))
 
 
 def test_recover_field_zero_weight(mid_disc):
@@ -434,7 +430,7 @@ def test_recover_field_zero_weight(mid_disc):
     for r in out.points:
         if r.reliable:
             assert r.q_estimate == 0.0
-    np.testing.assert_array_equal(out.field.values, 0.0)
+    np.testing.assert_array_equal(out.field, 0.0)
 
 
 def test_recover_field_raises_when_nothing_is_reliable():
@@ -469,7 +465,7 @@ def test_recover_field_separates_two_bumps(mid_disc):
     out = inv.recover_q_field(
         mesh, FLAT, two_bump_factor, grid, [6.0, 8.0, 10.0], probe_margin=0.35
     )
-    field = out.field.values.real
+    field = out.field.real
     for peak in ((0.4, 0.0), (-0.4, 0.0)):
         half = mesh.vertices[:, 0] * np.sign(peak[0]) > 0
         idx = np.flatnonzero(half)[np.argmax(field[half])]

@@ -21,7 +21,7 @@ def disc_setup():
     mesh = geo.disc(16, 96)
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]
     combo = lin.EpsilonCombination(mesh, FLAT, fs)
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f).values for f in fs]
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in fs]
     return mesh, fs, combo, vs
 
 
@@ -41,10 +41,10 @@ def test_affine_third_linearization_vanishes():
     mesh = geo.disc(12, 72)
     x = mesh.vertices[:, 0]
     w = lin.third_linearization_pde(mesh, FLAT, x, x, x)
-    assert np.abs(w.values).max() < 1e-12
+    assert np.abs(w).max() < 1e-12
     combo = lin.EpsilonCombination(mesh, FLAT, [lambda X, Y: X])
     w_fd = lin.linearization_fd(combo, (0, 0, 0), 0.05)
-    assert np.abs(w_fd.values).max() < 1e-9
+    assert np.abs(w_fd).max() < 1e-9
 
 
 def test_third_source_symmetric_in_fields(disc_setup):
@@ -90,7 +90,7 @@ def test_first_linearization_fd_second_order(disc_setup):
     mesh, fs, combo, vs = disc_setup
     errs = []
     for h in (0.05, 0.025):
-        v_fd = lin.linearization_fd(combo, (2,), h).values
+        v_fd = lin.linearization_fd(combo, (2,), h)
         errs.append(np.abs(v_fd - vs[2]).max())
     assert errs[0] < 1e-3
     assert errs[0] / errs[1] > 3.0  # O(h^2)
@@ -104,7 +104,7 @@ def test_second_linearization_is_rounding_noise(disc_setup):
     mesh, fs, combo, vs = disc_setup
     scale = max(np.abs(combo.boundary_data([1.0, 1.0, 1.0])).max(), 1.0)
     for h in (0.05, 0.02):
-        w2 = lin.linearization_fd(combo, (0, 2), h).values
+        w2 = lin.linearization_fd(combo, (0, 2), h)
         assert np.abs(w2).max() < 1e-10 * scale
 
 
@@ -126,19 +126,19 @@ def test_solution_map_is_odd_bitwise(cos, sin, metric):
     f = np.asarray(cos) @ np.cos(_MODES * _THETA) + np.asarray(sin) @ np.sin(_MODES * _THETA)
     up, rep_up = fwd.solve_minimal_surface(SMALL, metric, f)
     dn, rep_dn = fwd.solve_minimal_surface(SMALL, metric, -f)
-    assert np.array_equal(up.values, -dn.values)
+    assert np.array_equal(up, -dn)
     assert rep_up.residual_norms == rep_dn.residual_norms
 
 
 def test_third_fd_converges_to_pde_solution(disc_setup):
     mesh, fs, combo, vs = disc_setup
-    w_exact = lin.third_linearization_pde(mesh, FLAT, *vs).values
+    w_exact = lin.third_linearization_pde(mesh, FLAT, *vs)
     assert np.abs(w_exact).max() > 1e-4  # nontrivial
     # w vanishes on the boundary by construction
     assert np.abs(w_exact[mesh.boundary_vertices]).max() == 0.0
     rels = []
     for h in (0.04, 0.02):
-        w_fd = lin.linearization_fd(combo, (0, 1, 2), h).values
+        w_fd = lin.linearization_fd(combo, (0, 1, 2), h)
         rels.append(np.abs(w_fd - w_exact).max() / np.abs(w_exact).max())
     assert rels[0] < 2e-2
     assert rels[1] < 5e-3
@@ -169,4 +169,4 @@ def test_combination_solves_each_sign_pair_once(counting):
     assert len(solves) == 4
     for eps in ([-0.05, 0.05, 0.05], [-0.05, -0.05, -0.05], [0.0, -0.05, 0.05]):
         direct, _ = fwd.solve_minimal_surface(mesh, FLAT, combo.boundary_data(eps))
-        assert np.array_equal(combo.solve(eps), direct.values)
+        assert np.array_equal(combo.solve(eps), direct)
