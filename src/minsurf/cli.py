@@ -390,7 +390,8 @@ def _build(cfg):
     ``levels[i]``).  Then, before the first solve, the metric must be SPD at
     the quadrature points and on the boundary of every mesh (boundary
     vertices and edge quadrature points), each weight Q below 1 at its
-    vertices and quadrature points, each direction that ``pair`` or
+    vertices and quadrature points, the boundary data and every direction
+    finite on the boundary vertices, each direction that ``pair`` or
     ``triple`` picks nonzero somewhere on the boundary, ``levels`` of two
     or more sizes, and the metric SPD at ``point``.
     """
@@ -421,6 +422,14 @@ def _build(cfg):
                 raise ConfigError(name, "Q must stay below 1 on the mesh so "
                                         "that c = 1/(1 - Q) is positive")
         bx, by = mesh.vertices[mesh.boundary_vertices].T
+        data = [(f"directions[{j}]", fn) for j, fn in enumerate(cfg.get("directions", []))]
+        if "boundary_data" in cfg:
+            data.append(("boundary_data", cfg["boundary_data"]))
+        for name, fn in data:
+            with np.errstate(all="ignore"):  # the overflow is what is reported
+                finite = np.all(np.isfinite(fn(bx, by)))
+            if not finite:
+                raise ConfigError(name, "is not finite on the mesh boundary")
         for j in picked:
             if not np.any(cfg["directions"][j](bx, by)):
                 raise ConfigError(f"directions[{j}]", "is zero on the mesh boundary, "
@@ -688,7 +697,8 @@ def run_area_pipeline(cfg, out_dir, log):
     log(f"area-data DN rel sup error {rel_sup:.3e}, "
         f"roundtrip {roundtrip:.3e}")
     results = {"relative_sup_error": rel_sup, "roundtrip": roundtrip,
-               "dn_sup": float(np.abs(reference.values).max()), "mesh_h": mesh.h}
+               "dn_sup": float(np.abs(reference.values).max()), "mesh_h": mesh.h,
+               "corrector_solves": trace.corrector_solves}
     return results, checks, {"pipeline_s": pipeline_s}
 
 

@@ -41,11 +41,12 @@ For P1 fields the first variation equals v . r(u) with the residual vector
 r — exactly, at quadrature level.  Consequently differencing the area
 under boundary-hat perturbations of the data recovers the weak N_g flux up
 to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
-Its 2 n_B perturbed solves start at solutions predicted along the tangent
-of the solution map, computed from the base Jacobian's blocks, and take
-chord steps on its factor.  Each area is the one its solve reports
-(``SolveReport.area``), summed from the slope factor of the solve's last
-residual evaluation.
+It reads each perturbed area at a solution predicted along the tangent of
+the solution map, computed from the base Jacobian's blocks: the area is
+stationary at its minimizer, so the prediction's O(t^2) error shows in the
+area only at O(t^4), which the Newton decrement of the prediction
+measures.  A hat whose decrement exceeds the area's rounding takes
+corrector solves, chord steps on the base Jacobian's factor.
 """
 
 from __future__ import annotations
@@ -70,9 +71,11 @@ from .forward import (
 )
 from .linearize import _mixed_difference, third_linearization_source
 
-# Boundary hats per multi-column tangent solve in dn_from_area_data: all of
-# them at once would hold two dense (n_I, n_B) blocks.
-_TANGENT_BLOCK = 16
+# Boundary hats per multi-column tangent and decrement solve in
+# dn_from_area_data.  A block holds dense (n_I, block) tangents and
+# (n_I, 2 block) residuals: at 16 hats these raised the peak resident memory
+# of the disc(24, 144) pipeline by about 1.2%, at 8 they leave it unchanged.
+_TANGENT_BLOCK = 8
 
 __all__ = [
     "DNTrace",
@@ -109,6 +112,9 @@ class DNTrace:
         Nodal N_g values (tilted flux) of the nonlinear maps.
     tangential_sq : ndarray or None
         |d_tau f|^2 of the boundary data, used by the algebraic inversion.
+    corrector_solves : int or None
+        For :func:`dn_from_area_data`, the boundary hats whose predicted
+        areas failed the decrement test and were solved for.
     """
 
     bg: BoundaryGeometry
@@ -116,6 +122,7 @@ class DNTrace:
     flux: np.ndarray
     ng: Optional[np.ndarray] = None
     tangential_sq: Optional[np.ndarray] = None
+    corrector_solves: Optional[int] = None
 
 
 class GraphFluxError(ValueError):
@@ -280,16 +287,23 @@ def dn_from_area_data(
     because the area first variation along the solution path reduces to the
     boundary flux pairing exactly (the interior residual vanishes).
 
-    The perturbed solves share one :func:`~minsurf.forward.warm_start` of
-    the base solution u0, which lives only for this call: they take chord
-    steps on its factor of J(u0)[I, I], and start at solutions predicted
-    along the tangent w_b = -J(u0)[I, I]^{-1} J(u0)[I, b] of the solution
-    map (an Euler predictor; Allgower & Georg, *Introduction to Numerical
-    Continuation Methods*, SIAM 2003, ch. 2).  Since u(+-t) = u0 +- t w_b
-    + t^2 z / 2 +- O(t^3), the + solve starts at u0 + t w_b, off by
-    O(t^2), and the - solve at u(+t) - 2 t w_b, off by O(t^3).  The
-    tangents are solved _TANGENT_BLOCK hats at a time, one multi-column
-    solve each.  The areas are the ``area`` of the solves' reports.
+    Each perturbed area is read at a prediction, not at a solve.  With the
+    base solution u0 and the tangent w_b = -J(u0)[O, O]^{-1} J(u0)[O, b] of
+    the solution map (an Euler predictor; Allgower & Georg, *Introduction
+    to Numerical Continuation Methods*, SIAM 2003, ch. 2), the prediction
+    u0 +- t w_b carries the data f +- t phi_b exactly and is off the
+    perturbed solution by O(t^2).  The area is stationary at its minimizer,
+    so the predicted area, sum w s of one ``mse_residual(...,
+    with_slope=True)``, is off by O(t^4): by the Newton decrement
+    1/2 r_O^T J^{-1} r_O of the prediction's interior residual r_O
+    (Boyd & Vandenberghe, *Convex Optimization*, 2004, Sec. 9.5.1), with J
+    the factor of J(u0)[O, O] from :func:`~minsurf.forward.warm_start`.
+    A hat whose decrement is at most eps |A| on both signs, the rounding of
+    the area A itself, keeps its predicted areas.  Any other hat takes a
+    corrector: for each sign, a chord solve on the same factor, started at
+    the prediction, to ``options.tol``, whose report gives the area.  The
+    tangents and the decrements are solved _TANGENT_BLOCK hats at a time,
+    one multi-column solve each.
 
     Parameters
     ----------
@@ -299,14 +313,22 @@ def dn_from_area_data(
     Returns
     -------
     (area_trace, base_trace)
-        The DNTrace from the area differences, and the direct DNTrace of the
-        base solution, read off its residual as :func:`dn_nonlinear` does.
+        The DNTrace from the area differences, whose ``corrector_solves``
+        counts the hats that needed a corrector, and the direct DNTrace of
+        the base solution, read off its residual as :func:`dn_nonlinear`
+        does.
+
+    Raises
+    ------
+    ConvergenceError
+        If the base solve or a corrector solve does not converge.
     """
     options = options or SolveOptions()
-    bg = discretization(mesh, metric).boundary
+    d = discretization(mesh, metric)
     fb = boundary_values(mesh, f)
-    n_b = len(mesh.boundary_vertices)
-    O = mesh.interior_order  # the tangents' row order
+    B, O = mesh.boundary_vertices, mesh.interior_order  # O: the tangents' rows
+    n_b = len(B)
+    signs = (1.0, -1.0)
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
     base_trace = _nonlinear_trace(mesh, metric, fb, u0)
@@ -315,20 +337,35 @@ def dn_from_area_data(
     # at each perturbed solution
     warm = warm_start(mesh, metric, u0)
     flux = np.empty(n_b)
+    correctors = 0
     for start in range(0, n_b, _TANGENT_BLOCK):
-        stop = min(start + _TANGENT_BLOCK, n_b)
-        tangents = warm.lu.solve(-warm.coupling[:, start:stop].toarray())
-        for b in range(start, stop):
-            pert = np.zeros(n_b)
-            pert[b] = t
-            step = t * tangents[:, b - start]
-            guess = warm.values.copy()
-            guess[O] += step
-            plus = replace(options, initial_guess=replace(warm, values=guess))
-            up, plus_report = solve_minimal_surface(mesh, metric, fb + pert, plus)
-            guess = up.copy()
-            guess[O] -= 2.0 * step
-            minus = replace(options, initial_guess=replace(warm, values=guess))
-            _, minus_report = solve_minimal_surface(mesh, metric, fb - pert, minus)
-            flux[b] = (plus_report.area - minus_report.area) / (2.0 * t)
-    return _flux_trace(bg, fb, flux), base_trace
+        hats = range(start, min(start + _TANGENT_BLOCK, n_b))
+        tangents = warm.lu.solve(-warm.coupling[:, start:hats.stop].toarray())
+
+        def prediction(k, sign):
+            u = u0.copy()
+            u[O] += sign * t * tangents[:, k]
+            u[B[hats[k]]] += sign * t
+            return u
+
+        areas = np.empty((len(hats), 2))
+        residuals = np.empty((len(O), len(hats), 2))
+        for k in range(len(hats)):
+            for j, sign in enumerate(signs):
+                r, s = mse_residual(mesh, metric, prediction(k, sign), with_slope=True)
+                areas[k, j] = (d.weights * s).sum()
+                residuals[:, k, j] = r[O]
+        residuals = residuals.reshape(len(O), -1)
+        decrements = 0.5 * np.einsum("ij,ij->j", residuals, warm.lu.solve(residuals))
+        settled = decrements.reshape(-1, 2) <= np.finfo(float).eps * np.abs(areas)
+        for k in np.flatnonzero(~settled.all(axis=1)):
+            correctors += 1
+            for j, sign in enumerate(signs):
+                pert = np.zeros(n_b)
+                pert[hats[k]] = sign * t
+                guess = replace(options, initial_guess=replace(
+                    warm, values=prediction(k, sign)))
+                areas[k, j] = solve_minimal_surface(mesh, metric, fb + pert, guess)[1].area
+        flux[start:hats.stop] = (areas[:, 0] - areas[:, 1]) / (2.0 * t)
+    area_trace = _flux_trace(d.boundary, fb, flux)
+    return replace(area_trace, corrector_solves=correctors), base_trace

@@ -153,6 +153,10 @@ class WarmStart:
     ``lu`` returns interior values in the order O.  Together they give the
     tangent of the solution map: data moved by df on the boundary moves
     the interior vertices O by -J[O, O]^{-1} J[O, B] df to first order.
+    The factor also gives the Newton decrement 1/2 r_O^T J[O, O]^{-1} r_O
+    of a field with interior residual r_O, its area's excess over the
+    minimum to leading order, by which :func:`~minsurf.dnmap.dn_from_area_data`
+    checks the areas it reads at tangent predictions.
     :func:`warm_start` takes both blocks from J(values); the cold start
     pairs the harmonic extension of the data with the owner's K[O, B] and
     factor of K[O, O] = J(0)[O, O].  Pass it, or a copy with predicted

@@ -231,6 +231,9 @@ def test_every_subcommand_default_passes_except_the_known_red(tmp_path):
             assert (code, failing) == (1, ["second_slope"])
         else:
             assert (code, failing) == (0, []), subcommand
+    # at the shipped area_step every perturbed area passes the decrement
+    # test at its tangent prediction, so no hat needs a corrector solve
+    assert read_manifest(tmp_path / "area-pipeline")["results"]["corrector_solves"] == 0
 
 
 def test_newton_failure_leaves_a_manifest(tmp_path, capsys):
@@ -424,6 +427,10 @@ NOT_SPD_AT_POINT = {"metric": {"kind": "conformal",
                                "factor": {"name": "affine", "a0": 1.0, "ax": 0.5}},
                     "point": [-3.0, 0.0]}
 
+# ((y - cy) / width)^k overflows to inf or NaN on the boundary of square(8)
+# and of the default identity-check discs
+NOT_FINITE = {"name": "gaussian", "width": 1e-3, "k": 200}
+
 
 def _write(tmp_path, text):
     path = tmp_path / "config.json"
@@ -497,6 +504,10 @@ def _write(tmp_path, text):
      "point"),
     ("boundary-jet", {**NOT_SPD_AT_POINT, "n_sweep": [4, 5, 6],
                       "mesh": {"kind": "square", "n": 48}}, "point"),
+    ("forward", {"mesh": TINY_SQUARE, "boundary_data": NOT_FINITE}, "boundary_data"),
+    ("linearize-check", {"mesh": TINY_SQUARE, "directions": [
+        SIN, NOT_FINITE, SIN]}, "directions[1]"),
+    ("identity-check", {"directions": [SIN, SIN, NOT_FINITE, SIN]}, "directions[2]"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -513,7 +524,8 @@ def _write(tmp_path, text):
         "unknown-mode", "negative-jet-frequency", "zero-jet-frequency",
         "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
         "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
-        "jet-metric-not-spd-at-point"])
+        "jet-metric-not-spd-at-point", "forward-data-not-finite",
+        "linearize-direction-not-finite", "identity-direction-not-finite"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([
@@ -573,7 +585,8 @@ def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
 def test_default_run_factorizations(tmp_path, counting, subcommand, factorizations):
     # cold solves take chord steps on the owner's K[I, I] factor: the
     # linearize-check stencil solves factor nothing else, and area-pipeline
-    # adds only the warm-start factor of J(u0) for its perturbed solves
+    # adds only the warm-start factor of J(u0) for its tangent and
+    # decrement solves
     factors = counting(spla, "splu")
     cli.run(subcommand, {}, out=tmp_path)
     assert len(factors) == factorizations
