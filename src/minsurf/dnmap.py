@@ -42,11 +42,12 @@ r — exactly, at quadrature level.  Consequently differencing the area
 under boundary-hat perturbations of the data recovers the weak N_g flux up
 to pure FD truncation in t; ``dn_from_area_data`` implements that pipeline.
 It reads each perturbed area at a solution predicted along the tangent of
-the solution map, computed from the base Jacobian's blocks: the area is
-stationary at its minimizer, so the prediction's O(t^2) error shows in the
-area only at O(t^4), which the Newton decrement of the prediction
-measures.  A hat whose decrement exceeds the area's rounding takes
-corrector solves, chord steps on the base Jacobian's factor.
+the solution map, the Dirichlet extension of the perturbation on the base
+Jacobian's interior system: the area is stationary at its minimizer, so
+the prediction's O(t^2) error shows in the area only at O(t^4), which the
+Newton decrement of the prediction measures.  A hat whose decrement
+exceeds the area's rounding takes corrector solves, chord steps on the
+same system.
 """
 
 from __future__ import annotations
@@ -71,10 +72,10 @@ from .forward import (
 )
 from .linearize import _mixed_difference, third_linearization_source
 
-# Boundary hats per multi-column tangent and decrement solve in
-# dn_from_area_data.  A block holds dense (n_I, block) tangents and
-# (n_I, 2 block) residuals: at 16 hats these raised the peak resident memory
-# of the disc(24, 144) pipeline by about 1.2%, at 8 they leave it unchanged.
+# Boundary hats per tangent solve in dn_from_area_data, and per decrement
+# solve of each sign: dense (n_vertices, block) blocks.  At 16 hats, or with
+# both signs in one solve, they raise the peak resident memory of the
+# disc(24, 144) pipeline by 0.7-1.2%; at 8 per sign they leave it unchanged.
 _TANGENT_BLOCK = 8
 
 __all__ = [
@@ -288,22 +289,23 @@ def dn_from_area_data(
     boundary flux pairing exactly (the interior residual vanishes).
 
     Each perturbed area is read at a prediction, not at a solve.  With the
-    base solution u0 and the tangent w_b = -J(u0)[O, O]^{-1} J(u0)[O, b] of
-    the solution map (an Euler predictor; Allgower & Georg, *Introduction
-    to Numerical Continuation Methods*, SIAM 2003, ch. 2), the prediction
-    u0 +- t w_b carries the data f +- t phi_b exactly and is off the
-    perturbed solution by O(t^2).  The area is stationary at its minimizer,
-    so the predicted area, sum w s of one ``mse_residual(...,
-    with_slope=True)``, is off by O(t^4): by the Newton decrement
-    1/2 r_O^T J^{-1} r_O of the prediction's interior residual r_O
-    (Boyd & Vandenberghe, *Convex Optimization*, 2004, Sec. 9.5.1), with J
-    the factor of J(u0)[O, O] from :func:`~minsurf.forward.warm_start`.
+    base solution u0 and the tangent w_b of the solution map, the
+    ``extend`` of phi_b on the interior system of J(u0) from
+    :func:`~minsurf.forward.warm_start` (an Euler predictor; Allgower &
+    Georg, *Introduction to Numerical Continuation Methods*, SIAM 2003,
+    ch. 2), the prediction u0 +- t w_b carries the data f +- t phi_b
+    exactly and is off the perturbed solution by O(t^2).  The area is
+    stationary at its minimizer, so the predicted area, sum w s of one
+    ``mse_residual(..., with_slope=True)``, is off by O(t^4): by the Newton
+    decrement 1/2 r . ``solve(r)`` of the prediction's residual r on the
+    same system (Boyd & Vandenberghe, *Convex Optimization*, 2004,
+    Sec. 9.5.1).
     A hat whose decrement is at most eps |A| on both signs, the rounding of
     the area A itself, keeps its predicted areas.  Any other hat takes a
-    corrector: for each sign, a chord solve on the same factor, started at
+    corrector: for each sign, a chord solve on the same system, started at
     the prediction, to ``options.tol``, whose report gives the area.  The
-    tangents and the decrements are solved _TANGENT_BLOCK hats at a time,
-    one multi-column solve each.
+    tangents, and the decrements of each sign, are solved _TANGENT_BLOCK
+    hats at a time, one multi-column solve each.
 
     Parameters
     ----------
@@ -326,8 +328,7 @@ def dn_from_area_data(
     options = options or SolveOptions()
     d = discretization(mesh, metric)
     fb = boundary_values(mesh, f)
-    B, O = mesh.boundary_vertices, mesh.interior_order  # O: the tangents' rows
-    n_b = len(B)
+    n_b = len(mesh.boundary_vertices)
     signs = (1.0, -1.0)
 
     u0, _ = solve_minimal_surface(mesh, metric, fb, options)
@@ -340,32 +341,31 @@ def dn_from_area_data(
     correctors = 0
     for start in range(0, n_b, _TANGENT_BLOCK):
         hats = range(start, min(start + _TANGENT_BLOCK, n_b))
-        tangents = warm.lu.solve(-warm.coupling[:, start:hats.stop].toarray())
+        unit = np.zeros((n_b, len(hats)))
+        unit[hats, range(len(hats))] = 1.0
+        tangents = warm.system.extend(unit)
 
         def prediction(k, sign):
-            u = u0.copy()
-            u[O] += sign * t * tangents[:, k]
-            u[B[hats[k]]] += sign * t
-            return u
+            return u0 + sign * t * tangents[:, k]
 
         areas = np.empty((len(hats), 2))
-        residuals = np.empty((len(O), len(hats), 2))
-        for k in range(len(hats)):
-            for j, sign in enumerate(signs):
+        decrements = np.empty((len(hats), 2))
+        for j, sign in enumerate(signs):
+            residuals = np.empty((mesh.n_vertices, len(hats)))
+            for k in range(len(hats)):
                 r, s = mse_residual(mesh, metric, prediction(k, sign), with_slope=True)
                 areas[k, j] = (d.weights * s).sum()
-                residuals[:, k, j] = r[O]
-        residuals = residuals.reshape(len(O), -1)
-        decrements = 0.5 * np.einsum("ij,ij->j", residuals, warm.lu.solve(residuals))
-        settled = decrements.reshape(-1, 2) <= np.finfo(float).eps * np.abs(areas)
+                residuals[:, k] = r
+            steps = warm.system.solve(residuals)
+            decrements[:, j] = 0.5 * np.einsum("ij,ij->j", residuals, steps)
+        settled = decrements <= np.finfo(float).eps * np.abs(areas)
         for k in np.flatnonzero(~settled.all(axis=1)):
             correctors += 1
             for j, sign in enumerate(signs):
-                pert = np.zeros(n_b)
-                pert[hats[k]] = sign * t
                 guess = replace(options, initial_guess=replace(
                     warm, values=prediction(k, sign)))
-                areas[k, j] = solve_minimal_surface(mesh, metric, fb + pert, guess)[1].area
+                data = fb + sign * t * unit[:, k]
+                areas[k, j] = solve_minimal_surface(mesh, metric, data, guess)[1].area
         flux[start:hats.stop] = (areas[:, 0] - areas[:, 1]) / (2.0 * t)
     area_trace = _flux_trace(d.boundary, fb, flux)
     return replace(area_trace, corrector_solves=correctors), base_trace

@@ -21,25 +21,24 @@ convex, J(u)[I, I] is SPD and the damped iteration is globally convergent
 in practice, including far outside the small-slope regime (see the catenoid
 tests).
 
-A solve takes chord steps: it reuses
-one factor of an SPD approximation of J[I, I] for every step instead of
-assembling and factoring J at each iterate (Kelley, *Solving Nonlinear
-Equations with Newton's Method*, SIAM 2003, ch. 5).  The steps contract
-linearly, at a rate set by how far J(u) is from the factored matrix.  A
-cold solve starts at the Laplace-Beltrami extension of its data and steps
-on the (mesh, metric) owner's factor of K[I, I] = J(0)[I, I], which the
-Laplace solves share, so small data costs no factorization at all.  A
-solve whose data perturb those of a known solution u0 (as in the
-area-differencing pipeline) steps on a factor of J(u0) that
-:func:`warm_start` builds.  It starts at u0, or nearer its own solution
-at a guess predicted along the tangent -J[I, I]^{-1} J[I, B] of the
-solution map, from the blocks the warm start keeps.  The refresh rule
+A solve takes chord steps: it reuses one factor of an SPD approximation
+of J[I, I] for every step instead of assembling and factoring J at each
+iterate (Kelley, *Solving Nonlinear Equations with Newton's Method*, SIAM
+2003, ch. 5).  Every factor is the one of a
+:class:`~minsurf.geometry.InteriorSystem`.  The steps contract linearly,
+at a rate set by how far J(u) is from the factored matrix.  A cold solve
+starts at the Laplace-Beltrami extension of its data and steps on the
+(mesh, metric) owner's system of K = J(0), which the Laplace solves share,
+so small data costs no factorization at all.  A solve whose data perturb
+those of a known solution u0 (as in the area-differencing pipeline) steps
+on the system of J(u0) that :func:`warm_start` builds.  It starts at u0,
+or nearer its own solution at a guess predicted along the tangent of the
+solution map, the Dirichlet extension on that system.  The refresh rule
 guards against a stale factor: after any chord step that needed a
 line-search halving, or that left more than a quarter of the interior
 residual norm, the factor is dropped and the remaining steps of that
-solve are plain Newton steps with fresh Jacobians.
-A :class:`WarmStart` without a factor (``lu`` None) makes every step a
-Newton step.
+solve are plain Newton steps with fresh Jacobians, as are all steps from
+a :class:`WarmStart` whose ``system`` is None.
 """
 
 from __future__ import annotations
@@ -50,12 +49,11 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
-    _interior_blocks,
+    InteriorSystem,
     _raised_gradient,
     assemble_elements,
     boundary_values,
     discretization,
-    factor_spd,
     hat_flux_loads,
     hat_pair_elements,
     nodal_values,
@@ -96,9 +94,9 @@ class SolveOptions:
         Maximum steps, chord and Newton steps counted alike.
     initial_guess : WarmStart, optional
         None for the cold start (the Laplace-Beltrami extension, with chord
-        steps on K[I, I]), or a :class:`WarmStart`, whose stored factor then
-        serves the chord steps; with ``lu`` None every step is a Newton
-        step.  The refresh rule applies to both chord starts (see the
+        steps on K[I, I]), or a :class:`WarmStart`, whose interior system
+        then serves the chord steps; with ``system`` None every step is a
+        Newton step.  The refresh rule applies to both chord starts (see the
         module docstring).  Anything else makes the solve raise TypeError.
     """
 
@@ -142,32 +140,25 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class WarmStart:
-    """Initial guess plus the blocks of a Jacobian that models J near it.
+    """Initial guess plus the interior system of a Jacobian that models J near it.
 
     ``values`` are nodal values (the boundary entries are replaced by each
-    solve's data); ``lu`` is the SuperLU factor of an SPD approximation of
-    J[O, O] near ``values``, on which the solve takes its chord steps, and
-    ``coupling`` the matching block J[O, B].  Both have their interior rows
-    in the mesh's elimination order O = ``mesh.interior_order``, the
-    coupling its columns in ``boundary_vertices`` order, so a solve with
-    ``lu`` returns interior values in the order O.  Together they give the
-    tangent of the solution map: data moved by df on the boundary moves
-    the interior vertices O by -J[O, O]^{-1} J[O, B] df to first order.
-    The factor also gives the Newton decrement 1/2 r_O^T J[O, O]^{-1} r_O
-    of a field with interior residual r_O, its area's excess over the
-    minimum to leading order, by which :func:`~minsurf.dnmap.dn_from_area_data`
-    checks the areas it reads at tangent predictions.
-    :func:`warm_start` takes both blocks from J(values); the cold start
-    pairs the harmonic extension of the data with the owner's K[O, B] and
-    factor of K[O, O] = J(0)[O, O].  Pass it, or a copy with predicted
-    ``values``, as ``SolveOptions.initial_guess``.  With ``lu`` None the
-    solve starts at ``values`` and takes a fresh Newton Jacobian at every
-    step.
+    solve's data); ``system`` is the
+    :class:`~minsurf.geometry.InteriorSystem` of an SPD approximation of J
+    near ``values``, whose ``solve`` takes the chord steps.  Its ``extend``
+    of boundary data df is the tangent of the solution map, the first-order
+    move of the solution, and 1/2 r . ``system.solve(r)`` the Newton
+    decrement of a field with residual r, its area's excess over the
+    minimum to leading order (see :func:`~minsurf.dnmap.dn_from_area_data`).
+    :func:`warm_start` builds the system of J(values); the cold start pairs
+    the harmonic extension of the data with the owner's system of K = J(0).
+    Pass it, or a copy with predicted ``values``, as
+    ``SolveOptions.initial_guess``.  With ``system`` None the solve starts
+    at ``values`` and takes a fresh Newton Jacobian at every step.
     """
 
     values: np.ndarray
-    lu: object
-    coupling: object
+    system: Optional[InteriorSystem]
 
 
 def _slope_factor(mesh, mq, u):
@@ -231,17 +222,16 @@ def mse_linearized_operator(mesh, metric, u):
 def warm_start(mesh, metric, u):
     """Factor J(u) once for chord-step solves that start at or near u.
 
-    Assembles the Newton Jacobian at the nodal field ``u``, factors its
-    interior block and keeps the coupling block J(u)[O, B] next to the
-    factor.  Every solve given the result as ``SolveOptions.initial_guess``
-    starts from ``u`` and takes its steps with this factor (see the module
-    docstring for the refresh rule); a solve given a copy with other
-    ``values``, such as a tangent prediction, starts there instead.
-    Raises ValueError for a complex field.
+    Assembles the Newton Jacobian at the nodal field ``u`` and builds its
+    interior system.  Every solve given the result as
+    ``SolveOptions.initial_guess`` starts from ``u`` and takes its steps on
+    that system (see the module docstring for the refresh rule); a solve
+    given a copy with other ``values``, such as a tangent prediction,
+    starts there instead.  Raises ValueError for a complex field.
     """
     u = nodal_values(mesh, u)
-    block, coupling = _interior_blocks(mesh, mse_linearized_operator(mesh, metric, u))
-    return WarmStart(values=u.astype(float), lu=factor_spd(block), coupling=coupling)
+    system = InteriorSystem(mesh, mse_linearized_operator(mesh, metric, u))
+    return WarmStart(values=u.astype(float), system=system)
 
 
 def solve_laplace_beltrami(mesh, metric, boundary_data):
@@ -258,7 +248,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     Starts from the Laplace-Beltrami extension of the boundary data and
     takes chord steps on the owner's factor of K[I, I] = J(0)[I, I], unless
     ``options.initial_guess``, a :class:`WarmStart`, overrides both with its
-    values and its factor (Newton steps throughout if it has none).  Every
+    values and its system (Newton steps throughout if it has none).  Every
     step has Armijo backtracking on the interior residual norm, and the
     refresh rule replaces stale chord steps with Newton steps.
 
@@ -286,19 +276,19 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         )
     guess = options.initial_guess
     if guess is None:
-        # J(0) = K: the owner's factor of K[I, I] serves the chord steps
-        coupling, factor = discretization(mesh, metric).interior_system
-        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f), factor, coupling)
+        # J(0) = K: the owner's system of K serves the chord steps
+        system = discretization(mesh, metric).interior_system
+        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f), system)
     elif not isinstance(guess, WarmStart):
         raise TypeError(
             f"SolveOptions.initial_guess must be None or a WarmStart, got "
             f"{type(guess).__name__}"
         )
-    lu = guess.lu  # factor for chord steps; None means a fresh Jacobian per step
+    system = guess.system  # for chord steps; None means a fresh Jacobian per step
     u = nodal_values(mesh, guess.values).astype(float)
     u[mesh.boundary_vertices] = f
 
-    I, O = mesh.interior_vertices, mesh.interior_order
+    I = mesh.interior_vertices
     weights = discretization(mesh, metric).weights
     residual_norms = []
     step_sizes = []
@@ -329,14 +319,12 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
         if it == options.max_iter:
             break
 
-        # the factors take the interior in the mesh's elimination order O
-        delta = np.zeros(mesh.n_vertices)
-        if lu is None:
+        if system is None:
             J = mse_linearized_operator(mesh, metric, u)
-            delta[O] = factor_spd(J[O][:, O]).solve(-r[O])
+            delta = InteriorSystem(mesh, J).solve(-r)
             jacobians += 1
         else:
-            delta[O] = lu.solve(-r[O])
+            delta = system.solve(-r)
 
         # Armijo backtracking on the residual norm.
         step = 1.0
@@ -357,8 +345,8 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
                 f"boundary data may be too rough for this mesh",
             ))
         # Refresh rule: the factor no longer models J(u) well enough.
-        if lu is not None and (step < 1.0 or rnorm_trial > _CHORD_CONTRACTION * rnorm):
-            lu = None
+        if step < 1.0 or rnorm_trial > _CHORD_CONTRACTION * rnorm:
+            system = None
         u, r, s, rnorm = u_trial, r_trial, s_trial, rnorm_trial
         residual_norms.append(rnorm)
         step_sizes.append(step)

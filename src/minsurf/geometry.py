@@ -56,19 +56,17 @@ last reference to a mesh frees its owners at once, without waiting for a
 garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
 quadrature, the quadrature weights, the stiffness matrix K, the boundary
-geometry, the coupling block K[O, B] with a sparse LU factor of K[O, O]
-(B the boundary vertices, O the interior ones in the mesh's elimination
-order ``Mesh.interior_order``), and the conformal-flatness defect.  The
-order is a geometric nested dissection that the mesh builds once, with its
-boundary, so it needs no lock; every factored block of the package, the
-Newton Jacobians' included, is sliced in it (:func:`factor_spd`).
-:meth:`Discretization.extend` solves K u = rhs with Dirichlet values on
-that factor, for one field or several columns at once; every
-Laplace-Beltrami solve, harmonic extension and third-linearization solve
-goes through it, and the chord steps of every cold minimal-surface solve
-run on the same factor (K is the Jacobian at u = 0).  The builders stay
-public and build afresh on each call (:func:`assemble_weighted_stiffness`
-from the owner's metric at quadrature).
+geometry, the :class:`InteriorSystem` of K, and the conformal-flatness
+defect.  An :class:`InteriorSystem` is the package's one Dirichlet
+elimination, on a factor taken in the mesh's elimination order
+``Mesh.interior_order`` (a nested dissection built with the mesh, so it
+needs no lock), which no other module reads.  The owner's system of K
+serves every Laplace-Beltrami solve, harmonic extension and
+third-linearization solve (:meth:`Discretization.extend`) and the chord
+steps of every cold minimal-surface solve (K is the Jacobian at u = 0).
+The builders stay public and build afresh on each call
+(:func:`assemble_weighted_stiffness` from the owner's metric at
+quadrature).
 """
 
 from __future__ import annotations
@@ -88,6 +86,7 @@ __all__ = [
     "BoundaryGeometry",
     "Discretization",
     "discretization",
+    "InteriorSystem",
     "square",
     "disc",
     "annulus",
@@ -101,7 +100,6 @@ __all__ = [
     "hat_pair_elements",
     "assemble_elements",
     "assemble_weighted_stiffness",
-    "factor_spd",
     "boundary_geometry",
     "boundary_values",
     "tangential_derivative",
@@ -223,22 +221,20 @@ class Mesh:
         Physical coordinates of the volume quadrature points:
         ``quad_points[c, q]`` is coordinate c of point q, one row over the
         triangles, so ``x, y = mesh.quad_points``.
-    boundary_edges : (n_boundary_edges, 2) ndarray
-        Directed boundary edges, domain on the left.
     boundary_loops : list of ndarray
-        Boundary vertex indices per closed loop, in traversal order.  The
-        outer loop (largest enclosed signed area) comes first; each loop is
-        rotated to start at its smallest vertex index.
+        Boundary vertex indices per closed loop, domain on the left: each
+        vertex and the next, wrapping around, are a directed boundary edge.
+        The outer loop (largest enclosed signed area) comes first; each loop
+        is rotated to start at its smallest vertex index.
     boundary_vertices : (n_boundary,) ndarray
         Concatenation of the loops; this ordering is the canonical one for
         boundary traces throughout the package.
-    is_boundary : (n_vertices,) bool ndarray
     interior_vertices : ndarray
         The other vertices, sorted.
     interior_order : ndarray
         ``interior_vertices`` in a geometric nested-dissection elimination
-        order (see :func:`factor_spd`): every factored block of the package
-        has its rows and columns in this order.
+        order (see :func:`factor_spd`): every :class:`InteriorSystem` has
+        its factored block's rows and columns in this order.
     h : float
         Longest edge in the mesh (Euclidean).
     """
@@ -322,7 +318,6 @@ class Mesh:
         boundary = directed[keys[at] != reversed_keys]
         if not len(boundary):
             raise ValueError("mesh has no boundary edges (closed surface?)")
-        self.boundary_edges = boundary
 
         starts, first = np.unique(boundary[:, 0], return_index=True)
         if len(starts) < len(boundary):
@@ -352,9 +347,9 @@ class Mesh:
         loops.sort(key=lambda lp: -loop_area(lp))
         self.boundary_loops = loops
         self.boundary_vertices = np.concatenate(loops)
-        self.is_boundary = np.zeros(len(self.vertices), dtype=bool)
-        self.is_boundary[self.boundary_vertices] = True
-        self.interior_vertices = np.flatnonzero(~self.is_boundary)
+        is_boundary = np.zeros(len(self.vertices), dtype=bool)
+        is_boundary[self.boundary_vertices] = True
+        self.interior_vertices = np.flatnonzero(~is_boundary)
 
     # -- basic queries -------------------------------------------------------
 
@@ -806,14 +801,15 @@ def factor_spd(A):
     area integrand sqrt(1 + |p|^2) is strictly convex.  So the factor
     pivots on the diagonal (SuperLU's symmetric mode, Li, ACM TOMS 31,
     2005) and keeps the columns in the order they come in, which must be
-    the mesh's elimination order: ``A`` is the block A[O, O] with
-    O = ``mesh.interior_order``, a geometric nested dissection (George,
-    SIAM J. Numer. Anal. 10, 1973; Lipton, Rose & Tarjan, SIAM J. Numer.
-    Anal. 16, 1979), built once with the mesh.  On the interior stiffness
-    block of disc(128, 768) it leaves about 10% less fill than SuperLU's
-    minimum-degree order of A^T + A, which each factorization would
-    recompute, and takes a third less time to factor; on the 1,657
-    unknowns of disc(24, 144) it leaves 6% more, at the same solve time.
+    the mesh's elimination order: ``A`` is the block A[O, O] that
+    :class:`InteriorSystem` slices, O = ``mesh.interior_order``, a
+    geometric nested dissection (George, SIAM J. Numer. Anal. 10, 1973;
+    Lipton, Rose & Tarjan, SIAM J. Numer. Anal. 16, 1979), built once with
+    the mesh.  On the interior stiffness block of disc(128, 768) it leaves
+    about 10% less fill than SuperLU's minimum-degree order of A^T + A,
+    which each factorization would recompute, and takes a third less time
+    to factor; on the 1,657 unknowns of disc(24, 144) it leaves 6% more, at
+    the same solve time.
     """
     return spla.splu(
         A.tocsc(),
@@ -823,14 +819,68 @@ def factor_spd(A):
     )
 
 
-def _interior_blocks(mesh, A):
-    """The blocks A[O, O] and A[O, B] of a vertex matrix, O = ``mesh.interior_order``.
+class InteriorSystem:
+    """Dirichlet elimination on one factored interior block of a vertex matrix.
 
-    B is ``mesh.boundary_vertices``.  The row block A[O] is dropped on
-    return, before the caller factors A[O, O].
+    ``A`` is a symmetric vertex matrix with an SPD interior block, K or a
+    Newton Jacobian J(u).  The system keeps the block A[O, B] and the
+    :func:`factor_spd` factor of A[O, O], O = ``mesh.interior_order`` and
+    B = ``mesh.boundary_vertices``; A[O] is dropped before the factor is
+    built.  Both methods take and return whole vertex arrays, so the order
+    stays inside.  It holds the mesh's index arrays, not the mesh.
     """
-    rows = A[mesh.interior_order]
-    return rows[:, mesh.interior_order], rows[:, mesh.boundary_vertices]
+
+    def __init__(self, mesh, A):
+        self._order, self._boundary = mesh.interior_order, mesh.boundary_vertices
+        rows = A[self._order]
+        block, self._coupling = rows[:, self._order], rows[:, self._boundary]
+        del rows
+        self._lu = factor_spd(block)
+
+    def extend(self, bvals, rhs=None):
+        """Solve A u = rhs with u = ``bvals`` on the boundary vertices.
+
+        Symmetric elimination on the factor: the interior unknowns, in the
+        elimination order O, solve A[O, O] u_O = rhs[O] - A[O, B] bvals.
+        ``bvals`` is in boundary ordering, shape (n_B,) for one field or
+        (n_B, k) for k fields (one per column), which share one solve; the
+        result has the shape (n_vertices,) + ``bvals.shape[1:]``.  ``rhs``
+        is a load of that shape, None for the discrete-harmonic extension
+        (rhs = 0).  Complex data is solved as its real and imaginary parts,
+        2k columns of one solve.
+        """
+        O, B = self._order, self._boundary
+        bvals = np.asarray(bvals)
+        if bvals.ndim not in (1, 2) or len(bvals) != len(B):
+            raise ValueError(
+                f"expected {len(B)} boundary values (one column per field), "
+                f"got shape {bvals.shape}"
+            )
+        shape = (len(O) + len(B),) + bvals.shape[1:]  # every vertex is in O or B
+        if rhs is not None and np.shape(rhs) != shape:
+            raise ValueError(f"expected a load of shape {shape}, got {np.shape(rhs)}")
+        load = 0.0 if rhs is None else np.asarray(rhs)[O]
+        reduced = load - self._coupling @ bvals
+        u = np.zeros(shape, dtype=np.result_type(reduced, float))
+        u[B] = bvals
+        if np.iscomplexobj(reduced):
+            cols = reduced.reshape(len(O), -1)
+            k = cols.shape[1]
+            parts = self._lu.solve(np.hstack([cols.real, cols.imag]))
+            u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
+        else:
+            u[O] = self._lu.solve(reduced)
+        return u
+
+    def solve(self, r):
+        """x with A[O, O] x_O = r_O and x = 0 on the boundary vertices.
+
+        ``r`` is a real vertex array, (n_vertices,) or (n_vertices, k) for k
+        columns of one solve; its boundary entries are not read.
+        """
+        x = np.zeros(np.shape(r))
+        x[self._order] = self._lu.solve(np.asarray(r)[self._order])
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -1016,11 +1066,9 @@ class Discretization:
     piece is built by the public builder of the same quantity
     (:func:`metric_at_quadrature`, :func:`quadrature_weights`,
     :func:`assemble_weighted_stiffness`, :func:`boundary_geometry`, and
-    :func:`factor_spd` for the interior factor) under the owner's
+    :class:`InteriorSystem` of K for the interior factor) under the owner's
     lock, so concurrent first uses build it once.  The lock is reentrant
-    because building K reads the metric at quadrature.  K[O, O] is not kept
-    once factored, and the row block K[O] is dropped before the factor is
-    built.
+    because building K reads the metric at quadrature.
 
     Attributes
     ----------
@@ -1033,12 +1081,10 @@ class Discretization:
     stiffness : csr_matrix
         Laplace-Beltrami stiffness matrix K.
     boundary : BoundaryGeometry
-    interior_system : (csr_matrix, SuperLU)
-        The coupling block K[O, B] and the factor of K[O, O], with the
-        interior rows and columns in the mesh's elimination order
-        O = ``mesh.interior_order`` (see :func:`factor_spd`).  K is the
-        minimal-surface Jacobian at u = 0, so the factor also serves the
-        chord steps of a cold nonlinear solve.
+    interior_system : InteriorSystem
+        The :class:`InteriorSystem` of K, behind :meth:`extend`.  K is the
+        minimal-surface Jacobian at u = 0, so it also serves the chord
+        steps of a cold nonlinear solve.
     conformal_defect : (float, ndarray)
         How far g is from conformally flat (g = gamma * identity): the
         largest of |g^12| and |g^11 - g^22| relative to (g^11 + g^22) / 2
@@ -1092,13 +1138,11 @@ class Discretization:
     def boundary(self):
         return self._piece("boundary", lambda: boundary_geometry(self.mesh, self.metric))
 
-    def _factor_interior(self):
-        block, coupling = _interior_blocks(self.mesh, self.stiffness)
-        return coupling, factor_spd(block)
-
     @property
     def interior_system(self):
-        return self._piece("interior_system", self._factor_interior)
+        return self._piece(
+            "interior_system", lambda: InteriorSystem(self.mesh, self.stiffness)
+        )
 
     @property
     def conformal_defect(self):
@@ -1113,42 +1157,9 @@ class Discretization:
         return float(defect[q, t]), self.mesh.quad_points[:, q, t]
 
     def extend(self, bvals, rhs=None):
-        """Solve K u = rhs with u = ``bvals`` on the boundary vertices.
-
-        Symmetric elimination on the cached factor: the interior unknowns,
-        in the elimination order O, solve K[O, O] u_O = rhs[O] - K[O, B]
-        bvals.  ``bvals`` is in boundary ordering, shape (n_B,) for one
-        field or (n_B, k) for k fields (one per column), which share one
-        solve; the result has the shape (n_vertices,) + ``bvals.shape[1:]``.
-        ``rhs`` is a load of that shape, None for the discrete-harmonic
-        extension (rhs = 0).  Complex data is solved as its real and
-        imaginary parts, 2k columns of one solve.
-        """
-        mesh = self.mesh
-        bvals = np.asarray(bvals)
-        n_b = len(mesh.boundary_vertices)
-        if bvals.ndim not in (1, 2) or len(bvals) != n_b:
-            raise ValueError(
-                f"expected {n_b} boundary values (one column per field), "
-                f"got shape {bvals.shape}"
-            )
-        shape = (mesh.n_vertices,) + bvals.shape[1:]
-        if rhs is not None and np.shape(rhs) != shape:
-            raise ValueError(f"expected a load of shape {shape}, got {np.shape(rhs)}")
-        coupling, lu = self.interior_system
-        O = mesh.interior_order
-        load = 0.0 if rhs is None else np.asarray(rhs)[O]
-        reduced = load - coupling @ bvals
-        u = np.zeros(shape, dtype=np.result_type(reduced, float))
-        u[mesh.boundary_vertices] = bvals
-        if np.iscomplexobj(reduced):
-            cols = reduced.reshape(len(O), -1)
-            k = cols.shape[1]
-            parts = lu.solve(np.hstack([cols.real, cols.imag]))
-            u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
-        else:
-            u[O] = lu.solve(reduced)
-        return u
+        """Solve K u = rhs with u = ``bvals`` on the boundary vertices
+        (:meth:`InteriorSystem.extend` on the owner's factor)."""
+        return self.interior_system.extend(bvals, rhs)
 
 
 def discretization(mesh, metric):

@@ -108,3 +108,32 @@ def test_public_name_has_a_caller_or_is_documented(path, name):
         f"{path.stem}.{name} has no caller in src and is not named in backticks "
         "in README.md or docs/experiments.md: delete it or document it as API"
     )
+
+
+# the mesh's elimination order and the factoring of blocks sliced in it
+ELIMINATION = {"interior_order", "factor_spd", "_interior_blocks"}
+
+
+def test_only_geometry_knows_the_elimination_order():
+    # every Dirichlet elimination and chord step goes through
+    # geometry.InteriorSystem, whose methods take whole vertex arrays; a
+    # SuperLU factor (its ``.lu`` attribute) stays inside it too
+    found = []
+    for path in MODULES:
+        if path.stem == "geometry":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names = ELIMINATION | {"lu"}
+                name = node.attr
+            elif isinstance(node, (ast.Name, ast.alias)):
+                names = ELIMINATION
+                name = node.id if isinstance(node, ast.Name) else node.name
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.stem}:{node.lineno} {name}")
+    assert not found, (
+        "only geometry may read the elimination order or a sparse factor; "
+        f"use geometry.InteriorSystem: {found}"
+    )

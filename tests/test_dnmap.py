@@ -281,7 +281,7 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # reference: the same perturbed solves from u0 with a fresh Jacobian at
     # every Newton step
     fb = geo.boundary_values(d, f)
-    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None, None))
+    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None))
     ref = np.empty(len(fb))
     for b in range(len(fb)):
         pert = np.zeros(len(fb))
@@ -308,7 +308,7 @@ def test_solve_reports_the_area_of_its_solution_bit_for_bit(metric):
     warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0))
     u, report = fwd.solve_minimal_surface(d, metric, fb, warm)
     assert report.iterations > 0 and report.area == graph_area(d, metric, u)
-    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None, None))
+    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None))
     u, report = fwd.solve_minimal_surface(d, metric, fb, plain)
     assert report.jacobians > 0 and report.area == graph_area(d, metric, u)
 

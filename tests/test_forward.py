@@ -194,20 +194,28 @@ def test_cold_solve_chord_steps_converge_over_an_amplitude_sweep(monkeypatch):
         fwd.solve_minimal_surface(mesh, FLAT, _saddle(0.26), opts)
 
 
-def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric():
+CURVED = geo.explicit_metric(
+    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+)
+
+
+def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric(counting):
     mesh = geo.disc(16, 96)
-    metric = geo.explicit_metric(
-        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-    )
+    metric = CURVED
+    jacobians = counting(fwd, "mse_linearized_operator")
+    systems = counting(geo, "InteriorSystem")
     # a = 0.1 converges on chord steps alone, a = 0.4 refreshes after one
     for a in (0.1, 0.4):
         u, rep = fwd.solve_minimal_surface(mesh, metric, _saddle(a))
-        # the same start without a factor: a fresh Jacobian at every step
+        # the same start without a system: a fresh Jacobian, and a system
+        # of it, at every step
         start = fwd.solve_laplace_beltrami(mesh, metric, _saddle(a))
+        jacobians.clear()
+        systems.clear()
         u_newton, newton = fwd.solve_minimal_surface(
             mesh, metric, _saddle(a),
-            fwd.SolveOptions(initial_guess=fwd.WarmStart(start, None, None)))
-        assert newton.jacobians == newton.iterations
+            fwd.SolveOptions(initial_guess=fwd.WarmStart(start, None)))
+        assert newton.jacobians == newton.iterations == len(jacobians) == len(systems)
         assert rep.jacobians < rep.iterations
         assert np.abs(u - u_newton).max() < 1e-10
 
@@ -221,6 +229,46 @@ def test_cold_solve_of_small_data_factors_only_the_stiffness(counting):
     assert len(factors) == 1
     fwd.solve_laplace_beltrami(mesh, FLAT, _saddle(0.02))
     assert len(factors) == 1
+
+
+def _jacobian_system(mesh):
+    """The warm start's interior system at a solution u0, and J(u0)."""
+    u0, _ = fwd.solve_minimal_surface(mesh, CURVED, _saddle(0.4))
+    J = fwd.mse_linearized_operator(mesh, CURVED, u0)
+    return fwd.warm_start(mesh, CURVED, u0).system, J
+
+
+def test_warm_start_extends_boundary_columns_on_the_jacobian_blocks():
+    # the tangents of the solution map: phi_b on the boundary and
+    # -J[I, I]^{-1} J[I, b] inside
+    mesh = geo.disc(12, 48)
+    system, J = _jacobian_system(mesh)
+    I, B = mesh.interior_vertices, mesh.boundary_vertices
+    unit = np.eye(len(B))
+    w = system.extend(unit)
+    want = spla.spsolve(J[I][:, I].tocsc(), -(J[I][:, B] @ unit))
+    assert w.shape == (mesh.n_vertices, len(B))
+    assert np.abs(w[I] - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(w[B], unit)
+
+
+def test_interior_solve_ignores_the_boundary_and_returns_zeros_there():
+    mesh = geo.disc(12, 48)
+    system, J = _jacobian_system(mesh)
+    I, B = mesh.interior_vertices, mesh.boundary_vertices
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(mesh.n_vertices)
+    x = system.solve(r)
+    assert np.array_equal(x[B], np.zeros(len(B)))
+    want = spla.spsolve(J[I][:, I].tocsc(), r[I])
+    assert np.abs(x[I] - want).max() <= 1e-12 * np.abs(want).max()
+    moved = r.copy()
+    moved[B] = 1e3 * rng.standard_normal(len(B))
+    assert np.array_equal(system.solve(moved), x)
+    # columns share one solve
+    both = system.solve(np.column_stack([r, moved]))
+    assert both.shape == (mesh.n_vertices, 2)
+    assert np.abs(both - x[:, None]).max() <= 1e-13 * np.abs(x).max()
 
 
 def test_warm_start_failure_is_actionable():

