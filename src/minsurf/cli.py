@@ -59,6 +59,7 @@ class ConfigError(ValueError):
 
 POSITIVE = (lambda v, cfg: 0.0 < v < np.inf, "finite and positive")
 NON_NEGATIVE = (lambda v, cfg: v >= 0, "non-negative")
+NONZERO = (lambda v, cfg: v != 0.0, "finite and nonzero")
 
 
 class Rule:
@@ -294,8 +295,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 0.0, 1.0]}],
                        Seq(FUNCTION, (lambda v, cfg: len(v) >= 3,
                                       "3 or more function specs"))),
-        "amplitude": (0.05, Num(float, (lambda v, cfg: v != 0.0 and np.isfinite(v),
-                                        "finite and nonzero"))),
+        "amplitude": (0.05, Num(float, NONZERO)),
         "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
             lambda v, cfg: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
             "two or more distinct finite positive values for a slope fit"))),
@@ -316,7 +316,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 1.0]},
                         {"name": "fourier", "cos": [1.0]}],
                        Seq(FUNCTION, (lambda v, cfg: len(v) == 4, "4 function specs"))),
-        "amplitude": (1.0, NUMBER),
+        "amplitude": (1.0, Num(float, NONZERO)),
         "h_eps_factor": (None, Maybe(Num(float, POSITIVE))),
         "solver": SOLVER,
         "assertions": _thresholds(relative_residual_max=1e-3, order_min=1.0),
@@ -341,7 +341,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "point": ([0.0, 0.0], POINT),
         "tau_sweep": ([6.0, 8.0, 10.0], NUMBERS),
         "field": (None, Maybe(Params({"spacing": (0.2, Num(float, POSITIVE)),
-                                      "margin": (0.3, NUMBER)}))),
+                                      "margin": (0.3, Num(float, POSITIVE))}))),
         "assertions": _thresholds(center_error_max=0.02, fit_residual_max=0.2),
     },
     "boundary-jet": {
@@ -392,8 +392,9 @@ def _build(cfg):
     vertices and edge quadrature points), each weight Q below 1 at its
     vertices and quadrature points, the boundary data and every direction
     finite on the boundary vertices, each direction that ``pair`` or
-    ``triple`` picks nonzero somewhere on the boundary, ``levels`` of two
-    or more sizes, and the metric SPD at ``point``.
+    ``triple`` picks (every direction when there are no picks) nonzero
+    somewhere on the boundary, ``levels`` of two or more sizes, and the
+    metric SPD at ``point``.
     """
     cfg["metric"] = cfg["metric"]()
     if "levels" in cfg:
@@ -404,7 +405,8 @@ def _build(cfg):
     weights = [(f"profiles[{i}]", q) for i, q in enumerate(cfg.get("profiles", []))]
     if "weight" in cfg:
         weights.append(("weight", cfg["weight"]))
-    picked = sorted({*cfg.get("pair", ()), *cfg.get("triple", ())})
+    picked = (sorted({*cfg["pair"], *cfg["triple"]}) if "pair" in cfg
+              else range(len(cfg.get("directions", ()))))
     meshes = []
     for key, build in builders:
         try:

@@ -41,6 +41,7 @@ the synthetic path.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,6 +77,9 @@ _POINTS_PER_WAVELENGTH = 10.0
 # A boundary-jet sweep whose functional magnitudes all sit at or below this
 # absolute value is reported as vanishing instead of fitted.
 _NOISE_FLOOR = 1e-13
+
+# A sweep fit is trusted when its residual is at most this (see _verdict).
+_TRUST = 0.2
 
 
 class ResolutionError(ValueError):
@@ -120,7 +124,9 @@ class RecoveryResult:
     residual is always reported, never hidden; a sweep with only two
     distinct frequencies leaves the two-parameter fit no residual degrees
     of freedom, so its residual is undefined (NaN) and the result is
-    unreliable.
+    unreliable.  A sweep that was not fitted (a flagged grid point, a jet
+    sweep below the noise floor) is unreliable, with ``q_estimate`` None
+    and every fit quantity NaN.
     """
 
     point: tuple
@@ -193,6 +199,23 @@ def _modulus_exponent(mesh, center):
     return float(np.abs((z_b * z_b).imag).max())
 
 
+def _cells_per_wavelength(mesh, tau, wavelength):
+    """``wavelength / mesh.h``, the resolution of a probe at frequency ``tau``.
+
+    Raises ResolutionError, stating the needed mesh size, when the
+    wavelength spans fewer than ``_POINTS_PER_WAVELENGTH`` cells.
+    """
+    ppw = wavelength / mesh.h
+    if ppw < _POINTS_PER_WAVELENGTH:
+        raise ResolutionError(
+            f"probe at tau={tau:g} oscillates with wavelength "
+            f"{wavelength:.3e} but the mesh size is {mesh.h:.3e}; "
+            f"need h <= {wavelength / _POINTS_PER_WAVELENGTH:.3e} "
+            f"({_POINTS_PER_WAVELENGTH:g} points per wavelength)"
+        )
+    return ppw
+
+
 def _amplitude_budget(h):
     """Largest trustworthy boundary growth exponent tau * max|Im Phi|.
 
@@ -255,16 +278,7 @@ def make_interior_probe(
             )
         # local wavelength of e^{i tau Phi} is pi / (tau |z - P|); the guard
         # uses the worst point of the chart
-        min_wavelength = np.pi / (tau * radius)
-        ppw = min_wavelength / mesh.h
-        if ppw < _POINTS_PER_WAVELENGTH:
-            required = min_wavelength / _POINTS_PER_WAVELENGTH
-            raise ResolutionError(
-                f"probe at tau={tau:g} oscillates with wavelength "
-                f"{min_wavelength:.3e} but the mesh size is {mesh.h:.3e}; "
-                f"need h <= {required:.3e} "
-                f"({_POINTS_PER_WAVELENGTH:g} points per wavelength)"
-            )
+        ppw = _cells_per_wavelength(mesh, tau, np.pi / (tau * radius))
         # the boundary trace grows like e^{tau |Im Phi|}; past the
         # mesh-dependent budget the extension error of that rim data swamps
         # the unit-size field values near the center
@@ -354,20 +368,50 @@ def _fit_line(x, y):
     return slope, intercept, float(np.sqrt(np.mean((y - fitted) ** 2)))
 
 
-def _exact_fit_message(kind, sweep):
-    """Why a two-parameter fit through ``sweep`` has no residual, or None.
+def _verdict(kind, sweep, residual, trusted, untrusted):
+    """``(fit_residual, reliable, message)`` of a two-parameter ``kind`` fit.
 
-    Through two distinct frequencies the fit passes every point exactly,
-    so its residual says nothing about the model.
+    The fit is reliable, with message ``trusted``, when ``residual`` is at
+    most ``_TRUST``; otherwise it is not, with message ``untrusted``.
+    Through two distinct frequencies the fit passes every point exactly, so
+    its residual says nothing about the model: it is NaN and the fit is
+    unreliable.
     """
     n = np.unique(sweep).size
-    if n > 2:
-        return None
-    return (
-        f"{kind} fit through {n} distinct frequencies has no residual "
-        "degrees of freedom, so its residual is undefined: use at least "
-        "three distinct frequencies"
+    if n <= 2:
+        return np.nan, False, (
+            f"{kind} fit through {n} distinct frequencies has no residual "
+            "degrees of freedom, so its residual is undefined: use at least "
+            "three distinct frequencies"
+        )
+    if residual <= _TRUST:
+        return float(residual), True, trusted
+    return float(residual), False, untrusted
+
+
+def _fitted(point, sweep, values, verdict, coefficient, intercept, exponent,
+            q_estimate=None):
+    """The record of a sweep fit; ``verdict`` is :func:`_verdict`'s."""
+    residual, reliable, message = verdict
+    return RecoveryResult(
+        point=(float(point[0]), float(point[1])),
+        q_estimate=q_estimate,
+        sweep=sweep,
+        functional_values=values,
+        coefficient=float(coefficient),
+        intercept=float(intercept),
+        exponent=float(exponent),
+        fit_residual=residual,
+        reliable=reliable,
+        message=message,
     )
+
+
+def _unfitted(point, sweep, values, message):
+    """The record of a sweep that was not fitted: unreliable, every fit
+    quantity NaN."""
+    return _fitted(point, sweep, values, (np.nan, False, message),
+                   np.nan, np.nan, np.nan)
 
 
 def _probe_functional(mesh, metric, factor_c, mode):
@@ -435,32 +479,16 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
     residual = rms / scale if scale > 0 else 0.0
 
     q_hat = -slope * gamma_p / (2.0 * np.pi)
-    reliable = residual <= 0.2
-    exact_fit = _exact_fit_message("affine", taus)
-    if exact_fit:
-        residual, reliable, message = np.nan, False, exact_fit
-    elif scale == 0.0:
-        message = "functional identically zero across the sweep (Q vanishes here)"
-    elif reliable:
-        message = "affine fit within trust threshold"
-    else:
-        message = (
-            f"fit residual {residual:.1%} of the leading term exceeds 20%: "
-            "probe too close to the boundary, sweep outside the asymptotic "
-            "regime, or mesh too coarse"
-        )
-    return RecoveryResult(
-        point=(float(center[0]), float(center[1])),
-        q_estimate=float(q_hat),
-        sweep=taus,
-        functional_values=values,
-        coefficient=float(slope),
-        intercept=float(intercept),
-        exponent=1.0,
-        fit_residual=float(residual),
-        reliable=bool(reliable),
-        message=message,
+    verdict = _verdict(
+        "affine", taus, residual,
+        "functional identically zero across the sweep (Q vanishes here)"
+        if scale == 0.0 else "affine fit within trust threshold",
+        f"fit residual {residual:.1%} of the leading term exceeds {_TRUST:.0%}: "
+        "probe too close to the boundary, sweep outside the asymptotic "
+        "regime, or mesh too coarse",
     )
+    return _fitted(center, taus, values, verdict, slope, intercept, 1.0,
+                   q_estimate=float(q_hat))
 
 
 def interior_grid(mesh, spacing, margin):
@@ -507,41 +535,24 @@ def recover_q_field(
     budget = _amplitude_budget(mesh.h)
     functional = _probe_functional(mesh, metric, factor_c, mode)
 
-    def flagged(point, sweep, message):
-        return RecoveryResult(
-            point=(float(point[0]), float(point[1])),
-            q_estimate=None,
-            sweep=sweep,
-            functional_values=np.zeros(taus.size, dtype=complex),
-            coefficient=np.nan,
-            intercept=np.nan,
-            exponent=1.0,
-            fit_residual=np.inf,
-            reliable=False,
-            message=message,
-        )
-
     results = []
     for point in grid:
         growth = _modulus_exponent(mesh, point)
         scale = 1.0
         if growth > 0 and taus.max() * growth > budget:
             scale = budget / (taus.max() * growth)
-        if taus.max() * scale < 3.0:
-            results.append(flagged(
-                point,
-                taus * scale,
-                f"amplitude budget at ({point[0]:.4g}, {point[1]:.4g}) "
-                f"limits the sweep to tau <= {taus.max() * scale:.2g}: "
-                "probe too close to the boundary",
-            ))
-            continue
+        sweep = taus * scale
         try:
-            res = _recover_point(
-                mesh, metric, functional, point, taus * scale, probe_margin
-            )
-        except (ResolutionError, ValueError) as exc:
-            res = flagged(point, taus * scale, str(exc))
+            if sweep.max() < 3.0:
+                raise ValueError(
+                    f"amplitude budget at ({point[0]:.4g}, {point[1]:.4g}) "
+                    f"limits the sweep to tau <= {sweep.max():.2g}: "
+                    "probe too close to the boundary"
+                )
+            res = _recover_point(mesh, metric, functional, point, sweep, probe_margin)
+        except ValueError as exc:
+            # flagged: no value of the functional was computed
+            res = _unfitted(point, sweep, np.full(sweep.size, np.nan + 0j), str(exc))
         results.append(res)
 
     reliable = np.array([r.reliable for r in results])
@@ -624,7 +635,7 @@ def boundary_jet_probe(
     if not positive.all():
         raise ResolutionError("jet frequency N must be finite and positive, "
                               f"got N={freqs[~positive][0]:g}")
-    if not (isinstance(m, int) and m >= 1):
+    if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and m >= 1):
         raise ResolutionError(f"jet order m must be a positive integer, got {m!r}")
     gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
@@ -646,13 +657,7 @@ def boundary_jet_probe(
 
     values = np.empty(freqs.size, dtype=complex)
     for i, N in enumerate(freqs):
-        wavelength = 2.0 * np.pi / N
-        if wavelength < _POINTS_PER_WAVELENGTH * mesh.h:
-            raise ResolutionError(
-                f"jet probe at N={N:g} has wavelength {wavelength:.3e} but the "
-                f"mesh size is {mesh.h:.3e}; need h <= "
-                f"{wavelength / _POINTS_PER_WAVELENGTH:.3e}"
-            )
+        _cells_per_wavelength(mesh, N, 2.0 * np.pi / N)
         trace = (
             jet_step(np.sqrt(N) * x2)
             * np.exp(1j * N * x1)
@@ -665,43 +670,16 @@ def boundary_jet_probe(
 
     mags = np.abs(values)
     if mags.max() <= _NOISE_FLOOR:
-        return RecoveryResult(
-            point=(float(base[0]), float(base[1])),
-            q_estimate=None,
-            sweep=freqs,
-            functional_values=values,
-            coefficient=0.0,
-            intercept=0.0,
-            exponent=np.nan,
-            fit_residual=np.nan,
-            reliable=False,
-            message=(
-                "functional below the noise floor across the sweep "
-                "(Q and its derivatives vanish at this boundary point)"
-            ),
+        return _unfitted(
+            base, freqs, values,
+            "functional below the noise floor across the sweep "
+            "(Q and its derivatives vanish at this boundary point)",
         )
 
     exponent, log_pref, rms = _fit_line(np.log(freqs), np.log(mags))
-    reliable = rms <= 0.2
-    exact_fit = _exact_fit_message("log-log", freqs)
-    if exact_fit:
-        rms, reliable, message = np.nan, False, exact_fit
-    elif reliable:
-        message = "power-law fit within trust threshold"
-    else:
-        message = (
-            f"log-log fit residual {rms:.3f} exceeds 0.2; sweep not in a clean "
-            "power-law regime"
-        )
-    return RecoveryResult(
-        point=(float(base[0]), float(base[1])),
-        q_estimate=None,
-        sweep=freqs,
-        functional_values=values,
-        coefficient=float(np.exp(log_pref)),
-        intercept=0.0,
-        exponent=float(exponent),
-        fit_residual=rms,
-        reliable=bool(reliable),
-        message=message,
+    verdict = _verdict(
+        "log-log", freqs, rms, "power-law fit within trust threshold",
+        f"log-log fit residual {rms:.3f} exceeds {_TRUST:g}; sweep not in a clean "
+        "power-law regime",
     )
+    return _fitted(base, freqs, values, verdict, np.exp(log_pref), 0.0, exponent)

@@ -137,3 +137,39 @@ def test_only_geometry_knows_the_elimination_order():
         "only geometry may read the elimination order or a sparse factor; "
         f"use geometry.InteriorSystem: {found}"
     )
+
+
+def _enclosing_functions(matches):
+    """Names of the innermost src functions that hold a node ``matches`` accepts.
+
+    A nested function is its own function, named ``outer.inner``; a node
+    outside every function counts for its module.
+    """
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if matches(child):
+                found.add(owner)
+            visit(child, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return found
+
+
+def test_probe_records_and_guards_are_written_once():
+    # one function builds the record of a fitted sweep and at most one
+    # more that of an unfitted one; one function applies the wavelength
+    # guard to both probes
+    builders = _enclosing_functions(
+        lambda n: isinstance(n, ast.Call) and "RecoveryResult" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None)))
+    assert len(builders) <= 2, f"RecoveryResult is built in {sorted(builders)}"
+    guards = _enclosing_functions(
+        lambda n: isinstance(n, ast.Name) and n.id == "_POINTS_PER_WAVELENGTH"
+        and isinstance(n.ctx, ast.Load))
+    assert len(guards) <= 1, f"_POINTS_PER_WAVELENGTH is read in {sorted(guards)}"

@@ -508,6 +508,11 @@ def _write(tmp_path, text):
     ("linearize-check", {"mesh": TINY_SQUARE, "directions": [
         SIN, NOT_FINITE, SIN]}, "directions[1]"),
     ("identity-check", {"directions": [SIN, SIN, NOT_FINITE, SIN]}, "directions[2]"),
+    ("identity-check", {"amplitude": 0.0}, "amplitude"),
+    ("identity-check", {"directions": [{"name": "zero"}, SIN, SIN, SIN]},
+     "directions[0]"),
+    ("recover-q", {"mesh": {"kind": "disc", "n_radial": 48, "n_angular": 288},
+                   "field": {"margin": -0.5}}, "field.margin"),
 ], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -525,7 +530,8 @@ def _write(tmp_path, text):
         "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
         "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
         "jet-metric-not-spd-at-point", "forward-data-not-finite",
-        "linearize-direction-not-finite", "identity-direction-not-finite"])
+        "linearize-direction-not-finite", "identity-direction-not-finite",
+        "identity-amplitude-zero", "identity-direction-zero", "field-margin-negative"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([

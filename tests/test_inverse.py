@@ -441,6 +441,31 @@ def test_recover_field_raises_when_nothing_is_reliable():
         inv.recover_q_field(mesh, FLAT, gaussian_factor, grid, [6.0, 8.0, 10.0])
 
 
+def test_recover_field_flags_budget_and_wavelength_points():
+    # on this coarse disc the amplitude budget caps the sweep of the points
+    # nearest the rim below tau = 3, and the wavelength guard rejects the
+    # points whose capped sweep still oscillates too fast for the chart
+    mesh = geo.disc(24, 144)
+    grid = inv.interior_grid(mesh, 0.2, 0.2)
+    out = inv.recover_q_field(
+        mesh, FLAT, gaussian_factor, grid, [2.0, 3.0, 4.0], probe_margin=0.2
+    )
+    kinds = {"amplitude budget at": [], "oscillates with wavelength": []}
+    for r in out.points:
+        if r.reliable:
+            assert r.q_estimate is not None and np.isfinite(r.fit_residual)
+            continue
+        [kind] = [k for k in kinds if k in r.message]
+        kinds[kind].append(r)
+        assert r.q_estimate is None
+        assert np.isnan(r.fit_residual)
+    # measured: 21 reliable, 8 budget-capped and 18 under-resolved of 47
+    assert len(out.points) == 47 and out.reliable.sum() == 21
+    assert [len(v) for v in kinds.values()] == [8, 18]
+    reliable_values = {r.q_estimate for r in out.points if r.reliable}
+    assert set(out.field.tolist()) <= reliable_values
+
+
 @pytest.mark.xfail(
     reason=(
         "separating two bumps needs probe kernels narrower than the bump "
@@ -634,7 +659,22 @@ def test_jet_probe_validation_and_resolution_guards():
     with pytest.raises(inv.ResolutionError):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
                                [30.0, 50.0, 70.0])
+    with pytest.raises(ValueError, match="positive integer"):
+        inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, True,
+                               JET_SWEEP)
     for sweep in ([-1.0, 2.0, 3.0], [0.0, 2.0, 3.0]):
         with pytest.raises(inv.ResolutionError, match=f"positive, got N={sweep[0]:g}$"):
             inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
                                    sweep)
+
+
+def test_jet_probe_accepts_a_numpy_integer_order():
+    mesh = geo.square(48)
+    sweep = [4.0, 5.0, 6.0]
+    want = inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
+                                  sweep)
+    got = inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT,
+                                 np.int64(2), sweep)
+    np.testing.assert_array_equal(got.functional_values, want.functional_values)
+    assert (got.exponent, got.fit_residual, got.reliable, got.message) == (
+        want.exponent, want.fit_residual, want.reliable, want.message)
