@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.metadata
 import json
 import math
 import numbers
@@ -35,6 +34,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from . import dnmap as dn
 from . import forward as fwd
 from . import geometry as geo
@@ -336,8 +336,8 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         # Q < 1 on the mesh: checked by _build
         "weight": ({"name": "gaussian", "amplitude": 0.1, "width": 0.35,
                     "center": [0.0, 0.0]}, FUNCTION),
-        "mode": ("synthetic", Text(rng=(lambda v, cfg: v in ("synthetic", "dn"),
-                                        "'synthetic' or 'dn'"))),
+        "mode": ("synthetic", Text(rng=(lambda v, cfg: v in ("synthetic", "dn3"),
+                                        "'synthetic' or 'dn3'"))),
         "point": ([0.0, 0.0], POINT),
         "tau_sweep": ([6.0, 8.0, 10.0], NUMBERS),
         "field": (None, Maybe(Params({"spacing": (0.2, Num(float, POSITIVE)),
@@ -835,15 +835,11 @@ def _failed_run(exc):
 
 
 def _versions():
-    try:
-        artifact = importlib.metadata.version("artifact")
-    except importlib.metadata.PackageNotFoundError:
-        artifact = "unknown"
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "artifact": artifact,
+        "artifact": __version__,
     }
 
 

@@ -70,7 +70,7 @@ from .forward import (
     solve_minimal_surface,
     warm_start,
 )
-from .linearize import _mixed_difference, third_linearization_source
+from .linearize import _mixed_difference, _odd_cached, third_linearization_source
 
 # Boundary hats per tangent solve in dn_from_area_data, and per decrement
 # solve of each sign: dense (n_vertices, block) blocks.  At 16 hats, or with
@@ -242,12 +242,16 @@ def dn_third_derivative(combo, triple, h_eps):
     if len(triple) != 3:
         raise ValueError(f"need exactly three directions, got {len(triple)}")
     mesh, metric = combo.mesh, combo.metric
+    cache = {}
 
     def trace(eps):
         tr = _nonlinear_trace(mesh, metric, combo.boundary_data(eps), combo.solve(eps))
         return np.stack([tr.values, tr.flux])
 
-    values, flux = _mixed_difference(combo, triple, h_eps, trace)
+    # the residual and lambda_from_ng are odd, so is the trace of the odd
+    # cold solve: one trace per +-eps pair, like the solves
+    values, flux = _mixed_difference(
+        combo, triple, h_eps, lambda eps: _odd_cached(cache, eps, trace))
     return DNTrace(bg=discretization(mesh, metric).boundary, values=values, flux=flux)
 
 
@@ -260,11 +264,22 @@ def dn_third_derivative_exact(mesh, metric, directions):
     bg = d.boundary
     fbs = [boundary_values(mesh, f) for f in directions]
     vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in fbs]
-    L = third_linearization_source(mesh, metric, *vs)
-    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
-    flux = (d.stiffness @ w - L)[mesh.boundary_vertices]
+    flux = _third_flux(d, vs)
     values = flux / bg.ds + _boundary_correction(d, vs, fbs)
     return DNTrace(bg=bg, values=values, flux=flux)
+
+
+def _third_flux(d, vs):
+    """Weak d^3 N flux (K w - L)_B of three harmonic fields vs of Discretization d.
+
+    L is their third-linearization source and w its solve with zero
+    Dirichlet data on d's factor.  Trilinear: complex fields are taken as
+    they are.
+    """
+    mesh = d.mesh
+    L = third_linearization_source(mesh, d.metric, *vs)
+    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
+    return (d.stiffness @ w - L)[mesh.boundary_vertices]
 
 
 # ---------------------------------------------------------------------------

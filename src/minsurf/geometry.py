@@ -725,10 +725,15 @@ def _point_sum(a):
 def hat_flux_loads(mesh, f):
     """Load vector with entries sum_t grad(phi_i) . F_t over the support of phi_i.
 
-    ``f`` (2, 3, n_tri) holds a weighted real vector integrand at the
+    ``f`` (2, 3, n_tri) holds a weighted vector integrand at the
     quadrature points, x and y first; the flux F_t is its sum over the
-    points.  The entries are scattered in (triangle, corner) order.
+    points.  The entries are scattered in (triangle, corner) order.  A
+    complex integrand gives the load of its real part plus i times the
+    load of its imaginary part.
     """
+    if np.iscomplexobj(f):
+        # np.bincount takes real weights only
+        return hat_flux_loads(mesh, f.real) + 1j * hat_flux_loads(mesh, f.imag)
     F = _point_sum(f)
     h = mesh.hat_gradients * F[:, None]
     # contrib[t, i] = grad(phi_i) . F_t, in the (triangle, corner) order of

@@ -35,11 +35,12 @@ ingredient second-order accurate on smooth charts.  With the epsilon step
 scaled proportionally to the mesh size the whole residual contracts at
 second order.
 
-The same boundary-side assembly evaluated for two metrics that agree near
-the boundary gives :func:`dn_difference_form`; for a conformal pair
-(g, c g) with c = 1 near the boundary it approximates the weighted volume
-functional ``q_functional`` with Q = 1 - 1/c — the link the interior
-recovery probes exploit.
+The boundary side T3 - T1 evaluated for two metrics that agree near the
+boundary, with d^3 Lambda from the exact third linearization, gives
+:func:`dn_difference_form`; for a conformal pair (g, c g) with c = 1 near
+the boundary it approximates the weighted volume functional
+``q_functional`` with Q = 1 - 1/c — the link the interior recovery probes
+exploit.
 
 The weighted functional is one kernel, :func:`q_form`: it sums every
 product of two pairings over the quadrature points into a symmetric 3x3
@@ -63,7 +64,7 @@ from .geometry import (
 )
 from .forward import SolveOptions, solve_laplace_beltrami
 from .linearize import EpsilonCombination
-from .dnmap import _boundary_correction, dn_third_derivative
+from .dnmap import _boundary_correction, _third_flux, dn_third_derivative
 
 __all__ = [
     "IdentityReport",
@@ -200,25 +201,6 @@ def q_functional(mesh, metric, Q, v1, v2, v3, v4):
     return q_form(mesh, metric, Q)(v1, v2, v3, v4)
 
 
-def _boundary_side(combo, vs, quad, h_eps):
-    """Boundary terms (T1, T3) for the directions (j, k, l, m) = ``quad`` of ``combo``.
-
-    ``vs`` holds the harmonic fields of all the combination's directions.
-    """
-    d = discretization(combo.mesh, combo.metric)
-    j, k, l, m = quad
-    fbs = combo.boundary
-
-    # T1: eps-differenced nonlinear DN traces paired with f_m.
-    d3 = dn_third_derivative(combo, (j, k, l), h_eps)
-    t1 = float(d.boundary.pair(fbs[m], d3.values))
-
-    # T3: the trilinear boundary correction, in the g-orthonormal frame.
-    nu_f = _boundary_correction(d, [vs[j], vs[k], vs[l]], [fbs[j], fbs[k], fbs[l]])
-    t3 = float(d.boundary.pair(fbs[m], nu_f))
-    return t1, t3
-
-
 def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     """Assemble both sides of the identity (***) and report the residual.
 
@@ -241,9 +223,15 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     if h_eps is None:
         h_eps = _H_EPS_PER_H * mesh.h
     combo = EpsilonCombination(mesh, metric, directions, options)
-    vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in combo.boundary]
+    fbs = combo.boundary
+    vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in fbs]
+    d = discretization(mesh, metric)
 
-    t1, t3 = _boundary_side(combo, vs, (0, 1, 2, 3), h_eps)
+    # T1: eps-differenced nonlinear DN traces paired with f_m
+    d3 = dn_third_derivative(combo, (0, 1, 2), h_eps)
+    t1 = float(d.boundary.pair(fbs[3], d3.values))
+    # T3: the trilinear boundary correction, in the g-orthonormal frame
+    t3 = float(d.boundary.pair(fbs[3], _boundary_correction(d, vs[:3], fbs[:3])))
     rhs = q_functional(mesh, metric, None, vs[0], vs[1], vs[2], vs[3])
     lhs = t3 - t1
     residual = lhs - rhs
@@ -260,34 +248,34 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
     )
 
 
-def dn_difference_form(mesh, metric1, metric2, directions):
+def dn_difference_form(mesh, metric1, metric2):
     """Difference of the boundary sides of (***) under two metrics, as a form.
 
-    Returns ``T(j, k, l, m)``: for the directions of those indices into
-    ``directions``, the boundary side T3 - T1 of (***) under ``metric1``
-    minus the one under ``metric2``.  Computed purely from boundary
-    quantities (DN traces, boundary frames, boundary data) for each metric
-    separately.  When ``metric2 = c * metric1`` with c = 1 near the
-    boundary, the harmonic fields and all linear-order boundary terms
-    coincide and the difference isolates the third-order effect; it
-    approximates ``q_functional(mesh, metric1, Q, v_j, v_k, v_l, v_m)`` with
-    Q = 1 - 1/c.  The stencil step and the Newton tolerance are the
-    defaults of :func:`integral_identity_check`.
+    Returns ``form(v1, v2, v3, v4)``: the boundary side T3 - T1 of (***)
+    under ``metric1`` minus the one under ``metric2``, from the exact third
+    linearization.  T1 pairs f_m with d^3 Lambda = d^3 N + nu . F and T3
+    with nu . F, so
 
-    One EpsilonCombination and one set of harmonic fields per metric serve
-    every quadruple, so stencil points that quadruples share are solved once.
+        T3 - T1 = - integral_bdry f_m (K w - L)_B / ds dS_g,
+
+    L the third-linearization source of (v1, v2, v3), w its solve with zero
+    Dirichlet data and f_m the trace of v4, each on the metric's own
+    Discretization: K_{c g} equals K_g only to rounding.  For
+    ``metric2 = c * metric1`` the harmonic fields coincide (conformal
+    invariance in 2-D), and with c = 1 near the boundary the difference
+    approximates ``q_functional(mesh, metric1, Q, v1, v2, v3, v4)`` with
+    Q = 1 - 1/c.  Multilinear: complex fields are taken as they are, as in
+    :func:`q_form`.
     """
-    h_eps, options = _H_EPS_PER_H * mesh.h, SolveOptions(tol=_TOL)
-    sides = []
-    for metric in (metric1, metric2):
-        combo = EpsilonCombination(mesh, metric, directions, options)
-        vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in combo.boundary]
-        sides.append((combo, vs))
+    owners = [discretization(mesh, metric) for metric in (metric1, metric2)]
+    bidx = mesh.boundary_vertices
 
-    def form(*quad):
-        (t1a, t3a), (t1b, t3b) = (
-            _boundary_side(combo, vs, quad, h_eps) for combo, vs in sides
-        )
-        return (t3a - t1a) - (t3b - t1b)
+    def side(d, fields):
+        d3n = _third_flux(d, fields[:3]) / d.boundary.ds
+        return -d.boundary.pair(nodal_values(mesh, fields[3])[bidx], d3n)
+
+    def form(v1, v2, v3, v4):
+        fields = (v1, v2, v3, v4)
+        return side(owners[0], fields) - side(owners[1], fields)
 
     return form

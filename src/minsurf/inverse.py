@@ -33,10 +33,11 @@ Both probes run many harmonic extensions against one factorized interior
 system, the one the (mesh, metric) pair's ``geometry.Discretization`` owns;
 sweeps and grids of probe points reuse the factorization.  The
 synthetic mode evaluates the weighted functional directly, isolating the
-probe asymptotics; the ``"dn"`` mode drives the full boundary-data
-difference pipeline through multilinear polarization of the complex
-probe fields (slow: many nonlinear solves) and is bitwise independent of
-the synthetic path.
+probe asymptotics; the ``"dn3"`` mode reads the same quantity from
+boundary data, the third derivative of the DN map under g and under c g
+from the exact third linearization (the paper's higher-order
+linearization), and shares no arithmetic with the synthetic path past
+the probe fields.
 """
 
 from __future__ import annotations
@@ -315,47 +316,6 @@ def _discrepancy_weight(factor_c):
     return lambda x, y: 1.0 - 1.0 / np.asarray(factor_c(x, y), dtype=float)
 
 
-def _polarized_dn_functional(mesh, metric, factor_c, fields):
-    """Boundary-data route to the complex probe functional.
-
-    The boundary functional is symmetric 4-linear over the reals, so the
-    complex value T(u, u, v, v) expands into nine real quadruples of the
-    DN-difference functional (real/imaginary parts of u and v), all
-    evaluated on one form over those four parts, so stencil solves shared
-    between quadruples are made once; each direction is sup-normalized
-    first so the nonlinear solves behind the differences stay in their
-    convergence regime, and the multilinear scaling is restored afterwards.
-    """
-    metric2 = conformal_metric(metric, factor_c)
-    u, _, v, _ = fields
-    bidx = mesh.boundary_vertices
-    parts = []
-    scales = []
-    for w in (u.real, u.imag, v.real, v.imag):
-        s = float(np.abs(w[bidx]).max())
-        s = s if s > 0 else 1.0
-        parts.append(w[bidx] / s)
-        scales.append(s)
-    sa, sb, sp, sq = scales
-    T = dn_difference_form(mesh, metric, metric2, parts)
-    a, b, p, q = range(4)
-
-    re = (
-        sa * sa * sp * sp * T(a, a, p, p)
-        - sa * sa * sq * sq * T(a, a, q, q)
-        - sb * sb * sp * sp * T(b, b, p, p)
-        + sb * sb * sq * sq * T(b, b, q, q)
-        - 4.0 * sa * sb * sp * sq * T(a, b, p, q)
-    )
-    im = 2.0 * (
-        sa * sa * sp * sq * T(a, a, p, q)
-        + sa * sb * sp * sp * T(a, b, p, p)
-        - sa * sb * sq * sq * T(a, b, q, q)
-        - sb * sb * sp * sq * T(b, b, p, q)
-    )
-    return re + 1j * im
-
-
 def _fit_line(x, y):
     """Least-squares line y ~ slope x + intercept through the points (x, y).
 
@@ -417,15 +377,16 @@ def _unfitted(point, sweep, values, message):
 def _probe_functional(mesh, metric, factor_c, mode):
     """``F(*fields)``: the probe functional of ``mode`` with Q = 1 - 1/c.
 
-    The synthetic mode builds its :func:`identity.q_form` here, so Q at
-    quadrature and the per-triangle tensor M_t are built once per sweep or
-    grid, not once per probe.
+    The form is built here once per sweep or grid, not once per probe: for
+    ``"synthetic"`` the :func:`identity.q_form` (Q at quadrature and the
+    per-triangle tensor M_t), for ``"dn3"`` the
+    :func:`identity.dn_difference_form` of ``metric`` and c * ``metric``.
     """
     if mode == "synthetic":
         return q_form(mesh, metric, _discrepancy_weight(factor_c))
-    if mode == "dn":
-        return lambda *fields: _polarized_dn_functional(mesh, metric, factor_c, fields)
-    raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn'")
+    if mode == "dn3":
+        return dn_difference_form(mesh, metric, conformal_metric(metric, factor_c))
+    raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn3'")
 
 
 def recover_q_point(
@@ -451,11 +412,13 @@ def recover_q_point(
     ----------
     factor_c : callable
         Conformal factor c(x, y) defining the discrepancy weight 1 - 1/c.
-    mode : {"synthetic", "dn"}
+    mode : {"synthetic", "dn3"}
         "synthetic" evaluates the weighted volume functional directly;
-        "dn" drives the boundary-data difference pipeline (two metrics,
-        eight nonlinear solves per real quadruple — slow, used to validate
-        the synthetic path end to end).
+        "dn3" evaluates the boundary side of the identity (***) under
+        ``metric`` and under c * ``metric`` from the exact third
+        linearization of the DN map: per metric and frequency one source
+        assembly and one Dirichlet solve on the complex probe fields, no
+        nonlinear solve.
     """
     functional = _probe_functional(mesh, metric, factor_c, mode)
     return _recover_point(mesh, metric, functional, center, tau_sweep, None)

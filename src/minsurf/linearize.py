@@ -120,22 +120,27 @@ class EpsilonCombination:
         return out
 
     def solve(self, eps):
-        """Nonlinear solution u(eps) as a nodal array (cached per +-eps pair).
+        """Nonlinear solution u(eps) as a nodal array (cached per +-eps pair,
+        see :func:`_odd_cached`)."""
+        return _odd_cached(self._cache, eps, lambda e: solve_minimal_surface(
+            self.mesh, self.metric, self.boundary_data(e), self.options)[0])
 
-        The pair is solved once, at the sign that makes the first nonzero
-        entry of eps positive; the other sign gets the negated array, which
-        is what its own solve would return bit for bit (module docstring).
-        """
-        eps = np.asarray(eps, dtype=float)
-        nonzero = eps[eps != 0.0]
-        sign = -1.0 if nonzero.size and nonzero[0] < 0.0 else 1.0
-        key = tuple(sign * eps)
-        if key not in self._cache:
-            u, _ = solve_minimal_surface(
-                self.mesh, self.metric, self.boundary_data(sign * eps), self.options
-            )
-            self._cache[key] = u
-        return self._cache[key] if sign > 0.0 else -self._cache[key]
+
+def _odd_cached(cache, eps, at):
+    """``at(eps)`` of a map odd in eps, evaluated once per +-eps pair.
+
+    The pair is evaluated at the sign that makes the first nonzero entry of
+    eps positive and kept in ``cache``; the other sign gets the negated
+    array, which is what its own evaluation would return bit for bit when
+    ``at`` is odd to the bit, as the cold solve is (module docstring).
+    """
+    eps = np.asarray(eps, dtype=float)
+    nonzero = eps[eps != 0.0]
+    sign = -1.0 if nonzero.size and nonzero[0] < 0.0 else 1.0
+    key = tuple(sign * eps)
+    if key not in cache:
+        cache[key] = at(sign * eps)
+    return cache[key] if sign > 0.0 else -cache[key]
 
 
 def _mixed_difference(combo, idx, h_eps, at):

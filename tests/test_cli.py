@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+import minsurf
 import minsurf.cli as cli
 import minsurf.forward as fwd
 import minsurf.identity as idn
@@ -288,7 +290,7 @@ def test_two_point_sweep_fails_point_reliable(tmp_path, capsys):
     # undefined, so the point is unreliable and its gates fail with exit 1
     code = cli.run(
         "recover-q",
-        {"mode": "dn", "mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0]},
+        {"mode": "dn3", "mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0]},
         out=tmp_path,
     )
     assert code == 1
@@ -317,6 +319,16 @@ def test_removed_forward_keys_are_unknown(tmp_path, capsys, override):
     ])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_manifest_reports_the_package_version(tmp_path):
+    # from a source checkout no distribution is installed, so the version is
+    # the package's own, which must be the one pyproject.toml declares
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert minsurf.__version__ == version
+    cli.run("forward", {"mesh": SMALL_SQUARE}, out=tmp_path)
+    assert read_manifest(tmp_path)["versions"]["artifact"] == version
 
 
 def test_manifest_embeds_fully_resolved_config(tmp_path):
@@ -492,6 +504,7 @@ def _write(tmp_path, text):
     ("forward", {"solver": {"tol": -1.0}}, "solver.tol"),
     ("forward", {"output_dir": 5}, "output_dir"),
     ("recover-q", {"mode": "exact"}, "mode"),
+    ("recover-q", {"mode": "dn"}, "mode"),
     ("boundary-jet", {"n_sweep": [-1, 2, 3]}, "n_sweep[0]"),
     ("boundary-jet", {"n_sweep": [20, 0, 40]}, "n_sweep[1]"),
     ("linearize-check", {"amplitude": 0}, "amplitude"),
@@ -526,7 +539,7 @@ def _write(tmp_path, text):
         "no-profiles", "profiles-same-k", "profile-not-an-object",
         "profile-weight-one", "weight-one", "two-equal-levels",
         "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
-        "unknown-mode", "negative-jet-frequency", "zero-jet-frequency",
+        "unknown-mode", "retired-dn-mode", "negative-jet-frequency", "zero-jet-frequency",
         "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
         "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
         "jet-metric-not-spd-at-point", "forward-data-not-finite",

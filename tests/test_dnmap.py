@@ -391,6 +391,27 @@ def test_third_derivative_fd_matches_exact():
     assert rels[0] / rels[1] > 3.0  # O(h_eps^2)
 
 
+def test_third_derivative_reads_one_trace_per_sign_pair(counting):
+    # the trace of the odd cold solve is odd to the bit, so the eight-point
+    # stencil reads one trace per +-eps pair and negates it for the other
+    # sign; the result is that of eight traces of eight fresh solves
+    mesh = geo.disc(12, 72)
+    fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]
+    combo = lin.EpsilonCombination(mesh, FLAT, fs)
+    traces = counting(dn, "_nonlinear_trace")
+    got = dn.dn_third_derivative(combo, (0, 1, 2), 0.02)
+    assert len(traces) == 4
+
+    def uncached(eps):
+        fb = combo.boundary_data(eps)
+        tr = dn._nonlinear_trace(mesh, FLAT, fb, fwd.solve_minimal_surface(mesh, FLAT, fb)[0])
+        return np.stack([tr.values, tr.flux])
+
+    values, flux = lin._mixed_difference(combo, (0, 1, 2), 0.02, uncached)
+    assert np.array_equal(got.values, values)
+    assert np.array_equal(got.flux, flux)
+
+
 def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
     mesh = geo.disc(10, 60)
     fs = [lambda X, Y: X, lambda X, Y: Y, lambda X, Y: X * X - Y * Y]

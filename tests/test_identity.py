@@ -157,32 +157,13 @@ def test_dn_difference_matches_weighted_functional_for_conformal_pair():
 
     fx = lambda x, y: x
     fy = lambda x, y: y
-    dirs = [fx, fx, fy, fy]
-    diff = idn.dn_difference_form(mesh, FLAT, cg, dirs)(0, 1, 2, 3)
+    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in (fx, fx, fy, fy)]
+    # the exact third linearization under both metrics (measured 7.1e-4)
+    diff = idn.dn_difference_form(mesh, FLAT, cg)(*vs)
 
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in dirs]
     target = idn.q_functional(mesh, FLAT, weight, *vs)
     assert abs(target) > 0.1  # non-degenerate direction set
     assert abs(diff - target) < 5e-3 * abs(target)
-
-
-# the nine quadruples of the polarized probe functional over (a, b, p, q)
-POLARIZED_QUADRUPLES = [
-    (0, 0, 2, 2), (0, 0, 3, 3), (1, 1, 2, 2), (1, 1, 3, 3), (0, 1, 2, 3),
-    (0, 0, 2, 3), (0, 1, 2, 2), (0, 1, 3, 3), (1, 1, 2, 3),
-]
-
-
-def test_dn_difference_form_is_the_functional_on_each_quadruple():
-    # the form shares one combination and its stencil solves between the
-    # quadruples; that sharing must not change a bit of any value
-    mesh = geo.disc(8, 48)
-    cg = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.5 * interior_bump(x, y))
-    parts = [geo.boundary_values(mesh, f) for f in DIRS]
-    form = idn.dn_difference_form(mesh, FLAT, cg, parts)
-    for quad in POLARIZED_QUADRUPLES:
-        alone = idn.dn_difference_form(mesh, FLAT, cg, [parts[i] for i in quad])
-        assert form(*quad) == alone(0, 1, 2, 3)
 
 
 def test_identity_functions_validate_direction_count():
