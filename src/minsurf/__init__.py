@@ -3,7 +3,7 @@
 Submodules
 ----------
 geometry
-    Meshes, metric fields, quadrature, assembly, boundary frames, and the
+    Meshes, metric fields, quadrature, assembly, the boundary measure, and the
     per-(mesh, metric) Discretization owner.
 forward
     Nonlinear minimal-surface solver and Laplace-Beltrami solves.

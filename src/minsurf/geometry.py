@@ -2,8 +2,8 @@
 
 This module provides the geometric substrate for the rest of the package:
 meshes of linear (P1) triangles, metric fields evaluated at quadrature
-points, weighted stiffness/mass assembly, and boundary frames that are
-orthonormal with respect to the metric.
+points, weighted stiffness assembly, and the boundary measure of the
+metric with its loop indexing.
 
 Conventions
 -----------
@@ -37,14 +37,14 @@ Conventions
   call site when a Hermitian quantity is wanted.
 * Boundary edges are oriented with the domain on the left, so the outer
   loop runs counterclockwise and interior hole loops run clockwise.  The
-  Euclidean outward normal is then (t_y, -t_x) for forward tangent t, and
-  the g-orthonormal frame is built by raising that normal with g^{-1},
-  which keeps g(nu, tau) = 0 exact.  Boundary arrays follow
+  boundary geometry is the g-measure (lumped dS_g, g-arclength, consistent
+  mass matrix) plus its loop indexing: boundary arrays follow
   ``Mesh.boundary_vertices`` (loops concatenated, outer loop first), and
   :class:`BoundaryGeometry` keeps two index arrays, the position of each
-  vertex's successor and of its predecessor on its own loop, so its frame,
+  vertex's successor and of its predecessor on its own loop, so its
   measure, mass matrix and :func:`tangential_derivative` treat all loops
-  at once.
+  at once.  Fluxes are read weakly against dS_g, so no per-vertex normal
+  is needed.
 
 One owner per (mesh, metric) pair
 ---------------------------------
@@ -895,16 +895,13 @@ class InteriorSystem:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryGeometry:
-    """g-orthonormal frame and measure on the mesh boundary.
+    """The g-measure on the mesh boundary and its loop indexing.
 
     All per-vertex arrays follow the ``mesh.boundary_vertices`` ordering
     (loops concatenated, outer loop first).
 
     Attributes
     ----------
-    normal, tangent : (n_b, 2) ndarray
-        Outward g-unit normal nu and forward g-unit tangent tau:
-        g(nu, nu) = g(tau, tau) = 1 and g(nu, tau) = 0.
     ds : (n_b,) ndarray
         Lumped boundary measure dS_g (half the g-length of the two adjacent
         edges); sums to the total g-perimeter.
@@ -921,8 +918,6 @@ class BoundaryGeometry:
         Total g-length per loop.
     """
 
-    normal: np.ndarray
-    tangent: np.ndarray
     ds: np.ndarray
     arclength: np.ndarray
     mass: sp.csr_matrix
@@ -943,14 +938,11 @@ def _g_sq(g, a):
 
 
 def boundary_geometry(mesh, metric):
-    """Build the g-orthonormal boundary frame and boundary measure.
+    """Build the boundary g-measure and the loop indexing of the boundary.
 
-    The Euclidean forward tangent at a vertex averages the two adjacent
-    edge directions; the outward normal is the raised Euclidean normal
-    g^{-1} n (which is automatically g-orthogonal to the tangent), and both
-    are normalized to unit g-length.  Edge g-lengths use two-point Gauss
-    quadrature along each edge.  Raises ValueError if the metric is not SPD
-    at a boundary vertex or edge quadrature point.
+    Edge g-lengths use two-point Gauss quadrature along each edge.  Raises
+    ValueError if the metric is not SPD at a boundary vertex or edge
+    quadrature point.
     """
     sizes = [len(loop) for loop in mesh.boundary_loops]
     stops = np.cumsum(sizes)
@@ -962,8 +954,7 @@ def boundary_geometry(mesh, metric):
     predecessor[starts] = stops - 1
 
     p = mesh.vertices[mesh.boundary_vertices]
-    g = g11, g12, g22 = _metric_entries(metric, p[:, 0], p[:, 1])
-    det = _spd_determinant(g, p[:, 0], p[:, 1], "boundary vertex")
+    _spd_determinant(_metric_entries(metric, *p.T), *p.T, "boundary vertex")
     edge = p[successor] - p  # edge k: position k -> successor[k]
     elen = np.zeros(len(p))
     for t, wq in zip(_EDGE_QUAD_T, _EDGE_QUAD_W):
@@ -972,24 +963,12 @@ def boundary_geometry(mesh, metric):
         _spd_determinant(gq, q[:, 0], q[:, 1], "boundary edge point")
         elen += wq * np.sqrt(_g_sq(gq, edge))
 
-    # Vertex frame from averaged adjacent edge directions.
-    unit = edge / np.linalg.norm(edge, axis=1)[:, None]
-    t_avg = unit + unit[predecessor]
-    tangent = t_avg / np.sqrt(_g_sq(g, t_avg))[:, None]
-    # normal: raise the Euclidean normal covector (t_y, -t_x), then normalize in g
-    nu = np.column_stack([g22 * t_avg[:, 1] + g12 * t_avg[:, 0],
-                          -g12 * t_avg[:, 1] - g11 * t_avg[:, 0]]) / det[:, None]
-    normal = nu / np.sqrt(_g_sq(g, nu))[:, None]
-    _check_frame(g, normal, tangent)
-
     # Consistent boundary mass: per edge, elen * [[1/3, 1/6], [1/6, 1/3]].
     ends = np.column_stack([np.arange(len(p)), successor])
     entries = (elen[:, None] / [3.0, 6.0, 6.0, 3.0]).ravel()
     rows, cols = np.repeat(ends, 2, axis=1).ravel(), np.tile(ends, 2).ravel()
     mass = sp.coo_matrix((entries, (rows, cols)), shape=(len(p), len(p))).tocsr()
     return BoundaryGeometry(
-        normal=normal,
-        tangent=tangent,
         ds=0.5 * (elen + elen[predecessor]),
         # per loop, so each sum runs in the order of the loop alone
         arclength=np.concatenate(
@@ -1001,23 +980,6 @@ def boundary_geometry(mesh, metric):
         predecessor=predecessor,
         loop_lengths=[float(elen[sl].sum()) for sl in loop_slices],
     )
-
-
-def _check_frame(g, normal, tangent, tol=1e-12):
-    """Verify g-orthonormality of the boundary frame (construction invariant).
-
-    g(nu, tau) is read by polarization, (g(nu + tau) - g(nu - tau)) / 4.
-    A NaN anywhere in the frame fails the check.
-    """
-    err = np.max([
-        np.abs(_g_sq(g, normal) - 1.0).max(),
-        np.abs(_g_sq(g, tangent) - 1.0).max(),
-        np.abs(_g_sq(g, normal + tangent) - _g_sq(g, normal - tangent)).max() / 4.0,
-    ])
-    if not err <= tol:
-        raise AssertionError(
-            f"boundary frame failed g-orthonormality check: max error {err:.3e}"
-        )
 
 
 def boundary_values(mesh, data):

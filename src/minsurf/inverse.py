@@ -557,6 +557,18 @@ def jet_step(t):
     return out
 
 
+def _jet_frame(bverts, bg, i):
+    """Unit tangent (mean of the two unit edge directions) and inward normal
+    (the tangent turned left: each loop has the domain on its left) at
+    boundary position ``i``; where g = gamma * identity, the g-orthonormal
+    frame at unit Euclidean length."""
+    ahead = bverts[bg.successor[i]] - bverts[i]
+    behind = bverts[i] - bverts[bg.predecessor[i]]
+    tangent = ahead / np.hypot(*ahead) + behind / np.hypot(*behind)
+    tangent = tangent / np.hypot(*tangent)
+    return tangent, np.array([-tangent[1], tangent[0]])
+
+
 def boundary_jet_probe(
     mesh,
     metric,
@@ -588,8 +600,9 @@ def boundary_jet_probe(
     explanatory message instead of fitting noise; a sweep of two distinct
     frequencies reports an undefined (NaN) fit residual and an unreliable
     result.  Each frequency N must be finite and positive and its
-    wavelength 2 pi / N must span at least 10 mesh cells, or the probe
-    raises ResolutionError.
+    wavelength 2 pi / N must span at least 10 mesh cells, and ``point``
+    must lie within one mesh size of its nearest boundary vertex, where the
+    probe is built; otherwise the probe raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
@@ -600,20 +613,22 @@ def boundary_jet_probe(
                               f"got N={freqs[~positive][0]:g}")
     if isinstance(m, bool) or not (isinstance(m, numbers.Integral) and m >= 1):
         raise ResolutionError(f"jet order m must be a positive integer, got {m!r}")
-    gamma_p = _conformal_scale_at(metric, point, "boundary-jet probe")
+    bverts = mesh.vertices[mesh.boundary_vertices]
+    distance = np.hypot(*(bverts - np.asarray(point, dtype=float)).T)
+    i_near = int(np.argmin(distance))
+    base = bverts[i_near]
+    if distance[i_near] > mesh.h:
+        raise ResolutionError(
+            f"boundary-jet point ({point[0]:.4g}, {point[1]:.4g}) is not on the "
+            f"boundary: nearest boundary vertex ({base[0]:.4g}, {base[1]:.4g}) is "
+            f"{distance[i_near]:.4g} away, more than the mesh size {mesh.h:.4g}")
+    gamma_p = _conformal_scale_at(metric, base, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
     form = q_form(mesh, metric, _discrepancy_weight(factor_c))
 
     extension = discretization(mesh, metric)
-    bg = extension.boundary
-    bverts = mesh.vertices[mesh.boundary_vertices]
-    i_near = int(np.argmin(np.hypot(*(bverts - np.asarray(point, dtype=float)).T)))
-    base = bverts[i_near]
-    tangent = bg.tangent[i_near]
-    tangent = tangent / np.hypot(*tangent)
-    normal = -bg.normal[i_near]  # inward
-    normal = normal / np.hypot(*normal)
+    tangent, normal = _jet_frame(bverts, extension.boundary, i_near)
     offsets = bverts - base
     x1 = offsets @ tangent
     x2 = np.maximum(offsets @ normal, 0.0)

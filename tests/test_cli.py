@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tomllib
@@ -179,13 +180,36 @@ JET_SQUARE = {"kind": "square", "n": 48}
                               "g12": {"name": "constant", "value": 0.1}}}),
     ("boundary-jet", {"mesh": JET_SQUARE, "m": 0}),
     ("boundary-jet", {"mesh": JET_SQUARE, "n_sweep": [20.0]}),
+    # resolved, but the centre of the square is no boundary point
+    ("boundary-jet", {"mesh": JET_SQUARE, "n_sweep": [4.0, 5.0, 6.0],
+                      "point": [0.5, 0.5]}),
 ], ids=["unresolved-tau", "centre-margin", "one-frequency", "not-conformal",
-        "jet-order-zero", "one-jet-frequency"])
+        "jet-order-zero", "one-jet-frequency", "jet-point-off-boundary"])
 def test_recover_q_infeasible_sweep_is_a_config_error(tmp_path, capsys,
                                                       subcommand, config):
     code = cli.run(subcommand, config, out=tmp_path)
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+# constant and SPD, with condition number about 2e4
+ANISOTROPIC = {"kind": "explicit", "g12": {"name": "constant", "value": 0.9999}}
+
+
+@pytest.mark.parametrize("subcommand, config", [
+    ("forward", {}),
+    ("area-pipeline", {}),
+    ("linearize-check", {}),
+    ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0, 4.0]}),
+    ("identity-check", {}),
+    ("boundary-jet", {"mesh": {"kind": "square", "n": 32}}),
+], ids=["forward", "area-pipeline", "linearize-check", "recover-q", "identity-check",
+        "boundary-jet"])
+def test_anisotropic_metric_returns_an_exit_code(tmp_path, subcommand, config):
+    # no subcommand may end in a traceback on a far from conformal chart:
+    # it passes, fails a criterion, or rejects the chart as a config error
+    code = cli.run(subcommand, {**config, "metric": ANISOTROPIC}, out=tmp_path)
+    assert code in (0, 1, 2)
 
 
 def test_boundary_jet_small(tmp_path):
@@ -319,6 +343,18 @@ def test_removed_forward_keys_are_unknown(tmp_path, capsys, override):
     ])
     assert code == 2
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_benchmark_workload_configs_resolve():
+    # the benchmark pins its configs key by key (``h_eps_factor: None``,
+    # ``field: None``, ``mode``); a key renamed or dropped here would turn
+    # every benchmark run into a config error.  run_path reads the file
+    # without writing bytecode next to it.
+    workloads = runpy.run_path(
+        str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+    for name, spec in workloads["WORKLOADS"].items():
+        for seed in (0, 1, 7):
+            cli.resolve_config(spec["subcommand"], workloads["config"](name, seed))
 
 
 def test_manifest_reports_the_package_version(tmp_path):

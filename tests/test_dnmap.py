@@ -71,7 +71,8 @@ def ng_map(mesh, metric, u):
 
     Averages the Riemannian gradients of the triangles around each
     boundary vertex (area-weighted) and evaluates
-    g(nu, grad u)/sqrt(1+|grad_g u|^2) with the metric at the vertex.
+    g(nu, grad u)/sqrt(1+|grad_g u|^2) with the metric at the vertex, nu
+    the Euclidean outward unit normal (the g-unit normal on a flat chart).
     First-order accurate; an independent cross-check of the
     superconvergent weak-flux route used by ``dn_nonlinear``.
     """
@@ -88,6 +89,13 @@ def ng_map(mesh, metric, u):
     p = mesh.vertices[idx]
     g11, g12, g22 = geo._metric_entries(metric, p[:, 0], p[:, 1])
     gv = recovered[idx]
+    # each loop has the domain on its left: the outward normal turns the
+    # averaged edge direction right
+    edge = p[bg.successor] - p
+    unit = edge / np.linalg.norm(edge, axis=1)[:, None]
+    tangent = unit + unit[bg.predecessor]
+    normal = np.column_stack([tangent[:, 1], -tangent[:, 0]])
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
 
     def form(a, b):
         return (
@@ -96,7 +104,7 @@ def ng_map(mesh, metric, u):
             + g22 * a[:, 1] * b[:, 1]
         )
 
-    normal_part = form(bg.normal, gv)
+    normal_part = form(normal, gv)
     slope_sq = form(gv, gv)
     return normal_part / np.sqrt(1.0 + slope_sq)
 

@@ -269,44 +269,6 @@ def test_quadrature_exact_for_quadratics():
     assert abs(val - 2.0 / 3.0) < 1e-14
 
 
-def test_boundary_frame_orthonormal_under_curved_metric():
-    d = geo.disc(10, 60)
-    g = geo.explicit_metric(
-        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-    )
-    bg = geo.boundary_geometry(d, g)  # construction asserts to 1e-12
-    p = d.vertices[d.boundary_vertices]
-    g11, g12, g22 = geo._metric_entries(g, p[:, 0], p[:, 1])
-
-    def form(a, b):
-        return (
-            g11 * a[:, 0] * b[:, 0]
-            + g12 * (a[:, 0] * b[:, 1] + a[:, 1] * b[:, 0])
-            + g22 * a[:, 1] * b[:, 1]
-        )
-
-    assert np.abs(form(bg.normal, bg.normal) - 1.0).max() < 1e-12
-    assert np.abs(form(bg.tangent, bg.tangent) - 1.0).max() < 1e-12
-    assert np.abs(form(bg.normal, bg.tangent)).max() < 1e-12
-
-
-def test_boundary_normals_point_outward():
-    g = geo.flat_metric()
-    d = geo.disc(8, 48)
-    bg = geo.boundary_geometry(d, g)
-    p = d.vertices[d.boundary_vertices]
-    rhat = p / np.linalg.norm(p, axis=1)[:, None]
-    assert ((bg.normal * rhat).sum(axis=1) > 0.99).all()
-    # annulus: outward means away from the domain, so toward the center on
-    # the inner loop
-    a = geo.annulus(0.5, 1.5, 8, 48)
-    bga = geo.boundary_geometry(a, g)
-    sl_outer, sl_inner = bga.loop_slices
-    p_in = a.vertices[a.boundary_vertices[sl_inner]]
-    rhat_in = p_in / np.linalg.norm(p_in, axis=1)[:, None]
-    assert ((bga.normal[sl_inner] * rhat_in).sum(axis=1) < -0.99).all()
-
-
 def test_boundary_measure_scales_with_metric():
     m = geo.square(6)
     g = geo.flat_metric()
@@ -454,11 +416,9 @@ def test_nested_dissection_leaves_less_fill_than_minimum_degree():
 
 
 def _reference_boundary_geometry(mesh, metric):
-    """Fields of the per-loop construction of the boundary frame and measure."""
+    """Fields of the per-loop construction of the boundary measure."""
     verts = mesh.vertices
     n_b = len(mesh.boundary_vertices)
-    normal = np.empty((n_b, 2))
-    tangent = np.empty((n_b, 2))
     ds = np.empty(n_b)
     arclength = np.empty(n_b)
     loop_slices = []
@@ -478,21 +438,6 @@ def _reference_boundary_geometry(mesh, metric):
             quad = (g11 * edge[:, 0] ** 2 + 2 * g12 * edge[:, 0] * edge[:, 1]
                     + g22 * edge[:, 1] ** 2)
             elen += wq * np.sqrt(quad)
-        unit = edge / np.linalg.norm(edge, axis=1)[:, None]
-        t_avg = unit + np.roll(unit, 1, axis=0)
-        n_euclid = np.column_stack([t_avg[:, 1], -t_avg[:, 0]])
-        g11, g12, g22 = geo._metric_entries(metric, p[:, 0], p[:, 1])
-        det = g11 * g22 - g12**2
-        tnorm = np.sqrt(g11 * t_avg[:, 0] ** 2 + 2 * g12 * t_avg[:, 0] * t_avg[:, 1]
-                        + g22 * t_avg[:, 1] ** 2)
-        nu = np.column_stack([
-            (g22 * n_euclid[:, 0] - g12 * n_euclid[:, 1]) / det,
-            (-g12 * n_euclid[:, 0] + g11 * n_euclid[:, 1]) / det,
-        ])
-        nnorm = np.sqrt(g11 * nu[:, 0] ** 2 + 2 * g12 * nu[:, 0] * nu[:, 1]
-                        + g22 * nu[:, 1] ** 2)
-        tangent[sl] = t_avg / tnorm[:, None]
-        normal[sl] = nu / nnorm[:, None]
         ds[sl] = 0.5 * (elen + np.roll(elen, 1))
         arclength[sl] = np.concatenate([[0.0], np.cumsum(elen[:-1])])
         loop_lengths.append(float(elen.sum()))
@@ -504,8 +449,8 @@ def _reference_boundary_geometry(mesh, metric):
             vals.extend([elen[k] / 3.0, elen[k] / 6.0, elen[k] / 6.0, elen[k] / 3.0])
         pos += m
     mass = sp.coo_matrix((vals, (rows, cols)), shape=(n_b, n_b)).tocsr()
-    return dict(normal=normal, tangent=tangent, ds=ds, arclength=arclength,
-                mass=mass, loop_slices=loop_slices, loop_lengths=loop_lengths)
+    return dict(ds=ds, arclength=arclength, mass=mass, loop_slices=loop_slices,
+                loop_lengths=loop_lengths)
 
 
 def _reference_tangential_derivative(ref, values):
@@ -532,7 +477,7 @@ def test_boundary_geometry_matches_per_loop_reference(build):
     for metric in (geo.flat_metric(), CURVED, conformal):
         bg = geo.boundary_geometry(mesh, metric)
         ref = _reference_boundary_geometry(mesh, metric)
-        for name in ("normal", "tangent", "ds", "arclength"):
+        for name in ("ds", "arclength"):
             np.testing.assert_array_equal(getattr(bg, name), ref[name], err_msg=name)
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(bg.mass, part),
@@ -545,31 +490,6 @@ def test_boundary_geometry_matches_per_loop_reference(build):
             np.testing.assert_array_equal(bg.predecessor[sl], np.roll(pos, 1))
         np.testing.assert_array_equal(geo.tangential_derivative(bg, f),
                                       _reference_tangential_derivative(ref, f))
-
-
-def test_boundary_frame_check_rejects_a_non_orthonormal_frame():
-    d = geo.disc(6, 36)
-    p = d.vertices[d.boundary_vertices]
-    g = geo._metric_entries(CURVED, p[:, 0], p[:, 1])
-    bg = geo.boundary_geometry(d, CURVED)
-    geo._check_frame(g, bg.normal, bg.tangent)
-    with pytest.raises(AssertionError, match="g-orthonormality"):
-        geo._check_frame(g, bg.normal, bg.tangent + 1e-9 * bg.normal)
-
-
-def test_boundary_frame_check_rejects_a_nan_frame():
-    # Python's max() drops a NaN that does not come first, and NaN > tol is
-    # False: a NaN in either vector, at any vertex, must still fail the check
-    d = geo.disc(6, 36)
-    p = d.vertices[d.boundary_vertices]
-    g = geo._metric_entries(CURVED, p[:, 0], p[:, 1])
-    bg = geo.boundary_geometry(d, CURVED)
-    for k in (0, len(p) // 2, len(p) - 1):
-        for which in (0, 1):
-            frame = [bg.normal.copy(), bg.tangent.copy()]
-            frame[which][k] = np.nan
-            with pytest.raises(AssertionError, match="g-orthonormality"):
-                geo._check_frame(g, *frame)
 
 
 def test_boundary_geometry_rejects_a_metric_not_spd_on_the_boundary():

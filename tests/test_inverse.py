@@ -494,10 +494,11 @@ def test_recover_field_dn3_mode_matches_the_synthetic_grid():
 
 @pytest.mark.xfail(
     reason=(
-        "separating two bumps needs probe kernels narrower than the bump "
-        "spacing, but the boundary-amplitude budget of any affordable mesh "
-        "caps tau far below that scale; the recovered field has no usable "
-        "peak structure"
+        "the affine estimator Q_hat = -A/(2 pi) reads Q off the tau -> "
+        "infinity asymptote, but at tau <= 10 the probe kernel, about "
+        "(tau d)^4 at distance d, weighs the other bump more than the point "
+        "itself, even on exact data; the recovered field has no usable peak "
+        "structure"
     ),
     raises=AssertionError,
     strict=True,
@@ -692,6 +693,28 @@ def test_jet_probe_validation_and_resolution_guards():
         with pytest.raises(inv.ResolutionError, match=f"positive, got N={sweep[0]:g}$"):
             inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), JET_POINT, 2,
                                    sweep)
+    # the centre of the square is half a side from its nearest boundary vertex
+    with pytest.raises(inv.ResolutionError,
+                       match=r"\(0\.5, 0\.5\) is not on the boundary.* 0\.5 away"):
+        inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), (0.5, 0.5), 2,
+                               JET_SWEEP)
+
+
+@pytest.mark.parametrize("mesh, point, tangent, normal", [
+    (geo.disc(8, 48), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),
+    (geo.square(8), (0.5, 0.0), (1.0, 0.0), (0.0, 1.0)),
+    # the inner loop of an annulus runs clockwise, with the domain on its left
+    (geo.annulus(0.5, 1.5, 8, 48), (0.5, 0.0), (0.0, -1.0), (1.0, 0.0)),
+], ids=["disc", "square", "annulus-inner"])
+def test_jet_frame_is_the_unit_tangent_and_inward_normal(mesh, point, tangent, normal):
+    bverts = mesh.vertices[mesh.boundary_vertices]
+    i = int(np.argmin(np.hypot(*(bverts - point).T)))
+    np.testing.assert_allclose(bverts[i], point, atol=1e-15)
+    t, n = inv._jet_frame(bverts, geo.discretization(mesh, FLAT).boundary, i)
+    assert abs(np.hypot(*t) - 1.0) <= 1e-15 and abs(np.hypot(*n) - 1.0) <= 1e-15
+    assert abs(t @ n) <= 1e-15
+    np.testing.assert_allclose(t, tangent, atol=1e-15)
+    np.testing.assert_allclose(n, normal, atol=1e-15)
 
 
 def test_jet_probe_accepts_a_numpy_integer_order():
