@@ -124,6 +124,11 @@ _EDGE_QUAD_W = np.array([0.5, 0.5])
 _ORDER_BITS = 16
 _ORDER_LEAF = 8
 
+# SuperLU's supernode relaxation and panel width (factor_spd); relax must
+# not exceed panel_size.
+_SUPERLU_RELAX = 4
+_SUPERLU_PANEL_SIZE = 4
+
 
 def _cross2(a, b):
     """z-component of the cross product of stacked 2D vectors."""
@@ -815,11 +820,30 @@ def factor_spd(A):
     which each factorization would recompute, and takes a third less time
     to factor; on the 1,657 unknowns of disc(24, 144) it leaves 6% more, at
     the same solve time.
+
+    The panel constants keep SuperLU's scratch from setting the peak
+    memory.  Its panel work arrays grow with n * panel_size (Demmel,
+    Eisenstat, Gilbert, Li & Liu, SIAM J. Matrix Anal. Appl. 20, 1999); at
+    scipy's panel_size 20 and relax 10 they put a peak 16 MB above the 39
+    MB the disc(128, 768) factor keeps.  At ``_SUPERLU_PANEL_SIZE`` 4 and
+    ``_SUPERLU_RELAX`` 4 that peak is gone and the factor takes no longer.
+    relax must not exceed panel_size: settings with relax > panel_size
+    have crashed the interpreter at exit.
+
+    ``A`` is a CSR matrix whose indices are sorted in place.  It is handed
+    to SuperLU as its own CSC arrays, with no copy: every factored block is
+    bit-symmetric, because :func:`hat_pair_elements` writes exactly
+    symmetric element matrices and :func:`assemble_elements` sums the
+    entries (i, j) and (j, i) in the same triangle order, so the sorted
+    CSR arrays of A are the CSC arrays of A, bit for bit.
     """
+    A.sort_indices()
     return spla.splu(
-        A.tocsc(),
+        sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
+        relax=_SUPERLU_RELAX,
+        panel_size=_SUPERLU_PANEL_SIZE,
         options=dict(SymmetricMode=True),
     )
 

@@ -169,7 +169,7 @@ def _conformal_scale_at(metric, point, context):
         raise ResolutionError(
             f"{context} requires a conformally flat chart (g = gamma * identity); "
             f"at ({point[0]:.4g}, {point[1]:.4g}) got g11={g[0, 0]:.6g}, "
-            f"g12={g[0, 1]:.3g}, g22={g[1, 1]:.6g}"
+            f"g12={g[0, 1]:.6g}, g22={g[1, 1]:.6g}"
         )
     return float(scale)
 

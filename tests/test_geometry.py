@@ -1,6 +1,8 @@
 """Tests for meshes, metrics, assembly, boundary frames and the owner."""
 
 import gc
+import os
+import subprocess
 import sys
 import threading
 import weakref
@@ -608,6 +610,55 @@ def test_factor_spd_solves_match_the_default_factor():
         want = spla.splu(A.tocsc()).solve(rhs)
         got = geo.factor_spd(A).solve(rhs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_factored_blocks_are_their_own_csc_arrays():
+    # factor_spd hands SuperLU the sorted CSR arrays of A[O, O] as its CSC
+    # arrays, which is exact only if the block is bit-symmetric
+    mesh = geo.disc(24, 144)
+    O = mesh.interior_order
+    x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
+    u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y
+    K = geo.discretization(mesh, CURVED).stiffness
+    J = fwd.mse_linearized_operator(mesh, CURVED, u)
+    for A in (K, J):
+        block = A[O][:, O]
+        block.sort_indices()
+        csc = block.tocsc()
+        for name in ("data", "indices", "indptr"):
+            assert getattr(block, name).tobytes() == getattr(csc, name).tobytes()
+    # relax > panel_size has crashed the interpreter at exit
+    assert 0 < geo._SUPERLU_RELAX <= geo._SUPERLU_PANEL_SIZE
+
+
+FACTOR_MEMORY = """
+from minsurf import geometry as geo
+
+mesh = geo.disc(128, 768)
+O = mesh.interior_order
+K = geo.discretization(mesh, geo.flat_metric()).stiffness
+lu = geo.factor_spd(K[O][:, O])
+with open("/proc/self/status") as fh:
+    fields = dict(line.split(":", 1) for line in fh)
+print(fields["VmHWM"].split()[0], fields["VmRSS"].split()[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_factor_scratch_does_not_set_the_peak():
+    # the mesh build peaks below the RSS the factor keeps, so a high-water
+    # mark above that RSS is the factor's own scratch: at SuperLU's default
+    # panel_size 20 it is 16 MB on this block
+    proc = subprocess.run(
+        [sys.executable, "-c", FACTOR_MEMORY],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    hwm_kb, rss_kb = map(int, proc.stdout.split())
+    assert hwm_kb - rss_kb <= 4 * 1024
 
 
 def test_multi_column_extension_matches_per_column_solves():

@@ -187,6 +187,16 @@ def test_probe_requires_conformally_flat_metric():
         inv.make_interior_probe(mesh, skew, (0.0, 0.0), 2.0)
 
 
+def test_conformal_flatness_error_names_the_metric_it_was_given():
+    # g12 = 0.9999 printed to 3 digits reads 1, a singular metric
+    mesh = geo.disc(12, 72)
+    sheared = geo.explicit_metric(
+        lambda x, y: (np.ones_like(x), np.full_like(x, 0.9999), np.ones_like(x)))
+    with pytest.raises(inv.ResolutionError) as err:
+        inv.recover_q_point(mesh, sheared, gaussian_factor, (0.0, 0.0), [2.0, 3.0])
+    assert "g12=0.9999" in str(err.value)
+
+
 def test_conformal_flatness_is_checked_away_from_sampled_vertices():
     # g12 is a small bump supported away from the seven vertices a spot
     # check would sample, so only a check at every quadrature point sees it
