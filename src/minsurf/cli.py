@@ -259,11 +259,6 @@ def _thresholds(**defaults):
     return _section(**{name: (d, THRESHOLD) for name, d in defaults.items()})
 
 
-def _indices(n):
-    return Seq(INTEGER, (lambda v, cfg: len(v) == n and all(
-        0 <= i < len(cfg["directions"]) for i in v), f"{n} indices into directions"))
-
-
 def _jet_label(profile):
     """The ``k`` of a boundary-jet profile, its CSV label; 0 if it has none."""
     return profile.keywords.get("k", 0)
@@ -280,8 +275,8 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
     "forward": {
         "mesh": ({"kind": "square", "n": 64}, MESH),
         "metric": FLAT,
-        "boundary_data": ({"name": "affine", "a0": 0.0, "ax": 0.05, "ay": 0.1},
-                          FUNCTION),
+        # a saddle: the flat square with affine data is already minimal
+        "boundary_data": ({"name": "quadratic", "cxx": 0.3, "cyy": -0.3}, FUNCTION),
         "solver": SOLVER,
         "assertions": _section(
             max_iterations=(25, THRESHOLD), residual_max=(1e-9, THRESHOLD),
@@ -292,15 +287,13 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
     "linearize-check": {
         "mesh": SMALL_DISC,
         "metric": FLAT,
+        # the second difference runs along the first two, the third along all
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 0.0, 1.0]}],
-                       Seq(FUNCTION, (lambda v, cfg: len(v) >= 3,
-                                      "3 or more function specs"))),
+                       Seq(FUNCTION, (lambda v, cfg: len(v) == 3, "3 function specs"))),
         "amplitude": (0.05, Num(float, NONZERO)),
         "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
             lambda v, cfg: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
             "two or more distinct finite positive values for a slope fit"))),
-        "pair": ([0, 1], _indices(2)),
-        "triple": ([0, 1, 2], _indices(3)),
         "third_h_eps": (0.02, Num(float, POSITIVE)),
         "solver": SOLVER,
         "assertions": _thresholds(second_slope_min=1.8, second_final_rel_max=1e-4,
@@ -391,10 +384,10 @@ def _build(cfg):
     the quadrature points and on the boundary of every mesh (boundary
     vertices and edge quadrature points), each weight Q below 1 at its
     vertices and quadrature points, the boundary data and every direction
-    finite on the boundary vertices, each direction that ``pair`` or
-    ``triple`` picks (every direction when there are no picks) nonzero
-    somewhere on the boundary, ``levels`` of two or more sizes, and the
-    metric SPD at ``point``.
+    finite on the boundary vertices, every direction nonzero somewhere on
+    the boundary, ``levels`` of two or more sizes, the metric SPD at
+    ``point``, and a ``field`` grid with a point, which it adds as
+    ``field["grid"]``.
     """
     cfg["metric"] = cfg["metric"]()
     if "levels" in cfg:
@@ -405,8 +398,6 @@ def _build(cfg):
     weights = [(f"profiles[{i}]", q) for i, q in enumerate(cfg.get("profiles", []))]
     if "weight" in cfg:
         weights.append(("weight", cfg["weight"]))
-    picked = (sorted({*cfg["pair"], *cfg["triple"]}) if "pair" in cfg
-              else range(len(cfg.get("directions", ()))))
     meshes = []
     for key, build in builders:
         try:
@@ -429,12 +420,11 @@ def _build(cfg):
             data.append(("boundary_data", cfg["boundary_data"]))
         for name, fn in data:
             with np.errstate(all="ignore"):  # the overflow is what is reported
-                finite = np.all(np.isfinite(fn(bx, by)))
-            if not finite:
+                values = fn(bx, by)
+            if not np.all(np.isfinite(values)):
                 raise ConfigError(name, "is not finite on the mesh boundary")
-        for j in picked:
-            if not np.any(cfg["directions"][j](bx, by)):
-                raise ConfigError(f"directions[{j}]", "is zero on the mesh boundary, "
+            if name != "boundary_data" and not np.any(values):
+                raise ConfigError(name, "is zero on the mesh boundary, "
                                   "so every linearization along it vanishes")
         meshes.append(mesh)
     if "levels" not in cfg:
@@ -448,6 +438,11 @@ def _build(cfg):
             geo.metric_eval(cfg["metric"], cfg["point"])
         except ValueError as exc:
             raise ConfigError("point", str(exc)) from None
+    if cfg.get("field") is not None:
+        field = cfg["field"]
+        field["grid"] = inv.interior_grid(cfg["mesh"], field["spacing"], field["margin"])
+        if not len(field["grid"]):
+            raise ConfigError("field", "no grid point lies in the chart at this margin")
 
 
 def _cell(value):
@@ -586,15 +581,14 @@ def run_forward(cfg, out_dir, log):
 
 def run_linearize_check(cfg, out_dir, log):
     mesh, metric, directions = cfg["mesh"], cfg["metric"], _directions(cfg)
-    pair, triple, third_h_eps, eps_sweep = (
-        cfg[k] for k in ("pair", "triple", "third_h_eps", "eps_sweep"))
+    third_h_eps, eps_sweep = cfg["third_h_eps"], cfg["eps_sweep"]
     combo = lin.EpsilonCombination(mesh, metric, directions,
                                    fwd.SolveOptions(**cfg["solver"]))
 
     # second linearization: the finite-difference estimate must vanish as the
     # stencil width shrinks, at second order
     t0 = time.perf_counter()
-    sups = [float(np.abs(lin.linearization_fd(combo, pair, h)).max())
+    sups = [float(np.abs(lin.linearization_fd(combo, (0, 1), h)).max())
             for h in eps_sweep]
     second_s = time.perf_counter() - t0
     write_csv(out_dir / "second_linearization.csv", ["h_eps", "sup_norm"],
@@ -608,9 +602,9 @@ def run_linearize_check(cfg, out_dir, log):
 
     # third linearization: independent PDE solve against the FD estimate
     t0 = time.perf_counter()
-    v = [fwd.solve_laplace_beltrami(mesh, metric, directions[j]) for j in triple]
-    w_pde = lin.third_linearization_pde(mesh, metric, v[0], v[1], v[2])
-    w_fd = lin.linearization_fd(combo, triple, third_h_eps)
+    v = [fwd.solve_laplace_beltrami(mesh, metric, d) for d in directions]
+    w_pde = lin.third_linearization_pde(mesh, metric, *v)
+    w_fd = lin.linearization_fd(combo, (0, 1, 2), third_h_eps)
     third_s = time.perf_counter() - t0
     rel_third = float(np.abs(w_pde - w_fd).max() / np.abs(w_pde).max())
     write_csv(out_dir / "third_linearization.csv",
@@ -721,11 +715,9 @@ def run_recover_q(cfg, out_dir, log):
 
     field_s = 0.0
     if cfg["field"] is not None:
-        margin = cfg["field"]["margin"]
-        grid = inv.interior_grid(mesh, cfg["field"]["spacing"], margin)
         t0 = time.perf_counter()
-        out = inv.recover_q_field(mesh, metric, factor, grid, taus, mode=mode,
-                                  probe_margin=margin)
+        out = inv.recover_q_field(mesh, metric, factor, cfg["field"]["grid"], taus,
+                                  mode=mode, probe_margin=cfg["field"]["margin"])
         field_s = time.perf_counter() - t0
         for res in out.points:
             px, py = res.point

@@ -98,7 +98,7 @@ class DNTrace:
     Attributes
     ----------
     bg : BoundaryGeometry
-        Frame and measure the trace lives on.
+        Boundary g-measure, arclength and loop indexing the trace lives on.
     values : ndarray
         Nodal values of the map output: the normal derivative Lambda for
         the linear and nonlinear maps, its third derivative for
@@ -377,10 +377,10 @@ def dn_from_area_data(
         for k in np.flatnonzero(~settled.all(axis=1)):
             correctors += 1
             for j, sign in enumerate(signs):
-                guess = replace(options, initial_guess=replace(
-                    warm, values=prediction(k, sign)))
                 data = fb + sign * t * unit[:, k]
-                areas[k, j] = solve_minimal_surface(mesh, metric, data, guess)[1].area
+                areas[k, j] = solve_minimal_surface(
+                    mesh, metric, data, options,
+                    initial_guess=replace(warm, values=prediction(k, sign)))[1].area
         flux[start:hats.stop] = (areas[:, 0] - areas[:, 1]) / (2.0 * t)
     area_trace = _flux_trace(d.boundary, fb, flux)
     return replace(area_trace, corrector_solves=correctors), base_trace

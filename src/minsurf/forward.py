@@ -92,17 +92,10 @@ class SolveOptions:
         Absolute tolerance on the Euclidean norm of the interior residual.
     max_iter : int
         Maximum steps, chord and Newton steps counted alike.
-    initial_guess : WarmStart, optional
-        None for the cold start (the Laplace-Beltrami extension, with chord
-        steps on K[I, I]), or a :class:`WarmStart`, whose interior system
-        then serves the chord steps; with ``system`` None every step is a
-        Newton step.  The refresh rule applies to both chord starts (see the
-        module docstring).  Anything else makes the solve raise TypeError.
     """
 
     tol: float = 1e-10
     max_iter: int = 30
-    initial_guess: Optional[WarmStart] = None
 
 
 @dataclass
@@ -152,8 +145,8 @@ class WarmStart:
     minimum to leading order (see :func:`~minsurf.dnmap.dn_from_area_data`).
     :func:`warm_start` builds the system of J(values); the cold start pairs
     the harmonic extension of the data with the owner's system of K = J(0).
-    Pass it, or a copy with predicted ``values``, as
-    ``SolveOptions.initial_guess``.  With ``system`` None the solve starts
+    Pass it, or a copy with predicted ``values``, as the ``initial_guess``
+    of :func:`solve_minimal_surface`.  With ``system`` None the solve starts
     at ``values`` and takes a fresh Newton Jacobian at every step.
     """
 
@@ -223,8 +216,8 @@ def warm_start(mesh, metric, u):
     """Factor J(u) once for chord-step solves that start at or near u.
 
     Assembles the Newton Jacobian at the nodal field ``u`` and builds its
-    interior system.  Every solve given the result as
-    ``SolveOptions.initial_guess`` starts from ``u`` and takes its steps on
+    interior system.  Every solve given the result as its
+    ``initial_guess`` starts from ``u`` and takes its steps on
     that system (see the module docstring for the refresh rule); a solve
     given a copy with other ``values``, such as a tangent prediction,
     starts there instead.  Raises ValueError for a complex field.
@@ -242,15 +235,17 @@ def solve_laplace_beltrami(mesh, metric, boundary_data):
     return discretization(mesh, metric).extend(boundary_values(mesh, boundary_data))
 
 
-def solve_minimal_surface(mesh, metric, boundary_data, options=None):
+def solve_minimal_surface(mesh, metric, boundary_data, options=None, *,
+                          initial_guess=None):
     """Damped chord/Newton solve of the discrete minimal-surface equation.
 
     Starts from the Laplace-Beltrami extension of the boundary data and
     takes chord steps on the owner's factor of K[I, I] = J(0)[I, I], unless
-    ``options.initial_guess``, a :class:`WarmStart`, overrides both with its
-    values and its system (Newton steps throughout if it has none).  Every
-    step has Armijo backtracking on the interior residual norm, and the
-    refresh rule replaces stale chord steps with Newton steps.
+    ``initial_guess``, a :class:`WarmStart`, overrides both with its values
+    and its system (Newton steps throughout if it has none).  Only the cold
+    start is odd in the data (see :mod:`minsurf.linearize`).  Every step
+    has Armijo backtracking on the interior residual norm, and the refresh
+    rule replaces stale chord steps with Newton steps.
 
     Returns
     -------
@@ -260,7 +255,7 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
     Raises
     ------
     TypeError
-        If ``options.initial_guess`` is neither None nor a WarmStart.
+        If ``initial_guess`` is neither None nor a WarmStart.
     ConvergenceError
         If the tolerance is not met within ``max_iter`` iterations, the
         residual stops decreasing, or a non-finite value appears; the
@@ -274,18 +269,17 @@ def solve_minimal_surface(mesh, metric, boundary_data, options=None):
             "minimal-surface boundary data must be real (complex data is only "
             "supported by solve_laplace_beltrami)"
         )
-    guess = options.initial_guess
-    if guess is None:
+    if initial_guess is None:
         # J(0) = K: the owner's system of K serves the chord steps
         system = discretization(mesh, metric).interior_system
-        guess = WarmStart(solve_laplace_beltrami(mesh, metric, f), system)
-    elif not isinstance(guess, WarmStart):
+        initial_guess = WarmStart(solve_laplace_beltrami(mesh, metric, f), system)
+    elif not isinstance(initial_guess, WarmStart):
         raise TypeError(
-            f"SolveOptions.initial_guess must be None or a WarmStart, got "
-            f"{type(guess).__name__}"
+            f"initial_guess must be None or a WarmStart, got "
+            f"{type(initial_guess).__name__}"
         )
-    system = guess.system  # for chord steps; None means a fresh Jacobian per step
-    u = nodal_values(mesh, guess.values).astype(float)
+    system = initial_guess.system  # for chord steps; None: a fresh Jacobian per step
+    u = nodal_values(mesh, initial_guess.values).astype(float)
     u[mesh.boundary_vertices] = f
 
     I = mesh.interior_vertices

@@ -520,9 +520,10 @@ class MetricField:
     * ``kind == "explicit"``: ``entries(x, y)`` returns the matrix entries
       ``(g11, g12, g22)`` for arrays of coordinates.
     * ``kind == "conformal"``: a positive ``factor(x, y)`` multiplying a
-      ``base`` metric, i.e. g = c * g_base.  Keeping the factor symbolic (
-      rather than folding it into explicit entries) lets conformal pairs
-      share quadrature data exactly.
+      ``base`` metric, i.e. g = c * g_base.  Kept symbolic, c * g of one
+      base and one factor callable compares equal when built again, so
+      ``dn3``'s point and grid share one :func:`discretization` owner, and
+      its evaluation checks c > 0 with a message of its own.
 
     Use :func:`flat_metric`, :func:`explicit_metric`,
     :func:`conformal_metric` to construct instances.
@@ -893,8 +894,8 @@ class InteriorSystem:
         u = np.zeros(shape, dtype=np.result_type(reduced, float))
         u[B] = bvals
         if np.iscomplexobj(reduced):
-            cols = reduced.reshape(len(O), -1)
-            k = cols.shape[1]
+            k = bvals.shape[1] if bvals.ndim == 2 else 1  # len(O) may be 0
+            cols = reduced.reshape(len(O), k)
             parts = self._lu.solve(np.hstack([cols.real, cols.imag]))
             u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
         else:

@@ -455,19 +455,24 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
 
 
 def interior_grid(mesh, spacing, margin):
-    """Regular grid of interior points at least ``margin`` from the boundary."""
+    """Regular grid of chart points at least ``margin`` from every boundary vertex."""
     from scipy.spatial import cKDTree  # lazy: only this and recover_q_field use it
 
     verts = mesh.vertices
-    bverts = verts[mesh.boundary_vertices]
     xs = np.arange(verts[:, 0].min(), verts[:, 0].max() + 0.5 * spacing, spacing)
     ys = np.arange(verts[:, 1].min(), verts[:, 1].max() + 0.5 * spacing, spacing)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    tree = cKDTree(bverts)
-    inside = cKDTree(verts).query(pts)[0] <= 2.0 * mesh.h
-    far = tree.query(pts)[0] >= margin
-    return pts[inside & far]
+    x, y = pts[:, :1], pts[:, 1:]
+    # in the chart: winding number 1 about the loops, which have it on their
+    # left; an edge a -> b crossing the ray right of (x, y) counts +1 up, -1 down
+    ax, ay = verts[mesh.boundary_vertices].T
+    bx, by = verts[np.concatenate([np.roll(lp, -1) for lp in mesh.boundary_loops])].T
+    left = (bx - ax) * (y - ay) - (by - ay) * (x - ax)  # > 0: left of a -> b
+    winding = (((ay <= y) & (by > y) & (left > 0)).sum(axis=1)
+               - ((ay > y) & (by <= y) & (left < 0)).sum(axis=1))
+    far = cKDTree(verts[mesh.boundary_vertices]).query(pts)[0] >= margin
+    return pts[(winding == 1) & far]
 
 
 def recover_q_field(
@@ -488,12 +493,15 @@ def recover_q_field(
     result).  Points whose scaled sweep drops below tau = 3 carry too
     little oscillation to concentrate and are flagged instead of probed.
     Unreliable points are kept (flagged) but excluded from the fill; if no
-    point is reliable the recovery fails as a whole.  One probe functional
+    point is reliable the recovery fails as a whole, and an empty grid
+    raises ResolutionError before any probe.  One probe functional
     serves the whole grid (see :func:`_probe_functional`).
     """
     from scipy.spatial import cKDTree  # lazy: only this and interior_grid use it
 
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.size == 0:
+        raise ResolutionError("the grid has no point to recover at")
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
     functional = _probe_functional(mesh, metric, factor_c, mode)

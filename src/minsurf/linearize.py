@@ -74,9 +74,7 @@ class EpsilonCombination:
     directions : sequence
         Boundary data f_j (callables, or arrays in ``boundary_vertices`` order).
     options : SolveOptions, optional
-        Passed to every nonlinear solve.  Its ``initial_guess`` must be
-        unset: only the cold solve from the Laplace-Beltrami guess is odd
-        in the data, so a fixed guess or ``WarmStart`` raises ValueError.
+        Passed to every nonlinear solve, each a cold solve.
 
     ``boundary`` holds the boundary values of each f_j.  Nonlinear solves
     are cached once per +-eps pair, and u(-eps) is served as -u(eps)
@@ -96,11 +94,6 @@ class EpsilonCombination:
     def __post_init__(self):
         if len(self.directions) == 0:
             raise ValueError("EpsilonCombination needs at least one direction")
-        if self.options is not None and self.options.initial_guess is not None:
-            raise ValueError(
-                "EpsilonCombination serves u(-eps) as -u(eps), which holds for "
-                "the cold solve only; options.initial_guess must be None"
-            )
         self.boundary = [boundary_values(self.mesh, f) for f in self.directions]
 
     @property

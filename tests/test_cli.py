@@ -1,5 +1,6 @@
 """Tests for the experiment-runner CLI: configs, artifacts, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -260,6 +261,9 @@ def test_every_subcommand_default_passes_except_the_known_red(tmp_path):
     # at the shipped area_step every perturbed area passes the decrement
     # test at its tangent prediction, so no hat needs a corrector solve
     assert read_manifest(tmp_path / "area-pipeline")["results"]["corrector_solves"] == 0
+    # the forward default is not already minimal: its solve takes steps
+    forward = read_manifest(tmp_path / "forward")["results"]
+    assert forward["iterations"] > 0 and forward["jacobians"] > 0
 
 
 def test_newton_failure_leaves_a_manifest(tmp_path, capsys):
@@ -478,6 +482,9 @@ NOT_SPD_AT_POINT = {"metric": {"kind": "conformal",
 # ((y - cy) / width)^k overflows to inf or NaN on the boundary of square(8)
 # and of the default identity-check discs
 NOT_FINITE = {"name": "gaussian", "width": 1e-3, "k": 200}
+# no lattice point lies 1.5 inside the unit disc
+EMPTY_FIELD = {"mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
+               "tau_sweep": [2.0, 3.0, 4.0], "field": {"spacing": 0.2, "margin": 1.5}}
 
 
 def _write(tmp_path, text):
@@ -487,8 +494,6 @@ def _write(tmp_path, text):
 
 
 @pytest.mark.parametrize("subcommand, config, key", [
-    ("linearize-check", {"pair": [0, 5]}, "pair"),
-    ("linearize-check", {"triple": [0, 1, 9]}, "triple"),
     ("identity-check", {"directions": [{"name": "fourier", "sin": [1.0]}]},
      "directions"),
     ("identity-check", {"levels": [[1, 72], [24, 144]]}, "levels[0]"),
@@ -562,7 +567,9 @@ def _write(tmp_path, text):
      "directions[0]"),
     ("recover-q", {"mesh": {"kind": "disc", "n_radial": 48, "n_angular": 288},
                    "field": {"margin": -0.5}}, "field.margin"),
-], ids=["pair-out-of-range", "triple-out-of-range", "one-direction",
+    ("recover-q", EMPTY_FIELD, "field"),
+    ("linearize-check", {"directions": [SIN] * 4}, "directions"),
+], ids=["one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
         "square-n-boolean", "square-n-infinite", "square-n-string", "tol-string",
@@ -580,7 +587,8 @@ def _write(tmp_path, text):
         "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
         "jet-metric-not-spd-at-point", "forward-data-not-finite",
         "linearize-direction-not-finite", "identity-direction-not-finite",
-        "identity-amplitude-zero", "identity-direction-zero", "field-margin-negative"])
+        "identity-amplitude-zero", "identity-direction-zero", "field-margin-negative",
+        "empty-field", "linearize-four-directions"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([
@@ -627,11 +635,7 @@ def test_area_pipeline_solves_the_base_problem_once(tmp_path, counting):
     )
     assert code == 0
 
-    def cold(args, kwargs):
-        options = args[3] if len(args) > 3 else kwargs.get("options")
-        return options is None or options.initial_guess is None
-
-    assert sum(cold(*call) for call in solves) == 1
+    assert sum(kwargs.get("initial_guess") is None for _, kwargs in solves) == 1
 
 
 @pytest.mark.parametrize("subcommand, factorizations", [
@@ -656,16 +660,26 @@ def test_default_run_factorizations(tmp_path, counting, subcommand, factorizatio
     ("linearize-check", {"amplitude": 0}, fwd, "solve_minimal_surface"),
     ("linearize-check", {"directions": [{"name": "zero"}] * 3}, fwd,
      "solve_minimal_surface"),
-    ("linearize-check", {"directions": [SIN, SIN, {"name": "zero"}], "pair": [0, 1]},
+    ("linearize-check", {"directions": [SIN, SIN, {"name": "zero"}]},
      fwd, "solve_minimal_surface"),
+    ("recover-q", EMPTY_FIELD, inv, "make_interior_probe"),
 ], ids=["one-level", "two-equal-levels", "weight-above-one", "amplitude-zero",
-        "all-directions-zero", "triple-direction-zero"])
+        "all-directions-zero", "triple-direction-zero", "empty-field"])
 def test_mesh_dependent_config_errors_precede_the_first_solve(
         tmp_path, capsys, counting, subcommand, config, module, name):
     calls = counting(module, name)
     assert cli.run(subcommand, config, out=tmp_path) == 2
     assert "config error" in capsys.readouterr().err
     assert calls == []
+
+
+def test_solve_options_are_the_solver_section():
+    # every SolveOptions field is a config key, so no run can set a field
+    # that the CLI does not echo in its manifest
+    fields = {f.name for f in dataclasses.fields(fwd.SolveOptions)}
+    sections = [schema.of["solver"][0] for schema in cli.SCHEMAS.values()
+                if "solver" in schema.of]
+    assert sections and all(set(section) == fields for section in sections)
 
 
 def _schema_key_paths():

@@ -289,13 +289,13 @@ def test_dn_from_area_data_factors_the_base_jacobian_once(monkeypatch):
     # reference: the same perturbed solves from u0 with a fresh Jacobian at
     # every Newton step
     fb = geo.boundary_values(d, f)
-    fresh = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None))
+    fresh = fwd.WarmStart(u0, None)
     ref = np.empty(len(fb))
     for b in range(len(fb)):
         pert = np.zeros(len(fb))
         pert[b] = t
-        up, _ = fwd.solve_minimal_surface(d, FLAT, fb + pert, fresh)
-        um, _ = fwd.solve_minimal_surface(d, FLAT, fb - pert, fresh)
+        up, _ = fwd.solve_minimal_surface(d, FLAT, fb + pert, initial_guess=fresh)
+        um, _ = fwd.solve_minimal_surface(d, FLAT, fb - pert, initial_guess=fresh)
         ref[b] = (graph_area(d, FLAT, up) - graph_area(d, FLAT, um)) / (2 * t)
     # both converge far below the point where the solve error shows in the
     # area, so only the rounding of the two areas separates them
@@ -313,11 +313,11 @@ def test_solve_reports_the_area_of_its_solution_bit_for_bit(metric):
     assert cold.area == graph_area(d, metric, u0)
     fb = geo.boundary_values(d, f)
     fb[3] += 1e-3
-    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0))
-    u, report = fwd.solve_minimal_surface(d, metric, fb, warm)
+    warm = fwd.warm_start(d, metric, u0)
+    u, report = fwd.solve_minimal_surface(d, metric, fb, initial_guess=warm)
     assert report.iterations > 0 and report.area == graph_area(d, metric, u)
-    plain = fwd.SolveOptions(initial_guess=fwd.WarmStart(u0, None))
-    u, report = fwd.solve_minimal_surface(d, metric, fb, plain)
+    plain = fwd.WarmStart(u0, None)
+    u, report = fwd.solve_minimal_surface(d, metric, fb, initial_guess=plain)
     assert report.jacobians > 0 and report.area == graph_area(d, metric, u)
 
 
@@ -341,14 +341,14 @@ def _area_pipeline_from_u0(d, f, t, metric=FLAT):
     """The perturbed solves of dn_from_area_data without the predictor: every
     one starts at u0, on the same factor of J(u0)."""
     u0, _ = fwd.solve_minimal_surface(d, metric, f)
-    warm = fwd.SolveOptions(initial_guess=fwd.warm_start(d, metric, u0))
+    warm = fwd.warm_start(d, metric, u0)
     fb = geo.boundary_values(d, f)
     flux = np.empty(len(fb))
     for b in range(len(fb)):
         pert = np.zeros(len(fb))
         pert[b] = t
-        up, _ = fwd.solve_minimal_surface(d, metric, fb + pert, warm)
-        um, _ = fwd.solve_minimal_surface(d, metric, fb - pert, warm)
+        up, _ = fwd.solve_minimal_surface(d, metric, fb + pert, initial_guess=warm)
+        um, _ = fwd.solve_minimal_surface(d, metric, fb - pert, initial_guess=warm)
         flux[b] = (graph_area(d, metric, up) - graph_area(d, metric, um)) / (2 * t)
     floor = 4 * np.finfo(float).eps * graph_area(d, metric, u0) / (2 * t)
     return flux, floor

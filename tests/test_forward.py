@@ -165,7 +165,7 @@ def test_warm_start_refresh_rule_drops_a_stale_factor():
     f = lambda x, y: 0.5 * (x * x - y * y)
     u_cold, _ = fwd.solve_minimal_surface(d, FLAT, f)
     ws = fwd.warm_start(d, FLAT, np.zeros(d.n_vertices))
-    u, rep = fwd.solve_minimal_surface(d, FLAT, f, fwd.SolveOptions(initial_guess=ws))
+    u, rep = fwd.solve_minimal_surface(d, FLAT, f, initial_guess=ws)
     assert rep.final_residual <= 1e-10
     # the first (chord) step trips the rule: a halving or a contraction > 1/2
     assert rep.step_sizes[0] < 1.0 or rep.residual_norms[1] > 0.5 * rep.residual_norms[0]
@@ -213,8 +213,7 @@ def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric(counting):
         jacobians.clear()
         systems.clear()
         u_newton, newton = fwd.solve_minimal_surface(
-            mesh, metric, _saddle(a),
-            fwd.SolveOptions(initial_guess=fwd.WarmStart(start, None)))
+            mesh, metric, _saddle(a), initial_guess=fwd.WarmStart(start, None))
         assert newton.jacobians == newton.iterations == len(jacobians) == len(systems)
         assert rep.jacobians < rep.iterations
         assert np.abs(u - u_newton).max() < 1e-10
@@ -275,9 +274,9 @@ def test_warm_start_failure_is_actionable():
     d = geo.disc(12, 48)
     f = lambda x, y: 0.5 * (x * x - y * y)
     ws = fwd.warm_start(d, FLAT, np.zeros(d.n_vertices))
-    opts = fwd.SolveOptions(max_iter=1, tol=1e-14, initial_guess=ws)
+    opts = fwd.SolveOptions(max_iter=1, tol=1e-14)
     with pytest.raises(RuntimeError, match="Newton did not reach"):
-        fwd.solve_minimal_surface(d, FLAT, f, opts)
+        fwd.solve_minimal_surface(d, FLAT, f, opts, initial_guess=ws)
 
 
 @pytest.mark.parametrize(
@@ -287,9 +286,9 @@ def test_warm_start_failure_is_actionable():
 )
 def test_initial_guess_is_none_or_a_warm_start(guess):
     d = geo.disc(6, 36)
-    opts = fwd.SolveOptions(initial_guess=guess(d))
     with pytest.raises(TypeError, match="None or a WarmStart"):
-        fwd.solve_minimal_surface(d, FLAT, lambda x, y: 0.1 * x, opts)
+        fwd.solve_minimal_surface(d, FLAT, lambda x, y: 0.1 * x,
+                                  initial_guess=guess(d))
 
 
 def test_complex_data_rejected_by_nonlinear_solver():

@@ -710,3 +710,16 @@ def test_complex_extension_is_its_real_and_imaginary_extensions():
         got = d.extend(data, rhs)
         want = d.extend(data.real, rhs_re) + 1j * d.extend(data.imag, rhs_im)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 2)],
+                         ids=["vector", "one-column", "two-columns"])
+def test_complex_extension_without_interior_vertices(shape):
+    # square(1) is two triangles on four boundary vertices: the extension is
+    # the data itself
+    mesh = geo.square(1)
+    assert len(mesh.interior_vertices) == 0
+    data = np.exp(1j * np.arange(8.0))[:np.prod(shape)].reshape(shape)
+    got = geo.discretization(mesh, CURVED).extend(data)
+    assert got.shape == shape and got.dtype == complex
+    assert np.array_equal(got[mesh.boundary_vertices], data)

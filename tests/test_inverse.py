@@ -587,6 +587,33 @@ def test_interior_grid_respects_margin():
         assert np.linalg.norm(point) < 1.0
 
 
+@pytest.mark.parametrize("mesh, r0, r1, spacing, margin", [
+    (geo.disc(24, 144), 0.0, 1.0, 0.1, 0.05),
+    (geo.annulus(0.5, 1.5, 16, 96), 0.5, 1.5, 0.1, 0.1),
+], ids=["disc", "annulus"])
+def test_interior_grid_is_the_lattice_inside_the_chart(mesh, r0, r1, spacing, margin):
+    # a margin below 2h once kept lattice points beyond the rim and in the
+    # hole; the chart's polygon lies within the margin of the circles
+    grid = inv.interior_grid(mesh, spacing, margin)
+    verts = mesh.vertices
+    xs = np.arange(verts[:, 0].min(), verts[:, 0].max() + 0.5 * spacing, spacing)
+    ys = np.arange(verts[:, 1].min(), verts[:, 1].max() + 0.5 * spacing, spacing)
+    lattice = np.stack(np.meshgrid(xs, ys), axis=-1).reshape(-1, 2)
+    r = np.linalg.norm(lattice, axis=1)
+    boundary = verts[mesh.boundary_vertices]
+    far = np.array([np.linalg.norm(boundary - p, axis=1).min() >= margin
+                    for p in lattice])
+    want = lattice[(r0 < r) & (r < r1) & far]
+    assert len(want) > 0
+    assert np.array_equal(grid, want)
+
+
+def test_recover_field_rejects_an_empty_grid():
+    mesh = geo.disc(8, 48)
+    with pytest.raises(inv.ResolutionError, match="no point"):
+        inv.recover_q_field(mesh, FLAT, gaussian_factor, [], [2.0, 3.0, 4.0])
+
+
 # ---------------------------------------------------------------------------
 # boundary jet probe
 # ---------------------------------------------------------------------------

@@ -154,9 +154,6 @@ def test_epsilon_combination_validation_and_cache(disc_setup):
     u1 = combo.solve([0.1, 0.0, 0.0])
     u2 = combo.solve([0.1, 0.0, 0.0])
     assert u1 is u2  # cached
-    with pytest.raises(ValueError, match="initial_guess"):
-        start = fwd.WarmStart(np.zeros(mesh.n_vertices), None)
-        lin.EpsilonCombination(mesh, FLAT, fs, fwd.SolveOptions(initial_guess=start))
 
 
 def test_combination_solves_each_sign_pair_once(counting):
