@@ -329,8 +329,8 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         # Q < 1 on the mesh: checked by _build
         "weight": ({"name": "gaussian", "amplitude": 0.1, "width": 0.35,
                     "center": [0.0, 0.0]}, FUNCTION),
-        "mode": ("synthetic", Text(rng=(lambda v, cfg: v in ("synthetic", "dn3"),
-                                        "'synthetic' or 'dn3'"))),
+        # one probe functional, q_form; the key stays for configs that name it
+        "mode": ("synthetic", Text(rng=(lambda v, cfg: v == "synthetic", "'synthetic'"))),
         "point": ([0.0, 0.0], POINT),
         "tau_sweep": ([6.0, 8.0, 10.0], NUMBERS),
         "field": (None, Maybe(Params({"spacing": (0.2, Num(float, POSITIVE)),
@@ -700,11 +700,11 @@ def run_area_pipeline(cfg, out_dir, log):
 
 def run_recover_q(cfg, out_dir, log):
     mesh, metric, point = cfg["mesh"], cfg["metric"], cfg["point"]
-    q_fn, taus, mode = cfg["weight"], cfg["tau_sweep"], cfg["mode"]
+    q_fn, taus = cfg["weight"], cfg["tau_sweep"]
     factor = _coefficient(q_fn)
 
     t0 = time.perf_counter()
-    result = inv.recover_q_point(mesh, metric, factor, point, taus, mode=mode)
+    result = inv.recover_q_point(mesh, metric, factor, point, taus)
     point_s = time.perf_counter() - t0
     truth = float(q_fn(point[0], point[1]))
     rows = [(point[0], point[1], truth,
@@ -717,7 +717,7 @@ def run_recover_q(cfg, out_dir, log):
     if cfg["field"] is not None:
         t0 = time.perf_counter()
         out = inv.recover_q_field(mesh, metric, factor, cfg["field"]["grid"], taus,
-                                  mode=mode, probe_margin=cfg["field"]["margin"])
+                                  probe_margin=cfg["field"]["margin"])
         field_s = time.perf_counter() - t0
         for res in out.points:
             px, py = res.point

@@ -264,22 +264,13 @@ def dn_third_derivative_exact(mesh, metric, directions):
     bg = d.boundary
     fbs = [boundary_values(mesh, f) for f in directions]
     vs = [solve_laplace_beltrami(mesh, metric, fb) for fb in fbs]
-    flux = _third_flux(d, vs)
+    # weak d^3 N flux (K w - L)_B: L the third-linearization source, w its
+    # solve with zero Dirichlet data
+    L = third_linearization_source(mesh, metric, *vs)
+    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
+    flux = (d.stiffness @ w - L)[mesh.boundary_vertices]
     values = flux / bg.ds + _boundary_correction(d, vs, fbs)
     return DNTrace(bg=bg, values=values, flux=flux)
-
-
-def _third_flux(d, vs):
-    """Weak d^3 N flux (K w - L)_B of three harmonic fields vs of Discretization d.
-
-    L is their third-linearization source and w its solve with zero
-    Dirichlet data on d's factor.  Trilinear: complex fields are taken as
-    they are.
-    """
-    mesh = d.mesh
-    L = third_linearization_source(mesh, d.metric, *vs)
-    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
-    return (d.stiffness @ w - L)[mesh.boundary_vertices]
 
 
 # ---------------------------------------------------------------------------

@@ -522,8 +522,8 @@ class MetricField:
     * ``kind == "conformal"``: a positive ``factor(x, y)`` multiplying a
       ``base`` metric, i.e. g = c * g_base.  Kept symbolic, c * g of one
       base and one factor callable compares equal when built again, so
-      ``dn3``'s point and grid share one :func:`discretization` owner, and
-      its evaluation checks c > 0 with a message of its own.
+      every build shares one :func:`discretization` owner, and its
+      evaluation checks c > 0 with a message of its own.
 
     Use :func:`flat_metric`, :func:`explicit_metric`,
     :func:`conformal_metric` to construct instances.

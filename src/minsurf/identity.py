@@ -35,13 +35,6 @@ ingredient second-order accurate on smooth charts.  With the epsilon step
 scaled proportionally to the mesh size the whole residual contracts at
 second order.
 
-The boundary side T3 - T1 evaluated for two metrics that agree near the
-boundary, with d^3 Lambda from the exact third linearization, gives
-:func:`dn_difference_form`; for a conformal pair (g, c g) with c = 1 near
-the boundary it approximates the weighted volume functional
-``q_functional`` with Q = 1 - 1/c — the link the interior recovery probes
-exploit.
-
 The weighted functional is one kernel, :func:`q_form`: it sums every
 product of two pairings over the quadrature points into a symmetric 3x3
 tensor M_t per triangle, so a probe costs a few passes over per-triangle
@@ -64,14 +57,13 @@ from .geometry import (
 )
 from .forward import SolveOptions, solve_laplace_beltrami
 from .linearize import EpsilonCombination
-from .dnmap import _boundary_correction, _third_flux, dn_third_derivative
+from .dnmap import _boundary_correction, dn_third_derivative
 
 __all__ = [
     "IdentityReport",
     "q_form",
     "q_functional",
     "integral_identity_check",
-    "dn_difference_form",
 ]
 
 # Defaults of the third-difference stencil behind T1: its step as a multiple
@@ -247,35 +239,3 @@ def integral_identity_check(mesh, metric, directions, h_eps=None, options=None):
         t3=t3,
     )
 
-
-def dn_difference_form(mesh, metric1, metric2):
-    """Difference of the boundary sides of (***) under two metrics, as a form.
-
-    Returns ``form(v1, v2, v3, v4)``: the boundary side T3 - T1 of (***)
-    under ``metric1`` minus the one under ``metric2``, from the exact third
-    linearization.  T1 pairs f_m with d^3 Lambda = d^3 N + nu . F and T3
-    with nu . F, so
-
-        T3 - T1 = - integral_bdry f_m (K w - L)_B / ds dS_g,
-
-    L the third-linearization source of (v1, v2, v3), w its solve with zero
-    Dirichlet data and f_m the trace of v4, each on the metric's own
-    Discretization: K_{c g} equals K_g only to rounding.  For
-    ``metric2 = c * metric1`` the harmonic fields coincide (conformal
-    invariance in 2-D), and with c = 1 near the boundary the difference
-    approximates ``q_functional(mesh, metric1, Q, v1, v2, v3, v4)`` with
-    Q = 1 - 1/c.  Multilinear: complex fields are taken as they are, as in
-    :func:`q_form`.
-    """
-    owners = [discretization(mesh, metric) for metric in (metric1, metric2)]
-    bidx = mesh.boundary_vertices
-
-    def side(d, fields):
-        d3n = _third_flux(d, fields[:3]) / d.boundary.ds
-        return -d.boundary.pair(nodal_values(mesh, fields[3])[bidx], d3n)
-
-    def form(v1, v2, v3, v4):
-        fields = (v1, v2, v3, v4)
-        return side(owners[0], fields) - side(owners[1], fields)
-
-    return form

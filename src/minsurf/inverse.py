@@ -31,13 +31,13 @@ functional into pointwise information about Q = 1 - 1/c:
 
 Both probes run many harmonic extensions against one factorized interior
 system, the one the (mesh, metric) pair's ``geometry.Discretization`` owns;
-sweeps and grids of probe points reuse the factorization.  The
-synthetic mode evaluates the weighted functional directly, isolating the
-probe asymptotics; the ``"dn3"`` mode reads the same quantity from
-boundary data, the third derivative of the DN map under g and under c g
-from the exact third linearization (the paper's higher-order
-linearization), and shares no arithmetic with the synthetic path past
-the probe fields.
+sweeps and grids of probe points reuse the factorization.  The probe
+functional is the weighted volume form ``identity.q_form``, built once per
+sweep or grid.  It is also the boundary side of the identity (***): on the
+mesh the weak third-DN fluxes under g and under c g, paired with the trace
+of the fourth probe field, differ by this form to rounding (the probe
+fields are discrete harmonic and, in 2-D, the same for both metrics), so
+the third linearization of the DN map carries nothing the form does not.
 """
 
 from __future__ import annotations
@@ -48,12 +48,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    conformal_metric,
-    discretization,
-    metric_eval,
-)
-from .identity import dn_difference_form, q_form
+from .geometry import discretization, metric_eval
+from .identity import q_form
 
 __all__ = [
     "InteriorProbe",
@@ -374,28 +370,12 @@ def _unfitted(point, sweep, values, message):
                    np.nan, np.nan, np.nan)
 
 
-def _probe_functional(mesh, metric, factor_c, mode):
-    """``F(*fields)``: the probe functional of ``mode`` with Q = 1 - 1/c.
-
-    The form is built here once per sweep or grid, not once per probe: for
-    ``"synthetic"`` the :func:`identity.q_form` (Q at quadrature and the
-    per-triangle tensor M_t), for ``"dn3"`` the
-    :func:`identity.dn_difference_form` of ``metric`` and c * ``metric``.
-    """
-    if mode == "synthetic":
-        return q_form(mesh, metric, _discrepancy_weight(factor_c))
-    if mode == "dn3":
-        return dn_difference_form(mesh, metric, conformal_metric(metric, factor_c))
-    raise ValueError(f"unknown mode {mode!r}; use 'synthetic' or 'dn3'")
-
-
 def recover_q_point(
     mesh,
     metric,
     factor_c,
     center,
     tau_sweep,
-    mode="synthetic",
 ):
     """Estimate Q = 1 - 1/c at one interior point from a frequency sweep.
 
@@ -412,15 +392,8 @@ def recover_q_point(
     ----------
     factor_c : callable
         Conformal factor c(x, y) defining the discrepancy weight 1 - 1/c.
-    mode : {"synthetic", "dn3"}
-        "synthetic" evaluates the weighted volume functional directly;
-        "dn3" evaluates the boundary side of the identity (***) under
-        ``metric`` and under c * ``metric`` from the exact third
-        linearization of the DN map: per metric and frequency one source
-        assembly and one Dirichlet solve on the complex probe fields, no
-        nonlinear solve.
     """
-    functional = _probe_functional(mesh, metric, factor_c, mode)
+    functional = q_form(mesh, metric, _discrepancy_weight(factor_c))
     return _recover_point(mesh, metric, functional, center, tau_sweep, None)
 
 
@@ -481,7 +454,6 @@ def recover_q_field(
     factor_c,
     grid,
     tau_sweep,
-    mode="synthetic",
     probe_margin=None,
 ):
     """Map pointwise recovery over a grid and fill the chart by nearest neighbor.
@@ -494,8 +466,8 @@ def recover_q_field(
     little oscillation to concentrate and are flagged instead of probed.
     Unreliable points are kept (flagged) but excluded from the fill; if no
     point is reliable the recovery fails as a whole, and an empty grid
-    raises ResolutionError before any probe.  One probe functional
-    serves the whole grid (see :func:`_probe_functional`).
+    raises ResolutionError before any probe.  One probe functional, the
+    :func:`identity.q_form` with Q = 1 - 1/c, serves the whole grid.
     """
     from scipy.spatial import cKDTree  # lazy: only this and interior_grid use it
 
@@ -504,7 +476,7 @@ def recover_q_field(
         raise ResolutionError("the grid has no point to recover at")
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
-    functional = _probe_functional(mesh, metric, factor_c, mode)
+    functional = q_form(mesh, metric, _discrepancy_weight(factor_c))
 
     results = []
     for point in grid:
@@ -610,7 +582,10 @@ def boundary_jet_probe(
     result.  Each frequency N must be finite and positive and its
     wavelength 2 pi / N must span at least 10 mesh cells, and ``point``
     must lie within one mesh size of its nearest boundary vertex, where the
-    probe is built; otherwise the probe raises ResolutionError.
+    probe is built.  The window half-width N^-alpha at the smallest N must
+    not exceed the largest distance from that vertex to the boundary, or
+    the window covers every boundary vertex and the probe cannot
+    concentrate.  Otherwise the probe raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
@@ -638,6 +613,13 @@ def boundary_jet_probe(
     extension = discretization(mesh, metric)
     tangent, normal = _jet_frame(bverts, extension.boundary, i_near)
     offsets = bverts - base
+    reach = float(np.hypot(*offsets.T).max())
+    if freqs.min() ** -alpha > reach:
+        raise ResolutionError(
+            f"jet window half-width N^-alpha = {freqs.min() ** -alpha:.4g} at "
+            f"N={freqs.min():g} exceeds the largest distance {reach:.4g} from "
+            f"({base[0]:.4g}, {base[1]:.4g}) to the boundary, so the probe "
+            f"cannot concentrate: use N >= {reach ** (-1.0 / alpha):.4g}")
     x1 = offsets @ tangent
     x2 = np.maximum(offsets @ normal, 0.0)
 

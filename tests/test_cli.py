@@ -318,7 +318,7 @@ def test_two_point_sweep_fails_point_reliable(tmp_path, capsys):
     # undefined, so the point is unreliable and its gates fail with exit 1
     code = cli.run(
         "recover-q",
-        {"mode": "dn3", "mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0]},
+        {"mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0]},
         out=tmp_path,
     )
     assert code == 1
@@ -546,6 +546,7 @@ def _write(tmp_path, text):
     ("forward", {"output_dir": 5}, "output_dir"),
     ("recover-q", {"mode": "exact"}, "mode"),
     ("recover-q", {"mode": "dn"}, "mode"),
+    ("recover-q", {"mode": "dn3"}, "mode"),
     ("boundary-jet", {"n_sweep": [-1, 2, 3]}, "n_sweep[0]"),
     ("boundary-jet", {"n_sweep": [20, 0, 40]}, "n_sweep[1]"),
     ("linearize-check", {"amplitude": 0}, "amplitude"),
@@ -582,7 +583,8 @@ def _write(tmp_path, text):
         "no-profiles", "profiles-same-k", "profile-not-an-object",
         "profile-weight-one", "weight-one", "two-equal-levels",
         "affine-error-without-affine-data", "negative-tol", "output-dir-not-a-string",
-        "unknown-mode", "retired-dn-mode", "negative-jet-frequency", "zero-jet-frequency",
+        "unknown-mode", "retired-dn-mode", "retired-dn3-mode",
+        "negative-jet-frequency", "zero-jet-frequency",
         "amplitude-zero", "pair-direction-zero", "disc-ring-outside-next",
         "forward-metric-not-spd-on-boundary", "recover-metric-not-spd-at-point",
         "jet-metric-not-spd-at-point", "forward-data-not-finite",
@@ -663,8 +665,12 @@ def test_default_run_factorizations(tmp_path, counting, subcommand, factorizatio
     ("linearize-check", {"directions": [SIN, SIN, {"name": "zero"}]},
      fwd, "solve_minimal_surface"),
     ("recover-q", EMPTY_FIELD, inv, "make_interior_probe"),
+    # the jet window N^-alpha at N = 0.1 (5.2) covers all of square(1)'s boundary
+    ("boundary-jet", {"mesh": {"kind": "square", "n": 1}, "n_sweep": [0.1, 0.2, 0.3]},
+     inv, "jet_window"),
 ], ids=["one-level", "two-equal-levels", "weight-above-one", "amplitude-zero",
-        "all-directions-zero", "triple-direction-zero", "empty-field"])
+        "all-directions-zero", "triple-direction-zero", "empty-field",
+        "jet-window-wider-than-boundary"])
 def test_mesh_dependent_config_errors_precede_the_first_solve(
         tmp_path, capsys, counting, subcommand, config, module, name):
     calls = counting(module, name)

@@ -6,8 +6,9 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from minsurf import geometry as geo
-from minsurf import forward as fwd
+from minsurf import dnmap as dn
 from minsurf import identity as idn
+from minsurf import inverse as inv
 
 from test_kernels import p1_gradients, pair_at_quadrature
 
@@ -23,15 +24,6 @@ DIRS = [
     lambda x, y: x * y,
     lambda x, y: x * x - y * y,
 ]
-
-
-def interior_bump(x, y, r0=0.7):
-    # smooth, compactly supported inside r < r0, identically zero beyond
-    r2 = (x * x + y * y) / (r0 * r0)
-    out = np.zeros_like(np.asarray(r2, dtype=float))
-    inside = r2 < 1.0
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - r2[inside]))
-    return out
 
 
 def test_q_functional_flat_identity_data_gives_three_areas():
@@ -149,21 +141,31 @@ def test_identity_residual_contracts_under_refinement():
     assert rels[1] < rels[0] / 3.0
 
 
-def test_dn_difference_matches_weighted_functional_for_conformal_pair():
-    mesh = geo.disc(16, 96)
-    c_fun = lambda x, y: 1.0 + 0.5 * interior_bump(x, y)
-    cg = geo.conformal_metric(FLAT, c_fun)
-    weight = lambda x, y: 1.0 - 1.0 / c_fun(x, y)
-
-    fx = lambda x, y: x
-    fy = lambda x, y: y
-    vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in (fx, fx, fy, fy)]
-    # the exact third linearization under both metrics (measured 7.1e-4)
-    diff = idn.dn_difference_form(mesh, FLAT, cg)(*vs)
-
-    target = idn.q_functional(mesh, FLAT, weight, *vs)
-    assert abs(target) > 0.1  # non-degenerate direction set
-    assert abs(diff - target) < 5e-3 * abs(target)
+def test_third_dn_fluxes_of_a_conformal_pair_are_the_probe_functional():
+    # the identity (***) on the mesh: the probe fields are discrete harmonic
+    # and the same for g and c g (2-D conformal invariance), so the weak
+    # third-DN fluxes of (u, u, v) under the two metrics, paired with the
+    # trace of v, differ by exactly q_form with Q = 1 - 1/c (measured 2.8e-12,
+    # 6.5e-12 and 6.5e-11)
+    mesh = geo.disc(48, 288)
+    weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y) / 0.35**2)
+    factor = lambda x, y: 1.0 / (1.0 - weight(x, y))
+    cg = geo.conformal_metric(FLAT, factor)
+    form = idn.q_form(mesh, FLAT, weight)
+    bidx = mesh.boundary_vertices
+    sweep = [4.0, 6.0, 8.0]
+    for tau in sweep:
+        e = lambda x, y: np.exp(1j * tau * (x + 1j * y) ** 2)
+        e_bar = lambda x, y: np.exp(1j * tau * (x - 1j * y) ** 2)
+        probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+        f_m = probe.fields[3][bidx]
+        g_side, cg_side = (f_m @ dn.dn_third_derivative_exact(mesh, m, [e, e, e_bar]).flux
+                           for m in (FLAT, cg))
+        target = form(*probe.fields)
+        assert abs(cg_side - g_side - target) <= 1e-10 * abs(target)
+    # and the recovery that reads this functional (measured 0.120166)
+    result = inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), sweep)
+    assert result.q_estimate == pytest.approx(0.12017, abs=1e-5)
 
 
 def test_identity_functions_validate_direction_count():

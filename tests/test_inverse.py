@@ -9,7 +9,6 @@ grid-mapped field recovery, and the boundary-jet exponent probe.
 import numpy as np
 import pytest
 
-import minsurf.forward as fwd
 import minsurf.geometry as geo
 import minsurf.inverse as inv
 
@@ -349,41 +348,6 @@ def test_recover_point_compensates_varying_conformal_factor(mid_disc):
     assert abs(result.q_estimate - AMP) <= 0.03
 
 
-def test_recover_point_dn_mode_matches_synthetic_route():
-    # the boundary-data route, the exact third linearization of the DN map
-    # under g and c g, must reproduce the synthetic interior functional on
-    # the same mesh (measured 1.3e-3 and 5.3e-3)
-    mesh = geo.disc(24, 144)
-    sweep = [2.0, 3.0]
-    synth = inv.recover_q_point(mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep)
-    dn3 = inv.recover_q_point(
-        mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep, mode="dn3"
-    )
-    rel = np.abs(dn3.functional_values - synth.functional_values)
-    rel /= np.abs(synth.functional_values)
-    assert rel.max() <= 1e-2
-
-
-def test_recover_point_dn3_mode_pins_the_synthetic_route(counting):
-    # F within 4.5e-4, 3.7e-4 and 8.4e-4 of the synthetic values and Q_hat
-    # 0.12030 against 0.12017 (measured); the form makes one source assembly
-    # and one Dirichlet solve per metric and probe, and no nonlinear solve
-    solves = counting(fwd, "solve_minimal_surface")
-    mesh = geo.disc(48, 288)
-    sweep = [4.0, 6.0, 8.0]
-    synth = inv.recover_q_point(mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep)
-    dn3 = inv.recover_q_point(
-        mesh, FLAT, gaussian_factor, (0.0, 0.0), sweep, mode="dn3"
-    )
-    rel = np.abs(dn3.functional_values - synth.functional_values)
-    rel /= np.abs(synth.functional_values)
-    assert np.all(rel <= [6e-4, 5e-4, 1e-3])
-    assert synth.q_estimate == pytest.approx(0.12017, abs=1e-5)
-    assert abs(dn3.q_estimate - synth.q_estimate) <= 1e-3
-    assert dn3.reliable
-    assert solves == []
-
-
 def test_recover_point_flags_non_asymptotic_sweep():
     # an annular weight vanishing at the probe centre leaves the functional
     # dominated by oscillatory far-field terms: the tau-linear model misfits
@@ -483,23 +447,6 @@ def test_recover_field_flags_budget_and_wavelength_points():
     assert [len(v) for v in kinds.values()] == [8, 18]
     reliable_values = {r.q_estimate for r in out.points if r.reliable}
     assert set(out.field.tolist()) <= reliable_values
-
-
-def test_recover_field_dn3_mode_matches_the_synthetic_grid():
-    # the grid serves the boundary-data form as it serves q_form: the same
-    # points are flagged with the same messages, and the reliable estimates
-    # agree (measured 6.5e-5 at worst)
-    mesh = geo.disc(24, 144)
-    grid = inv.interior_grid(mesh, 0.2, 0.2)
-    out = {mode: inv.recover_q_field(mesh, FLAT, gaussian_factor, grid, [2.0, 3.0, 4.0],
-                                     mode=mode, probe_margin=0.2)
-           for mode in ("synthetic", "dn3")}
-    synth, dn3 = out["synthetic"], out["dn3"]
-    assert [r.message for r in dn3.points] == [r.message for r in synth.points]
-    assert np.array_equal(dn3.reliable, synth.reliable) and synth.reliable.sum() == 21
-    for a, b in zip(synth.points, dn3.points):
-        if a.reliable:
-            assert abs(b.q_estimate - a.q_estimate) <= 5e-4
 
 
 @pytest.mark.xfail(
@@ -735,6 +682,12 @@ def test_jet_probe_validation_and_resolution_guards():
                        match=r"\(0\.5, 0\.5\) is not on the boundary.* 0\.5 away"):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_factor(0), (0.5, 0.5), 2,
                                JET_SWEEP)
+    # a window half-width N^-alpha wider than the boundary's reach from the
+    # base vertex (0, 0) of square(1), sqrt(2), cannot concentrate
+    with pytest.raises(inv.ResolutionError,
+                       match=r"distance 1\.414 .* use N >= 0\.6156$"):
+        inv.boundary_jet_probe(geo.square(1), FLAT, jet_profile_factor(0), JET_POINT,
+                               2, [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("mesh, point, tangent, normal", [
