@@ -531,18 +531,6 @@ def _diagnostic(res, **extra):
             "message": res.message, **extra}
 
 
-def _coefficient(q_fn):
-    """Quasilinear coefficient c = 1/(1 - Q) for a weight Q."""
-
-    def factor(x, y):
-        # naming q keeps numpy from reusing its buffer in place, which raised
-        # the peak RSS of the disc(128,768) recovery by 2.3 MB
-        q = q_fn(x, y)
-        return 1.0 / (1.0 - q)
-
-    return factor
-
-
 # ---------------------------------------------------------------------------
 # subcommand runners: each takes a config that resolve_config typed and
 # _build completed
@@ -701,10 +689,9 @@ def run_area_pipeline(cfg, out_dir, log):
 def run_recover_q(cfg, out_dir, log):
     mesh, metric, point = cfg["mesh"], cfg["metric"], cfg["point"]
     q_fn, taus = cfg["weight"], cfg["tau_sweep"]
-    factor = _coefficient(q_fn)
 
     t0 = time.perf_counter()
-    result = inv.recover_q_point(mesh, metric, factor, point, taus)
+    result = inv.recover_q_point(mesh, metric, q_fn, point, taus)
     point_s = time.perf_counter() - t0
     truth = float(q_fn(point[0], point[1]))
     rows = [(point[0], point[1], truth,
@@ -716,10 +703,10 @@ def run_recover_q(cfg, out_dir, log):
     field_s = 0.0
     if cfg["field"] is not None:
         t0 = time.perf_counter()
-        out = inv.recover_q_field(mesh, metric, factor, cfg["field"]["grid"], taus,
-                                  probe_margin=cfg["field"]["margin"])
+        points = inv.recover_q_field(mesh, metric, q_fn, cfg["field"]["grid"], taus,
+                                     probe_margin=cfg["field"]["margin"])
         field_s = time.perf_counter() - t0
-        for res in out.points:
+        for res in points:
             px, py = res.point
             estimate = np.nan if res.q_estimate is None else float(res.q_estimate)
             rows.append((px, py, float(q_fn(px, py)), estimate,
@@ -755,8 +742,7 @@ def run_boundary_jet(cfg, out_dir, log):
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
 
     t0 = time.perf_counter()
-    outcomes = [inv.boundary_jet_probe(mesh, cfg["metric"], _coefficient(q),
-                                       cfg["point"], m, n_sweep)
+    outcomes = [inv.boundary_jet_probe(mesh, cfg["metric"], q, cfg["point"], m, n_sweep)
                 for q in profiles]
     sweep_s = time.perf_counter() - t0
 

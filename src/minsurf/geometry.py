@@ -195,7 +195,10 @@ def _nested_dissection(vertices, triangles, interior):
         level[ends[undecided]] = d
     shift = (2 * _ORDER_BITS - level).astype(np.uint64)
     end = ((code >> shift) + np.uint64(1)) << shift
-    return interior[np.lexsort((-level, end))]
+    # one stable sort by end, then deeper first: level <= D + 1 < 63 for any
+    # n below 2^64, so 63 - level fits the 6 bits below end (at most 2^32)
+    key = (end << np.uint64(6)) | (63 - level).astype(np.uint64)
+    return interior[np.argsort(key, kind="stable")]
 
 
 # ---------------------------------------------------------------------------

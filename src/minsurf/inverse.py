@@ -54,7 +54,6 @@ from .identity import q_form
 __all__ = [
     "InteriorProbe",
     "RecoveryResult",
-    "RecoveryField",
     "ResolutionError",
     "UnreliableRecoveryError",
     "make_interior_probe",
@@ -138,21 +137,6 @@ class RecoveryResult:
     message: str
 
 
-@dataclass(frozen=True)
-class RecoveryField:
-    """Pointwise recovery mapped over a grid, filled onto mesh vertices.
-
-    ``field`` holds the nearest-reliable-neighbor fill, a nodal array;
-    ``points`` the per-grid-point results (one RecoveryResult each);
-    ``reliable`` the per-grid-point trust flags.
-    """
-
-    field: np.ndarray
-    points: list
-    grid: np.ndarray
-    reliable: np.ndarray
-
-
 def _conformal_scale_at(metric, point, context):
     """Conformal factor of a conformally flat metric at one point.
 
@@ -194,6 +178,19 @@ def _modulus_exponent(mesh, center):
     z_b = mesh.vertices[mesh.boundary_vertices]
     z_b = z_b[:, 0] + 1j * z_b[:, 1] - z_p
     return float(np.abs((z_b * z_b).imag).max())
+
+
+def _winding(mesh, pts):
+    """Winding number of the boundary loops about each of the points (n, 2):
+    the loops have the chart on their left, so it is 1 exactly in the chart."""
+    verts = mesh.vertices
+    x, y = pts[:, :1], pts[:, 1:]
+    ax, ay = verts[mesh.boundary_vertices].T
+    bx, by = verts[np.concatenate([np.roll(lp, -1) for lp in mesh.boundary_loops])].T
+    left = (bx - ax) * (y - ay) - (by - ay) * (x - ax)  # > 0: left of a -> b
+    # an edge a -> b crossing the ray right of (x, y) counts +1 up, -1 down
+    return (((ay <= y) & (by > y) & (left > 0)).sum(axis=1)
+            - ((ay > y) & (by <= y) & (left < 0)).sum(axis=1))
 
 
 def _cells_per_wavelength(mesh, tau, wavelength):
@@ -240,8 +237,8 @@ def make_interior_probe(
     Parameters
     ----------
     center : pair of floats
-        Interior concentration point P; must keep a margin from the
-        boundary (default ``1/sqrt(tau)``).
+        Interior concentration point P; must lie in the chart and keep a
+        margin from its boundary (default ``1/sqrt(tau)``).
     tau : float
         Probe frequency (tau = 0 degenerates to four constant fields).
 
@@ -251,11 +248,14 @@ def make_interior_probe(
         If the shortest oscillation wavelength over the chart spans fewer
         than 10 mesh cells, or the boundary data outgrows the extension
         budget (the message states the required mesh size); if tau < 0,
-        the chart is not conformally flat or the center sits too close to
-        the boundary.
+        the chart is not conformally flat, or the center lies outside the
+        chart or too close to its boundary.
     """
     if tau < 0:
         raise ResolutionError(f"probe frequency must be nonnegative, got {tau}")
+    if _winding(mesh, np.array([center], dtype=float))[0] != 1:
+        raise ResolutionError(
+            f"probe center ({center[0]:.4g}, {center[1]:.4g}) lies outside the chart")
     _check_conformally_flat(mesh, metric, "interior probe")
 
     z_p = complex(center[0], center[1])
@@ -305,11 +305,6 @@ def make_interior_probe(
         boundary_modulus_max=modmax,
         points_per_wavelength=float(ppw),
     )
-
-
-def _discrepancy_weight(factor_c):
-    """Weight Q = 1 - 1/c from the conformal factor callable."""
-    return lambda x, y: 1.0 - 1.0 / np.asarray(factor_c(x, y), dtype=float)
 
 
 def _fit_line(x, y):
@@ -373,11 +368,11 @@ def _unfitted(point, sweep, values, message):
 def recover_q_point(
     mesh,
     metric,
-    factor_c,
+    weight,
     center,
     tau_sweep,
 ):
-    """Estimate Q = 1 - 1/c at one interior point from a frequency sweep.
+    """Estimate the weight Q at one interior point from a frequency sweep.
 
     Evaluates the weighted probe functional F(tau) for each frequency,
     fits the affine model A tau + B to Re F by least squares and returns
@@ -390,10 +385,11 @@ def recover_q_point(
 
     Parameters
     ----------
-    factor_c : callable
-        Conformal factor c(x, y) defining the discrepancy weight 1 - 1/c.
+    weight : callable
+        The weight Q(x, y) of the probe functional, Q = 1 - 1/c for a pair
+        of metrics g and c g.
     """
-    functional = q_form(mesh, metric, _discrepancy_weight(factor_c))
+    functional = q_form(mesh, metric, weight)
     return _recover_point(mesh, metric, functional, center, tau_sweep, None)
 
 
@@ -429,34 +425,26 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
 
 def interior_grid(mesh, spacing, margin):
     """Regular grid of chart points at least ``margin`` from every boundary vertex."""
-    from scipy.spatial import cKDTree  # lazy: only this and recover_q_field use it
+    from scipy.spatial import cKDTree  # lazy: only a field grid needs it
 
     verts = mesh.vertices
     xs = np.arange(verts[:, 0].min(), verts[:, 0].max() + 0.5 * spacing, spacing)
     ys = np.arange(verts[:, 1].min(), verts[:, 1].max() + 0.5 * spacing, spacing)
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
-    x, y = pts[:, :1], pts[:, 1:]
-    # in the chart: winding number 1 about the loops, which have it on their
-    # left; an edge a -> b crossing the ray right of (x, y) counts +1 up, -1 down
-    ax, ay = verts[mesh.boundary_vertices].T
-    bx, by = verts[np.concatenate([np.roll(lp, -1) for lp in mesh.boundary_loops])].T
-    left = (bx - ax) * (y - ay) - (by - ay) * (x - ax)  # > 0: left of a -> b
-    winding = (((ay <= y) & (by > y) & (left > 0)).sum(axis=1)
-               - ((ay > y) & (by <= y) & (left < 0)).sum(axis=1))
     far = cKDTree(verts[mesh.boundary_vertices]).query(pts)[0] >= margin
-    return pts[(winding == 1) & far]
+    return pts[(_winding(mesh, pts) == 1) & far]
 
 
 def recover_q_field(
     mesh,
     metric,
-    factor_c,
+    weight,
     grid,
     tau_sweep,
     probe_margin=None,
 ):
-    """Map pointwise recovery over a grid and fill the chart by nearest neighbor.
+    """Map pointwise recovery over a grid: one RecoveryResult per grid point.
 
     The probe trace grows like e^{tau max|Im Phi|} on the boundary, and the
     growth exponent increases towards the boundary; each grid point
@@ -464,19 +452,17 @@ def recover_q_field(
     budget (the actual frequencies used are recorded in each point's
     result).  Points whose scaled sweep drops below tau = 3 carry too
     little oscillation to concentrate and are flagged instead of probed.
-    Unreliable points are kept (flagged) but excluded from the fill; if no
+    The results come back in grid order, unreliable points flagged; if no
     point is reliable the recovery fails as a whole, and an empty grid
     raises ResolutionError before any probe.  One probe functional, the
-    :func:`identity.q_form` with Q = 1 - 1/c, serves the whole grid.
+    :func:`identity.q_form` of ``weight``, serves the whole grid.
     """
-    from scipy.spatial import cKDTree  # lazy: only this and interior_grid use it
-
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ResolutionError("the grid has no point to recover at")
     taus = np.asarray(tau_sweep, dtype=float)
     budget = _amplitude_budget(mesh.h)
-    functional = q_form(mesh, metric, _discrepancy_weight(factor_c))
+    functional = q_form(mesh, metric, weight)
 
     results = []
     for point in grid:
@@ -498,17 +484,12 @@ def recover_q_field(
             res = _unfitted(point, sweep, np.full(sweep.size, np.nan + 0j), str(exc))
         results.append(res)
 
-    reliable = np.array([r.reliable for r in results])
-    if not reliable.any():
+    if not any(r.reliable for r in results):
         raise UnreliableRecoveryError(
             "no grid point produced a reliable estimate; "
             + "; ".join(sorted({r.message for r in results}))
         )
-    good = grid[reliable]
-    good_values = np.array([r.q_estimate for r, ok in zip(results, reliable) if ok])
-    nearest = cKDTree(good).query(mesh.vertices)[1]
-    return RecoveryField(field=good_values[nearest], points=results, grid=grid,
-                         reliable=reliable)
+    return results
 
 
 def jet_window(s):
@@ -552,7 +533,7 @@ def _jet_frame(bverts, bg, i):
 def boundary_jet_probe(
     mesh,
     metric,
-    factor_c,
+    weight,
     point,
     m,
     n_sweep,
@@ -570,7 +551,7 @@ def boundary_jet_probe(
         F(N) = integral of Q [ 2 g(grad u_N, grad conj(u_N))^2
                                + |g(grad u_N, grad u_N)|^2 ] dV_g
 
-    with Q = 1 - 1/c, and fits log|F| against log N.  The fitted exponent
+    with Q = ``weight``, and fits log|F| against log N.  The fitted exponent
     estimates 3 - k - alpha with alpha = (m^2+1)/(m^2+m+1) and k the order
     of the first nonvanishing inward derivative of Q at the point; the
     caller compares candidate k values.
@@ -608,7 +589,7 @@ def boundary_jet_probe(
     gamma_p = _conformal_scale_at(metric, base, "boundary-jet probe")
     kappa = float(np.sqrt(gamma_p))
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
-    form = q_form(mesh, metric, _discrepancy_weight(factor_c))
+    form = q_form(mesh, metric, weight)
 
     extension = discretization(mesh, metric)
     tangent, normal = _jet_frame(bverts, extension.boundary, i_near)

@@ -249,11 +249,10 @@ def test_09_interior_weight_recovery():
     amp = 0.1
     weight = lambda x, y: amp * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.35**2)
-    factor = lambda x, y: 1.0 / (1.0 - weight(x, y))
     sweep = [6.0, 8.0, 10.0]
-    result = inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), sweep)
+    result = inv.recover_q_point(mesh, FLAT, weight, (0.0, 0.0), sweep)
     zero = inv.recover_q_point(
-        mesh, FLAT, lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        mesh, FLAT, lambda x, y: np.zeros_like(np.asarray(x, dtype=float)),
         (0.0, 0.0), sweep)
     elapsed = time.perf_counter() - start
     err = abs(result.q_estimate - amp)
@@ -280,7 +279,7 @@ def test_10_boundary_jet_exponents():
     point = (0.5, 0.0)
     width = 0.2
 
-    def factor(k):
+    def weight(k):
         def q(x, y):
             x = np.asarray(x, dtype=float)
             y = np.asarray(y, dtype=float)
@@ -288,10 +287,10 @@ def test_10_boundary_jet_exponents():
             if k == 1:
                 out = out * (y / width)
             return out
-        return lambda x, y: 1.0 / (1.0 - q(x, y))
+        return q
 
     sweep = [20.0, 28.0, 40.0, 56.0]
-    res = [inv.boundary_jet_probe(mesh, FLAT, factor(k), point, 2, sweep) for k in (0, 1)]
+    res = [inv.boundary_jet_probe(mesh, FLAT, weight(k), point, 2, sweep) for k in (0, 1)]
     errs = [abs(res[k].exponent - (3.0 - k - alpha)) for k in (0, 1)]
     margin = res[0].exponent - res[1].exponent
     ok = max(errs) <= 0.3 and margin >= 0.5

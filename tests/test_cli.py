@@ -433,7 +433,7 @@ def test_entry_point_runs_as_module(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_spatial_unloaded():
-    # only the recovery grid and its nearest-neighbour fill use scipy.spatial;
+    # only the recovery grid (inverse.interior_grid) uses scipy.spatial;
     # importing it with the CLI would add its import time to every run
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -665,11 +665,18 @@ def test_default_run_factorizations(tmp_path, counting, subcommand, factorizatio
     ("linearize-check", {"directions": [SIN, SIN, {"name": "zero"}]},
      fwd, "solve_minimal_surface"),
     ("recover-q", EMPTY_FIELD, inv, "make_interior_probe"),
+    # (0, 0) is in the hole, 0.5 from the inner rim, beyond the margin
+    # 1/sqrt(4.5): the probe centre lies outside the chart
+    ("recover-q", {"mesh": {"kind": "annulus", "r0": 0.5, "r1": 1.2, "n_radial": 28,
+                            "n_angular": 384},
+                   "point": [0, 0], "tau_sweep": [4.5, 5, 5.5],
+                   "weight": {"name": "gaussian", "amplitude": 0.1, "width": 0.35,
+                              "center": [0, 0]}}, spla, "splu"),
     # the jet window N^-alpha at N = 0.1 (5.2) covers all of square(1)'s boundary
     ("boundary-jet", {"mesh": {"kind": "square", "n": 1}, "n_sweep": [0.1, 0.2, 0.3]},
      inv, "jet_window"),
 ], ids=["one-level", "two-equal-levels", "weight-above-one", "amplitude-zero",
-        "all-directions-zero", "triple-direction-zero", "empty-field",
+        "all-directions-zero", "triple-direction-zero", "empty-field", "point-in-hole",
         "jet-window-wider-than-boundary"])
 def test_mesh_dependent_config_errors_precede_the_first_solve(
         tmp_path, capsys, counting, subcommand, config, module, name):

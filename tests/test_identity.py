@@ -164,7 +164,7 @@ def test_third_dn_fluxes_of_a_conformal_pair_are_the_probe_functional():
         target = form(*probe.fields)
         assert abs(cg_side - g_side - target) <= 1e-10 * abs(target)
     # and the recovery that reads this functional (measured 0.120166)
-    result = inv.recover_q_point(mesh, FLAT, factor, (0.0, 0.0), sweep)
+    result = inv.recover_q_point(mesh, FLAT, weight, (0.0, 0.0), sweep)
     assert result.q_estimate == pytest.approx(0.12017, abs=1e-5)
 
 
