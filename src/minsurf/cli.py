@@ -382,11 +382,11 @@ def _build(cfg):
     A mesh constructor's range error names its key (``mesh`` or
     ``levels[i]``).  Then, before the first solve, the metric must be SPD at
     the quadrature points and on the boundary of every mesh (boundary
-    vertices and edge quadrature points), each weight Q below 1 at its
-    vertices and quadrature points, the boundary data and every direction
-    finite on the boundary vertices, every direction nonzero somewhere on
-    the boundary, ``levels`` of two or more sizes, the metric SPD at
-    ``point``, and a ``field`` grid with a point, which it adds as
+    vertices and edge quadrature points), each weight Q finite and below 1
+    at its vertices and quadrature points, the boundary data and every
+    direction finite on the boundary vertices, every direction nonzero
+    somewhere on the boundary, ``levels`` of two or more sizes, the metric
+    SPD at ``point``, and a ``field`` grid with a point, which it adds as
     ``field["grid"]``.
     """
     cfg["metric"] = cfg["metric"]()
@@ -410,10 +410,13 @@ def _build(cfg):
         except ValueError as exc:
             raise ConfigError("metric", str(exc)) from None
         for name, q in weights:
-            if not all(np.all(q(x, y) < 1.0)
-                       for x, y in (mesh.vertices.T, mesh.quad_points)):
-                raise ConfigError(name, "Q must stay below 1 on the mesh so "
-                                        "that c = 1/(1 - Q) is positive")
+            for x, y in (mesh.vertices.T, mesh.quad_points):
+                with np.errstate(all="ignore"):  # the overflow is what is reported
+                    values = np.asarray(q(x, y))
+                if not np.all(np.isfinite(values) & (values < 1.0)):
+                    raise ConfigError(name, "Q must be finite and stay below 1 on "
+                                            "the mesh so that c = 1/(1 - Q) is "
+                                            "positive")
         bx, by = mesh.vertices[mesh.boundary_vertices].T
         data = [(f"directions[{j}]", fn) for j, fn in enumerate(cfg.get("directions", []))]
         if "boundary_data" in cfg:
@@ -694,8 +697,9 @@ def run_recover_q(cfg, out_dir, log):
     result = inv.recover_q_point(mesh, metric, q_fn, point, taus)
     point_s = time.perf_counter() - t0
     truth = float(q_fn(point[0], point[1]))
-    rows = [(point[0], point[1], truth,
-             float(result.q_estimate), int(result.reliable))]
+    # a sweep that was not fitted has no estimate
+    estimate = np.nan if result.q_estimate is None else float(result.q_estimate)
+    rows = [(point[0], point[1], truth, estimate, int(result.reliable))]
     diagnostics = [_diagnostic(result, functional_values=result.functional_values,
                                coefficient=result.coefficient,
                                intercept=result.intercept)]
@@ -718,16 +722,16 @@ def run_recover_q(cfg, out_dir, log):
 
     checks, limit = Assertions(), cfg["assertions"]
     checks.require("point_reliable", result.reliable, result.message)
-    checks.check("center_error", abs(float(result.q_estimate) - truth),
+    checks.check("center_error", abs(estimate - truth),
                  limit["center_error_max"])
     checks.check("fit_residual", result.fit_residual, limit["fit_residual_max"])
 
-    log(f"recovered {result.q_estimate:.5f} at {tuple(point)} "
+    log(f"recovered {estimate:.5f} at {tuple(point)} "
         f"(truth {truth:.5f}, fit residual {result.fit_residual:.3f})")
     results = {
         "point": list(point),
         "q_truth": truth,
-        "q_estimate": float(result.q_estimate),
+        "q_estimate": estimate,
         "fit_residual": result.fit_residual,
         "reliable": result.reliable,
         "n_field_points": len(rows) - 1,

@@ -173,7 +173,7 @@ def dn_linear(mesh, metric, f):
     bg = d.boundary
     fb = boundary_values(mesh, f)
     v = solve_laplace_beltrami(mesh, metric, fb)
-    flux = (d.stiffness @ v)[mesh.boundary_vertices]
+    flux = d.boundary_rows @ v
     return DNTrace(bg=bg, values=flux / bg.ds, flux=flux)
 
 
@@ -206,7 +206,7 @@ def _flux_trace(bg, fb, flux):
 
 def _normal_derivative(d, v):
     """Nodal d_nu v of a discrete-harmonic field of Discretization d, from its weak flux."""
-    return (d.stiffness @ v)[d.mesh.boundary_vertices] / d.boundary.ds
+    return (d.boundary_rows @ v) / d.boundary.ds
 
 
 def _boundary_correction(d, vs, fbs):
@@ -268,7 +268,7 @@ def dn_third_derivative_exact(mesh, metric, directions):
     # solve with zero Dirichlet data
     L = third_linearization_source(mesh, metric, *vs)
     w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
-    flux = (d.stiffness @ w - L)[mesh.boundary_vertices]
+    flux = d.boundary_rows @ w - L[mesh.boundary_vertices]
     values = flux / bg.ds + _boundary_correction(d, vs, fbs)
     return DNTrace(bg=bg, values=values, flux=flux)
 

@@ -216,11 +216,13 @@ def warm_start(mesh, metric, u):
     """Factor J(u) once for chord-step solves that start at or near u.
 
     Assembles the Newton Jacobian at the nodal field ``u`` and builds its
-    interior system.  Every solve given the result as its
-    ``initial_guess`` starts from ``u`` and takes its steps on
-    that system (see the module docstring for the refresh rule); a solve
-    given a copy with other ``values``, such as a tangent prediction,
-    starts there instead.  Raises ValueError for a complex field.
+    interior system, which takes the factor of J(u)[I, I] at its first
+    solve or extension, after J(u) itself is dropped.  Every solve given
+    the result as its ``initial_guess`` starts from ``u`` and takes its
+    steps on that system (see the module docstring for the refresh rule);
+    a solve given a copy with other ``values``, such as a tangent
+    prediction, starts there instead.  Raises ValueError for a complex
+    field.
     """
     u = nodal_values(mesh, u)
     system = InteriorSystem(mesh, mse_linearized_operator(mesh, metric, u))

@@ -30,7 +30,10 @@ Conventions
   and ``Mesh.hat_gradients`` and ``Mesh.quad_points`` as (2, 3, n_tri), x
   and y first.  Every kernel product with a per-triangle factor (n_tri,)
   then runs over contiguous rows, and sums over the points add the three
-  rows (:func:`_point_sum`).
+  rows (:func:`_point_sum`).  Each per-triangle quantity is kept once: the
+  mesh keeps its areas and hat gradients and forms the quadrature points
+  on each read, and the metric block keeps the weights |T| w_q sqrt(det g)
+  in place of sqrt(det g).
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -55,18 +58,20 @@ to its mesh only weakly, so it lives and dies with the mesh: dropping the
 last reference to a mesh frees its owners at once, without waiting for a
 garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
-quadrature, the quadrature weights, the stiffness matrix K, the boundary
-geometry, the :class:`InteriorSystem` of K, and the conformal-flatness
-defect.  An :class:`InteriorSystem` is the package's one Dirichlet
-elimination, on a factor taken in the mesh's elimination order
+quadrature (its first row block the quadrature weights against dV_g),
+the boundary geometry, the conformal-flatness defect, and what is read
+of the stiffness matrix K: its :class:`InteriorSystem` and its boundary
+rows K[B], both from one assembly of K, which is then dropped.  An
+:class:`InteriorSystem` is the package's one Dirichlet elimination, on a
+factor taken at its first use in the mesh's elimination order
 ``Mesh.interior_order`` (a nested dissection built with the mesh, so it
 needs no lock), which no other module reads.  The owner's system of K
 serves every Laplace-Beltrami solve, harmonic extension and
 third-linearization solve (:meth:`Discretization.extend`) and the chord
-steps of every cold minimal-surface solve (K is the Jacobian at u = 0).
-The builders stay public and build afresh on each call
-(:func:`assemble_weighted_stiffness` from the owner's metric at
-quadrature).
+steps of every cold minimal-surface solve (K is the Jacobian at u = 0);
+the boundary rows give every weak flux (K v)[B].  The builders stay
+public and build afresh on each call (:func:`assemble_weighted_stiffness`
+from the owner's metric at quadrature).
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ __all__ = [
     "conformal_metric",
     "metric_eval",
     "interpolate_at_quadrature",
-    "quadrature_weights",
     "hat_flux_loads",
     "hat_pair_elements",
     "assemble_elements",
@@ -201,6 +205,21 @@ def _nested_dissection(vertices, triangles, interior):
     return interior[np.argsort(key, kind="stable")]
 
 
+def _corner_rows(vertices, triangles):
+    """The corner coordinates of every triangle as rows, x first.
+
+    Yields the C-contiguous (3, n_tri) arrays x and y: ``x[i]`` holds the
+    x coordinate of corner i of each triangle.
+    """
+    for c in range(2):
+        yield np.take(vertices[:, c], triangles.T)
+
+
+def _signed_areas(x, y):
+    """Signed areas of the triangles with corner rows x, y, (n_tri,)."""
+    return 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0]))
+
+
 # ---------------------------------------------------------------------------
 # Mesh
 # ---------------------------------------------------------------------------
@@ -226,9 +245,9 @@ class Mesh:
         ``hat_gradients[c, i]`` is component c (x, y) of grad(phi_i), one
         C-contiguous row over the triangles.
     quad_points : (2, 3, n_triangles) ndarray
-        Physical coordinates of the volume quadrature points:
-        ``quad_points[c, q]`` is coordinate c of point q, one row over the
-        triangles, so ``x, y = mesh.quad_points``.
+        Physical coordinates of the volume quadrature points, formed on
+        each read (not stored): ``quad_points[c, q]`` is coordinate c of
+        point q, one row over the triangles, so ``x, y = mesh.quad_points``.
     boundary_loops : list of ndarray
         Boundary vertex indices per closed loop, domain on the left: each
         vertex and the next, wrapping around, are a directed boundary edge.
@@ -264,14 +283,14 @@ class Mesh:
             raise ValueError("triangle indices out of range")
 
         # Normalize orientation: flip clockwise triangles.
-        p = vertices[triangles]
-        signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        x, y = _corner_rows(vertices, triangles)
+        signed = _signed_areas(x, y)
         flip = signed < 0.0
         if np.any(flip):
             triangles = triangles.copy()
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
-            p = vertices[triangles]
-            signed = 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+            x, y = _corner_rows(vertices, triangles)
+            signed = _signed_areas(x, y)
         scale = max(np.abs(vertices).max(), 1.0)
         if np.any(signed <= 1e-14 * scale**2):
             bad = int(np.argmin(signed))
@@ -289,18 +308,15 @@ class Mesh:
         grads = np.empty((2, 3, len(triangles)))
         longest = 0.0
         for i in range(3):
-            e = p[:, (i + 2) % 3] - p[:, (i + 1) % 3]
-            grads[0, i] = -e[:, 1]
-            grads[1, i] = e[:, 0]
-            longest = max(longest, (e[:, 0] ** 2 + e[:, 1] ** 2).max())
+            ex = x[(i + 2) % 3] - x[(i + 1) % 3]
+            ey = y[(i + 2) % 3] - y[(i + 1) % 3]
+            np.negative(ey, out=grads[0, i])
+            grads[1, i] = ex
+            longest = max(longest, (ex**2 + ey**2).max())
         grads /= 2.0 * signed
         self.hat_gradients = grads
         self.h = float(np.sqrt(longest))
-
-        # the per-triangle matmul of the rule (and its rounding), written
-        # straight into the rows
-        self.quad_points = np.empty((2, 3, len(triangles)))
-        np.matmul(_QUAD_BARY, p, out=self.quad_points.transpose(2, 1, 0))
+        del x, y  # free the corner rows before the boundary and order are built
 
         self._build_boundary()
         self.interior_order = _nested_dissection(
@@ -360,6 +376,21 @@ class Mesh:
         self.interior_vertices = np.flatnonzero(~is_boundary)
 
     # -- basic queries -------------------------------------------------------
+
+    @property
+    def quad_points(self):
+        """Physical coordinates of the volume quadrature points, (2, 3, n_tri).
+
+        ``quad_points[c, q]`` is coordinate c of point q, one C-contiguous
+        row over the triangles, so ``x, y = mesh.quad_points``.  Formed on
+        each read, one matmul of the rule with the (3, n_tri) corner rows
+        per coordinate: bit for bit the per-triangle product
+        ``_QUAD_BARY @ vertices[triangles]``, re-laid.
+        """
+        points = np.empty((2, 3, self.n_triangles))
+        for c, corners in enumerate(_corner_rows(self.vertices, self.triangles)):
+            np.matmul(_QUAD_BARY, corners, out=points[c])
+        return points
 
     @property
     def n_vertices(self):
@@ -632,28 +663,32 @@ def _spd_determinant(g, x, y, where):
 class _MetricQuad:
     """Metric data at the volume quadrature points.
 
-    ``rows`` is one C-contiguous (4, 3, n_tri) block: sqrt(det g) and the
-    inverse metric entries g^11, g^12, g^22, each a (3, n_tri) row block
-    (``sqrt_det``, ``inv11``, ``inv12``, ``inv22``).  The two columns of
-    g^{-1}, (g^11, g^12) and (g^12, g^22), are the consecutive slices
-    ``rows[1:3]`` and ``rows[2:4]``.
+    ``rows`` is one C-contiguous (4, 3, n_tri) block: the weights of the
+    volume rule against dV_g, |T| w_q sqrt(det g), and the inverse metric
+    entries g^11, g^12, g^22, each a (3, n_tri) row block (``weights``,
+    ``inv11``, ``inv12``, ``inv22``).  sqrt(det g) has no reader but the
+    weights, so it is not kept apart.  The two columns of g^{-1},
+    (g^11, g^12) and (g^12, g^22), are the consecutive slices ``rows[1:3]``
+    and ``rows[2:4]``.
     """
 
     rows: np.ndarray
 
-    sqrt_det = property(lambda self: self.rows[0])
+    weights = property(lambda self: self.rows[0])
     inv11 = property(lambda self: self.rows[1])
     inv12 = property(lambda self: self.rows[2])
     inv22 = property(lambda self: self.rows[3])
 
 
 def metric_at_quadrature(mesh, metric):
-    """Evaluate the volume factor and inverse metric at quadrature points."""
+    """Evaluate the quadrature weights against dV_g and the inverse metric
+    at the quadrature points."""
     x, y = mesh.quad_points
     g11, g12, g22 = _metric_entries(metric, x, y)
     det = _spd_determinant((g11, g12, g22), x, y, "quadrature point")
     rows = np.empty((4,) + det.shape)
     np.sqrt(det, out=rows[0])
+    rows[0] *= _QUAD_WEIGHTS[:, None] * mesh.tri_areas
     np.divide(g22, det, out=rows[1])
     np.divide(-g12, det, out=rows[2])
     np.divide(g11, det, out=rows[3])
@@ -709,11 +744,6 @@ def interpolate_at_quadrature(mesh, values):
     """P1 interpolation of nodal values to the quadrature points, (3, n_tri)."""
     v = np.asarray(values)[mesh.triangles]
     return np.einsum("qi,ti->qt", _QUAD_BARY, v)
-
-
-def quadrature_weights(mesh, mq):
-    """Weights of the volume rule against dV_g at each quadrature point, (3, n_tri)."""
-    return (_QUAD_WEIGHTS[:, None] * mesh.tri_areas) * mq.sqrt_det
 
 
 # ---------------------------------------------------------------------------
@@ -793,15 +823,15 @@ def assemble_elements(mesh, data):
 def assemble_weighted_stiffness(mesh, metric):
     """Assemble the Laplace-Beltrami stiffness K_ij = integral of g(grad phi_i, grad phi_j) dV_g.
 
-    Assembles afresh on every call; ``discretization(mesh, metric).stiffness``
-    is the shared copy.
+    Assembles afresh on every call, from the owner's metric at quadrature;
+    the owner keeps only K's :class:`InteriorSystem` and boundary rows.
 
     Returns
     -------
     scipy.sparse.csr_matrix, symmetric.
     """
-    d = discretization(mesh, metric)
-    mq, w = d.mq, d.weights
+    mq = discretization(mesh, metric).mq
+    w = mq.weights
     return assemble_elements(
         mesh, hat_pair_elements(mesh, w * mq.inv11, w * mq.inv12, w * mq.inv22)
     )
@@ -856,19 +886,31 @@ class InteriorSystem:
     """Dirichlet elimination on one factored interior block of a vertex matrix.
 
     ``A`` is a symmetric vertex matrix with an SPD interior block, K or a
-    Newton Jacobian J(u).  The system keeps the block A[O, B] and the
-    :func:`factor_spd` factor of A[O, O], O = ``mesh.interior_order`` and
-    B = ``mesh.boundary_vertices``; A[O] is dropped before the factor is
-    built.  Both methods take and return whole vertex arrays, so the order
-    stays inside.  It holds the mesh's index arrays, not the mesh.
+    Newton Jacobian J(u).  The system keeps the blocks A[O, B] and A[O, O],
+    O = ``mesh.interior_order`` and B = ``mesh.boundary_vertices``, and
+    holds no reference to A.  The first call of either method takes the
+    :func:`factor_spd` factor of A[O, O], once under the system's lock
+    (threads may share the owner's system), and drops the block: the
+    factor is then built beside the blocks alone, not beside A.  Both
+    methods take and return whole vertex arrays, so the order stays inside.
+    It holds the mesh's index arrays, not the mesh.
     """
 
     def __init__(self, mesh, A):
         self._order, self._boundary = mesh.interior_order, mesh.boundary_vertices
         rows = A[self._order]
-        block, self._coupling = rows[:, self._order], rows[:, self._boundary]
-        del rows
-        self._lu = factor_spd(block)
+        self._block, self._coupling = rows[:, self._order], rows[:, self._boundary]
+        self._lu = None
+        self._lock = threading.Lock()
+
+    def _factor(self):
+        """The factor of A[O, O], taken on first use."""
+        if self._lu is None:
+            with self._lock:
+                if self._lu is None:
+                    self._lu = factor_spd(self._block)
+                    self._block = None
+        return self._lu
 
     def extend(self, bvals, rhs=None):
         """Solve A u = rhs with u = ``bvals`` on the boundary vertices.
@@ -882,6 +924,7 @@ class InteriorSystem:
         (rhs = 0).  Complex data is solved as its real and imaginary parts,
         2k columns of one solve.
         """
+        lu = self._factor()  # before this call allocates anything
         O, B = self._order, self._boundary
         bvals = np.asarray(bvals)
         if bvals.ndim not in (1, 2) or len(bvals) != len(B):
@@ -899,10 +942,10 @@ class InteriorSystem:
         if np.iscomplexobj(reduced):
             k = bvals.shape[1] if bvals.ndim == 2 else 1  # len(O) may be 0
             cols = reduced.reshape(len(O), k)
-            parts = self._lu.solve(np.hstack([cols.real, cols.imag]))
+            parts = lu.solve(np.hstack([cols.real, cols.imag]))
             u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
         else:
-            u[O] = self._lu.solve(reduced)
+            u[O] = lu.solve(reduced)
         return u
 
     def solve(self, r):
@@ -911,8 +954,9 @@ class InteriorSystem:
         ``r`` is a real vertex array, (n_vertices,) or (n_vertices, k) for k
         columns of one solve; its boundary entries are not read.
         """
+        lu = self._factor()
         x = np.zeros(np.shape(r))
-        x[self._order] = self._lu.solve(np.asarray(r)[self._order])
+        x[self._order] = lu.solve(np.asarray(r)[self._order])
         return x
 
 
@@ -1059,27 +1103,30 @@ class Discretization:
 
     Obtain it with :func:`discretization`; see the module docstring.  Each
     piece is built by the public builder of the same quantity
-    (:func:`metric_at_quadrature`, :func:`quadrature_weights`,
-    :func:`assemble_weighted_stiffness`, :func:`boundary_geometry`, and
-    :class:`InteriorSystem` of K for the interior factor) under the owner's
-    lock, so concurrent first uses build it once.  The lock is reentrant
-    because building K reads the metric at quadrature.
+    (:func:`metric_at_quadrature`, :func:`assemble_weighted_stiffness`,
+    :func:`boundary_geometry`, and :class:`InteriorSystem` of K for the
+    interior factor) under the owner's lock, so concurrent first uses build
+    it once.  The lock is reentrant because building K reads the metric at
+    quadrature.  K itself is not kept: one assembly gives its interior
+    system and its boundary rows, and is then dropped, so no full vertex
+    matrix is alive when the system takes its factor.
 
     Attributes
     ----------
     mq : _MetricQuad
-        Metric at the quadrature points: ``sqrt_det``, ``inv11``, ``inv12``
+        Metric at the quadrature points: ``weights``, ``inv11``, ``inv12``
         and ``inv22``, each a C-contiguous (3, n_tri) array, are the row
         blocks of its one (4, 3, n_tri) array ``rows``.
     weights : (3, n_tri) ndarray
-        Quadrature weights against dV_g, C-contiguous.
-    stiffness : csr_matrix
-        Laplace-Beltrami stiffness matrix K.
+        Quadrature weights against dV_g, the first row block of ``mq``.
     boundary : BoundaryGeometry
     interior_system : InteriorSystem
         The :class:`InteriorSystem` of K, behind :meth:`extend`.  K is the
         minimal-surface Jacobian at u = 0, so it also serves the chord
         steps of a cold nonlinear solve.
+    boundary_rows : csr_matrix (n_boundary, n_vertices)
+        The rows K[B] of the boundary vertices, in ``boundary_vertices``
+        order: ``boundary_rows @ v`` is the weak flux (K v)[B], bit for bit.
     conformal_defect : (float, ndarray)
         How far g is from conformally flat (g = gamma * identity): the
         largest of |g^12| and |g^11 - g^22| relative to (g^11 + g^22) / 2
@@ -1121,13 +1168,7 @@ class Discretization:
 
     @property
     def weights(self):
-        return self._piece("weights", lambda: quadrature_weights(self.mesh, self.mq))
-
-    @property
-    def stiffness(self):
-        return self._piece(
-            "stiffness", lambda: assemble_weighted_stiffness(self.mesh, self.metric)
-        )
+        return self.mq.weights
 
     @property
     def boundary(self):
@@ -1135,9 +1176,17 @@ class Discretization:
 
     @property
     def interior_system(self):
-        return self._piece(
-            "interior_system", lambda: InteriorSystem(self.mesh, self.stiffness)
-        )
+        return self._piece("stiffness", self._stiffness)[0]
+
+    @property
+    def boundary_rows(self):
+        return self._piece("stiffness", self._stiffness)[1]
+
+    def _stiffness(self):
+        # what is kept of K; K goes out of scope on return
+        mesh = self.mesh
+        K = assemble_weighted_stiffness(mesh, self.metric)
+        return InteriorSystem(mesh, K), K[mesh.boundary_vertices]
 
     @property
     def conformal_defect(self):
@@ -1149,7 +1198,9 @@ class Discretization:
         scale = 0.5 * (mq.inv11 + mq.inv22)
         defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
         q, t = _first_index(defect, np.argmax)
-        return float(defect[q, t]), self.mesh.quad_points[:, q, t]
+        # only the worst point, as the per-triangle rule forms it
+        mesh = self.mesh
+        return float(defect[q, t]), (_QUAD_BARY @ mesh.vertices[mesh.triangles[t]])[q]
 
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices

@@ -128,23 +128,26 @@ def q_form(mesh, metric, Q):
 
         M_t = sum_q w_q Q(x_q) G_q G_q^T.
 
-    Building the form evaluates Q at quadrature and builds M_t (six (n_tri,)
-    rows); each call then runs on per-triangle arrays only, one block of
-    triangles at a time.  Build it once per sweep and call it once per
-    probe.  Arguments passed as the same object share one gradient, each
-    unordered pair of them one p, and equal products one form: the probes
-    pass (u, u, v, v), which takes two gradients, three p and two forms
-    instead of four, six and three.
+    The form's first call evaluates Q at quadrature and builds M_t (six
+    (n_tri,) rows), so a sweep that builds the form before its probes
+    holds no tensor while their extensions take the owner's factor; every
+    call then runs on per-triangle arrays only, one block of triangles at
+    a time.  Build it once per sweep and call it once per probe.  Arguments
+    passed as the same object share one gradient, each unordered pair of
+    them one p, and equal products one form: the probes pass (u, u, v, v),
+    which takes two gradients, three p and two forms instead of four, six
+    and three.
     """
-    d = discretization(mesh, metric)
-    mq = d.mq
-    c = d.weights * _q_at_quadrature(mesh, Q)
-    G = (mq.inv11, mq.inv12, mq.inv22)
-    M = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            M[i][j] = M[j][i] = _point_sum(c * G[i] * G[j])
     blocks = [slice(b, b + _BLOCK) for b in range(0, mesh.n_triangles, _BLOCK)]
+    M = [[None] * 3 for _ in range(3)]  # M_t, built at the first call
+
+    def build_tensor():
+        mq = discretization(mesh, metric).mq
+        c = mq.weights * _q_at_quadrature(mesh, Q)
+        G = (mq.inv11, mq.inv12, mq.inv22)
+        for i in range(3):
+            for j in range(i, 3):
+                M[i][j] = M[j][i] = _point_sum(c * G[i] * G[j])
 
     def block_sum(values, slot, block):
         """The form summed over the triangles of ``block``."""
@@ -175,6 +178,8 @@ def q_form(mesh, metric, Q):
         return product((3, 0), (2, 1)) + product((3, 1), (2, 0)) + product((3, 2), (0, 1))
 
     def form(v1, v2, v3, v4):
+        if M[0][0] is None:
+            build_tensor()
         fields = (v1, v2, v3, v4)
         # slot[i]: the first argument that is the very object fields[i]
         slot = [next(j for j in range(4) if fields[j] is v) for v in fields]

@@ -120,9 +120,10 @@ class RecoveryResult:
     residual is always reported, never hidden; a sweep with only two
     distinct frequencies leaves the two-parameter fit no residual degrees
     of freedom, so its residual is undefined (NaN) and the result is
-    unreliable.  A sweep that was not fitted (a flagged grid point, a jet
-    sweep below the noise floor) is unreliable, with ``q_estimate`` None
-    and every fit quantity NaN.
+    unreliable.  A sweep that was not fitted (a flagged grid point, a
+    functional value that is not finite, a jet sweep below the noise
+    floor) is unreliable, with ``q_estimate`` None and every fit quantity
+    NaN.
     """
 
     point: tuple
@@ -365,6 +366,19 @@ def _unfitted(point, sweep, values, message):
                    np.nan, np.nan, np.nan)
 
 
+def _not_finite(point, sweep, values):
+    """The unfitted record of a sweep with a functional value that is not
+    finite (a weight that overflows, say), None if every value is finite."""
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return None
+    return _unfitted(
+        point, sweep, values,
+        f"probe functional is not finite at frequency {sweep[bad][0]:g}, so "
+        "the sweep is not fitted: the weight or the probe fields overflow",
+    )
+
+
 def recover_q_point(
     mesh,
     metric,
@@ -381,7 +395,8 @@ def recover_q_point(
     leading term |A| tau_max) is the trust diagnostic: above 20% the
     result comes back flagged unreliable, with the reason in its message.
     Two distinct frequencies fit the line exactly: the residual is then
-    NaN and the result unreliable.
+    NaN and the result unreliable.  A sweep with a functional value that
+    is not finite is not fitted and comes back unreliable.
 
     Parameters
     ----------
@@ -404,6 +419,9 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
     for i, tau in enumerate(taus):
         probe = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
         values[i] = functional(*probe.fields)
+    failed = _not_finite(center, taus, values)
+    if failed is not None:
+        return failed
 
     slope, intercept, rms = _fit_line(taus, values.real)
     leading = abs(slope) * taus.max()
@@ -557,16 +575,17 @@ def boundary_jet_probe(
     caller compares candidate k values.
 
     A sweep whose functional magnitudes all sit at or below the absolute
-    noise floor 1e-13 reports exponent and fit residual NaN with an
-    explanatory message instead of fitting noise; a sweep of two distinct
-    frequencies reports an undefined (NaN) fit residual and an unreliable
-    result.  Each frequency N must be finite and positive and its
-    wavelength 2 pi / N must span at least 10 mesh cells, and ``point``
-    must lie within one mesh size of its nearest boundary vertex, where the
-    probe is built.  The window half-width N^-alpha at the smallest N must
-    not exceed the largest distance from that vertex to the boundary, or
-    the window covers every boundary vertex and the probe cannot
-    concentrate.  Otherwise the probe raises ResolutionError.
+    noise floor 1e-13, or with a value that is not finite, reports
+    exponent and fit residual NaN with an explanatory message instead of
+    fitting; a sweep of two distinct frequencies reports an undefined (NaN)
+    fit residual and an unreliable result.  Each frequency N must be
+    finite and positive and its wavelength 2 pi / N must span at least 10
+    mesh cells, and ``point`` must lie within one mesh size of its nearest
+    boundary vertex, where the probe is built.  The window half-width
+    N^-alpha at the smallest N must not exceed the largest distance from
+    that vertex to the boundary, or the window covers every boundary vertex
+    and the probe cannot concentrate.  Otherwise the probe raises
+    ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
     if freqs.size < 2:
@@ -616,6 +635,9 @@ def boundary_jet_probe(
         u = extension.extend(trace)
         u_bar = np.conj(u)
         values[i] = form(u, u, u_bar, u_bar)
+    failed = _not_finite(base, freqs, values)
+    if failed is not None:
+        return failed
 
     mags = np.abs(values)
     if mags.max() <= _NOISE_FLOOR:

@@ -334,6 +334,28 @@ def test_two_point_sweep_fails_point_reliable(tmp_path, capsys):
     assert row.endswith(",0")
 
 
+def test_functional_that_is_not_finite_fails_point_reliable(tmp_path, capsys):
+    # a finite weight below 1 can still overflow the functional: the sweep
+    # is not fitted, so the point has no estimate and its gates fail with
+    # exit 1, leaving a manifest
+    with np.errstate(all="ignore"):  # the overflow is what is reported
+        code = cli.run(
+            "recover-q",
+            {"mesh": SMALL_DISC, "tau_sweep": [2.0, 3.0, 4.0],
+             "weight": {"name": "quadratic", "c0": -1e306}},
+            out=tmp_path,
+        )
+    assert code == 1
+    assert "point_reliable" in capsys.readouterr().err
+    manifest = read_manifest(tmp_path)
+    records = {r["name"]: r for r in manifest["assertions"]}
+    assert records["point_reliable"]["passed"] is False
+    assert "not finite" in records["point_reliable"]["value"]
+    assert manifest["results"]["q_estimate"] is None
+    row = (tmp_path / "recovery.csv").read_text().splitlines()[1]
+    assert row.endswith(",nan,0")
+
+
 @pytest.mark.parametrize("override", [
     {"export_solution": False},
     {"export_dn_trace": False},
@@ -675,9 +697,14 @@ def test_default_run_factorizations(tmp_path, counting, subcommand, factorizatio
     # the jet window N^-alpha at N = 0.1 (5.2) covers all of square(1)'s boundary
     ("boundary-jet", {"mesh": {"kind": "square", "n": 1}, "n_sweep": [0.1, 0.2, 0.3]},
      inv, "jet_window"),
+    # c0 + cxx x^2 overflows to -inf near the rim: below 1, but not finite
+    ("recover-q", {"mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
+                   "tau_sweep": [2, 3, 4],
+                   "weight": {"name": "quadratic", "c0": -1e308, "cxx": -1e308}},
+     inv, "make_interior_probe"),
 ], ids=["one-level", "two-equal-levels", "weight-above-one", "amplitude-zero",
         "all-directions-zero", "triple-direction-zero", "empty-field", "point-in-hole",
-        "jet-window-wider-than-boundary"])
+        "jet-window-wider-than-boundary", "weight-not-finite"])
 def test_mesh_dependent_config_errors_precede_the_first_solve(
         tmp_path, capsys, counting, subcommand, config, module, name):
     calls = counting(module, name)

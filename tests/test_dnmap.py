@@ -174,7 +174,7 @@ def test_linear_dn_weak_flux_on_an_all_boundary_mesh():
     fb = np.sin(np.arange(float(m.n_vertices)))
     u = np.zeros(m.n_vertices)
     u[m.boundary_vertices] = fb
-    K = geo.discretization(m, FLAT).stiffness
+    K = geo.assemble_weighted_stiffness(m, FLAT)
     flux = dn.dn_linear(m, FLAT, fb).flux
     assert np.array_equal(flux, (K @ u)[m.boundary_vertices])
 
@@ -435,7 +435,7 @@ def test_exact_third_derivative_assembles_the_source_once(monkeypatch):
     vs = [fwd.solve_laplace_beltrami(mesh, FLAT, f) for f in fs]
     w = lin.third_linearization_pde(mesh, FLAT, *vs)
     L = lin.third_linearization_source(mesh, FLAT, *vs)
-    K = geo.discretization(mesh, FLAT).stiffness
+    K = geo.assemble_weighted_stiffness(mesh, FLAT)
     assert np.array_equal(ex.flux, (K @ w - L)[mesh.boundary_vertices])
 
 

@@ -409,7 +409,7 @@ def test_nested_dissection_leaves_less_fill_than_minimum_degree():
     # minimum-degree order of A^T + A on the sorted block
     mesh = geo.disc(96, 576)
     I, O = mesh.interior_vertices, mesh.interior_order
-    K = geo.discretization(mesh, geo.flat_metric()).stiffness
+    K = geo.assemble_weighted_stiffness(mesh, geo.flat_metric())
     nested = geo.factor_spd(K[O][:, O])
     minimum_degree = spla.splu(K[I][:, I].tocsc(), permc_spec="MMD_AT_PLUS_A",
                                diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
@@ -507,7 +507,7 @@ def test_boundary_geometry_rejects_a_metric_not_spd_on_the_boundary():
 def test_dropping_a_mesh_frees_its_owner_without_a_collection():
     mesh = geo.disc(8, 48)
     d = geo.discretization(mesh, geo.flat_metric())
-    for piece in ("mq", "weights", "stiffness", "boundary", "interior_system",
+    for piece in ("mq", "weights", "boundary", "interior_system", "boundary_rows",
                   "conformal_defect"):
         getattr(d, piece)
     fwd.solve_minimal_surface(mesh, geo.flat_metric(), lambda x, y: 0.3 * x * y)
@@ -526,7 +526,7 @@ def test_dropping_a_mesh_frees_its_owner_without_a_collection():
 def test_an_owner_whose_mesh_is_gone_says_so():
     d = geo.discretization(geo.disc(6, 36), geo.flat_metric())
     with pytest.raises(ReferenceError, match="mesh of this Discretization"):
-        d.stiffness
+        d.boundary_rows
 
 
 def test_discretization_is_memoized_per_mesh_and_metric():
@@ -538,9 +538,11 @@ def test_discretization_is_memoized_per_mesh_and_metric():
     assert geo.discretization(mesh, flat) is d
     assert geo.discretization(mesh, curved) is not d
     assert geo.discretization(geo.disc(8, 48), flat) is not d
-    assert d.stiffness is d.stiffness
-    # the cached K is the one the builder assembles
-    assert abs(d.stiffness - geo.assemble_weighted_stiffness(mesh, flat)).max() == 0.0
+    assert d.interior_system is d.interior_system
+    assert d.boundary_rows is d.boundary_rows
+    # the kept boundary rows are those of the K the builder assembles
+    K = geo.assemble_weighted_stiffness(mesh, flat)
+    assert abs(d.boundary_rows - K[mesh.boundary_vertices]).max() == 0.0
     # Dirichlet elimination reproduces affine data exactly and honours a load
     f = geo.boundary_values(mesh, lambda x, y: 1.0 + 2.0 * x - y)
     u = d.extend(f)
@@ -549,7 +551,7 @@ def test_discretization_is_memoized_per_mesh_and_metric():
     load = np.ones(mesh.n_vertices)
     w = d.extend(np.zeros(len(f)), load)
     I = mesh.interior_vertices
-    assert np.abs((d.stiffness @ w)[I] - 1.0).max() < 1e-12
+    assert np.abs((K @ w)[I] - 1.0).max() < 1e-12
     assert (w[mesh.boundary_vertices] == 0.0).all()
 
 
@@ -570,7 +572,7 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
 
     calls = {
         name: counting(module, name)
-        for module, name in ((geo, "metric_at_quadrature"), (geo, "quadrature_weights"),
+        for module, name in ((geo, "metric_at_quadrature"),
                              (geo, "assemble_weighted_stiffness"),
                              (geo, "boundary_geometry"), (spla, "splu"))
     }
@@ -597,6 +599,54 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: geo.disc(12, 72), lambda: geo.square(8),
+     lambda: geo.annulus(0.5, 1.5, 8, 48)],
+    ids=["disc", "square", "annulus"],
+)
+@pytest.mark.parametrize("metric", [geo.flat_metric(), CURVED], ids=["flat", "curved"])
+def test_boundary_rows_give_the_weak_flux_of_k_bit_for_bit(build, metric):
+    # the owner keeps K[B] in place of K: every weak flux (K v)[B] is read
+    # off the kept rows, and must not move by a bit
+    mesh = build()
+    K = geo.assemble_weighted_stiffness(mesh, metric)
+    rows = geo.discretization(mesh, metric).boundary_rows
+    rng = np.random.default_rng(7)
+    for v in (rng.standard_normal(mesh.n_vertices),
+              rng.standard_normal((mesh.n_vertices, 3))):
+        assert (rows @ v).tobytes() == (K @ v)[mesh.boundary_vertices].tobytes()
+
+
+def test_threads_extending_on_a_fresh_owner_factor_once(counting):
+    # the owner's system takes its factor at its first extension; two
+    # threads that extend at once on a fresh owner share one factor
+    factors = counting(spla, "splu")
+    mesh = geo.disc(16, 96)
+    d = geo.discretization(mesh, CURVED)
+    d.boundary_rows  # K assembled and dropped, nothing factored yet
+    assert factors == []
+    data = [geo.boundary_values(mesh, lambda x, y, k=k: np.cos(k * x) + y)
+            for k in (1, 2)]
+    start = threading.Barrier(2)
+
+    def extend(f):
+        start.wait(timeout=60)
+        return d.extend(f)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(extend, data))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(factors) == 1
+    for got, f in zip(results, data):
+        assert got.tobytes() == d.extend(f).tobytes()
+    assert len(factors) == 1
+
+
 def test_factor_spd_solves_match_the_default_factor():
     # on the sorted blocks and on the blocks in the mesh's elimination order
     mesh = geo.disc(12, 72)
@@ -604,7 +654,7 @@ def test_factor_spd_solves_match_the_default_factor():
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y
     rhs = np.random.default_rng(3).standard_normal((len(I), 2))
-    K = geo.discretization(mesh, CURVED).stiffness
+    K = geo.assemble_weighted_stiffness(mesh, CURVED)
     J = fwd.mse_linearized_operator(mesh, CURVED, u)
     for A in (K[I][:, I], J[I][:, I], K[O][:, O], J[O][:, O]):
         want = spla.splu(A.tocsc()).solve(rhs)
@@ -619,7 +669,7 @@ def test_factored_blocks_are_their_own_csc_arrays():
     O = mesh.interior_order
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     u = 0.4 * np.sin(2.0 * x) + 0.3 * x * y
-    K = geo.discretization(mesh, CURVED).stiffness
+    K = geo.assemble_weighted_stiffness(mesh, CURVED)
     J = fwd.mse_linearized_operator(mesh, CURVED, u)
     for A in (K, J):
         block = A[O][:, O]
@@ -636,7 +686,7 @@ from minsurf import geometry as geo
 
 mesh = geo.disc(128, 768)
 O = mesh.interior_order
-K = geo.discretization(mesh, geo.flat_metric()).stiffness
+K = geo.assemble_weighted_stiffness(mesh, geo.flat_metric())
 lu = geo.factor_spd(K[O][:, O])
 with open("/proc/self/status") as fh:
     fields = dict(line.split(":", 1) for line in fh)

@@ -194,3 +194,26 @@ def test_identity_check_builds_each_invariant_once(counting):
         "assemble_weighted_stiffness": 1,
         "splu": 1,
     }
+
+
+def test_q_form_evaluates_its_weight_at_its_first_call(counting):
+    # building the form evaluates nothing: Q at quadrature and the tensor
+    # M_t come at the first call, once, so a sweep takes its probes'
+    # factor before the tensor exists
+    evaluations = counting(idn, "_q_at_quadrature")
+    mesh = geo.disc(12, 72)
+    points = []
+
+    def weight(x, y):
+        points.append(np.shape(x))
+        return 0.1 + 0.2 * x * y
+
+    form = idn.q_form(mesh, CURVED, weight)
+    assert evaluations == [] and points == []
+    x, y = mesh.vertices.T
+    u, v = np.exp(2j * x) * (1.0 + y), x * x - y
+    first = form(u, u, v, v)
+    assert len(evaluations) == 1 and points == [(3, mesh.n_triangles)]
+    assert form(u, u, v, v) == first and form(v, u, v, u) == form(v, u, v, u)
+    assert len(evaluations) == 1 and len(points) == 1
+    assert first == idn.q_functional(mesh, CURVED, weight, u, u, v, v)

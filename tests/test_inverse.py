@@ -88,9 +88,9 @@ def test_probe_at_zero_frequency_is_constant(mid_disc):
 
 
 def test_probe_fields_are_discretely_harmonic(mid_disc):
-    mesh, ext = mid_disc
+    mesh, _ = mid_disc
     probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 5.0)
-    K = ext.stiffness.tocsr()
+    K = geo.assemble_weighted_stiffness(mesh, FLAT)
     interior = mesh.interior_vertices
     for field in probe.fields:
         residual = np.abs((K @ field)[interior]).max()
@@ -106,9 +106,8 @@ def test_probe_harmonic_for_conformal_metric(mid_disc):
     metric = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.3 * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.25
     ))
-    ext = geo.discretization(mesh, metric)
     probe = inv.make_interior_probe(mesh, metric, (0.0, 0.0), 5.0)
-    K = ext.stiffness.tocsr()
+    K = geo.assemble_weighted_stiffness(mesh, metric)
     residual = np.abs((K @ probe.fields[2])[mesh.interior_vertices]).max()
     assert residual <= 1e-10
 
@@ -327,6 +326,47 @@ def test_recover_point_zero_weight_is_exact(fine_disc):
     # with zero weight the functional vanishes identically
     np.testing.assert_array_equal(result.functional_values, 0.0)
     assert abs(result.q_estimate) <= 0.02 * AMP
+
+
+def test_weight_that_is_not_finite_on_part_of_the_chart_is_unreliable(jet_square):
+    # Q = -inf on part of the disc gives c = 1/(1 - Q) = 0 there and a
+    # functional that is not finite: the sweep is not fitted, where a NaN
+    # scale used to pass as a functional that vanishes identically
+    def weight(x, y):
+        return np.where(np.asarray(x) > 0.5, -np.inf, 0.1)
+
+    mesh = geo.disc(24, 144)
+    with np.errstate(all="ignore"):
+        result = inv.recover_q_point(mesh, FLAT, weight, (0.0, 0.0), [2.0, 3.0, 4.0])
+    assert not np.isfinite(result.functional_values).all()
+    assert not result.reliable and result.q_estimate is None
+    assert np.isnan(result.fit_residual) and "not finite" in result.message
+    jet_mesh, _ = jet_square
+    with np.errstate(all="ignore"):
+        jet = inv.boundary_jet_probe(jet_mesh, FLAT, weight, JET_POINT, 2, JET_SWEEP)
+    assert not jet.reliable and np.isnan(jet.exponent) and "not finite" in jet.message
+
+
+def test_recovery_keeps_one_copy_of_each_per_triangle_array():
+    # after a sweep the mesh keeps no (2, 3, n_tri) array but its hat
+    # gradients (the quadrature points are formed on each read), and the
+    # owner keeps no full vertex matrix: only K's interior system, which
+    # has dropped its factored block, and K's boundary rows
+    mesh = geo.disc(24, 144)
+    inv.recover_q_point(mesh, FLAT, gaussian_weight, (0.0, 0.0), [2.0, 3.0, 4.0])
+    per_triangle = [name for name, a in vars(mesh).items()
+                    if np.shape(a) == (2, 3, mesh.n_triangles)]
+    assert per_triangle == ["hat_gradients"]
+    d = geo.discretization(mesh, FLAT)
+    n = mesh.n_vertices
+    pieces = [p for piece in d._built.values()
+              for p in (piece if isinstance(piece, tuple) else (piece,))]
+    assert any(isinstance(p, geo.InteriorSystem) for p in pieces)
+    for p in pieces + [a for p in pieces if isinstance(p, geo.InteriorSystem)
+                       for a in vars(p).values()]:
+        assert getattr(p, "shape", None) != (n, n)
+    assert d.interior_system._block is None
+    assert d.boundary_rows.shape == (len(mesh.boundary_vertices), n)
 
 
 def test_recover_point_invariant_under_constant_conformal_factor(mid_disc):

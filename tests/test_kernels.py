@@ -59,8 +59,8 @@ def pair_at_quadrature(mesh, mq, grad_u, grad_v):
 
 def _columns(mq):
     """The metric at quadrature as (n_tri, 3) columns (transposed views)."""
-    return SimpleNamespace(sqrt_det=mq.sqrt_det.T, inv11=mq.inv11.T,
-                           inv12=mq.inv12.T, inv22=mq.inv22.T)
+    return SimpleNamespace(inv11=mq.inv11.T, inv12=mq.inv12.T,
+                           inv22=mq.inv22.T)
 
 
 def _hat_columns(mesh):
@@ -318,7 +318,7 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     mesh = fields[0]
     d = geo.discretization(mesh, metric)
     rows = (3, mesh.n_triangles)
-    for a in (d.mq.sqrt_det, d.mq.inv11, d.mq.inv12, d.mq.inv22, d.weights,
+    for a in (d.mq.weights, d.mq.inv11, d.mq.inv12, d.mq.inv22, d.weights,
               geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 0])):
         assert a.shape == rows and a.flags.c_contiguous
     for a in (mesh.hat_gradients, mesh.quad_points):
@@ -326,9 +326,24 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     # the points and weights are those of the per-triangle rule, re-laid
     p = mesh.vertices[mesh.triangles]
     assert np.array_equal(mesh.quad_points, (geo._QUAD_BARY @ p).transpose(2, 1, 0))
-    assert np.array_equal(
-        d.weights.T, (mesh.tri_areas[:, None] * geo._QUAD_WEIGHTS) * d.mq.sqrt_det.T
-    )
+    # the owner's weights are the metric block's first row, not a copy
+    assert np.shares_memory(d.weights, d.mq.rows)
+
+
+@pytest.mark.parametrize(
+    "metric", [FLAT, SCALAR_ENTRIES, CURVED, CONFORMAL],
+    ids=["flat", "scalar-entries", "curved", "conformal"],
+)
+def test_weights_row_is_area_times_rule_weight_times_volume_factor(fields, metric):
+    # the metric block keeps |T| w_q sqrt(det g) in place of sqrt(det g):
+    # bit for bit the product of the per-triangle rule, with det g formed
+    # here from the metric's own entries
+    mesh = fields[0]
+    x, y = (geo._QUAD_BARY @ mesh.vertices[mesh.triangles]).transpose(2, 1, 0)
+    g11, g12, g22 = geo._metric_entries(metric, x, y)
+    sqrt_det = np.sqrt(g11 * g22 - g12**2)
+    want = (mesh.tri_areas[:, None] * geo._QUAD_WEIGHTS) * sqrt_det.T
+    assert np.array_equal(geo.discretization(mesh, metric).mq.weights.T, want)
 
 
 @pytest.mark.parametrize(
@@ -404,7 +419,7 @@ def test_factored_blocks_are_exactly_symmetric_positive_definite(u):
     # geometry.factor_spd pivots on the diagonal without a threshold, which
     # needs K[I, I] and J(u)[I, I] symmetric positive definite
     I = MEDIUM.interior_vertices
-    for A in (geo.discretization(MEDIUM, CURVED).stiffness[I][:, I],
+    for A in (geo.assemble_weighted_stiffness(MEDIUM, CURVED)[I][:, I],
               fwd.mse_linearized_operator(MEDIUM, CURVED, u)[I][:, I]):
         assert (A != A.T).nnz == 0
         np.linalg.cholesky(A.toarray())
