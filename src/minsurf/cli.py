@@ -698,8 +698,8 @@ def run_recover_q(cfg, out_dir, log):
     point_s = time.perf_counter() - t0
     truth = float(q_fn(point[0], point[1]))
     # a sweep that was not fitted has no estimate
-    estimate = np.nan if result.q_estimate is None else float(result.q_estimate)
-    rows = [(point[0], point[1], truth, estimate, int(result.reliable))]
+    q_hat = np.nan if result.q_estimate is None else float(result.q_estimate)
+    rows = [(point[0], point[1], truth, q_hat, int(result.reliable))]
     diagnostics = [_diagnostic(result, functional_values=result.functional_values,
                                coefficient=result.coefficient,
                                intercept=result.intercept)]
@@ -722,16 +722,16 @@ def run_recover_q(cfg, out_dir, log):
 
     checks, limit = Assertions(), cfg["assertions"]
     checks.require("point_reliable", result.reliable, result.message)
-    checks.check("center_error", abs(estimate - truth),
+    checks.check("center_error", abs(q_hat - truth),
                  limit["center_error_max"])
     checks.check("fit_residual", result.fit_residual, limit["fit_residual_max"])
 
-    log(f"recovered {estimate:.5f} at {tuple(point)} "
+    log(f"recovered {q_hat:.5f} at {tuple(point)} "
         f"(truth {truth:.5f}, fit residual {result.fit_residual:.3f})")
     results = {
         "point": list(point),
         "q_truth": truth,
-        "q_estimate": estimate,
+        "q_estimate": q_hat,
         "fit_residual": result.fit_residual,
         "reliable": result.reliable,
         "n_field_points": len(rows) - 1,

@@ -1198,9 +1198,8 @@ class Discretization:
         scale = 0.5 * (mq.inv11 + mq.inv22)
         defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
         q, t = _first_index(defect, np.argmax)
-        # only the worst point, as the per-triangle rule forms it
-        mesh = self.mesh
-        return float(defect[q, t]), (_QUAD_BARY @ mesh.vertices[mesh.triangles[t]])[q]
+        # a copy: a view would keep every quadrature point alive
+        return float(defect[q, t]), self.mesh.quad_points[:, q, t].copy()
 
     def extend(self, bvals, rhs=None):
         """Solve K u = rhs with u = ``bvals`` on the boundary vertices

@@ -139,15 +139,17 @@ def q_form(mesh, metric, Q):
     and three.
     """
     blocks = [slice(b, b + _BLOCK) for b in range(0, mesh.n_triangles, _BLOCK)]
-    M = [[None] * 3 for _ in range(3)]  # M_t, built at the first call
+    M = []  # M_t, built at the first call
 
     def build_tensor():
         mq = discretization(mesh, metric).mq
         c = mq.weights * _q_at_quadrature(mesh, Q)
         G = (mq.inv11, mq.inv12, mq.inv22)
+        built = [[None] * 3 for _ in range(3)]
         for i in range(3):
             for j in range(i, 3):
-                M[i][j] = M[j][i] = _point_sum(c * G[i] * G[j])
+                built[i][j] = built[j][i] = _point_sum(c * G[i] * G[j])
+        M[:] = built  # one assignment: a thread sharing the form sees all or none
 
     def block_sum(values, slot, block):
         """The form summed over the triangles of ``block``."""
@@ -178,7 +180,7 @@ def q_form(mesh, metric, Q):
         return product((3, 0), (2, 1)) + product((3, 1), (2, 0)) + product((3, 2), (0, 1))
 
     def form(v1, v2, v3, v4):
-        if M[0][0] is None:
+        if not M:
             build_tensor()
         fields = (v1, v2, v3, v4)
         # slot[i]: the first argument that is the very object fields[i]

@@ -168,6 +168,29 @@ def test_recover_q_zero_control_with_field(tmp_path):
     assert manifest["results"]["n_field_points"] == len(lines) - 2
 
 
+def test_recover_q_reports_the_probe_point_not_the_last_field_point(tmp_path):
+    # a gaussian weight: the grid points' estimates differ from the centre's
+    code = cli.run(
+        "recover-q",
+        {
+            "mesh": {"kind": "disc", "n_radial": 24, "n_angular": 144},
+            "tau_sweep": [3.0, 4.0, 5.0],
+            "field": {"spacing": 0.35, "margin": 0.35},
+            "assertions": {"center_error_max": 0.01, "fit_residual_max": None},
+        },
+        out=tmp_path,
+    )
+    rows = [line.split(",") for line in
+            (tmp_path / "recovery.csv").read_text().splitlines()[1:]]
+    centre, last = float(rows[0][3]), float(rows[-1][3])
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["q_estimate"] == centre
+    assert not abs(last - centre) < 0.01  # nan or far: the gate must not see it
+    # the center_error gate reads the centre's estimate too
+    assert code == 0
+    assert abs(centre - manifest["results"]["q_truth"]) < 0.01
+
+
 SMALL_DISC = {"kind": "disc", "n_radial": 24, "n_angular": 144}
 JET_SQUARE = {"kind": "square", "n": 48}
 
