@@ -33,7 +33,9 @@ Conventions
   rows (:func:`_point_sum`).  Each per-triangle quantity is kept once: the
   mesh keeps its areas and hat gradients and forms the quadrature points
   on each read, and the metric block keeps the weights |T| w_q sqrt(det g)
-  in place of sqrt(det g).
+  in place of sqrt(det g).  The inverse metric is kept at the shape the
+  metric varies in: a constant metric, the flat one included, keeps three
+  numbers, which the kernels broadcast against the rows.
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -58,7 +60,8 @@ to its mesh only weakly, so it lives and dies with the mesh: dropping the
 last reference to a mesh frees its owners at once, without waiting for a
 garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
-quadrature (its first row block the quadrature weights against dV_g),
+quadrature (the quadrature weights against dV_g, and the inverse metric
+at the shape the metric varies in, so a flat chart keeps three numbers),
 the boundary geometry, the conformal-flatness defect, and what is read
 of the stiffness matrix K: its :class:`InteriorSystem` and its boundary
 rows K[B], both from one assembly of K, which is then dropped.  An
@@ -580,10 +583,12 @@ class MetricField:
 
 
 def flat_metric():
-    """The Euclidean metric."""
-    return explicit_metric(
-        lambda x, y: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
-    )
+    """The Euclidean metric, with scalar entries (1, 0, 1).
+
+    The entries are constant, so the metric at quadrature keeps its inverse
+    as three numbers (see :class:`_MetricQuad`).
+    """
+    return explicit_metric(lambda x, y: (1.0, 0.0, 1.0))
 
 
 def explicit_metric(entries):
@@ -597,17 +602,18 @@ def conformal_metric(base, factor):
 
 
 def _metric_entries(metric, x, y):
-    """Evaluate (g11, g12, g22) on coordinate arrays, resolving conformal nesting."""
+    """Evaluate (g11, g12, g22) on coordinate arrays, resolving conformal nesting.
+
+    Each entry is a float array at the shape its callable gives it, which
+    broadcasts against ``x``: a constant entry stays a 0-d array, not one
+    value per point.
+    """
     if metric.kind == "explicit":
-        g11, g12, g22 = metric.entries(x, y)
-        shape = np.shape(x)
-        g11 = np.broadcast_to(np.asarray(g11, dtype=float), shape)
-        g12 = np.broadcast_to(np.asarray(g12, dtype=float), shape)
-        g22 = np.broadcast_to(np.asarray(g22, dtype=float), shape)
-        return g11, g12, g22
+        return tuple(np.asarray(g, dtype=float) for g in metric.entries(x, y))
     b11, b12, b22 = _metric_entries(metric.base, x, y)
-    c = np.broadcast_to(np.asarray(metric.factor(x, y), dtype=float), np.shape(x))
+    c = np.asarray(metric.factor(x, y), dtype=float)
     if np.any(c <= 0.0):
+        c = np.broadcast_to(c, np.shape(x))
         k = _first_index(c, np.argmin)
         raise ValueError(
             f"conformal factor must be positive; got {np.min(c):.3e} at "
@@ -626,9 +632,10 @@ def metric_eval(metric, point):
     """
     x = np.asarray([float(point[0])])
     y = np.asarray([float(point[1])])
-    g11, g12, g22 = _metric_entries(metric, x, y)
-    _spd_determinant((g11, g12, g22), x, y, "point")
-    return np.array([[g11[0], g12[0]], [g12[0], g22[0]]])
+    g = _metric_entries(metric, x, y)
+    _spd_determinant(g, x, y, "point")
+    g11, g12, g22 = (np.broadcast_to(e, x.shape)[0] for e in g)
+    return np.array([[g11, g12], [g12, g22]])
 
 
 def _first_index(a, pick):
@@ -645,12 +652,15 @@ def _spd_determinant(g, x, y, where):
 
     Raises ValueError naming the first sample (its index and coordinates)
     where g is not symmetric positive definite: non-finite, g11 <= 0 or
-    det <= 0.  On (3, n_tri) rows the index is (triangle, point).
+    det <= 0.  On (3, n_tri) rows the index is (triangle, point).  det g
+    has the broadcast shape of the entries, so constant entries give a
+    0-d det; the report broadcasts to the samples' shape first.
     """
     g11, g12, g22 = g
     det = g11 * g22 - g12**2
     spd = np.isfinite(det) & (det > 0.0) & (g11 > 0.0)
     if not spd.all():
+        spd, g11, det = (np.broadcast_to(a, np.shape(x)) for a in (spd, g11, det))
         bad = _first_index(spd, np.argmin)
         raise ValueError(
             f"metric is not SPD at {where} {tuple(int(i) for i in bad[::-1])} "
@@ -663,36 +673,39 @@ def _spd_determinant(g, x, y, where):
 class _MetricQuad:
     """Metric data at the volume quadrature points.
 
-    ``rows`` is one C-contiguous (4, 3, n_tri) block: the weights of the
-    volume rule against dV_g, |T| w_q sqrt(det g), and the inverse metric
-    entries g^11, g^12, g^22, each a (3, n_tri) row block (``weights``,
-    ``inv11``, ``inv12``, ``inv22``).  sqrt(det g) has no reader but the
-    weights, so it is not kept apart.  The two columns of g^{-1},
-    (g^11, g^12) and (g^12, g^22), are the consecutive slices ``rows[1:3]``
-    and ``rows[2:4]``.
+    ``weights`` is the C-contiguous (3, n_tri) row block of the weights of
+    the volume rule against dV_g, |T| w_q sqrt(det g); sqrt(det g) has no
+    reader but the weights, so it is not kept apart.  ``inverse`` stacks
+    the inverse metric entries g^11, g^12, g^22 (``inv11``, ``inv12``,
+    ``inv22``) at the shape the metric varies in: (3, 3, n_tri) rows for a
+    varying metric, (3, 1, 1) for a constant one, so a flat chart keeps
+    three numbers.  Every kernel broadcasts them against its (3, n_tri)
+    rows.  The two columns of g^{-1}, (g^11, g^12) and (g^12, g^22), are
+    the consecutive slices ``inverse[0:2]`` and ``inverse[1:3]``.
     """
 
-    rows: np.ndarray
+    weights: np.ndarray
+    inverse: np.ndarray
 
-    weights = property(lambda self: self.rows[0])
-    inv11 = property(lambda self: self.rows[1])
-    inv12 = property(lambda self: self.rows[2])
-    inv22 = property(lambda self: self.rows[3])
+    inv11 = property(lambda self: self.inverse[0])
+    inv12 = property(lambda self: self.inverse[1])
+    inv22 = property(lambda self: self.inverse[2])
 
 
 def metric_at_quadrature(mesh, metric):
-    """Evaluate the quadrature weights against dV_g and the inverse metric
-    at the quadrature points."""
+    """Evaluate the quadrature weights against dV_g, as (3, n_tri) rows, and
+    the inverse metric at the quadrature points, at the shape the metric
+    varies in (see :class:`_MetricQuad`)."""
     x, y = mesh.quad_points
     g11, g12, g22 = _metric_entries(metric, x, y)
     det = _spd_determinant((g11, g12, g22), x, y, "quadrature point")
-    rows = np.empty((4,) + det.shape)
-    np.sqrt(det, out=rows[0])
-    rows[0] *= _QUAD_WEIGHTS[:, None] * mesh.tri_areas
-    np.divide(g22, det, out=rows[1])
-    np.divide(-g12, det, out=rows[2])
-    np.divide(g11, det, out=rows[3])
-    return _MetricQuad(rows)
+    weights = _QUAD_WEIGHTS[:, None] * mesh.tri_areas
+    weights *= np.sqrt(det)
+    inverse = np.empty((3,) + np.broadcast_shapes(det.shape, (1, 1)))
+    np.divide(g22, det, out=inverse[0])
+    np.divide(-g12, det, out=inverse[1])
+    np.divide(g11, det, out=inverse[2])
+    return _MetricQuad(weights, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +747,12 @@ def _raised_gradient(mq, g):
     :func:`p1_gradient_rows` gives them.
     """
     gx, gy = g
-    # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy
-    a = mq.rows[1:3] * gx
-    a += mq.rows[2:4] * gy
+    inverse = mq.inverse
+    # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy; ``out`` takes the
+    # (3, n_tri) rows that a constant inverse broadcasts to
+    a = np.empty((2, 3) + gx.shape, dtype=np.result_type(inverse, gx))
+    np.multiply(inverse[0:2], gx, out=a)
+    a += inverse[1:3] * gy
     return a
 
 
@@ -1114,11 +1130,12 @@ class Discretization:
     Attributes
     ----------
     mq : _MetricQuad
-        Metric at the quadrature points: ``weights``, ``inv11``, ``inv12``
-        and ``inv22``, each a C-contiguous (3, n_tri) array, are the row
-        blocks of its one (4, 3, n_tri) array ``rows``.
+        Metric at the quadrature points: ``weights``, a C-contiguous
+        (3, n_tri) array, and ``inverse``, the entries ``inv11``, ``inv12``
+        and ``inv22`` stacked at the shape the metric varies in:
+        (3, 3, n_tri) for a varying metric, (3, 1, 1) for a constant one.
     weights : (3, n_tri) ndarray
-        Quadrature weights against dV_g, the first row block of ``mq``.
+        Quadrature weights against dV_g, ``mq.weights``.
     boundary : BoundaryGeometry
     interior_system : InteriorSystem
         The :class:`InteriorSystem` of K, behind :meth:`extend`.  K is the
@@ -1197,6 +1214,9 @@ class Discretization:
         mq = self.mq
         scale = 0.5 * (mq.inv11 + mq.inv22)
         defect = np.maximum(np.abs(mq.inv12), np.abs(mq.inv11 - mq.inv22)) / scale
+        # a constant metric's defect is one number: a zero-stride view over
+        # the points keeps ties at the first (triangle, point)
+        defect = np.broadcast_to(defect, mq.weights.shape)
         q, t = _first_index(defect, np.argmax)
         # a copy: a view would keep every quadrature point alive
         return float(defect[q, t]), self.mesh.quad_points[:, q, t].copy()

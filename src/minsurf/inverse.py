@@ -268,11 +268,14 @@ def make_interior_probe(
     if tau > 0:
         bidx = mesh.boundary_vertices
         bdist = float(np.abs(z_all[bidx] - z_p).min())
-        margin = probe_margin if probe_margin is not None else 1.0 / np.sqrt(tau)
-        if bdist < margin:
+        margin = float(probe_margin if probe_margin is not None else 1.0 / np.sqrt(tau))
+        # the slack lets through a centre whose distance rounds just below
+        # the margin (the unit disc's rim vertices lie at |z| = 1 - 1e-16);
+        # the shortest repr of each number never prints the two as equal
+        if bdist + 1e-9 < margin:
             raise ResolutionError(
                 f"probe center ({center[0]:.4g}, {center[1]:.4g}) is at distance "
-                f"{bdist:.3g} from the boundary; need at least {margin:.3g}"
+                f"{bdist!r} from the boundary; need at least {margin!r}"
             )
         # local wavelength of e^{i tau Phi} is pi / (tau |z - P|); the guard
         # uses the worst point of the chart

@@ -197,7 +197,9 @@ JET_SQUARE = {"kind": "square", "n": 48}
 
 @pytest.mark.parametrize("subcommand, config", [
     ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [12.0, 16.0, 20.0]}),
-    ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [1.0, 2.0]}),
+    # 0.5 from the rim; the margin at tau = 1 is 1 (the centre of the disc
+    # meets it, up to the rounding of the rim vertices)
+    ("recover-q", {"mesh": SMALL_DISC, "point": [0.5, 0.0], "tau_sweep": [1.0, 2.0]}),
     ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [6.0]}),
     ("recover-q", {"mesh": SMALL_DISC,
                    "metric": {"kind": "explicit",

@@ -202,6 +202,39 @@ def test_spd_rejection_names_the_first_point_in_triangle_order():
         geo.metric_at_quadrature(m, bad)
 
 
+def _message(build, metric, *args):
+    with pytest.raises(ValueError) as err:
+        build(metric, *args)
+    return str(err.value)
+
+
+def test_scalar_entries_fail_as_their_arrays_do():
+    # constant entries stay 0-d; every failure report broadcasts them to the
+    # samples first and names the same point with the same numbers
+    m = geo.square(4)
+    x, y = m.quad_points
+    scalar = geo.explicit_metric(lambda x, y: (-1.0, 0.0, 1.0))
+    full = geo.explicit_metric(
+        lambda x, y: (-np.ones_like(x), np.zeros_like(x), np.ones_like(x)))
+    builds = [
+        lambda g: geo.metric_at_quadrature(m, g),
+        lambda g: geo.metric_eval(g, (0.3, 0.7)),
+        lambda g: geo.boundary_geometry(m, g),
+    ]
+    for build in builds:
+        assert _message(build, scalar) == _message(build, full)
+    assert _message(builds[0], scalar).startswith(
+        f"metric is not SPD at quadrature point (0, 0) (x={x[0, 0]:.4g}, "
+        f"y={y[0, 0]:.4g}): g11=-1, det=-1")
+    assert "not SPD at point (0,) (x=0.3, y=0.7)" in _message(builds[1], scalar)
+    negative = geo.conformal_metric(geo.flat_metric(), lambda x, y: -2.0)
+    full = geo.conformal_metric(geo.flat_metric(), lambda x, y: -2.0 * np.ones_like(x))
+    for build in builds:
+        message = _message(build, negative)
+        assert message == _message(build, full)
+        assert message.startswith("conformal factor must be positive; got -2.000e+00")
+
+
 def test_conformal_factor_positivity():
     g = geo.conformal_metric(geo.flat_metric(), lambda x, y: x - 0.5)
     m = geo.square(4)

@@ -6,6 +6,8 @@ recovery of the weight from the synthetic fourth-order functional, the
 grid-mapped field recovery, and the boundary-jet exponent probe.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,24 @@ def test_probe_margin_guard():
     mesh = geo.disc(24, 144)
     with pytest.raises(ValueError, match="boundary"):
         inv.make_interior_probe(mesh, FLAT, (0.9, 0.0), 4.0)
+
+
+def test_probe_margin_allows_for_rounding():
+    # a quarter of the rim vertices of the unit disc lie at |z| = 1 - 1e-16,
+    # so the centre is a rounding short of the margin 1/sqrt(1) = 1
+    mesh = geo.disc(24, 144)
+    rim = np.linalg.norm(mesh.vertices[mesh.boundary_vertices], axis=1)
+    assert rim.min() < 1.0
+    assert inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 1.0).tau == 1.0
+    # a centre genuinely closer than the margin still fails, and the two
+    # numbers print apart
+    for center in ((2e-9, 0.0), (0.5, 0.0)):
+        with pytest.raises(inv.ResolutionError) as err:
+            inv.make_interior_probe(mesh, FLAT, center, 1.0)
+        distance, margin = re.search(
+            r"at distance (\S+) from the boundary; need at least (\S+)$", str(err.value)
+        ).groups()
+        assert float(distance) < float(margin) == 1.0 and distance != margin
 
 
 @pytest.mark.parametrize("mesh, center, tau", [

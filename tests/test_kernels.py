@@ -310,24 +310,80 @@ SCALAR_ENTRIES = geo.explicit_metric(lambda x, y: (2.0, 0.5, 1.0))
 
 
 @pytest.mark.parametrize(
-    "metric", [FLAT, SCALAR_ENTRIES, CONFORMAL], ids=["flat", "scalar-entries", "conformal"]
+    "metric", [FLAT, SCALAR_ENTRIES, CURVED, CONFORMAL],
+    ids=["flat", "scalar-entries", "curved", "conformal"],
 )
 def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     # every elementwise kernel runs over contiguous rows; a ufunc on a
-    # transposed view would return F-ordered arrays and lose that silently
-    mesh = fields[0]
+    # transposed view would return F-ordered arrays and lose that silently.
+    # The inverse metric is kept at the shape the metric varies in: rows
+    # for a varying metric, three numbers for a constant one
+    mesh, u, _ = fields
     d = geo.discretization(mesh, metric)
     rows = (3, mesh.n_triangles)
-    for a in (d.mq.weights, d.mq.inv11, d.mq.inv12, d.mq.inv22, d.weights,
+    constant = metric in (FLAT, SCALAR_ENTRIES)
+    assert d.mq.inverse.shape == ((3, 1, 1) if constant else (3,) + rows)
+    assert d.mq.inverse.flags.c_contiguous
+    inverse = () if constant else (d.mq.inv11, d.mq.inv12, d.mq.inv22)
+    for a in (d.mq.weights, d.weights, *inverse,
               geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 0])):
         assert a.shape == rows and a.flags.c_contiguous
-    for a in (mesh.hat_gradients, mesh.quad_points):
+    raised = geo._raised_gradient(d.mq, geo.p1_gradient_rows(mesh, u))
+    for a in (mesh.hat_gradients, mesh.quad_points, raised):
         assert a.shape == (2,) + rows and a.flags.c_contiguous
     # the points and weights are those of the per-triangle rule, re-laid
     p = mesh.vertices[mesh.triangles]
     assert np.array_equal(mesh.quad_points, (geo._QUAD_BARY @ p).transpose(2, 1, 0))
-    # the owner's weights are the metric block's first row, not a copy
-    assert np.shares_memory(d.weights, d.mq.rows)
+    # the owner's weights are the metric block's, not a copy
+    assert d.weights is d.mq.weights
+
+
+FULL_FLAT = geo.explicit_metric(
+    lambda x, y: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: geo.disc(12, 72), lambda: geo.square(8), lambda: geo.annulus(0.5, 1.5, 8, 48)],
+    ids=["disc", "square", "annulus"],
+)
+def test_flat_metric_keeps_three_numbers_and_moves_no_bit(build):
+    # x * 1.0, x * 0.0 and their sums are the same floats whether the 1.0 is
+    # one number or a row: the compact flat metric matches one that returns
+    # an entry per point, bit for bit, in every kernel
+    mesh = build()
+    x, y = mesh.vertices.T
+    u = 0.3 * np.sin(2.0 * x) + 0.2 * x * y
+    compact, full = (geo.discretization(mesh, g) for g in (FLAT, FULL_FLAT))
+    assert compact.mq.inverse.size == 3
+    assert compact.mq.inverse.shape == (3, 1, 1)
+    assert full.mq.inverse.shape == (3, 3, mesh.n_triangles)
+    assert np.array_equal(compact.weights, full.weights)
+
+    def both(f):
+        return f(FLAT), f(FULL_FLAT)
+
+    assert _same_csr(*both(lambda g: geo.assemble_weighted_stiffness(mesh, g)))
+    assert _same_csr(*both(lambda g: fwd.mse_linearized_operator(mesh, g, u)))
+    (r, s), (r_full, s_full) = both(lambda g: fwd.mse_residual(mesh, g, u, with_slope=True))
+    assert np.array_equal(r, r_full) and np.array_equal(s, s_full)
+    vs = (x + 0.1 * y, x * x - y * y, np.cos(x) * y)
+    assert np.array_equal(*both(lambda g: lin.third_linearization_source(mesh, g, *vs)))
+    # probe-like fields: complex exponentials of a harmonic phase
+    z = x + 1j * y
+    p, q = np.exp(2j * z * z), np.exp(2j * np.conj(z * z))
+    weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y))
+    forms = both(lambda g: idn.q_form(mesh, g, weight))
+    assert forms[0](p, p, q, q) == forms[1](p, p, q, q)
+    assert forms[0](p, q, u, z) == forms[1](p, q, u, z)
+    bg, bg_full = compact.boundary, full.boundary
+    for name in ("ds", "arclength", "successor", "predecessor"):
+        assert np.array_equal(getattr(bg, name), getattr(bg_full, name))
+    assert bg.loop_lengths == bg_full.loop_lengths
+    assert _same_csr(bg.mass, bg_full.mass)
+    (value, point), (value_full, point_full) = compact.conformal_defect, full.conformal_defect
+    assert value == value_full and np.array_equal(point, point_full)
 
 
 @pytest.mark.parametrize(
