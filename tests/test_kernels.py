@@ -357,7 +357,6 @@ def test_flat_metric_keeps_three_numbers_and_moves_no_bit(build):
     u = 0.3 * np.sin(2.0 * x) + 0.2 * x * y
     compact, full = (geo.discretization(mesh, g) for g in (FLAT, FULL_FLAT))
     assert compact.mq.inverse.size == 3
-    assert compact.mq.inverse.shape == (3, 1, 1)
     assert full.mq.inverse.shape == (3, 3, mesh.n_triangles)
     assert np.array_equal(compact.weights, full.weights)
 
