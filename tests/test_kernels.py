@@ -381,7 +381,7 @@ def test_flat_metric_keeps_three_numbers_and_moves_no_bit(build):
         assert np.array_equal(getattr(bg, name), getattr(bg_full, name))
     assert bg.loop_lengths == bg_full.loop_lengths
     assert _same_csr(bg.mass, bg_full.mass)
-    (value, point), (value_full, point_full) = compact.conformal_defect, full.conformal_defect
+    (value, point), (value_full, point_full) = (d.conformal_defect for d in (compact, full))
     assert value == value_full and np.array_equal(point, point_full)
 
 
