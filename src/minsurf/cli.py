@@ -57,27 +57,27 @@ class ConfigError(ValueError):
 # config schema: rules, named analytic function library, subcommand tables
 # ---------------------------------------------------------------------------
 
-POSITIVE = (lambda v, cfg: 0.0 < v < np.inf, "finite and positive")
-NON_NEGATIVE = (lambda v, cfg: v >= 0, "non-negative")
-NONZERO = (lambda v, cfg: v != 0.0, "finite and nonzero")
+POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
+NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+NONZERO = (lambda v: v != 0.0, "finite and nonzero")
 
 
 class Rule:
     """One config value's type or list shape, and its range.
 
-    ``rule(value, key, cfg)`` returns the value typed or raises a ConfigError
+    ``rule(value, key)`` returns the value typed or raises a ConfigError
     naming ``key``.  ``of`` completes the type: a Num's kind, the rule of a
     Seq entry or Maybe value, the ``{name: (default, rule)}`` table of Params.
-    ``rng`` is ``(predicate(typed, cfg), phrase)``; ``cfg`` is the merged
-    config, for a range that reads another key.
+    ``rng`` is ``(predicate(typed), phrase)``: a range reads its own value
+    only, and :func:`_build` checks what relates two keys.
     """
 
     def __init__(self, of=None, rng=None):
         self.of, self.range = of, rng
 
-    def __call__(self, value, key, cfg):
-        typed = self.typed(value, key, cfg)
-        if self.range and not self.range[0](typed, cfg):
+    def __call__(self, value, key):
+        typed = self.typed(value, key)
+        if self.range and not self.range[0](typed):
             raise ConfigError(key, f"must be {self.range[1]}, got {value!r}")
         return typed
 
@@ -86,7 +86,7 @@ class Num(Rule):
     """A finite real number; a boolean, a string, NaN or an infinity, or for
     ``int`` a fractional number, is none."""
 
-    def typed(self, value, key, cfg):
+    def typed(self, value, key):
         try:
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
                     or not math.isfinite(value)
@@ -99,27 +99,27 @@ class Num(Rule):
 
 
 class Text(Rule):
-    def typed(self, value, key, cfg):
+    def typed(self, value, key):
         if not isinstance(value, str):
             raise ConfigError(key, f"expected a string, got {value!r}")
         return value
 
 
 class Maybe(Rule):
-    def typed(self, value, key, cfg):
-        return None if value is None else self.of(value, key, cfg)
+    def typed(self, value, key):
+        return None if value is None else self.of(value, key)
 
 
 class Seq(Rule):
     """A list whose entry ``i`` is checked under the key ``key[i]``."""
 
-    def typed(self, value, key, cfg):
+    def typed(self, value, key):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(key, f"expected a list, got {value!r}")
-        return [self.of(v, f"{key}[{i}]", cfg) for i, v in enumerate(value)]
+        return [self.of(v, f"{key}[{i}]") for i, v in enumerate(value)]
 
 
-def _fill(table, value, key, cfg, unknown="unknown key"):
+def _fill(table, value, key, unknown="unknown key"):
     """``table``'s entries read from ``value``, typed; a missing one takes its
     default, which if callable is computed from the entries typed before it."""
     for name in value:
@@ -129,7 +129,7 @@ def _fill(table, value, key, cfg, unknown="unknown key"):
     for name, (default, rule) in table.items():
         v = (value[name] if name in value
              else default(typed) if callable(default) else default)
-        typed[name] = rule(v, f"{key}.{name}".lstrip("."), cfg)
+        typed[name] = rule(v, f"{key}.{name}".lstrip("."))
     return typed
 
 
@@ -137,10 +137,10 @@ class Params(Rule):
     """An object with the keys of a table; at the top of a schema, a key
     with this rule is a section, whose user values merge onto its defaults."""
 
-    def typed(self, value, key, cfg):
+    def typed(self, value, key):
         if not isinstance(value, dict):
             raise ConfigError(key or "<root>", "expected an object")
-        return _fill(self.of, value, key, cfg)
+        return _fill(self.of, value, key)
 
 
 class Tagged(Rule):
@@ -151,7 +151,7 @@ class Tagged(Rule):
         super().__init__(variants)
         self.tag, self.noun = tag, noun
 
-    def typed(self, value, key, cfg):
+    def typed(self, value, key):
         if not isinstance(value, dict):
             raise ConfigError(key, f"expected an object with a '{self.tag}' field")
         name = value.get(self.tag)
@@ -160,12 +160,12 @@ class Tagged(Rule):
         make, table = self.of[name]
         params = {k: v for k, v in value.items() if k != self.tag}
         return functools.partial(make, **_fill(
-            table, params, key, cfg, f"unknown parameter of {self.noun} '{name}'"))
+            table, params, key, f"unknown parameter of {self.noun} '{name}'"))
 
 
 NUMBER, INTEGER, TEXT = Num(float), Num(int), Text()
 NUMBERS = Seq(NUMBER)
-POINT = Seq(NUMBER, (lambda v, cfg: len(v) == 2, "[x, y]"))
+POINT = Seq(NUMBER, (lambda v: len(v) == 2, "[x, y]"))
 THRESHOLD = Maybe(NUMBER)
 
 
@@ -196,10 +196,11 @@ def _catenoid(x, y, a):
     return a * np.arccosh(np.maximum(np.hypot(x, y) / a, 1.0))
 
 
+# a constant family gives one number, not one per point: a metric of
+# constants then keeps its inverse as three numbers, as the flat one does
 FAMILIES = {
-    "zero": (lambda x, y: np.zeros_like(x, dtype=float), {}),
-    "constant": (lambda x, y, value: np.full_like(x, value, dtype=float),
-                 {"value": (0.0, NUMBER)}),
+    "zero": (lambda x, y: 0.0, {}),
+    "constant": (lambda x, y, value: value, {"value": (0.0, NUMBER)}),
     "affine": (lambda x, y, a0, ax, ay: a0 + ax * x + ay * y,
                dict.fromkeys(("a0", "ax", "ay"), (0.0, NUMBER))),
     "quadratic": (lambda x, y, c0, cx, cy, cxx, cxy, cyy: (
@@ -238,13 +239,14 @@ METRIC = Tagged("kind", {
 
 
 def named_function(spec, key):
-    """Build a vectorized callable ``(x, y) -> values`` from a family spec.
+    """Build a vectorized callable ``(x, y) -> values`` from a family spec
+    (``constant`` and ``zero`` give one number, which broadcasts).
 
     The families of :data:`FAMILIES`, their parameters and values are listed
     in ``docs/experiments.md``.  The gaussian's integer ``k`` gives profiles
     with a zero of order k across a horizontal line.
     """
-    return FUNCTION(spec, key, None)
+    return FUNCTION(spec, key)
 
 
 # subcommand tables; each also takes an ``output_dir``
@@ -280,19 +282,18 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "solver": SOLVER,
         "assertions": _section(
             max_iterations=(25, THRESHOLD), residual_max=(1e-9, THRESHOLD),
-            affine_sup_error_max=(None, Maybe(Num(float, (
-                lambda v, cfg: cfg["boundary_data"].get("name") == "affine",
-                "null unless boundary_data is of family 'affine'"))))),
+            # null unless boundary_data is affine: checked by _build
+            affine_sup_error_max=(None, THRESHOLD)),
     },
     "linearize-check": {
         "mesh": SMALL_DISC,
         "metric": FLAT,
         # the second difference runs along the first two, the third along all
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 0.0, 1.0]}],
-                       Seq(FUNCTION, (lambda v, cfg: len(v) == 3, "3 function specs"))),
+                       Seq(FUNCTION, (lambda v: len(v) == 3, "3 function specs"))),
         "amplitude": (0.05, Num(float, NONZERO)),
         "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
-            lambda v, cfg: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
+            lambda v: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
             "two or more distinct finite positive values for a slope fit"))),
         "third_h_eps": (0.02, Num(float, POSITIVE)),
         "solver": SOLVER,
@@ -302,13 +303,13 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
     "identity-check": {
         # two or more distinct mesh sizes: checked by _build on the meshes
         "levels": ([[12, 72], [24, 144], [48, 288]], Seq(Seq(
-            INTEGER, (lambda v, cfg: len(v) == 2, "[n_radial, n_angular]")))),
+            INTEGER, (lambda v: len(v) == 2, "[n_radial, n_angular]")))),
         "metric": ({"kind": "conformal",
                     "factor": {"name": "gaussian", "offset": 1.0, "amplitude": 0.3,
                                "width": 0.5, "center": [0.3, 0.2]}}, METRIC),
         "directions": ([SIN1, COS2, {"name": "fourier", "sin": [0.0, 1.0]},
                         {"name": "fourier", "cos": [1.0]}],
-                       Seq(FUNCTION, (lambda v, cfg: len(v) == 4, "4 function specs"))),
+                       Seq(FUNCTION, (lambda v: len(v) == 4, "4 function specs"))),
         "amplitude": (1.0, Num(float, NONZERO)),
         "h_eps_factor": (None, Maybe(Num(float, POSITIVE))),
         "solver": SOLVER,
@@ -330,7 +331,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         "weight": ({"name": "gaussian", "amplitude": 0.1, "width": 0.35,
                     "center": [0.0, 0.0]}, FUNCTION),
         # one probe functional, q_form; the key stays for configs that name it
-        "mode": ("synthetic", Text(rng=(lambda v, cfg: v == "synthetic", "'synthetic'"))),
+        "mode": ("synthetic", Text(rng=(lambda v: v == "synthetic", "'synthetic'"))),
         "point": ([0.0, 0.0], POINT),
         "tau_sweep": ([6.0, 8.0, 10.0], NUMBERS),
         "field": (None, Maybe(Params({"spacing": (0.2, Num(float, POSITIVE)),
@@ -346,7 +347,7 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
         # each Q < 1 on the mesh: checked by _build
         "profiles": ([{"name": "gaussian", "amplitude": 0.1, "width": 0.2,
                        "center": [0.5, 0.0], "k": k} for k in (0, 1)], Seq(FUNCTION, (
-            lambda v, cfg: 0 < len(v) == len(set(map(_jet_label, v))),
+            lambda v: 0 < len(v) == len(set(map(_jet_label, v))),
             "a non-empty list of function specs with distinct k"))),
         "assertions": _thresholds(exponent_tolerance=0.3, margin_min=0.5,
                                   fit_residual_max=0.2),
@@ -373,22 +374,28 @@ def resolve_config(subcommand, user_config):
         section = isinstance(schema.of.get(name, (None, None))[1], Params)
         merged[name] = ({**merged[name], **value}
                         if section and isinstance(value, dict) else value)
-    return merged, schema(merged, "", merged)
+    return merged, schema(merged, "")
 
 
 def _build(cfg):
-    """Build the metric and meshes of a typed config; check what needs them.
+    """Check what relates two keys of a typed config, build its metric and
+    meshes, and check what needs them.
 
-    A mesh constructor's range error names its key (``mesh`` or
-    ``levels[i]``).  Then, before the first solve, the metric must be SPD at
-    the quadrature points and on the boundary of every mesh (boundary
-    vertices and edge quadrature points), each weight Q finite and below 1
-    at its vertices and quadrature points, the boundary data and every
-    direction finite on the boundary vertices, every direction nonzero
-    somewhere on the boundary, ``levels`` of two or more sizes, the metric
-    SPD at ``point``, and a ``field`` grid with a point, which it adds as
-    ``field["grid"]``.
+    ``assertions.affine_sup_error_max`` must be null unless
+    ``boundary_data`` is of family ``affine``.  A mesh constructor's range
+    error names its key (``mesh`` or ``levels[i]``).  Then, before the
+    first solve, the metric must be SPD at the quadrature points and on the
+    boundary of every mesh (boundary vertices and edge quadrature points),
+    each weight Q finite and below 1 at its vertices and quadrature points,
+    the boundary data and every direction finite on the boundary vertices,
+    every direction nonzero somewhere on the boundary, ``levels`` of two or
+    more sizes, the metric SPD at ``point``, and a ``field`` grid with a
+    point, which it adds as ``field["grid"]``.
     """
+    limit = cfg["assertions"].get("affine_sup_error_max")
+    if limit is not None and cfg["boundary_data"].func is not FAMILIES["affine"][0]:
+        raise ConfigError("assertions.affine_sup_error_max", "must be null unless "
+                          f"boundary_data is of family 'affine', got {limit!r}")
     cfg["metric"] = cfg["metric"]()
     if "levels" in cfg:
         builders = [(f"levels[{i}]", functools.partial(geo.disc, *level))

@@ -267,7 +267,7 @@ def dn_third_derivative_exact(mesh, metric, directions):
     # weak d^3 N flux (K w - L)_B: L the third-linearization source, w its
     # solve with zero Dirichlet data
     L = third_linearization_source(mesh, metric, *vs)
-    w = d.extend(np.zeros(len(mesh.boundary_vertices)), L)
+    w = d.interior_system.solve(L)
     flux = d.boundary_rows @ w - L[mesh.boundary_vertices]
     values = flux / bg.ds + _boundary_correction(d, vs, fbs)
     return DNTrace(bg=bg, values=values, flux=flux)

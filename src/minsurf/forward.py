@@ -234,7 +234,8 @@ def solve_laplace_beltrami(mesh, metric, boundary_data):
 
     Returns the nodal array u.
     """
-    return discretization(mesh, metric).extend(boundary_values(mesh, boundary_data))
+    return discretization(mesh, metric).interior_system.extend(
+        boundary_values(mesh, boundary_data))
 
 
 def solve_minimal_surface(mesh, metric, boundary_data, options=None, *,

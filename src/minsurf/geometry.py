@@ -69,12 +69,14 @@ rows K[B], both from one assembly of K, which is then dropped.  An
 factor taken at its first use in the mesh's elimination order
 ``Mesh.interior_order`` (a nested dissection built with the mesh, so it
 needs no lock), which no other module reads.  The owner's system of K
-serves every Laplace-Beltrami solve, harmonic extension and
-third-linearization solve (:meth:`Discretization.extend`) and the chord
-steps of every cold minimal-surface solve (K is the Jacobian at u = 0);
-the boundary rows give every weak flux (K v)[B].  The builders stay
-public and build afresh on each call (:func:`assemble_weighted_stiffness`
-from the owner's metric at quadrature).
+serves every Laplace-Beltrami solve and harmonic extension
+(:meth:`InteriorSystem.extend`, for Dirichlet data), every
+third-linearization solve (:meth:`InteriorSystem.solve`, for a load with
+zero Dirichlet data) and the chord steps of every cold minimal-surface
+solve (K is the Jacobian at u = 0); the boundary rows give every weak
+flux (K v)[B].  The builders stay public and build afresh on each call
+(:func:`assemble_weighted_stiffness` from the owner's metric at
+quadrature).
 """
 
 from __future__ import annotations
@@ -102,7 +104,6 @@ __all__ = [
     "explicit_metric",
     "conformal_metric",
     "metric_eval",
-    "interpolate_at_quadrature",
     "hat_flux_loads",
     "hat_pair_elements",
     "assemble_elements",
@@ -582,13 +583,19 @@ class MetricField:
             raise ValueError(f"unknown metric kind {self.kind!r}")
 
 
+def _flat_entries(x, y):
+    return 1.0, 0.0, 1.0
+
+
 def flat_metric():
     """The Euclidean metric, with scalar entries (1, 0, 1).
 
     The entries are constant, so the metric at quadrature keeps its inverse
-    as three numbers (see :class:`_MetricQuad`).
+    as three numbers (see :class:`_MetricQuad`).  Every call gives an equal
+    metric, with the one entries function, so all of them share one
+    :func:`discretization` owner.
     """
-    return explicit_metric(lambda x, y: (1.0, 0.0, 1.0))
+    return explicit_metric(_flat_entries)
 
 
 def explicit_metric(entries):
@@ -756,12 +763,6 @@ def _raised_gradient(mq, g):
     return a
 
 
-def interpolate_at_quadrature(mesh, values):
-    """P1 interpolation of nodal values to the quadrature points, (3, n_tri)."""
-    v = np.asarray(values)[mesh.triangles]
-    return np.einsum("qi,ti->qt", _QUAD_BARY, v)
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
@@ -907,9 +908,11 @@ class InteriorSystem:
     holds no reference to A.  The first call of either method takes the
     :func:`factor_spd` factor of A[O, O], once under the system's lock
     (threads may share the owner's system), and drops the block: the
-    factor is then built beside the blocks alone, not beside A.  Both
-    methods take and return whole vertex arrays, so the order stays inside.
-    It holds the mesh's index arrays, not the mesh.
+    factor is then built beside the blocks alone, not beside A.  Each job
+    has one method: :meth:`extend` takes Dirichlet data, :meth:`solve`
+    takes loads and residuals with zero Dirichlet data.  Both return whole
+    vertex arrays, so the order stays inside.  It holds the mesh's index
+    arrays, not the mesh.
     """
 
     def __init__(self, mesh, A):
@@ -928,17 +931,14 @@ class InteriorSystem:
                     self._block = None
         return self._lu
 
-    def extend(self, bvals, rhs=None):
-        """Solve A u = rhs with u = ``bvals`` on the boundary vertices.
+    def extend(self, bvals):
+        """The solution of A u = 0 with u = ``bvals`` on the boundary vertices.
 
         Symmetric elimination on the factor: the interior unknowns, in the
-        elimination order O, solve A[O, O] u_O = rhs[O] - A[O, B] bvals.
-        ``bvals`` is in boundary ordering, shape (n_B,) for one field or
-        (n_B, k) for k fields (one per column), which share one solve; the
-        result has the shape (n_vertices,) + ``bvals.shape[1:]``.  ``rhs``
-        is a load of that shape, None for the discrete-harmonic extension
-        (rhs = 0).  Complex data is solved as its real and imaginary parts,
-        2k columns of one solve.
+        elimination order O, solve A[O, O] u_O = -A[O, B] bvals.  ``bvals``
+        is in boundary ordering, real or complex, shape (n_B,) for one field
+        or (n_B, k) for k fields (one per column), which share one solve;
+        the result has the shape (n_vertices,) + ``bvals.shape[1:]``.
         """
         lu = self._factor()  # before this call allocates anything
         O, B = self._order, self._boundary
@@ -948,32 +948,40 @@ class InteriorSystem:
                 f"expected {len(B)} boundary values (one column per field), "
                 f"got shape {bvals.shape}"
             )
-        shape = (len(O) + len(B),) + bvals.shape[1:]  # every vertex is in O or B
-        if rhs is not None and np.shape(rhs) != shape:
-            raise ValueError(f"expected a load of shape {shape}, got {np.shape(rhs)}")
-        load = 0.0 if rhs is None else np.asarray(rhs)[O]
-        reduced = load - self._coupling @ bvals
-        u = np.zeros(shape, dtype=np.result_type(reduced, float))
+        # 0.0 - x, not -x: a zero of the data stays +0.0
+        reduced = 0.0 - self._coupling @ bvals
+        u = np.zeros((len(O) + len(B),) + bvals.shape[1:],  # every vertex is in O or B
+                     dtype=np.result_type(reduced, float))
         u[B] = bvals
-        if np.iscomplexobj(reduced):
-            k = bvals.shape[1] if bvals.ndim == 2 else 1  # len(O) may be 0
-            cols = reduced.reshape(len(O), k)
-            parts = lu.solve(np.hstack([cols.real, cols.imag]))
-            u[O] = (parts[:, :k] + 1j * parts[:, k:]).reshape(reduced.shape)
-        else:
-            u[O] = lu.solve(reduced)
+        u[O] = _solve_columns(lu, reduced)
         return u
 
     def solve(self, r):
         """x with A[O, O] x_O = r_O and x = 0 on the boundary vertices.
 
-        ``r`` is a real vertex array, (n_vertices,) or (n_vertices, k) for k
-        columns of one solve; its boundary entries are not read.
+        ``r`` is a load or a residual: a vertex array, real or complex,
+        (n_vertices,) or (n_vertices, k) for k columns of one solve; its
+        boundary entries are not read.
         """
-        lu = self._factor()
-        x = np.zeros(np.shape(r))
-        x[self._order] = lu.solve(np.asarray(r)[self._order])
+        lu = self._factor()  # before this call allocates anything
+        r = np.asarray(r)
+        x = np.zeros(r.shape, dtype=np.result_type(r, float))
+        x[self._order] = _solve_columns(lu, r[self._order])
         return x
+
+
+def _solve_columns(lu, b):
+    """``lu.solve(b)`` for interior rows b, (n_O,) or (n_O, k).
+
+    Complex b is solved as its real and imaginary parts, 2k real columns of
+    one solve.
+    """
+    if not np.iscomplexobj(b):
+        return lu.solve(b)
+    k = b.shape[1] if b.ndim == 2 else 1  # len(b) may be 0
+    cols = b.reshape(len(b), k)
+    parts = lu.solve(np.hstack([cols.real, cols.imag]))
+    return (parts[:, :k] + 1j * parts[:, k:]).reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,9 +1146,10 @@ class Discretization:
         Quadrature weights against dV_g, ``mq.weights``.
     boundary : BoundaryGeometry
     interior_system : InteriorSystem
-        The :class:`InteriorSystem` of K, behind :meth:`extend`.  K is the
-        minimal-surface Jacobian at u = 0, so it also serves the chord
-        steps of a cold nonlinear solve.
+        The :class:`InteriorSystem` of K: its ``extend`` is the harmonic
+        extension of Dirichlet data, its ``solve`` the solve of a load with
+        zero Dirichlet data.  K is the minimal-surface Jacobian at u = 0,
+        so it also serves the chord steps of a cold nonlinear solve.
     boundary_rows : csr_matrix (n_boundary, n_vertices)
         The rows K[B] of the boundary vertices, in ``boundary_vertices``
         order: ``boundary_rows @ v`` is the weak flux (K v)[B], bit for bit.
@@ -1220,11 +1229,6 @@ class Discretization:
         q, t = _first_index(defect, np.argmax)
         # a copy: a view would keep every quadrature point alive
         return float(defect[q, t]), self.mesh.quad_points[:, q, t].copy()
-
-    def extend(self, bvals, rhs=None):
-        """Solve K u = rhs with u = ``bvals`` on the boundary vertices
-        (:meth:`InteriorSystem.extend` on the owner's factor)."""
-        return self.interior_system.extend(bvals, rhs)
 
 
 def discretization(mesh, metric):

@@ -51,7 +51,6 @@ import numpy as np
 from .geometry import (
     _point_sum,
     discretization,
-    interpolate_at_quadrature,
     nodal_values,
     p1_gradient_rows,
 )
@@ -98,12 +97,9 @@ class IdentityReport:
 
 
 def _q_at_quadrature(mesh, Q):
-    """Evaluate a coefficient field at the volume quadrature points, (3, n_tri)."""
-    if Q is None:
-        return 1.0
-    if callable(Q):
-        return np.asarray(Q(*mesh.quad_points))
-    return interpolate_at_quadrature(mesh, nodal_values(mesh, Q))
+    """The weight function ``Q(x, y)`` at the volume quadrature points,
+    (3, n_tri); 1 for ``Q`` None."""
+    return 1.0 if Q is None else np.asarray(Q(*mesh.quad_points))
 
 
 def q_form(mesh, metric, Q):
@@ -117,8 +113,8 @@ def q_form(mesh, metric, Q):
 
     fully symmetric under permuting (v1, v2, v3, v4).  All pairings are
     bilinear — complex fields are *not* conjugated, which is what the
-    oscillatory-probe asymptotics require.  ``Q`` may be None (Q = 1), a
-    callable(x, y), or a nodal array.
+    oscillatory-probe asymptotics require.  ``Q`` is a weight function
+    ``Q(x, y)``, evaluated at the quadrature points, or None for Q = 1.
 
     Gradients are constant per triangle, so with the pair basis
     p(a, b) = (a1 b1, a1 b2 + a2 b1, a2 b2) and G = (g^11, g^12, g^22) each

@@ -299,7 +299,8 @@ def make_interior_probe(
     data_plus = np.exp(1j * tau * phi)
     data_minus = np.exp(1j * tau * np.conj(phi))
     # u and v: two columns, four real ones, of one solve
-    uv = discretization(mesh, metric).extend(np.column_stack([data_plus, data_minus]))
+    uv = discretization(mesh, metric).interior_system.extend(
+        np.column_stack([data_plus, data_minus]))
     u, v = np.ascontiguousarray(uv.T)
     modmax = float(max(np.abs(data_plus).max(), np.abs(data_minus).max()))
     return InteriorProbe(
@@ -613,8 +614,8 @@ def boundary_jet_probe(
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
     form = q_form(mesh, metric, weight)
 
-    extension = discretization(mesh, metric)
-    tangent, normal = _jet_frame(bverts, extension.boundary, i_near)
+    d = discretization(mesh, metric)
+    tangent, normal = _jet_frame(bverts, d.boundary, i_near)
     offsets = bverts - base
     reach = float(np.hypot(*offsets.T).max())
     if freqs.min() ** -alpha > reach:
@@ -635,7 +636,7 @@ def boundary_jet_probe(
             * np.exp(-kappa * N * x2)
             * jet_window(N**alpha * x1)
         )
-        u = extension.extend(trace)
+        u = d.interior_system.extend(trace)
         u_bar = np.conj(u)
         values[i] = form(u, u, u_bar, u_bar)
     failed = _not_finite(base, freqs, values)

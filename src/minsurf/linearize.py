@@ -192,5 +192,4 @@ def third_linearization_pde(mesh, metric, v_j, v_k, v_l):
     :func:`third_linearization_source` of the three harmonic fields.
     """
     L = third_linearization_source(mesh, metric, v_j, v_k, v_l)
-    zero = np.zeros(len(mesh.boundary_vertices))
-    return discretization(mesh, metric).extend(zero, L)
+    return discretization(mesh, metric).interior_system.solve(L)

@@ -18,6 +18,7 @@ import scipy.sparse.linalg as spla
 import minsurf
 import minsurf.cli as cli
 import minsurf.forward as fwd
+import minsurf.geometry as geo
 import minsurf.identity as idn
 import minsurf.inverse as inv
 
@@ -511,6 +512,35 @@ def test_named_function_library_values():
     assert gauss(0.0, 0.25) == pytest.approx(1.0 + 2.0 * 0.5 * np.exp(-0.25))
     with pytest.raises(cli.ConfigError, match="unknown parameter"):
         cli.named_function({"name": "affine", "slope": 1.0}, "t")
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "flat"},
+    {"kind": "explicit"},
+    {"kind": "explicit", "g12": {"name": "constant", "value": 0.1}},
+    {"kind": "conformal", "factor": {"name": "constant", "value": 2.0}},
+], ids=["flat", "explicit-default", "explicit-constants", "conformal-constant"])
+def test_a_metric_of_constants_keeps_three_numbers(spec):
+    # the constant and zero families give one number each, so a metric of
+    # constants keeps its inverse as three numbers, as the flat one does
+    x = np.zeros(5)
+    for family in ({"name": "zero"}, {"name": "constant", "value": 2.0}):
+        assert np.ndim(cli.named_function(family, "t")(x, x)) == 0
+    mesh = geo.disc(24, 144)
+    d = geo.discretization(mesh, cli.METRIC(spec, "metric")())
+    assert d.mq.inverse.shape == (3, 1, 1)
+    assert d.weights.shape == (3, mesh.n_triangles)
+
+
+def test_explicit_metric_of_the_default_entries_runs_as_flat(tmp_path):
+    # the CLI's default explicit entries are (1, 0, 1): the same CSV bytes
+    # as the flat metric
+    digests = []
+    for metric in ({"kind": "flat"}, {"kind": "explicit"}):
+        out = tmp_path / metric["kind"]
+        assert cli.run("forward", {"mesh": SMALL_SQUARE, "metric": metric}, out=out) == 0
+        digests.append(csv_digests(out))
+    assert digests[0] == digests[1] and len(digests[0]) == 3
 
 
 TINY_SQUARE = {"kind": "square", "n": 8}

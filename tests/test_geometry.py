@@ -576,16 +576,27 @@ def test_discretization_is_memoized_per_mesh_and_metric():
     # the kept boundary rows are those of the K the builder assembles
     K = geo.assemble_weighted_stiffness(mesh, flat)
     assert abs(d.boundary_rows - K[mesh.boundary_vertices]).max() == 0.0
-    # Dirichlet elimination reproduces affine data exactly and honours a load
+    # Dirichlet elimination reproduces affine data exactly, and the
+    # zero-data solve honours a load
     f = geo.boundary_values(mesh, lambda x, y: 1.0 + 2.0 * x - y)
-    u = d.extend(f)
+    u = d.interior_system.extend(f)
     exact = 1.0 + 2.0 * mesh.vertices[:, 0] - mesh.vertices[:, 1]
     assert np.abs(u - exact).max() < 1e-13
     load = np.ones(mesh.n_vertices)
-    w = d.extend(np.zeros(len(f)), load)
+    w = d.interior_system.solve(load)
     I = mesh.interior_vertices
     assert np.abs((K @ w)[I] - 1.0).max() < 1e-12
     assert (w[mesh.boundary_vertices] == 0.0).all()
+
+
+def test_every_flat_metric_shares_one_owner():
+    # flat_metric() builds equal metrics, so the owners of a mesh do not
+    # multiply with the calls: one assembly of K and one factor serve them
+    mesh = geo.disc(8, 48)
+    assert geo.flat_metric() == geo.flat_metric()
+    assert geo.discretization(mesh, geo.flat_metric()) is geo.discretization(
+        mesh, geo.flat_metric())
+    assert len(mesh._discretizations) == 1
 
 
 def test_threads_sharing_a_mesh_build_the_owner_once(counting):
@@ -717,25 +728,23 @@ def test_factor_scratch_does_not_set_the_peak():
 
 
 def test_multi_column_extension_matches_per_column_solves():
-    # k columns share one solve (2k real columns for complex data)
+    # k columns share one solve (2k real columns for complex data), both for
+    # Dirichlet data and for loads
     mesh = geo.disc(12, 72)
-    d = geo.discretization(mesh, CURVED)
+    system = geo.discretization(mesh, CURVED).interior_system
     bx, by = mesh.vertices[mesh.boundary_vertices].T
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     data = np.column_stack([np.exp(k * 1j * bx) * (1.0 + by) for k in (1, 3, 5)])
     load = np.column_stack([np.exp(-k * 1j * y) * x for k in (1, 2, 3)])
-    for cols, rhs in ((data, None), (data, load), (data.real, None),
-                      (data.real, load.real), (data[:, :1], load[:, :1])):
-        got = d.extend(cols, rhs)
-        want = np.column_stack([d.extend(cols[:, k], None if rhs is None else rhs[:, k])
-                                for k in range(cols.shape[1])])
-        assert got.shape == want.shape == (mesh.n_vertices, cols.shape[1])
-        assert got.dtype == want.dtype
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for method, arrays in ((system.extend, data), (system.solve, load)):
+        for cols in (arrays, arrays.real, arrays[:, :1]):
+            got = method(cols)
+            want = np.column_stack([method(cols[:, k]) for k in range(cols.shape[1])])
+            assert got.shape == want.shape == (mesh.n_vertices, cols.shape[1])
+            assert got.dtype == want.dtype == cols.dtype
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     with pytest.raises(ValueError, match="boundary values"):
-        d.extend(np.ones((len(bx), 2, 2)))
-    with pytest.raises(ValueError, match="load of shape"):
-        d.extend(data, load[:, :2])
+        system.extend(np.ones((len(bx), 2, 2)))
 
 
 def test_complex_loads_are_the_loads_of_their_parts():
@@ -755,15 +764,15 @@ def test_complex_loads_are_the_loads_of_their_parts():
 
 
 def test_complex_extension_is_its_real_and_imaginary_extensions():
-    # complex data is solved as two columns of one solve
+    # complex data and complex loads are solved as two columns of one solve
     mesh = geo.disc(12, 72)
-    d = geo.discretization(mesh, CURVED)
+    system = geo.discretization(mesh, CURVED).interior_system
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     data = geo.boundary_values(mesh, lambda x, y: np.exp(5j * x) * (1.0 + y))
     load = np.exp(-2j * y) * x
-    for rhs, rhs_re, rhs_im in ((None, None, None), (load, load.real, load.imag)):
-        got = d.extend(data, rhs)
-        want = d.extend(data.real, rhs_re) + 1j * d.extend(data.imag, rhs_im)
+    for method, values in ((system.extend, data), (system.solve, load)):
+        got = method(values)
+        want = method(values.real) + 1j * method(values.imag)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -775,6 +784,10 @@ def test_complex_extension_without_interior_vertices(shape):
     mesh = geo.square(1)
     assert len(mesh.interior_vertices) == 0
     data = np.exp(1j * np.arange(8.0))[:np.prod(shape)].reshape(shape)
-    got = geo.discretization(mesh, CURVED).extend(data)
+    system = geo.discretization(mesh, CURVED).interior_system
+    got = system.extend(data)
     assert got.shape == shape and got.dtype == complex
     assert np.array_equal(got[mesh.boundary_vertices], data)
+    # a load has no interior row to act on: the zero-data solve is zero
+    x = system.solve(data)
+    assert x.shape == shape and x.dtype == complex and not x.any()

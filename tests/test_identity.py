@@ -109,17 +109,6 @@ def test_q_functional_is_linear_in_its_first_argument(a, b, picks, metric):
     assert err <= 16 * EPS * bound
 
 
-def test_q_functional_weight_coercion_agrees_for_linear_weight():
-    # a linear weight is interpolated exactly, so callable and nodal forms match
-    mesh = geo.disc(8, 48)
-    q_call = lambda x, y: 1.0 + 0.3 * x + 0.1 * y
-    q_nodal = q_call(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    fields = [mesh.vertices[:, 0], mesh.vertices[:, 1]] * 2
-    a = idn.q_functional(mesh, CURVED, q_call, *fields)
-    b = idn.q_functional(mesh, CURVED, q_nodal, *fields)
-    assert abs(a - b) < 1e-13 * abs(a)
-
-
 def test_identity_holds_on_curved_disc():
     mesh = geo.disc(16, 96)
     rep = idn.integral_identity_check(mesh, CURVED, DIRS)

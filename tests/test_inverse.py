@@ -38,21 +38,21 @@ def zero_weight(x, y):
 def mid_disc():
     """Unit disc, h ~ 0.015, with a factored flat-metric extension."""
     mesh = geo.disc(96, 576)
-    return mesh, geo.discretization(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT).interior_system
 
 
 @pytest.fixture(scope="module")
 def fine_disc():
     """Unit disc, h ~ 0.011; resolves probe sweeps up to tau = 10."""
     mesh = geo.disc(128, 768)
-    return mesh, geo.discretization(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT).interior_system
 
 
 @pytest.fixture(scope="module")
 def jet_square():
     """Unit square, h ~ 0.0074; resolves boundary jets up to N ~ 60."""
     mesh = geo.square(192)
-    return mesh, geo.discretization(mesh, FLAT)
+    return mesh, geo.discretization(mesh, FLAT).interior_system
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +257,11 @@ def test_conformal_flatness_is_checked_away_from_sampled_vertices():
 # ---------------------------------------------------------------------------
 
 
-def pairing_integral(mesh, metric, grad_u, grad_v, weight_values):
-    """Integral of weight * g(grad u, grad v) over the mesh."""
+def pairing_integral(mesh, metric, grad_u, grad_v, weight):
+    """Integral of weight(x, y) * g(grad u, grad v) over the mesh."""
     d = geo.discretization(mesh, metric)
     pair = pair_at_quadrature(mesh, d.mq, grad_u, grad_v)
-    wq = geo.interpolate_at_quadrature(mesh, weight_values)
-    return (d.weights * (wq * pair)).sum()
+    return (d.weights * (weight(*mesh.quad_points) * pair)).sum()
 
 
 def test_same_route_probe_pairings_cancel_to_mesh_error():
@@ -272,7 +271,6 @@ def test_same_route_probe_pairings_cancel_to_mesh_error():
     values = {}
     for n_r in (24, 48, 96):
         mesh = geo.disc(n_r, 6 * n_r)
-        qv = gaussian_weight(mesh.vertices[:, 0], mesh.vertices[:, 1])
         for tau in (3.0, 6.0):
             if tau == 6.0 and n_r == 24:
                 continue  # under-resolved: the oscillation guard would trip
@@ -282,7 +280,7 @@ def test_same_route_probe_pairings_cancel_to_mesh_error():
             )
             g1 = p1_gradients(mesh, p1.fields[0])
             g2 = p1_gradients(mesh, p2.fields[0])
-            val = abs(pairing_integral(mesh, FLAT, g1, g2, qv))
+            val = abs(pairing_integral(mesh, FLAT, g1, g2, gaussian_weight))
             # measured prefactors val / (h^2 tau^2 AMP) of 0.6 at tau = 3 and
             # 14 at tau = 6, far below the loose ceiling frozen here
             assert val <= 30.0 * mesh.h**2 * tau**2 * AMP
@@ -307,12 +305,8 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
     cross = pair_at_quadrature(mesh, mq, gu, gv)
     same_u = pair_at_quadrature(mesh, mq, gu, gu)
     same_v = pair_at_quadrature(mesh, mq, gv, gv)
-    qv = geo.interpolate_at_quadrature(
-        mesh, gaussian_weight(mesh.vertices[:, 0], mesh.vertices[:, 1])
-    )
-    integrand = np.abs(qv * (2.0 * cross**2 + same_u * same_v))
-    xq = geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 0])
-    yq = geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 1])
+    xq, yq = mesh.quad_points
+    integrand = np.abs(gaussian_weight(xq, yq) * (2.0 * cross**2 + same_u * same_v))
     inside = (xq**2 + yq**2 <= 9.0 / tau).astype(float)
     total = (d.weights * integrand).sum()
     near = (d.weights * (integrand * inside)).sum()

@@ -325,8 +325,7 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     assert d.mq.inverse.shape == ((3, 1, 1) if constant else (3,) + rows)
     assert d.mq.inverse.flags.c_contiguous
     inverse = () if constant else (d.mq.inv11, d.mq.inv12, d.mq.inv22)
-    for a in (d.mq.weights, d.weights, *inverse,
-              geo.interpolate_at_quadrature(mesh, mesh.vertices[:, 0])):
+    for a in (d.mq.weights, d.weights, *inverse):
         assert a.shape == rows and a.flags.c_contiguous
     raised = geo._raised_gradient(d.mq, geo.p1_gradient_rows(mesh, u))
     for a in (mesh.hat_gradients, mesh.quad_points, raised):
