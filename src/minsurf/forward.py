@@ -167,7 +167,7 @@ def _slope_factor(mesh, mq, u):
             "real fields only"
         )
     g = p1_gradient_rows(mesh, u)
-    a = _raised_gradient(mq, g)
+    a = _raised_gradient(mq.inverse, g)
     slope = a * g[:, None]
     s = slope[0]
     s += slope[1]

@@ -747,14 +747,15 @@ def p1_gradient_rows(mesh, values, block=slice(None)):
     return g
 
 
-def _raised_gradient(mq, g):
+def _raised_gradient(inverse, g):
     """g^{-1} grad u at the quadrature points, (2, 3, n_tri), x and y first.
 
-    ``g`` holds the rows (x, y) of the per-triangle Euclidean gradient, as
+    ``inverse`` is the inverse metric at the shape the metric varies in,
+    ``mq.inverse`` of :class:`_MetricQuad` or a slice of its triangles; ``g``
+    holds the rows (x, y) of the per-triangle Euclidean gradient, as
     :func:`p1_gradient_rows` gives them.
     """
     gx, gy = g
-    inverse = mq.inverse
     # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy; ``out`` takes the
     # (3, n_tri) rows that a constant inverse broadcasts to
     a = np.empty((2, 3) + gx.shape, dtype=np.result_type(inverse, gx))

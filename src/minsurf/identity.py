@@ -35,11 +35,13 @@ ingredient second-order accurate on smooth charts.  With the epsilon step
 scaled proportionally to the mesh size the whole residual contracts at
 second order.
 
-The weighted functional is one kernel, :func:`q_form`: it sums every
-product of two pairings over the quadrature points into a symmetric 3x3
-tensor M_t per triangle, so a probe costs a few passes over per-triangle
-arrays.  A probe sweep builds the form once and calls it per probe;
-:func:`q_functional` is the one-off call of the same form.
+The weighted functional :func:`q_form` is linear in its weight Q: it is
+the dot product of Q times the quadrature weights with one probe kernel,
+the density of the four fields' pairing products at the quadrature points,
+whose pairings are those of the residual and the third-linearization
+source (``geometry._raised_gradient``).  A probe sweep builds the form once
+and calls it per probe; :func:`q_functional` is the one-off call of the
+same form.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    _point_sum,
+    _raised_gradient,
     discretization,
     nodal_values,
     p1_gradient_rows,
@@ -70,10 +72,10 @@ __all__ = [
 _H_EPS_PER_H = 0.25
 _TOL = 1e-13
 
-# Triangles per block of a q_form call: its dozen complex temporaries of one
-# block (128 KB each) then stay in cache, which made a probe on disc(128,768)
-# 2.3 times as fast as one pass over whole-mesh arrays (4096 to 8192 were
-# fastest).
+# Triangles per block of a q_form call: the density's complex temporaries of
+# one block are (3, 8192) rows (384 KB each), and a probe on disc(128,768)
+# then took 10.5 ms against 28 ms for one pass over whole-mesh rows (2048,
+# 4096 and 16384 took 12 to 15 ms; 2-core x86 VM, numpy 2.4).
 _BLOCK = 8192
 
 
@@ -102,6 +104,35 @@ def _q_at_quadrature(mesh, Q):
     return 1.0 if Q is None else np.asarray(Q(*mesh.quad_points))
 
 
+def _density(mesh, inverse, values, slot, block):
+    """The probe density at the quadrature points of ``block``, (3, nt) rows,
+
+        S = g(grad v4, grad v1) g(grad v3, grad v2)
+          + g(grad v4, grad v2) g(grad v3, grad v1)
+          + g(grad v4, grad v3) g(grad v1, grad v2),
+
+    v_i the field ``values[slot[i]]``; ``inverse`` is the whole mesh's
+    ``mq.inverse``.  Each pairing is the bilinear ``_raised_gradient`` of one
+    field dotted with the other's gradient.  Equal slots share one gradient
+    and one raised gradient, and each unordered pair of slots one pairing.
+    """
+    if inverse.shape[-1] > 1:  # a constant metric's (3, 1, 1) has one column
+        inverse = inverse[..., block]
+    grads = {j: p1_gradient_rows(mesh, v, block) for j, v in values.items()}
+    raised = {j: _raised_gradient(inverse, g) for j, g in grads.items()}
+    pairs = {}
+
+    def pair(a, b):
+        """g(grad v_a, grad v_b), built on first use."""
+        i, j = slot[a], slot[b]
+        key = frozenset((i, j))
+        if key not in pairs:
+            pairs[key] = raised[i][0] * grads[j][0] + raised[i][1] * grads[j][1]
+        return pairs[key]
+
+    return pair(3, 0) * pair(2, 1) + pair(3, 1) * pair(2, 0) + pair(3, 2) * pair(0, 1)
+
+
 def q_form(mesh, metric, Q):
     """The weighted trilinear-pairing functional as a form in four fields.
 
@@ -116,73 +147,32 @@ def q_form(mesh, metric, Q):
     oscillatory-probe asymptotics require.  ``Q`` is a weight function
     ``Q(x, y)``, evaluated at the quadrature points, or None for Q = 1.
 
-    Gradients are constant per triangle, so with the pair basis
-    p(a, b) = (a1 b1, a1 b2 + a2 b1, a2 b2) and G = (g^11, g^12, g^22) each
-    pairing is g(a, b)(x_q) = G_q . p(a, b), and each product of two
-    pairings summed over a triangle's quadrature points is the bilinear
-    form p(a, b)^T M_t p(c, d) with the symmetric per-triangle tensor
-
-        M_t = sum_q w_q Q(x_q) G_q G_q^T.
-
-    The form's first call evaluates Q at quadrature and builds M_t (six
-    (n_tri,) rows), so a sweep that builds the form before its probes
-    holds no tensor while their extensions take the owner's factor; every
-    call then runs on per-triangle arrays only, one block of triangles at
-    a time.  Build it once per sweep and call it once per probe.  Arguments
-    passed as the same object share one gradient, each unordered pair of
-    them one p, and equal products one form: the probes pass (u, u, v, v),
-    which takes two gradients, three p and two forms instead of four, six
-    and three.
+    The form is linear in Q: its value is the dot product of Q times the
+    quadrature weights with the probe density S of the four fields at the
+    quadrature points (:func:`_density`), summed one block of triangles at
+    a time.  The form's first call evaluates Q at quadrature, so a sweep
+    that builds the form before its probes holds no (3, n_tri) weight while
+    their extensions take the owner's factor.  Build it once per sweep and
+    call it once per probe.  Arguments passed as the same object share one
+    gradient and equal pairs one pairing: the probes pass (u, u, v, v),
+    which takes two gradients and three pairings instead of four and six.
     """
     blocks = [slice(b, b + _BLOCK) for b in range(0, mesh.n_triangles, _BLOCK)]
-    M = []  # M_t, built at the first call
-
-    def build_tensor():
-        mq = discretization(mesh, metric).mq
-        c = mq.weights * _q_at_quadrature(mesh, Q)
-        G = (mq.inv11, mq.inv12, mq.inv22)
-        built = [[None] * 3 for _ in range(3)]
-        for i in range(3):
-            for j in range(i, 3):
-                built[i][j] = built[j][i] = _point_sum(c * G[i] * G[j])
-        M[:] = built  # one assignment: a thread sharing the form sees all or none
-
-    def block_sum(values, slot, block):
-        """The form summed over the triangles of ``block``."""
-        grads = {j: p1_gradient_rows(mesh, v, block) for j, v in values.items()}
-        m = [[entry[block] for entry in row] for row in M]
-        pairs, products = {}, {}
-
-        def pair(a, b):
-            """Key of p(v_a, v_b) in ``pairs``, built on first use."""
-            key = frozenset((slot[a], slot[b]))
-            if key not in pairs:
-                (ax, ay), (bx, by) = grads[slot[a]], grads[slot[b]]
-                pairs[key] = (ax * bx, ax * by + ay * bx, ay * by)
-            return key
-
-        def product(ab, cd):
-            """sum_t p(v_a, v_b)^T M_t p(v_c, v_d), built on first use."""
-            pq = pair(*ab), pair(*cd)
-            key = frozenset(pq)
-            if key not in products:
-                p, r = pairs[pq[0]], pairs[pq[1]]
-                mr = [m[i][0] * r[0] + m[i][1] * r[1] + m[i][2] * r[2] for i in range(3)]
-                # numpy's pairwise sum: a dot product sums in sequence, which
-                # moved whole-mesh probe values by up to 2e-13 relative
-                products[key] = (p[0] * mr[0] + p[1] * mr[1] + p[2] * mr[2]).sum()
-            return products[key]
-
-        return product((3, 0), (2, 1)) + product((3, 1), (2, 0)) + product((3, 2), (0, 1))
+    weighted = []  # Q times the quadrature weights, built at the first call
 
     def form(v1, v2, v3, v4):
-        if not M:
-            build_tensor()
+        mq = discretization(mesh, metric).mq
+        if not weighted:
+            weighted.append(mq.weights * _q_at_quadrature(mesh, Q))
         fields = (v1, v2, v3, v4)
         # slot[i]: the first argument that is the very object fields[i]
         slot = [next(j for j in range(4) if fields[j] is v) for v in fields]
         values = {j: nodal_values(mesh, fields[j]) for j in set(slot)}
-        out = sum(block_sum(values, slot, block) for block in blocks)
+        qw = weighted[0]
+        # numpy's pairwise sum: a dot product sums in sequence, which moved
+        # whole-mesh probe values by up to 2e-13 relative
+        out = sum((qw[:, b] * _density(mesh, mq.inverse, values, slot, b)).sum()
+                  for b in blocks)
         return complex(out) if np.iscomplexobj(out) else float(out)
 
     return form

@@ -399,8 +399,9 @@ def recover_q_point(
     leading term |A| tau_max) is the trust diagnostic: above 20% the
     result comes back flagged unreliable, with the reason in its message.
     Two distinct frequencies fit the line exactly: the residual is then
-    NaN and the result unreliable.  A sweep with a functional value that
-    is not finite is not fitted and comes back unreliable.
+    NaN and the result unreliable; fewer raise ResolutionError.  A sweep
+    with a functional value that is not finite is not fitted and comes back
+    unreliable.
 
     Parameters
     ----------
@@ -415,8 +416,8 @@ def recover_q_point(
 def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
     """:func:`recover_q_point` with the probe functional already built."""
     taus = np.asarray(tau_sweep, dtype=float)
-    if taus.size < 2:
-        raise ResolutionError("need at least two frequencies to fit the affine model")
+    if np.unique(taus).size < 2:
+        raise ResolutionError("need at least two distinct frequencies to fit the affine model")
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
 
     values = np.empty(taus.size, dtype=complex)
@@ -582,18 +583,18 @@ def boundary_jet_probe(
     noise floor 1e-13, or with a value that is not finite, reports
     exponent and fit residual NaN with an explanatory message instead of
     fitting; a sweep of two distinct frequencies reports an undefined (NaN)
-    fit residual and an unreliable result.  Each frequency N must be
-    finite and positive and its wavelength 2 pi / N must span at least 10
-    mesh cells, and ``point`` must lie within one mesh size of its nearest
-    boundary vertex, where the probe is built.  The window half-width
-    N^-alpha at the smallest N must not exceed the largest distance from
-    that vertex to the boundary, or the window covers every boundary vertex
-    and the probe cannot concentrate.  Otherwise the probe raises
-    ResolutionError.
+    fit residual and an unreliable result.  The sweep must hold at least
+    two distinct frequencies, each N finite and positive with a wavelength
+    2 pi / N of at least 10 mesh cells, and ``point`` must lie within one
+    mesh size of its nearest boundary vertex, where the probe is built.
+    The window half-width N^-alpha at the smallest N must not exceed the
+    largest distance from that vertex to the boundary, or the window covers
+    every boundary vertex and the probe cannot concentrate.  Otherwise the
+    probe raises ResolutionError.
     """
     freqs = np.asarray(n_sweep, dtype=float)
-    if freqs.size < 2:
-        raise ResolutionError("need at least two frequencies to fit the exponent")
+    if np.unique(freqs).size < 2:
+        raise ResolutionError("need at least two distinct frequencies to fit the exponent")
     positive = (0.0 < freqs) & (freqs < np.inf)
     if not positive.all():
         raise ResolutionError("jet frequency N must be finite and positive, "

@@ -177,7 +177,7 @@ def third_linearization_source(mesh, metric, v_j, v_k, v_l):
     """
     d = discretization(mesh, metric)
     gj, gk, gl = (p1_gradient_rows(mesh, nodal_values(mesh, v)) for v in (v_j, v_k, v_l))
-    j, k, l = (_raised_gradient(d.mq, g) for g in (gj, gk, gl))
+    j, k, l = (_raised_gradient(d.mq.inverse, g) for g in (gj, gk, gl))
     # g(grad v_a, grad v_b) at the quadrature points
     pair_kl = k[0] * gl[0] + k[1] * gl[1]
     pair_jl = j[0] * gl[0] + j[1] * gl[1]

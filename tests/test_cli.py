@@ -202,21 +202,26 @@ JET_SQUARE = {"kind": "square", "n": 48}
     # meets it, up to the rounding of the rim vertices)
     ("recover-q", {"mesh": SMALL_DISC, "point": [0.5, 0.0], "tau_sweep": [1.0, 2.0]}),
     ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [6.0]}),
+    # one distinct frequency: a line through one abscissa is undetermined
+    ("recover-q", {"mesh": SMALL_DISC, "tau_sweep": [2, 2, 2]}),
     ("recover-q", {"mesh": SMALL_DISC,
                    "metric": {"kind": "explicit",
                               "g12": {"name": "constant", "value": 0.1}}}),
     ("boundary-jet", {"mesh": JET_SQUARE, "m": 0}),
     ("boundary-jet", {"mesh": JET_SQUARE, "n_sweep": [20.0]}),
+    ("boundary-jet", {"mesh": JET_SQUARE, "n_sweep": [20, 20, 20]}),
     # resolved, but the centre of the square is no boundary point
     ("boundary-jet", {"mesh": JET_SQUARE, "n_sweep": [4.0, 5.0, 6.0],
                       "point": [0.5, 0.5]}),
-], ids=["unresolved-tau", "centre-margin", "one-frequency", "not-conformal",
-        "jet-order-zero", "one-jet-frequency", "jet-point-off-boundary"])
+], ids=["unresolved-tau", "centre-margin", "one-frequency", "repeated-frequency",
+        "not-conformal", "jet-order-zero", "one-jet-frequency",
+        "repeated-jet-frequency", "jet-point-off-boundary"])
 def test_recover_q_infeasible_sweep_is_a_config_error(tmp_path, capsys,
                                                       subcommand, config):
     code = cli.run(subcommand, config, out=tmp_path)
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 # constant and SPD, with condition number about 2e4

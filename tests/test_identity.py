@@ -46,7 +46,7 @@ def test_q_functional_symmetric_under_field_permutations():
 
 
 def test_one_form_serves_several_probes_as_fresh_calls_do():
-    # a sweep builds Q at quadrature and M_t once and calls the form per
+    # a sweep evaluates Q at quadrature once and calls the form per
     # probe; q_functional builds the form afresh, and both give the same bits
     mesh = geo.disc(12, 72)
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
@@ -186,9 +186,9 @@ def test_identity_check_builds_each_invariant_once(counting):
 
 
 def test_q_form_evaluates_its_weight_at_its_first_call(counting):
-    # building the form evaluates nothing: Q at quadrature and the tensor
-    # M_t come at the first call, once, so a sweep takes its probes'
-    # factor before the tensor exists
+    # building the form evaluates nothing: Q times the quadrature weights
+    # comes at the first call, once, so a sweep takes its probes' factor
+    # before those rows exist
     evaluations = counting(idn, "_q_at_quadrature")
     mesh = geo.disc(12, 72)
     points = []

@@ -430,9 +430,12 @@ def test_recover_point_flags_non_asymptotic_sweep():
 
 
 def test_recover_point_rejects_short_sweep():
+    # a line through one distinct frequency is undetermined: lstsq would
+    # return its minimum-norm member as if it were a fit
     mesh = geo.disc(24, 144)
-    with pytest.raises(ValueError):
-        inv.recover_q_point(mesh, FLAT, gaussian_weight, (0.0, 0.0), [4.0])
+    for sweep in ([4.0], [2.0, 2.0], [2.0, 2.0, 2.0]):
+        with pytest.raises(inv.ResolutionError, match="two distinct frequencies"):
+            inv.recover_q_point(mesh, FLAT, gaussian_weight, (0.0, 0.0), sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +564,9 @@ def test_recover_field_separates_two_bumps(mid_disc):
 
 
 def test_sweeps_evaluate_the_weight_once_and_cache_nothing_new(jet_square, counting):
-    # each sweep call builds its probe form (Q at quadrature, M_t) once, from
-    # the caller's weight itself; the form lives for the call only, never on
-    # the (mesh, metric) owner
+    # each sweep call builds its probe form once, which evaluates Q at
+    # quadrature once, from the caller's weight itself; the form lives for
+    # the call only, never on the (mesh, metric) owner
     forms = counting(idn, "q_form")
     mesh = geo.disc(48, 288)
     shapes = []
@@ -743,9 +746,10 @@ def test_jet_probe_validation_and_resolution_guards():
     with pytest.raises(ValueError, match="positive integer"):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 0,
                                JET_SWEEP)
-    with pytest.raises(ValueError):
-        inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 2,
-                               [28.0])
+    for sweep in ([28.0], [28.0, 28.0], [28.0, 28.0, 28.0]):
+        with pytest.raises(inv.ResolutionError, match="two distinct frequencies"):
+            inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 2,
+                                   sweep)
     with pytest.raises(inv.ResolutionError):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 2,
                                [30.0, 50.0, 70.0])

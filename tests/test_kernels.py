@@ -7,7 +7,7 @@ grad phi_i)(x_q) and the pair tensor g(grad phi_i, grad phi_j)(x_q),
 contracted point by point and scattered with ``np.add.at``; they read the
 per-point data as (n_tri, 3) columns, transposed from the package's
 (3, n_tri) rows.  The probe functional keeps its six-pairing formula as the
-reference for the pair-basis form, the element kernel keeps its
+reference for the density form, the element kernel keeps its
 broadcasting form as the bit-for-bit reference for the one on (n_tri,)
 rows, and the factored blocks are checked to be the symmetric positive
 definite matrices that ``geometry.factor_spd`` assumes.
@@ -190,22 +190,25 @@ def test_kernels_match_per_quadrature_point_reference(fields, metric):
     "metric", [FLAT, CURVED, CONFORMAL], ids=["flat", "curved", "conformal"]
 )
 def test_q_functional_matches_six_pairing_reference(fields, metric, monkeypatch):
-    # the pair-basis form sums each product over the quadrature points inside
-    # M_t before it pairs, so it rounds differently from the six pairings;
-    # 100-triangle blocks split the 864 triangles into nine, the last ragged
+    # the density forms each pairing from a raised gradient, so it rounds
+    # differently from the six pairings of the metric entries; 100-triangle
+    # blocks split the 864 triangles into nine, the last ragged, and a
+    # constant metric's one-column inverse must serve every block.  The
+    # weights: a field, a constant (a plain number) and None (Q = 1)
     mesh = fields[0]
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
-    weight = lambda x, y: 0.1 * np.exp(-(x * x + y * y))
+    weights = (lambda x, y: 0.1 * np.exp(-(x * x + y * y)), lambda x, y: 0.3, None)
     u = np.exp(3j * (x + 0.5 * y)) * (1.0 + 0.2 * y)
     v = np.exp(-2j * (x - y))
     u_bar = np.conj(u)
     distinct = (u, v, np.exp(1j * x * y) + x, np.cos(2.0 * y) - 1j * x * x)
     for block in (idn._BLOCK, 100):
         monkeypatch.setattr(idn, "_BLOCK", block)
-        for args in ((u, u, v, v), (u, u, u_bar, u_bar), distinct):
-            got = idn.q_functional(mesh, metric, weight, *args)
-            want = reference_q_functional(mesh, metric, weight, *args)
-            assert abs(got - want) <= 1e-13 * abs(want)
+        for weight in weights:
+            for args in ((u, u, v, v), (u, u, u_bar, u_bar), distinct):
+                got = idn.q_functional(mesh, metric, weight, *args)
+                want = reference_q_functional(mesh, metric, weight, *args)
+                assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def reference_hat_pair_elements(mesh, m11, m12, m22):
@@ -327,7 +330,7 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric):
     inverse = () if constant else (d.mq.inv11, d.mq.inv12, d.mq.inv22)
     for a in (d.mq.weights, d.weights, *inverse):
         assert a.shape == rows and a.flags.c_contiguous
-    raised = geo._raised_gradient(d.mq, geo.p1_gradient_rows(mesh, u))
+    raised = geo._raised_gradient(d.mq.inverse, geo.p1_gradient_rows(mesh, u))
     for a in (mesh.hat_gradients, mesh.quad_points, raised):
         assert a.shape == (2,) + rows and a.flags.c_contiguous
     # the points and weights are those of the per-triangle rule, re-laid

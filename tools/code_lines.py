@@ -1,0 +1,60 @@
+"""Code lines of each ``minsurf`` module and their total.
+
+    python3 tools/code_lines.py [SRC_DIR]
+
+A code line is a line of a module that holds a token other than a comment,
+and that is not part of a docstring (the string literal that opens a
+module, class or function body).  Blank lines, comment lines and docstring
+lines do not count; a line that holds code and a trailing comment does.
+Tokens come from ``tokenize`` and docstrings from ``ast``, so a string that
+spans lines counts on each of its lines.  ``SRC_DIR`` defaults to the
+``src/minsurf`` of the checkout this script is in.  It prints one line per
+module, ``name count``, in name order, then ``total count``.
+"""
+
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+# tokens that hold no code: a line with only these is blank or a comment
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+          tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree):
+    """The line numbers of every docstring in the module ``tree``."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.body:
+            first = node.body[0]
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source):
+    """The number of code lines of the Python ``source`` text."""
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstring_lines(ast.parse(source)))
+
+
+def main(argv):
+    root = Path(__file__).resolve().parents[1]
+    src = Path(argv[1]) if len(argv) > 1 else root / "src" / "minsurf"
+    total = 0
+    for path in sorted(src.glob("*.py")):
+        count = code_lines(path.read_text())
+        total += count
+        print(f"{path.name} {count}")
+    print(f"total {total}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
