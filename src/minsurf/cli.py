@@ -197,7 +197,8 @@ def _catenoid(x, y, a):
 
 
 # a constant family gives one number, not one per point: a metric of
-# constants then keeps its inverse as three numbers, as the flat one does
+# constants then keeps its inverse as three numbers and its quadrature
+# weights as one row, as the flat one does
 FAMILIES = {
     "zero": (lambda x, y: 0.0, {}),
     "constant": (lambda x, y, value: value, {"value": (0.0, NUMBER)}),

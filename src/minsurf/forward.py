@@ -157,9 +157,12 @@ class WarmStart:
 def _slope_factor(mesh, mq, u):
     """s = sqrt(1 + |grad_g u|^2) and g^{-1} grad u (x, y) at quadrature points.
 
-    s is a (3, n_tri) array, g^{-1} grad u a (2, 3, n_tri) one.  The one
-    kernel of the residual (which also gives the graph area) and the
-    Jacobian, so both reject a complex field here.
+    Both are at the point rows of ``mq.inverse``: s is (3, n_tri) and
+    g^{-1} grad u (2, 3, n_tri) for a varying metric, while a constant one
+    gives (1, n_tri) and (2, 1, n_tri), one value per triangle, which the
+    callers broadcast against the (3, n_tri) weights.  The one kernel of
+    the residual (which also gives the graph area) and the Jacobian, so
+    both reject a complex field here.
     """
     if np.iscomplexobj(u):
         raise ValueError(
@@ -182,14 +185,16 @@ def mse_residual(mesh, metric, u, *, with_slope=False):
     dV_g over the support of hat function phi_i — for interior i this is the
     equation residual, for boundary i the weak normal flux of the tilted
     normal field.  Raises ValueError for a complex field.  With
-    ``with_slope`` it returns ``(r, s)``, s the slope factor (3, n_tri) of
-    the evaluation, from which a solve reports its graph area.
+    ``with_slope`` it returns ``(r, s)``, s the slope factor of the
+    evaluation, from which a solve reports its graph area: a read-only
+    (3, n_tri) view, which for a constant metric reads one row per
+    triangle through a zero stride over the points, as the weights do.
     """
     d = discretization(mesh, metric)
     s, a = _slope_factor(mesh, d.mq, nodal_values(mesh, u))
-    a *= d.weights / s
+    a = a * (d.weights / s)
     r = hat_flux_loads(mesh, a)
-    return (r, s) if with_slope else r
+    return (r, np.broadcast_to(s, d.weights.shape)) if with_slope else r
 
 
 def mse_linearized_operator(mesh, metric, u):

@@ -33,9 +33,12 @@ Conventions
   rows (:func:`_point_sum`).  Each per-triangle quantity is kept once: the
   mesh keeps its areas and hat gradients and forms the quadrature points
   on each read, and the metric block keeps the weights |T| w_q sqrt(det g)
-  in place of sqrt(det g).  The inverse metric is kept at the shape the
+  in place of sqrt(det g).  The metric data are kept at the shape the
   metric varies in: a constant metric, the flat one included, keeps three
-  numbers, which the kernels broadcast against the rows.
+  numbers of the inverse and one weight row, read as (3, n_tri) through a
+  zero stride (the rule's three weights are equal), and its raised
+  gradient g^{-1} grad u of a P1 field is one (2, 1, n_tri) block, one
+  vector per triangle; the kernels broadcast them against the rows.
 * Metric pairings of complex fields are *bilinear*, not Hermitian:
   g(grad u, grad v) = (grad u)^T g^{-1} (grad v) with no conjugation.
   Several downstream functionals rely on this; conjugate explicitly at the
@@ -60,8 +63,9 @@ to its mesh only weakly, so it lives and dies with the mesh: dropping the
 last reference to a mesh frees its owners at once, without waiting for a
 garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
-quadrature (the quadrature weights against dV_g, and the inverse metric
-at the shape the metric varies in, so a flat chart keeps three numbers),
+quadrature (the quadrature weights against dV_g and the inverse metric,
+at the shape the metric varies in, so a flat chart keeps one weight row
+and three numbers),
 the boundary geometry, the conformal-flatness defect, and what is read
 of the stiffness matrix K: its :class:`InteriorSystem` and its boundary
 rows K[B], both from one assembly of K, which is then dropped.  An
@@ -680,15 +684,19 @@ def _spd_determinant(g, x, y, where):
 class _MetricQuad:
     """Metric data at the volume quadrature points.
 
-    ``weights`` is the C-contiguous (3, n_tri) row block of the weights of
-    the volume rule against dV_g, |T| w_q sqrt(det g); sqrt(det g) has no
-    reader but the weights, so it is not kept apart.  ``inverse`` stacks
-    the inverse metric entries g^11, g^12, g^22 (``inv11``, ``inv12``,
-    ``inv22``) at the shape the metric varies in: (3, 3, n_tri) rows for a
-    varying metric, (3, 1, 1) for a constant one, so a flat chart keeps
-    three numbers.  Every kernel broadcasts them against its (3, n_tri)
-    rows.  The two columns of g^{-1}, (g^11, g^12) and (g^12, g^22), are
-    the consecutive slices ``inverse[0:2]`` and ``inverse[1:3]``.
+    ``weights`` holds the weights of the volume rule against dV_g,
+    |T| w_q sqrt(det g), as (3, n_tri) rows; sqrt(det g) has no reader but
+    the weights, so it is not kept apart.  For a varying metric they are a
+    C-contiguous (3, n_tri) block.  For a constant one the three rows are
+    equal, because the rule's weights are, and ``weights`` is a read-only
+    view of one C-contiguous (n_tri,) row with a zero stride over the
+    points.  ``inverse`` stacks the inverse metric entries g^11, g^12,
+    g^22 (``inv11``, ``inv12``, ``inv22``) at the shape the metric varies
+    in: (3, 3, n_tri) rows for a varying metric, (3, 1, 1) for a constant
+    one, so a flat chart keeps three numbers.  Every kernel broadcasts them
+    against its (3, n_tri) rows.  The two columns of g^{-1}, (g^11, g^12)
+    and (g^12, g^22), are the consecutive slices ``inverse[0:2]`` and
+    ``inverse[1:3]``.
     """
 
     weights: np.ndarray
@@ -701,13 +709,19 @@ class _MetricQuad:
 
 def metric_at_quadrature(mesh, metric):
     """Evaluate the quadrature weights against dV_g, as (3, n_tri) rows, and
-    the inverse metric at the quadrature points, at the shape the metric
-    varies in (see :class:`_MetricQuad`)."""
+    the inverse metric at the quadrature points, both kept at the shape the
+    metric varies in (see :class:`_MetricQuad`)."""
     x, y = mesh.quad_points
     g11, g12, g22 = _metric_entries(metric, x, y)
     det = _spd_determinant((g11, g12, g22), x, y, "quadrature point")
-    weights = _QUAD_WEIGHTS[:, None] * mesh.tri_areas
-    weights *= np.sqrt(det)
+    if det.size == 1 and np.all(_QUAD_WEIGHTS == _QUAD_WEIGHTS[0]):
+        # a constant metric, and a rule whose weights are equal: the three
+        # point rows are one row, kept once and read through a zero stride
+        row = (_QUAD_WEIGHTS[0] * mesh.tri_areas) * np.sqrt(det)
+        weights = np.broadcast_to(row, (3, mesh.n_triangles))
+    else:
+        weights = _QUAD_WEIGHTS[:, None] * mesh.tri_areas
+        weights *= np.sqrt(det)
     inverse = np.empty((3,) + np.broadcast_shapes(det.shape, (1, 1)))
     np.divide(g22, det, out=inverse[0])
     np.divide(-g12, det, out=inverse[1])
@@ -748,17 +762,21 @@ def p1_gradient_rows(mesh, values, block=slice(None)):
 
 
 def _raised_gradient(inverse, g):
-    """g^{-1} grad u at the quadrature points, (2, 3, n_tri), x and y first.
+    """g^{-1} grad u at the quadrature points, x and y first.
 
     ``inverse`` is the inverse metric at the shape the metric varies in,
     ``mq.inverse`` of :class:`_MetricQuad` or a slice of its triangles; ``g``
     holds the rows (x, y) of the per-triangle Euclidean gradient, as
-    :func:`p1_gradient_rows` gives them.
+    :func:`p1_gradient_rows` gives them.  The result is a C-contiguous
+    block at the point rows of the inverse: (2, 3, nt) for a varying
+    metric, (2, 1, nt) for a constant one, whose three points share one
+    vector per triangle.
     """
     gx, gy = g
-    # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy; ``out`` takes the
-    # (3, n_tri) rows that a constant inverse broadcasts to
-    a = np.empty((2, 3) + gx.shape, dtype=np.result_type(inverse, gx))
+    # g^{-1} grad u = (g^11, g^12) gx + (g^12, g^22) gy, at the point rows
+    # of the inverse: one row for a constant one, three for a varying one
+    shape = (2,) + np.broadcast_shapes(inverse.shape[1:], gx.shape)
+    a = np.empty(shape, dtype=np.result_type(inverse, gx))
     np.multiply(inverse[0:2], gx, out=a)
     a += inverse[1:3] * gy
     return a
@@ -1139,12 +1157,15 @@ class Discretization:
     Attributes
     ----------
     mq : _MetricQuad
-        Metric at the quadrature points: ``weights``, a C-contiguous
-        (3, n_tri) array, and ``inverse``, the entries ``inv11``, ``inv12``
-        and ``inv22`` stacked at the shape the metric varies in:
-        (3, 3, n_tri) for a varying metric, (3, 1, 1) for a constant one.
+        Metric at the quadrature points, each piece at the shape the
+        metric varies in: ``weights``, (3, n_tri) rows, a C-contiguous
+        block for a varying metric and a read-only zero-stride view of one
+        row for a constant one; and ``inverse``, the entries ``inv11``,
+        ``inv12`` and ``inv22`` stacked as (3, 3, n_tri) for a varying
+        metric, (3, 1, 1) for a constant one.
     weights : (3, n_tri) ndarray
-        Quadrature weights against dV_g, ``mq.weights``.
+        Quadrature weights against dV_g, ``mq.weights``; read-only, one
+        row under a zero stride, for a constant metric.
     boundary : BoundaryGeometry
     interior_system : InteriorSystem
         The :class:`InteriorSystem` of K: its ``extend`` is the harmonic

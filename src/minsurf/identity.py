@@ -105,7 +105,8 @@ def _q_at_quadrature(mesh, Q):
 
 
 def _density(mesh, inverse, values, slot, block):
-    """The probe density at the quadrature points of ``block``, (3, nt) rows,
+    """The probe density at the quadrature points of ``block``, at the point
+    rows of ``inverse`` ((3, nt), or (1, nt) for a constant metric),
 
         S = g(grad v4, grad v1) g(grad v3, grad v2)
           + g(grad v4, grad v2) g(grad v3, grad v1)

@@ -413,11 +413,18 @@ def recover_q_point(
     return _recover_point(mesh, metric, functional, center, tau_sweep, None)
 
 
-def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
-    """:func:`recover_q_point` with the probe functional already built."""
+def _affine_sweep(tau_sweep):
+    """The frequencies of ``tau_sweep`` as a float array, checked to hold at
+    least two distinct values, as the affine fit needs."""
     taus = np.asarray(tau_sweep, dtype=float)
     if np.unique(taus).size < 2:
         raise ResolutionError("need at least two distinct frequencies to fit the affine model")
+    return taus
+
+
+def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
+    """:func:`recover_q_point` with the probe functional already built."""
+    taus = _affine_sweep(tau_sweep)
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
 
     values = np.empty(taus.size, dtype=complex)
@@ -473,17 +480,19 @@ def recover_q_field(
     growth exponent increases towards the boundary; each grid point
     therefore scales the frequency sweep down to the mesh's extension
     budget (the actual frequencies used are recorded in each point's
-    result).  Points whose scaled sweep drops below tau = 3 carry too
-    little oscillation to concentrate and are flagged instead of probed.
-    The results come back in grid order, unreliable points flagged; if no
-    point is reliable the recovery fails as a whole, and an empty grid
-    raises ResolutionError before any probe.  One probe functional, the
-    :func:`identity.q_form` of ``weight``, serves the whole grid.
+    result).  Points whose sweep tops out below tau = 3 carry too little
+    oscillation to concentrate and are flagged instead of probed; the flag
+    blames the budget only where it scaled the sweep.  The results come
+    back in grid order, unreliable points flagged; if no point is reliable
+    the recovery fails as a whole.  An empty grid, or a sweep of fewer than
+    two distinct frequencies, raises ResolutionError before any probe.  One
+    probe functional, the :func:`identity.q_form` of ``weight``, serves the
+    whole grid.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ResolutionError("the grid has no point to recover at")
-    taus = np.asarray(tau_sweep, dtype=float)
+    taus = _affine_sweep(tau_sweep)
     budget = _amplitude_budget(mesh.h)
     functional = q_form(mesh, metric, weight)
 
@@ -499,7 +508,9 @@ def recover_q_field(
                 raise ValueError(
                     f"amplitude budget at ({point[0]:.4g}, {point[1]:.4g}) "
                     f"limits the sweep to tau <= {sweep.max():.2g}: "
-                    "probe too close to the boundary"
+                    "probe too close to the boundary" if scale < 1.0 else
+                    f"the configured sweep tops out at tau = {sweep.max():.2g}, "
+                    "below 3: too little oscillation for the probe to concentrate"
                 )
             res = _recover_point(mesh, metric, functional, point, sweep, probe_margin)
         except ValueError as exc:

@@ -639,6 +639,35 @@ def test_interior_grid_is_the_lattice_inside_the_chart(mesh, r0, r1, spacing, ma
     assert np.array_equal(grid, want)
 
 
+def test_recover_field_rejects_short_sweep(counting):
+    # one distinct frequency is a configuration error, not a grid of
+    # unreliable points, and it is caught before any probe
+    mesh = geo.disc(24, 144)
+    probes = counting(inv, "make_interior_probe")
+    for sweep in ([4.0], [2.0, 2.0]):
+        with pytest.raises(inv.ResolutionError, match="two distinct frequencies"):
+            inv.recover_q_field(mesh, FLAT, gaussian_weight, [[0.0, 0.0]], sweep)
+    assert probes == []
+
+
+def test_recover_field_blames_the_budget_only_where_it_scaled_the_sweep():
+    # on disc(24, 144) the budget is 7.54; the centre grows at rate 1.0 and
+    # (0.6, 0.4) at 2.90, so a sweep to 2.9 is scaled down at the second
+    # point only, and a sweep to 2.5 at neither
+    mesh = geo.disc(24, 144)
+    grid = [[0.0, 0.0], [0.6, 0.4]]
+    with pytest.raises(inv.UnreliableRecoveryError) as exc:
+        inv.recover_q_field(mesh, FLAT, gaussian_weight, grid, [2.0, 2.9])
+    message = str(exc.value)
+    assert "amplitude budget at (0.6, 0.4) limits the sweep to tau <= 2.6" in message
+    assert "the configured sweep tops out at tau = 2.9, below 3" in message
+    assert "amplitude budget at (0, 0)" not in message
+    with pytest.raises(inv.UnreliableRecoveryError) as exc:
+        inv.recover_q_field(mesh, FLAT, gaussian_weight, grid[:1], [2.0, 2.5])
+    assert "amplitude budget" not in str(exc.value)
+    assert "the configured sweep tops out at tau = 2.5, below 3" in str(exc.value)
+
+
 def test_recover_field_rejects_an_empty_grid():
     mesh = geo.disc(8, 48)
     with pytest.raises(inv.ResolutionError, match="no point"):

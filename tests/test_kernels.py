@@ -316,22 +316,39 @@ SCALAR_ENTRIES = geo.explicit_metric(lambda x, y: (2.0, 0.5, 1.0))
     "metric", [FLAT, SCALAR_ENTRIES, CURVED, CONFORMAL],
     ids=["flat", "scalar-entries", "curved", "conformal"],
 )
-def test_quadrature_data_are_c_contiguous_rows(fields, metric):
+def test_quadrature_data_are_c_contiguous_rows(fields, metric, counting):
     # every elementwise kernel runs over contiguous rows; a ufunc on a
     # transposed view would return F-ordered arrays and lose that silently.
-    # The inverse metric is kept at the shape the metric varies in: rows
-    # for a varying metric, three numbers for a constant one
+    # The metric data are kept at the shape the metric varies in: rows for
+    # a varying metric; for a constant one, three numbers of the inverse,
+    # one weight row read through a zero stride, and one raised gradient
+    # per triangle
     mesh, u, _ = fields
     d = geo.discretization(mesh, metric)
     rows = (3, mesh.n_triangles)
     constant = metric in (FLAT, SCALAR_ENTRIES)
     assert d.mq.inverse.shape == ((3, 1, 1) if constant else (3,) + rows)
     assert d.mq.inverse.flags.c_contiguous
-    inverse = () if constant else (d.mq.inv11, d.mq.inv12, d.mq.inv22)
-    for a in (d.mq.weights, d.weights, *inverse):
-        assert a.shape == rows and a.flags.c_contiguous
     raised = geo._raised_gradient(d.mq.inverse, geo.p1_gradient_rows(mesh, u))
-    for a in (mesh.hat_gradients, mesh.quad_points, raised):
+    if constant:
+        w = d.mq.weights
+        assert w.shape == rows and w.strides == (0, w.itemsize)
+        assert not w.flags.writeable and w[0].flags.c_contiguous
+        g11, g12, g22 = geo._metric_entries(metric, 0.0, 0.0)
+        want = (mesh.tri_areas[:, None] * geo._QUAD_WEIGHTS) * np.sqrt(g11 * g22 - g12**2)
+        assert np.array_equal(w.T, want)
+        assert raised.shape == (2, 1, mesh.n_triangles) and raised.flags.c_contiguous
+        # the kernels it feeds still write (3, n_tri) rows
+        s, _ = fwd._slope_factor(mesh, d.mq, u)
+        loads = counting(fwd, "hat_flux_loads")
+        fwd.mse_residual(mesh, metric, u)
+        for a in (d.weights / s, loads[0][0][1]):
+            assert a.shape[-2:] == rows and a.flags.c_contiguous
+    else:
+        for a in (d.mq.weights, d.weights, d.mq.inv11, d.mq.inv12, d.mq.inv22):
+            assert a.shape == rows and a.flags.c_contiguous
+        assert raised.shape == (2,) + rows and raised.flags.c_contiguous
+    for a in (mesh.hat_gradients, mesh.quad_points):
         assert a.shape == (2,) + rows and a.flags.c_contiguous
     # the points and weights are those of the per-triangle rule, re-laid
     p = mesh.vertices[mesh.triangles]

@@ -1,4 +1,4 @@
-"""SHA-256 digests of the CSVs of a fixed set of ``minsurf`` runs.
+"""SHA-256 digests of the CSVs and manifests of a fixed set of ``minsurf`` runs.
 
     python3 tools/csv_digests.py [CHECKOUT]
 
@@ -7,15 +7,22 @@ shipped defaults (config ``{}``), the three ``perfbench`` workloads at seeds
 0 and 7 (their configs from ``perfbench.workloads.config``), and one
 ``recover-q`` run with a ``field`` grid, each into its own directory under a
 temporary directory that is removed at the end.  It prints one line per CSV,
-``run/file exit sha256``, or ``run exit -`` for a run that wrote no CSV.  The
-code run and the workloads read are those of ``CHECKOUT`` (default: the
-checkout this script is in), so two checkouts are compared by a ``diff`` of
-their outputs.  A run's own output (its PASS/FAIL lines) is not printed.
+``run/file exit sha256``, or ``run exit -`` for a run that wrote no CSV, and
+then one line for the run's manifest, ``run/manifest exit sha256``: the
+digest of ``json.dumps`` of its ``results``, ``assertions`` and ``passed``
+with sorted keys, so numbers that only the manifest holds are compared too;
+its ``timings`` and ``versions`` are left out.  A run that wrote no manifest
+(a config error) prints ``run/manifest exit -``.  The code run and the
+workloads read are those of ``CHECKOUT`` (default: the checkout this script
+is in), so two checkouts are compared by a ``diff`` of the outputs of this
+script run against each.  A run's own output (its PASS/FAIL lines) is not
+printed.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +58,17 @@ def main(argv):
                 print(f"{label}/{path.name} {code} {digest}", flush=True)
             if not csvs:
                 print(f"{label} {code} -", flush=True)
+            print(f"{label}/manifest {code} {_manifest_digest(out)}", flush=True)
+
+
+def _manifest_digest(out):
+    """SHA-256 of the run's results, assertions and verdict, or ``-``."""
+    path = out / "manifest.json"
+    if not path.exists():
+        return "-"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    kept = {key: manifest[key] for key in ("results", "assertions", "passed")}
+    return hashlib.sha256(json.dumps(kept, sort_keys=True).encode()).hexdigest()
 
 
 if __name__ == "__main__":
