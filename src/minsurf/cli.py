@@ -60,6 +60,12 @@ class ConfigError(ValueError):
 POSITIVE = (lambda v: 0.0 < v < np.inf, "finite and positive")
 NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
 NONZERO = (lambda v: v != 0.0, "finite and nonzero")
+# a difference stencil of width h divides by (2h)^k, k <= 3, and below this
+# width (2h)^3 is no normal float: at 1e-200 it is 0, and the gates read NaN
+MIN_WIDTH = float(np.cbrt(np.finfo(float).tiny)) / 2.0
+WIDTH = (lambda v: MIN_WIDTH <= v < np.inf,
+         f"a finite stencil width of at least {MIN_WIDTH:.2g}, so that (2h)^3 "
+         "is a normal float")
 
 
 class Rule:
@@ -215,6 +221,9 @@ FAMILIES = {
                            "offset": (0.0, NUMBER)}),
     "catenoid": (_catenoid, {"a": (0.5, Num(float, POSITIVE))}),
 }
+# a typed function spec is a vectorized callable (x, y) -> values; the
+# families and their parameters are listed in docs/experiments.md, and the
+# gaussian's integer k gives a zero of order k across a horizontal line
 FUNCTION = Tagged("name", FAMILIES, "function family")
 
 # a typed mesh is its deferred constructor; _build calls it, and the
@@ -237,17 +246,6 @@ METRIC = Tagged("kind", {
             "g12": ({"name": "zero"}, FUNCTION),
             "g22": ({"name": "constant", "value": 1.0}, FUNCTION)}),
 }, "metric kind")
-
-
-def named_function(spec, key):
-    """Build a vectorized callable ``(x, y) -> values`` from a family spec
-    (``constant`` and ``zero`` give one number, which broadcasts).
-
-    The families of :data:`FAMILIES`, their parameters and values are listed
-    in ``docs/experiments.md``.  The gaussian's integer ``k`` gives profiles
-    with a zero of order k across a horizontal line.
-    """
-    return FUNCTION(spec, key)
 
 
 # subcommand tables; each also takes an ``output_dir``
@@ -294,9 +292,9 @@ SCHEMAS = {name: Params({**table, "output_dir": (f"results/{name}", TEXT)})
                        Seq(FUNCTION, (lambda v: len(v) == 3, "3 function specs"))),
         "amplitude": (0.05, Num(float, NONZERO)),
         "eps_sweep": ([0.1, 0.03162277660168379, 0.01], Seq(NUMBER, (
-            lambda v: len(set(v)) >= 2 and all(0.0 < x < np.inf for x in v),
-            "two or more distinct finite positive values for a slope fit"))),
-        "third_h_eps": (0.02, Num(float, POSITIVE)),
+            lambda v: len(set(v)) >= 2 and all(WIDTH[0](x) for x in v),
+            f"two or more distinct values for a slope fit, each {WIDTH[1]}"))),
+        "third_h_eps": (0.02, Num(float, WIDTH)),
         "solver": SOLVER,
         "assertions": _thresholds(second_slope_min=1.8, second_final_rel_max=1e-4,
                                   third_rel_max=0.05),
@@ -390,8 +388,9 @@ def _build(cfg):
     each weight Q finite and below 1 at its vertices and quadrature points,
     the boundary data and every direction finite on the boundary vertices,
     every direction nonzero somewhere on the boundary, ``levels`` of two or
-    more sizes, the metric SPD at ``point``, and a ``field`` grid with a
-    point, which it adds as ``field["grid"]``.
+    more sizes, ``h_eps_factor`` times the finest level's mesh size a
+    stencil width of at least ``MIN_WIDTH``, the metric SPD at ``point``,
+    and a ``field`` grid with a point, which it adds as ``field["grid"]``.
     """
     limit = cfg["assertions"].get("affine_sup_error_max")
     if limit is not None and cfg["boundary_data"].func is not FAMILIES["affine"][0]:
@@ -444,6 +443,10 @@ def _build(cfg):
         raise ConfigError("levels", "a slope fit needs two or more distinct mesh sizes")
     else:
         cfg["levels"] = meshes
+        factor, finest = cfg["h_eps_factor"], min(m.h for m in meshes)
+        if factor is not None and not WIDTH[0](factor * finest):
+            raise ConfigError("h_eps_factor", f"must give the finest level (h = "
+                              f"{finest:.4g}) {WIDTH[1]}, got {factor!r}")
     if "point" in cfg:
         try:
             geo.metric_eval(cfg["metric"], cfg["point"])

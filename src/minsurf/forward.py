@@ -171,9 +171,8 @@ def _slope_factor(mesh, mq, u):
         )
     g = p1_gradient_rows(mesh, u)
     a = _raised_gradient(mq.inverse, g)
-    slope = a * g[:, None]
-    s = slope[0]
-    s += slope[1]
+    s = a[0] * g[0]
+    s += a[1] * g[1]
     s += 1.0
     return np.sqrt(s, out=s), a
 

@@ -113,21 +113,24 @@ def _density(mesh, inverse, values, slot, block):
           + g(grad v4, grad v3) g(grad v1, grad v2),
 
     v_i the field ``values[slot[i]]``; ``inverse`` is the whole mesh's
-    ``mq.inverse``.  Each pairing is the bilinear ``_raised_gradient`` of one
-    field dotted with the other's gradient.  Equal slots share one gradient
-    and one raised gradient, and each unordered pair of slots one pairing.
+    ``mq.inverse``.  Each pairing is the bilinear ``_raised_gradient`` of
+    its first field dotted with its second field's gradient.  Equal slots
+    share one gradient and one raised gradient, and each unordered pair of
+    slots one pairing.  A field's gradient is raised at the first pairing
+    that reads it: four distinct fields raise three gradients, v2's never.
     """
     if inverse.shape[-1] > 1:  # a constant metric's (3, 1, 1) has one column
         inverse = inverse[..., block]
     grads = {j: p1_gradient_rows(mesh, v, block) for j, v in values.items()}
-    raised = {j: _raised_gradient(inverse, g) for j, g in grads.items()}
-    pairs = {}
+    raised, pairs = {}, {}
 
     def pair(a, b):
         """g(grad v_a, grad v_b), built on first use."""
         i, j = slot[a], slot[b]
         key = frozenset((i, j))
         if key not in pairs:
+            if i not in raised:
+                raised[i] = _raised_gradient(inverse, grads[i])
             pairs[key] = raised[i][0] * grads[j][0] + raised[i][1] * grads[j][1]
         return pairs[key]
 

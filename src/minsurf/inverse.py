@@ -52,7 +52,6 @@ from .geometry import discretization, metric_eval
 from .identity import q_form
 
 __all__ = [
-    "InteriorProbe",
     "RecoveryResult",
     "ResolutionError",
     "UnreliableRecoveryError",
@@ -88,25 +87,6 @@ class ResolutionError(ValueError):
 
 class UnreliableRecoveryError(RuntimeError):
     """Fit diagnostics exceeded the trust threshold; estimate not usable."""
-
-
-@dataclass(frozen=True)
-class InteriorProbe:
-    """Four probe fields concentrated at an interior point.
-
-    ``fields`` holds (u, u, v, v) where u extends e^{i tau Phi} and v
-    extends e^{i tau conj(Phi)} with Phi(z) = (z - center)^2; the phase
-    vanishes to second order at the center with a nondegenerate quadratic
-    part, so products u v oscillate without growing.
-    ``points_per_wavelength`` is the measured resolution: the shortest
-    wavelength over the chart in mesh cells (inf at tau = 0).
-    """
-
-    center: tuple
-    tau: float
-    fields: tuple
-    boundary_modulus_max: float
-    points_per_wavelength: float
 
 
 @dataclass(frozen=True)
@@ -194,21 +174,17 @@ def _winding(mesh, pts):
             - ((ay > y) & (by <= y) & (left < 0)).sum(axis=1))
 
 
-def _cells_per_wavelength(mesh, tau, wavelength):
-    """``wavelength / mesh.h``, the resolution of a probe at frequency ``tau``.
-
-    Raises ResolutionError, stating the needed mesh size, when the
-    wavelength spans fewer than ``_POINTS_PER_WAVELENGTH`` cells.
-    """
-    ppw = wavelength / mesh.h
-    if ppw < _POINTS_PER_WAVELENGTH:
+def _check_wavelength(mesh, frequency, wavelength):
+    """Raise ResolutionError, stating the needed mesh size, when the
+    ``wavelength`` of a probe at ``frequency`` (``tau=6`` or ``N=28``)
+    spans fewer than ``_POINTS_PER_WAVELENGTH`` mesh cells."""
+    if wavelength / mesh.h < _POINTS_PER_WAVELENGTH:
         raise ResolutionError(
-            f"probe at tau={tau:g} oscillates with wavelength "
+            f"probe at {frequency} oscillates with wavelength "
             f"{wavelength:.3e} but the mesh size is {mesh.h:.3e}; "
             f"need h <= {wavelength / _POINTS_PER_WAVELENGTH:.3e} "
             f"({_POINTS_PER_WAVELENGTH:g} points per wavelength)"
         )
-    return ppw
 
 
 def _amplitude_budget(h):
@@ -233,7 +209,13 @@ def make_interior_probe(
     tau,
     probe_margin=None,
 ):
-    """Build the four concentrated probe fields for one frequency.
+    """The two probe fields ``(u, v)`` concentrated at ``center`` at one frequency.
+
+    u is the discrete-harmonic extension of e^{i tau Phi} and v that of
+    e^{i tau conj(Phi)}, Phi(z) = (z - center)^2, each a complex array with
+    one value per mesh vertex.  The phase vanishes to second order at the
+    center with a nondegenerate quadratic part, so products u v oscillate
+    without growing; the probe functional reads the four fields (u, u, v, v).
 
     Parameters
     ----------
@@ -264,7 +246,6 @@ def make_interior_probe(
     z_all = verts[:, 0] + 1j * verts[:, 1]
     radius = float(np.abs(z_all - z_p).max())
 
-    ppw = np.inf
     if tau > 0:
         bidx = mesh.boundary_vertices
         bdist = float(np.abs(z_all[bidx] - z_p).min())
@@ -279,7 +260,7 @@ def make_interior_probe(
             )
         # local wavelength of e^{i tau Phi} is pi / (tau |z - P|); the guard
         # uses the worst point of the chart
-        ppw = _cells_per_wavelength(mesh, tau, np.pi / (tau * radius))
+        _check_wavelength(mesh, f"tau={tau:g}", np.pi / (tau * radius))
         # the boundary trace grows like e^{tau |Im Phi|}; past the
         # mesh-dependent budget the extension error of that rim data swamps
         # the unit-size field values near the center
@@ -301,27 +282,22 @@ def make_interior_probe(
     # u and v: two columns, four real ones, of one solve
     uv = discretization(mesh, metric).interior_system.extend(
         np.column_stack([data_plus, data_minus]))
-    u, v = np.ascontiguousarray(uv.T)
-    modmax = float(max(np.abs(data_plus).max(), np.abs(data_minus).max()))
-    return InteriorProbe(
-        center=(float(center[0]), float(center[1])),
-        tau=float(tau),
-        fields=(u, u, v, v),
-        boundary_modulus_max=modmax,
-        points_per_wavelength=float(ppw),
-    )
+    return tuple(np.ascontiguousarray(uv.T))
 
 
 def _fit_line(x, y):
     """Least-squares line y ~ slope x + intercept through the points (x, y).
 
     Returns ``(slope, intercept, rms)``, rms the root mean square of the
-    residuals y - (slope x + intercept).
+    residuals y - (slope x + intercept).  The fit is the closed form of the
+    normal equations in centred sums, slope = sum(dx dy) / sum(dx^2) with
+    dx = x - mean(x) and dy = y - mean(y); the x must hold two distinct
+    values.
     """
-    design = np.column_stack([x, np.ones_like(x)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    return slope, intercept, float(np.sqrt(np.mean((y - fitted) ** 2)))
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = (dx @ dy) / (dx @ dx)
+    intercept = y.mean() - slope * x.mean()
+    return slope, intercept, float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
 
 
 def _verdict(kind, sweep, residual, trusted, untrusted):
@@ -429,8 +405,8 @@ def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
 
     values = np.empty(taus.size, dtype=complex)
     for i, tau in enumerate(taus):
-        probe = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
-        values[i] = functional(*probe.fields)
+        u, v = make_interior_probe(mesh, metric, center, tau, probe_margin=probe_margin)
+        values[i] = functional(u, u, v, v)
     failed = _not_finite(center, taus, values)
     if failed is not None:
         return failed
@@ -641,7 +617,7 @@ def boundary_jet_probe(
 
     values = np.empty(freqs.size, dtype=complex)
     for i, N in enumerate(freqs):
-        _cells_per_wavelength(mesh, N, 2.0 * np.pi / N)
+        _check_wavelength(mesh, f"N={N:g}", 2.0 * np.pi / N)
         trace = (
             jet_step(np.sqrt(N) * x2)
             * np.exp(1j * N * x1)

@@ -500,23 +500,20 @@ def test_importing_the_cli_leaves_scipy_spatial_unloaded():
 
 
 def test_named_function_library_values():
-    affine = cli.named_function({"name": "affine", "a0": 1.0, "ax": 2.0,
-                                 "ay": -1.0}, "t")
+    affine = cli.FUNCTION({"name": "affine", "a0": 1.0, "ax": 2.0, "ay": -1.0}, "t")
     assert affine(0.5, 0.25) == pytest.approx(1.75)
-    fourier = cli.named_function({"name": "fourier", "cos": [1.0],
-                                  "sin": [0.0, 2.0]}, "t")
+    fourier = cli.FUNCTION({"name": "fourier", "cos": [1.0], "sin": [0.0, 2.0]}, "t")
     theta = 0.7
     assert fourier(np.cos(theta), np.sin(theta)) == pytest.approx(
         np.cos(theta) + 2.0 * np.sin(2 * theta))
-    catenoid = cli.named_function({"name": "catenoid", "a": 0.5}, "t")
+    catenoid = cli.FUNCTION({"name": "catenoid", "a": 0.5}, "t")
     assert catenoid(0.5, 0.0) == pytest.approx(0.0)
     assert catenoid(1.0, 0.0) == pytest.approx(0.5 * np.arccosh(2.0))
-    gauss = cli.named_function({"name": "gaussian", "amplitude": 2.0,
-                                "width": 0.5, "center": [0.0, 0.0],
-                                "offset": 1.0, "k": 1}, "t")
+    gauss = cli.FUNCTION({"name": "gaussian", "amplitude": 2.0, "width": 0.5,
+                          "center": [0.0, 0.0], "offset": 1.0, "k": 1}, "t")
     assert gauss(0.0, 0.25) == pytest.approx(1.0 + 2.0 * 0.5 * np.exp(-0.25))
     with pytest.raises(cli.ConfigError, match="unknown parameter"):
-        cli.named_function({"name": "affine", "slope": 1.0}, "t")
+        cli.FUNCTION({"name": "affine", "slope": 1.0}, "t")
 
 
 @pytest.mark.parametrize("spec", [
@@ -530,7 +527,7 @@ def test_a_metric_of_constants_keeps_three_numbers(spec):
     # constants keeps its inverse as three numbers, as the flat one does
     x = np.zeros(5)
     for family in ({"name": "zero"}, {"name": "constant", "value": 2.0}):
-        assert np.ndim(cli.named_function(family, "t")(x, x)) == 0
+        assert np.ndim(cli.FUNCTION(family, "t")(x, x)) == 0
     mesh = geo.disc(24, 144)
     d = geo.discretization(mesh, cli.METRIC(spec, "metric")())
     assert d.mq.inverse.shape == (3, 1, 1)
@@ -652,6 +649,10 @@ def _write(tmp_path, text):
                    "field": {"margin": -0.5}}, "field.margin"),
     ("recover-q", EMPTY_FIELD, "field"),
     ("linearize-check", {"directions": [SIN] * 4}, "directions"),
+    # (2h)^3 of these widths underflows, and the differences divided by zero
+    ("linearize-check", {"eps_sweep": [1e-200, 1e-100]}, "eps_sweep"),
+    ("linearize-check", {"third_h_eps": 1e-200}, "third_h_eps"),
+    ("identity-check", {"h_eps_factor": 1e-200}, "h_eps_factor"),
 ], ids=["one-direction",
         "level-too-coarse", "square-n-zero", "disc-one-ring", "square-n-many",
         "area-step-zero", "solver-not-an-object", "square-n-fractional",
@@ -672,7 +673,8 @@ def _write(tmp_path, text):
         "jet-metric-not-spd-at-point", "forward-data-not-finite",
         "linearize-direction-not-finite", "identity-direction-not-finite",
         "identity-amplitude-zero", "identity-direction-zero", "field-margin-negative",
-        "empty-field", "linearize-four-directions"])
+        "empty-field", "linearize-four-directions", "eps-sweep-underflows",
+        "third-h-eps-underflows", "h-eps-factor-underflows"])
 def test_invalid_config_values_are_config_errors(tmp_path, capsys, subcommand,
                                                  config, key):
     code = cli.main([

@@ -146,11 +146,11 @@ def test_third_dn_fluxes_of_a_conformal_pair_are_the_probe_functional():
     for tau in sweep:
         e = lambda x, y: np.exp(1j * tau * (x + 1j * y) ** 2)
         e_bar = lambda x, y: np.exp(1j * tau * (x - 1j * y) ** 2)
-        probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
-        f_m = probe.fields[3][bidx]
+        u, v = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+        f_m = v[bidx]
         g_side, cg_side = (f_m @ dn.dn_third_derivative_exact(mesh, m, [e, e, e_bar]).flux
                            for m in (FLAT, cg))
-        target = form(*probe.fields)
+        target = form(u, u, v, v)
         assert abs(cg_side - g_side - target) <= 1e-10 * abs(target)
     # and the recovery that reads this functional (measured 0.120166)
     result = inv.recover_q_point(mesh, FLAT, weight, (0.0, 0.0), sweep)
@@ -206,3 +206,18 @@ def test_q_form_evaluates_its_weight_at_its_first_call(counting):
     assert form(u, u, v, v) == first and form(v, u, v, u) == form(v, u, v, u)
     assert len(evaluations) == 1 and len(points) == 1
     assert first == idn.q_functional(mesh, CURVED, weight, u, u, v, v)
+
+
+def test_q_form_raises_a_gradient_only_where_a_pairing_reads_it(counting):
+    # each pairing raises its first field's gradient: four distinct fields
+    # raise three (never v2's), the probes' (u, u, v, v) two, and one field
+    # one, per block of triangles
+    raised = counting(idn, "_raised_gradient")
+    mesh = geo.disc(12, 72)
+    assert mesh.n_triangles <= idn._BLOCK
+    x, y = mesh.vertices.T
+    form = idn.q_form(mesh, CURVED, None)
+    for args, count in (((x, y, x * y, x * x), 3), ((x, x, y, y), 2), ((x, x, x, x), 1)):
+        raised.clear()
+        form(*args)
+        assert len(raised) == count

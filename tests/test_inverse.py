@@ -84,8 +84,7 @@ def test_extension_rejects_wrong_boundary_length(mid_disc):
 
 def test_probe_at_zero_frequency_is_constant(mid_disc):
     mesh, ext = mid_disc
-    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 0.0)
-    for field in probe.fields:
+    for field in inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 0.0):
         np.testing.assert_allclose(field, 1.0 + 0.0j, atol=1e-12)
 
 
@@ -94,7 +93,7 @@ def test_probe_fields_are_discretely_harmonic(mid_disc):
     probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 5.0)
     K = geo.assemble_weighted_stiffness(mesh, FLAT)
     interior = mesh.interior_vertices
-    for field in probe.fields:
+    for field in probe:
         residual = np.abs((K @ field)[interior]).max()
         # measured 3.7e-13 against boundary data of modulus up to e^5 ~ 148
         assert residual <= 1e-10
@@ -108,9 +107,9 @@ def test_probe_harmonic_for_conformal_metric(mid_disc):
     metric = geo.conformal_metric(FLAT, lambda x, y: 1.0 + 0.3 * np.exp(
         -(np.asarray(x) ** 2 + np.asarray(y) ** 2) / 0.25
     ))
-    probe = inv.make_interior_probe(mesh, metric, (0.0, 0.0), 5.0)
+    _, v = inv.make_interior_probe(mesh, metric, (0.0, 0.0), 5.0)
     K = geo.assemble_weighted_stiffness(mesh, metric)
-    residual = np.abs((K @ probe.fields[2])[mesh.interior_vertices]).max()
+    residual = np.abs((K @ v)[mesh.interior_vertices]).max()
     assert residual <= 1e-10
 
 
@@ -121,28 +120,30 @@ def test_probe_matches_analytic_plane_solution():
     sups = []
     for n_r in (24, 48):
         mesh = geo.disc(n_r, 6 * n_r)
-        probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+        u, _ = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
         z = mesh.vertices[:, 0] + 1j * mesh.vertices[:, 1]
         exact = np.exp(1j * tau * z * z)
-        sups.append(np.abs(probe.fields[0] - exact).max())
+        sups.append(np.abs(u - exact).max())
     assert sups[0] <= 3e-2  # measured 2.49e-2 on the coarse disc
     assert sups[1] <= 8e-3  # measured 6.25e-3 on the fine disc
     assert sups[0] / sups[1] >= 3.0  # measured contraction ratio 3.98
 
 
-def test_probe_metadata_reports_boundary_modulus_and_resolution():
+def test_probe_is_two_fields_with_one_value_per_vertex():
+    # u extends e^{i tau (z-p)^2} and v e^{i tau conj((z-p)^2)}: on the
+    # boundary each is its datum exactly
     mesh = geo.disc(48, 288)
     center = (0.1, 0.2)
     tau = 4.0
     probe = inv.make_interior_probe(mesh, FLAT, center, tau)
-    # recompute the largest boundary modulus of e^{i tau (z-p)^2} directly
+    assert len(probe) == 2
     zb = mesh.vertices[mesh.boundary_vertices]
     zb = zb[:, 0] + 1j * zb[:, 1] - complex(*center)
-    expected = np.exp(tau * np.abs((zb * zb).imag).max())
-    assert abs(probe.boundary_modulus_max - expected) <= 1e-12 * expected
-    assert probe.points_per_wavelength > 10.0
-    assert probe.tau == tau
-    assert probe.center == center
+    for field, data in zip(probe, (zb * zb, np.conj(zb * zb))):
+        assert isinstance(field, np.ndarray) and field.dtype == complex
+        assert field.shape == (mesh.n_vertices,)
+        np.testing.assert_array_equal(field[mesh.boundary_vertices],
+                                      np.exp(1j * tau * data))
 
 
 def test_probe_oscillation_resolution_guard():
@@ -174,7 +175,7 @@ def test_probe_margin_allows_for_rounding():
     mesh = geo.disc(24, 144)
     rim = np.linalg.norm(mesh.vertices[mesh.boundary_vertices], axis=1)
     assert rim.min() < 1.0
-    assert inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 1.0).tau == 1.0
+    inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), 1.0)
     # a centre genuinely closer than the margin still fails, and the two
     # numbers print apart
     for center in ((2e-9, 0.0), (0.5, 0.0)):
@@ -274,12 +275,10 @@ def test_same_route_probe_pairings_cancel_to_mesh_error():
         for tau in (3.0, 6.0):
             if tau == 6.0 and n_r == 24:
                 continue  # under-resolved: the oscillation guard would trip
-            p1 = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
-            p2 = inv.make_interior_probe(
-                mesh, FLAT, (0.1, -0.05), tau
-            )
-            g1 = p1_gradients(mesh, p1.fields[0])
-            g2 = p1_gradients(mesh, p2.fields[0])
+            u1, _ = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+            u2, _ = inv.make_interior_probe(mesh, FLAT, (0.1, -0.05), tau)
+            g1 = p1_gradients(mesh, u1)
+            g2 = p1_gradients(mesh, u2)
             val = abs(pairing_integral(mesh, FLAT, g1, g2, gaussian_weight))
             # measured prefactors val / (h^2 tau^2 AMP) of 0.6 at tau = 3 and
             # 14 at tau = 6, far below the loose ceiling frozen here
@@ -297,9 +296,9 @@ def test_probe_functional_mass_localizes_near_centre(mid_disc):
     # within 3/sqrt(tau) (measured 95.3% on this mesh)
     mesh, ext = mid_disc
     tau = 10.0
-    probe = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
-    gu = p1_gradients(mesh, probe.fields[0])
-    gv = p1_gradients(mesh, probe.fields[2])
+    u, v = inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
+    gu = p1_gradients(mesh, u)
+    gv = p1_gradients(mesh, v)
     d = geo.discretization(mesh, FLAT)
     mq = d.mq
     cross = pair_at_quadrature(mesh, mq, gu, gv)
@@ -429,9 +428,23 @@ def test_recover_point_flags_non_asymptotic_sweep():
     assert result.fit_residual > 0.2
 
 
+@pytest.mark.parametrize("x, y", [
+    # a tau sweep with the real parts of probe values (affine plus a wiggle)
+    (np.array([6.0, 8.0, 10.0]), np.array([-0.3141, -0.4377, -0.5402])),
+    # a log-log sweep of jet magnitudes, four frequencies
+    (np.log([20.0, 28.0, 40.0, 56.0]), np.log([3.1e-3, 2.2e-3, 1.45e-3, 1.02e-3])),
+], ids=["tau-sweep", "log-log-sweep"])
+def test_fit_line_matches_polyfit(x, y):
+    slope, intercept, rms = inv._fit_line(x, y)
+    ref = np.polyfit(x, y, 1)
+    np.testing.assert_allclose([slope, intercept], ref, rtol=1e-12, atol=0)
+    ref_rms = np.sqrt(np.mean((y - np.polyval(ref, x)) ** 2))
+    assert rms == pytest.approx(ref_rms, rel=1e-12) and rms > 0
+
+
 def test_recover_point_rejects_short_sweep():
-    # a line through one distinct frequency is undetermined: lstsq would
-    # return its minimum-norm member as if it were a fit
+    # a line through one distinct frequency is undetermined: the fit would
+    # divide by a zero spread of the frequencies
     mesh = geo.disc(24, 144)
     for sweep in ([4.0], [2.0, 2.0], [2.0, 2.0, 2.0]):
         with pytest.raises(inv.ResolutionError, match="two distinct frequencies"):
@@ -779,7 +792,8 @@ def test_jet_probe_validation_and_resolution_guards():
         with pytest.raises(inv.ResolutionError, match="two distinct frequencies"):
             inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 2,
                                    sweep)
-    with pytest.raises(inv.ResolutionError):
+    # N = 30 puts 9.5 cells of square(64) in a wavelength 2 pi / N
+    with pytest.raises(inv.ResolutionError, match=r"probe at N=30 oscillates"):
         inv.boundary_jet_probe(mesh, FLAT, jet_profile_weight(0), JET_POINT, 2,
                                [30.0, 50.0, 70.0])
     with pytest.raises(ValueError, match="positive integer"):
