@@ -550,7 +550,7 @@ def _diagnostic(res, **extra):
 # _build completed
 # ---------------------------------------------------------------------------
 
-def run_forward(cfg, out_dir, log):
+def run_forward(cfg, out_dir):
     mesh, metric, f = cfg["mesh"], cfg["metric"], cfg["boundary_data"]
 
     t0 = time.perf_counter()
@@ -573,15 +573,13 @@ def run_forward(cfg, out_dir, log):
     checks.check("affine_sup_error", np.abs(u - exact).max(),
                  limit["affine_sup_error_max"])
 
-    log(f"solved in {report.iterations} iterations, "
-        f"residual {report.final_residual:.3e}")
     results = {"iterations": report.iterations, "jacobians": report.jacobians,
                "final_residual": report.final_residual,
                "n_vertices": len(mesh.vertices), "mesh_h": mesh.h}
     return results, checks, {"solve_s": solve_s}
 
 
-def run_linearize_check(cfg, out_dir, log):
+def run_linearize_check(cfg, out_dir):
     mesh, metric, directions = cfg["mesh"], cfg["metric"], _directions(cfg)
     third_h_eps, eps_sweep = cfg["third_h_eps"], cfg["eps_sweep"]
     combo = lin.EpsilonCombination(mesh, metric, directions,
@@ -621,8 +619,6 @@ def run_linearize_check(cfg, out_dir, log):
                      limit["second_final_rel_max"] * f_sup)
     checks.check("third_rel_error", rel_third, limit["third_rel_max"])
 
-    log(f"second-linearization slope {slope:.3f}, final sup {sups[-1]:.3e}; "
-        f"third-linearization rel error {rel_third:.3e}")
     results = {
         "second_slope": slope,
         "second_sup_norms": sups,
@@ -633,7 +629,7 @@ def run_linearize_check(cfg, out_dir, log):
     return results, checks, {"second_s": second_s, "third_s": third_s}
 
 
-def run_identity_check(cfg, out_dir, log):
+def run_identity_check(cfg, out_dir):
     directions = _directions(cfg)
     options = fwd.SolveOptions(**cfg["solver"])
 
@@ -661,13 +657,11 @@ def run_identity_check(cfg, out_dir, log):
     checks.check("final_relative_residual", rels[-1], limit["relative_residual_max"])
     checks.check("order", order, limit["order_min"], mode="min")
 
-    log(f"relative residuals {['%.3e' % r for r in rels]}, "
-        f"fitted order {order:.2f}")
     results = {"h": hs, "relative_residuals": rels, "order": order}
     return results, checks, {"sweep_s": sweep_s}
 
 
-def run_area_pipeline(cfg, out_dir, log):
+def run_area_pipeline(cfg, out_dir):
     mesh = cfg["mesh"]
 
     t0 = time.perf_counter()
@@ -692,15 +686,13 @@ def run_area_pipeline(cfg, out_dir, log):
     checks.check("relative_sup_error", rel_sup, limit["relative_sup_error_max"])
     checks.check("roundtrip", roundtrip, limit["roundtrip_max"])
 
-    log(f"area-data DN rel sup error {rel_sup:.3e}, "
-        f"roundtrip {roundtrip:.3e}")
     results = {"relative_sup_error": rel_sup, "roundtrip": roundtrip,
                "dn_sup": float(np.abs(reference.values).max()), "mesh_h": mesh.h,
                "corrector_solves": trace.corrector_solves}
     return results, checks, {"pipeline_s": pipeline_s}
 
 
-def run_recover_q(cfg, out_dir, log):
+def run_recover_q(cfg, out_dir):
     mesh, metric, point = cfg["mesh"], cfg["metric"], cfg["point"]
     q_fn, taus = cfg["weight"], cfg["tau_sweep"]
 
@@ -737,8 +729,6 @@ def run_recover_q(cfg, out_dir, log):
                  limit["center_error_max"])
     checks.check("fit_residual", result.fit_residual, limit["fit_residual_max"])
 
-    log(f"recovered {q_hat:.5f} at {tuple(point)} "
-        f"(truth {truth:.5f}, fit residual {result.fit_residual:.3f})")
     results = {
         "point": list(point),
         "q_truth": truth,
@@ -752,7 +742,7 @@ def run_recover_q(cfg, out_dir, log):
     return results, checks, {"point_s": point_s, "field_s": field_s}
 
 
-def run_boundary_jet(cfg, out_dir, log):
+def run_boundary_jet(cfg, out_dir):
     mesh, m, n_sweep, profiles = cfg["mesh"], cfg["m"], cfg["n_sweep"], cfg["profiles"]
     alpha = (m * m + 1.0) / (m * m + m + 1.0)
 
@@ -790,8 +780,6 @@ def run_boundary_jet(cfg, out_dir, log):
     write_csv(out_dir / "jet_sweep.csv", ["k", "n_freq", "functional_abs"],
               rows)
 
-    log("fitted exponents " + ", ".join(f"{e:.3f}" for e in exponents)
-        + f" (alpha = {alpha:.4f})")
     results = {
         "alpha": alpha,
         "profiles": per_profile,
@@ -836,7 +824,7 @@ def _versions():
     }
 
 
-def run(subcommand, config=None, out=None, verbose=False):
+def run(subcommand, config=None, out=None):
     """Run one experiment subcommand; returns the process exit code.
 
     ``config`` is a dict of overrides merged onto the subcommand defaults;
@@ -845,10 +833,6 @@ def run(subcommand, config=None, out=None, verbose=False):
     returns 2 before any artifact is written.
     """
 
-    def log(message):
-        if verbose:
-            print(f"[{subcommand}] {message}")
-
     start = time.perf_counter()
     try:
         merged, cfg = resolve_config(subcommand, config or {})
@@ -856,8 +840,11 @@ def run(subcommand, config=None, out=None, verbose=False):
             merged["output_dir"] = cfg["output_dir"] = str(out)
         _build(cfg)
         out_dir = Path(cfg["output_dir"])
-        out_dir.mkdir(parents=True, exist_ok=True)
-        results, checks, timings = RUNNERS[subcommand](cfg, out_dir, log)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("output_dir", str(exc)) from None
+        results, checks, timings = RUNNERS[subcommand](cfg, out_dir)
     except (ConfigError, inv.ResolutionError) as exc:
         # a probe that cannot be built for this mesh, metric and centre is
         # a config problem too
@@ -909,8 +896,6 @@ def main(argv=None):
                         help="JSON config with overrides for the experiment")
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: from config)")
-    parser.add_argument("--verbose", action="store_true",
-                        help="print progress details")
     args = parser.parse_args(argv)
 
     config = {}
@@ -921,7 +906,7 @@ def main(argv=None):
             print(f"config error: {args.config}: {exc}", file=sys.stderr)
             return 2
 
-    return run(args.subcommand, config, out=args.out, verbose=args.verbose)
+    return run(args.subcommand, config, out=args.out)
 
 
 if __name__ == "__main__":

@@ -49,10 +49,10 @@ Conventions
   mass matrix) plus its loop indexing: boundary arrays follow
   ``Mesh.boundary_vertices`` (loops concatenated, outer loop first), and
   :class:`BoundaryGeometry` keeps two index arrays, the position of each
-  vertex's successor and of its predecessor on its own loop, so its
-  measure, mass matrix and :func:`tangential_derivative` treat all loops
-  at once.  Fluxes are read weakly against dS_g, so no per-vertex normal
-  is needed.
+  vertex's successor and of its predecessor on its own loop, and the
+  g-length of each edge to its successor, so its measure, mass matrix and
+  :func:`tangential_derivative` treat all loops at once.  Fluxes are read
+  weakly against dS_g, so no per-vertex normal is needed.
 
 One owner per (mesh, metric) pair
 ---------------------------------
@@ -1024,22 +1024,19 @@ class BoundaryGeometry:
         Cumulative g-arclength, restarting at 0 on each loop.
     mass : csr_matrix (n_b, n_b)
         Consistent boundary mass matrix for dS_g pairings.
-    loop_slices : list of slice
-        Position of each loop inside the concatenated arrays.
     successor, predecessor : (n_b,) int ndarray
         Position of the next and of the previous vertex on the same loop;
         boundary edge k runs from position k to ``successor[k]``.
-    loop_lengths : list of float
-        Total g-length per loop.
+    edge_lengths : (n_b,) ndarray
+        g-length of boundary edge k.
     """
 
     ds: np.ndarray
     arclength: np.ndarray
     mass: sp.csr_matrix
-    loop_slices: list
     successor: np.ndarray
     predecessor: np.ndarray
-    loop_lengths: list
+    edge_lengths: np.ndarray
 
     def pair(self, a, b):
         """Consistent pairing integral of (P1 traces) a * b dS_g (bilinear)."""
@@ -1062,7 +1059,6 @@ def boundary_geometry(mesh, metric):
     sizes = [len(loop) for loop in mesh.boundary_loops]
     stops = np.cumsum(sizes)
     starts = stops - sizes
-    loop_slices = [slice(a, b) for a, b in zip(starts.tolist(), stops.tolist())]
     successor = np.arange(1, stops[-1] + 1)
     successor[stops - 1] = starts
     predecessor = np.arange(-1, stops[-1] - 1)
@@ -1087,13 +1083,12 @@ def boundary_geometry(mesh, metric):
         ds=0.5 * (elen + elen[predecessor]),
         # per loop, so each sum runs in the order of the loop alone
         arclength=np.concatenate(
-            [np.cumsum(np.r_[0.0, elen[sl][:-1]]) for sl in loop_slices]
+            [np.cumsum(np.r_[0.0, e[:-1]]) for e in np.split(elen, stops[:-1])]
         ),
         mass=mass,
-        loop_slices=loop_slices,
         successor=successor,
         predecessor=predecessor,
-        loop_lengths=[float(elen[sl].sum()) for sl in loop_slices],
+        edge_lengths=elen,
     )
 
 
@@ -1124,14 +1119,9 @@ def tangential_derivative(bg, values):
     loops with smoothly varying edge lengths.
     """
     values = np.asarray(values)
-    s = bg.arclength
     fwd = values[bg.successor] - values
-    ds_fwd = s[bg.successor] - s
     bwd = values - values[bg.predecessor]
-    ds_bwd = s - s[bg.predecessor]
-    # across each loop's seam the arclength restarts, so add the loop's length
-    ds_fwd[[sl.stop - 1 for sl in bg.loop_slices]] += bg.loop_lengths
-    ds_bwd[[sl.start for sl in bg.loop_slices]] += bg.loop_lengths
+    ds_fwd, ds_bwd = bg.edge_lengths, bg.edge_lengths[bg.predecessor]
     # centered difference on a nonuniform grid
     return (ds_bwd * fwd / ds_fwd + ds_fwd * bwd / ds_bwd) / (ds_bwd + ds_fwd)
 

@@ -389,18 +389,18 @@ def recover_q_point(
     return _recover_point(mesh, metric, functional, center, tau_sweep, None)
 
 
-def _affine_sweep(tau_sweep):
-    """The frequencies of ``tau_sweep`` as a float array, checked to hold at
-    least two distinct values, as the affine fit needs."""
-    taus = np.asarray(tau_sweep, dtype=float)
-    if np.unique(taus).size < 2:
-        raise ResolutionError("need at least two distinct frequencies to fit the affine model")
-    return taus
+def _sweep_frequencies(sweep, model):
+    """The frequencies of ``sweep`` as a float array, checked to hold at least
+    two distinct values, as the fit of ``model`` needs."""
+    freqs = np.asarray(sweep, dtype=float)
+    if np.unique(freqs).size < 2:
+        raise ResolutionError(f"need at least two distinct frequencies to fit {model}")
+    return freqs
 
 
 def _recover_point(mesh, metric, functional, center, tau_sweep, probe_margin):
     """:func:`recover_q_point` with the probe functional already built."""
-    taus = _affine_sweep(tau_sweep)
+    taus = _sweep_frequencies(tau_sweep, "the affine model")
     gamma_p = _conformal_scale_at(metric, center, "interior recovery")
 
     values = np.empty(taus.size, dtype=complex)
@@ -468,7 +468,7 @@ def recover_q_field(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ResolutionError("the grid has no point to recover at")
-    taus = _affine_sweep(tau_sweep)
+    taus = _sweep_frequencies(tau_sweep, "the affine model")
     budget = _amplitude_budget(mesh.h)
     functional = q_form(mesh, metric, weight)
 
@@ -579,9 +579,7 @@ def boundary_jet_probe(
     every boundary vertex and the probe cannot concentrate.  Otherwise the
     probe raises ResolutionError.
     """
-    freqs = np.asarray(n_sweep, dtype=float)
-    if np.unique(freqs).size < 2:
-        raise ResolutionError("need at least two distinct frequencies to fit the exponent")
+    freqs = _sweep_frequencies(n_sweep, "the exponent")
     positive = (0.0 < freqs) & (freqs < np.inf)
     if not positive.all():
         raise ResolutionError("jet frequency N must be finite and positive, "

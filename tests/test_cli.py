@@ -467,6 +467,26 @@ def test_unknown_function_family_is_named(tmp_path, capsys):
     assert "boundary_data" in err and "wavelet" in err
 
 
+def test_uncreatable_output_dir_is_a_config_error(tmp_path, capsys):
+    # the parent of the output directory is a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code = cli.main([
+        "forward", "--config", _write(tmp_path, json.dumps({"mesh": SMALL_SQUARE})),
+        "--out", str(blocker / "sub"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config key 'output_dir'" in err and str(blocker / "sub") in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+
+
+def test_verbose_flag_is_an_unknown_argument():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["forward", "--verbose"])
+    assert exc.value.code == 2
+
+
 def test_entry_point_runs_as_module(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
@@ -474,7 +494,7 @@ def test_entry_point_runs_as_module(tmp_path):
     }), encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "minsurf.cli", "forward",
-         "--config", str(config), "--out", str(tmp_path / "out"), "--verbose"],
+         "--config", str(config), "--out", str(tmp_path / "out")],
         capture_output=True, text=True,
         # the child imports minsurf from wherever this process found it,
         # including pytest's configured pythonpath

@@ -309,7 +309,7 @@ def test_boundary_measure_scales_with_metric():
     g = geo.flat_metric()
     bg = geo.boundary_geometry(m, g)
     assert abs(bg.ds.sum() - 4.0) < 1e-12
-    assert abs(sum(bg.loop_lengths) - 4.0) < 1e-12
+    assert abs(bg.edge_lengths.sum() - 4.0) < 1e-12
     # constant conformal factor c scales lengths by sqrt(c)
     cg = geo.conformal_metric(g, lambda x, y: np.full_like(x, 4.0))
     bg2 = geo.boundary_geometry(m, cg)
@@ -317,6 +317,12 @@ def test_boundary_measure_scales_with_metric():
     # consistent mass integrates constants like the lumped weights
     ones = np.ones(len(m.boundary_vertices))
     assert abs(bg.pair(ones, ones) - bg.ds.sum()) < 1e-12
+
+
+def _loop_slices(mesh):
+    """Position of each boundary loop inside the concatenated boundary arrays."""
+    stops = np.cumsum([len(loop) for loop in mesh.boundary_loops]).tolist()
+    return [slice(a, b) for a, b in zip([0] + stops[:-1], stops)]
 
 
 def test_tangential_derivative_second_order():
@@ -333,7 +339,7 @@ def test_tangential_derivative_second_order():
             p = mesh.vertices[mesh.boundary_vertices]
             exact = 2 * np.cos(2 * np.arctan2(p[:, 1], p[:, 0])) / np.linalg.norm(p, axis=1)
             errs.append([np.abs(dfds[sl] - sign * exact[sl]).max()
-                         for sl, sign in zip(bg.loop_slices, (1, -1))])
+                         for sl, sign in zip(_loop_slices(mesh), (1, -1))])
         for coarse, fine in zip(*errs):
             assert fine < coarse / 3.0  # ~ 4x for O(h^2)
 
@@ -456,8 +462,8 @@ def _reference_boundary_geometry(mesh, metric):
     n_b = len(mesh.boundary_vertices)
     ds = np.empty(n_b)
     arclength = np.empty(n_b)
+    edge_lengths = np.empty(n_b)
     loop_slices = []
-    loop_lengths = []
     rows, cols, vals = [], [], []
     pos = 0
     for loop in mesh.boundary_loops:
@@ -473,9 +479,9 @@ def _reference_boundary_geometry(mesh, metric):
             quad = (g11 * edge[:, 0] ** 2 + 2 * g12 * edge[:, 0] * edge[:, 1]
                     + g22 * edge[:, 1] ** 2)
             elen += wq * np.sqrt(quad)
+        edge_lengths[sl] = elen
         ds[sl] = 0.5 * (elen + np.roll(elen, 1))
         arclength[sl] = np.concatenate([[0.0], np.cumsum(elen[:-1])])
-        loop_lengths.append(float(elen.sum()))
         for k in range(m):
             a = pos + k
             b = pos + (k + 1) % m
@@ -484,22 +490,19 @@ def _reference_boundary_geometry(mesh, metric):
             vals.extend([elen[k] / 3.0, elen[k] / 6.0, elen[k] / 6.0, elen[k] / 3.0])
         pos += m
     mass = sp.coo_matrix((vals, (rows, cols)), shape=(n_b, n_b)).tocsr()
-    return dict(ds=ds, arclength=arclength, mass=mass, loop_slices=loop_slices,
-                loop_lengths=loop_lengths)
+    return dict(ds=ds, arclength=arclength, mass=mass, edge_lengths=edge_lengths,
+                loop_slices=loop_slices)
 
 
 def _reference_tangential_derivative(ref, values):
     """Per-loop centered differences of the reference construction."""
     out = np.empty_like(values)
-    for sl, total in zip(ref["loop_slices"], ref["loop_lengths"]):
+    for sl in ref["loop_slices"]:
         v = values[sl]
-        s = ref["arclength"][sl]
+        ds_fwd = ref["edge_lengths"][sl]
         fwd = np.roll(v, -1) - v
-        ds_fwd = np.roll(s, -1) - s
-        ds_fwd[-1] += total
+        ds_bwd = np.roll(ds_fwd, 1)
         bwd = v - np.roll(v, 1)
-        ds_bwd = s - np.roll(s, 1)
-        ds_bwd[0] += total
         out[sl] = (ds_bwd * fwd / ds_fwd + ds_fwd * bwd / ds_bwd) / (ds_bwd + ds_fwd)
     return out
 
@@ -512,14 +515,12 @@ def test_boundary_geometry_matches_per_loop_reference(build):
     for metric in (geo.flat_metric(), CURVED, conformal):
         bg = geo.boundary_geometry(mesh, metric)
         ref = _reference_boundary_geometry(mesh, metric)
-        for name in ("ds", "arclength"):
+        for name in ("ds", "arclength", "edge_lengths"):
             np.testing.assert_array_equal(getattr(bg, name), ref[name], err_msg=name)
         for part in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(bg.mass, part),
                                           getattr(ref["mass"], part), err_msg=part)
-        assert bg.loop_slices == ref["loop_slices"]
-        assert bg.loop_lengths == ref["loop_lengths"]
-        for sl in bg.loop_slices:
+        for sl in ref["loop_slices"]:
             pos = np.arange(sl.start, sl.stop)
             np.testing.assert_array_equal(bg.successor[sl], np.roll(pos, -1))
             np.testing.assert_array_equal(bg.predecessor[sl], np.roll(pos, 1))

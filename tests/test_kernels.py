@@ -396,9 +396,8 @@ def test_flat_metric_keeps_three_numbers_and_moves_no_bit(build):
     assert forms[0](p, p, q, q) == forms[1](p, p, q, q)
     assert forms[0](p, q, u, z) == forms[1](p, q, u, z)
     bg, bg_full = compact.boundary, full.boundary
-    for name in ("ds", "arclength", "successor", "predecessor"):
+    for name in ("ds", "arclength", "successor", "predecessor", "edge_lengths"):
         assert np.array_equal(getattr(bg, name), getattr(bg_full, name))
-    assert bg.loop_lengths == bg_full.loop_lengths
     assert _same_csr(bg.mass, bg_full.mass)
     (value, point), (value_full, point_full) = (d.conformal_defect for d in (compact, full))
     assert value == value_full and np.array_equal(point, point_full)

@@ -1,6 +1,7 @@
 """Code lines of each ``minsurf`` module and their total.
 
     python3 tools/code_lines.py [SRC_DIR]
+    python3 tools/code_lines.py PARENT CHANGE
 
 A code line is a line of a module that holds a token other than a comment,
 and that is not part of a docstring (the string literal that opens a
@@ -10,6 +11,11 @@ Tokens come from ``tokenize`` and docstrings from ``ast``, so a string that
 spans lines counts on each of its lines.  ``SRC_DIR`` defaults to the
 ``src/minsurf`` of the checkout this script is in.  It prints one line per
 module, ``name count``, in name order, then ``total count``.
+
+Given two checkouts, it counts the ``src/minsurf`` of each and prints one
+line per module of either, ``name parent change delta``, in name order, then
+``total parent change delta``; a module that one checkout lacks counts 0
+there, and ``delta`` is ``change - parent`` with its sign.
 """
 
 import ast
@@ -45,15 +51,25 @@ def code_lines(source):
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def module_counts(src):
+    """The code lines of each module in the directory ``src``, by file name."""
+    return {path.name: code_lines(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
 def main(argv):
+    if len(argv) == 3:
+        parent, change = (module_counts(Path(c) / "src" / "minsurf") for c in argv[1:])
+        rows = [(name, parent.get(name, 0), change.get(name, 0))
+                for name in sorted(parent.keys() | change.keys())]
+        rows.append(("total", sum(parent.values()), sum(change.values())))
+        for name, a, b in rows:
+            print(f"{name} {a} {b} {b - a:+d}")
+        return
     root = Path(__file__).resolve().parents[1]
-    src = Path(argv[1]) if len(argv) > 1 else root / "src" / "minsurf"
-    total = 0
-    for path in sorted(src.glob("*.py")):
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{path.name} {count}")
-    print(f"total {total}")
+    counts = module_counts(Path(argv[1]) if len(argv) > 1 else root / "src" / "minsurf")
+    for name, count in counts.items():
+        print(f"{name} {count}")
+    print(f"total {sum(counts.values())}")
 
 
 if __name__ == "__main__":
