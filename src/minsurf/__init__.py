@@ -3,8 +3,9 @@
 Submodules
 ----------
 geometry
-    Meshes, metric fields, quadrature, assembly, the boundary measure, and the
-    per-(mesh, metric) Discretization owner.
+    Meshes, metrics (callables ``(x, y) -> (g11, g12, g22)``), quadrature,
+    assembly, the boundary measure, and the per-(mesh, metric)
+    Discretization owner, keyed by the metric callable.
 forward
     Nonlinear minimal-surface solver and Laplace-Beltrami solves.
 linearize

@@ -1,9 +1,9 @@
 """Triangulated 2D charts with Riemannian metrics.
 
 This module provides the geometric substrate for the rest of the package:
-meshes of linear (P1) triangles, metric fields evaluated at quadrature
-points, weighted stiffness assembly, and the boundary measure of the
-metric with its loop indexing.
+meshes of linear (P1) triangles, metrics (callables ``(x, y) -> (g11,
+g12, g22)``) evaluated at quadrature points, weighted stiffness assembly,
+and the boundary measure of the metric with its loop indexing.
 
 Conventions
 -----------
@@ -58,10 +58,11 @@ One owner per (mesh, metric) pair
 ---------------------------------
 Every operator of the package is computed on one (mesh, metric) pair, and
 :func:`discretization` hands out that pair's single :class:`Discretization`.
-It is memoized in a dict on the mesh, keyed by the metric, and refers back
-to its mesh only weakly, so it lives and dies with the mesh: dropping the
-last reference to a mesh frees its owners at once, without waiting for a
-garbage collection.  The owner builds each invariant on first use, once,
+It is memoized in a dict on the mesh, keyed by the metric callable (every
+:func:`flat_metric` is one function, while a :func:`conformal_metric` built
+twice is two, with two owners), and refers back to its mesh only weakly, so
+it lives and dies with the mesh: dropping the last reference to a mesh
+frees its owners at once, without waiting for a garbage collection.  The owner builds each invariant on first use, once,
 under its own lock (callers' threads may share a mesh): the metric at
 quadrature (the quadrature weights against dV_g and the inverse metric,
 at the shape the metric varies in, so a flat chart keeps one weight row
@@ -88,7 +89,6 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -96,7 +96,6 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "Mesh",
-    "MetricField",
     "BoundaryGeometry",
     "Discretization",
     "discretization",
@@ -105,7 +104,6 @@ __all__ = [
     "disc",
     "annulus",
     "flat_metric",
-    "explicit_metric",
     "conformal_metric",
     "metric_eval",
     "hat_flux_loads",
@@ -549,42 +547,8 @@ def annulus(r0, r1, n_radial, n_angular):
 
 
 # ---------------------------------------------------------------------------
-# Metric fields
+# Metrics
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MetricField:
-    """Riemannian metric on a chart.
-
-    Two variants:
-
-    * ``kind == "explicit"``: ``entries(x, y)`` returns the matrix entries
-      ``(g11, g12, g22)`` for arrays of coordinates.
-    * ``kind == "conformal"``: a positive ``factor(x, y)`` multiplying a
-      ``base`` metric, i.e. g = c * g_base.  Kept symbolic, c * g of one
-      base and one factor callable compares equal when built again, so
-      every build shares one :func:`discretization` owner, and its
-      evaluation checks c > 0 with a message of its own.
-
-    Use :func:`flat_metric`, :func:`explicit_metric`,
-    :func:`conformal_metric` to construct instances.
-    """
-
-    kind: str
-    entries: Optional[Callable] = None
-    base: Optional["MetricField"] = None
-    factor: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind == "explicit":
-            if self.entries is None:
-                raise ValueError("explicit metric requires an entries callable")
-        elif self.kind == "conformal":
-            if self.base is None or self.factor is None:
-                raise ValueError("conformal metric requires base and factor")
-        else:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
 
 
 def _flat_entries(x, y):
@@ -595,42 +559,42 @@ def flat_metric():
     """The Euclidean metric, with scalar entries (1, 0, 1).
 
     The entries are constant, so the metric at quadrature keeps its inverse
-    as three numbers (see :class:`_MetricQuad`).  Every call gives an equal
-    metric, with the one entries function, so all of them share one
-    :func:`discretization` owner.
+    as three numbers (see :class:`_MetricQuad`).  Every call gives the one
+    entries function, so all of them share one :func:`discretization` owner.
     """
-    return explicit_metric(_flat_entries)
-
-
-def explicit_metric(entries):
-    """Metric from a callable ``entries(x, y) -> (g11, g12, g22)``."""
-    return MetricField(kind="explicit", entries=entries)
+    return _flat_entries
 
 
 def conformal_metric(base, factor):
-    """Metric c * g_base with a positive scalar ``factor(x, y)``."""
-    return MetricField(kind="conformal", base=base, factor=factor)
+    """Metric c * g_base with a positive scalar ``factor(x, y)``.
+
+    The base is evaluated first, so a nested conformal metric reports the
+    innermost nonpositive factor.
+    """
+
+    def entries(x, y):
+        g = base(x, y)
+        c = np.asarray(factor(x, y), dtype=float)
+        if np.any(c <= 0.0):
+            c = np.broadcast_to(c, np.shape(x))
+            k = _first_index(c, np.argmin)
+            raise ValueError(
+                f"conformal factor must be positive; got {np.min(c):.3e} at "
+                f"point ({np.asarray(x)[k]:.4g}, {np.asarray(y)[k]:.4g})"
+            )
+        return tuple(c * e for e in g)
+
+    return entries
 
 
 def _metric_entries(metric, x, y):
-    """Evaluate (g11, g12, g22) on coordinate arrays, resolving conformal nesting.
+    """Evaluate (g11, g12, g22) on coordinate arrays.
 
-    Each entry is a float array at the shape its callable gives it, which
+    Each entry is a float array at the shape the metric gives it, which
     broadcasts against ``x``: a constant entry stays a 0-d array, not one
     value per point.
     """
-    if metric.kind == "explicit":
-        return tuple(np.asarray(g, dtype=float) for g in metric.entries(x, y))
-    b11, b12, b22 = _metric_entries(metric.base, x, y)
-    c = np.asarray(metric.factor(x, y), dtype=float)
-    if np.any(c <= 0.0):
-        c = np.broadcast_to(c, np.shape(x))
-        k = _first_index(c, np.argmin)
-        raise ValueError(
-            f"conformal factor must be positive; got {np.min(c):.3e} at "
-            f"point ({np.asarray(x)[k]:.4g}, {np.asarray(y)[k]:.4g})"
-        )
-    return c * b11, c * b12, c * b22
+    return tuple(np.asarray(g, dtype=float) for g in metric(x, y))
 
 
 def metric_eval(metric, point):

@@ -142,6 +142,23 @@ def test_area_pipeline_small(tmp_path):
     assert manifest["results"]["roundtrip"] <= 1e-14
 
 
+def test_area_pipeline_with_zero_data_fails_on_an_undefined_error(tmp_path, capsys):
+    # the reference trace is zero, so the relative error is undefined: NaN
+    # with no 0/0 warning, which the gate fails and the manifest writes null
+    code = cli.run(
+        "area-pipeline",
+        {"mesh": {"kind": "disc", "n_radial": 8, "n_angular": 48},
+         "boundary_data": {"name": "zero"}},
+        out=tmp_path,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "FAILED criteria: relative_sup_error\n"
+    manifest = read_manifest(tmp_path)
+    assert manifest["results"]["relative_sup_error"] is None
+    [record] = [r for r in manifest["assertions"] if r["name"] == "relative_sup_error"]
+    assert record["value"] is None and record["passed"] is False
+
+
 def test_recover_q_zero_control_with_field(tmp_path):
     code = cli.run(
         "recover-q",

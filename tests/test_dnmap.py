@@ -12,9 +12,7 @@ from minsurf import linearize as lin
 from test_kernels import p1_gradients, pair_at_quadrature
 
 FLAT = geo.flat_metric()
-CURVED = geo.explicit_metric(
-    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-)
+CURVED = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y)
 CAT_A = 0.5
 CAT_R0, CAT_R1 = 1.1 * CAT_A, 3.0 * CAT_A
@@ -58,9 +56,7 @@ def area_first_variation(mesh, metric, u, v):
 def test_riemannian_gradient_raises_index():
     m = geo.square(5)
     u = m.vertices[:, 0]  # u = x
-    g = geo.explicit_metric(
-        lambda x, y: (np.full_like(x, 4.0), np.zeros_like(x), np.full_like(x, 2.0))
-    )
+    g = lambda x, y: (np.full_like(x, 4.0), np.zeros_like(x), np.full_like(x, 2.0))
     grad = riemannian_gradient(m, g, u)
     np.testing.assert_allclose(grad[:, 0], 0.25, atol=1e-14)
     np.testing.assert_allclose(grad[:, 1], 0.0, atol=1e-14)
@@ -209,7 +205,7 @@ def test_nonlinear_dn_weak_form_cannot_see_a_boundary_fixing_diffeomorphism():
     # the gauge of the inverse problem: Lambda_{psi^* g} = Lambda_g when psi
     # fixes the boundary, so the discrete weak forms agree at second order
     # (the nodal values only at first order on such a chart)
-    pulled = geo.explicit_metric(_pulled_back_flat)
+    pulled = _pulled_back_flat
     f = lambda x, y: 0.4 * (x * x - y * y) + 0.25 * x * y + 0.15 * y
     options = fwd.SolveOptions(tol=1e-12)
     diffs = []

@@ -194,9 +194,7 @@ def test_cold_solve_chord_steps_converge_over_an_amplitude_sweep(monkeypatch):
         fwd.solve_minimal_surface(mesh, FLAT, _saddle(0.26), opts)
 
 
-CURVED = geo.explicit_metric(
-    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-)
+CURVED = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 
 
 def test_cold_solve_agrees_with_fresh_newton_on_a_curved_metric(counting):

@@ -2,6 +2,7 @@
 
 import gc
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,9 +20,7 @@ from minsurf import geometry as geo
 
 from test_kernels import p1_gradients, pair_at_quadrature
 
-CURVED = geo.explicit_metric(
-    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-)
+CURVED = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 EPS = np.finfo(float).eps
 
 
@@ -177,7 +176,7 @@ def test_orientation_normalization_and_degenerate_rejection():
 def test_metric_eval_flat_and_spd_rejection():
     g = geo.flat_metric()
     np.testing.assert_allclose(geo.metric_eval(g, (0.3, 0.7)), np.eye(2))
-    bad = geo.explicit_metric(lambda x, y: (x - 10.0, 0.0 * x, np.ones_like(x)))
+    bad = lambda x, y: (x - 10.0, 0.0 * x, np.ones_like(x))
     with pytest.raises(ValueError, match=r"not SPD at point .*\(x=0, y=0\.5\)"):
         geo.metric_eval(bad, (0.0, 0.5))
     m = geo.square(4)
@@ -190,7 +189,7 @@ def test_spd_rejection_names_the_first_point_in_triangle_order():
     # the metric at quadrature is stored point by point, as (3, n_tri) rows,
     # but the first failing point is still found and printed triangle first
     m = geo.square(4)
-    bad = geo.explicit_metric(
+    bad = (
         lambda x, y: (np.where(x + 0.3 * y > 0.9, -1.0, 1.0), 0.0 * x, np.ones_like(x))
     )
     x, y = m.quad_points
@@ -213,9 +212,8 @@ def test_scalar_entries_fail_as_their_arrays_do():
     # samples first and names the same point with the same numbers
     m = geo.square(4)
     x, y = m.quad_points
-    scalar = geo.explicit_metric(lambda x, y: (-1.0, 0.0, 1.0))
-    full = geo.explicit_metric(
-        lambda x, y: (-np.ones_like(x), np.zeros_like(x), np.ones_like(x)))
+    scalar = lambda x, y: (-1.0, 0.0, 1.0)
+    full = lambda x, y: (-np.ones_like(x), np.zeros_like(x), np.ones_like(x))
     builds = [
         lambda g: geo.metric_at_quadrature(m, g),
         lambda g: geo.metric_eval(g, (0.3, 0.7)),
@@ -531,7 +529,7 @@ def test_boundary_geometry_matches_per_loop_reference(build):
 def test_boundary_geometry_rejects_a_metric_not_spd_on_the_boundary():
     # SPD at every volume quadrature point, g11 = -1 at the boundary vertices
     mesh = geo.disc(6, 36)
-    rim = geo.explicit_metric(lambda x, y: (
+    rim = (lambda x, y: (
         np.where(x * x + y * y > 0.999, -1.0, 1.0), 0.0 * x, 1.0 + 0.0 * x))
     geo.metric_at_quadrature(mesh, rim)
     with pytest.raises(ValueError, match="not SPD at boundary vertex"):
@@ -565,7 +563,7 @@ def test_an_owner_whose_mesh_is_gone_says_so():
 
 def test_discretization_is_memoized_per_mesh_and_metric():
     mesh = geo.disc(8, 48)
-    flat, curved = geo.flat_metric(), geo.explicit_metric(
+    flat, curved = geo.flat_metric(), (
         lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
     )
     d = geo.discretization(mesh, flat)
@@ -591,13 +589,47 @@ def test_discretization_is_memoized_per_mesh_and_metric():
 
 
 def test_every_flat_metric_shares_one_owner():
-    # flat_metric() builds equal metrics, so the owners of a mesh do not
-    # multiply with the calls: one assembly of K and one factor serve them
+    # flat_metric() returns the one entries function, so the owners of a
+    # mesh do not multiply with the calls: one assembly of K and one factor
+    # serve them
     mesh = geo.disc(8, 48)
-    assert geo.flat_metric() == geo.flat_metric()
+    assert geo.flat_metric() is geo.flat_metric()
     assert geo.discretization(mesh, geo.flat_metric()) is geo.discretization(
         mesh, geo.flat_metric())
     assert len(mesh._discretizations) == 1
+
+
+def test_the_owner_is_keyed_by_the_metric_callable():
+    # one metric object, one owner; equal values from two callables, or one
+    # conformal metric built twice, are two metrics and two owners
+    mesh = geo.disc(6, 36)
+    first = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+    second = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
+    assert geo.discretization(mesh, first) is geo.discretization(mesh, first)
+    assert geo.discretization(mesh, first) is not geo.discretization(mesh, second)
+    factor = lambda x, y: 1.0 + x * x
+    conformal = [geo.conformal_metric(first, factor) for _ in range(2)]
+    assert geo.discretization(mesh, conformal[0]) is not geo.discretization(
+        mesh, conformal[1])
+    assert len(mesh._discretizations) == 4
+
+
+def test_a_nested_conformal_metric_evaluates_its_base_first():
+    x = np.linspace(-1.0, 1.0, 9)
+    y = 0.5 * x
+    inner = lambda x, y: x - 0.5  # nonpositive for x <= 0.5
+    outer = lambda x, y: np.full_like(x, -2.0)  # nonpositive everywhere
+    nested = geo.conformal_metric(geo.conformal_metric(CURVED, inner), outer)
+    with pytest.raises(ValueError, match=re.escape(
+            "conformal factor must be positive; got -1.500e+00 at point (-1, -0.5)")):
+        nested(x, y)
+    # with both factors positive, the entries are c2 * (c1 * g), bit for bit
+    c1 = lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y
+    c2 = lambda x, y: np.exp(0.3 * x - 0.2 * y)
+    nested = geo.conformal_metric(geo.conformal_metric(CURVED, c1), c2)
+    expected = [c2(x, y) * (c1(x, y) * g) for g in CURVED(x, y)]
+    for got, want in zip(geo._metric_entries(nested, x, y), expected):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_threads_sharing_a_mesh_build_the_owner_once(counting):
@@ -606,9 +638,7 @@ def test_threads_sharing_a_mesh_build_the_owner_once(counting):
     # equal bit for bit to the serial one; the owner's system takes its
     # factor at first use, so the one splu call also covers that race
     n_threads = 8
-    metric = geo.explicit_metric(
-        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-    )
+    metric = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
     data = [
         (lambda x, y, k=k: np.cos(k * np.arctan2(y, x)) + 0.1 * k * x * y)
         for k in range(n_threads)

@@ -13,9 +13,7 @@ from minsurf import inverse as inv
 from test_kernels import p1_gradients, pair_at_quadrature
 
 FLAT = geo.flat_metric()
-CURVED = geo.explicit_metric(
-    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-)
+CURVED = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 EPS = np.finfo(float).eps
 
 DIRS = [

@@ -208,7 +208,7 @@ def test_probe_rejects_negative_frequency():
 
 def test_probe_requires_conformally_flat_metric():
     mesh = geo.disc(24, 144)
-    skew = geo.explicit_metric(
+    skew = (
         lambda x, y: (
             1.0 + 0.3 * np.asarray(x) ** 2,
             0.1 * np.asarray(x) * np.asarray(y),
@@ -222,8 +222,7 @@ def test_probe_requires_conformally_flat_metric():
 def test_conformal_flatness_error_names_the_metric_it_was_given():
     # g12 = 0.9999 printed to 3 digits reads 1, a singular metric
     mesh = geo.disc(12, 72)
-    sheared = geo.explicit_metric(
-        lambda x, y: (np.ones_like(x), np.full_like(x, 0.9999), np.ones_like(x)))
+    sheared = lambda x, y: (np.ones_like(x), np.full_like(x, 0.9999), np.ones_like(x))
     with pytest.raises(inv.ResolutionError) as err:
         inv.recover_q_point(mesh, sheared, gaussian_weight, (0.0, 0.0), [2.0, 3.0])
     assert "g12=0.9999" in str(err.value)
@@ -245,7 +244,7 @@ def test_conformal_flatness_is_checked_away_from_sampled_vertices():
         bump = 1e-3 * np.maximum(1.0 - r2, 0.0) ** 2
         return np.ones_like(x), bump, np.ones_like(x)
 
-    metric = geo.explicit_metric(entries)
+    metric = entries
     for v in sampled:
         g = geo.metric_eval(metric, v)
         assert g[0, 1] == 0.0 and g[0, 0] == g[1, 1]
@@ -610,8 +609,7 @@ def test_conformal_flatness_is_checked_once_per_owner(monkeypatch):
     monkeypatch.setattr(geo.Discretization, "_conformal_defect",
                         lambda self: built.append(self.metric) or defect(self))
     mesh = geo.disc(24, 144)
-    curved = geo.explicit_metric(
-        lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y))
+    curved = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
     for tau in (2.0, 3.0, 4.0):
         inv.make_interior_probe(mesh, FLAT, (0.0, 0.0), tau)
         with pytest.raises(inv.ResolutionError, match="conformally flat"):

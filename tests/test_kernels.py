@@ -31,9 +31,7 @@ from minsurf import identity as idn
 from minsurf import linearize as lin
 
 FLAT = geo.flat_metric()
-CURVED = geo.explicit_metric(
-    lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
-)
+CURVED = lambda x, y: (1.0 + 0.3 * x * x, 0.1 * x * y, 1.0 + 0.2 * y * y)
 CONFORMAL = geo.conformal_metric(CURVED, lambda x, y: 1.0 + 0.5 * x * x + 0.2 * y)
 EPS = np.finfo(float).eps
 
@@ -309,7 +307,7 @@ def test_kernels_match_the_column_formulas_bit_for_bit(fields, metric, counting)
     assert _same_csr(K, geo.assemble_elements(mesh, data))
 
 
-SCALAR_ENTRIES = geo.explicit_metric(lambda x, y: (2.0, 0.5, 1.0))
+SCALAR_ENTRIES = lambda x, y: (2.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -357,9 +355,7 @@ def test_quadrature_data_are_c_contiguous_rows(fields, metric, counting):
     assert d.weights is d.mq.weights
 
 
-FULL_FLAT = geo.explicit_metric(
-    lambda x, y: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
-)
+FULL_FLAT = lambda x, y: (np.ones_like(x), np.zeros_like(x), np.ones_like(x))
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,10 @@ Given two checkouts, it counts the ``src/minsurf`` of each and prints one
 line per module of either, ``name parent change delta``, in name order, then
 ``total parent change delta``; a module that one checkout lacks counts 0
 there, and ``delta`` is ``change - parent`` with its sign.
+
+A directory that holds no ``*.py`` (for a checkout, its ``src/minsurf``)
+makes it exit 2 with a one-line message naming the path, before it prints
+anything, so a mistyped path is not read as an empty package.
 """
 
 import ast
@@ -52,8 +56,13 @@ def code_lines(source):
 
 
 def module_counts(src):
-    """The code lines of each module in the directory ``src``, by file name."""
-    return {path.name: code_lines(path.read_text()) for path in sorted(src.glob("*.py"))}
+    """The code lines of each module in the directory ``src``, by file name;
+    exits 2, naming ``src``, if it holds no module."""
+    paths = sorted(src.glob("*.py"))
+    if not paths:
+        print(f"code_lines.py: no *.py module in {src}", file=sys.stderr)
+        sys.exit(2)
+    return {path.name: code_lines(path.read_text()) for path in paths}
 
 
 def main(argv):

@@ -25,6 +25,9 @@ CSV, or of the manifest's ``json.dumps`` text, read in order; it is
 ``text differs`` when the two differ other than in their numbers (a word,
 or how many numbers they hold).  A last line counts the identical outputs
 and names the largest difference.
+
+A checkout with no ``src/minsurf/*.py`` makes it exit 2 with a one-line
+message naming the path, before any run.
 """
 
 import contextlib
@@ -50,12 +53,21 @@ CHILD = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]);
 
 
 def main(argv):
-    if len(argv) == 3:
-        compare(Path(argv[1]), Path(argv[2]))
+    roots = [checkout(arg) for arg in argv[1:]] or [Path(__file__).resolve().parents[1]]
+    if len(roots) == 2:
+        compare(*roots)
         return
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     with tempfile.TemporaryDirectory() as tmp:
-        digests(root, Path(tmp))
+        digests(roots[0], Path(tmp))
+
+
+def checkout(arg):
+    """The checkout ``arg``; exits 2, naming it, if it holds no package."""
+    if not any((Path(arg) / "src" / "minsurf").glob("*.py")):
+        print(f"csv_digests.py: no minsurf package in {arg} (no src/minsurf/*.py)",
+              file=sys.stderr)
+        sys.exit(2)
+    return Path(arg)
 
 
 def digests(root, dest):
